@@ -11,6 +11,7 @@
 #include <iostream>
 #include <string>
 
+#include "rstp/common/parse.h"
 #include "rstp/sim/campaign_bench.h"
 
 int main(int argc, char** argv) {
@@ -21,7 +22,13 @@ int main(int argc, char** argv) {
     if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--iterations" && i + 1 < argc) {
-      options.codec_iterations = std::stoul(argv[++i]);
+      // Zero iterations would divide by zero in the per-call timings.
+      const auto n = rstp::parse_number<std::size_t>(argv[++i]);
+      if (!n.has_value() || *n == 0) {
+        std::cerr << "invalid --iterations '" << argv[i] << "': expected a positive integer\n";
+        return 2;
+      }
+      options.codec_iterations = *n;
     } else {
       std::cerr << "usage: bench_campaign [--json PATH] [--iterations N]\n";
       return 2;

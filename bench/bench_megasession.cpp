@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "rstp/common/parse.h"
 #include "rstp/obs/json.h"
 #include "rstp/sim/multi_session.h"
 
@@ -74,7 +75,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::stoul(argv[++i]));
+      const auto n = rstp::parse_number<unsigned>(argv[++i]);
+      if (!n.has_value()) {
+        std::cerr << "invalid --threads '" << argv[i]
+                  << "': expected a non-negative integer (0 = all cores)\n";
+        return 2;
+      }
+      threads = *n;
     } else {
       std::cerr << "usage: bench_megasession [--json PATH] [--quick] [--threads N]\n";
       return 2;

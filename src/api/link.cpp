@@ -59,11 +59,7 @@ TransferResult Link::transfer(std::span<const std::uint8_t> payload) const {
   result.stats.data_packets = run.result.transmitter_sends;
   result.stats.ack_packets = run.result.receiver_sends;
   result.stats.events = run.result.event_count;
-  if (!cfg.input.empty() && result.stats.last_send.has_value()) {
-    result.stats.ticks_per_bit =
-        static_cast<double>((*result.stats.last_send - Time::zero()).ticks()) /
-        static_cast<double>(cfg.input.size());
-  }
+  result.stats.ticks_per_bit = core::effort_of(run, cfg.input.size()).effort;
 
   bool verified_ok = true;
   if (options_.verify) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
@@ -64,27 +65,35 @@ std::unique_ptr<channel::DeliveryPolicy> make_delivery_policy(Environment::Delay
   RSTP_UNREACHABLE("unknown delay kind");
 }
 
+std::unique_ptr<sim::Session> make_session(protocols::ProtocolKind kind,
+                                           const protocols::ProtocolConfig& config,
+                                           const Environment& env, sim::SimConfig sim_config,
+                                           const PolicyFactory& policy, Duration min_delay) {
+  protocols::ProtocolInstance instance = protocols::make_protocol(kind, config);
+  Rng seeder{env.seed};
+  const std::uint64_t t_seed = seeder.next_u64();
+  const std::uint64_t r_seed = seeder.next_u64();
+  const std::uint64_t policy_seed = seeder.next_u64();
+  const TimingParams& t_params = sim_config.transmitter_params.value_or(sim_config.params);
+  const TimingParams& r_params = sim_config.receiver_params.value_or(sim_config.params);
+  return std::make_unique<sim::Session>(
+      std::move(instance), make_scheduler(env.transmitter_sched, t_params, t_seed),
+      make_scheduler(env.receiver_sched, r_params, r_seed),
+      policy ? policy(policy_seed)
+             : make_delivery_policy(env.delay, sim_config.params, policy_seed),
+      std::move(sim_config), min_delay);
+}
+
 ProtocolRun run_protocol(protocols::ProtocolKind kind, const protocols::ProtocolConfig& config,
                          const Environment& env, bool record_trace, std::uint64_t max_events,
-                         obs::trace::ModelRecorder* tracer) {
-  protocols::ProtocolInstance instance = protocols::make_protocol(kind, config);
-
-  Rng seeder{env.seed};
-  auto t_sched = make_scheduler(env.transmitter_sched, config.params, seeder.next_u64());
-  auto r_sched = make_scheduler(env.receiver_sched, config.params, seeder.next_u64());
-  channel::Channel chan{config.params.d,
-                        make_delivery_policy(env.delay, config.params, seeder.next_u64())};
-
+                         sim::SimObserver* observer) {
   sim::SimConfig sim_config;
   sim_config.params = config.params;
   sim_config.record_trace = record_trace;
   sim_config.max_events = max_events;
-  sim_config.tracer = tracer;
-
-  sim::Simulator simulator{*instance.transmitter, *instance.receiver, chan, *t_sched, *r_sched,
-                           sim_config};
+  sim_config.observer = observer;
   ProtocolRun run;
-  run.result = simulator.run();
+  run.result = make_session(kind, config, env, std::move(sim_config))->run();
   run.output_correct = run.result.output == config.input;
   return run;
 }
@@ -97,8 +106,10 @@ EffortMeasurement measure_effort(protocols::ProtocolKind kind, const TimingParam
   config.k = k;
   config.input = make_random_input(n, input_seed);
 
-  const ProtocolRun run = run_protocol(kind, config, env, /*record_trace=*/false);
+  return effort_of(run_protocol(kind, config, env, /*record_trace=*/false), n);
+}
 
+EffortMeasurement effort_of(const ProtocolRun& run, std::size_t n) {
   EffortMeasurement m;
   m.n = n;
   m.last_send = run.result.last_transmitter_send;
@@ -132,12 +143,7 @@ EffortDistribution measure_effort_distribution(protocols::ProtocolKind kind,
     const ProtocolRun run = run_protocol(kind, config, Environment::randomized(rng.next_u64()),
                                          /*record_trace=*/false);
     all_correct = all_correct && run.output_correct && run.result.quiescent;
-    double effort = 0;
-    if (run.result.last_transmitter_send.has_value()) {
-      effort = static_cast<double>((*run.result.last_transmitter_send - Time::zero()).ticks()) /
-               static_cast<double>(n);
-    }
-    efforts.push_back(effort);
+    efforts.push_back(effort_of(run, n).effort);
   }
   std::sort(efforts.begin(), efforts.end());
 

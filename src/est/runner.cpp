@@ -5,10 +5,9 @@
 
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
-#include "rstp/common/rng.h"
 #include "rstp/obs/metrics.h"
 #include "rstp/sim/scheduler.h"
-#include "rstp/sim/simulator.h"
+#include "rstp/sim/session.h"
 
 namespace rstp::est {
 
@@ -52,7 +51,7 @@ EstimatedRun run_estimated(protocols::ProtocolKind kind, const protocols::Protoc
                            const core::Environment& env, const core::DriftSpec& drift,
                            bool estimator_enabled, const EstimatorConfig& est_config,
                            bool record_trace, std::uint64_t max_events,
-                           obs::trace::ModelRecorder* tracer) {
+                           sim::SimObserver* observer) {
   protocols::ProtocolConfig local = config;
   std::shared_ptr<TimingEstimator> estimator;
   std::shared_ptr<BlockPlanner> planner;
@@ -66,42 +65,28 @@ EstimatedRun run_estimated(protocols::ProtocolKind kind, const protocols::Protoc
                                              local.k, local.input, estimator);
     local.planner = planner;
   }
-  protocols::ProtocolInstance instance = protocols::make_protocol(kind, local);
-
-  // Always burn the three per-run seeds in core::run_protocol's order so the
-  // env.seed stream is consumed identically with or without a drift spec —
-  // the oracle/estimated halves of a pair must face the same environment.
-  Rng seeder{env.seed};
-  const std::uint64_t t_seed = seeder.next_u64();
-  const std::uint64_t r_seed = seeder.next_u64();
-  const std::uint64_t chan_seed = seeder.next_u64();
-
-  std::unique_ptr<sim::StepScheduler> t_sched;
-  std::unique_ptr<sim::StepScheduler> r_sched;
-  std::unique_ptr<channel::DeliveryPolicy> policy;
-  if (drift.empty()) {
-    t_sched = core::make_scheduler(env.transmitter_sched, local.params, t_seed);
-    r_sched = core::make_scheduler(env.receiver_sched, local.params, r_seed);
-    policy = core::make_delivery_policy(env.delay, local.params, chan_seed);
-  } else {
-    t_sched = sim::make_drifting_scheduler(drift, local.params);
-    r_sched = sim::make_drifting_scheduler(drift, local.params);
-    policy = channel::make_drifting_delay(drift, local.params.d);
-  }
-  channel::Channel chan{local.params.d, std::move(policy)};
-  if (estimator != nullptr) estimator->attach_channel(&chan);
-
+  sim::ObserverTee tee{observer, estimator.get()};
   sim::SimConfig sim_config;
   sim_config.params = local.params;
   sim_config.record_trace = record_trace;
   sim_config.max_events = max_events;
-  sim_config.tracer = tracer;
-  sim_config.estimator = estimator.get();
+  sim_config.observer = tee.armed();
 
-  sim::Simulator simulator{*instance.transmitter, *instance.receiver, chan, *t_sched, *r_sched,
-                           sim_config};
+  // A drift spec replaces the environment's schedulers and policy outright,
+  // so the drifting session draws no environment seeds at all.
+  std::unique_ptr<sim::Session> session;
+  if (drift.empty()) {
+    session = core::make_session(kind, local, env, std::move(sim_config));
+  } else {
+    session = std::make_unique<sim::Session>(
+        protocols::make_protocol(kind, local), sim::make_drifting_scheduler(drift, local.params),
+        sim::make_drifting_scheduler(drift, local.params),
+        channel::make_drifting_delay(drift, local.params.d), std::move(sim_config));
+  }
+  if (estimator != nullptr) estimator->attach_channel(&session->channel());
+
   EstimatedRun out;
-  out.run.result = simulator.run();
+  out.run.result = session->run();
   out.run.output_correct = out.run.result.output == local.input;
   if (estimator != nullptr) {
     const core::TimingParams estimate = estimator->estimate();

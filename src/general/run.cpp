@@ -1,9 +1,9 @@
 #include "rstp/general/run.h"
 
+#include <utility>
+
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
-#include "rstp/common/rng.h"
-#include "rstp/sim/simulator.h"
 
 namespace rstp::general {
 
@@ -37,15 +37,6 @@ std::unique_ptr<channel::DeliveryPolicy> make_general_policy(Environment::Delay 
 }
 
 }  // namespace
-
-GeneralEnvironment GeneralEnvironment::randomized(std::uint64_t seed) {
-  GeneralEnvironment env;
-  env.transmitter_sched = Environment::Sched::Random;
-  env.receiver_sched = Environment::Sched::Random;
-  env.delay = Environment::Delay::Random;
-  env.seed = seed;
-  return env;
-}
 
 protocols::ProtocolConfig make_general_config(protocols::ProtocolKind kind,
                                               const GeneralTimingParams& params, std::uint32_t k,
@@ -84,27 +75,19 @@ core::ProtocolRun run_general_protocol(protocols::ProtocolKind kind,
                                        std::vector<ioa::Bit> input, const GeneralEnvironment& env,
                                        bool record_trace, std::uint64_t max_events) {
   const protocols::ProtocolConfig cfg = make_general_config(kind, params, k, std::move(input));
-  protocols::ProtocolInstance instance = protocols::make_protocol(kind, cfg);
-
-  Rng seeder{env.seed};
-  auto t_sched =
-      core::make_scheduler(env.transmitter_sched, params.transmitter_params(), seeder.next_u64());
-  auto r_sched =
-      core::make_scheduler(env.receiver_sched, params.receiver_params(), seeder.next_u64());
-  channel::Channel chan{params.d_hi, make_general_policy(env.delay, params, seeder.next_u64()),
-                        params.d_lo};
-
   sim::SimConfig sim_config;
   sim_config.params = params.envelope();
   sim_config.transmitter_params = params.transmitter_params();
   sim_config.receiver_params = params.receiver_params();
   sim_config.record_trace = record_trace;
   sim_config.max_events = max_events;
+  const auto policy = [&](std::uint64_t seed) {
+    return make_general_policy(env.delay, params, seed);
+  };
 
-  sim::Simulator simulator{*instance.transmitter, *instance.receiver, chan, *t_sched, *r_sched,
-                           sim_config};
   core::ProtocolRun run;
-  run.result = simulator.run();
+  run.result =
+      core::make_session(kind, cfg, env, std::move(sim_config), policy, params.d_lo)->run();
   run.output_correct = run.result.output == cfg.input;
   return run;
 }
@@ -124,19 +107,10 @@ core::EffortMeasurement measure_general_effort(protocols::ProtocolKind kind,
                                                const GeneralTimingParams& params, std::uint32_t k,
                                                std::size_t n, const GeneralEnvironment& env,
                                                std::uint64_t input_seed) {
-  const core::ProtocolRun run = run_general_protocol(
-      kind, params, k, core::make_random_input(n, input_seed), env, /*record_trace=*/false);
-  core::EffortMeasurement m;
-  m.n = n;
-  m.last_send = run.result.last_transmitter_send;
-  m.output_correct = run.output_correct;
-  m.quiescent = run.result.quiescent;
-  m.transmitter_sends = run.result.transmitter_sends;
-  if (n > 0 && m.last_send.has_value()) {
-    m.effort =
-        static_cast<double>((*m.last_send - Time::zero()).ticks()) / static_cast<double>(n);
-  }
-  return m;
+  return core::effort_of(run_general_protocol(kind, params, k,
+                                              core::make_random_input(n, input_seed), env,
+                                              /*record_trace=*/false),
+                         n);
 }
 
 }  // namespace rstp::general

@@ -15,12 +15,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "rstp/core/params.h"
 #include "rstp/protocols/factory.h"
-#include "rstp/sim/simulator.h"
+#include "rstp/sim/session.h"
 
 namespace rstp::core {
 
@@ -60,6 +62,22 @@ struct Environment {
 [[nodiscard]] std::unique_ptr<channel::DeliveryPolicy> make_delivery_policy(
     Environment::Delay kind, const TimingParams& params, std::uint64_t seed);
 
+/// Builds a delivery policy from the environment's delivery-policy seed.
+using PolicyFactory =
+    std::function<std::unique_ptr<channel::DeliveryPolicy>(std::uint64_t seed)>;
+
+/// Instantiates `kind` over `config` and wires it into a Session in `env`.
+/// The only code that expands an environment seed: Rng{env.seed} yields the
+/// transmitter-scheduler, receiver-scheduler and delivery-policy seeds, in
+/// that order. The schedulers follow `sim_config`'s per-process laws (its
+/// transmitter/receiver overrides, else its params); the delivery policy is
+/// make_delivery_policy(env.delay, sim_config.params, seed) unless `policy`
+/// is given. `min_delay` is the channel's lower delivery edge.
+[[nodiscard]] std::unique_ptr<sim::Session> make_session(
+    protocols::ProtocolKind kind, const protocols::ProtocolConfig& config,
+    const Environment& env, sim::SimConfig sim_config, const PolicyFactory& policy = {},
+    Duration min_delay = Duration{0});
+
 /// A complete protocol run plus its derived verdicts.
 struct ProtocolRun {
   sim::RunResult result;
@@ -67,14 +85,14 @@ struct ProtocolRun {
 };
 
 /// Instantiates `kind` over `config`, runs it in `env`, and reports.
-/// `record_trace=false` keeps memory flat for large n. `tracer` (obs/trace.h;
-/// non-owning) arms the causal span tracer for the run; it is a pure observer
-/// and cannot change any result bit.
+/// `record_trace=false` keeps memory flat for large n. `observer`
+/// (sim/observer.h; non-owning) watches the run, e.g. the causal span
+/// tracer; it is a pure observer and cannot change any result bit.
 [[nodiscard]] ProtocolRun run_protocol(protocols::ProtocolKind kind,
                                        const protocols::ProtocolConfig& config,
                                        const Environment& env, bool record_trace = true,
                                        std::uint64_t max_events = 50'000'000,
-                                       obs::trace::ModelRecorder* tracer = nullptr);
+                                       sim::SimObserver* observer = nullptr);
 
 struct EffortMeasurement {
   std::size_t n = 0;              ///< |X|
@@ -84,6 +102,9 @@ struct EffortMeasurement {
   bool quiescent = false;         ///< run completed (vs hit the event cap)
   std::uint64_t transmitter_sends = 0;
 };
+
+/// The effort verdicts of one finished run over an n-bit input.
+[[nodiscard]] EffortMeasurement effort_of(const ProtocolRun& run, std::size_t n);
 
 /// Measures effort on a uniformly random n-bit input (seeded) in `env`.
 [[nodiscard]] EffortMeasurement measure_effort(protocols::ProtocolKind kind,

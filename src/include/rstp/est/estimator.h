@@ -5,8 +5,8 @@
 // block sizing. Real deployments discover them — the adaptive-RTO discipline
 // of RFC 6298 is the standard answer, and this module transplants it into
 // the model: a TimingEstimator observes every step gap and every
-// send→delivery delay from inside a run (simulator hooks, zero effect when
-// absent) and maintains
+// send→delivery delay from inside a run (armed as the simulator's
+// sim::SimObserver, zero effect when absent) and maintains
 //
 //   ĉ1 = max(1, ⌊min_gap · (1 − margin)⌋)            (running minimum)
 //   ĉ2 = max(ĉ1, round((gap_srtt + 4·gap_var) · (1 + margin)))
@@ -40,6 +40,7 @@
 #include "rstp/core/params.h"
 #include "rstp/ioa/action.h"
 #include "rstp/obs/run_metrics.h"
+#include "rstp/sim/observer.h"
 
 namespace rstp::channel {
 class Channel;
@@ -64,9 +65,10 @@ struct EstimatorConfig {
   friend bool operator==(const EstimatorConfig&, const EstimatorConfig&) = default;
 };
 
-/// The EWMA+variance estimator. One instance per run, fed by the simulator's
-/// observation hooks; both protocol sides read it through the shared planner.
-class TimingEstimator {
+/// The EWMA+variance estimator. One instance per run, armed as the run's
+/// sim::SimObserver (every step gap and every delivery delay feeds it); both
+/// protocol sides read it through the shared planner.
+class TimingEstimator final : public sim::SimObserver {
  public:
   explicit TimingEstimator(EstimatorConfig config);
 
@@ -79,6 +81,17 @@ class TimingEstimator {
 
   /// One send→delivery delay of either direction (always ≤ d in-model).
   void observe_delay(Duration delay);
+
+  void on_local_step(ioa::ProcessId /*id*/, Time /*at*/, const ioa::Action& /*action*/,
+                     std::optional<Duration> gap,
+                     const obs::ProtocolCounters* /*counters*/) override {
+    if (gap.has_value()) observe_gap(*gap);
+  }
+  void on_delivery(ioa::ProcessId /*dest*/, Time sent_at, Time deliver_at,
+                   const ioa::Packet& /*packet*/, std::uint64_t /*send_seq*/,
+                   const obs::ProtocolCounters* /*dest_counters*/) override {
+    observe_delay(deliver_at - sent_at);
+  }
 
   /// The current legal estimate: 1 ≤ ĉ1 ≤ ĉ2 ≤ d̂ always holds.
   [[nodiscard]] core::TimingParams estimate() const;

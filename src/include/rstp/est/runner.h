@@ -15,11 +15,10 @@
 // the realized gap c2, which legally shrinks β's timed blocks relative to the
 // worst-case oracle plan.
 //
-// Seed-stream parity: run_estimated always draws the three per-run seeds
-// (transmitter scheduler, receiver scheduler, delivery policy) in exactly
-// core::run_protocol's order, even when a drifting spec ignores them, so the
-// oracle and estimated halves of a pair — and drifting and stationary cells
-// sharing a campaign seed — consume env.seed identically.
+// Seed-stream parity: a stationary run builds its session through
+// core::make_session, exactly as core::run_protocol does, so the oracle and
+// estimated halves of a pair face the same environment. A drifting run
+// replaces the schedulers and policy with the spec's and expands no seed.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +42,8 @@ struct EstimatedRun {
 /// non-empty one substitutes DriftingSpecScheduler for both processes and
 /// DriftingDelayPolicy for the channel. With `estimator_enabled` the run uses
 /// the adaptive A^β/A^γ variants (kind must be Beta or Gamma) and publishes
-/// its final gauges to the global metrics registry (est/* slots).
+/// its final gauges to the global metrics registry (est/* slots). `observer`
+/// (sim/observer.h; non-owning) watches the run alongside the estimator.
 [[nodiscard]] EstimatedRun run_estimated(protocols::ProtocolKind kind,
                                          const protocols::ProtocolConfig& config,
                                          const core::Environment& env,
@@ -51,7 +51,7 @@ struct EstimatedRun {
                                          const EstimatorConfig& est_config = EstimatorConfig{},
                                          bool record_trace = true,
                                          std::uint64_t max_events = 50'000'000,
-                                         obs::trace::ModelRecorder* tracer = nullptr);
+                                         sim::SimObserver* observer = nullptr);
 
 /// The finite sentinel fold_est_penalty reports when the estimated run sent
 /// but the oracle never did: the ratio is degenerate (division by zero), and

@@ -14,18 +14,10 @@
 
 namespace rstp::general {
 
-/// Environment knobs for the general model (Adversarial falls back to the
-/// max-delay FIFO policy when the window has zero width, where batching is
-/// impossible).
-struct GeneralEnvironment {
-  core::Environment::Sched transmitter_sched = core::Environment::Sched::SlowFixed;
-  core::Environment::Sched receiver_sched = core::Environment::Sched::SlowFixed;
-  core::Environment::Delay delay = core::Environment::Delay::Max;
-  std::uint64_t seed = 1;
-
-  [[nodiscard]] static GeneralEnvironment worst_case() { return {}; }
-  [[nodiscard]] static GeneralEnvironment randomized(std::uint64_t seed);
-};
+/// Environment knobs for the general model: the base model's, with delays
+/// drawn from [d_lo, d_hi] (Adversarial falls back to the max-delay FIFO
+/// policy when the window has zero width, where batching is impossible).
+using GeneralEnvironment = core::Environment;
 
 /// Builds a ProtocolConfig whose derived sizes come from the general model:
 /// β gets block/wait = beta_block()/beta_wait(), γ gets block = delta2(),

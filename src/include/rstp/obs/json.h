@@ -51,8 +51,13 @@ class JsonValue {
   [[nodiscard]] std::string string_or(std::string_view key, std::string fallback) const;
 };
 
+/// Deepest array/object nesting parse_json accepts. The parser recurses once
+/// per level, so external files must not choose the stack depth.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parses one complete JSON document; throws JsonParseError with a byte
-/// offset on malformed input (including trailing garbage).
+/// offset on malformed input (including trailing garbage and nesting deeper
+/// than kMaxJsonDepth).
 [[nodiscard]] JsonValue parse_json(std::string_view input);
 
 /// Escapes a string for embedding in a JSON document (adds the quotes).

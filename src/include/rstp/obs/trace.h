@@ -42,6 +42,7 @@
 #include "rstp/ioa/action.h"
 #include "rstp/obs/metrics.h"
 #include "rstp/obs/run_metrics.h"
+#include "rstp/sim/observer.h"
 
 namespace rstp::obs::trace {
 
@@ -187,27 +188,21 @@ struct Summary {
 [[nodiscard]] Summary summarize(const Tracer& tracer);
 
 /// Derives the protocol-lifecycle span stream from one simulation. Owned by
-/// the caller (one per run) and driven by sim::Simulator at its existing
-/// record points. A pure observer: it reads event fields and protocol
-/// counters, never touches simulation state, so arming it cannot change any
-/// result bit.
-class ModelRecorder {
+/// the caller (one per run) and armed as the run's sim::SimObserver. A pure
+/// observer: it reads event fields and protocol counters, never touches
+/// simulation state, so arming it cannot change any result bit.
+class ModelRecorder final : public sim::SimObserver {
  public:
   explicit ModelRecorder(Tracer& tracer, std::uint32_t session = 0);
 
-  /// A local step the automaton just applied (counters already advanced).
   void on_local_step(ioa::ProcessId id, Time at, const ioa::Action& action,
-                     const ProtocolCounters* counters);
-  /// A send accepted this step. `entered_channel` is false when the
-  /// simulator's own drop_every_nth discarded it (no send_seq, no flow).
-  void on_send(ioa::ProcessId id, Time at, const ioa::Packet& packet, std::uint64_t send_seq,
-               bool entered_channel);
-  /// A delivery just applied to its destination.
-  void on_delivery(ioa::ProcessId dest, Time sent_at, Time deliver_at,
-                   const ioa::Packet& packet, std::uint64_t send_seq,
-                   const ProtocolCounters* dest_counters);
-  /// End of run: flushes open idle/block spans and emits fault markers.
-  void on_finish(Time end, const std::vector<fault::FaultEvent>& faults);
+                     std::optional<Duration> gap, const ProtocolCounters* counters) override;
+  void on_send(ioa::ProcessId id, Time at, const ioa::Packet& packet,
+               std::uint64_t send_seq) override;
+  void on_delivery(ioa::ProcessId dest, Time sent_at, Time deliver_at, const ioa::Packet& packet,
+                   std::uint64_t send_seq, const ProtocolCounters* dest_counters) override;
+  /// Flushes open idle/block spans and emits fault markers.
+  void on_finish(Time end, const std::vector<fault::FaultEvent>& faults) override;
 
  private:
   struct ProcessTrack {

@@ -4,6 +4,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string_view>
 
 #include "rstp/protocols/base.h"
@@ -22,6 +23,12 @@ enum class ProtocolKind : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(ProtocolKind kind);
 std::ostream& operator<<(std::ostream& os, ProtocolKind kind);
+/// Inverse of to_string; nullopt for unknown names.
+[[nodiscard]] std::optional<ProtocolKind> protocol_from_string(std::string_view name);
+
+/// The alphabet `kind` runs with for an n-bit input: the indexed baseline
+/// needs at least 2·max(1, n) symbols; every other protocol uses `k`.
+[[nodiscard]] std::uint32_t alphabet_for(ProtocolKind kind, std::uint32_t k, std::size_t n);
 
 /// True for the protocols in which the receiver sends no packets (P^rt = ∅).
 [[nodiscard]] bool is_r_passive(ProtocolKind kind);

@@ -35,10 +35,7 @@
 #include "rstp/fault/fault.h"
 #include "rstp/obs/run_metrics.h"
 #include "rstp/protocols/factory.h"
-
-namespace rstp::obs::trace {
-class ModelRecorder;
-}  // namespace rstp::obs::trace
+#include "rstp/sim/observer.h"
 
 namespace rstp::sim {
 
@@ -102,10 +99,9 @@ struct FuzzCaseResult {
 
 /// Executes one genome: seeded schedulers, uniform-random delays in [0, d],
 /// optional SeededFaultInjector, full trace, fault-aware verification.
-/// `tracer` (obs/trace.h; non-owning) records the causal span timeline of the
-/// run; a pure observer, it cannot change the result.
-[[nodiscard]] FuzzCaseResult run_fuzz_case(const FuzzCase& c,
-                                           obs::trace::ModelRecorder* tracer = nullptr);
+/// `observer` (sim/observer.h; non-owning), e.g. the causal span tracer,
+/// watches the run beside the coverage observer; it cannot change the result.
+[[nodiscard]] FuzzCaseResult run_fuzz_case(const FuzzCase& c, SimObserver* observer = nullptr);
 
 /// A display-only snapshot of the hunt after one generation's serial fold,
 /// published through FuzzSpec::on_generation. Emitted only from the fold (and
@@ -204,7 +200,7 @@ struct ReplayOutcome {
   std::string mismatch;  ///< first differing field, "got vs expected"
 };
 [[nodiscard]] ReplayOutcome replay_fuzz_repro(const FuzzRepro& repro,
-                                              obs::trace::ModelRecorder* tracer = nullptr);
+                                              SimObserver* observer = nullptr);
 
 /// The verdict fields of `result` as a FuzzRepro (shared by write/replay).
 [[nodiscard]] FuzzRepro make_fuzz_repro(const FuzzCase& c, const FuzzCaseResult& result);

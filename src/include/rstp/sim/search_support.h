@@ -10,19 +10,24 @@
 //     times and sequence numbers (every case would be all-new coverage) and
 //     includes the action shape, the protocol automata's own counters, and
 //     the output length — state the paper's proofs quantify over.
-//   * parallel_for_slots: the campaign engine's work-stealing shape, local to
-//     one generation. Workers claim indices from an atomic cursor and write
-//     disjoint slots; the caller folds serially afterwards, so results are
-//     independent of the worker count. The first worker exception is
-//     rethrown on the caller's thread.
+//   * CoverageObserver: the SimObserver that collects one run's distinct
+//     event fingerprints.
+//   * parallel_for_slots: the repo's one worker pool, shared by the campaign
+//     engine, the multiplexed sessions and both search engines. Workers
+//     claim indices from an atomic cursor and write disjoint slots; the
+//     caller folds serially afterwards, so results are independent of the
+//     worker count. The first worker exception is rethrown on the caller's
+//     thread.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <unordered_set>
 #include <vector>
 
 #include "rstp/ioa/trace.h"
 #include "rstp/protocols/base.h"
+#include "rstp/sim/observer.h"
 
 namespace rstp::sim {
 
@@ -38,6 +43,25 @@ inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 [[nodiscard]] std::uint64_t event_fingerprint(const ioa::TimedEvent& e,
                                               const protocols::TransmitterBase& t,
                                               const protocols::ReceiverBase& r);
+
+/// Collects the distinct event fingerprints of one run of the pair (t, r).
+class CoverageObserver final : public SimObserver {
+ public:
+  CoverageObserver(const protocols::TransmitterBase& t, const protocols::ReceiverBase& r)
+      : t_(t), r_(r) {}
+
+  void on_event(const ioa::TimedEvent& event) override {
+    seen_.insert(event_fingerprint(event, t_, r_));
+  }
+
+  /// The distinct fingerprints seen so far, ascending.
+  [[nodiscard]] std::vector<std::uint64_t> sorted_fingerprints() const;
+
+ private:
+  const protocols::TransmitterBase& t_;
+  const protocols::ReceiverBase& r_;
+  std::unordered_set<std::uint64_t> seen_;
+};
 
 /// FNV-1a over a bit sequence (output hashing).
 [[nodiscard]] std::uint64_t hash_bits(const std::vector<ioa::Bit>& bits);

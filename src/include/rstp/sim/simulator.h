@@ -16,14 +16,18 @@
 //     execution restricted to it is finite and fair); it resumes stepping if
 //     a later input re-enables it.
 //
-// Fault injection: `drop_every_nth` silently discards every n-th send before
-// it reaches the channel — deliberately *outside* the paper's model — to
-// demonstrate (in tests) that the protocols are exactly as strong as the
-// model's guarantees and that the verifier flags such executions.
+// Observation: SimConfig::observer (sim/observer.h) is the one hook —
+// tracer, estimator and search coverage all attach there. Faults outside the
+// model come only from the channel's injector (Channel::set_fault_injector);
+// the simulator itself never loses a packet.
+//
+// Wiring: sim::Session (sim/session.h) owns a Simulator together with the
+// automata, schedulers and channel it drives, and core::make_session builds
+// one from an Environment. The reference constructor below stays public for
+// tests and benchmarks that wire their own parts.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -32,15 +36,8 @@
 #include "rstp/ioa/automaton.h"
 #include "rstp/ioa/trace.h"
 #include "rstp/obs/run_metrics.h"
+#include "rstp/sim/observer.h"
 #include "rstp/sim/scheduler.h"
-
-namespace rstp::obs::trace {
-class ModelRecorder;
-}  // namespace rstp::obs::trace
-
-namespace rstp::est {
-class TimingEstimator;
-}  // namespace rstp::est
 
 namespace rstp::sim {
 
@@ -55,23 +52,10 @@ struct SimConfig {
   std::uint64_t max_events = 10'000'000;
   /// Record the full timed trace (disable for very long effort runs).
   bool record_trace = true;
-  /// Fault injection: if nonzero, every n-th send (1-based count) is dropped.
-  std::uint32_t drop_every_nth = 0;
-  /// Optional observer invoked after every applied event (deliveries and
-  /// local steps alike), in execution order. Lets tests check protocol
-  /// invariants at every intermediate state rather than post-hoc; throwing
-  /// from it aborts the run with the exception.
-  std::function<void(const ioa::TimedEvent&)> observer;
-  /// Optional causal span tracer (obs/trace.h; non-owning, must outlive
-  /// run()). A pure observer of the execution: arming it cannot change any
-  /// result bit. Null (the default) costs one pointer test per event.
-  obs::trace::ModelRecorder* tracer = nullptr;
-  /// Optional online timing estimator (est/estimator.h; non-owning, must
-  /// outlive run()). When set, every local-step gap and every send→delivery
-  /// delay is fed to it as it happens — the in-run observation channel the
-  /// adaptive protocols re-plan from. Feeding it is observation only; the
-  /// estimates change behaviour solely through a planner the automata hold.
-  est::TimingEstimator* estimator = nullptr;
+  /// Optional observer (non-owning, must outlive run()) called at every
+  /// record point; see sim/observer.h. Null (the default) costs one pointer
+  /// test per hook.
+  SimObserver* observer = nullptr;
 };
 
 struct RunResult {
@@ -164,10 +148,10 @@ class Simulator {
   SimConfig config_;
   ProcessState procs_[2];  // indexed by ProcessId
   /// Cached CounterSource view of each automaton (null when it has none);
-  /// resolved once in the constructor so tracer hooks skip the dynamic_cast.
+  /// resolved once in the constructor so observer hooks skip the dynamic_cast.
   const obs::CounterSource* counter_sources_[2] = {nullptr, nullptr};
   std::uint64_t next_seq_ = 0;
-  bool record_events_ = false;  ///< cached record_trace || observer
+  bool record_events_ = false;  ///< cached record_trace || observer != nullptr
   bool ran_ = false;
   bool taken_ = false;
   /// Cached next_instant() (valid until the next advance()).

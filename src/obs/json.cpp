@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdint>
 #include <sstream>
+#include <string>
 
 namespace rstp::obs {
 
@@ -56,9 +57,15 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // A failed parse is abandoned whole, so only success unwinds depth_.
+        if (++depth_ > kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+        }
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::String;
@@ -255,6 +262,7 @@ class Parser {
 
   std::string_view input_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< arrays/objects currently open
 };
 
 }  // namespace

@@ -437,6 +437,7 @@ void ModelRecorder::note_counters(ioa::ProcessId id, std::int64_t at,
 }
 
 void ModelRecorder::on_local_step(ioa::ProcessId id, Time at, const ioa::Action& action,
+                                  std::optional<Duration> /*gap*/,
                                   const ProtocolCounters* counters) {
   ProcessTrack& track = tracks_[static_cast<std::size_t>(id)];
   const Track where = track_of(id);
@@ -468,7 +469,7 @@ void ModelRecorder::on_local_step(ioa::ProcessId id, Time at, const ioa::Action&
 }
 
 void ModelRecorder::on_send(ioa::ProcessId id, Time at, const ioa::Packet& packet,
-                            std::uint64_t send_seq, bool entered_channel) {
+                            std::uint64_t send_seq) {
   const Track where = track_of(id);
   const std::int64_t t = at.ticks();
   Record span;
@@ -478,19 +479,17 @@ void ModelRecorder::on_send(ioa::ProcessId id, Time at, const ioa::Packet& packe
   span.start = t;
   span.arg = packet.payload;
   span.flow_id = send_seq;
-  span.has_flow = entered_channel;
+  span.has_flow = true;
   buffer_->append(span);
-  if (entered_channel) {
-    Record flow;
-    flow.kind = RecKind::FlowStart;
-    flow.name = packet_name(packet);
-    flow.track = where;
-    flow.session = session_;
-    flow.start = t;
-    flow.flow_id = send_seq;
-    flow.has_flow = true;
-    buffer_->append(flow);
-  }
+  Record flow;
+  flow.kind = RecKind::FlowStart;
+  flow.name = packet_name(packet);
+  flow.track = where;
+  flow.session = session_;
+  flow.start = t;
+  flow.flow_id = send_seq;
+  flow.has_flow = true;
+  buffer_->append(flow);
 }
 
 std::uint8_t ModelRecorder::assign_lane(std::int64_t sent_at, std::int64_t deliver_at) {

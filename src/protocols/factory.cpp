@@ -1,5 +1,6 @@
 #include "rstp/protocols/factory.h"
 
+#include <algorithm>
 #include <ostream>
 
 #include "rstp/common/check.h"
@@ -35,6 +36,18 @@ std::string_view to_string(ProtocolKind kind) {
 }
 
 std::ostream& operator<<(std::ostream& os, ProtocolKind kind) { return os << to_string(kind); }
+
+std::optional<ProtocolKind> protocol_from_string(std::string_view name) {
+  for (const ProtocolKind kind : kAllProtocolKinds) {
+    if (name == to_string(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
+std::uint32_t alphabet_for(ProtocolKind kind, std::uint32_t k, std::size_t n) {
+  if (kind != ProtocolKind::Indexed) return k;
+  return std::max(k, static_cast<std::uint32_t>(2 * std::max<std::size_t>(1, n)));
+}
 
 bool is_r_passive(ProtocolKind kind) {
   switch (kind) {

@@ -10,7 +10,7 @@
 #include "rstp/common/rng.h"
 #include "rstp/core/effort.h"
 #include "rstp/sim/search_support.h"
-#include "rstp/sim/simulator.h"
+#include "rstp/sim/session.h"
 
 namespace rstp::sim {
 
@@ -149,13 +149,6 @@ constexpr std::uint64_t kGenerationSize = 16;
   return h;
 }
 
-[[nodiscard]] std::optional<ProtocolKind> protocol_from_string(std::string_view name) {
-  for (const ProtocolKind kind : protocols::kAllProtocolKinds) {
-    if (name == protocols::to_string(kind)) return kind;
-  }
-  return std::nullopt;
-}
-
 /// Deterministic shrink of the winning genome: each simplification is kept
 /// only if the re-evaluated fitness stays >= the incumbent (never worse than
 /// hand-coded, since that was the floor). Bounded by O(Σ log |table|) reruns.
@@ -221,13 +214,8 @@ GenomeEval evaluate_genome(const AdversaryCell& cell, std::uint64_t input_seed,
 
   protocols::ProtocolConfig config;
   config.params = cell.params;
-  config.k = cell.k;
+  config.k = protocols::alphabet_for(cell.protocol, cell.k, cell.input_bits);
   config.input = core::make_random_input(cell.input_bits, input_seed);
-  if (cell.protocol == ProtocolKind::Indexed) {
-    config.k = std::max<std::uint32_t>(
-        config.k,
-        static_cast<std::uint32_t>(2 * std::max<std::uint32_t>(1, cell.input_bits)));
-  }
 
   protocols::ProtocolInstance instance;
   try {
@@ -236,27 +224,20 @@ GenomeEval evaluate_genome(const AdversaryCell& cell, std::uint64_t input_seed,
     return out;  // cell outside the protocol's config domain
   }
 
-  GenomeScheduler t_sched{genome.t_first, genome.t_gaps};
-  GenomeScheduler r_sched{genome.r_first, genome.r_gaps};
-  channel::Channel chan{cell.params.d, channel::make_synthesized(genome, cell.params)};
-
-  std::unordered_set<std::uint64_t> seen;
-  const protocols::TransmitterBase& t = *instance.transmitter;
-  const protocols::ReceiverBase& r = *instance.receiver;
-
+  CoverageObserver coverage{*instance.transmitter, *instance.receiver};
   SimConfig sim_config;
   sim_config.params = cell.params;
   sim_config.max_events = max_events;
   sim_config.record_trace = false;
-  sim_config.observer = [&](const ioa::TimedEvent& e) {
-    seen.insert(event_fingerprint(e, t, r));
-  };
+  sim_config.observer = &coverage;
+  Session session{std::move(instance),
+                  std::make_unique<GenomeScheduler>(genome.t_first, genome.t_gaps),
+                  std::make_unique<GenomeScheduler>(genome.r_first, genome.r_gaps),
+                  channel::make_synthesized(genome, cell.params), std::move(sim_config)};
 
   RunResult run;
   try {
-    Simulator simulator{*instance.transmitter, *instance.receiver, chan, t_sched, r_sched,
-                        sim_config};
-    run = simulator.run();
+    run = session.run();
   } catch (const std::exception&) {
     // A legal genome crashing a paper protocol is the fuzzer's department;
     // here it simply scores as unfit.
@@ -273,8 +254,7 @@ GenomeEval evaluate_genome(const AdversaryCell& cell, std::uint64_t input_seed,
   out.end_time = run.end_time.ticks();
   out.output_hash = hash_bits(run.output);
   out.event_count = run.event_count;
-  out.fingerprints.assign(seen.begin(), seen.end());
-  std::sort(out.fingerprints.begin(), out.fingerprints.end());
+  out.fingerprints = coverage.sorted_fingerprints();
   out.coverage_hash = hash_sorted(out.fingerprints);
   return out;
 }
@@ -578,7 +558,7 @@ AdversaryRepro parse_adversary_repro(std::istream& is) {
     if (key == "protocol") {
       std::string name;
       if (!(tokens >> name)) malformed("missing protocol name", line);
-      const auto kind = protocol_from_string(name);
+      const auto kind = protocols::protocol_from_string(name);
       if (!kind.has_value()) malformed("unknown protocol", line);
       repro.cell.protocol = *kind;
     } else if (key == "params") {

@@ -13,6 +13,7 @@
 #include "rstp/common/rng.h"
 #include "rstp/est/runner.h"
 #include "rstp/obs/metrics.h"
+#include "rstp/sim/search_support.h"
 
 namespace rstp::sim {
 
@@ -117,13 +118,8 @@ CampaignJobResult run_campaign_job(const CampaignJob& job, std::size_t input_bit
   try {
     protocols::ProtocolConfig config;
     config.params = job.params;
-    config.k = job.k;
+    config.k = protocols::alphabet_for(job.protocol, job.k, input_bits);
     config.input = core::make_random_input(input_bits, job.input_seed);
-    if (job.protocol == protocols::ProtocolKind::Indexed) {
-      // The indexed baseline needs an alphabet of at least 2|X| symbols.
-      config.k = std::max<std::uint32_t>(
-          config.k, static_cast<std::uint32_t>(2 * std::max<std::size_t>(1, input_bits)));
-    }
     const auto fill = [&](const core::ProtocolRun& run) {
       r.event_count = run.result.event_count;
       r.transmitter_steps = run.result.transmitter_steps;
@@ -133,11 +129,7 @@ CampaignJobResult run_campaign_job(const CampaignJob& job, std::size_t input_bit
       r.output_correct = run.output_correct;
       r.quiescent = run.result.quiescent;
       r.metrics = run.result.metrics;
-      if (input_bits > 0 && run.result.last_transmitter_send.has_value()) {
-        r.effort = static_cast<double>(
-                       (*run.result.last_transmitter_send - Time::zero()).ticks()) /
-                   static_cast<double>(input_bits);
-      }
+      r.effort = core::effort_of(run, input_bits).effort;
     };
     if (job.estimator_enabled) {
       // Oracle + estimated runs over the same environment; the row reports
@@ -147,14 +139,12 @@ CampaignJobResult run_campaign_job(const CampaignJob& job, std::size_t input_bit
       fill(pair.estimated.run);
       r.est_penalty = pair.est_penalty;
       r.est = pair.estimated.gauges;
-    } else if (!job.drift.empty()) {
+    } else {
+      // Estimator off: core::run_protocol, plus the drift axis when set.
       fill(est::run_estimated(job.protocol, config, job.environment, job.drift,
                               /*estimator_enabled=*/false, est::EstimatorConfig{},
                               /*record_trace=*/false, max_events)
                .run);
-    } else {
-      fill(core::run_protocol(job.protocol, config, job.environment,
-                              /*record_trace=*/false, max_events));
     }
   } catch (const std::exception& e) {
     r.failed = true;
@@ -174,11 +164,6 @@ CampaignResult Campaign::run(unsigned threads, const CampaignProgress& progress)
                   "campaign progress interval must be positive");
   }
   const std::size_t jobs = job_count();
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  const auto workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, std::max<std::size_t>(1, jobs)));
 
   CampaignResult result;
   result.jobs.resize(jobs);
@@ -232,39 +217,22 @@ CampaignResult Campaign::run(unsigned threads, const CampaignProgress& progress)
     }
   };
 
-  // Work stealing over the job list: each worker atomically claims the next
-  // unclaimed index and writes only its own slot, so the merged vector is in
-  // grid order no matter how the OS schedules the threads.
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> died{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  const auto worker = [&]() {
-    try {
-      while (!died.load(std::memory_order_relaxed)) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= jobs) break;
-        CampaignJobResult& slot = result.jobs[i];
-        slot = run_campaign_job(job(i), spec_.input_bits, spec_.max_events);
-        events_done.fetch_add(slot.event_count, std::memory_order_relaxed);
-        if (slot.effort > 0) {
-          live_effort_sum.fetch_add(slot.effort, std::memory_order_relaxed);
-          effort_jobs_done.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (snapshots) fold_snapshot_state(i, slot);
-        done.fetch_add(1, std::memory_order_relaxed);
-        obs::global_registry().add(registry_ids.jobs);
-        obs::global_registry().add(registry_ids.events, slot.event_count);
-        obs::global_registry().gauge_max(registry_ids.max_events, slot.event_count);
-      }
-    } catch (...) {
-      // run_campaign_job already folds model errors into the job row; this
-      // catches infrastructure failures (bad_alloc, spec bugs) — stop the
-      // pool and surface the first one after the join.
-      const std::scoped_lock lock{error_mutex};
-      if (!first_error) first_error = std::current_exception();
-      died.store(true, std::memory_order_relaxed);
+  // Work stealing over the job list: each worker claims the next unclaimed
+  // index and writes only its own slot, so the merged vector is in grid
+  // order no matter how the OS schedules the threads.
+  const auto run_job = [&](std::size_t i) {
+    CampaignJobResult& slot = result.jobs[i];
+    slot = run_campaign_job(job(i), spec_.input_bits, spec_.max_events);
+    events_done.fetch_add(slot.event_count, std::memory_order_relaxed);
+    if (slot.effort > 0) {
+      live_effort_sum.fetch_add(slot.effort, std::memory_order_relaxed);
+      effort_jobs_done.fetch_add(1, std::memory_order_relaxed);
     }
+    if (snapshots) fold_snapshot_state(i, slot);
+    done.fetch_add(1, std::memory_order_relaxed);
+    obs::global_registry().add(registry_ids.jobs);
+    obs::global_registry().add(registry_ids.events, slot.event_count);
+    obs::global_registry().gauge_max(registry_ids.max_events, slot.event_count);
   };
 
   const auto start = std::chrono::steady_clock::now();
@@ -336,15 +304,14 @@ CampaignResult Campaign::run(unsigned threads, const CampaignProgress& progress)
     });
   }
 
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& t : pool) t.join();
+  // run_campaign_job already folds model errors into the job row; what
+  // escapes the pool is an infrastructure failure (bad_alloc, spec bugs),
+  // surfaced after the monitor has stopped.
+  std::exception_ptr first_error;
+  try {
+    parallel_for_slots(jobs, threads, run_job);
+  } catch (...) {
+    first_error = std::current_exception();
   }
   if (monitor.joinable()) {
     {

@@ -1,14 +1,10 @@
 #include "rstp/sim/fuzz.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <functional>
 #include <istream>
-#include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <unordered_set>
 
 #include "rstp/channel/policies.h"
@@ -16,7 +12,7 @@
 #include "rstp/common/rng.h"
 #include "rstp/core/effort.h"
 #include "rstp/sim/search_support.h"
-#include "rstp/sim/simulator.h"
+#include "rstp/sim/session.h"
 
 namespace rstp::sim {
 
@@ -24,16 +20,9 @@ namespace {
 
 using protocols::ProtocolKind;
 
-// Fingerprinting (event_fingerprint/hash_bits/hash_sorted) and the
-// generation-local work-stealing loop (parallel_for_slots) are shared with
-// the adversary synthesizer — see rstp/sim/search_support.h.
-
-[[nodiscard]] std::optional<ProtocolKind> protocol_from_string(std::string_view name) {
-  for (const ProtocolKind kind : protocols::kAllProtocolKinds) {
-    if (name == protocols::to_string(kind)) return kind;
-  }
-  return std::nullopt;
-}
+// Fingerprinting (CoverageObserver/hash_bits/hash_sorted) and the worker
+// pool (parallel_for_slots) are shared with the adversary synthesizer — see
+// rstp/sim/search_support.h.
 
 [[nodiscard]] std::string kind_name(core::ViolationKind kind) {
   std::ostringstream os;
@@ -219,7 +208,7 @@ constexpr std::uint64_t kMaxMutationBoost = 5;
 // ---------------------------------------------------------------------------
 // Single-case execution.
 
-FuzzCaseResult run_fuzz_case(const FuzzCase& c, obs::trace::ModelRecorder* tracer) {
+FuzzCaseResult run_fuzz_case(const FuzzCase& c, SimObserver* observer) {
   c.params.validate();
   RSTP_CHECK_GE(c.k, 2u, "fuzz case needs k >= 2");
   RSTP_CHECK_GE(c.max_events, std::uint64_t{1}, "fuzz case needs a positive event cap");
@@ -229,13 +218,8 @@ FuzzCaseResult run_fuzz_case(const FuzzCase& c, obs::trace::ModelRecorder* trace
 
   protocols::ProtocolConfig config;
   config.params = c.params;
-  config.k = c.k;
+  config.k = protocols::alphabet_for(c.protocol, c.k, c.input_bits);
   config.input = core::make_random_input(c.input_bits, c.input_seed);
-  if (c.protocol == ProtocolKind::Indexed) {
-    // The indexed baseline needs an alphabet of at least 2|X| symbols.
-    config.k = std::max<std::uint32_t>(
-        config.k, static_cast<std::uint32_t>(2 * std::max<std::uint32_t>(1, c.input_bits)));
-  }
   if (c.block_override != 0) config.block_size_override = c.block_override;
   if (c.wait_override != 0) config.wait_steps_override = c.wait_override;
 
@@ -250,44 +234,37 @@ FuzzCaseResult run_fuzz_case(const FuzzCase& c, obs::trace::ModelRecorder* trace
     return out;
   }
 
-  auto t_sched = make_seeded_random(c.sched_seed_t, c.params);
-  auto r_sched = make_seeded_random(c.sched_seed_r, c.params);
-  channel::Channel chan{
-      c.params.d,
-      channel::make_uniform_random(c.delay_seed, Duration{0}, c.params.d, c.params.d)};
-  fault::SeededFaultInjector injector{c.fault_seed, c.rates, c.pins};
-  if (c.faults_enabled) chan.set_fault_injector(&injector);
-
-  std::unordered_set<std::uint64_t> seen;
-  const protocols::TransmitterBase& t = *instance.transmitter;
-  const protocols::ReceiverBase& r = *instance.receiver;
-
+  CoverageObserver coverage{*instance.transmitter, *instance.receiver};
+  ObserverTee tee{&coverage, observer};
   SimConfig sim_config;
   sim_config.params = c.params;
   sim_config.max_events = c.max_events;
   sim_config.record_trace = true;
-  sim_config.observer = [&](const ioa::TimedEvent& e) {
-    seen.insert(event_fingerprint(e, t, r));
-  };
-  sim_config.tracer = tracer;
+  sim_config.observer = tee.armed();
+  Session session{
+      std::move(instance),
+      make_seeded_random(c.sched_seed_t, c.params),
+      make_seeded_random(c.sched_seed_r, c.params),
+      channel::make_uniform_random(c.delay_seed, Duration{0}, c.params.d, c.params.d),
+      std::move(sim_config),
+      Duration{0},
+      c.faults_enabled ? std::make_unique<fault::SeededFaultInjector>(c.fault_seed, c.rates, c.pins)
+                       : nullptr};
 
   RunResult run;
   bool completed = false;
   try {
-    Simulator simulator{*instance.transmitter, *instance.receiver, chan, *t_sched, *r_sched,
-                        sim_config};
-    run = simulator.run();
+    run = session.run();
     completed = true;
   } catch (const std::exception& e) {
     out.crashed = true;
     out.failure = e.what();
   }
 
-  // The channel outlives the simulator, so the fault log survives a crash —
-  // that is what decides whether the crash is fail-stop or a bug.
-  out.fault_events = chan.fault_log().size();
-  out.fingerprints.assign(seen.begin(), seen.end());
-  std::sort(out.fingerprints.begin(), out.fingerprints.end());
+  // The session's channel outlives the crashed run, so the fault log survives
+  // a crash — that is what decides whether the crash is fail-stop or a bug.
+  out.fault_events = session.channel().fault_log().size();
+  out.fingerprints = coverage.sorted_fingerprints();
   out.coverage_hash = hash_sorted(out.fingerprints);
 
   if (!completed) {
@@ -500,7 +477,7 @@ template <typename T>
   if (key == "protocol") {
     std::string name;
     if (!(is >> name)) malformed("missing protocol name", line);
-    const auto kind = protocol_from_string(name);
+    const auto kind = protocols::protocol_from_string(name);
     if (!kind.has_value()) malformed("unknown protocol", line);
     c.protocol = *kind;
   } else if (key == "params") {
@@ -682,9 +659,9 @@ FuzzRepro parse_fuzz_repro(std::istream& is) {
   malformed("missing 'end'", "");
 }
 
-ReplayOutcome replay_fuzz_repro(const FuzzRepro& repro, obs::trace::ModelRecorder* tracer) {
+ReplayOutcome replay_fuzz_repro(const FuzzRepro& repro, SimObserver* observer) {
   ReplayOutcome outcome;
-  outcome.result = run_fuzz_case(repro.fuzz_case, tracer);
+  outcome.result = run_fuzz_case(repro.fuzz_case, observer);
   const FuzzRepro got = make_fuzz_repro(repro.fuzz_case, outcome.result);
 
   const auto mismatch = [&](std::string_view field, auto got_v, auto want_v) {

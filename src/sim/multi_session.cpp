@@ -1,23 +1,17 @@
 #include "rstp/sim/multi_session.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "rstp/channel/channel.h"
 #include "rstp/common/check.h"
-#include "rstp/common/rng.h"
 #include "rstp/obs/metrics.h"
-#include "rstp/sim/scheduler.h"
-#include "rstp/sim/simulator.h"
+#include "rstp/sim/search_support.h"
+#include "rstp/sim/session.h"
 
 namespace rstp::sim {
 
@@ -32,26 +26,19 @@ struct MetricsRegistryIds {
       obs::global_registry().gauge("mega/max_sessions_per_run");
 };
 
-/// One materialized session in a shard's arena: the automata pair, its
-/// private environment (schedulers + channel), and the incremental Simulator
-/// driving them. Every pointee is heap-allocated and the slot vector is
-/// exactly reserved, so the Simulator's internal pointers stay valid for the
-/// shard's whole loop.
+/// One materialized session in a shard's arena: the owning Session (automata,
+/// schedulers, channel and the incremental Simulator driving them), its input
+/// and, once finished, its result.
 struct SessionSlot {
-  protocols::ProtocolInstance instance;
-  std::unique_ptr<StepScheduler> t_sched;
-  std::unique_ptr<StepScheduler> r_sched;
-  std::unique_ptr<channel::Channel> channel;
+  std::unique_ptr<Session> session;
   std::vector<ioa::Bit> input;
-  std::optional<Simulator> sim;
   RunResult result;
 };
 
-/// Builds session `session_id` in place. The wiring — and, critically, the
-/// seed draw order (transmitter scheduler, receiver scheduler, delivery
-/// policy from Rng{environment seed}) — mirrors core::run_protocol exactly,
-/// so the session is reproducible as a standalone run with the same derived
-/// seeds (megasession_test asserts this).
+/// Builds session `session_id` in place through core::make_session — the same
+/// wiring and seed expansion as core::run_protocol — so the session is
+/// reproducible as a standalone run with the same derived seeds
+/// (megasession_test asserts this).
 void materialize_session(const MultiSessionSpec& spec, std::uint64_t session_id,
                          SessionSlot& slot) {
   const DerivedSeeds seeds = derive_unit_seeds(spec.base_seed, session_id);
@@ -60,24 +47,15 @@ void materialize_session(const MultiSessionSpec& spec, std::uint64_t session_id,
   config.params = spec.params;
   config.k = spec.k;
   config.input = core::make_random_input(spec.input_bits, seeds.input);
-  slot.instance = protocols::make_protocol(spec.protocol, config);
-  slot.input = std::move(config.input);
-
-  Rng seeder{seeds.environment};
-  slot.t_sched =
-      core::make_scheduler(spec.environment.transmitter_sched, spec.params, seeder.next_u64());
-  slot.r_sched =
-      core::make_scheduler(spec.environment.receiver_sched, spec.params, seeder.next_u64());
-  slot.channel = std::make_unique<channel::Channel>(
-      spec.params.d, core::make_delivery_policy(spec.environment.delay, spec.params,
-                                                seeder.next_u64()));
+  core::Environment env = spec.environment;
+  env.seed = seeds.environment;
 
   SimConfig sim_config;
   sim_config.params = spec.params;
   sim_config.record_trace = false;
   sim_config.max_events = spec.max_events_per_session;
-  slot.sim.emplace(*slot.instance.transmitter, *slot.instance.receiver, *slot.channel,
-                   *slot.t_sched, *slot.r_sched, std::move(sim_config));
+  slot.session = core::make_session(spec.protocol, config, env, std::move(sim_config));
+  slot.input = std::move(config.input);
 }
 
 /// One shard's session-order fold. Effort is accumulated in integer ticks
@@ -135,11 +113,9 @@ ShardFold run_shard(const MultiSessionSpec& spec, std::uint64_t lo, std::uint64_
   // contiguous vector, before the loop starts. From here on the per-dispatch
   // path allocates nothing (channel heaps reuse their buffers; heap entries
   // are PODs in a pre-reserved vector).
-  std::vector<SessionSlot> slots;
-  slots.reserve(count);
-  for (std::uint64_t s = lo; s < hi; ++s) {
-    slots.emplace_back();
-    materialize_session(spec, s, slots.back());
+  std::vector<SessionSlot> slots(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    materialize_session(spec, lo + i, slots[i]);
   }
 
   // The cross-session event heap: (next dispatch instant, local session
@@ -159,7 +135,7 @@ ShardFold run_shard(const MultiSessionSpec& spec, std::uint64_t lo, std::uint64_
   std::vector<HeapEntry> heap;
   heap.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    Simulator& sim = *slots[i].sim;
+    Simulator& sim = slots[i].session->simulator();
     sim.start();
     if (const std::optional<Time> at = sim.next_instant()) {
       heap.push_back(HeapEntry{*at, i});
@@ -173,7 +149,7 @@ ShardFold run_shard(const MultiSessionSpec& spec, std::uint64_t lo, std::uint64_
     std::pop_heap(heap.begin(), heap.end(), later);
     HeapEntry entry = heap.back();
     heap.pop_back();
-    Simulator& sim = *slots[entry.idx].sim;
+    Simulator& sim = slots[entry.idx].session->simulator();
     sim.advance();
     if (const std::optional<Time> at = sim.next_instant()) {
       entry.at = *at;
@@ -218,10 +194,6 @@ MultiSession::MultiSession(MultiSessionSpec spec) : spec_(std::move(spec)) { spe
 MultiSessionResult MultiSession::run(unsigned threads) const {
   const std::uint64_t n = spec_.sessions;
   const std::uint64_t shard_count = spec_.shards;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  const auto workers = static_cast<unsigned>(std::min<std::uint64_t>(threads, shard_count));
 
   // Contiguous shard ranges via remainder spreading: the first n % shards
   // shards get one extra session. Ranges depend only on (sessions, shards).
@@ -231,41 +203,15 @@ MultiSessionResult MultiSession::run(unsigned threads) const {
 
   std::vector<ShardFold> folds(static_cast<std::size_t>(shard_count));
 
-  // Work stealing over shards: each worker atomically claims the next shard
-  // and writes only its own fold slot, so the serial shard-order merge below
-  // sees identical inputs for every thread count.
-  std::atomic<std::uint64_t> cursor{0};
-  std::atomic<bool> died{false};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  const auto worker = [&]() {
-    try {
-      while (!died.load(std::memory_order_relaxed)) {
-        const std::uint64_t s = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (s >= shard_count) break;
-        folds[static_cast<std::size_t>(s)] = run_shard(spec_, shard_lo(s), shard_lo(s + 1));
-      }
-    } catch (...) {
-      const std::scoped_lock lock{error_mutex};
-      if (!first_error) first_error = std::current_exception();
-      died.store(true, std::memory_order_relaxed);
-    }
-  };
-
+  // Work stealing over shards: each worker claims the next shard and writes
+  // only its own fold slot, so the serial shard-order merge below sees
+  // identical inputs for every thread count.
   const auto start = std::chrono::steady_clock::now();
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  parallel_for_slots(folds.size(), threads, [&](std::size_t s) {
+    folds[s] = run_shard(spec_, shard_lo(s), shard_lo(s + 1));
+  });
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  if (first_error) std::rethrow_exception(first_error);
 
   // Serial merge in shard order. Shards cover contiguous session ranges in
   // order and every fold operation here is associative (integer sums, min,

@@ -40,6 +40,12 @@ std::uint64_t event_fingerprint(const ioa::TimedEvent& e,
   return h;
 }
 
+std::vector<std::uint64_t> CoverageObserver::sorted_fingerprints() const {
+  std::vector<std::uint64_t> out(seen_.begin(), seen_.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::uint64_t hash_bits(const std::vector<ioa::Bit>& bits) {
   std::uint64_t h = kFnvOffset;
   for (const ioa::Bit b : bits) h = fnv_mix(h, b);

@@ -5,9 +5,7 @@
 #include <utility>
 
 #include "rstp/common/check.h"
-#include "rstp/est/estimator.h"
 #include "rstp/obs/metrics.h"
-#include "rstp/obs/trace.h"
 
 namespace rstp::sim {
 
@@ -34,7 +32,7 @@ Simulator::Simulator(ioa::Automaton& transmitter, ioa::Automaton& receiver,
                 "channel delay bound must equal the model's d");
   procs_[index_of(ProcessId::Transmitter)] = ProcessState{&transmitter, &transmitter_sched};
   procs_[index_of(ProcessId::Receiver)] = ProcessState{&receiver, &receiver_sched};
-  record_events_ = config_.record_trace || static_cast<bool>(config_.observer);
+  record_events_ = config_.record_trace || config_.observer != nullptr;
   for (const ProcessId id : {ProcessId::Transmitter, ProcessId::Receiver}) {
     counter_sources_[index_of(id)] =
         dynamic_cast<const obs::CounterSource*>(procs_[index_of(id)].automaton);
@@ -91,14 +89,14 @@ void Simulator::record(RunResult& result, Time time, Actor actor, const Action& 
   }
   // record_events_ caches `record_trace || observer` so the common headless
   // configuration (campaign/effort runs) skips the TimedEvent construction
-  // and the std::function emptiness test entirely.
+  // entirely.
   if (record_events_) {
     const ioa::TimedEvent event{time, actor, action, next_seq_};
     if (config_.record_trace) {
       result.trace.append(event);
     }
-    if (config_.observer) {
-      config_.observer(event);
+    if (config_.observer != nullptr) {
+      config_.observer->on_event(event);
     }
   }
   ++next_seq_;
@@ -117,9 +115,6 @@ void Simulator::deliver_due(RunResult& result, Time now) {
     // The channel knows both endpoints of every flight, so delivery delay is
     // measured exactly — no post-hoc trace matching involved.
     const Duration delay = flight.deliver_at - flight.sent_at;
-    if (config_.estimator != nullptr) {
-      config_.estimator->observe_delay(delay);
-    }
     {
       const obs::ScopedPhaseTimer account_timer{obs::Phase::StepAccount};
       if (flight.packet.destination() == ProcessId::Receiver) {
@@ -131,8 +126,8 @@ void Simulator::deliver_due(RunResult& result, Time now) {
       }
     }
     record(result, flight.deliver_at, Actor::Channel, recv);
-    if (config_.tracer != nullptr) {
-      config_.tracer->on_delivery(flight.packet.destination(), flight.sent_at,
+    if (config_.observer != nullptr) {
+      config_.observer->on_delivery(flight.packet.destination(), flight.sent_at,
                                   flight.deliver_at, flight.packet, flight.send_seq,
                                   counters_of(flight.packet.destination()));
     }
@@ -169,36 +164,30 @@ void Simulator::take_process_step(RunResult& result, ProcessState& ps, ProcessId
     const obs::ScopedPhaseTimer apply_timer{obs::Phase::ProtoApply};
     ps.automaton->apply(*action);
   }
-  if (config_.estimator != nullptr && ps.steps_taken > 0) {
-    config_.estimator->observe_gap(ps.next_step - ps.last_step_time);
-  }
+  std::optional<Duration> gap;
+  if (ps.steps_taken > 0) gap = ps.next_step - ps.last_step_time;
   {
     const obs::ScopedPhaseTimer account_timer{obs::Phase::StepAccount};
     if (id == ProcessId::Transmitter) {
       ++result.transmitter_steps;
       ++counters.transmitter_steps;
       if (action->kind == ActionKind::Internal) ++counters.transmitter_internal_steps;
-      if (ps.steps_taken > 0) {
-        result.metrics.transmitter_gap.record((ps.next_step - ps.last_step_time).ticks());
-      }
+      if (gap.has_value()) result.metrics.transmitter_gap.record(gap->ticks());
     } else {
       ++result.receiver_steps;
       ++counters.receiver_steps;
       if (action->kind == ActionKind::Internal) ++counters.receiver_internal_steps;
-      if (ps.steps_taken > 0) {
-        result.metrics.receiver_gap.record((ps.next_step - ps.last_step_time).ticks());
-      }
+      if (gap.has_value()) result.metrics.receiver_gap.record(gap->ticks());
     }
     ps.last_step_time = ps.next_step;
     ++ps.steps_taken;
   }
   record(result, ps.next_step, ioa::actor_of(id), *action);
-  if (config_.tracer != nullptr) {
-    config_.tracer->on_local_step(id, ps.next_step, *action, counters_of(id));
+  if (config_.observer != nullptr) {
+    config_.observer->on_local_step(id, ps.next_step, *action, gap, counters_of(id));
   }
 
   if (action->kind == ActionKind::Send) {
-    bool drop = false;
     {
       const obs::ScopedPhaseTimer account_timer{obs::Phase::StepAccount};
       RSTP_CHECK_EQ(static_cast<int>(action->packet.source()), static_cast<int>(id),
@@ -211,22 +200,13 @@ void Simulator::take_process_step(RunResult& result, ProcessState& ps, ProcessId
         ++result.receiver_sends;
         ++counters.ack_sends;
       }
-      const std::uint64_t send_count = result.transmitter_sends + result.receiver_sends;
-      drop = config_.drop_every_nth != 0 && send_count % config_.drop_every_nth == 0;
-      if (drop) {
-        ++result.dropped_packets;  // fault injection: packet lost outside the model
-        ++counters.dropped;
-      }
     }
-    if (config_.tracer != nullptr) {
-      // total_sent() is the seq the channel will assign to this send; drops
-      // from drop_every_nth never reach the channel, so they carry no flow.
-      config_.tracer->on_send(id, ps.next_step, action->packet, channel_->total_sent(), !drop);
+    if (config_.observer != nullptr) {
+      // total_sent() is the seq the channel will assign to this send.
+      config_.observer->on_send(id, ps.next_step, action->packet, channel_->total_sent());
     }
-    if (!drop) {
-      const obs::ScopedPhaseTimer push_timer{obs::Phase::ChannelPush};
-      channel_->send(action->packet, ps.next_step);
-    }
+    const obs::ScopedPhaseTimer push_timer{obs::Phase::ChannelPush};
+    channel_->send(action->packet, ps.next_step);
   }
   ps.next_step = ps.next_step + validated_gap(id, *ps.scheduler, ps.steps_taken);
 }
@@ -329,14 +309,11 @@ RunResult Simulator::take_result() {
   result_.quiescent = result_.event_count < config_.max_events;
   // Fold in the automata's own counters (the ProtocolBase stat-hook).
   // Automata outside the protocol hierarchy simply contribute nothing.
-  for (const ProcessState& ps : procs_) {
-    if (const auto* source = dynamic_cast<const obs::CounterSource*>(ps.automaton)) {
-      result_.metrics.counters.protocol += source->protocol_counters();
-    }
+  for (const obs::CounterSource* source : counter_sources_) {
+    if (source != nullptr) result_.metrics.counters.protocol += source->protocol_counters();
   }
-  // Channel-level injected faults (empty without an injector). Drops count
-  // into the same loss counters as drop_every_nth — both are packets the
-  // automaton sent that never entered flight.
+  // Channel-level injected faults (empty without an injector). A drop is a
+  // packet the automaton sent that never entered flight.
   result_.faults = channel_->fault_log();
   for (const fault::FaultEvent& f : result_.faults) {
     if (f.kind == fault::FaultKind::Drop) {
@@ -344,8 +321,8 @@ RunResult Simulator::take_result() {
       ++result_.metrics.counters.dropped;
     }
   }
-  if (config_.tracer != nullptr) {
-    config_.tracer->on_finish(result_.end_time, result_.faults);
+  if (config_.observer != nullptr) {
+    config_.observer->on_finish(result_.end_time, result_.faults);
   }
   return std::move(result_);
 }

@@ -9,6 +9,7 @@
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
 #include "rstp/core/verify.h"
+#include "rstp/fault/fault.h"
 #include "rstp/sim/simulator.h"
 
 namespace rstp::protocols {
@@ -208,7 +209,13 @@ TEST(BetaEndToEnd, DropFaultIsDetectedAsModelViolation) {
   sim::SimConfig sc;
   sc.params = cfg.params;
   sc.max_events = 5000;
-  sc.drop_every_nth = 3;
+  // Drop every 3th send of either direction: channel seqs 3k - 1.
+  std::vector<fault::PinnedFault> pins;
+  for (std::uint64_t k = 1; 3 * k <= sc.max_events; ++k) {
+    pins.push_back(fault::PinnedFault{3 * k - 1, fault::FaultKind::Drop});
+  }
+  fault::SeededFaultInjector injector{0, fault::FaultRates{}, std::move(pins)};
+  chan.set_fault_injector(&injector);
   sim::Simulator sim{*inst.transmitter, *inst.receiver, chan, *ts, *rs, sc};
   const auto result = sim.run();
   EXPECT_GT(result.dropped_packets, 0u);

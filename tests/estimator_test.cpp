@@ -114,7 +114,8 @@ TEST(BlockPlanner, PlansAreFrozenAndResizeOnlyAtBoundaries) {
   std::vector<ioa::Bit> input(40, 1);
   BlockPlanner planner{BlockPlanner::Discipline::TimedBlocks, 4, input, est};
 
-  const BlockPlan& p0 = planner.plan(0);
+  // A copy: computing plan(1) may reallocate the planner's plan storage.
+  const BlockPlan p0 = planner.plan(0);
   EXPECT_EQ(p0.delta, 3u);  // ceil(6/2) for the timed (β) discipline
   EXPECT_EQ(p0.wait, 3u);
   EXPECT_EQ(p0.first_bit, 0u);

@@ -8,6 +8,7 @@
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
 #include "rstp/core/verify.h"
+#include "rstp/fault/fault.h"
 #include "rstp/sim/simulator.h"
 
 namespace rstp::protocols {
@@ -173,7 +174,13 @@ TEST(GammaEndToEnd, AckLossDeadlocksInsteadOfCorrupting) {
   sim::SimConfig sc;
   sc.params = cfg.params;
   sc.max_events = 5000;
-  sc.drop_every_nth = 5;
+  // Drop every 5th send of either direction: channel seqs 5k - 1.
+  std::vector<fault::PinnedFault> pins;
+  for (std::uint64_t k = 1; 5 * k <= sc.max_events; ++k) {
+    pins.push_back(fault::PinnedFault{5 * k - 1, fault::FaultKind::Drop});
+  }
+  fault::SeededFaultInjector injector{0, fault::FaultRates{}, std::move(pins)};
+  chan.set_fault_injector(&injector);
   sim::Simulator sim{*inst.transmitter, *inst.receiver, chan, *ts, *rs, sc};
   const auto result = sim.run();
   EXPECT_FALSE(result.quiescent);

@@ -302,6 +302,35 @@ TEST(JsonStrings, LoneOrMismatchedSurrogatesAreRejected) {
   EXPECT_THROW((void)parse_json(R"("\uD800x")"), JsonParseError);       // high + raw char
 }
 
+TEST(JsonNesting, DocumentAtTheDepthLimitParses) {
+  const std::string doc =
+      std::string(kMaxJsonDepth - 1, '[') + "{\"k\":1}" + std::string(kMaxJsonDepth - 1, ']');
+  const JsonValue v = parse_json(doc);
+  const JsonValue* inner = &v;
+  for (std::size_t i = 1; i < kMaxJsonDepth; ++i) {
+    ASSERT_EQ(inner->items.size(), 1u);
+    inner = &inner->items[0];
+  }
+  EXPECT_EQ(inner->u64_or("k", 0), 1u);
+}
+
+TEST(JsonNesting, OneLevelPastTheLimitThrowsWithItsByteOffset) {
+  // The object opening level kMaxJsonDepth + 1 sits at byte kMaxJsonDepth.
+  const std::string doc =
+      std::string(kMaxJsonDepth, '[') + "{}" + std::string(kMaxJsonDepth, ']');
+  try {
+    (void)parse_json(doc);
+    FAIL() << "expected JsonParseError";
+  } catch (const JsonParseError& e) {
+    EXPECT_NE(std::string{e.what()}.find("at byte " + std::to_string(kMaxJsonDepth)),
+              std::string::npos)
+        << e.what();
+  }
+  // A hostile input far past the limit is rejected the same way instead of
+  // exhausting the stack.
+  EXPECT_THROW((void)parse_json(std::string(10'000'000, '[')), JsonParseError);
+}
+
 TEST(MegasessionFields, SessionsIsACellQuantityButEventsPerSecIsNot) {
   std::vector<RunMetricsRecord> old_runs = {make_record("alpha", 1, 100)};
   std::vector<RunMetricsRecord> new_runs = {make_record("alpha", 1, 100)};

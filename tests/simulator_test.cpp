@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
+#include "rstp/fault/fault.h"
 
 namespace rstp::sim {
 namespace {
@@ -95,6 +97,17 @@ class EchoReceiver final : public ioa::Automaton {
   bool echo_;
   std::vector<std::uint32_t> received_;
   int pending_acks_ = 0;
+};
+
+/// Adapts a callable to the observer hook's per-event callback.
+template <typename F>
+class EventObserver final : public SimObserver {
+ public:
+  explicit EventObserver(F fn) : fn_(std::move(fn)) {}
+  void on_event(const ioa::TimedEvent& event) override { fn_(event); }
+
+ private:
+  F fn_;
 };
 
 SimConfig config_for(const core::TimingParams& params) {
@@ -199,10 +212,13 @@ TEST(Simulator, DropInjectionLosesPacketButSimStillTerminates) {
   CounterSender sender{1};
   EchoReceiver receiver{true};
   channel::Channel chan{params.d, channel::make_zero_delay()};
+  // Drop the only data packet: channel seq 0.
+  fault::SeededFaultInjector injector{0, fault::FaultRates{},
+                                      {fault::PinnedFault{0, fault::FaultKind::Drop}}};
+  chan.set_fault_injector(&injector);
   FixedRateScheduler ts{params.c1};
   FixedRateScheduler rs{params.c1};
   SimConfig cfg = config_for(params);
-  cfg.drop_every_nth = 1;  // drop the only data packet
   cfg.max_events = 100;
   Simulator sim{sender, receiver, chan, ts, rs, cfg};
   const RunResult result = sim.run();
@@ -275,7 +291,8 @@ TEST(Simulator, ObserverSeesEveryEventInOrder) {
   FixedRateScheduler rs{params.c1};
   SimConfig cfg = config_for(params);
   std::vector<ioa::TimedEvent> seen;
-  cfg.observer = [&seen](const ioa::TimedEvent& e) { seen.push_back(e); };
+  EventObserver observer{[&seen](const ioa::TimedEvent& e) { seen.push_back(e); }};
+  cfg.observer = &observer;
   Simulator sim{sender, receiver, chan, ts, rs, cfg};
   const RunResult result = sim.run();
   EXPECT_TRUE(result.quiescent);
@@ -295,12 +312,13 @@ TEST(Simulator, ObserverWorksWithoutTraceRecording) {
   cfg.record_trace = false;
   std::uint64_t events = 0;
   std::int64_t in_flight = 0;
-  cfg.observer = [&](const ioa::TimedEvent& e) {
+  EventObserver observer{[&](const ioa::TimedEvent& e) {
     ++events;
     if (e.action.kind == ActionKind::Send) ++in_flight;
     if (e.action.kind == ActionKind::Recv) --in_flight;
     ASSERT_GE(in_flight, 0) << "a recv without a matching prior send";
-  };
+  }};
+  cfg.observer = &observer;
   Simulator sim{sender, receiver, chan, ts, rs, cfg};
   const RunResult result = sim.run();
   EXPECT_TRUE(result.trace.empty());
@@ -316,11 +334,12 @@ TEST(Simulator, ObserverExceptionAbortsRun) {
   FixedRateScheduler ts{params.c1};
   FixedRateScheduler rs{params.c1};
   SimConfig cfg = config_for(params);
-  cfg.observer = [](const ioa::TimedEvent& e) {
+  EventObserver observer{[](const ioa::TimedEvent& e) {
     if (e.action.kind == ActionKind::Recv) {
       throw ModelError("stop at first delivery");
     }
-  };
+  }};
+  cfg.observer = &observer;
   Simulator sim{sender, receiver, chan, ts, rs, cfg};
   EXPECT_THROW((void)sim.run(), ModelError);
 }

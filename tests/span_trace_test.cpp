@@ -1,13 +1,15 @@
 // Tests for the causal span tracer (obs/trace.h), the calibrated host clock
 // (common/time.h), and the phase-timer overhead floor — including the
-// bitwise-invisibility contract: arming the tracer must not change any
-// simulation result bit, for any thread count.
+// bitwise-invisibility contract: arming the tracer, or any other
+// sim::SimObserver, must not change any simulation result bit, for any
+// thread count.
 #include "rstp/obs/trace.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -16,12 +18,15 @@
 
 #include "rstp/common/time.h"
 #include "rstp/core/effort.h"
+#include "rstp/est/estimator.h"
 #include "rstp/ioa/trace_io.h"
 #include "rstp/obs/dashboard.h"
 #include "rstp/obs/json.h"
 #include "rstp/obs/metrics.h"
 #include "rstp/obs/sinks.h"
 #include "rstp/sim/campaign.h"
+#include "rstp/sim/search_support.h"
+#include "rstp/sim/session.h"
 
 namespace rstp {
 namespace {
@@ -44,6 +49,48 @@ core::ProtocolRun run_with_tracer(Tracer* tracer) {
   return core::run_protocol(protocols::ProtocolKind::Beta, fixed_config(),
                             core::Environment::worst_case(), /*record_trace=*/true,
                             50'000'000, recorder.has_value() ? &*recorder : nullptr);
+}
+
+/// Runs fixed_config() in the worst-case environment on a hand-wired session
+/// whose observer is `arm(instance)`: the coverage observer needs the pair's
+/// automata before the session takes ownership of them.
+sim::RunResult run_observed(
+    const std::function<sim::SimObserver*(const protocols::ProtocolInstance&)>& arm) {
+  const protocols::ProtocolConfig cfg = fixed_config();
+  protocols::ProtocolInstance instance =
+      protocols::make_protocol(protocols::ProtocolKind::Beta, cfg);
+  sim::SimConfig sim_config;
+  sim_config.params = cfg.params;
+  sim_config.observer = arm(instance);
+  const core::Environment env = core::Environment::worst_case();
+  sim::Session session{std::move(instance),
+                       core::make_scheduler(env.transmitter_sched, cfg.params, 0),
+                       core::make_scheduler(env.receiver_sched, cfg.params, 0),
+                       core::make_delivery_policy(env.delay, cfg.params, 0),
+                       std::move(sim_config)};
+  return session.run();
+}
+
+/// Field-by-field equality of two runs of the same execution.
+void expect_same_run(const sim::RunResult& on, const sim::RunResult& off) {
+  EXPECT_EQ(on.output, off.output);
+  EXPECT_EQ(on.event_count, off.event_count);
+  EXPECT_EQ(on.end_time, off.end_time);
+  EXPECT_EQ(on.last_transmitter_send, off.last_transmitter_send);
+  EXPECT_EQ(on.transmitter_steps, off.transmitter_steps);
+  EXPECT_EQ(on.receiver_steps, off.receiver_steps);
+  EXPECT_EQ(on.transmitter_sends, off.transmitter_sends);
+  EXPECT_EQ(on.receiver_sends, off.receiver_sends);
+  EXPECT_EQ(on.dropped_packets, off.dropped_packets);
+  EXPECT_EQ(on.quiescent, off.quiescent);
+  EXPECT_EQ(on.faults, off.faults);
+  EXPECT_EQ(on.metrics, off.metrics);
+  // The timed traces agree event for event (serialized comparison).
+  std::ostringstream trace_on;
+  std::ostringstream trace_off;
+  ioa::write_trace(trace_on, on.trace);
+  ioa::write_trace(trace_off, off.trace);
+  EXPECT_EQ(trace_on.str(), trace_off.str());
 }
 
 std::string export_json(const Tracer& tracer) {
@@ -165,24 +212,47 @@ TEST(SpanTrace, TracingDoesNotChangeAnyResultBit) {
   const core::ProtocolRun on = run_with_tracer(&tracer);
 
   EXPECT_EQ(on.output_correct, off.output_correct);
-  EXPECT_EQ(on.result.output, off.result.output);
-  EXPECT_EQ(on.result.event_count, off.result.event_count);
-  EXPECT_EQ(on.result.end_time, off.result.end_time);
-  EXPECT_EQ(on.result.transmitter_steps, off.result.transmitter_steps);
-  EXPECT_EQ(on.result.receiver_steps, off.result.receiver_steps);
-  EXPECT_EQ(on.result.transmitter_sends, off.result.transmitter_sends);
-  EXPECT_EQ(on.result.receiver_sends, off.result.receiver_sends);
-  EXPECT_EQ(on.result.dropped_packets, off.result.dropped_packets);
-  EXPECT_EQ(on.result.quiescent, off.result.quiescent);
-  EXPECT_EQ(on.result.faults, off.result.faults);
-  EXPECT_EQ(on.result.metrics.counters, off.result.metrics.counters);
-  EXPECT_EQ(on.result.metrics.data_delay, off.result.metrics.data_delay);
-  // The timed traces agree event for event (serialized comparison).
-  std::ostringstream trace_on;
-  std::ostringstream trace_off;
-  ioa::write_trace(trace_on, on.result.trace);
-  ioa::write_trace(trace_off, off.result.trace);
-  EXPECT_EQ(trace_on.str(), trace_off.str());
+  expect_same_run(on.result, off.result);
+}
+
+TEST(SpanTrace, NoObserverChangesAnyResultBit) {
+  const sim::RunResult off =
+      run_observed([](const protocols::ProtocolInstance&) { return nullptr; });
+  // The hand-wired session is the one core::make_session builds.
+  expect_same_run(off, run_with_tracer(nullptr).result);
+
+  std::optional<sim::CoverageObserver> coverage;
+  expect_same_run(run_observed([&](const protocols::ProtocolInstance& instance) {
+                    coverage.emplace(*instance.transmitter, *instance.receiver);
+                    return &*coverage;
+                  }),
+                  off);
+  EXPECT_FALSE(coverage->sorted_fingerprints().empty());
+
+  // An estimator armed without a planner: observed, never consulted.
+  est::TimingEstimator estimator{est::EstimatorConfig{}};
+  expect_same_run(
+      run_observed([&](const protocols::ProtocolInstance&) { return &estimator; }), off);
+  EXPECT_EQ(estimator.gap_samples(), off.metrics.transmitter_gap.count() +
+                                         off.metrics.receiver_gap.count());
+  EXPECT_EQ(estimator.delay_samples(),
+            off.metrics.data_delay.count() + off.metrics.ack_delay.count());
+
+  // The tee feeds both of its observers the same stream.
+  Tracer tracer;
+  ModelRecorder recorder{tracer};
+  std::optional<sim::CoverageObserver> teed_coverage;
+  std::optional<sim::ObserverTee> tee;
+  expect_same_run(run_observed([&](const protocols::ProtocolInstance& instance) {
+                    teed_coverage.emplace(*instance.transmitter, *instance.receiver);
+                    tee.emplace(&*teed_coverage, &recorder);
+                    return tee->armed();
+                  }),
+                  off);
+  EXPECT_EQ(teed_coverage->sorted_fingerprints(), coverage->sorted_fingerprints());
+  Tracer solo;
+  (void)run_with_tracer(&solo);
+  EXPECT_EQ(export_json(tracer), export_json(solo));
 }
 
 TEST(SpanTrace, CampaignStaysBitwiseDeterministicWithHostTracingArmed) {

@@ -109,7 +109,6 @@
 // Exit code 0 on success/verified, 1 on failure, 2 on usage errors (including
 // malformed diff inputs and threshold specs), 3 on a tripped --fail-on gate.
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <iomanip>
@@ -120,6 +119,7 @@
 #include <string_view>
 #include <vector>
 
+#include "rstp/common/parse.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/drift.h"
 #include "rstp/core/effort.h"
@@ -171,23 +171,23 @@ int usage() {
   return 2;
 }
 
-/// Checked numeric parsing: the whole token must be one decimal number that
-/// fits the target type. std::nullopt on any malformed or out-of-range token
-/// (unlike std::stoll, which accepts trailing garbage and throws on range).
-template <typename T>
-[[nodiscard]] std::optional<T> parse_number(std::string_view text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || text.empty()) return std::nullopt;
-  return value;
-}
-
 /// Reports a bad numeric token the way usage errors are reported: name the
 /// argument, echo the offending token, exit 2.
 int bad_number(std::string_view what, std::string_view token) {
   std::cerr << "invalid " << what << " '" << token << "': expected a decimal integer\n";
   return 2;
+}
+
+/// The value of `NAME VALUE` or `NAME=VALUE` at argv[i], stepping i past a
+/// separate VALUE; nullopt when argv[i] is neither spelling.
+[[nodiscard]] std::optional<std::string> flag_value(std::string_view name, int argc, char** argv,
+                                                    int& i) {
+  const std::string_view arg = argv[i];
+  if (arg == name && i + 1 < argc) return argv[++i];
+  if (arg.size() > name.size() && arg.starts_with(name) && arg[name.size()] == '=') {
+    return std::string{arg.substr(name.size() + 1)};
+  }
+  return std::nullopt;
 }
 
 /// Parses an `--estimator=margin` value. Empty optional (after the error
@@ -212,13 +212,6 @@ int bad_number(std::string_view what, std::string_view token) {
   }
 }
 
-std::optional<ProtocolKind> parse_protocol(const std::string& name) {
-  for (const auto kind : protocols::kAllProtocolKinds) {
-    if (name == protocols::to_string(kind)) return kind;
-  }
-  return std::nullopt;
-}
-
 /// Parses the input argument: a pure 0/1 string of length ≥ 8 is a literal
 /// bit sequence; anything else is a decimal length for a seeded random
 /// input (so "64" is 64 random bits, "01100110" is those exact 8 bits).
@@ -235,6 +228,12 @@ std::optional<std::vector<ioa::Bit>> parse_input(const std::string& text, std::u
   return core::make_random_input(*length, seed);
 }
 
+/// Reports a file that cannot be opened; returns exit code 1.
+int cannot_open(std::string_view path) {
+  std::cerr << "cannot open '" << path << "'\n";
+  return 1;
+}
+
 /// Appends metric records to a JSONL file (append, so several runs can
 /// accumulate into one report input). False when the file cannot be opened.
 bool append_metrics_jsonl(const std::string& path,
@@ -245,6 +244,20 @@ bool append_metrics_jsonl(const std::string& path,
     obs::write_run_metrics_jsonl(out, record);
   }
   return static_cast<bool>(out);
+}
+
+/// Writes a Chrome trace (--trace-out) and prints its summary line; returns
+/// exit code 0, or 1 when the file cannot be opened.
+int write_trace_out(const obs::trace::Tracer& tracer, const std::string& path) {
+  std::ofstream out{path};
+  if (!out) return cannot_open(path);
+  tracer.write_chrome_json(out);
+  const obs::trace::Summary summary = obs::trace::summarize(tracer);
+  std::cout << "trace-out:  written to " << path << " (" << summary.model_spans << " spans, "
+            << summary.flow_events << " flow events, " << summary.host_spans << " host spans, "
+            << summary.dropped << " dropped, delay p50/p95/p99 " << summary.delay_p50 << '/'
+            << summary.delay_p95 << '/' << summary.delay_p99 << " ticks)\n";
+  return 0;
 }
 
 int cmd_bounds(int argc, char** argv) {
@@ -264,7 +277,7 @@ int cmd_bounds(int argc, char** argv) {
 
 int cmd_run(int argc, char** argv) {
   if (argc < 8) return usage();
-  const auto kind = parse_protocol(argv[2]);
+  const auto kind = protocols::protocol_from_string(argv[2]);
   if (!kind.has_value()) {
     std::cerr << "unknown protocol '" << argv[2] << "'\n";
     return 2;
@@ -316,10 +329,8 @@ int cmd_run(int argc, char** argv) {
       env.seed = seed;
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_file = argv[++i];
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out_file = argv[++i];
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out_file = arg.substr(std::string_view{"--trace-out="}.size());
+    } else if (const auto file = flag_value("--trace-out", argc, argv, i)) {
+      trace_out_file = *file;
     } else if (arg == "--stats") {
       want_stats = true;
     } else if (arg == "--metrics-out" && i + 1 < argc) {
@@ -333,12 +344,8 @@ int cmd_run(int argc, char** argv) {
       if (!margin.has_value()) return 2;
       want_estimator = true;
       est_margin = *margin;
-    } else if (arg == "--drift" && i + 1 < argc) {
-      const auto parsed = parse_drift(argv[++i]);
-      if (!parsed.has_value()) return 2;
-      drift = *parsed;
-    } else if (arg.rfind("--drift=", 0) == 0) {
-      const auto parsed = parse_drift(arg.substr(std::string_view{"--drift="}.size()));
+    } else if (const auto token = flag_value("--drift", argc, argv, i)) {
+      const auto parsed = parse_drift(*token);
       if (!parsed.has_value()) return 2;
       drift = *parsed;
     } else {
@@ -353,11 +360,7 @@ int cmd_run(int argc, char** argv) {
   const auto input = parse_input(argv[7], seed);
   if (!input.has_value()) return bad_number("input length", argv[7]);
   cfg.input = *input;
-  if (*kind == ProtocolKind::Indexed) {
-    cfg.k = std::max<std::uint32_t>(cfg.k,
-                                    static_cast<std::uint32_t>(2 * std::max<std::size_t>(
-                                                                       1, cfg.input.size())));
-  }
+  cfg.k = protocols::alphabet_for(*kind, cfg.k, cfg.input.size());
 
   std::uint64_t overhead_ns = 0;
   if (want_timing) {
@@ -434,36 +437,17 @@ int cmd_run(int argc, char** argv) {
     record.quiescent = run.result.quiescent;
     record.metrics = run.result.metrics;
     record.est = est_run.gauges;
-    if (!append_metrics_jsonl(metrics_file, {record})) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
-      return 1;
-    }
+    if (!append_metrics_jsonl(metrics_file, {record})) return cannot_open(metrics_file);
     std::cout << "metrics:    appended to " << metrics_file << "\n";
   }
   if (!trace_file.empty()) {
     std::ofstream out{trace_file};
-    if (!out) {
-      std::cerr << "cannot open '" << trace_file << "'\n";
-      return 1;
-    }
+    if (!out) return cannot_open(trace_file);
     ioa::write_trace(out, run.result.trace);
     std::cout << "trace:      written to " << trace_file << " (" << run.result.trace.size()
               << " events)\n";
   }
-  if (tracer.has_value()) {
-    std::ofstream out{trace_out_file};
-    if (!out) {
-      std::cerr << "cannot open '" << trace_out_file << "'\n";
-      return 1;
-    }
-    tracer->write_chrome_json(out);
-    const obs::trace::Summary summary = obs::trace::summarize(*tracer);
-    std::cout << "trace-out:  written to " << trace_out_file << " (" << summary.model_spans
-              << " spans, " << summary.flow_events << " flow events, " << summary.host_spans
-              << " host spans, " << summary.dropped << " dropped, delay p50/p95/p99 "
-              << summary.delay_p50 << '/' << summary.delay_p95 << '/' << summary.delay_p99
-              << " ticks)\n";
-  }
+  if (tracer.has_value() && write_trace_out(*tracer, trace_out_file) != 0) return 1;
   return run.output_correct && verdict.ok() ? 0 : 1;
 }
 
@@ -477,10 +461,7 @@ int cmd_verify(int argc, char** argv) {
   if (!d.has_value()) return bad_number("d", argv[4]);
   const auto params = core::TimingParams::make(*c1, *c2, *d);
   std::ifstream in{argv[5]};
-  if (!in) {
-    std::cerr << "cannot open '" << argv[5] << "'\n";
-    return 1;
-  }
+  if (!in) return cannot_open(argv[5]);
   const ioa::TimedTrace trace = ioa::parse_trace(in);
   std::vector<ioa::Bit> expected;
   for (const char c : std::string{argv[6]}) {
@@ -497,7 +478,7 @@ int cmd_verify(int argc, char** argv) {
 
 int cmd_explore(int argc, char** argv) {
   if (argc != 6) return usage();
-  const auto kind = parse_protocol(argv[2]);
+  const auto kind = protocols::protocol_from_string(argv[2]);
   if (!kind.has_value()) {
     std::cerr << "unknown protocol '" << argv[2] << "'\n";
     return 2;
@@ -516,10 +497,7 @@ int cmd_explore(int argc, char** argv) {
     }
     cfg.input.push_back(static_cast<ioa::Bit>(c - '0'));
   }
-  if (*kind == ProtocolKind::Indexed) {
-    cfg.k = std::max<std::uint32_t>(
-        cfg.k, static_cast<std::uint32_t>(2 * std::max<std::size_t>(1, cfg.input.size())));
-  }
+  cfg.k = protocols::alphabet_for(*kind, cfg.k, cfg.input.size());
   const auto instance = protocols::make_protocol(*kind, cfg);
   ioa::ExplorerConfig config;
   config.d = *d;
@@ -581,18 +559,12 @@ int cmd_bench(int argc, char** argv) {
   if (!metrics_file.empty()) {
     const std::vector<obs::RunMetricsRecord> records = sim::campaign_metrics_records(
         report.serial_result, sim::reference_campaign_spec().input_bits);
-    if (!append_metrics_jsonl(metrics_file, records)) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
-      return 1;
-    }
+    if (!append_metrics_jsonl(metrics_file, records)) return cannot_open(metrics_file);
     std::cout << "metrics:    appended " << records.size() << " jobs to " << metrics_file
               << "\n";
   }
   std::ofstream out{json_path};
-  if (!out) {
-    std::cerr << "cannot open '" << json_path << "'\n";
-    return 1;
-  }
+  if (!out) return cannot_open(json_path);
   sim::write_campaign_bench_json(out, report);
   std::cout << "baseline:   written to " << json_path << "\n";
   return report.ok() ? 0 : 1;
@@ -679,12 +651,8 @@ int cmd_campaign(int argc, char** argv) {
       if (!margin.has_value()) return 2;
       want_estimator = true;
       margin_override = *margin;
-    } else if (arg == "--drift" && i + 1 < argc) {
-      const auto parsed = parse_drift(argv[++i]);
-      if (!parsed.has_value()) return 2;
-      drift_override = *parsed;
-    } else if (arg.rfind("--drift=", 0) == 0) {
-      const auto parsed = parse_drift(arg.substr(std::string_view{"--drift="}.size()));
+    } else if (const auto token = flag_value("--drift", argc, argv, i)) {
+      const auto parsed = parse_drift(*token);
       if (!parsed.has_value()) return 2;
       drift_override = *parsed;
     } else {
@@ -726,8 +694,7 @@ int cmd_campaign(int argc, char** argv) {
   if (!metrics_file.empty()) {
     if (!append_metrics_jsonl(metrics_file, sim::campaign_metrics_records(result,
                                                                           spec.input_bits))) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
-      return 1;
+      return cannot_open(metrics_file);
     }
     std::cout << "metrics:     appended " << result.jobs.size() << " jobs to " << metrics_file
               << "\n";
@@ -758,7 +725,7 @@ int cmd_mega(int argc, char** argv) {
       if (!parsed.has_value()) return bad_number("--threads", argv[i]);
       threads = *parsed;
     } else if (arg == "--protocol" && i + 1 < argc) {
-      const auto kind = parse_protocol(argv[++i]);
+      const auto kind = protocols::protocol_from_string(argv[++i]);
       if (!kind.has_value()) {
         std::cerr << "unknown protocol '" << argv[i] << "'\n";
         return 2;
@@ -797,8 +764,7 @@ int cmd_mega(int argc, char** argv) {
             << result.sessions - result.quiescent_sessions << " non-quiescent\n";
   if (!metrics_file.empty()) {
     if (!append_metrics_jsonl(metrics_file, {sim::multi_session_metrics_record(spec, result)})) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
-      return 1;
+      return cannot_open(metrics_file);
     }
     std::cout << "metrics: appended 1 fold record to " << metrics_file << "\n";
   }
@@ -821,10 +787,7 @@ int cmd_report_diff(const std::string& old_path, const std::string& new_path, bo
   const auto read_series = [](const std::string& path,
                               std::vector<obs::RunMetricsRecord>& out) {
     std::ifstream in{path};
-    if (!in) {
-      std::cerr << "cannot open '" << path << "'\n";
-      return 1;
-    }
+    if (!in) return cannot_open(path);
     try {
       out = obs::read_run_metrics_jsonl(in);
     } catch (const obs::JsonParseError& e) {
@@ -892,10 +855,7 @@ int cmd_report(int argc, char** argv) {
   // exit 1 on unreadable or malformed input (via main's catch-all).
   if (files.size() != 1 || want_json || !fail_on.empty()) return usage();
   std::ifstream in{files[0]};
-  if (!in) {
-    std::cerr << "cannot open '" << files[0] << "'\n";
-    return 1;
-  }
+  if (!in) return cannot_open(files[0]);
   const std::vector<obs::RunMetricsRecord> records = obs::read_run_metrics_jsonl(in);
   obs::print_metrics_table(std::cout, records);
   return 0;
@@ -923,7 +883,7 @@ int cmd_report(int argc, char** argv) {
 
 int cmd_fuzz(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto kind = parse_protocol(argv[2]);
+  const auto kind = protocols::protocol_from_string(argv[2]);
   if (!kind.has_value()) {
     std::cerr << "unknown protocol '" << argv[2] << "'\n";
     return 2;
@@ -1034,10 +994,7 @@ int cmd_fuzz(int argc, char** argv) {
     for (std::size_t i = 0; i < result.corpus.size(); ++i) {
       records.push_back(fuzz_metrics_record(result.corpus[i], result.corpus_results[i]));
     }
-    if (!append_metrics_jsonl(metrics_file, records)) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
-      return 1;
-    }
+    if (!append_metrics_jsonl(metrics_file, records)) return cannot_open(metrics_file);
     std::cout << "metrics:       appended " << records.size() << " rows to " << metrics_file
               << "\n";
   }
@@ -1049,10 +1006,7 @@ int cmd_fuzz(int argc, char** argv) {
   const sim::FuzzFailure& first = result.failures.front();
   if (!repro_file.empty()) {
     std::ofstream out{repro_file};
-    if (!out) {
-      std::cerr << "cannot open '" << repro_file << "'\n";
-      return 1;
-    }
+    if (!out) return cannot_open(repro_file);
     sim::write_fuzz_repro(out, first.minimized, first.result);
     std::cout << "repro:         written to " << repro_file << " (rstp replay " << repro_file
               << ")\n";
@@ -1132,10 +1086,7 @@ int cmd_adversary(int argc, char** argv) {
   if (!metrics_file.empty()) {
     const std::vector<obs::RunMetricsRecord> records =
         sim::adversary_metrics_records(result, spec.seed);
-    if (!append_metrics_jsonl(metrics_file, records)) {
-      std::cerr << "cannot open '" << metrics_file << "'\n";
-      return 1;
-    }
+    if (!append_metrics_jsonl(metrics_file, records)) return cannot_open(metrics_file);
     std::cout << "metrics:   appended " << records.size() << " rows to " << metrics_file
               << "\n";
   }
@@ -1146,10 +1097,7 @@ int cmd_adversary(int argc, char** argv) {
         result.cells.begin(), result.cells.end(),
         [](const auto& a, const auto& b) { return a.gap_ratio < b.gap_ratio; });
     std::ofstream out{repro_file};
-    if (!out) {
-      std::cerr << "cannot open '" << repro_file << "'\n";
-      return 1;
-    }
+    if (!out) return cannot_open(repro_file);
     sim::write_adversary_repro(out, sim::make_adversary_repro(*widest, spec.max_events));
     std::cout << "repro:     written to " << repro_file << " (rstp replay " << repro_file
               << ")\n";
@@ -1204,10 +1152,8 @@ int cmd_replay(int argc, char** argv) {
   std::string trace_out_file;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out_file = argv[++i];
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out_file = arg.substr(std::string_view{"--trace-out="}.size());
+    if (const auto file = flag_value("--trace-out", argc, argv, i)) {
+      trace_out_file = *file;
     } else if (arg == "--estimator" || arg.rfind("--estimator=", 0) == 0) {
       std::cerr << "--estimator is not supported for replay: artifacts pin the recorded"
                    " constants\n";
@@ -1218,10 +1164,7 @@ int cmd_replay(int argc, char** argv) {
     }
   }
   std::ifstream in{argv[2]};
-  if (!in) {
-    std::cerr << "cannot open '" << argv[2] << "'\n";
-    return 1;
-  }
+  if (!in) return cannot_open(argv[2]);
   if (sniff_header_line(argv[2]) == sim::adversary_repro_header()) {
     if (!trace_out_file.empty()) {
       std::cerr << "--trace-out is not supported for adversary artifacts\n";
@@ -1238,17 +1181,7 @@ int cmd_replay(int argc, char** argv) {
   }
   const sim::ReplayOutcome outcome =
       sim::replay_fuzz_repro(repro, recorder.has_value() ? &*recorder : nullptr);
-  if (tracer.has_value()) {
-    std::ofstream trace_out{trace_out_file};
-    if (!trace_out) {
-      std::cerr << "cannot open '" << trace_out_file << "'\n";
-      return 1;
-    }
-    tracer->write_chrome_json(trace_out);
-    const obs::trace::Summary summary = obs::trace::summarize(*tracer);
-    std::cout << "trace-out:  written to " << trace_out_file << " (" << summary.model_spans
-              << " spans, " << summary.flow_events << " flow events)\n";
-  }
+  if (tracer.has_value() && write_trace_out(*tracer, trace_out_file) != 0) return 1;
   std::cout << "case:       " << protocols::to_string(repro.fuzz_case.protocol) << " "
             << repro.fuzz_case.params << " k=" << repro.fuzz_case.k << " bits="
             << repro.fuzz_case.input_bits << "\n"
