@@ -66,7 +66,11 @@ TEST(Explorer, BetaVerifiedExhaustively) {
   const std::vector<Bit> input = {1, 0, 0, 1};
   const ExplorerResult r = explore_protocol(ProtocolKind::Beta, input, 3, 2);
   EXPECT_TRUE(r.verified()) << r.first_violation;
-  EXPECT_GT(r.terminal_states, 0u);
+  // Exact state-space pins: the explorer dedups by snapshot(), so these
+  // counts change if a snapshot merges or splits states.
+  EXPECT_EQ(r.distinct_states, 23u);
+  EXPECT_EQ(r.terminal_states, 2u);
+  EXPECT_EQ(r.transitions, 38u);
 }
 
 TEST(Explorer, GammaVerifiedExhaustively) {
@@ -74,7 +78,9 @@ TEST(Explorer, GammaVerifiedExhaustively) {
   const std::vector<Bit> input = {0, 1, 1, 0};
   const ExplorerResult r = explore_protocol(ProtocolKind::Gamma, input, 3, 2);
   EXPECT_TRUE(r.verified()) << r.first_violation;
-  EXPECT_GT(r.terminal_states, 0u);
+  EXPECT_EQ(r.distinct_states, 46u);
+  EXPECT_EQ(r.terminal_states, 1u);
+  EXPECT_EQ(r.transitions, 107u);
 }
 
 TEST(Explorer, AltBitVerifiedExhaustively) {
@@ -162,6 +168,9 @@ TEST(Explorer, NoCounterexampleWhenVerified) {
   ASSERT_TRUE(r.verified());
   EXPECT_TRUE(r.counterexample.empty());
   EXPECT_TRUE(r.first_violation.empty());
+  EXPECT_EQ(r.distinct_states, 12u);
+  EXPECT_EQ(r.terminal_states, 2u);
+  EXPECT_EQ(r.transitions, 18u);
 }
 
 TEST(Explorer, AsymmetricRatesVerifiedExhaustively) {
