@@ -76,51 +76,4 @@ std::uint64_t TimingEstimator::outstanding() const {
   return channel_ == nullptr ? 0 : channel_->in_flight();
 }
 
-BlockPlanner::BlockPlanner(Discipline discipline, std::uint32_t k, std::vector<ioa::Bit> input,
-                           std::shared_ptr<TimingEstimator> estimator)
-    : discipline_(discipline), k_(k), input_(std::move(input)), estimator_(std::move(estimator)) {
-  RSTP_CHECK(k_ >= 2, "planner alphabet must have at least two symbols");
-  RSTP_CHECK(estimator_ != nullptr, "planner requires an estimator");
-}
-
-bool BlockPlanner::has_block(std::size_t j) const {
-  if (j == 0) return !input_.empty();
-  RSTP_CHECK(j - 1 < plans_.size(), "has_block(j) requires plan(j-1) to be computed");
-  const BlockPlan& prev = plans_[j - 1];
-  return prev.first_bit + prev.bits < input_.size();
-}
-
-const BlockPlan& BlockPlanner::plan(std::size_t j) {
-  RSTP_CHECK(j <= plans_.size(), "plans are computed sequentially");
-  if (j < plans_.size()) return plans_[j];
-  RSTP_CHECK(has_block(j), "plan(j) requested past the end of the input");
-
-  const core::TimingParams est = estimator_->estimate();
-  const std::int64_t raw =
-      discipline_ == Discipline::TimedBlocks ? est.delta1_wait() : est.delta2();
-  const auto delta = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
-      raw, 1, static_cast<std::int64_t>(estimator_->config().max_block)));
-
-  BlockPlan p;
-  p.delta = delta;
-  p.wait = discipline_ == Discipline::TimedBlocks ? delta : 0;
-  p.first_bit = plans_.empty() ? 0 : plans_.back().first_bit + plans_.back().bits;
-
-  auto [it, inserted] = coders_.try_emplace(delta, nullptr);
-  if (inserted) it->second = std::make_shared<const combinatorics::BlockCoder>(k_, delta);
-  p.coder = it->second;
-
-  p.bits = std::min(p.coder->bits_per_block(), input_.size() - p.first_bit);
-  // Each block is encoded independently: its slice of X zero-padded to the
-  // coder's block width. Only the final block can carry padding.
-  std::vector<ioa::Bit> padded(input_.begin() + static_cast<std::ptrdiff_t>(p.first_bit),
-                               input_.begin() + static_cast<std::ptrdiff_t>(p.first_bit + p.bits));
-  padded.resize(p.coder->bits_per_block(), 0);
-  p.symbols = p.coder->encode(padded);
-
-  if (!plans_.empty() && plans_.back().delta != delta) ++resizes_;
-  plans_.push_back(std::move(p));
-  return plans_.back();
-}
-
 }  // namespace rstp::est

@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "rstp/channel/policies.h"
-#include "rstp/common/check.h"
 #include "rstp/obs/metrics.h"
+#include "rstp/protocols/block_planner.h"
 #include "rstp/sim/scheduler.h"
 #include "rstp/sim/session.h"
 
@@ -54,16 +54,13 @@ EstimatedRun run_estimated(protocols::ProtocolKind kind, const protocols::Protoc
                            sim::SimObserver* observer) {
   protocols::ProtocolConfig local = config;
   std::shared_ptr<TimingEstimator> estimator;
-  std::shared_ptr<BlockPlanner> planner;
   if (estimator_enabled) {
-    RSTP_CHECK(kind == protocols::ProtocolKind::Beta || kind == protocols::ProtocolKind::Gamma,
-               "the estimator supports only beta and gamma");
+    // make_protocol rejects a planner for any kind but beta and gamma.
+    using Discipline = protocols::BlockPlanner::Discipline;
     estimator = std::make_shared<TimingEstimator>(est_config);
-    planner = std::make_shared<BlockPlanner>(kind == protocols::ProtocolKind::Beta
-                                                 ? BlockPlanner::Discipline::TimedBlocks
-                                                 : BlockPlanner::Discipline::AckedBlocks,
-                                             local.k, local.input, estimator);
-    local.planner = planner;
+    local.planner = std::make_shared<protocols::BlockPlanner>(
+        kind == protocols::ProtocolKind::Beta ? Discipline::TimedBlocks : Discipline::AckedBlocks,
+        local.k, local.input, estimator);
   }
   sim::ObserverTee tee{observer, estimator.get()};
   sim::SimConfig sim_config;
@@ -95,7 +92,7 @@ EstimatedRun run_estimated(protocols::ProtocolKind kind, const protocols::Protoc
     out.gauges.d_hat = estimate.d.ticks();
     out.gauges.gap_samples = estimator->gap_samples();
     out.gauges.delay_samples = estimator->delay_samples();
-    out.gauges.resizes = planner->resizes();
+    out.gauges.resizes = local.planner->resizes();
     publish_gauges(out.gauges);
   }
   return out;

@@ -20,23 +20,15 @@
 // adversarial the samples; with no samples at all the estimate is (1,1,1),
 // making block 0 a one-packet probe.
 //
-// A BlockPlanner turns the live estimates into per-block transmission plans
-// for the adaptive β/γ automata (est/adaptive.h). The planner is *shared*
-// between the transmitter and receiver of a pair (via ProtocolConfig): block
-// j's plan is computed once, at the first time either side needs it, from
-// the estimator state at that instant, and then frozen. Since the receiver
-// first touches plan(j) only when block j's first packet arrives — which the
-// transmitter sent after computing plan(j) — both sides always agree on
-// (δ_j, B_j, symbols), and a resize (δ_{j+1} ≠ δ_j) can only happen at a
-// block boundary, by construction.
+// A live protocols::BlockPlanner (protocols/block_planner.h) reads
+// estimate() when each block starts; A^β/A^γ read their block sizes from
+// it. The same automata run the oracle constants through a fixed planner,
+// so estimation changes where δ comes from, not Figures 3/4. A live planner
+// also reads outstanding(): β drains the attached channel between blocks.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <vector>
 
-#include "rstp/combinatorics/block_coder.h"
 #include "rstp/core/params.h"
 #include "rstp/ioa/action.h"
 #include "rstp/obs/run_metrics.h"
@@ -47,10 +39,6 @@ class Channel;
 }
 
 namespace rstp::est {
-
-/// Final-state estimator gauges; the obs layer owns the struct so the sinks
-/// and diff gate can carry it without depending on this module.
-using EstimatorStats = obs::EstimatorGauges;
 
 struct EstimatorConfig {
   double margin = 0.125;       ///< safety margin applied to every estimate
@@ -67,13 +55,13 @@ struct EstimatorConfig {
 
 /// The EWMA+variance estimator. One instance per run, armed as the run's
 /// sim::SimObserver (every step gap and every delivery delay feeds it); both
-/// protocol sides read it through the shared planner.
+/// protocol sides read it through the shared live planner.
 class TimingEstimator final : public sim::SimObserver {
  public:
   explicit TimingEstimator(EstimatorConfig config);
 
-  /// Non-owning; lets outstanding() see the channel's in-flight count so the
-  /// adaptive β transmitter can drain between blocks even when d̂ is low.
+  /// Non-owning; lets outstanding() see the channel's in-flight count so a
+  /// live-planned β transmitter can drain between blocks even when d̂ is low.
   void attach_channel(const channel::Channel* channel) { channel_ = channel; }
 
   /// One step gap of either process (always in [c1, c2] in-model).
@@ -114,56 +102,6 @@ class TimingEstimator final : public sim::SimObserver {
   double rttvar_ = 0;
   std::uint64_t gap_samples_ = 0;
   std::uint64_t delay_samples_ = 0;
-};
-
-/// One block's frozen transmission plan.
-struct BlockPlan {
-  std::uint32_t delta = 1;   ///< δ_j: packets in this block
-  std::uint32_t wait = 0;    ///< β: minimum wait_t steps after the block (γ: 0)
-  std::size_t first_bit = 0; ///< offset of this block's slice of X
-  std::size_t bits = 0;      ///< real input bits carried (≤ coder bits/block)
-  std::shared_ptr<const combinatorics::BlockCoder> coder;
-  std::vector<combinatorics::Symbol> symbols;  ///< δ_j symbols, canonical order
-};
-
-/// Computes and freezes per-block plans from the live estimates. Shared by
-/// the (A_t, A_r) pair of one run; see the header comment for the agreement
-/// argument. Not thread-safe — one planner belongs to exactly one run.
-class BlockPlanner {
- public:
-  /// Which block discipline consumes the plans: β sizes blocks by δ̂1 (and
-  /// waits that many steps plus a channel drain), γ by δ̂2 (ack-gated).
-  enum class Discipline : std::uint8_t { TimedBlocks, AckedBlocks };
-
-  BlockPlanner(Discipline discipline, std::uint32_t k, std::vector<ioa::Bit> input,
-               std::shared_ptr<TimingEstimator> estimator);
-
-  /// The plan for block j. Computed (from the estimator state at this
-  /// instant) and frozen on first request; j may exceed the computed prefix
-  /// by at most one. Requires has_block(j).
-  const BlockPlan& plan(std::size_t j);
-
-  /// True iff block j exists (the input is not exhausted before it).
-  /// Requires plan(j-1) to have been computed for j >= 1.
-  [[nodiscard]] bool has_block(std::size_t j) const;
-
-  [[nodiscard]] std::uint64_t outstanding() const { return estimator_->outstanding(); }
-  /// Number of boundaries where δ changed (the resize gauge).
-  [[nodiscard]] std::uint64_t resizes() const { return resizes_; }
-  [[nodiscard]] std::size_t input_bits() const { return input_.size(); }
-  [[nodiscard]] std::uint32_t alphabet() const { return k_; }
-  [[nodiscard]] Discipline discipline() const { return discipline_; }
-  [[nodiscard]] TimingEstimator& estimator() { return *estimator_; }
-  [[nodiscard]] const TimingEstimator& estimator() const { return *estimator_; }
-
- private:
-  Discipline discipline_;
-  std::uint32_t k_;
-  std::vector<ioa::Bit> input_;
-  std::shared_ptr<TimingEstimator> estimator_;
-  std::vector<BlockPlan> plans_;
-  std::map<std::uint32_t, std::shared_ptr<const combinatorics::BlockCoder>> coders_;
-  std::uint64_t resizes_ = 0;
 };
 
 }  // namespace rstp::est

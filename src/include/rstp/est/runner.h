@@ -4,8 +4,8 @@
 // optionally (a) replaces the environment's schedulers/delivery policy with a
 // core::DriftSpec-driven pair — scripted mid-run breakpoints, clamped so the
 // execution stays in good(A) for the envelope — and (b) threads a
-// TimingEstimator + BlockPlanner through ProtocolConfig so A^β/A^γ re-plan
-// block sizes from live (ĉ1, ĉ2, d̂) estimates.
+// TimingEstimator and a live protocols::BlockPlanner through ProtocolConfig
+// so A^β/A^γ size each block from the (ĉ1, ĉ2, d̂) estimates.
 //
 // run_penalty_pair() runs a cell twice in the SAME environment — once with
 // the oracle constants, once estimator-driven — and reports
@@ -40,8 +40,8 @@ struct EstimatedRun {
 /// Mirror of core::run_protocol with a drift axis and an optional estimator.
 /// An empty `drift` keeps the environment's own schedulers/policy; a
 /// non-empty one substitutes DriftingSpecScheduler for both processes and
-/// DriftingDelayPolicy for the channel. With `estimator_enabled` the run uses
-/// the adaptive A^β/A^γ variants (kind must be Beta or Gamma) and publishes
+/// DriftingDelayPolicy for the channel. With `estimator_enabled` A^β/A^γ read
+/// a live block plan (kind must be Beta or Gamma) and the run publishes
 /// its final gauges to the global metrics registry (est/* slots). `observer`
 /// (sim/observer.h; non-owning) watches the run alongside the estimator.
 [[nodiscard]] EstimatedRun run_estimated(protocols::ProtocolKind kind,

@@ -91,7 +91,7 @@ struct RunCounters {
 /// Final-state gauges of the online timing estimator (rstp::est), copied out
 /// of a run when `--estimator` is active and left all-zero otherwise. Lives
 /// here (not in est/) so the obs sinks and diff layers can carry it without
-/// depending on the estimator module; est::EstimatorStats is an alias.
+/// depending on the estimator module.
 struct EstimatorGauges {
   std::int64_t c1_hat = 0;         ///< final ĉ1 estimate, ticks
   std::int64_t c2_hat = 0;         ///< final ĉ2 estimate, ticks

@@ -19,11 +19,9 @@
 #include "rstp/ioa/automaton.h"
 #include "rstp/obs/run_metrics.h"
 
-namespace rstp::est {
-class BlockPlanner;
-}
-
 namespace rstp::protocols {
+
+class BlockPlanner;
 
 /// Everything needed to instantiate one (A_t, A_r) pair.
 struct ProtocolConfig {
@@ -50,11 +48,11 @@ struct ProtocolConfig {
   /// degenerates to plain γ's stop-and-wait block rhythm.
   std::optional<std::uint32_t> window_override;
 
-  /// When set, the factory builds the estimator-driven β/γ variants
-  /// (est/adaptive.h) instead of the oracle-constant automata; the planner is
-  /// shared between the pair so both sides agree on every per-block plan.
-  /// Only Beta and Gamma support it. Ignored by validate().
-  std::shared_ptr<est::BlockPlanner> planner;
+  /// A^β/A^γ's block plan (protocols/block_planner.h), shared by both sides.
+  /// est::run_estimated sets a live one; when null, β/γ build a fixed plan
+  /// from `params` and the overrides. Only Beta and Gamma accept it;
+  /// validate() ignores it.
+  std::shared_ptr<BlockPlanner> planner;
 
   /// Validates params, k >= 2, positive overrides, and binary input.
   void validate() const;

@@ -1,20 +1,20 @@
 // A^β(k) — the block r-passive solution (paper §6.1, Figure 3).
 //
-// The transmitter groups the input into chunks of B = ⌊log2 μ_k(δ)⌋ bits,
-// encodes each chunk as a multiset of δ packets over the k-symbol alphabet
-// (combinatorics::BlockCoder), and runs in rounds of 2δ steps: δ sends
-// followed by δ idle steps. The idle phase spans ≥ d time at every legal
-// step rate, so all packets of a block are delivered before any packet of
-// the next block — blocks cannot mix. Within a block the channel may reorder
-// arbitrarily; decoding is from the multiset, so order is irrelevant.
+// The transmitter sends X in blocks: block j carries B_j = ⌊log2 μ_k(δ_j)⌋
+// bits, encoded as a multiset of δ_j packets (combinatorics::BlockCoder),
+// and is followed by W_j wait_t steps. The wait spans ≥ d time, so all of a
+// block's packets arrive before any of the next block's — blocks cannot
+// mix, and since decoding is from the multiset, order within a block is
+// irrelevant. The receiver decodes every full block of δ_j arrivals, keeps
+// that block's slice of X (dropping padding) and writes it one bit a step.
 //
-// δ here is ⌈d/c1⌉ (the paper's δ1 = d/c1 generalized to non-dividing c1;
-// see core::TimingParams::delta1_wait). Worst-case effort:
-// 2δ·c2 / B per message (Lemma 6.1's bound).
-//
-// The receiver accumulates arrivals in a multiset A, decodes every full
-// block of δ, and writes the recovered bits one per step, discarding the
-// zero-padding beyond |X|.
+// Both sides read (δ_j, W_j) from one shared BlockPlanner. A fixed plan
+// (config.planner == nullptr) has δ = W = ⌈d/c1⌉ — δ1 = d/c1 generalized
+// to non-dividing c1, see core::TimingParams::delta1_wait — or the config
+// overrides; worst-case effort is 2δ·c2 / B (Lemma 6.1). A live plan (from
+// est::run_estimated) has δ_j = W_j = ⌈d̂/ĉ1⌉ when block j starts, and the
+// wait also lasts until the channel drains, which keeps blocks apart while
+// d̂ still trails d. The drain applies only with a live estimator.
 #pragma once
 
 #include <cstdint>
@@ -22,14 +22,14 @@
 #include <string>
 #include <vector>
 
-#include "rstp/combinatorics/block_coder.h"
 #include "rstp/protocols/base.h"
+#include "rstp/protocols/block_planner.h"
 
 namespace rstp::protocols {
 
 class BetaTransmitter final : public TransmitterBase {
  public:
-  explicit BetaTransmitter(ProtocolConfig config);
+  explicit BetaTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
@@ -39,28 +39,37 @@ class BetaTransmitter final : public TransmitterBase {
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
-  /// δ: packets per block (default ⌈d/c1⌉, overridable via ProtocolConfig).
-  [[nodiscard]] std::int64_t block_size() const { return block_; }
-  /// Idle steps between blocks (default ⌈d/c1⌉, overridable).
-  [[nodiscard]] std::int64_t wait_steps() const { return wait_; }
-  /// B: message bits per block.
-  [[nodiscard]] std::size_t bits_per_block() const { return coder_->bits_per_block(); }
-  /// The full encoded symbol stream (|input| padded to a block multiple).
-  [[nodiscard]] const std::vector<combinatorics::Symbol>& symbol_stream() const { return stream_; }
+  /// δ: packets in the first block (default ⌈d/c1⌉, overridable via
+  /// ProtocolConfig). Requires a non-empty input.
+  [[nodiscard]] std::int64_t block_size() const { return planner_->plan(0).delta; }
+  /// W: wait steps after the first block (default ⌈d/c1⌉, overridable).
+  [[nodiscard]] std::int64_t wait_steps() const { return planner_->plan(0).wait; }
+  /// B: message bits per block of the first block's size.
+  [[nodiscard]] std::size_t bits_per_block() const {
+    return planner_->plan(0).coder->bits_per_block();
+  }
+  /// The encoded symbols of every planned block (all of them under a fixed
+  /// plan): |X| padded to a block multiple.
+  [[nodiscard]] std::vector<combinatorics::Symbol> symbol_stream() const {
+    return planner_->symbol_stream();
+  }
 
  private:
+  /// The current block's plan, fetched on the block's first step: a live
+  /// planner sizes it from the estimates at that instant.
+  const BlockPlan& plan() const;
+
   std::string name_;
-  std::shared_ptr<const combinatorics::BlockCoder> coder_;
-  std::vector<combinatorics::Symbol> stream_;  // encoded X, block-aligned
-  std::int64_t block_ = 0;                     // δ (send-phase length)
-  std::int64_t wait_ = 0;                      // idle-phase length
-  std::size_t i_ = 0;                          // next symbol index (Figure 3's i)
-  std::int64_t c_ = 0;                         // round step counter (Figure 3's c)
+  std::shared_ptr<BlockPlanner> planner_;
+  mutable const BlockPlan* plan_ = nullptr;  // plan(block_), once fetched
+  std::size_t block_ = 0;   // current block index
+  std::uint32_t c_ = 0;     // Figure 3's c: steps into the block's round
+  bool sent_all_ = false;   // the last block's last packet is sent
 };
 
 class BetaReceiver final : public ReceiverBase {
  public:
-  explicit BetaReceiver(ProtocolConfig config);
+  explicit BetaReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
@@ -70,16 +79,15 @@ class BetaReceiver final : public ReceiverBase {
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
-  /// Bits decoded so far (includes padding not yet known to be padding).
-  [[nodiscard]] std::size_t decoded_bits() const { return decoded_.size(); }
+  /// Bits of X decoded so far. Each block contributes only its real bits,
+  /// so the final block's padding is never counted.
+  [[nodiscard]] std::size_t decoded_bits() const { return decoder_.decoded().size(); }
 
  private:
   std::string name_;
-  std::shared_ptr<const combinatorics::BlockCoder> coder_;
-  combinatorics::Multiset block_;     // Figure 3's A
-  std::vector<ioa::Bit> decoded_;     // Figure 3's ŷ_1, ŷ_2, ...
-  std::vector<ioa::Bit> written_;     // Y
-  std::size_t target_length_ = 0;     // |X|: bits beyond this are padding
+  BlockDecoder decoder_;            // Figure 3's A and ŷ_1, ŷ_2, ...
+  std::vector<ioa::Bit> written_;   // Y
+  std::size_t target_length_ = 0;   // |X|
 };
 
 }  // namespace rstp::protocols

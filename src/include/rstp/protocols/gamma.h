@@ -10,6 +10,11 @@
 // delivery d, receiver ack step c2, ack delivery d, plus the ≤ d of block
 // transmission), giving effort ≤ (3d + c2)/⌊log2 μ_k(δ2)⌋.
 //
+// Both sides read δ_j from one shared BlockPlanner: δ2 = ⌊d/c2⌋ (or the
+// config override) under a fixed plan, ⌊d̂/ĉ2⌋ when block j starts under a
+// live one (est::run_estimated). The ack gate keeps blocks apart whatever
+// the estimates, so estimation affects effort, never correctness.
+//
 // The receiver's local-action priority is: outstanding acks first, then
 // writes, then idle — acks gate the transmitter's progress, writes do not.
 #pragma once
@@ -19,8 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "rstp/combinatorics/block_coder.h"
 #include "rstp/protocols/base.h"
+#include "rstp/protocols/block_planner.h"
 
 namespace rstp::protocols {
 
@@ -29,7 +34,7 @@ inline constexpr std::uint32_t kAckPayload = 0;
 
 class GammaTransmitter final : public TransmitterBase {
  public:
-  explicit GammaTransmitter(ProtocolConfig config);
+  explicit GammaTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
@@ -39,24 +44,35 @@ class GammaTransmitter final : public TransmitterBase {
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
-  /// δ2: packets per block (= acks awaited per round).
-  [[nodiscard]] std::int64_t block_size() const { return delta2_; }
-  [[nodiscard]] std::size_t bits_per_block() const { return coder_->bits_per_block(); }
-  [[nodiscard]] const std::vector<combinatorics::Symbol>& symbol_stream() const { return stream_; }
+  /// δ2: packets in the first block (= acks awaited per round). Requires a
+  /// non-empty input.
+  [[nodiscard]] std::int64_t block_size() const { return planner_->plan(0).delta; }
+  [[nodiscard]] std::size_t bits_per_block() const {
+    return planner_->plan(0).coder->bits_per_block();
+  }
+  /// The encoded symbols of every planned block (all of them under a fixed
+  /// plan).
+  [[nodiscard]] std::vector<combinatorics::Symbol> symbol_stream() const {
+    return planner_->symbol_stream();
+  }
 
  private:
+  /// The current block's plan, fetched on the block's first step: a live
+  /// planner sizes it from the estimates at that instant.
+  const BlockPlan& plan() const;
+
   std::string name_;
-  std::shared_ptr<const combinatorics::BlockCoder> coder_;
-  std::vector<combinatorics::Symbol> stream_;
-  std::int64_t delta2_ = 0;  // δ2
-  std::size_t i_ = 0;        // next symbol index
-  std::int64_t c_ = 0;       // packets sent in the current block (Figure 4's c)
-  std::int64_t a_ = 0;       // acks received in the current block (Figure 4's a)
+  std::shared_ptr<BlockPlanner> planner_;
+  mutable const BlockPlan* plan_ = nullptr;  // plan(block_), once fetched
+  std::size_t block_ = 0;   // current block index
+  std::uint32_t c_ = 0;     // packets sent in the current block (Figure 4's c)
+  std::uint32_t a_ = 0;     // acks received in the current block (Figure 4's a)
+  bool sent_all_ = false;   // the last block's last packet is sent
 };
 
 class GammaReceiver final : public ReceiverBase {
  public:
-  explicit GammaReceiver(ProtocolConfig config);
+  explicit GammaReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
@@ -66,16 +82,15 @@ class GammaReceiver final : public ReceiverBase {
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
-  [[nodiscard]] std::size_t decoded_bits() const { return decoded_.size(); }
+  /// Bits of X decoded so far; the final block's padding is never counted.
+  [[nodiscard]] std::size_t decoded_bits() const { return decoder_.decoded().size(); }
 
  private:
   std::string name_;
-  std::shared_ptr<const combinatorics::BlockCoder> coder_;
-  combinatorics::Multiset block_;   // Figure 4's A
-  std::vector<ioa::Bit> decoded_;
+  BlockDecoder decoder_;            // Figure 4's A and the decoded bits
   std::vector<ioa::Bit> written_;   // Y
   std::int64_t unacked_ = 0;        // Figure 4's j: received, not yet acked
-  std::size_t target_length_ = 0;
+  std::size_t target_length_ = 0;   // |X|
 };
 
 }  // namespace rstp::protocols

@@ -6,41 +6,28 @@
 
 namespace rstp::protocols {
 
-using combinatorics::BlockCoder;
-using combinatorics::Symbol;
 using ioa::Action;
 using ioa::ActionKind;
-using ioa::Bit;
 using ioa::Packet;
 
-BetaTransmitter::BetaTransmitter(ProtocolConfig config) {
-  config.validate();
-  block_ = config.block_size_override.has_value()
-               ? static_cast<std::int64_t>(*config.block_size_override)
-               : config.params.delta1_wait();
-  wait_ = config.wait_steps_override.has_value()
-              ? static_cast<std::int64_t>(*config.wait_steps_override)
-              : config.params.delta1_wait();
-  coder_ = std::make_shared<const BlockCoder>(config.k, static_cast<std::uint32_t>(block_));
-  stream_ = coder_->encode_message(config.input);
-  RSTP_CHECK_EQ(stream_.size() % static_cast<std::size_t>(block_), std::size_t{0},
-                "encoded stream must be block-aligned");
-  std::ostringstream os;
-  os << "A_t^beta(k=" << config.k << ",delta=" << block_ << ",wait=" << wait_
-     << ",n=" << config.input.size() << ")";
-  name_ = os.str();
+BetaTransmitter::BetaTransmitter(const ProtocolConfig& config)
+    : planner_(block_planner_for(BlockPlanner::Discipline::TimedBlocks, config)),
+      sent_all_(!planner_->has_block(0)) {
+  name_ = "A_t^beta" + std::string{planner_->live() ? "-est" : ""} + "(k=" +
+          std::to_string(config.k) + ",n=" + std::to_string(config.input.size()) + ")";
+}
+
+const BlockPlan& BetaTransmitter::plan() const {
+  if (plan_ == nullptr) plan_ = &planner_->plan(block_);
+  return *plan_;
 }
 
 std::optional<Action> BetaTransmitter::enabled_local() const {
-  // Figure 3: send when i <= |X| and 0 <= c < δ; wait when δ <= c < δ+W
-  // (the paper has W = δ, making the round 2δ steps).
-  if (c_ < block_ && i_ < stream_.size()) {
-    return Action::send(Packet::to_receiver(stream_[i_]));
-  }
-  if (c_ >= block_) {
-    return wait_t_action();
-  }
-  return std::nullopt;  // i == |S| and c == 0: transmission finished
+  // Figure 3: send while c < δ, then wait_t while δ <= c < δ + W.
+  if (sent_all_ && c_ == 0) return std::nullopt;  // the final wait is over
+  const BlockPlan& p = plan();
+  if (c_ < p.delta) return Action::send(Packet::to_receiver(p.symbols[c_]));
+  return wait_t_action();
 }
 
 void BetaTransmitter::apply(const Action& action) {
@@ -49,63 +36,59 @@ void BetaTransmitter::apply(const Action& action) {
   }
   const std::optional<Action> enabled = enabled_local();
   RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
+  ++c_;
+  const BlockPlan& p = plan();
   if (action.kind == ActionKind::Send) {
-    ++i_;
-    ++c_;
-    if (c_ == block_) {
+    if (c_ == p.delta) {
       ++counters_.blocks_encoded;
+      sent_all_ = !planner_->has_block(block_ + 1);
     }
-  } else {
-    c_ = (c_ + 1) % (block_ + wait_);  // Figure 3's wait_t: c := c + 1 (mod 2δ)
+    return;
+  }
+  // wait_t: the round ends after W waits, once the channel has drained
+  // (a fixed plan reports nothing outstanding; see the header).
+  if (c_ >= p.delta + p.wait && planner_->outstanding() == 0) {
+    c_ = 0;
+    if (!sent_all_) {
+      ++block_;
+      plan_ = nullptr;
+    }
   }
 }
 
 bool BetaTransmitter::quiescent() const { return transmission_complete(); }
 
-bool BetaTransmitter::transmission_complete() const { return i_ >= stream_.size(); }
+bool BetaTransmitter::transmission_complete() const { return sent_all_; }
 
 std::string BetaTransmitter::snapshot() const {
   std::ostringstream os;
-  os << "beta_t i=" << i_ << " c=" << c_;
+  os << "beta_t block=" << block_ << " c=" << c_ << " sent_all=" << sent_all_;
   return os.str();
 }
 
 std::unique_ptr<ioa::Automaton> BetaTransmitter::clone() const {
+  // Shares the planner: safe for a fixed plan, which never changes.
   return std::make_unique<BetaTransmitter>(*this);
 }
 
-BetaReceiver::BetaReceiver(ProtocolConfig config)
-    : block_(1), target_length_(config.input.size()) {
-  config.validate();
-  const auto delta = config.block_size_override.has_value()
-                         ? *config.block_size_override
-                         : static_cast<std::uint32_t>(config.params.delta1_wait());
-  coder_ = std::make_shared<const BlockCoder>(config.k, delta);
-  block_ = combinatorics::Multiset{config.k};
-  std::ostringstream os;
-  os << "A_r^beta(k=" << config.k << ",delta=" << delta << ",n=" << target_length_ << ")";
-  name_ = os.str();
+BetaReceiver::BetaReceiver(const ProtocolConfig& config)
+    : decoder_(block_planner_for(BlockPlanner::Discipline::TimedBlocks, config)),
+      target_length_(config.input.size()) {
+  name_ = "A_r^beta" + std::string{decoder_.planner().live() ? "-est" : ""} + "(k=" +
+          std::to_string(config.k) + ",n=" + std::to_string(target_length_) + ")";
 }
 
 std::optional<Action> BetaReceiver::enabled_local() const {
-  if (written_.size() < decoded_.size() && written_.size() < target_length_) {
-    return Action::write(decoded_[written_.size()]);
+  if (written_.size() < decoder_.decoded().size()) {
+    return Action::write(decoder_.decoded()[written_.size()]);
   }
   return idle_r_action();
 }
 
 void BetaReceiver::apply(const Action& action) {
   if (accepts_input(action)) {
-    const std::uint32_t payload = action.packet.payload;
-    RSTP_CHECK_LT(payload, coder_->alphabet(), "packet symbol outside the alphabet");
-    block_.add(payload);
-    if (block_.size() == coder_->packets_per_block()) {
-      // Figure 3: a full block has arrived; decode it from its multiset.
-      const std::vector<Bit> bits = coder_->decode(block_);
-      decoded_.insert(decoded_.end(), bits.begin(), bits.end());
-      block_.clear();
-      ++counters_.blocks_decoded;
-    }
+    // Figure 3: decode each full block of arrivals from its multiset.
+    if (decoder_.add(action.packet.payload)) ++counters_.blocks_decoded;
     return;
   }
   const std::optional<Action> enabled = enabled_local();
@@ -117,13 +100,13 @@ void BetaReceiver::apply(const Action& action) {
 
 bool BetaReceiver::quiescent() const {
   return written_.size() >= target_length_ ||
-         (written_.size() == decoded_.size() && block_.size() == 0);
+         (written_.size() == decoder_.decoded().size() && decoder_.pending() == 0);
 }
 
 std::string BetaReceiver::snapshot() const {
   std::ostringstream os;
-  os << "beta_r decoded=" << decoded_.size() << " written=" << written_.size()
-     << " block=" << block_.size();
+  os << "beta_r decoded=" << decoder_.decoded().size() << " written=" << written_.size()
+     << " pending=" << decoder_.pending();
   return os.str();
 }
 

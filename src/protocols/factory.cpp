@@ -4,10 +4,10 @@
 #include <ostream>
 
 #include "rstp/common/check.h"
-#include "rstp/est/adaptive.h"
 #include "rstp/protocols/alpha.h"
 #include "rstp/protocols/altbit.h"
 #include "rstp/protocols/beta.h"
+#include "rstp/protocols/block_planner.h"
 #include "rstp/protocols/gamma.h"
 #include "rstp/protocols/gamma_windowed.h"
 #include "rstp/protocols/indexed.h"
@@ -64,27 +64,33 @@ bool is_r_passive(ProtocolKind kind) {
   RSTP_UNREACHABLE("unknown protocol kind");
 }
 
+namespace {
+
+/// A β/γ pair reading one planner, so the receiver decodes the very plans
+/// the transmitter encoded (and a fixed plan is computed once per pair).
+template <class Transmitter, class Receiver>
+ProtocolInstance block_pair(BlockPlanner::Discipline discipline, const ProtocolConfig& config) {
+  ProtocolConfig shared = config;
+  shared.planner = block_planner_for(discipline, config);
+  return {std::make_unique<Transmitter>(shared), std::make_unique<Receiver>(shared)};
+}
+
+}  // namespace
+
 ProtocolInstance make_protocol(ProtocolKind kind, const ProtocolConfig& config) {
   config.validate();
-  if (config.planner != nullptr) {
-    // Estimator-driven variants: the shared planner replaces the oracle block
-    // sizes. Only the two block protocols have an adaptive form.
-    RSTP_CHECK(kind == ProtocolKind::Beta || kind == ProtocolKind::Gamma,
-               "the estimator supports only beta and gamma");
-    if (kind == ProtocolKind::Beta) {
-      return {std::make_unique<est::AdaptiveBetaTransmitter>(config),
-              std::make_unique<est::AdaptiveBetaReceiver>(config)};
-    }
-    return {std::make_unique<est::AdaptiveGammaTransmitter>(config),
-            std::make_unique<est::AdaptiveGammaReceiver>(config)};
-  }
+  RSTP_CHECK(config.planner == nullptr || kind == ProtocolKind::Beta ||
+                 kind == ProtocolKind::Gamma,
+             "the estimator supports only beta and gamma");
   switch (kind) {
     case ProtocolKind::Alpha:
       return {std::make_unique<AlphaTransmitter>(config), std::make_unique<AlphaReceiver>(config)};
     case ProtocolKind::Beta:
-      return {std::make_unique<BetaTransmitter>(config), std::make_unique<BetaReceiver>(config)};
+      return block_pair<BetaTransmitter, BetaReceiver>(BlockPlanner::Discipline::TimedBlocks,
+                                                       config);
     case ProtocolKind::Gamma:
-      return {std::make_unique<GammaTransmitter>(config), std::make_unique<GammaReceiver>(config)};
+      return block_pair<GammaTransmitter, GammaReceiver>(BlockPlanner::Discipline::AckedBlocks,
+                                                         config);
     case ProtocolKind::AltBit:
       return {std::make_unique<AltBitTransmitter>(config),
               std::make_unique<AltBitReceiver>(config)};

@@ -6,34 +6,28 @@
 
 namespace rstp::protocols {
 
-using combinatorics::BlockCoder;
 using ioa::Action;
 using ioa::ActionKind;
-using ioa::Bit;
 using ioa::Packet;
 
-GammaTransmitter::GammaTransmitter(ProtocolConfig config) {
-  config.validate();
-  delta2_ = config.block_size_override.has_value()
-                ? static_cast<std::int64_t>(*config.block_size_override)
-                : config.params.delta2();
-  RSTP_CHECK_GE(delta2_, 1, "delta2 >= 1 requires c2 <= d");
-  coder_ = std::make_shared<const BlockCoder>(config.k, static_cast<std::uint32_t>(delta2_));
-  stream_ = coder_->encode_message(config.input);
-  std::ostringstream os;
-  os << "A_t^gamma(k=" << config.k << ",delta2=" << delta2_ << ",n=" << config.input.size() << ")";
-  name_ = os.str();
+GammaTransmitter::GammaTransmitter(const ProtocolConfig& config)
+    : planner_(block_planner_for(BlockPlanner::Discipline::AckedBlocks, config)),
+      sent_all_(!planner_->has_block(0)) {
+  name_ = "A_t^gamma" + std::string{planner_->live() ? "-est" : ""} + "(k=" +
+          std::to_string(config.k) + ",n=" + std::to_string(config.input.size()) + ")";
+}
+
+const BlockPlan& GammaTransmitter::plan() const {
+  if (plan_ == nullptr) plan_ = &planner_->plan(block_);
+  return *plan_;
 }
 
 std::optional<Action> GammaTransmitter::enabled_local() const {
-  // Figure 4: send while c < δ2 and data remains; idle_t while awaiting acks.
-  if (c_ < delta2_ && i_ < stream_.size()) {
-    return Action::send(Packet::to_receiver(stream_[i_]));
-  }
-  if (c_ == delta2_) {
-    return idle_t_action();
-  }
-  return std::nullopt;  // c == 0 and i == |S|: all blocks sent and acked
+  // Figure 4: send while c < δ; idle_t while awaiting the block's acks.
+  if (sent_all_ && c_ == 0) return std::nullopt;  // the last block is acked
+  const BlockPlan& p = plan();
+  if (c_ < p.delta) return Action::send(Packet::to_receiver(p.symbols[c_]));
+  return idle_t_action();
 }
 
 void GammaTransmitter::apply(const Action& action) {
@@ -45,49 +39,45 @@ void GammaTransmitter::apply(const Action& action) {
     // Under the lossless, duplication-free channel every ack answers a packet
     // of the current block, so acks can never outrun this round's sends.
     RSTP_CHECK_LE(a_, c_, "ack without a matching packet in this block");
-    if (a_ == delta2_) {
+    if (a_ == plan().delta) {
       a_ = 0;
       c_ = 0;
+      if (!sent_all_) {
+        ++block_;
+        plan_ = nullptr;
+      }
     }
     return;
   }
   const std::optional<Action> enabled = enabled_local();
   RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  if (action.kind == ActionKind::Send) {
-    ++i_;
-    ++c_;
-    if (c_ == delta2_) {
-      ++counters_.blocks_encoded;
-    }
+  if (action.kind == ActionKind::Send && ++c_ == plan().delta) {
+    ++counters_.blocks_encoded;
+    sent_all_ = !planner_->has_block(block_ + 1);
   }
   // idle_t has no effect.
 }
 
 bool GammaTransmitter::quiescent() const { return transmission_complete(); }
 
-bool GammaTransmitter::transmission_complete() const { return i_ >= stream_.size(); }
+bool GammaTransmitter::transmission_complete() const { return sent_all_; }
 
 std::string GammaTransmitter::snapshot() const {
   std::ostringstream os;
-  os << "gamma_t i=" << i_ << " c=" << c_ << " a=" << a_;
+  os << "gamma_t block=" << block_ << " c=" << c_ << " a=" << a_ << " sent_all=" << sent_all_;
   return os.str();
 }
 
 std::unique_ptr<ioa::Automaton> GammaTransmitter::clone() const {
+  // Shares the planner: safe for a fixed plan, which never changes.
   return std::make_unique<GammaTransmitter>(*this);
 }
 
-GammaReceiver::GammaReceiver(ProtocolConfig config)
-    : block_(1), target_length_(config.input.size()) {
-  config.validate();
-  const auto delta2 = config.block_size_override.has_value()
-                          ? *config.block_size_override
-                          : static_cast<std::uint32_t>(config.params.delta2());
-  coder_ = std::make_shared<const BlockCoder>(config.k, delta2);
-  block_ = combinatorics::Multiset{config.k};
-  std::ostringstream os;
-  os << "A_r^gamma(k=" << config.k << ",delta2=" << delta2 << ",n=" << target_length_ << ")";
-  name_ = os.str();
+GammaReceiver::GammaReceiver(const ProtocolConfig& config)
+    : decoder_(block_planner_for(BlockPlanner::Discipline::AckedBlocks, config)),
+      target_length_(config.input.size()) {
+  name_ = "A_r^gamma" + std::string{decoder_.planner().live() ? "-est" : ""} + "(k=" +
+          std::to_string(config.k) + ",n=" + std::to_string(target_length_) + ")";
 }
 
 std::optional<Action> GammaReceiver::enabled_local() const {
@@ -96,24 +86,16 @@ std::optional<Action> GammaReceiver::enabled_local() const {
   if (unacked_ > 0) {
     return Action::send(Packet::to_transmitter(kAckPayload));
   }
-  if (written_.size() < decoded_.size() && written_.size() < target_length_) {
-    return Action::write(decoded_[written_.size()]);
+  if (written_.size() < decoder_.decoded().size()) {
+    return Action::write(decoder_.decoded()[written_.size()]);
   }
   return idle_r_action();
 }
 
 void GammaReceiver::apply(const Action& action) {
   if (accepts_input(action)) {
-    const std::uint32_t payload = action.packet.payload;
-    RSTP_CHECK_LT(payload, coder_->alphabet(), "packet symbol outside the alphabet");
+    if (decoder_.add(action.packet.payload)) ++counters_.blocks_decoded;
     ++unacked_;
-    block_.add(payload);
-    if (block_.size() == coder_->packets_per_block()) {
-      const std::vector<Bit> bits = coder_->decode(block_);
-      decoded_.insert(decoded_.end(), bits.begin(), bits.end());
-      block_.clear();
-      ++counters_.blocks_decoded;
-    }
     return;
   }
   const std::optional<Action> enabled = enabled_local();
@@ -136,13 +118,13 @@ void GammaReceiver::apply(const Action& action) {
 bool GammaReceiver::quiescent() const {
   return unacked_ == 0 &&
          (written_.size() >= target_length_ ||
-          (written_.size() == decoded_.size() && block_.size() == 0));
+          (written_.size() == decoder_.decoded().size() && decoder_.pending() == 0));
 }
 
 std::string GammaReceiver::snapshot() const {
   std::ostringstream os;
-  os << "gamma_r decoded=" << decoded_.size() << " written=" << written_.size()
-     << " block=" << block_.size() << " unacked=" << unacked_;
+  os << "gamma_r decoded=" << decoder_.decoded().size() << " written=" << written_.size()
+     << " pending=" << decoder_.pending() << " unacked=" << unacked_;
   return os.str();
 }
 

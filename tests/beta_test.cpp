@@ -5,6 +5,7 @@
 
 #include "rstp/channel/policies.h"
 #include "rstp/combinatorics/binomial.h"
+#include "rstp/combinatorics/block_coder.h"
 #include "rstp/common/check.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
@@ -107,13 +108,57 @@ TEST(BetaReceiver, DiscardsPaddingBeyondTargetLength) {
   for (const auto s : t.symbol_stream()) {
     r.apply(Action::recv(ioa::Packet::to_receiver(s)));
   }
-  EXPECT_EQ(r.decoded_bits(), 5u);
+  // The block decodes to 5 bits, but only its 3 real bits are kept.
+  EXPECT_EQ(r.decoded_bits(), 3u);
   std::vector<Bit> written;
   while (r.enabled_local()->kind == ActionKind::Write) {
     written.push_back(r.enabled_local()->message);
     r.apply(*r.enabled_local());
   }
   EXPECT_EQ(written, input) << "only |X| bits are written; padding is dropped";
+}
+
+TEST(BetaTransmitter, FixedPlanEncodesLikeOneMessageStream) {
+  // The fixed plan encodes X block by block; the concatenated plans must be
+  // exactly the padded one-stream encoding of X.
+  const auto input = core::make_random_input(23, 11);
+  const BetaTransmitter t{config_for(input)};
+  EXPECT_EQ(t.symbol_stream(), combinatorics::BlockCoder(4, 4).encode_message(input));
+}
+
+TEST(BetaTransmitter, OraclePlanIsNotCappedByTheEstimatorMaxBlock) {
+  // δ1 = ⌈300/1⌉ = 300 exceeds EstimatorConfig::max_block (256), a cap that
+  // applies to live plans only: the oracle plan keeps 300-packet blocks.
+  const auto input = core::make_random_input(20, 13);
+  const ProtocolConfig cfg = config_for(input, 2, 1, 1, 300);
+  const BetaTransmitter t{cfg};
+  EXPECT_EQ(t.block_size(), 300);
+  EXPECT_EQ(t.wait_steps(), 300);
+  EXPECT_EQ(t.bits_per_block(), 8u);  // μ_2(300) = 301
+  EXPECT_EQ(t.symbol_stream().size(), 3u * 300u);
+  const core::ProtocolRun run =
+      core::run_protocol(ProtocolKind::Beta, cfg, Environment::worst_case());
+  EXPECT_TRUE(run.result.quiescent);
+  EXPECT_TRUE(run.output_correct);
+  EXPECT_EQ(run.result.metrics.counters.protocol.blocks_encoded, 3u);
+  const auto verdict = core::verify_trace(run.result.trace, cfg.params, input);
+  EXPECT_TRUE(verdict.ok()) << verdict;
+}
+
+TEST(BetaReceiver, ABlockPastTheEndOfXAddsNoBits) {
+  // Only a duplicating channel delivers more blocks than X has. The extra
+  // block is still decoded (a bad codeword would throw ModelError) but
+  // contributes nothing to the output.
+  const std::vector<Bit> input = {1, 0, 1};
+  const ProtocolConfig cfg = config_for(input);
+  const BetaTransmitter t{cfg};
+  BetaReceiver r{cfg};
+  const auto stream = t.symbol_stream();
+  for (int copy = 0; copy < 3; ++copy) {
+    for (const auto s : stream) r.apply(Action::recv(ioa::Packet::to_receiver(s)));
+  }
+  EXPECT_EQ(r.decoded_bits(), 3u);
+  EXPECT_EQ(r.protocol_counters().blocks_decoded, 3u);
 }
 
 TEST(BetaReceiver, RejectsOutOfAlphabetSymbols) {

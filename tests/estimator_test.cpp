@@ -14,11 +14,14 @@
 #include "rstp/core/verify.h"
 #include "rstp/est/estimator.h"
 #include "rstp/est/runner.h"
+#include "rstp/protocols/block_planner.h"
 #include "rstp/sim/campaign.h"
 
 namespace rstp::est {
 namespace {
 
+using protocols::BlockPlan;
+using protocols::BlockPlanner;
 using protocols::ProtocolKind;
 
 TEST(EstimatorConfig, ValidatesItsRanges) {

@@ -8,6 +8,8 @@
 
 #include "rstp/common/check.h"
 #include "rstp/core/effort.h"
+#include "rstp/est/estimator.h"
+#include "rstp/protocols/block_planner.h"
 
 namespace rstp::protocols {
 namespace {
@@ -102,6 +104,47 @@ TEST(Factory, InvalidConfigurationsRejected) {
   odd_windowed.k = 7;
   EXPECT_THROW((void)make_protocol(ProtocolKind::WindowedGamma, odd_windowed),
                ContractViolation);
+}
+
+std::shared_ptr<BlockPlanner> live_planner(BlockPlanner::Discipline discipline,
+                                           const ProtocolConfig& cfg) {
+  return std::make_shared<BlockPlanner>(
+      discipline, cfg.k, cfg.input, std::make_shared<est::TimingEstimator>(est::EstimatorConfig{}));
+}
+
+TEST(Factory, PlannerDrivesOnlyBetaAndGamma) {
+  ProtocolConfig beta = valid_config(ProtocolKind::Beta);
+  beta.planner = live_planner(BlockPlanner::Discipline::TimedBlocks, beta);
+  EXPECT_NO_THROW((void)make_protocol(ProtocolKind::Beta, beta));
+  ProtocolConfig gamma = valid_config(ProtocolKind::Gamma);
+  gamma.planner = live_planner(BlockPlanner::Discipline::AckedBlocks, gamma);
+  EXPECT_NO_THROW((void)make_protocol(ProtocolKind::Gamma, gamma));
+
+  for (const auto kind : kAllProtocolKinds) {
+    if (kind == ProtocolKind::Beta || kind == ProtocolKind::Gamma) continue;
+    ProtocolConfig cfg = valid_config(kind);
+    cfg.planner = live_planner(BlockPlanner::Discipline::TimedBlocks, cfg);
+    EXPECT_THROW((void)make_protocol(kind, cfg), ContractViolation) << to_string(kind);
+  }
+}
+
+TEST(Factory, MismatchedPlannerRejected) {
+  // Discipline: beta reads timed blocks, so an acked (gamma) plan is refused.
+  ProtocolConfig wrong_discipline = valid_config(ProtocolKind::Beta);
+  wrong_discipline.planner = live_planner(BlockPlanner::Discipline::AckedBlocks, wrong_discipline);
+  EXPECT_THROW((void)make_protocol(ProtocolKind::Beta, wrong_discipline), ContractViolation);
+
+  // Alphabet: the planner encodes over its own k, which must be config.k.
+  ProtocolConfig wrong_k = valid_config(ProtocolKind::Gamma);
+  wrong_k.planner = live_planner(BlockPlanner::Discipline::AckedBlocks, wrong_k);
+  wrong_k.k = 4;
+  EXPECT_THROW((void)make_protocol(ProtocolKind::Gamma, wrong_k), ContractViolation);
+
+  // Input: the planner encodes its own copy of X, which must be config.input.
+  ProtocolConfig wrong_input = valid_config(ProtocolKind::Beta);
+  wrong_input.planner = live_planner(BlockPlanner::Discipline::TimedBlocks, wrong_input);
+  wrong_input.input[0] ^= 1;
+  EXPECT_THROW((void)make_protocol(ProtocolKind::Beta, wrong_input), ContractViolation);
 }
 
 TEST(Factory, PaperKindsAreASubsetOfAllKinds) {
