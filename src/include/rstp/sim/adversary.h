@@ -147,7 +147,8 @@ struct AdversaryResult {
 /// {(1,2,6), (2,3,9)} × k ∈ {2, 6}, 24 input bits — 16 cells.
 [[nodiscard]] std::vector<AdversaryCell> golden_adversary_grid();
 
-/// A 4-cell smoke grid (one cell per paper protocol) for CI.
+/// A 4-cell smoke grid (one cell per paper protocol) for the quick checks in
+/// adversary_test and Cli.AdversaryVerbWritesAReplayableArtifact.
 [[nodiscard]] std::vector<AdversaryCell> quick_adversary_grid();
 
 /// One RunMetricsRecord per cell (effort = best effort, gap_ratio filled,

@@ -23,8 +23,9 @@ namespace rstp::sim {
 /// The checked-in golden grid (tests/golden/campaign_baseline.jsonl): 32
 /// jobs, fixed campaign seed, deliberately smaller and *distinct* from the
 /// bench grid so regenerating the perf baseline never silently rewrites the
-/// regression gate's reference. `rstp campaign` runs exactly this spec; the
-/// metrics-gate CI job diffs its output against the checked-in file.
+/// regression gate's reference. `rstp campaign` runs exactly this spec;
+/// GoldenBaseline.* and Cli.CampaignRunsTheGoldenGrid (`ctest -L gate`) diff
+/// its output against the checked-in file.
 [[nodiscard]] CampaignSpec golden_campaign_spec();
 
 struct CampaignBenchOptions {

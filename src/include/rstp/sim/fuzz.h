@@ -71,6 +71,11 @@ struct FuzzCase {
 void write_fuzz_case(std::ostream& os, const FuzzCase& c);
 [[nodiscard]] FuzzCase parse_fuzz_case(std::istream& is);
 
+/// Every `*.case` file in `dir`, parsed, in sorted path order: the seed
+/// corpus `rstp fuzz --corpus DIR` loads. Throws rstp::ModelError when the
+/// directory or one of its files cannot be read, or a file is malformed.
+[[nodiscard]] std::vector<FuzzCase> read_fuzz_corpus(const std::string& dir);
+
 /// Everything one case execution produced. All fields are deterministic
 /// functions of the FuzzCase.
 struct FuzzCaseResult {

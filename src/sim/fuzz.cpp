@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -583,6 +585,24 @@ FuzzCase parse_fuzz_case(std::istream& is) {
     if (!apply_case_field(c, key, tokens, line)) malformed("unknown key", line);
   }
   malformed("missing 'end'", "");
+}
+
+std::vector<FuzzCase> read_fuzz_corpus(const std::string& dir) {
+  std::vector<std::filesystem::path> paths;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator{dir, ec}) {
+    if (entry.path().extension() == ".case") paths.push_back(entry.path());
+  }
+  if (ec) throw ModelError("cannot read corpus dir '" + dir + "': " + ec.message());
+  std::sort(paths.begin(), paths.end());
+  std::vector<FuzzCase> cases;
+  cases.reserve(paths.size());
+  for (const std::filesystem::path& path : paths) {
+    std::ifstream in{path};
+    if (!in) throw ModelError("cannot open '" + path.string() + "'");
+    cases.push_back(parse_fuzz_case(in));
+  }
+  return cases;
 }
 
 FuzzRepro make_fuzz_repro(const FuzzCase& c, const FuzzCaseResult& result) {

@@ -30,8 +30,9 @@ AdversarySpec quick_spec(unsigned jobs) {
   return spec;
 }
 
-/// Mirrors the CI invocation that produced the checked-in baseline:
-/// `rstp adversary --grid golden --budget 48 --seed 1`.
+/// The invocation that produced the checked-in baseline:
+/// `rstp adversary --grid golden --budget 48 --seed 1`. GoldenGapBaseline.*
+/// hold its rerun to the file exactly.
 AdversarySpec golden_spec(unsigned jobs) {
   AdversarySpec spec;
   spec.grid = golden_adversary_grid();

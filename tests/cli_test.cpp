@@ -1,8 +1,12 @@
 // Integration tests for the rstp CLI binary (tools/rstp_cli.cpp), exercised
-// through the shell exactly as a user would. The binary path is injected by
-// CMake as RSTP_CLI_PATH.
+// through the shell exactly as a user would. The cases whose comment starts
+// with "Gate:" rerun a golden check's CLI invocation and --fail-on spec
+// against the checked-in files under tests/ (this binary is in
+// `ctest -L gate`). CMake injects the binary path as RSTP_CLI_PATH and the
+// tests/ source directory as RSTP_TESTS_DIR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -11,6 +15,11 @@
 namespace {
 
 std::string cli() { return RSTP_CLI_PATH; }
+
+/// A checked-in reference file under tests/ (e.g. "golden/broken_beta.repro").
+std::string tests_file(const std::string& relative) {
+  return std::string{RSTP_TESTS_DIR} + "/" + relative;
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream in{path};
@@ -136,6 +145,8 @@ TEST(Cli, UsageErrorsExitWithTwo) {
   EXPECT_EQ(run_command("frobnicate", &out), 2);
   EXPECT_EQ(run_command("run nosuchprotocol 1 2 4 2 8", &out), 2);
   EXPECT_EQ(run_command("bounds 1 2", &out), 2);
+  EXPECT_EQ(run_command("fuzz beta --budget 4 --corpus /nonexistent/corpus", &out), 2);
+  EXPECT_NE(out.find("cannot read corpus dir"), std::string::npos) << out;
 }
 
 TEST(Cli, BadNumericArgumentsExitWithTwoAndNameTheToken) {
@@ -260,18 +271,20 @@ TEST(Cli, ReportDiffRejectsBadThresholdSpecs) {
 }
 
 TEST(Cli, CampaignRunsTheGoldenGrid) {
+  // Gate: the fresh golden grid diffs clean against the checked-in
+  // campaign baseline under the full metrics spec.
   const std::string jsonl = ::testing::TempDir() + "/cli_campaign.jsonl";
   std::remove(jsonl.c_str());
   std::string out;
   EXPECT_EQ(run_command("campaign --metrics-out " + jsonl + " --threads 2", &out), 0);
   EXPECT_NE(out.find("golden grid: 32 jobs, 0 incorrect"), std::string::npos) << out;
-  // The exported series diffs clean against itself through the gate — the
-  // exact invocation the metrics-gate CI job uses.
-  EXPECT_EQ(run_command("report " + jsonl + " " + jsonl +
-                            " --fail-on 'cells_changed>0,cells_missing>0,cells_extra>0'",
+  EXPECT_EQ(run_command("report " + tests_file("golden/campaign_baseline.jsonl") + " " + jsonl +
+                            " --fail-on 'cells_changed>0,cells_missing>0,cells_extra>0,"
+                            "effort_mean>1%,delay_p99>5%'",
                         &out),
-            0);
-  EXPECT_NE(out.find("gate: all 3 thresholds hold"), std::string::npos) << out;
+            0)
+      << out;
+  EXPECT_NE(out.find("gate: all 5 thresholds hold"), std::string::npos) << out;
   std::remove(jsonl.c_str());
 }
 
@@ -331,8 +344,10 @@ TEST(Cli, RunWritesChromeTraceWithTraceOut) {
   const std::string trace_json = ::testing::TempDir() + "/cli_span_trace.json";
   std::remove(trace_json.c_str());
   std::string out;
-  // Both --trace-out FILE and --trace-out=FILE spellings are accepted.
-  ASSERT_EQ(run_command("run beta 1 2 6 4 32 --seed 7 --trace-out=" + trace_json, &out), 0)
+  // Both --trace-out FILE and --trace-out=FILE spellings are accepted, and
+  // the span tracer rides along with --timing.
+  ASSERT_EQ(
+      run_command("run beta 1 2 6 4 32 --seed 7 --timing --trace-out=" + trace_json, &out), 0)
       << out;
   EXPECT_NE(out.find("trace-out:  written to"), std::string::npos) << out;
   EXPECT_NE(out.find("flow events"), std::string::npos) << out;
@@ -351,7 +366,7 @@ TEST(Cli, ReplayWritesChromeTraceWithTraceOut) {
   std::string out;
   // The golden repro records a failing verdict; replay exits 0 iff it
   // reproduces bitwise — and the trace file captures the faulty timeline.
-  ASSERT_EQ(run_command(std::string("replay ") + RSTP_GOLDEN_REPRO_PATH + " --trace-out " +
+  ASSERT_EQ(run_command("replay " + tests_file("golden/broken_beta.repro") + " --trace-out " +
                             trace_json,
                         &out),
             0)
@@ -395,23 +410,26 @@ TEST(Cli, EstimatorAndDriftUsageErrorsNameTheBadToken) {
 
 TEST(Cli, ReplayRejectsTheEstimatorFlag) {
   std::string out;
-  EXPECT_EQ(run_command(std::string("replay ") + RSTP_GOLDEN_REPRO_PATH + " --estimator", &out),
+  EXPECT_EQ(run_command("replay " + tests_file("golden/broken_beta.repro") + " --estimator", &out),
             2);
   EXPECT_NE(out.find("--estimator is not supported for replay"), std::string::npos) << out;
 }
 
 TEST(Cli, EstimatorCampaignHoldsThePenaltyGate) {
+  // Gate: the fresh estimator grid holds the 5% penalty budget against the
+  // checked-in estimator baseline.
   const std::string jsonl = ::testing::TempDir() + "/cli_est_campaign.jsonl";
   std::remove(jsonl.c_str());
   std::string out;
   EXPECT_EQ(run_command("campaign --estimator --metrics-out " + jsonl + " --threads 2", &out), 0);
   EXPECT_NE(out.find("estimator grid: 16 jobs, 0 incorrect"), std::string::npos) << out;
-  // The exported series holds the penalty gate against itself — the same
-  // invocation that checks a fresh grid against the checked-in file.
-  EXPECT_EQ(run_command("report " + jsonl + " " + jsonl + " --fail-on 'est_penalty_max>5%'",
+  EXPECT_EQ(run_command("report " + tests_file("golden/estimator_baseline.jsonl") + " " + jsonl +
+                            " --fail-on 'cells_changed>0,cells_missing>0,cells_extra>0,"
+                            "est_penalty_max>5%'",
                         &out),
-            0);
-  EXPECT_NE(out.find("gate: all 1 thresholds hold"), std::string::npos) << out;
+            0)
+      << out;
+  EXPECT_NE(out.find("gate: all 4 thresholds hold"), std::string::npos) << out;
   std::remove(jsonl.c_str());
 }
 
@@ -429,6 +447,78 @@ TEST(Cli, TimingReportsOverheadAndHonorsNoTscEnv) {
   const std::string content = read_file(tmp);
   EXPECT_NE(content.find("clock: steady"), std::string::npos) << content;
   std::remove(tmp.c_str());
+}
+
+TEST(Cli, FuzzMetricsHoldTheFuzzBaseline) {
+  // Gate: the schedules-only pass over each paper protocol writes one row
+  // per corpus entry, and the rows diff clean against the checked-in
+  // per-case fuzz baseline.
+  const std::string jsonl = ::testing::TempDir() + "/cli_fuzz_metrics.jsonl";
+  std::remove(jsonl.c_str());
+  std::string out;
+  for (const char* protocol : {"alpha", "beta", "gamma", "altbit"}) {
+    EXPECT_EQ(run_command(std::string("fuzz ") + protocol +
+                              " --seed 1 --budget 64 --jobs 2 --metrics-out " + jsonl,
+                          &out),
+              0)
+        << protocol << "\n" << out;
+  }
+  EXPECT_EQ(run_command("report " + tests_file("golden/fuzz_baseline.jsonl") + " " + jsonl +
+                            " --fail-on 'cells_changed>0,cells_missing>0,cells_extra>0,"
+                            "effort_mean>1%'",
+                        &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("gate: all 4 thresholds hold"), std::string::npos) << out;
+  std::remove(jsonl.c_str());
+}
+
+TEST(Cli, FaultInjectedFuzzFromTheCorpusFindsNoFailures) {
+  // Gate: fault injection on, seeded from the checked-in corpus; exit 1
+  // would mean an unexcused violation in a protocol that is supposed to be
+  // correct, with its minimized repro in the output.
+  std::string out;
+  for (const char* protocol : {"alpha", "beta", "gamma", "altbit"}) {
+    EXPECT_EQ(run_command(std::string("fuzz ") + protocol +
+                              " --seed 1 --budget 64 --jobs 2 --faults --corpus " +
+                              tests_file("fuzz/corpus"),
+                          &out),
+              0)
+        << protocol << "\n" << out;
+  }
+}
+
+TEST(Cli, AdversaryVerbWritesAReplayableArtifact) {
+  // Gate: the quick-grid search must beat or match the hand-coded worst
+  // case on every cell (exit 1 otherwise), its minimized artifact must
+  // replay bitwise, and so must the checked-in golden effort maximizer.
+  const std::string artifact = ::testing::TempDir() + "/cli_adversary.repro";
+  std::remove(artifact.c_str());
+  std::string out;
+  ASSERT_EQ(run_command("adversary --grid quick --budget 32 --seed 1 --jobs 2 --repro-out " +
+                            artifact,
+                        &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("repro:     written to"), std::string::npos) << out;
+  EXPECT_EQ(run_command("replay " + artifact, &out), 0) << out;
+  EXPECT_EQ(run_command("replay " + tests_file("golden/worst_case.adversary"), &out), 0) << out;
+  std::remove(artifact.c_str());
+}
+
+TEST(Cli, MegaHostsSessionsAndWritesOneRow) {
+  // The mega verb's wiring; the golden 10k-session cell and its throughput
+  // floor are MegasessionGolden.BaselineReproducesExactly.
+  const std::string jsonl = ::testing::TempDir() + "/cli_mega.jsonl";
+  std::remove(jsonl.c_str());
+  std::string out;
+  EXPECT_EQ(run_command("mega --sessions 200 --metrics-out " + jsonl, &out), 0) << out;
+  EXPECT_NE(out.find("mega: 200 sessions"), std::string::npos) << out;
+  EXPECT_NE(out.find(" 0 incorrect"), std::string::npos) << out;
+  const std::string content = read_file(jsonl);
+  EXPECT_EQ(std::count(content.begin(), content.end(), '\n'), 1) << content;
+  EXPECT_NE(content.find("\"sessions\":200"), std::string::npos) << content;
+  std::remove(jsonl.c_str());
 }
 
 }  // namespace

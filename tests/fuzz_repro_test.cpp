@@ -3,14 +3,14 @@
 //     is rediscovered within a small fixed budget;
 //   * its checked-in repro document replays to the identical verdict, bitwise;
 //   * a freshly emitted repro round-trips through text and replays;
-//   * the checked-in seed corpus parses and runs clean on the real protocol.
+//   * the checked-in seed corpus loads through read_fuzz_corpus and runs
+//     clean on the real protocol.
 // Paths are injected by CMake: RSTP_GOLDEN_REPRO_PATH, RSTP_FUZZ_CORPUS_DIR.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "rstp/sim/fuzz.h"
 
@@ -67,35 +67,25 @@ TEST(FuzzRepro, ReplayDetectsATamperedVerdict) {
 }
 
 TEST(FuzzRepro, SeedCorpusParsesAndRunsCleanOnCorrectBeta) {
-  std::size_t cases = 0;
-  for (const auto& entry : std::filesystem::directory_iterator{RSTP_FUZZ_CORPUS_DIR}) {
-    if (entry.path().extension() != ".case") continue;
-    SCOPED_TRACE(entry.path().string());
-    std::ifstream in{entry.path()};
-    ASSERT_TRUE(in);
-    const FuzzCase c = parse_fuzz_case(in);
+  const std::vector<FuzzCase> corpus = read_fuzz_corpus(RSTP_FUZZ_CORPUS_DIR);
+  EXPECT_GE(corpus.size(), 3u) << "seed corpus went missing";
+  for (const FuzzCase& c : corpus) {
+    SCOPED_TRACE(c.input_seed);
     const FuzzCaseResult r = run_fuzz_case(c);
     EXPECT_FALSE(r.invalid);
     EXPECT_FALSE(r.failed) << r.failure;  // correct β: faults excused or absent
-    ++cases;
   }
-  EXPECT_GE(cases, 3u) << "seed corpus went missing";
 }
 
 TEST(FuzzRepro, CorpusSeededCampaignStaysDeterministic) {
   // Seeding through spec.corpus_seeds must not disturb the determinism
-  // guarantee (the CLI's --corpus path does exactly this).
+  // guarantee (the CLI's --corpus path loads it through the same
+  // read_fuzz_corpus).
   FuzzSpec spec;
   spec.protocol = protocols::ProtocolKind::Beta;
   spec.seed = 5;
   spec.budget = 32;
-  for (const auto& entry : std::filesystem::directory_iterator{RSTP_FUZZ_CORPUS_DIR}) {
-    if (entry.path().extension() != ".case") continue;
-    std::ifstream in{entry.path()};
-    spec.corpus_seeds.push_back(parse_fuzz_case(in));
-  }
-  std::sort(spec.corpus_seeds.begin(), spec.corpus_seeds.end(),
-            [](const FuzzCase& a, const FuzzCase& b) { return a.input_seed < b.input_seed; });
+  spec.corpus_seeds = read_fuzz_corpus(RSTP_FUZZ_CORPUS_DIR);
   ASSERT_GE(spec.corpus_seeds.size(), 3u);
 
   spec.jobs = 1;

@@ -66,8 +66,9 @@ TEST(GoldenBaseline, ThreadedRerunMatchesToo) {
 // --- The estimator baseline (tests/golden/estimator_baseline.jsonl) -------
 // Same gate, second grid: the 16-cell estimator sweep produced by
 // `rstp campaign --estimator --metrics-out`, carrying per-cell est_penalty
-// and the final estimator gauges. CI additionally holds the aggregate with
-// `rstp report <baseline> <fresh> --fail-on 'est_penalty_max>5%'`.
+// and the final estimator gauges. Cli.EstimatorCampaignHoldsThePenaltyGate
+// additionally holds the aggregate through the CLI with
+// `rstp report <baseline> <fresh> --fail-on '...,est_penalty_max>5%'`.
 
 std::vector<obs::RunMetricsRecord> read_estimator_baseline() {
   std::ifstream in{RSTP_GOLDEN_ESTIMATOR_BASELINE_PATH};

@@ -178,9 +178,12 @@ TEST(MultiSession, RecordCarriesTheSessionSchemaFields) {
 
 /// The checked-in baseline gate: rerunning the golden megasession cell must
 /// reproduce every simulation-derived quantity of
-/// tests/golden/megasession_baseline.jsonl exactly — the same join the CI
-/// `megasession-smoke` job performs through `rstp report --fail-on`. Only
-/// the events_per_sec aggregates (wall clock by definition) may move.
+/// tests/golden/megasession_baseline.jsonl exactly, through the same join
+/// `rstp report --fail-on` performs. Only the events_per_sec aggregates
+/// (wall clock by definition) may move, and only down to the
+/// `events_per_sec_drop>95` floor: a throughput collapse of more than 20x
+/// against the recorded machine (accidental serialization, not machine
+/// variance) trips it.
 TEST(MegasessionGolden, BaselineReproducesExactly) {
   std::ifstream in{RSTP_GOLDEN_MEGASESSION_BASELINE_PATH};
   ASSERT_TRUE(in) << "missing " << RSTP_GOLDEN_MEGASESSION_BASELINE_PATH
@@ -205,6 +208,11 @@ TEST(MegasessionGolden, BaselineReproducesExactly) {
   for (const obs::QuantityDelta& agg : report.aggregates) {
     if (agg.name.rfind("events_per_sec", 0) == 0) continue;  // wall clock
     EXPECT_FALSE(agg.changed()) << agg.name << " " << agg.old_v << " -> " << agg.new_v;
+  }
+  for (const obs::ThresholdViolation& v :
+       obs::evaluate_thresholds(report, obs::parse_thresholds("events_per_sec_drop>95"))) {
+    ADD_FAILURE() << "golden megasession throughput: " << v.threshold.source
+                  << " tripped, events/sec fell " << v.observed << "%";
   }
 }
 

@@ -107,10 +107,10 @@
 //       (fuzz repros only).
 //
 // Exit code 0 on success/verified, 1 on failure, 2 on usage errors (including
-// malformed diff inputs and threshold specs), 3 on a tripped --fail-on gate.
+// malformed diff inputs, threshold specs and fuzz corpora), 3 on a tripped
+// --fail-on gate.
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <iomanip>
 #include <fstream>
 #include <iostream>
@@ -943,26 +943,14 @@ int cmd_fuzz(int argc, char** argv) {
   }
 
   if (!corpus_dir.empty()) {
-    std::vector<std::filesystem::path> paths;
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator{corpus_dir, ec}) {
-      if (entry.path().extension() == ".case") paths.push_back(entry.path());
-    }
-    if (ec) {
-      std::cerr << "cannot read corpus dir '" << corpus_dir << "': " << ec.message() << "\n";
+    try {
+      spec.corpus_seeds = sim::read_fuzz_corpus(corpus_dir);
+    } catch (const ModelError& e) {
+      std::cerr << e.what() << "\n";
       return 2;
     }
-    std::sort(paths.begin(), paths.end());
-    for (const std::filesystem::path& path : paths) {
-      std::ifstream in{path};
-      if (!in) {
-        std::cerr << "cannot open '" << path.string() << "'\n";
-        return 2;
-      }
-      sim::FuzzCase seed_case = sim::parse_fuzz_case(in);
-      seed_case.protocol = spec.protocol;  // the corpus seeds schedules, not protocols
-      spec.corpus_seeds.push_back(seed_case);
-    }
+    // The corpus seeds schedules, not protocols.
+    for (sim::FuzzCase& seed_case : spec.corpus_seeds) seed_case.protocol = spec.protocol;
   }
 
   const ProgressStyle style = resolve_progress_style(want_dashboard);
