@@ -39,7 +39,8 @@ std::ostream& operator<<(std::ostream& os, const FaultEvent& e) {
 }
 
 void FaultRates::validate() const {
-  RSTP_CHECK_LE(drop_pm + duplicate_pm + late_pm + corrupt_pm, 1000u,
+  // Summed in 64 bits so four 32-bit rates cannot wrap below the limit.
+  RSTP_CHECK_LE(std::uint64_t{drop_pm} + duplicate_pm + late_pm + corrupt_pm, 1000u,
                 "fault rates are per-mille and must sum to <= 1000");
   RSTP_CHECK_GE(max_duplicates, 1u, "duplicate faults need at least one extra copy");
   RSTP_CHECK_GE(max_late.ticks(), 1, "late faults need at least one tick of overshoot");

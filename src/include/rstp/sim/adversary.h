@@ -5,7 +5,7 @@
 // realized elsewhere in the repo by *hand-coded* adversaries
 // (Environment::worst_case(): both processes stepping every c2, every packet
 // held the full d). This module stops trusting that we thought of the worst
-// case: it reuses the fuzzer's generational machinery (search_support.h) to
+// case: it runs the fuzzer's generational search loop (search_support.h) to
 // *search* the space of legal ScheduleGenomes — per-packet delays, tie
 // orders, per-process step gaps — with fitness = t(last-send), the effort
 // numerator, instead of crash novelty.
@@ -19,10 +19,9 @@
 //     hand_equivalent_genome() (the exact worst_case() environment as a
 //     genome), and the elite is monotone, so the search's answer can never
 //     fall below the hand-coded adversary evaluated on the same input.
-//   * bitwise determinism across --jobs — same generational discipline as
-//     run_fuzz: batches fully planned before parallel evaluation, disjoint
-//     result slots, serial fold. AdversaryResult::result_hash is the
-//     identity tests pin across jobs 1/3/8.
+//   * bitwise determinism across --jobs — the search runs on the same
+//     generational loop as run_fuzz (search_support.h).
+//     AdversaryResult::result_hash is the identity tests pin across jobs 1/3/8.
 //   * replayability — the winning genome serializes as a minimized
 //     `rstp-adversary-v1` artifact; `rstp replay` re-executes it and
 //     compares every recorded field, like fuzz repros.
@@ -45,6 +44,7 @@
 #include "rstp/core/bounds.h"
 #include "rstp/obs/sinks.h"
 #include "rstp/protocols/factory.h"
+#include "rstp/sim/search_support.h"
 
 namespace rstp::sim {
 
@@ -157,8 +157,8 @@ struct AdversaryResult {
     const AdversaryResult& result, std::uint64_t seed);
 
 /// `rstp-adversary-v1` artifact: the winning genome for one cell plus the
-/// recorded outcome, replayable bit-for-bit. Same line grammar as fuzz
-/// repros (`key values…`, `#` comments, closed by `end`).
+/// recorded outcome, replayable bit-for-bit. Same artifact grammar as fuzz
+/// repros (sim/search_support.h: `key values…`, `#` comments, closed by `end`).
 struct AdversaryRepro {
   AdversaryCell cell;
   std::uint64_t input_seed = 0;
@@ -169,13 +169,17 @@ struct AdversaryRepro {
   std::uint64_t expect_events = 0;
   bool expect_correct = false;
   bool expect_quiescent = false;
+
+  friend bool operator==(const AdversaryRepro&, const AdversaryRepro&) = default;
 };
 
 [[nodiscard]] AdversaryRepro make_adversary_repro(const AdversaryCellResult& cell_result,
                                                   std::uint64_t max_events);
 void write_adversary_repro(std::ostream& os, const AdversaryRepro& repro);
 /// Throws rstp::ModelError on malformed input (including illegal genomes).
+/// The document overload takes an already-read artifact.
 [[nodiscard]] AdversaryRepro parse_adversary_repro(std::istream& is);
+[[nodiscard]] AdversaryRepro parse_adversary_repro(ArtifactDocument doc);
 
 /// Re-executes the artifact's genome and compares every recorded field.
 struct AdversaryReplayOutcome {
@@ -185,7 +189,7 @@ struct AdversaryReplayOutcome {
 };
 [[nodiscard]] AdversaryReplayOutcome replay_adversary_repro(const AdversaryRepro& repro);
 
-/// The artifact header line, exposed so `rstp replay` can sniff file types.
+/// The artifact header line, exposed so `rstp replay` can dispatch on it.
 [[nodiscard]] std::string_view adversary_repro_header();
 
 }  // namespace rstp::sim

@@ -10,11 +10,8 @@
 //     protocol counters, output length; never wall-clock or raw time, which
 //     would make every case "new"). A case that reaches a fingerprint no
 //     earlier case reached joins the corpus and becomes mutation fodder.
-//   * determinism across --jobs — evaluation is generational: every round's
-//     batch is fully determined (seed, round, slot, corpus snapshot) before
-//     any parallel work starts, workers write disjoint slots, and the fold
-//     back into corpus/failures is serial in slot order. The thread count
-//     changes wall-clock only.
+//   * determinism across --jobs — the search runs on sim/search_support.h's
+//     generational loop; the thread count changes wall-clock only.
 //   * repro files — a failure serializes its (minimized) FuzzCase plus the
 //     expected verdict; `rstp replay FILE` re-runs it and compares every
 //     recorded field. See docs/TESTING.md for the format.
@@ -36,6 +33,7 @@
 #include "rstp/obs/run_metrics.h"
 #include "rstp/protocols/factory.h"
 #include "rstp/sim/observer.h"
+#include "rstp/sim/search_support.h"
 
 namespace rstp::sim {
 
@@ -65,9 +63,8 @@ struct FuzzCase {
   friend bool operator==(const FuzzCase&, const FuzzCase&) = default;
 };
 
-/// Writes/parses the line-oriented `rstp-fuzz-case-v1` form (one `key
-/// values...` line per field, closed by `end`; `#` starts a comment).
-/// parse throws rstp::ModelError on malformed input.
+/// Writes/parses the `rstp-fuzz-case-v1` artifact (sim/search_support.h's
+/// grammar). parse throws rstp::ModelError on malformed input.
 void write_fuzz_case(std::ostream& os, const FuzzCase& c);
 [[nodiscard]] FuzzCase parse_fuzz_case(std::istream& is);
 
@@ -122,9 +119,8 @@ struct FuzzGenerationSnapshot {
   std::size_t coverage_gain = 0;  ///< fingerprints first reached this generation
   std::size_t crashes = 0;        ///< crashed cases so far (fail-stop or not)
   std::size_t failures = 0;       ///< tracked failures so far
-  /// Mutation-count draw width the *next* generation will breed with:
-  /// base 3, +1 per consecutive zero-gain generation (capped at +5), reset
-  /// to base by any gain. Deterministic fold-state, identical across jobs.
+  /// Mutation-count draw width the *next* generation will breed with
+  /// (GenerationTally::mutation_rate); identical across jobs.
   std::uint64_t mutation_rate = 3;
   double elapsed_seconds = 0;     ///< wall clock; observational only
   bool final_snapshot = false;
@@ -191,12 +187,18 @@ struct FuzzRepro {
   std::uint64_t output_hash = 0;
   std::uint64_t coverage_hash = 0;
   std::uint64_t event_count = 0;
+
+  friend bool operator==(const FuzzRepro&, const FuzzRepro&) = default;
 };
 
 /// Serializes case + verdict as a self-contained repro document.
 void write_fuzz_repro(std::ostream& os, const FuzzCase& c, const FuzzCaseResult& result);
-/// Throws rstp::ModelError on malformed input.
+/// Writes a repro back exactly as parsed: parse(write(r)) == r.
+void write_fuzz_repro(std::ostream& os, const FuzzRepro& repro);
+/// Throws rstp::ModelError on malformed input; the document overload takes
+/// an already-read artifact.
 [[nodiscard]] FuzzRepro parse_fuzz_repro(std::istream& is);
+[[nodiscard]] FuzzRepro parse_fuzz_repro(ArtifactDocument doc);
 
 /// Re-executes a repro and compares every recorded field bitwise.
 struct ReplayOutcome {

@@ -1,10 +1,6 @@
 #include "rstp/sim/adversary.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <sstream>
-#include <unordered_set>
 
 #include "rstp/common/check.h"
 #include "rstp/common/rng.h"
@@ -41,13 +37,13 @@ class GenomeScheduler final : public StepScheduler {
 /// far beyond the hand-coded one-entry policies.
 constexpr std::size_t kMaxTable = 16;
 constexpr std::uint64_t kMaxOrderKey = 64;
-constexpr std::uint64_t kBaseMutationRate = 3;
-constexpr std::uint64_t kMaxMutationBoost = 5;
-constexpr std::uint64_t kGenerationSize = 16;
+/// Artifact tables hold at least one and at most this many entries.
+constexpr std::size_t kMaxArtifactTable = 4096;
 
+/// `rate` is the search loop's mutation-count draw width (search_support.h).
 [[nodiscard]] ScheduleGenome mutate_genome(const ScheduleGenome& parent, Rng& rng,
                                            const core::TimingParams& params,
-                                           std::uint64_t boost) {
+                                           std::uint64_t rate) {
   ScheduleGenome g = parent;
   const auto pick = [&](std::size_t size) { return rng.next_below(size); };
   const auto resize_table = [&](auto& table, auto fill) {
@@ -57,7 +53,7 @@ constexpr std::uint64_t kGenerationSize = 16;
       table.push_back(fill());
     }
   };
-  const std::uint64_t mutations = 1 + rng.next_below(kBaseMutationRate + boost);
+  const std::uint64_t mutations = 1 + rng.next_below(rate);
   for (std::uint64_t m = 0; m < mutations; ++m) {
     switch (rng.next_below(10)) {
       case 0:
@@ -278,78 +274,42 @@ AdversaryResult run_adversary_search(const AdversarySpec& spec) {
     cr.input_seed = input_seed;
     cr.lower_bound = cell_lower_bound(cell);
 
-    std::unordered_set<std::uint64_t> seen;
     std::vector<ScheduleGenome> corpus;
     ScheduleGenome best_genome = hand_equivalent_genome(cell.params);
     GenomeEval best;  // unfit until the generation-0 fold
     bool have_best = false;
-    std::uint64_t stall = 0;
-    const auto boost = [&]() { return std::min(stall, kMaxMutationBoost); };
 
-    std::vector<ScheduleGenome> round = seed_genomes(cell.params);
-    if (round.size() > spec.budget) round.resize(static_cast<std::size_t>(spec.budget));
-    std::uint64_t planned = round.size();
-
-    while (!round.empty()) {
-      std::vector<GenomeEval> evals(round.size());
-      parallel_for_slots(round.size(), spec.jobs, [&](std::size_t i) {
-        evals[i] = evaluate_genome(cell, input_seed, round[i], spec.max_events);
-      });
-
-      // Serial fold in slot order: elite updates, coverage, and corpus
-      // growth are independent of how workers interleaved. Generation 0
-      // folds the hand genome first, so `best` starts at the hand floor.
-      const std::size_t coverage_before = seen.size();
-      for (std::size_t i = 0; i < round.size(); ++i) {
-        ++cr.executed;
-        const GenomeEval& eval = evals[i];
-        bool fresh = false;
-        for (const std::uint64_t fp : eval.fingerprints) {
-          if (seen.insert(fp).second) fresh = true;
-        }
-        if (fresh) corpus.push_back(round[i]);
-        if (eval.fit() && (!have_best || eval.last_send > best.last_send)) {
-          best = eval;
-          best_genome = round[i];
-          have_best = true;
-        }
-      }
-      if (seen.size() == coverage_before) {
-        ++stall;
-      } else {
-        stall = 0;
-      }
-
-      if (planned >= spec.budget) break;
-
-      // Next generation: fully determined by (cell_seed, planned index,
-      // corpus + elite snapshot) before any parallel work — same discipline
-      // as run_fuzz, so the result is bitwise identical for any jobs value.
-      const std::size_t batch = static_cast<std::size_t>(
-          std::min<std::uint64_t>(spec.budget - planned, kGenerationSize));
-      round.clear();
-      for (std::size_t b = 0; b < batch; ++b) {
-        std::uint64_t gen_state = cell_seed ^ (0x9E3779B97F4A7C15ULL * (planned + b + 1));
-        Rng rng{splitmix64(gen_state)};
-        const bool from_corpus = !corpus.empty() && rng.next_bool();
-        const ScheduleGenome& parent =
-            from_corpus ? corpus[rng.next_below(corpus.size())] : best_genome;
-        round.push_back(mutate_genome(parent, rng, cell.params, boost()));
-      }
-      planned += batch;
-    }
-
+    // Generation 0 folds the hand genome first, so `best` starts at the hand
+    // floor; each bred slot mutates a corpus entry or the elite.
+    const std::vector<std::uint64_t> coverage = run_generations(
+        GenerationPlan{cell_seed, spec.budget, 16, spec.jobs}, seed_genomes(cell.params),
+        [&](const ScheduleGenome& g) {
+          return evaluate_genome(cell, input_seed, g, spec.max_events);
+        },
+        [&](const ScheduleGenome& g, const GenomeEval& eval, bool fresh) {
+          ++cr.executed;
+          if (fresh) corpus.push_back(g);
+          if (eval.fit() && (!have_best || eval.last_send > best.last_send)) {
+            best = eval;
+            best_genome = g;
+            have_best = true;
+          }
+        },
+        [](const GenerationTally&) { return false; },
+        [&](Rng& rng, std::size_t, std::uint64_t rate) {
+          const bool from_corpus = !corpus.empty() && rng.next_bool();
+          const ScheduleGenome& parent =
+              from_corpus ? corpus[rng.next_below(corpus.size())] : best_genome;
+          return mutate_genome(parent, rng, cell.params, rate);
+        });
     // The hand genome is generation 0's first fold, and paper protocols are
     // correct on all of good(A) — `best` can only be unfit if the event cap
     // truncated even the hand run (a misconfigured spec, surfaced below by
     // beats_hand() = false rather than by a throw).
-    cr.hand_last_send = 0;
-    {
-      const GenomeEval hand =
-          evaluate_genome(cell, input_seed, hand_equivalent_genome(cell.params), spec.max_events);
-      cr.hand_last_send = hand.last_send;
-      cr.hand_effort = hand.effort;
-    }
+    const GenomeEval hand =
+        evaluate_genome(cell, input_seed, hand_equivalent_genome(cell.params), spec.max_events);
+    cr.hand_last_send = hand.last_send;
+    cr.hand_effort = hand.effort;
     if (have_best) {
       best_genome =
           minimize_genome(cell, input_seed, best_genome, best.last_send, spec.max_events);
@@ -358,7 +318,7 @@ AdversaryResult run_adversary_search(const AdversarySpec& spec) {
     cr.best_genome = best_genome;
     cr.best = best;
     cr.gap_ratio = cr.lower_bound > 0 ? cr.best.effort / cr.lower_bound : 0;
-    cr.coverage = seen.size();
+    cr.coverage = coverage.size();
 
     result_hash = fnv_mix(result_hash, static_cast<std::uint64_t>(cr.best.last_send));
     result_hash = fnv_mix(result_hash, cr.best.output_hash);
@@ -441,52 +401,19 @@ std::vector<obs::RunMetricsRecord> adversary_metrics_records(const AdversaryResu
 }
 
 // ---------------------------------------------------------------------------
-// `rstp-adversary-v1` serialization: same line grammar as the fuzz artifacts.
+// `rstp-adversary-v1` serialization: the fields only this artifact kind carries.
 
 namespace {
 
 constexpr std::string_view kAdversaryHeader = "rstp-adversary-v1";
 
-[[noreturn]] void malformed(std::string_view what, std::string_view line) {
-  std::ostringstream os;
-  os << "malformed adversary file: " << what;
-  if (!line.empty()) os << " in line '" << line << "'";
-  throw ModelError(os.str());
-}
-
-template <typename T>
-[[nodiscard]] T read_value(std::istringstream& is, std::string_view line) {
-  T value{};
-  if (!(is >> value)) malformed("missing or bad value", line);
-  return value;
-}
-
-[[nodiscard]] std::string clean_line(const std::string& raw) {
-  std::string line = raw;
-  const std::size_t hash = line.find('#');
-  if (hash != std::string::npos) line.erase(hash);
-  const std::size_t first = line.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return {};
-  const std::size_t last = line.find_last_not_of(" \t\r");
-  return line.substr(first, last - first + 1);
-}
-
-void write_duration_table(std::ostream& os, std::string_view key,
-                          const std::vector<Duration>& table) {
-  os << key << ' ' << table.size();
-  for (const Duration d : table) os << ' ' << d.ticks();
-  os << '\n';
-}
-
-[[nodiscard]] std::vector<Duration> read_duration_table(std::istringstream& is,
-                                                        std::string_view line) {
-  const auto count = read_value<std::size_t>(is, line);
-  if (count == 0 || count > 4096) malformed("table size out of range", line);
-  std::vector<Duration> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(Duration{read_value<std::int64_t>(is, line)});
-  }
+/// `count v…` with 1 <= count <= kMaxArtifactTable, each entry from read().
+template <typename Read>
+[[nodiscard]] auto read_table(ArtifactLine& line, Read read) {
+  const auto count = line.read_value<std::size_t>();
+  if (count == 0 || count > kMaxArtifactTable) line.reject("table size out of range");
+  std::vector<decltype(read())> out;
+  for (std::size_t i = 0; i < count; ++i) out.push_back(read());
   return out;
 }
 
@@ -510,129 +437,81 @@ AdversaryRepro make_adversary_repro(const AdversaryCellResult& cell_result,
 }
 
 void write_adversary_repro(std::ostream& os, const AdversaryRepro& repro) {
-  os << kAdversaryHeader << '\n';
-  os << "protocol " << protocols::to_string(repro.cell.protocol) << '\n';
-  os << "params " << repro.cell.params.c1.ticks() << ' ' << repro.cell.params.c2.ticks() << ' '
-     << repro.cell.params.d.ticks() << '\n';
-  os << "k " << repro.cell.k << '\n';
-  os << "input_bits " << repro.cell.input_bits << '\n';
-  os << "input_seed " << repro.input_seed << '\n';
-  os << "max_events " << repro.max_events << '\n';
-  os << "t_first " << repro.genome.t_first.ticks() << '\n';
-  os << "r_first " << repro.genome.r_first.ticks() << '\n';
-  write_duration_table(os, "t_gaps", repro.genome.t_gaps);
-  write_duration_table(os, "r_gaps", repro.genome.r_gaps);
-  write_duration_table(os, "delays", repro.genome.delays);
-  os << "order_keys " << repro.genome.order_keys.size();
-  for (const std::uint64_t key : repro.genome.order_keys) os << ' ' << key;
-  os << '\n';
-  os << "expect_last_send " << repro.expect_last_send << '\n';
-  os << "expect_output_hash " << repro.expect_output_hash << '\n';
-  os << "expect_events " << repro.expect_events << '\n';
-  os << "expect_correct " << (repro.expect_correct ? 1 : 0) << '\n';
-  os << "expect_quiescent " << (repro.expect_quiescent ? 1 : 0) << '\n';
-  os << "end\n";
+  const auto ticks = [](Duration d) { return d.ticks(); };
+  ArtifactWriter w{os, kAdversaryHeader};
+  write_cell_keys(w, repro.cell.protocol, repro.cell.params, repro.cell.k, repro.cell.input_bits,
+                  repro.input_seed);
+  w.field("max_events", repro.max_events);
+  w.field("t_first", repro.genome.t_first.ticks());
+  w.field("r_first", repro.genome.r_first.ticks());
+  w.table("t_gaps", repro.genome.t_gaps, ticks);
+  w.table("r_gaps", repro.genome.r_gaps, ticks);
+  w.table("delays", repro.genome.delays, ticks);
+  w.table("order_keys", repro.genome.order_keys);
+  w.field("expect_last_send", repro.expect_last_send);
+  w.field("expect_output_hash", repro.expect_output_hash);
+  w.field("expect_events", repro.expect_events);
+  w.field("expect_correct", repro.expect_correct ? 1 : 0);
+  w.field("expect_quiescent", repro.expect_quiescent ? 1 : 0);
+  w.end();
 }
 
 AdversaryRepro parse_adversary_repro(std::istream& is) {
-  std::string raw;
-  bool saw_header = false;
+  return parse_adversary_repro(read_artifact(is));
+}
+
+AdversaryRepro parse_adversary_repro(ArtifactDocument doc) {
   AdversaryRepro repro;
-  while (std::getline(is, raw)) {
-    const std::string line = clean_line(raw);
-    if (line.empty()) continue;
-    if (!saw_header) {
-      if (line != kAdversaryHeader) malformed("expected header", line);
-      saw_header = true;
-      continue;
-    }
-    if (line == "end") {
-      // The genome must be legal for the declared params — an artifact that
-      // smuggles an out-of-model schedule is rejected here, not at run time.
-      channel::validate_genome(repro.genome, repro.cell.params);
-      return repro;
-    }
-    std::istringstream tokens{line};
-    std::string key;
-    tokens >> key;
-    if (key == "protocol") {
-      std::string name;
-      if (!(tokens >> name)) malformed("missing protocol name", line);
-      const auto kind = protocols::protocol_from_string(name);
-      if (!kind.has_value()) malformed("unknown protocol", line);
-      repro.cell.protocol = *kind;
-    } else if (key == "params") {
-      const auto c1 = read_value<std::int64_t>(tokens, line);
-      const auto c2 = read_value<std::int64_t>(tokens, line);
-      const auto d = read_value<std::int64_t>(tokens, line);
-      if (c1 < 1 || c2 < c1 || d < c2) malformed("params must satisfy 0 < c1 <= c2 <= d", line);
-      repro.cell.params = core::TimingParams::make(c1, c2, d);
-    } else if (key == "k") {
-      repro.cell.k = read_value<std::uint32_t>(tokens, line);
-    } else if (key == "input_bits") {
-      repro.cell.input_bits = read_value<std::uint32_t>(tokens, line);
-      if (repro.cell.input_bits == 0) malformed("input_bits must be positive", line);
-    } else if (key == "input_seed") {
-      repro.input_seed = read_value<std::uint64_t>(tokens, line);
-    } else if (key == "max_events") {
-      repro.max_events = read_value<std::uint64_t>(tokens, line);
-      if (repro.max_events == 0) malformed("max_events must be positive", line);
-    } else if (key == "t_first") {
-      repro.genome.t_first = Duration{read_value<std::int64_t>(tokens, line)};
+  const ArtifactCell cell{repro.cell.protocol,   repro.cell.params, repro.cell.k,
+                          repro.cell.input_bits, repro.input_seed,  repro.max_events};
+  read_artifact_fields(doc, kAdversaryHeader, cell, [&](ArtifactLine& line) {
+    const std::string& key = line.key();
+    const auto ticks = [&line] { return Duration{line.read_value<std::int64_t>()}; };
+    if (key == "t_first") {
+      repro.genome.t_first = ticks();
     } else if (key == "r_first") {
-      repro.genome.r_first = Duration{read_value<std::int64_t>(tokens, line)};
+      repro.genome.r_first = ticks();
     } else if (key == "t_gaps") {
-      repro.genome.t_gaps = read_duration_table(tokens, line);
+      repro.genome.t_gaps = read_table(line, ticks);
     } else if (key == "r_gaps") {
-      repro.genome.r_gaps = read_duration_table(tokens, line);
+      repro.genome.r_gaps = read_table(line, ticks);
     } else if (key == "delays") {
-      repro.genome.delays = read_duration_table(tokens, line);
+      repro.genome.delays = read_table(line, ticks);
     } else if (key == "order_keys") {
-      const auto count = read_value<std::size_t>(tokens, line);
-      if (count == 0 || count > 4096) malformed("table size out of range", line);
-      repro.genome.order_keys.clear();
-      for (std::size_t i = 0; i < count; ++i) {
-        repro.genome.order_keys.push_back(read_value<std::uint64_t>(tokens, line));
-      }
+      repro.genome.order_keys =
+          read_table(line, [&line] { return line.read_value<std::uint64_t>(); });
     } else if (key == "expect_last_send") {
-      repro.expect_last_send = read_value<std::int64_t>(tokens, line);
+      repro.expect_last_send = line.read_value<std::int64_t>();
     } else if (key == "expect_output_hash") {
-      repro.expect_output_hash = read_value<std::uint64_t>(tokens, line);
+      repro.expect_output_hash = line.read_value<std::uint64_t>();
     } else if (key == "expect_events") {
-      repro.expect_events = read_value<std::uint64_t>(tokens, line);
+      repro.expect_events = line.read_value<std::uint64_t>();
     } else if (key == "expect_correct") {
-      repro.expect_correct = read_value<std::uint32_t>(tokens, line) != 0;
+      repro.expect_correct = line.read_value<std::uint32_t>() != 0;
     } else if (key == "expect_quiescent") {
-      repro.expect_quiescent = read_value<std::uint32_t>(tokens, line) != 0;
+      repro.expect_quiescent = line.read_value<std::uint32_t>() != 0;
     } else {
-      malformed("unknown key", line);
+      return false;
     }
-  }
-  malformed(saw_header ? "missing 'end'" : "empty document", "");
+    return true;
+  });
+  // The genome must be legal for the declared params — an artifact that
+  // smuggles an out-of-model schedule is rejected here, not at run time.
+  channel::validate_genome(repro.genome, repro.cell.params);
+  return repro;
 }
 
 AdversaryReplayOutcome replay_adversary_repro(const AdversaryRepro& repro) {
   AdversaryReplayOutcome outcome;
   outcome.eval = evaluate_genome(repro.cell, repro.input_seed, repro.genome, repro.max_events);
 
-  const auto mismatch = [&](std::string_view field, auto got_v, auto want_v) {
-    std::ostringstream os;
-    os << field << ": got " << got_v << ", recorded " << want_v;
-    outcome.mismatch = os.str();
-  };
-  if (outcome.eval.last_send != repro.expect_last_send) {
-    mismatch("last_send", outcome.eval.last_send, repro.expect_last_send);
-  } else if (outcome.eval.output_hash != repro.expect_output_hash) {
-    mismatch("output_hash", outcome.eval.output_hash, repro.expect_output_hash);
-  } else if (outcome.eval.event_count != repro.expect_events) {
-    mismatch("event_count", outcome.eval.event_count, repro.expect_events);
-  } else if (outcome.eval.correct != repro.expect_correct) {
-    mismatch("correct", outcome.eval.correct, repro.expect_correct);
-  } else if (outcome.eval.quiescent != repro.expect_quiescent) {
-    mismatch("quiescent", outcome.eval.quiescent, repro.expect_quiescent);
-  } else {
-    outcome.reproduced = true;
-  }
+  ReplayCheck check{outcome.mismatch};
+  check.expect_equal("last_send", outcome.eval.last_send, repro.expect_last_send);
+  check.expect_equal("output_hash", outcome.eval.output_hash, repro.expect_output_hash);
+  check.expect_equal("event_count", outcome.eval.event_count, repro.expect_events);
+  check.expect_equal("correct", outcome.eval.correct, repro.expect_correct);
+  check.expect_equal("quiescent", outcome.eval.quiescent, repro.expect_quiescent);
+  outcome.reproduced = outcome.mismatch.empty();
   return outcome;
 }
 

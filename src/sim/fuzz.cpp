@@ -4,10 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <sstream>
-#include <unordered_set>
 
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
@@ -21,10 +18,6 @@ namespace rstp::sim {
 namespace {
 
 using protocols::ProtocolKind;
-
-// Fingerprinting (CoverageObserver/hash_bits/hash_sorted) and the worker
-// pool (parallel_for_slots) are shared with the adversary synthesizer — see
-// rstp/sim/search_support.h.
 
 [[nodiscard]] std::string kind_name(core::ViolationKind kind) {
   std::ostringstream os;
@@ -58,11 +51,6 @@ using protocols::ProtocolKind;
   return rates;
 }
 
-/// Baseline width of the per-case mutation-count draw (1 + next_below(rate)).
-constexpr std::uint64_t kBaseMutationRate = 3;
-/// Cap on the stall-driven boost: rate never exceeds kBaseMutationRate + 5.
-constexpr std::uint64_t kMaxMutationBoost = 5;
-
 /// The canonical starting points: a few timing shapes with seeds derived
 /// from (spec.seed, variant). Everything else comes from mutation.
 [[nodiscard]] FuzzCase base_case(const FuzzSpec& spec, std::size_t variant) {
@@ -92,14 +80,11 @@ constexpr std::uint64_t kMaxMutationBoost = 5;
   return c;
 }
 
-/// `boost` widens the mutation-count draw when the corpus has stalled
-/// (consecutive zero-gain generations); at boost 0 the draw — and therefore
-/// the whole RNG stream — is identical to the historical fixed-rate fuzzer,
-/// so golden hunts that never stall are unchanged.
+/// `rate` is the search loop's mutation-count draw width (search_support.h).
 [[nodiscard]] FuzzCase mutate(const FuzzCase& parent, Rng& rng, const FuzzSpec& spec,
-                              std::uint64_t boost) {
+                              std::uint64_t rate) {
   FuzzCase c = parent;
-  const std::uint64_t mutations = 1 + rng.next_below(kBaseMutationRate + boost);
+  const std::uint64_t mutations = 1 + rng.next_below(rate);
   for (std::uint64_t m = 0; m < mutations; ++m) {
     switch (rng.next_below(c.faults_enabled ? 10 : 7)) {
       case 0:
@@ -305,234 +290,147 @@ FuzzResult run_fuzz(const FuzzSpec& spec) {
   RSTP_CHECK_GE(spec.max_input_bits, 1u, "fuzz needs at least one input bit");
 
   FuzzResult res;
-  std::unordered_set<std::uint64_t> seen;
   constexpr std::size_t kMaxTrackedFailures = 8;
-  constexpr std::uint64_t kGenerationSize = 32;
 
   std::vector<FuzzCase> round;
   for (std::size_t variant = 0; variant < 4; ++variant) {
     round.push_back(base_case(spec, variant));
   }
-  for (const FuzzCase& seed_case : spec.corpus_seeds) {
-    round.push_back(seed_case);
-  }
-  if (round.size() > spec.budget) round.resize(static_cast<std::size_t>(spec.budget));
-  std::uint64_t planned = round.size();
+  round.insert(round.end(), spec.corpus_seeds.begin(), spec.corpus_seeds.end());
 
   const auto start = std::chrono::steady_clock::now();
-  const auto out_of_time = [&]() {
-    if (spec.time_budget_ms == 0) return false;
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    return std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count() >=
-           static_cast<std::int64_t>(spec.time_budget_ms);
-  };
-
-  // Mutation-rate self-tuning: each generation that folds in zero new
-  // coverage bumps `stall`; any gain resets it. The next generation's
-  // mutation-count draw widens to kBaseMutationRate + min(stall, cap), so a
-  // plateaued corpus automatically explores bigger jumps. Pure fold-state:
-  // deterministic across `jobs` like everything else here.
-  std::uint64_t stall = 0;
-  const auto mutation_boost = [&]() { return std::min(stall, kMaxMutationBoost); };
-
   // Display-only hunt progress. Published from the serial fold points, so
   // attaching on_generation cannot perturb the deterministic result state.
   std::uint64_t generation = 0;
   std::size_t crashes = 0;
-  const auto emit_snapshot = [&](std::size_t coverage_gain, bool final_snapshot) {
+  GenerationTally last;
+  const auto emit_snapshot = [&](bool final_snapshot) {
     if (!spec.on_generation) return;
     FuzzGenerationSnapshot snap;
     snap.generation = generation;
     snap.executed = res.executed;
     snap.budget = spec.budget;
     snap.corpus = res.corpus.size();
-    snap.coverage = seen.size();
-    snap.coverage_gain = coverage_gain;
+    snap.coverage = last.coverage;
+    snap.coverage_gain = final_snapshot ? 0 : last.coverage_gain;
     snap.crashes = crashes;
     snap.failures = res.failures.size();
-    snap.mutation_rate = kBaseMutationRate + mutation_boost();
+    snap.mutation_rate = last.mutation_rate;
     snap.elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     snap.final_snapshot = final_snapshot;
     spec.on_generation(snap);
   };
 
-  while (!round.empty()) {
-    std::vector<FuzzCaseResult> results(round.size());
-    parallel_for_slots(round.size(), spec.jobs,
-                       [&](std::size_t i) { results[i] = run_fuzz_case(round[i]); });
-
-    // Serial fold in slot order: corpus growth, coverage, and failure
-    // collection are independent of how workers interleaved.
-    const std::size_t coverage_before = seen.size();
-    for (std::size_t i = 0; i < round.size(); ++i) {
-      ++res.executed;
-      const FuzzCaseResult& r = results[i];
-      if (r.invalid) continue;
-      if (r.crashed) ++crashes;
-      bool fresh = false;
-      for (const std::uint64_t fp : r.fingerprints) {
-        if (seen.insert(fp).second) fresh = true;
-      }
-      if (r.failed) {
-        if (res.failures.size() < kMaxTrackedFailures) {
-          res.failures.push_back(FuzzFailure{round[i], round[i], r});
+  const std::vector<std::uint64_t> coverage = run_generations(
+      GenerationPlan{spec.seed, spec.budget, 32, spec.jobs}, std::move(round),
+      [](const FuzzCase& c) { return run_fuzz_case(c); },
+      [&](const FuzzCase& c, const FuzzCaseResult& r, bool fresh) {
+        ++res.executed;
+        if (r.invalid) return;
+        if (r.crashed) ++crashes;
+        if (r.failed) {
+          if (res.failures.size() < kMaxTrackedFailures) {
+            res.failures.push_back(FuzzFailure{c, c, r});
+          }
+        } else if (fresh) {
+          res.corpus.push_back(c);
+          res.corpus_results.push_back(r);
         }
-      } else if (fresh) {
-        res.corpus.push_back(round[i]);
-        res.corpus_results.push_back(r);
-      }
-    }
-    const std::size_t coverage_gain = seen.size() - coverage_before;
-    if (coverage_gain == 0) {
-      ++stall;
-    } else {
-      stall = 0;
-    }
-    emit_snapshot(coverage_gain, /*final_snapshot=*/false);
-    ++generation;
-
-    if (!res.failures.empty() && spec.stop_on_failure) break;
-    if (planned >= spec.budget) break;
-    if (out_of_time()) break;
-
-    // Next generation: fully determined by (seed, iteration index, corpus
-    // snapshot) before any parallel work starts. The generation size must
-    // not depend on spec.jobs, or the corpus would evolve on a different
-    // schedule at different thread counts and the campaign would diverge.
-    const std::size_t batch = static_cast<std::size_t>(
-        std::min<std::uint64_t>(spec.budget - planned, kGenerationSize));
-    round.clear();
-    for (std::size_t b = 0; b < batch; ++b) {
-      std::uint64_t state = spec.seed ^ (0x9E3779B97F4A7C15ULL * (planned + b + 1));
-      Rng rng{splitmix64(state)};
-      const FuzzCase parent = res.corpus.empty()
-                                  ? base_case(spec, b)
-                                  : res.corpus[rng.next_below(res.corpus.size())];
-      round.push_back(mutate(parent, rng, spec, mutation_boost()));
-    }
-    planned += batch;
-  }
-
-  res.coverage = seen.size();
-  std::vector<std::uint64_t> all(seen.begin(), seen.end());
-  std::sort(all.begin(), all.end());
-  res.coverage_hash = hash_sorted(all);
+      },
+      [&](const GenerationTally& tally) {
+        last = tally;
+        emit_snapshot(/*final_snapshot=*/false);
+        ++generation;
+        const bool out_of_time =
+            spec.time_budget_ms != 0 &&
+            std::chrono::steady_clock::now() - start >=
+                std::chrono::milliseconds(static_cast<std::int64_t>(spec.time_budget_ms));
+        return (!res.failures.empty() && spec.stop_on_failure) || out_of_time;
+      },
+      [&](Rng& rng, std::size_t slot, std::uint64_t rate) {
+        const FuzzCase parent = res.corpus.empty()
+                                    ? base_case(spec, slot)
+                                    : res.corpus[rng.next_below(res.corpus.size())];
+        return mutate(parent, rng, spec, rate);
+      });
+  res.coverage = coverage.size();
+  res.coverage_hash = hash_sorted(coverage);
 
   for (FuzzFailure& failure : res.failures) {
     failure.minimized = minimize_failure(failure.original);
     failure.result = run_fuzz_case(failure.minimized);
   }
-  emit_snapshot(0, /*final_snapshot=*/true);
+  emit_snapshot(/*final_snapshot=*/true);
   return res;
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: line-oriented `key values...`, '#' comments, closed by
-// `end`. Shared between corpus case files and repro files.
+// Serialization: the fields only the fuzz artifact kinds carry.
 
 namespace {
 
 constexpr std::string_view kCaseHeader = "rstp-fuzz-case-v1";
 constexpr std::string_view kReproHeader = "rstp-fuzz-repro-v1";
 
-void write_case_fields(std::ostream& os, const FuzzCase& c) {
-  os << "protocol " << protocols::to_string(c.protocol) << '\n';
-  os << "params " << c.params.c1.ticks() << ' ' << c.params.c2.ticks() << ' '
-     << c.params.d.ticks() << '\n';
-  os << "k " << c.k << '\n';
-  os << "input_bits " << c.input_bits << '\n';
-  os << "input_seed " << c.input_seed << '\n';
-  os << "sched_seed_t " << c.sched_seed_t << '\n';
-  os << "sched_seed_r " << c.sched_seed_r << '\n';
-  os << "delay_seed " << c.delay_seed << '\n';
-  os << "block_override " << c.block_override << '\n';
-  os << "wait_override " << c.wait_override << '\n';
-  os << "max_events " << c.max_events << '\n';
-  os << "faults " << (c.faults_enabled ? 1 : 0) << '\n';
-  os << "fault_seed " << c.fault_seed << '\n';
-  os << "rates " << c.rates.drop_pm << ' ' << c.rates.duplicate_pm << ' ' << c.rates.late_pm
-     << ' ' << c.rates.corrupt_pm << ' ' << c.rates.max_duplicates << ' '
-     << c.rates.max_late.ticks() << ' ' << c.rates.corrupt_space << '\n';
+void write_case_fields(ArtifactWriter& w, const FuzzCase& c) {
+  write_cell_keys(w, c.protocol, c.params, c.k, c.input_bits, c.input_seed);
+  w.field("sched_seed_t", c.sched_seed_t);
+  w.field("sched_seed_r", c.sched_seed_r);
+  w.field("delay_seed", c.delay_seed);
+  w.field("block_override", c.block_override);
+  w.field("wait_override", c.wait_override);
+  w.field("max_events", c.max_events);
+  w.field("faults", c.faults_enabled ? 1 : 0);
+  w.field("fault_seed", c.fault_seed);
+  w.field("rates", c.rates.drop_pm, c.rates.duplicate_pm, c.rates.late_pm, c.rates.corrupt_pm,
+          c.rates.max_duplicates, c.rates.max_late.ticks(), c.rates.corrupt_space);
   for (const fault::PinnedFault& pin : c.pins) {
-    os << "pin " << pin.send_seq << ' ' << fault::to_string(pin.kind) << ' ' << pin.arg << '\n';
+    w.field("pin", pin.send_seq, fault::to_string(pin.kind), pin.arg);
   }
 }
 
-[[noreturn]] void malformed(std::string_view what, std::string_view line) {
-  std::ostringstream os;
-  os << "malformed fuzz file: " << what;
-  if (!line.empty()) os << " in line '" << line << "'";
-  throw ModelError(os.str());
+[[nodiscard]] ArtifactCell cell_of(FuzzCase& c) {
+  return {c.protocol, c.params, c.k, c.input_bits, c.input_seed, c.max_events};
 }
 
-template <typename T>
-[[nodiscard]] T read_value(std::istringstream& is, std::string_view line) {
-  T value{};
-  if (!(is >> value)) malformed("missing or bad value", line);
-  return value;
-}
-
-/// Applies one `key values...` line to `c`; false if the key is unknown.
-[[nodiscard]] bool apply_case_field(FuzzCase& c, const std::string& key,
-                                    std::istringstream& is, const std::string& line) {
-  if (key == "protocol") {
-    std::string name;
-    if (!(is >> name)) malformed("missing protocol name", line);
-    const auto kind = protocols::protocol_from_string(name);
-    if (!kind.has_value()) malformed("unknown protocol", line);
-    c.protocol = *kind;
-  } else if (key == "params") {
-    const auto c1 = read_value<std::int64_t>(is, line);
-    const auto c2 = read_value<std::int64_t>(is, line);
-    const auto d = read_value<std::int64_t>(is, line);
-    if (c1 < 1 || c2 < c1 || d < c2) malformed("params must satisfy 0 < c1 <= c2 <= d", line);
-    c.params = core::TimingParams::make(c1, c2, d);
-  } else if (key == "k") {
-    c.k = read_value<std::uint32_t>(is, line);
-  } else if (key == "input_bits") {
-    c.input_bits = read_value<std::uint32_t>(is, line);
-  } else if (key == "input_seed") {
-    c.input_seed = read_value<std::uint64_t>(is, line);
-  } else if (key == "sched_seed_t") {
-    c.sched_seed_t = read_value<std::uint64_t>(is, line);
+/// Applies one case-only `key values...` line to `c`; false if the key is unknown.
+[[nodiscard]] bool apply_case_field(FuzzCase& c, ArtifactLine& line) {
+  const std::string& key = line.key();
+  if (key == "sched_seed_t") {
+    c.sched_seed_t = line.read_value<std::uint64_t>();
   } else if (key == "sched_seed_r") {
-    c.sched_seed_r = read_value<std::uint64_t>(is, line);
+    c.sched_seed_r = line.read_value<std::uint64_t>();
   } else if (key == "delay_seed") {
-    c.delay_seed = read_value<std::uint64_t>(is, line);
+    c.delay_seed = line.read_value<std::uint64_t>();
   } else if (key == "block_override") {
-    c.block_override = read_value<std::uint32_t>(is, line);
+    c.block_override = line.read_value<std::uint32_t>();
   } else if (key == "wait_override") {
-    c.wait_override = read_value<std::uint32_t>(is, line);
-  } else if (key == "max_events") {
-    c.max_events = read_value<std::uint64_t>(is, line);
-    if (c.max_events == 0) malformed("max_events must be positive", line);
+    c.wait_override = line.read_value<std::uint32_t>();
   } else if (key == "faults") {
-    c.faults_enabled = read_value<std::uint32_t>(is, line) != 0;
+    c.faults_enabled = line.read_value<std::uint32_t>() != 0;
   } else if (key == "fault_seed") {
-    c.fault_seed = read_value<std::uint64_t>(is, line);
+    c.fault_seed = line.read_value<std::uint64_t>();
   } else if (key == "rates") {
-    c.rates.drop_pm = read_value<std::uint32_t>(is, line);
-    c.rates.duplicate_pm = read_value<std::uint32_t>(is, line);
-    c.rates.late_pm = read_value<std::uint32_t>(is, line);
-    c.rates.corrupt_pm = read_value<std::uint32_t>(is, line);
-    c.rates.max_duplicates = read_value<std::uint32_t>(is, line);
-    c.rates.max_late = Duration{read_value<std::int64_t>(is, line)};
-    c.rates.corrupt_space = read_value<std::uint32_t>(is, line);
+    c.rates.drop_pm = line.read_value<std::uint32_t>();
+    c.rates.duplicate_pm = line.read_value<std::uint32_t>();
+    c.rates.late_pm = line.read_value<std::uint32_t>();
+    c.rates.corrupt_pm = line.read_value<std::uint32_t>();
+    c.rates.max_duplicates = line.read_value<std::uint32_t>();
+    c.rates.max_late = Duration{line.read_value<std::int64_t>()};
+    c.rates.corrupt_space = line.read_value<std::uint32_t>();
     try {
       c.rates.validate();
     } catch (const ContractViolation& e) {
-      malformed(e.what(), line);
+      line.reject(e.what());
     }
   } else if (key == "pin") {
     fault::PinnedFault pin;
-    pin.send_seq = read_value<std::uint64_t>(is, line);
-    std::string name;
-    if (!(is >> name)) malformed("missing pin kind", line);
-    const auto kind = fault::fault_kind_from_string(name);
-    if (!kind.has_value()) malformed("unknown fault kind", line);
+    pin.send_seq = line.read_value<std::uint64_t>();
+    const auto kind = fault::fault_kind_from_string(line.read_word());
+    if (!kind.has_value()) line.reject("unknown fault kind");
     pin.kind = *kind;
-    pin.arg = read_value<std::uint32_t>(is, line);
+    pin.arg = line.read_value<std::uint32_t>();
     c.pins.push_back(pin);
   } else {
     return false;
@@ -540,51 +438,20 @@ template <typename T>
   return true;
 }
 
-/// Strips a trailing comment and surrounding whitespace; empty = skip.
-[[nodiscard]] std::string clean_line(const std::string& raw) {
-  std::string line = raw;
-  const std::size_t hash = line.find('#');
-  if (hash != std::string::npos) line.erase(hash);
-  const std::size_t first = line.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return {};
-  const std::size_t last = line.find_last_not_of(" \t\r");
-  return line.substr(first, last - first + 1);
-}
-
-/// Reads the header line (skipping blanks/comments); throws on mismatch.
-void expect_header(std::istream& is, std::string_view header) {
-  std::string raw;
-  while (std::getline(is, raw)) {
-    const std::string line = clean_line(raw);
-    if (line.empty()) continue;
-    if (line != header) malformed("expected header", line);
-    return;
-  }
-  malformed("empty document", "");
-}
-
 }  // namespace
 
 void write_fuzz_case(std::ostream& os, const FuzzCase& c) {
-  os << kCaseHeader << '\n';
-  write_case_fields(os, c);
-  os << "end\n";
+  ArtifactWriter w{os, kCaseHeader};
+  write_case_fields(w, c);
+  w.end();
 }
 
 FuzzCase parse_fuzz_case(std::istream& is) {
-  expect_header(is, kCaseHeader);
+  ArtifactDocument doc = read_artifact(is);
   FuzzCase c;
-  std::string raw;
-  while (std::getline(is, raw)) {
-    const std::string line = clean_line(raw);
-    if (line.empty()) continue;
-    if (line == "end") return c;
-    std::istringstream tokens{line};
-    std::string key;
-    tokens >> key;
-    if (!apply_case_field(c, key, tokens, line)) malformed("unknown key", line);
-  }
-  malformed("missing 'end'", "");
+  read_artifact_fields(doc, kCaseHeader, cell_of(c),
+                       [&](ArtifactLine& line) { return apply_case_field(c, line); });
+  return c;
 }
 
 std::vector<FuzzCase> read_fuzz_corpus(const std::string& dir) {
@@ -621,62 +488,56 @@ FuzzRepro make_fuzz_repro(const FuzzCase& c, const FuzzCaseResult& result) {
 }
 
 void write_fuzz_repro(std::ostream& os, const FuzzCase& c, const FuzzCaseResult& result) {
-  const FuzzRepro repro = make_fuzz_repro(c, result);
-  os << kReproHeader << '\n';
-  write_case_fields(os, c);
-  os << "expect_failed " << (repro.failed ? 1 : 0) << '\n';
-  os << "expect_crashed " << (repro.crashed ? 1 : 0) << '\n';
-  os << "expect_quiescent " << (repro.quiescent ? 1 : 0) << '\n';
-  os << "expect_unexcused " << repro.unexcused << '\n';
-  os << "expect_fault_events " << repro.fault_events << '\n';
-  os << "expect_kinds " << repro.kinds.size();
-  for (const std::string& kind : repro.kinds) os << ' ' << kind;
-  os << '\n';
-  os << "expect_output_hash " << repro.output_hash << '\n';
-  os << "expect_coverage_hash " << repro.coverage_hash << '\n';
-  os << "expect_events " << repro.event_count << '\n';
-  os << "end\n";
+  write_fuzz_repro(os, make_fuzz_repro(c, result));
 }
 
-FuzzRepro parse_fuzz_repro(std::istream& is) {
-  expect_header(is, kReproHeader);
+void write_fuzz_repro(std::ostream& os, const FuzzRepro& repro) {
+  ArtifactWriter w{os, kReproHeader};
+  write_case_fields(w, repro.fuzz_case);
+  w.field("expect_failed", repro.failed ? 1 : 0);
+  w.field("expect_crashed", repro.crashed ? 1 : 0);
+  w.field("expect_quiescent", repro.quiescent ? 1 : 0);
+  w.field("expect_unexcused", repro.unexcused);
+  w.field("expect_fault_events", repro.fault_events);
+  w.table("expect_kinds", repro.kinds);
+  w.field("expect_output_hash", repro.output_hash);
+  w.field("expect_coverage_hash", repro.coverage_hash);
+  w.field("expect_events", repro.event_count);
+  w.end();
+}
+
+FuzzRepro parse_fuzz_repro(std::istream& is) { return parse_fuzz_repro(read_artifact(is)); }
+
+FuzzRepro parse_fuzz_repro(ArtifactDocument doc) {
   FuzzRepro repro;
-  std::string raw;
-  while (std::getline(is, raw)) {
-    const std::string line = clean_line(raw);
-    if (line.empty()) continue;
-    if (line == "end") return repro;
-    std::istringstream tokens{line};
-    std::string key;
-    tokens >> key;
+  read_artifact_fields(doc, kReproHeader, cell_of(repro.fuzz_case), [&](ArtifactLine& line) {
+    const std::string& key = line.key();
     if (key == "expect_failed") {
-      repro.failed = read_value<std::uint32_t>(tokens, line) != 0;
+      repro.failed = line.read_value<std::uint32_t>() != 0;
     } else if (key == "expect_crashed") {
-      repro.crashed = read_value<std::uint32_t>(tokens, line) != 0;
+      repro.crashed = line.read_value<std::uint32_t>() != 0;
     } else if (key == "expect_quiescent") {
-      repro.quiescent = read_value<std::uint32_t>(tokens, line) != 0;
+      repro.quiescent = line.read_value<std::uint32_t>() != 0;
     } else if (key == "expect_unexcused") {
-      repro.unexcused = read_value<std::size_t>(tokens, line);
+      repro.unexcused = line.read_value<std::size_t>();
     } else if (key == "expect_fault_events") {
-      repro.fault_events = read_value<std::size_t>(tokens, line);
+      repro.fault_events = line.read_value<std::size_t>();
     } else if (key == "expect_kinds") {
-      const auto count = read_value<std::size_t>(tokens, line);
-      for (std::size_t i = 0; i < count; ++i) {
-        std::string name;
-        if (!(tokens >> name)) malformed("missing violation kind", line);
-        repro.kinds.push_back(name);
-      }
+      const auto count = line.read_value<std::size_t>();
+      repro.kinds.clear();
+      for (std::size_t i = 0; i < count; ++i) repro.kinds.push_back(line.read_word());
     } else if (key == "expect_output_hash") {
-      repro.output_hash = read_value<std::uint64_t>(tokens, line);
+      repro.output_hash = line.read_value<std::uint64_t>();
     } else if (key == "expect_coverage_hash") {
-      repro.coverage_hash = read_value<std::uint64_t>(tokens, line);
+      repro.coverage_hash = line.read_value<std::uint64_t>();
     } else if (key == "expect_events") {
-      repro.event_count = read_value<std::uint64_t>(tokens, line);
-    } else if (!apply_case_field(repro.fuzz_case, key, tokens, line)) {
-      malformed("unknown key", line);
+      repro.event_count = line.read_value<std::uint64_t>();
+    } else {
+      return apply_case_field(repro.fuzz_case, line);
     }
-  }
-  malformed("missing 'end'", "");
+    return true;
+  });
+  return repro;
 }
 
 ReplayOutcome replay_fuzz_repro(const FuzzRepro& repro, SimObserver* observer) {
@@ -684,32 +545,17 @@ ReplayOutcome replay_fuzz_repro(const FuzzRepro& repro, SimObserver* observer) {
   outcome.result = run_fuzz_case(repro.fuzz_case, observer);
   const FuzzRepro got = make_fuzz_repro(repro.fuzz_case, outcome.result);
 
-  const auto mismatch = [&](std::string_view field, auto got_v, auto want_v) {
-    std::ostringstream os;
-    os << field << ": got " << got_v << ", recorded " << want_v;
-    outcome.mismatch = os.str();
-  };
-  if (got.failed != repro.failed) {
-    mismatch("failed", got.failed, repro.failed);
-  } else if (got.crashed != repro.crashed) {
-    mismatch("crashed", got.crashed, repro.crashed);
-  } else if (got.quiescent != repro.quiescent) {
-    mismatch("quiescent", got.quiescent, repro.quiescent);
-  } else if (got.unexcused != repro.unexcused) {
-    mismatch("unexcused", got.unexcused, repro.unexcused);
-  } else if (got.fault_events != repro.fault_events) {
-    mismatch("fault_events", got.fault_events, repro.fault_events);
-  } else if (got.kinds != repro.kinds) {
-    mismatch("kinds", got.kinds.size(), repro.kinds.size());
-  } else if (got.output_hash != repro.output_hash) {
-    mismatch("output_hash", got.output_hash, repro.output_hash);
-  } else if (got.coverage_hash != repro.coverage_hash) {
-    mismatch("coverage_hash", got.coverage_hash, repro.coverage_hash);
-  } else if (got.event_count != repro.event_count) {
-    mismatch("event_count", got.event_count, repro.event_count);
-  } else {
-    outcome.reproduced = true;
-  }
+  ReplayCheck check{outcome.mismatch};
+  check.expect_equal("failed", got.failed, repro.failed);
+  check.expect_equal("crashed", got.crashed, repro.crashed);
+  check.expect_equal("quiescent", got.quiescent, repro.quiescent);
+  check.expect_equal("unexcused", got.unexcused, repro.unexcused);
+  check.expect_equal("fault_events", got.fault_events, repro.fault_events);
+  check.expect("kinds", got.kinds == repro.kinds, got.kinds.size(), repro.kinds.size());
+  check.expect_equal("output_hash", got.output_hash, repro.output_hash);
+  check.expect_equal("coverage_hash", got.coverage_hash, repro.coverage_hash);
+  check.expect_equal("event_count", got.event_count, repro.event_count);
+  outcome.reproduced = outcome.mismatch.empty();
   return outcome;
 }
 

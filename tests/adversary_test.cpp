@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "rstp/common/check.h"
@@ -154,6 +155,48 @@ TEST(AdversaryRepro, IllegalGenomeInAnArtifactIsRejectedAtParse) {
     FAIL() << "illegal genome parsed";
   } catch (const ModelError& e) {
     EXPECT_NE(std::string{e.what()}.find("delays"), std::string::npos) << e.what();
+  }
+}
+
+TEST(AdversaryRepro, MalformedDocumentsAreModelErrors) {
+  // Each probe replaces one line of the golden artifact. Numbers are whole
+  // tokens in range, no token may be left over, and the cell keys carry the
+  // checks every artifact kind shares; `k -6` once parsed as k=4294967290
+  // and replayed as "reproduced".
+  std::ifstream in{RSTP_GOLDEN_ADVERSARY_ARTIFACT_PATH};
+  ASSERT_TRUE(in.good()) << "cannot open " << RSTP_GOLDEN_ADVERSARY_ARTIFACT_PATH;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string golden = buffer.str();
+  const auto with_line = [&golden](const std::string& key, const std::string& replacement) {
+    std::istringstream lines{golden};
+    std::string text;
+    for (std::string line; std::getline(lines, line);) {
+      text += line.rfind(key + ' ', 0) == 0 ? replacement : line;
+      text += '\n';
+    }
+    return text;
+  };
+  const auto parse = [](const std::string& text) {
+    std::istringstream doc{text};
+    return parse_adversary_repro(doc);
+  };
+  EXPECT_NO_THROW((void)parse(golden));
+  for (const auto& [key, probe] : std::vector<std::pair<std::string, std::string>>{
+           {"k", "k -6"},
+           {"k", "k 4 junk"},
+           {"k", "k 1"},
+           {"input_bits", "input_bits 0"},
+           {"input_bits", "input_bits -24"},
+           {"max_events", "max_events 200000 7"},
+           {"input_seed", "input_seed 18446744073709551616"},
+           {"delays", "delays 1 9 9"},
+           {"order_keys", "order_keys 0"},
+           {"t_first", "t_first 2x"},
+           {"expect_events", "expect_events -1"},
+           {"expect_correct", "expect_correct"},
+       }) {
+    EXPECT_THROW((void)parse(with_line(key, probe)), ModelError) << probe;
   }
 }
 

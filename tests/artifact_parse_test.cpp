@@ -1,0 +1,200 @@
+// Parser-mutation sweep over the artifact grammar (ctest -L parse; also in
+// -L gate, since it reads tests/golden and tests/fuzz/corpus). Seeds: the
+// golden fuzz repro, the golden adversary artifact and every corpus case.
+// Each line of each seed is mutated deterministically — every number
+// negated, a token appended, the line deleted, the line duplicated, every
+// number set to 2^64 — and every mutant must either parse and round-trip
+// (parse(write(x)) == x) or throw rstp::ModelError. Any other exception is a
+// failure. A value mutant that parses must also be written back with its
+// mutated line intact: a reader that wraps `k -6` to 4294967290 or drops a
+// trailing token fails here. The sweep only parses, so no mutant can hang
+// it. CMake injects the tests/ source directory as RSTP_TESTS_DIR.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "rstp/common/check.h"
+#include "rstp/sim/adversary.h"
+#include "rstp/sim/fuzz.h"
+#include "rstp/sim/search_support.h"
+
+namespace rstp::sim {
+namespace {
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in{path};
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+std::vector<std::filesystem::path> seed_paths() {
+  const std::filesystem::path tests{RSTP_TESTS_DIR};
+  std::vector<std::filesystem::path> paths{tests / "golden/broken_beta.repro",
+                                           tests / "golden/worst_case.adversary"};
+  std::vector<std::filesystem::path> corpus;
+  for (const auto& entry : std::filesystem::directory_iterator{tests / "fuzz/corpus"}) {
+    if (entry.path().extension() == ".case") corpus.push_back(entry.path());
+  }
+  std::sort(corpus.begin(), corpus.end());
+  paths.insert(paths.end(), corpus.begin(), corpus.end());
+  return paths;
+}
+
+/// Parses `text` as the artifact kind `header` names and returns the
+/// written form of the parse, after checking that parsing the written form
+/// gives the same value.
+template <typename T, typename Parse, typename Write>
+std::string round_trip(const std::string& text, Parse parse, Write write) {
+  std::istringstream in{text};
+  const T first = parse(in);
+  std::stringstream written;
+  write(written, first);
+  const std::string out = written.str();
+  EXPECT_TRUE(parse(written) == first) << "parse(write(x)) != x for:\n" << text;
+  return out;
+}
+
+std::string round_trip(std::string_view header, const std::string& text) {
+  if (header == "rstp-fuzz-case-v1") {
+    return round_trip<FuzzCase>(
+        text, [](std::istream& is) { return parse_fuzz_case(is); },
+        [](std::ostream& os, const FuzzCase& c) { write_fuzz_case(os, c); });
+  }
+  if (header == "rstp-fuzz-repro-v1") {
+    return round_trip<FuzzRepro>(
+        text, [](std::istream& is) { return parse_fuzz_repro(is); },
+        [](std::ostream& os, const FuzzRepro& r) { write_fuzz_repro(os, r); });
+  }
+  EXPECT_EQ(header, adversary_repro_header());
+  return round_trip<AdversaryRepro>(
+      text, [](std::istream& is) { return parse_adversary_repro(is); },
+      [](std::ostream& os, const AdversaryRepro& r) { write_adversary_repro(os, r); });
+}
+
+bool is_number(const std::string& token) {
+  const std::size_t digits = token.rfind('-', 0) == 0 ? 1 : 0;
+  return token.size() > digits &&
+         std::all_of(token.begin() + static_cast<std::ptrdiff_t>(digits), token.end(),
+                     [](unsigned char ch) { return std::isdigit(ch) != 0; });
+}
+
+std::vector<std::string> split(const std::string& text, bool by_line) {
+  std::vector<std::string> parts;
+  std::istringstream in{text};
+  if (by_line) {
+    for (std::string line; std::getline(in, line);) parts.push_back(line);
+  } else {
+    for (std::string token; in >> token;) parts.push_back(token);
+  }
+  return parts;
+}
+
+/// `line` without its comment, tokens joined by single spaces: how the
+/// writer would spell it.
+std::string normalized(const std::string& line) {
+  std::string out;
+  for (const std::string& token : split(line.substr(0, line.find('#')), false)) {
+    out += (out.empty() ? "" : " ") + token;
+  }
+  return out;
+}
+
+struct Mutant {
+  std::string text;
+  /// For a value mutant of a key line: that line as the writer must spell
+  /// it if the mutant parses. Empty for deletions and duplications.
+  std::string written_line;
+};
+
+/// Every deterministic single-line mutant of `text`.
+std::vector<Mutant> mutants(const std::string& text) {
+  const std::vector<std::string> lines = split(text, true);
+  std::vector<Mutant> out;
+  const auto with_line = [&](std::size_t i, const std::vector<std::string>& replacement,
+                             bool value_mutant) {
+    Mutant m;
+    for (std::size_t l = 0; l < lines.size(); ++l) {
+      if (l != i) {
+        m.text += lines[l] + '\n';
+        continue;
+      }
+      for (const std::string& r : replacement) m.text += r + '\n';
+    }
+    if (value_mutant) m.written_line = normalized(replacement.front());
+    out.push_back(std::move(m));
+  };
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::vector<std::string> tokens = split(lines[i], false);
+    const auto with_token = [&](std::size_t j, const std::string& value, bool value_mutant) {
+      std::string line;
+      for (std::size_t t = 0; t < tokens.size(); ++t) {
+        line += (t == 0 ? "" : " ") + (t == j ? value : tokens[t]);
+      }
+      with_line(i, {line}, value_mutant);
+    };
+    for (std::size_t j = 0; j < tokens.size(); ++j) {
+      if (!is_number(tokens[j])) continue;
+      // -0 is 0 and is written as 0: that negation changes no value.
+      const bool zero = tokens[j].find_first_not_of("-0") == std::string::npos;
+      with_token(j, tokens[j].front() == '-' ? tokens[j].substr(1) : "-" + tokens[j], !zero);
+      with_token(j, "18446744073709551616", true);
+    }
+    with_line(i, {lines[i] + " 7"}, true);
+    with_line(i, {}, false);
+    with_line(i, {lines[i], lines[i]}, false);
+  }
+  return out;
+}
+
+std::string header_of(const std::string& text) {
+  std::istringstream in{text};
+  return read_artifact(in).header.text();
+}
+
+TEST(ArtifactParse, CheckedInSeedsRoundTrip) {
+  for (const std::filesystem::path& path : seed_paths()) {
+    const std::string text = read_file(path);
+    (void)round_trip(header_of(text), text);
+  }
+}
+
+TEST(ArtifactParse, EveryLineMutantRoundTripsOrIsAModelError) {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const std::filesystem::path& path : seed_paths()) {
+    const std::string seed = read_file(path);
+    const std::string header = header_of(seed);
+    for (const Mutant& mutant : mutants(seed)) {
+      try {
+        const std::string written = round_trip(header, mutant.text);
+        if (!mutant.written_line.empty()) {
+          const std::vector<std::string> lines = split(written, true);
+          EXPECT_NE(std::find(lines.begin(), lines.end(), mutant.written_line), lines.end())
+              << "accepted '" << mutant.written_line << "' but wrote it differently; mutant of "
+              << path << ":\n" << mutant.text << "written:\n" << written;
+        }
+        ++accepted;
+      } catch (const ModelError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "non-ModelError " << e.what() << " from a mutant of " << path << ":\n"
+                      << mutant.text;
+      }
+    }
+  }
+  // Both outcomes occur, so the sweep exercises the accepting and the
+  // rejecting paths of every reader.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+}  // namespace
+}  // namespace rstp::sim

@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 namespace {
 
@@ -147,6 +149,24 @@ TEST(Cli, UsageErrorsExitWithTwo) {
   EXPECT_EQ(run_command("bounds 1 2", &out), 2);
   EXPECT_EQ(run_command("fuzz beta --budget 4 --corpus /nonexistent/corpus", &out), 2);
   EXPECT_NE(out.find("cannot read corpus dir"), std::string::npos) << out;
+
+  // A malformed replay artifact is a usage error too; exit 1 means "parsed
+  // but did not reproduce". Each copy of a golden artifact has one line
+  // edited: a negative unsigned value (`input_bits -32` used to wrap to
+  // ~4.3e9 and hang the replay) or a trailing token.
+  const std::string artifact = ::testing::TempDir() + "/cli_malformed_artifact";
+  for (const auto& [golden, line, replacement] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"golden/broken_beta.repro", "input_bits 32", "input_bits -32"},
+           {"golden/broken_beta.repro", "max_events 200000", "max_events 200000 7"},
+           {"golden/worst_case.adversary", "k 6", "k -6"},
+           {"golden/worst_case.adversary", "k 6", "k 4 junk"}}) {
+    std::string text = read_file(tests_file(golden));
+    text.replace(text.find(line + '\n'), line.size(), replacement);
+    std::ofstream{artifact} << text;
+    EXPECT_EQ(run_command("replay " + artifact, &out), 2) << replacement << '\n' << out;
+    EXPECT_NE(out.find("malformed artifact"), std::string::npos) << out;
+  }
 }
 
 TEST(Cli, BadNumericArgumentsExitWithTwoAndNameTheToken) {

@@ -314,6 +314,35 @@ TEST(FuzzSerialization, MalformedDocumentsAreModelErrors) {
   EXPECT_THROW(parse("rstp-fuzz-case-v1\nk banana\nend\n"), ModelError);
   EXPECT_THROW(parse("rstp-fuzz-case-v1\nparams 3 2 9\nend\n"), ModelError);
   EXPECT_THROW(parse("rstp-fuzz-case-v1\nprotocol omega\nend\n"), ModelError);
+  // Numbers are whole tokens in range, and no token may be left over: these
+  // once wrapped to ~4.3e9 or were silently accepted.
+  EXPECT_THROW(parse("rstp-fuzz-case-v1\ninput_bits -32\nend\n"), ModelError);
+  EXPECT_THROW(parse("rstp-fuzz-case-v1\nk -6\nend\n"), ModelError);
+  EXPECT_THROW(parse("rstp-fuzz-case-v1\nk 4 junk\nend\n"), ModelError);
+  EXPECT_THROW(parse("rstp-fuzz-case-v1\nmax_events 200000 7\nend\n"), ModelError);
+  EXPECT_THROW(parse("rstp-fuzz-case-v1\ninput_seed 18446744073709551616\nend\n"), ModelError);
+  EXPECT_THROW(parse("rstp-fuzz-case-v1\nk 4x\nend\n"), ModelError);
+  // The cell checks every artifact kind shares.
+  EXPECT_THROW(parse("rstp-fuzz-case-v1\ninput_bits 0\nend\n"), ModelError);
+  EXPECT_THROW(parse("rstp-fuzz-case-v1\nk 1\nend\n"), ModelError);
+  // Per-mille rates whose 32-bit sum would wrap back under 1000.
+  EXPECT_THROW(parse("rstp-fuzz-case-v1\nrates 4294967295 2 0 0 2 4 4\nend\n"), ModelError);
+
+  const auto parse_repro = [](std::string text) {
+    std::istringstream in{std::move(text)};
+    return sim::parse_fuzz_repro(in);
+  };
+  EXPECT_THROW(parse_repro("rstp-fuzz-repro-v1\nexpect_events -1\nend\n"), ModelError);
+  EXPECT_THROW(parse_repro("rstp-fuzz-repro-v1\nexpect_kinds 1 A B\nend\n"), ModelError);
+  EXPECT_THROW(parse_repro("rstp-fuzz-repro-v1\nexpect_kinds 2 A\nend\n"), ModelError);
+
+  // The error names the offending line by number and text.
+  try {
+    (void)parse("rstp-fuzz-case-v1\n# comment\nk -6\nend\n");
+    FAIL() << "negative k parsed";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string{e.what()}.find("line 3 'k -6'"), std::string::npos) << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -100,15 +100,17 @@
 //
 //   rstp replay <reprofile> [--trace-out FILE]
 //       Re-execute a repro document (rstp-fuzz-repro-v1 or rstp-adversary-v1,
-//       sniffed from the header line) and compare every recorded field.
+//       dispatched on the header line) and compare every recorded field.
 //       Exit 0 iff the recorded verdict reproduces bitwise (even a failing
-//       verdict), 1 on any divergence. --trace-out writes the replay's span
-//       timeline (Chrome-trace JSON) for post-mortem inspection in Perfetto
-//       (fuzz repros only).
+//       verdict), 1 on any divergence, 2 on a malformed artifact.
+//       --trace-out writes the replay's span timeline (Chrome-trace JSON)
+//       for post-mortem inspection in Perfetto (fuzz repros only).
 //
-// Exit code 0 on success/verified, 1 on failure, 2 on usage errors (including
-// malformed diff inputs, threshold specs and fuzz corpora), 3 on a tripped
-// --fail-on gate.
+// Exit code 0 on success/verified; 1 on failure (a run that is incorrect or
+// does not verify, a replay that does not reproduce, an adversary below the
+// hand-coded floor, any other error); 2 on usage errors (including malformed
+// diff inputs, threshold specs, fuzz corpora and replay artifacts); 3 on a
+// tripped --fail-on gate.
 #include <algorithm>
 #include <cstring>
 #include <iomanip>
@@ -176,6 +178,23 @@ int usage() {
 int bad_number(std::string_view what, std::string_view token) {
   std::cerr << "invalid " << what << " '" << token << "': expected a decimal integer\n";
   return 2;
+}
+
+/// The protocol named `name`; nullopt after reporting an unknown name.
+[[nodiscard]] std::optional<protocols::ProtocolKind> protocol_arg(const char* name) {
+  const auto kind = protocols::protocol_from_string(name);
+  if (!kind.has_value()) std::cerr << "unknown protocol '" << name << "'\n";
+  return kind;
+}
+
+/// Parses the number after the flag at argv[i] into `slot`, stepping i onto
+/// it; false when it is missing or malformed (argv[i] is then the bad token).
+template <typename T>
+[[nodiscard]] bool take_number(int argc, char** argv, int& i, T& slot) {
+  if (i + 1 >= argc) return false;
+  const auto parsed = parse_number<T>(argv[++i]);
+  if (parsed.has_value()) slot = *parsed;
+  return parsed.has_value();
 }
 
 /// The value of `NAME VALUE` or `NAME=VALUE` at argv[i], stepping i past a
@@ -277,11 +296,8 @@ int cmd_bounds(int argc, char** argv) {
 
 int cmd_run(int argc, char** argv) {
   if (argc < 8) return usage();
-  const auto kind = protocols::protocol_from_string(argv[2]);
-  if (!kind.has_value()) {
-    std::cerr << "unknown protocol '" << argv[2] << "'\n";
-    return 2;
-  }
+  const auto kind = protocol_arg(argv[2]);
+  if (!kind.has_value()) return 2;
   const auto c1 = parse_number<std::int64_t>(argv[3]);
   if (!c1.has_value()) return bad_number("c1", argv[3]);
   const auto c2 = parse_number<std::int64_t>(argv[4]);
@@ -323,9 +339,7 @@ int cmd_run(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--seed" && i + 1 < argc) {
-      const auto parsed = parse_number<std::uint64_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--seed", argv[i]);
-      seed = *parsed;
+      if (!take_number(argc, argv, i, seed)) return bad_number(arg, argv[i]);
       env.seed = seed;
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_file = argv[++i];
@@ -478,11 +492,8 @@ int cmd_verify(int argc, char** argv) {
 
 int cmd_explore(int argc, char** argv) {
   if (argc != 6) return usage();
-  const auto kind = protocols::protocol_from_string(argv[2]);
-  if (!kind.has_value()) {
-    std::cerr << "unknown protocol '" << argv[2] << "'\n";
-    return 2;
-  }
+  const auto kind = protocol_arg(argv[2]);
+  if (!kind.has_value()) return 2;
   const auto d = parse_number<std::int64_t>(argv[3]);
   if (!d.has_value()) return bad_number("d", argv[3]);
   protocols::ProtocolConfig cfg;
@@ -637,9 +648,7 @@ int cmd_campaign(int argc, char** argv) {
     if (arg == "--metrics-out" && i + 1 < argc) {
       metrics_file = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      const auto parsed = parse_number<unsigned>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--threads", argv[i]);
-      threads = *parsed;
+      if (!take_number(argc, argv, i, threads)) return bad_number(arg, argv[i]);
     } else if (arg == "--dashboard") {
       want_dashboard = true;
     } else if (arg == "--no-dashboard") {
@@ -713,40 +722,25 @@ int cmd_mega(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--sessions" && i + 1 < argc) {
-      const auto parsed = parse_number<std::uint64_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--sessions", argv[i]);
-      spec.sessions = *parsed;
+      if (!take_number(argc, argv, i, spec.sessions)) return bad_number(arg, argv[i]);
     } else if (arg == "--shards" && i + 1 < argc) {
-      const auto parsed = parse_number<std::uint32_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--shards", argv[i]);
-      spec.shards = *parsed;
+      if (!take_number(argc, argv, i, spec.shards)) return bad_number(arg, argv[i]);
     } else if (arg == "--threads" && i + 1 < argc) {
-      const auto parsed = parse_number<unsigned>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--threads", argv[i]);
-      threads = *parsed;
+      if (!take_number(argc, argv, i, threads)) return bad_number(arg, argv[i]);
     } else if (arg == "--protocol" && i + 1 < argc) {
-      const auto kind = protocols::protocol_from_string(argv[++i]);
-      if (!kind.has_value()) {
-        std::cerr << "unknown protocol '" << argv[i] << "'\n";
-        return 2;
-      }
+      const auto kind = protocol_arg(argv[++i]);
+      if (!kind.has_value()) return 2;
       spec.protocol = *kind;
     } else if (arg == "--k" && i + 1 < argc) {
-      const auto parsed = parse_number<std::uint32_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--k", argv[i]);
-      spec.k = *parsed;
+      if (!take_number(argc, argv, i, spec.k)) return bad_number(arg, argv[i]);
     } else if (arg == "--bits" && i + 1 < argc) {
       const auto parsed = parse_number<std::uint32_t>(argv[++i]);
       if (!parsed.has_value()) return bad_number("--bits", argv[i]);
       spec.input_bits = *parsed;
     } else if (arg == "--seed" && i + 1 < argc) {
-      const auto parsed = parse_number<std::uint64_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--seed", argv[i]);
-      spec.base_seed = *parsed;
+      if (!take_number(argc, argv, i, spec.base_seed)) return bad_number(arg, argv[i]);
     } else if (arg == "--max-events" && i + 1 < argc) {
-      const auto parsed = parse_number<std::uint64_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--max-events", argv[i]);
-      spec.max_events_per_session = *parsed;
+      if (!take_number(argc, argv, i, spec.max_events_per_session)) return bad_number(arg, argv[i]);
     } else if (arg == "--metrics-out" && i + 1 < argc) {
       metrics_file = argv[++i];
     } else {
@@ -883,11 +877,8 @@ int cmd_report(int argc, char** argv) {
 
 int cmd_fuzz(int argc, char** argv) {
   if (argc < 3) return usage();
-  const auto kind = protocols::protocol_from_string(argv[2]);
-  if (!kind.has_value()) {
-    std::cerr << "unknown protocol '" << argv[2] << "'\n";
-    return 2;
-  }
+  const auto kind = protocol_arg(argv[2]);
+  if (!kind.has_value()) return 2;
   sim::FuzzSpec spec;
   spec.protocol = *kind;
   std::string corpus_dir;
@@ -896,32 +887,24 @@ int cmd_fuzz(int argc, char** argv) {
   bool want_dashboard = false;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto take_number = [&](auto& slot) {
-      if (i + 1 >= argc) return false;
-      const auto parsed =
-          parse_number<std::remove_reference_t<decltype(slot)>>(argv[++i]);
-      if (!parsed.has_value()) return false;
-      slot = *parsed;
-      return true;
-    };
     if (arg == "--seed") {
-      if (!take_number(spec.seed)) return bad_number("--seed", argv[i]);
+      if (!take_number(argc, argv, i, spec.seed)) return bad_number(arg, argv[i]);
     } else if (arg == "--budget") {
-      if (!take_number(spec.budget)) return bad_number("--budget", argv[i]);
+      if (!take_number(argc, argv, i, spec.budget)) return bad_number(arg, argv[i]);
     } else if (arg == "--jobs") {
-      if (!take_number(spec.jobs)) return bad_number("--jobs", argv[i]);
+      if (!take_number(argc, argv, i, spec.jobs)) return bad_number(arg, argv[i]);
     } else if (arg == "--k") {
-      if (!take_number(spec.k)) return bad_number("--k", argv[i]);
+      if (!take_number(argc, argv, i, spec.k)) return bad_number(arg, argv[i]);
     } else if (arg == "--bits") {
-      if (!take_number(spec.max_input_bits)) return bad_number("--bits", argv[i]);
+      if (!take_number(argc, argv, i, spec.max_input_bits)) return bad_number(arg, argv[i]);
     } else if (arg == "--max-events") {
-      if (!take_number(spec.max_events)) return bad_number("--max-events", argv[i]);
+      if (!take_number(argc, argv, i, spec.max_events)) return bad_number(arg, argv[i]);
     } else if (arg == "--time-budget-ms") {
-      if (!take_number(spec.time_budget_ms)) return bad_number("--time-budget-ms", argv[i]);
+      if (!take_number(argc, argv, i, spec.time_budget_ms)) return bad_number(arg, argv[i]);
     } else if (arg == "--wait-override") {
-      if (!take_number(spec.wait_override)) return bad_number("--wait-override", argv[i]);
+      if (!take_number(argc, argv, i, spec.wait_override)) return bad_number(arg, argv[i]);
     } else if (arg == "--block-override") {
-      if (!take_number(spec.block_override)) return bad_number("--block-override", argv[i]);
+      if (!take_number(argc, argv, i, spec.block_override)) return bad_number(arg, argv[i]);
     } else if (arg == "--faults") {
       spec.faults_enabled = true;
     } else if (arg == "--keep-going") {
@@ -1012,22 +995,14 @@ int cmd_adversary(int argc, char** argv) {
   std::string metrics_file;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto take_number = [&](auto& slot) {
-      if (i + 1 >= argc) return false;
-      const auto parsed =
-          parse_number<std::remove_reference_t<decltype(slot)>>(argv[++i]);
-      if (!parsed.has_value()) return false;
-      slot = *parsed;
-      return true;
-    };
     if (arg == "--seed") {
-      if (!take_number(spec.seed)) return bad_number("--seed", argv[i]);
+      if (!take_number(argc, argv, i, spec.seed)) return bad_number(arg, argv[i]);
     } else if (arg == "--budget") {
-      if (!take_number(spec.budget)) return bad_number("--budget", argv[i]);
+      if (!take_number(argc, argv, i, spec.budget)) return bad_number(arg, argv[i]);
     } else if (arg == "--jobs") {
-      if (!take_number(spec.jobs)) return bad_number("--jobs", argv[i]);
+      if (!take_number(argc, argv, i, spec.jobs)) return bad_number(arg, argv[i]);
     } else if (arg == "--max-events") {
-      if (!take_number(spec.max_events)) return bad_number("--max-events", argv[i]);
+      if (!take_number(argc, argv, i, spec.max_events)) return bad_number(arg, argv[i]);
     } else if (arg == "--grid" && i + 1 < argc) {
       const std::string grid = argv[++i];
       if (grid == "golden") {
@@ -1098,10 +1073,19 @@ int cmd_adversary(int argc, char** argv) {
   return 0;
 }
 
-/// Replays an rstp-adversary-v1 artifact (cmd_replay dispatches here after
-/// sniffing the header line).
-int replay_adversary_file(std::ifstream& in, const std::string& path) {
-  const sim::AdversaryRepro repro = sim::parse_adversary_repro(in);
+/// Prints a replay's verdict line: exit 0 iff every recorded field matched.
+int replay_verdict(bool reproduced, const std::string& mismatch) {
+  if (reproduced) {
+    std::cout << "reproduced: yes (all recorded fields match bitwise)\n";
+    return 0;
+  }
+  std::cout << "reproduced: NO — " << mismatch << "\n";
+  return 1;
+}
+
+/// Replays an rstp-adversary-v1 artifact (cmd_replay dispatches here on the
+/// document's header).
+int replay_adversary(const sim::AdversaryRepro& repro) {
   const sim::AdversaryReplayOutcome outcome = sim::replay_adversary_repro(repro);
   std::cout << "case:       " << protocols::to_string(repro.cell.protocol) << " "
             << repro.cell.params << " k=" << repro.cell.k << " bits="
@@ -1110,29 +1094,7 @@ int replay_adversary_file(std::ifstream& in, const std::string& path) {
             << " (last_send " << outcome.eval.last_send << ", "
             << (outcome.eval.correct ? "correct" : "INCORRECT") << ", "
             << (outcome.eval.quiescent ? "quiescent" : "event-capped") << ")\n";
-  if (outcome.reproduced) {
-    std::cout << "reproduced: yes (all recorded fields match bitwise)\n";
-    return 0;
-  }
-  std::cout << "reproduced: NO — " << outcome.mismatch << "\n";
-  (void)path;
-  return 1;
-}
-
-/// First non-blank, non-comment line of a file (empty if none) — used to
-/// sniff which artifact grammar a replay file speaks.
-[[nodiscard]] std::string sniff_header_line(const std::string& path) {
-  std::ifstream in{path};
-  std::string raw;
-  while (std::getline(in, raw)) {
-    const std::size_t hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    const std::size_t first = raw.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    const std::size_t last = raw.find_last_not_of(" \t\r");
-    return raw.substr(first, last - first + 1);
-  }
-  return {};
+  return replay_verdict(outcome.reproduced, outcome.mismatch);
 }
 
 int cmd_replay(int argc, char** argv) {
@@ -1153,14 +1115,24 @@ int cmd_replay(int argc, char** argv) {
   }
   std::ifstream in{argv[2]};
   if (!in) return cannot_open(argv[2]);
-  if (sniff_header_line(argv[2]) == sim::adversary_repro_header()) {
-    if (!trace_out_file.empty()) {
-      std::cerr << "--trace-out is not supported for adversary artifacts\n";
-      return 2;
+  // A malformed artifact is a usage error (exit 2), like a malformed corpus;
+  // exit 1 is reserved for an artifact that parses but does not reproduce.
+  sim::FuzzRepro repro;
+  try {
+    sim::ArtifactDocument doc = sim::read_artifact(in);
+    if (doc.header.text() == sim::adversary_repro_header()) {
+      if (!trace_out_file.empty()) {
+        std::cerr << "--trace-out is not supported for adversary artifacts\n";
+        return 2;
+      }
+      const sim::AdversaryRepro adversary = sim::parse_adversary_repro(std::move(doc));
+      return replay_adversary(adversary);
     }
-    return replay_adversary_file(in, argv[2]);
+    repro = sim::parse_fuzz_repro(std::move(doc));
+  } catch (const ModelError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   }
-  const sim::FuzzRepro repro = sim::parse_fuzz_repro(in);
   std::optional<obs::trace::Tracer> tracer;
   std::optional<obs::trace::ModelRecorder> recorder;
   if (!trace_out_file.empty()) {
@@ -1180,12 +1152,7 @@ int cmd_replay(int argc, char** argv) {
   if (!outcome.result.failure.empty()) {
     std::cout << "detail:     " << outcome.result.failure << "\n";
   }
-  if (outcome.reproduced) {
-    std::cout << "reproduced: yes (all recorded fields match bitwise)\n";
-    return 0;
-  }
-  std::cout << "reproduced: NO — " << outcome.mismatch << "\n";
-  return 1;
+  return replay_verdict(outcome.reproduced, outcome.mismatch);
 }
 
 }  // namespace
