@@ -1,4 +1,4 @@
-// E16 — the price of self-tuning: estimator effort vs the oracle.
+// E17 — the price of self-tuning: estimator effort vs the oracle.
 //
 // The paper's protocols receive (c1, c2, d) as givens; the est layer
 // discovers them online (RFC 6298-style EWMA brackets) and re-plans block
@@ -29,7 +29,7 @@ int main() {
   const std::size_t n = 256;
 
   bench::print_header(
-      "E16a: stationary est_penalty by margin (worst case, n=256; budget: margin 0 within 5%)");
+      "E17a: stationary est_penalty by margin (worst case, n=256; budget: margin 0 within 5%)");
   std::printf("%6s | %-12s | %6s | %10s | %-12s | %7s\n", "proto", "params", "margin",
               "penalty", "(c1,c2,d)-hat", "resizes");
   bench::print_rule(72);
@@ -65,7 +65,7 @@ int main() {
   }
 
   bench::print_header(
-      "E16b: drifting channels (d drifts 9->4->7 clamped to the envelope; sanity ceiling 2x)");
+      "E17b: drifting channels (d drifts 9->4->7 clamped to the envelope; sanity ceiling 2x)");
   std::printf("%6s | %-12s | %10s | %-12s | %7s\n", "proto", "params", "penalty",
               "(c1,c2,d)-hat", "resizes");
   bench::print_rule(60);
@@ -100,7 +100,7 @@ int main() {
     }
   }
 
-  std::printf("\nE16 verdict: %s — self-tuning costs at most 5%% on stationary worst-case "
+  std::printf("\nE17 verdict: %s — self-tuning costs at most 5%% on stationary worst-case "
               "channels and stays correct (and legal) under drift\n",
               bench::verdict(all_ok));
   return all_ok ? 0 : 1;

@@ -82,6 +82,9 @@ bool Multiset::submultiset_of(const Multiset& other) const {
 //   stay[L][c] = μ_{k-c}(L), i.e. cum[L][c+1] − cum[L][c]: the same suffix
 //                counts as mu but laid out row-per-L, so rank's single-step
 //                fast path reads the row its cum lookups already cached.
+//   mu_word    = mu flattened row-major (stride n+1) as machine words, filled
+//                only when μ_k(n) < 2^64 (then every entry fits, as mu is
+//                monotone in both j and L); empty otherwise.
 // rank sums μ_{k-c}(L) over a symbol interval, which the cumulative table
 // turns into one subtraction; unrank decodes whole runs of equal symbols by
 // galloping over the (monotone) mu and cum rows.
@@ -89,6 +92,7 @@ struct MultisetTables {
   std::vector<std::vector<BigUint>> mu;
   std::vector<std::vector<BigUint>> cum;
   std::vector<std::vector<BigUint>> stay;
+  std::vector<std::uint64_t> mu_word;
 };
 
 namespace {
@@ -112,6 +116,12 @@ namespace {
     for (std::uint32_t c = 0; c < k; ++c) {
       tables->cum[L][c + 1] = tables->cum[L][c] + tables->mu[k - c][L];
       tables->stay[L][c] = tables->mu[k - c][L];
+    }
+  }
+  if (tables->mu[k][n].fits_u64()) {
+    tables->mu_word.reserve(std::size_t{k + 1} * (n + 1));
+    for (const std::vector<BigUint>& row : tables->mu) {
+      for (const BigUint& v : row) tables->mu_word.push_back(v.to_u64());
     }
   }
   return tables;
@@ -187,9 +197,26 @@ BigUint MultisetCodec::rank(const Multiset& m) const {
 Multiset MultisetCodec::unrank(const BigUint& value) const {
   const obs::ScopedPhaseTimer timer{obs::Phase::CodecUnrank};
   RSTP_CHECK(value < count(), "rank out of range for this codec");
-  BigUint residual = value;
   std::vector<std::uint32_t> counts(k_, 0);
   Symbol c = 0;
+  if (!tables_->mu_word.empty()) {
+    // Every count fits a machine word: the recurrence walk in word
+    // arithmetic. c only advances, so the walk is O(n + k) in total.
+    std::uint64_t residual = value.to_u64();
+    const std::size_t stride = std::size_t{n_} + 1;
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      const std::size_t remaining = n_ - 1 - i;
+      while (residual >= tables_->mu_word[(k_ - c) * stride + remaining]) {
+        residual -= tables_->mu_word[(k_ - c) * stride + remaining];
+        ++c;
+        RSTP_CHECK_LT(c, k_, "unrank overran the universe");
+      }
+      ++counts[c];
+    }
+    RSTP_CHECK(residual == 0, "unrank residual nonzero");
+    return Multiset::from_counts(std::move(counts));
+  }
+  BigUint residual = value;
   const BigUint* mu_row = tables_->mu[k_].data();  // μ_{k-c}(·), hoisted per run
   for (std::uint32_t i = 0; i < n_; ++i) {
     const std::uint32_t remaining = n_ - 1 - i;

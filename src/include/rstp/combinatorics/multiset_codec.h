@@ -85,7 +85,8 @@ struct MultisetTables;
 /// at most one BigUint add + subtract per symbol change (none for repeats)
 /// and unrank() one comparison per repeated symbol plus a galloping search
 /// per change — O(n + min(k, n) log k) BigUint operations instead of the
-/// recurrence walk's O(n·k) worst case.
+/// recurrence walk's O(n·k) worst case. When μ_k(n) < 2^64, unrank() runs
+/// the walk in machine words instead (O(n + k) word operations).
 class MultisetCodec {
  public:
   /// Requires k >= 1, n >= 0.

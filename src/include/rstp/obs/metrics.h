@@ -235,9 +235,8 @@ inline constexpr std::size_t kPhaseCount = 12;
 
 /// Phase timing is off by default: instrumented code pays one relaxed atomic
 /// load and never touches the clock. Enable around a region of interest
-/// (e.g. `rstp run --timing`, `rstp bench`). Enabling also calibrates the
-/// host clock (common/time.h), so timestamps come from the TSC when the CPU
-/// supports it.
+/// (e.g. `rstp run --timing`). Enabling also calibrates the host clock
+/// (common/time.h), so timestamps come from the TSC when the CPU supports it.
 void set_phase_timing_enabled(bool enabled);
 [[nodiscard]] bool phase_timing_enabled();
 

@@ -16,8 +16,8 @@
 //   * Results land in a pre-sized slot per job, and aggregates are reduced
 //     serially in index order after the join. A CampaignResult is therefore
 //     bitwise identical to the serial (threads = 1) run regardless of
-//     thread count — determinism is asserted by campaign_test.cpp and the
-//     bench_campaign harness, not just promised.
+//     thread count — determinism is asserted by campaign_test.cpp, not just
+//     promised.
 #pragma once
 
 #include <chrono>
@@ -235,6 +235,12 @@ class Campaign {
 /// tests and ad-hoc reruns of one grid cell).
 [[nodiscard]] CampaignJobResult run_campaign_job(const CampaignJob& job, std::size_t input_bits,
                                                  std::uint64_t max_events);
+
+/// The checked-in golden grid (tests/golden/campaign_baseline.jsonl): 32
+/// jobs, fixed campaign seed. `rstp campaign` runs exactly this spec;
+/// GoldenBaseline.* and Cli.CampaignRunsTheGoldenGrid (`ctest -L gate`) diff
+/// its output against the checked-in file.
+[[nodiscard]] CampaignSpec golden_campaign_spec();
 
 /// Flattens a campaign result into JSONL-exportable records: one
 /// RunMetricsRecord per job, in grid order, carrying the job's identity and

@@ -386,6 +386,22 @@ CampaignResult Campaign::run(unsigned threads, const CampaignProgress& progress)
   return result;
 }
 
+CampaignSpec golden_campaign_spec() {
+  CampaignSpec spec;
+  spec.protocols = {protocols::ProtocolKind::Alpha, protocols::ProtocolKind::Beta,
+                    protocols::ProtocolKind::Gamma, protocols::ProtocolKind::AltBit};
+  spec.timings = {core::TimingParams::make(1, 2, 6), core::TimingParams::make(2, 3, 9)};
+  spec.alphabets = {4, 8};
+  spec.environments = {core::Environment::worst_case(), core::Environment::randomized(1)};
+  spec.seeds_per_cell = 1;
+  // Small on purpose: the gate reruns this grid on every CI pass, so it must
+  // stay a fraction of a second while still covering every protocol, a
+  // deterministic and a randomized environment, and two timing points.
+  spec.input_bits = 64;
+  spec.campaign_seed = 0x601DE2;
+  return spec;
+}
+
 std::vector<obs::RunMetricsRecord> campaign_metrics_records(const CampaignResult& result,
                                                             std::size_t input_bits) {
   std::vector<obs::RunMetricsRecord> records;

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "rstp/common/check.h"
-#include "rstp/sim/campaign_bench.h"
 
 namespace rstp::sim {
 namespace {
@@ -24,6 +23,26 @@ CampaignSpec small_spec() {
   spec.seeds_per_cell = 2;
   spec.input_bits = 16;
   spec.campaign_seed = 42;
+  return spec;
+}
+
+/// The fixed 64-job reference grid (4 protocols × 2 timings × 2 alphabets ×
+/// 2 environments × 2 seeds): large enough that the thread pool has real
+/// work to steal, so the cross-thread-count determinism check below means
+/// something.
+CampaignSpec reference_campaign_spec() {
+  CampaignSpec spec;
+  spec.protocols = {protocols::ProtocolKind::Alpha, protocols::ProtocolKind::Beta,
+                    protocols::ProtocolKind::Gamma, protocols::ProtocolKind::AltBit};
+  spec.timings = {core::TimingParams::make(1, 1, 4), core::TimingParams::make(1, 2, 8)};
+  spec.alphabets = {4, 16};
+  spec.environments = {core::Environment::worst_case(), core::Environment::randomized(1)};
+  spec.seeds_per_cell = 2;
+  // Heavy enough that each job is hundreds of microseconds of simulation —
+  // thread-pool overhead must be amortizable for the speedup stages to mean
+  // anything — while keeping the whole bench comfortably under a second.
+  spec.input_bits = 256;
+  spec.campaign_seed = 0xCA3BA167;
   return spec;
 }
 
@@ -85,6 +104,7 @@ TEST(Campaign, FourThreadResultIsBitwiseIdenticalToSerial) {
   const Campaign campaign{reference_campaign_spec()};
   ASSERT_EQ(campaign.job_count(), 64u);
   const CampaignResult serial = campaign.run(1);
+  EXPECT_TRUE(serial.all_correct());
   const CampaignResult parallel = campaign.run(4);
   EXPECT_TRUE(serial == parallel);
   const CampaignResult two = campaign.run(2);

@@ -116,31 +116,6 @@ TEST(Cli, FastAndRandomEnvironmentsRun) {
   EXPECT_NE(out.find("correct:    yes"), std::string::npos);
 }
 
-TEST(Cli, BenchWritesTheCampaignBaselineJson) {
-  const std::string json_file = ::testing::TempDir() + "/cli_bench.json";
-  std::string out;
-  // One serial stage keeps the CLI smoke test quick; the full 1/2/4/N ladder
-  // lives in the bench_campaign harness (ctest -L bench).
-  EXPECT_EQ(run_command("bench --json " + json_file + " --threads 1 --threads 2", &out), 0)
-      << out;
-  EXPECT_NE(out.find("deterministic: yes"), std::string::npos) << out;
-  EXPECT_NE(out.find("baseline:   written to"), std::string::npos) << out;
-  // The warmup campaign reports progress (stderr, folded in by run_command);
-  // the final 100% line is guaranteed even for short grids.
-  EXPECT_NE(out.find("campaign: 64/64 jobs (100.0%)"), std::string::npos) << out;
-  std::ifstream in{json_file};
-  ASSERT_TRUE(in.good());
-  std::string json;
-  std::string line;
-  while (std::getline(in, line)) {
-    json += line;
-    json += '\n';
-  }
-  EXPECT_NE(json.find("\"schema\": \"rstp-bench-campaign-v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"identical_to_serial\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"ok\": true"), std::string::npos);
-}
-
 TEST(Cli, UsageErrorsExitWithTwo) {
   std::string out;
   EXPECT_EQ(run_command("", &out), 2);
@@ -180,7 +155,7 @@ TEST(Cli, BadNumericArgumentsExitWithTwoAndNameTheToken) {
   // Out-of-range is a parse failure too (std::stoll would have thrown here).
   EXPECT_EQ(run_command("bounds 99999999999999999999 2 16 8", &out), 2);
   EXPECT_NE(out.find("invalid c1"), std::string::npos) << out;
-  EXPECT_EQ(run_command("bench --threads -3", &out), 2);
+  EXPECT_EQ(run_command("campaign --threads -3", &out), 2);
   EXPECT_NE(out.find("invalid --threads '-3'"), std::string::npos) << out;
 }
 

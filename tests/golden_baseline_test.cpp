@@ -14,7 +14,6 @@
 #include "rstp/obs/diff.h"
 #include "rstp/obs/sinks.h"
 #include "rstp/sim/campaign.h"
-#include "rstp/sim/campaign_bench.h"
 
 namespace rstp {
 namespace {

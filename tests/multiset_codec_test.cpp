@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "rstp/combinatorics/binomial.h"
 #include "rstp/common/check.h"
@@ -205,6 +208,59 @@ TEST(MultisetCodec, FastPathsAgreeWithReferenceExhaustiveSmall) {
         ASSERT_EQ(codec.rank(m), codec.rank_reference(m)) << "k=" << k << " n=" << n;
       }
     }
+  }
+}
+
+/// Mean wall-clock ns per `op(i)` over `iterations` calls, minimum over 4
+/// repetitions: preemption only ever inflates a sample, so the min is the
+/// robust estimator on a busy machine.
+template <typename Op>
+double min_ns_per_call(std::size_t iterations, Op&& op) {
+  using Clock = std::chrono::steady_clock;
+  double best = 0;
+  for (int rep = 0; rep < 4; ++rep) {
+    const Clock::time_point begin = Clock::now();
+    for (std::size_t i = 0; i < iterations; ++i) op(i);
+    const double ns = std::chrono::duration<double, std::nano>(Clock::now() - begin).count() /
+                      static_cast<double>(iterations);
+    if (rep == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
+TEST(MultisetCodec, TablePathsBeatTheReferenceRecurrence) {
+  // Wall-clock gate: the cumulative-table rank/unrank must each be faster
+  // than the recurrence walk they replaced, at the alphabet sizes the
+  // protocols use (k >= 8). 512 calls cycle through a 64-multiset pool.
+  constexpr std::size_t kIterations = 512;
+  constexpr std::size_t kPool = 64;
+  for (const auto& [k, n] : {std::pair<std::uint32_t, std::uint32_t>{8, 32}, {32, 32}}) {
+    const MultisetCodec codec{k, n};
+    Rng rng{0xBE7C0DEC};
+    std::vector<Multiset> multisets;
+    std::vector<BigUint> ranks;
+    for (std::size_t i = 0; i < kPool; ++i) {
+      Multiset m{k};
+      for (std::uint32_t j = 0; j < n; ++j) m.add(static_cast<Symbol>(rng.next_below(k)));
+      ranks.push_back(codec.rank(m));
+      multisets.push_back(std::move(m));
+    }
+    // Volatile sink so the optimizer cannot drop the codec calls.
+    volatile std::size_t sink = 0;
+    const double rank_ns = min_ns_per_call(kIterations, [&](std::size_t i) {
+      sink = sink + codec.rank(multisets[i % kPool]).bit_length();
+    });
+    const double rank_reference_ns = min_ns_per_call(kIterations, [&](std::size_t i) {
+      sink = sink + codec.rank_reference(multisets[i % kPool]).bit_length();
+    });
+    const double unrank_ns = min_ns_per_call(kIterations, [&](std::size_t i) {
+      sink = sink + codec.unrank(ranks[i % kPool]).size();
+    });
+    const double unrank_reference_ns = min_ns_per_call(kIterations, [&](std::size_t i) {
+      sink = sink + codec.unrank_reference(ranks[i % kPool]).size();
+    });
+    EXPECT_LT(rank_ns, rank_reference_ns) << "k=" << k << " n=" << n;
+    EXPECT_LT(unrank_ns, unrank_reference_ns) << "k=" << k << " n=" << n;
   }
 }
 

@@ -8,7 +8,6 @@
 #include "rstp/common/check.h"
 #include "rstp/obs/metrics.h"
 #include "rstp/sim/campaign.h"
-#include "rstp/sim/campaign_bench.h"
 
 namespace rstp {
 namespace {

@@ -39,7 +39,6 @@
 #include "rstp/obs/diff.h"
 #include "rstp/protocols/factory.h"
 #include "rstp/sim/campaign.h"
-#include "rstp/sim/campaign_bench.h"
 #include "rstp/sim/adversary.h"
 #include "rstp/sim/fuzz.h"
 #include "support/gen.h"

@@ -25,12 +25,6 @@
 //       Exhaustively verify all schedules (c1=c2=1) for a small instance;
 //       prints a counterexample trace on failure.
 //
-//   rstp bench [--json PATH] [--threads N]... [--metrics-out FILE]
-//       Run the reference simulation campaign at several thread counts,
-//       verify bitwise determinism, time the codec hot paths, and write the
-//       perf baseline JSON (schema in docs/PERF.md). Campaign progress lines
-//       go to stderr; --metrics-out appends one JSONL row per job.
-//
 //   rstp campaign [--metrics-out FILE] [--threads N] [--dashboard]
 //       Run the fixed golden campaign grid (the regression-gate reference;
 //       bitwise deterministic for any thread count) and append one JSONL row
@@ -136,7 +130,7 @@
 #include "rstp/obs/trace.h"
 #include "rstp/protocols/factory.h"
 #include "rstp/sim/adversary.h"
-#include "rstp/sim/campaign_bench.h"
+#include "rstp/sim/campaign.h"
 #include "rstp/sim/multi_session.h"
 #include "rstp/sim/fuzz.h"
 
@@ -154,7 +148,6 @@ int usage() {
                " [--estimator[=margin]] [--drift SPEC]\n"
                "  rstp verify  <c1> <c2> <d> <tracefile> <bits>\n"
                "  rstp explore <protocol> <d> <k> <bits>\n"
-               "  rstp bench   [--json PATH] [--threads N]... [--metrics-out FILE]\n"
                "  rstp campaign [--metrics-out FILE] [--threads N] [--dashboard]"
                " [--no-dashboard] [--estimator[=margin]] [--drift SPEC]\n"
                "  rstp mega    [--sessions N] [--shards N] [--threads N]"
@@ -538,47 +531,6 @@ int cmd_explore(int argc, char** argv) {
     }
   }
   return result.verified() ? 0 : 1;
-}
-
-int cmd_bench(int argc, char** argv) {
-  std::string json_path = "BENCH_campaign.json";
-  std::string metrics_file;
-  sim::CampaignBenchOptions options;
-  std::vector<unsigned> threads;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      const auto parsed = parse_number<unsigned>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--threads", argv[i]);
-      threads.push_back(*parsed);
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_file = argv[++i];
-    } else {
-      return usage();
-    }
-  }
-  if (!threads.empty()) options.thread_counts = threads;
-  // Progress goes to stderr so the stdout summary (and anything grepping it)
-  // stays stable; the bench module attaches it to the untimed warmup run.
-  options.progress.out = &std::cerr;
-  options.progress.interval = std::chrono::milliseconds{500};
-
-  const sim::CampaignBenchReport report = sim::run_campaign_bench(options);
-  sim::print_campaign_bench(std::cout, report);
-  if (!metrics_file.empty()) {
-    const std::vector<obs::RunMetricsRecord> records = sim::campaign_metrics_records(
-        report.serial_result, sim::reference_campaign_spec().input_bits);
-    if (!append_metrics_jsonl(metrics_file, records)) return cannot_open(metrics_file);
-    std::cout << "metrics:    appended " << records.size() << " jobs to " << metrics_file
-              << "\n";
-  }
-  std::ofstream out{json_path};
-  if (!out) return cannot_open(json_path);
-  sim::write_campaign_bench_json(out, report);
-  std::cout << "baseline:   written to " << json_path << "\n";
-  return report.ok() ? 0 : 1;
 }
 
 /// How `--dashboard` resolves against the terminal: live ANSI frames only on
@@ -1165,7 +1117,6 @@ int main(int argc, char** argv) {
     if (command == "run") return cmd_run(argc, argv);
     if (command == "verify") return cmd_verify(argc, argv);
     if (command == "explore") return cmd_explore(argc, argv);
-    if (command == "bench") return cmd_bench(argc, argv);
     if (command == "campaign") return cmd_campaign(argc, argv);
     if (command == "mega") return cmd_mega(argc, argv);
     if (command == "report") return cmd_report(argc, argv);
