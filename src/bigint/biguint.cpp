@@ -42,6 +42,13 @@ BigUint BigUint::pow2(std::size_t exponent) {
   return result;
 }
 
+BigUint BigUint::from_limbs(std::span<const u64> limbs) {
+  BigUint result;
+  limbs = significant(limbs);
+  result.limbs_.assign(limbs.begin(), limbs.end());
+  return result;
+}
+
 void BigUint::normalize() {
   while (!limbs_.empty() && limbs_.back() == 0) {
     limbs_.pop_back();
@@ -101,12 +108,12 @@ std::string BigUint::to_decimal() const {
   return digits;
 }
 
-BigUint& BigUint::operator+=(const BigUint& rhs) {
+BigUint& BigUint::add_normalized(std::span<const u64> rhs) {
   // Single-limb fast path: the codec's small-k values live here, and the
   // general path's resize/push_back would touch the allocator per operation.
-  if (limbs_.size() <= 1 && rhs.limbs_.size() <= 1) {
+  if (limbs_.size() <= 1 && rhs.size() <= 1) {
     const u64 a = limbs_.empty() ? 0 : limbs_[0];
-    const u64 b = rhs.limbs_.empty() ? 0 : rhs.limbs_[0];
+    const u64 b = rhs.empty() ? 0 : rhs[0];
     const u128 sum = static_cast<u128>(a) + b;
     const u64 lo = static_cast<u64>(sum);
     const u64 hi = static_cast<u64>(sum >> kLimbBits);
@@ -119,12 +126,12 @@ BigUint& BigUint::operator+=(const BigUint& rhs) {
     }
     return *this;
   }
-  const std::size_t n = std::max(limbs_.size(), rhs.limbs_.size());
+  const std::size_t n = std::max(limbs_.size(), rhs.size());
   limbs_.reserve(n + 1);  // one allocation even if the final carry spills
   limbs_.resize(n, 0);
   u64 carry = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const u64 b = i < rhs.limbs_.size() ? rhs.limbs_[i] : 0;
+    const u64 b = i < rhs.size() ? rhs[i] : 0;
     const u128 sum = static_cast<u128>(limbs_[i]) + b + carry;
     limbs_[i] = static_cast<u64>(sum);
     carry = static_cast<u64>(sum >> kLimbBits);
@@ -133,11 +140,11 @@ BigUint& BigUint::operator+=(const BigUint& rhs) {
   return *this;
 }
 
-BigUint& BigUint::operator-=(const BigUint& rhs) {
-  RSTP_CHECK(*this >= rhs, "BigUint subtraction underflow");
+BigUint& BigUint::sub_normalized(std::span<const u64> rhs) {
+  RSTP_CHECK(compare_normalized(rhs) >= 0, "BigUint subtraction underflow");
   if (limbs_.size() <= 1) {  // rhs.size() <= 1 follows from *this >= rhs
     const u64 a = limbs_.empty() ? 0 : limbs_[0];
-    const u64 b = rhs.limbs_.empty() ? 0 : rhs.limbs_[0];
+    const u64 b = rhs.empty() ? 0 : rhs[0];
     const u64 diff = a - b;
     if (diff != 0) {
       limbs_.assign(1, diff);
@@ -148,7 +155,7 @@ BigUint& BigUint::operator-=(const BigUint& rhs) {
   }
   u64 borrow = 0;
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    const u64 b = i < rhs.limbs_.size() ? rhs.limbs_[i] : 0;
+    const u64 b = i < rhs.size() ? rhs[i] : 0;
     const u128 lhs = static_cast<u128>(limbs_[i]);
     const u128 sub = static_cast<u128>(b) + borrow;
     if (lhs >= sub) {
@@ -309,16 +316,16 @@ BigUint::DivModResult BigUint::divmod(const BigUint& numerator, const BigUint& d
   return {std::move(quotient), std::move(remainder)};
 }
 
-std::strong_ordering operator<=>(const BigUint& a, const BigUint& b) {
-  if (a.limbs_.size() == 1 && b.limbs_.size() == 1) {  // dominant codec case
-    return a.limbs_[0] <=> b.limbs_[0];
+std::strong_ordering BigUint::compare_normalized(std::span<const u64> rhs) const {
+  if (limbs_.size() == 1 && rhs.size() == 1) {  // dominant codec case
+    return limbs_[0] <=> rhs[0];
   }
-  if (a.limbs_.size() != b.limbs_.size()) {
-    return a.limbs_.size() <=> b.limbs_.size();
+  if (limbs_.size() != rhs.size()) {
+    return limbs_.size() <=> rhs.size();
   }
-  for (std::size_t i = a.limbs_.size(); i-- > 0;) {
-    if (a.limbs_[i] != b.limbs_[i]) {
-      return a.limbs_[i] <=> b.limbs_[i];
+  for (std::size_t i = limbs_.size(); i-- > 0;) {
+    if (limbs_[i] != rhs[i]) {
+      return limbs_[i] <=> rhs[i];
     }
   }
   return std::strong_ordering::equal;

@@ -17,6 +17,7 @@
 #include <compare>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +39,9 @@ class BigUint {
   /// 2^exponent.
   [[nodiscard]] static BigUint pow2(std::size_t exponent);
 
+  /// From little-endian 64-bit limbs; trailing zero limbs are allowed.
+  [[nodiscard]] static BigUint from_limbs(std::span<const std::uint64_t> limbs);
+
   // --- observers ---------------------------------------------------------
 
   [[nodiscard]] bool is_zero() const { return limbs_.empty(); }
@@ -48,6 +52,9 @@ class BigUint {
 
   /// Value of bit `i` (i counts from the least significant bit).
   [[nodiscard]] bool bit(std::size_t i) const;
+
+  /// The little-endian 64-bit limbs, normalized (empty for zero).
+  [[nodiscard]] std::span<const std::uint64_t> limbs() const { return limbs_; }
 
   /// True iff the value fits in a u64.
   [[nodiscard]] bool fits_u64() const { return limbs_.size() <= 1; }
@@ -68,8 +75,12 @@ class BigUint {
 
   // --- arithmetic --------------------------------------------------------
 
-  BigUint& operator+=(const BigUint& rhs);
-  BigUint& operator-=(const BigUint& rhs);  ///< requires *this >= rhs
+  BigUint& operator+=(const BigUint& rhs) {
+    // x += x doubles: add_normalized may reallocate limbs_ while reading rhs.
+    return &rhs == this ? *this <<= 1 : add_normalized(rhs.limbs_);
+  }
+  /// Requires *this >= rhs.
+  BigUint& operator-=(const BigUint& rhs) { return sub_normalized(rhs.limbs_); }
   BigUint& operator*=(const BigUint& rhs);
   BigUint& operator<<=(std::size_t bits);
   BigUint& operator>>=(std::size_t bits);
@@ -91,17 +102,47 @@ class BigUint {
   /// general divmod and used by the binomial pipeline.
   [[nodiscard]] BigUint div_u64(std::uint64_t divisor, std::uint64_t& remainder) const;
 
+  /// +=, -= and <=> against a value given as little-endian limbs (trailing
+  /// zero limbs allowed, not pointing into this value), without
+  /// materializing it as a BigUint: the multiset codec's reference walk reads
+  /// its fixed-width tables this way.
+  BigUint& add_limbs(std::span<const std::uint64_t> rhs) {
+    return add_normalized(significant(rhs));
+  }
+  /// Requires *this >= rhs.
+  BigUint& sub_limbs(std::span<const std::uint64_t> rhs) {
+    return sub_normalized(significant(rhs));
+  }
+  [[nodiscard]] std::strong_ordering compare_limbs(std::span<const std::uint64_t> rhs) const {
+    return compare_normalized(significant(rhs));
+  }
+
   BigUint& mul_u64(std::uint64_t factor);
   BigUint& add_u64(std::uint64_t addend);
 
   // --- comparison --------------------------------------------------------
 
   friend bool operator==(const BigUint& a, const BigUint& b) { return a.limbs_ == b.limbs_; }
-  friend std::strong_ordering operator<=>(const BigUint& a, const BigUint& b);
+  friend std::strong_ordering operator<=>(const BigUint& a, const BigUint& b) {
+    return a.compare_normalized(b.limbs_);
+  }
 
   friend std::ostream& operator<<(std::ostream& os, const BigUint& v);
 
  private:
+  /// `limbs` without its trailing zero limbs.
+  [[nodiscard]] static std::span<const std::uint64_t> significant(
+      std::span<const std::uint64_t> limbs) {
+    while (!limbs.empty() && limbs.back() == 0) limbs = limbs.first(limbs.size() - 1);
+    return limbs;
+  }
+
+  // The arithmetic behind the operators and the *_limbs forms; rhs is
+  // normalized (no trailing zero limbs) and does not point into limbs_.
+  BigUint& add_normalized(std::span<const std::uint64_t> rhs);
+  BigUint& sub_normalized(std::span<const std::uint64_t> rhs);
+  [[nodiscard]] std::strong_ordering compare_normalized(std::span<const std::uint64_t> rhs) const;
+
   void normalize();
 
   std::vector<std::uint64_t> limbs_;  // little-endian, normalized

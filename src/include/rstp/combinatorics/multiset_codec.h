@@ -11,6 +11,7 @@
 // protocols rely on for correctness over a reordering channel.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -70,25 +71,38 @@ class Multiset {
 
 /// The precomputed counting tables shared by every codec instance with the
 /// same (k, n): the μ-table of the Pascal-style recurrence plus its
-/// per-position cumulative sums (see MultisetCodec). Immutable once built,
-/// so instances on different threads may share one safely.
+/// per-length cumulative sums, in one flat array (see MultisetCodec).
+/// Immutable once built, so instances on different threads may share one
+/// safely.
 struct MultisetTables;
 
 /// Rank/unrank bijection between multi_k(n) and [0, μ_k(n)).
 ///
 /// Construction: μ-table via the Pascal-style recurrence
 /// μ_j(L) = μ_{j-1}(L) + μ_j(L-1), plus cumulative suffix-count sums
-/// cum_L(c) = Σ_{c'<c} μ_{k-c'}(L). The tables are interned in a
-/// process-wide cache keyed on (k, n), so constructing many codecs for the
-/// same parameters (one per block/protocol instance, or one per campaign
-/// job) builds them exactly once. With the cumulative table, rank() costs
-/// at most one BigUint add + subtract per symbol change (none for repeats)
-/// and unrank() one comparison per repeated symbol plus a galloping search
-/// per change — O(n + min(k, n) log k) BigUint operations instead of the
-/// recurrence walk's O(n·k) worst case. When μ_k(n) < 2^64, unrank() runs
-/// the walk in machine words instead (O(n + k) word operations).
+/// cum_L(c) = Σ_{c'<c} μ_{k-c'}(L), for L < n. Both live in one flat
+/// allocation of fixed-width integers: W = limbs of μ_k(n) 64-bit words per
+/// entry, since no entry exceeds μ_k(n). rank() and unrank() do width-W word
+/// arithmetic on a local accumulator, whose most significant word stays in a
+/// register, and convert to BigUint only at the interface; one code path
+/// serves every W. rank() costs at most one add and
+/// one subtract per symbol change (none for repeats), unrank() one
+/// comparison per repeated symbol plus a galloping search per change —
+/// O(n + min(k, n) log k) W-word operations instead of the recurrence walk's
+/// O(n·k) worst case.
+///
+/// The tables are interned in a process-wide cache keyed on (k, n) that holds
+/// strong references, so constructing many codecs for the same parameters
+/// (one per block/protocol instance, or one per campaign job, even after the
+/// previous job's codecs are gone) builds them once. The cache evicts least
+/// recently used tables past kTableCacheBytes; a live codec keeps its own
+/// reference, so eviction never invalidates it.
 class MultisetCodec {
  public:
+  /// Byte budget of the intern cache: past it, the least recently used
+  /// tables leave the cache (and are rebuilt if a codec needs them again).
+  static constexpr std::size_t kTableCacheBytes = std::size_t{4} << 20;
+
   /// Requires k >= 1, n >= 0.
   MultisetCodec(std::uint32_t k, std::uint32_t n);
 
@@ -111,10 +125,6 @@ class MultisetCodec {
   [[nodiscard]] Multiset unrank_reference(const bigint::BigUint& value) const;
 
  private:
-  /// μ_j(L) — number of non-decreasing length-L sequences over a j-symbol
-  /// suffix universe; used as the suffix-count in ranking.
-  [[nodiscard]] const bigint::BigUint& suffix_count(std::uint32_t j, std::uint32_t L) const;
-
   std::uint32_t k_;
   std::uint32_t n_;
   std::shared_ptr<const MultisetTables> tables_;  // interned per (k, n)

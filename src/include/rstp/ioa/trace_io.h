@@ -10,8 +10,10 @@
 //   <seq> <time> <actor> internal <id> [name]
 //
 // where <actor> ∈ {t, r, c} and <dir> ∈ {tr, rt}. parse_trace rejects
-// malformed lines and non-monotone sequences with rstp::ModelError (these
-// are data errors, not caller bugs).
+// malformed lines (a missing or trailing token, a number that is negative
+// where unsigned or outside its field's range) and non-monotone sequences
+// with rstp::ModelError naming the line (these are data errors, not caller
+// bugs).
 #pragma once
 
 #include <iosfwd>

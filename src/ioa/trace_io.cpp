@@ -1,10 +1,13 @@
 #include "rstp/ioa/trace_io.h"
 
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "rstp/common/check.h"
+#include "rstp/common/parse.h"
 
 namespace rstp::ioa {
 
@@ -22,21 +25,23 @@ const char* actor_token(Actor a) {
   return "?";
 }
 
-Actor parse_actor(const std::string& token) {
+Actor parse_actor(const std::string& token, std::size_t line_number) {
   if (token == "t") return Actor::Transmitter;
   if (token == "r") return Actor::Receiver;
   if (token == "c") return Actor::Channel;
-  throw ModelError("trace parse: unknown actor '" + token + "'");
+  throw ModelError("trace parse: unknown actor '" + token + "' on line " +
+                   std::to_string(line_number));
 }
 
 const char* direction_token(Packet::Direction d) {
   return d == Packet::Direction::TransmitterToReceiver ? "tr" : "rt";
 }
 
-Packet::Direction parse_direction(const std::string& token) {
+Packet::Direction parse_direction(const std::string& token, std::size_t line_number) {
   if (token == "tr") return Packet::Direction::TransmitterToReceiver;
   if (token == "rt") return Packet::Direction::ReceiverToTransmitter;
-  throw ModelError("trace parse: unknown direction '" + token + "'");
+  throw ModelError("trace parse: unknown direction '" + token + "' on line " +
+                   std::to_string(line_number));
 }
 
 }  // namespace
@@ -81,40 +86,39 @@ TimedTrace parse_trace(std::istream& is) {
   while (std::getline(is, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
+    const auto malformed = [&](const std::string& what) {
+      return ModelError("trace parse: malformed " + what + " on line " +
+                        std::to_string(line_number));
+    };
+    std::vector<std::string> tokens;
     std::istringstream fields{line};
-    std::uint64_t seq = 0;
-    std::int64_t time_ticks = 0;
-    std::string actor_text;
-    std::string kind;
-    if (!(fields >> seq >> time_ticks >> actor_text >> kind)) {
-      throw ModelError("trace parse: malformed line " + std::to_string(line_number));
-    }
+    for (std::string token; fields >> token;) tokens.push_back(std::move(token));
+    // Every count is exact: a trailing token is as malformed as a missing one.
+    if (tokens.size() < 4) throw malformed("line");
+    const auto seq = parse_number<std::uint64_t>(tokens[0]);
+    const auto time_ticks = parse_number<std::int64_t>(tokens[1]);
+    if (!seq.has_value() || !time_ticks.has_value()) throw malformed("line");
     TimedEvent event;
-    event.seq = seq;
-    event.time = Time{time_ticks};
-    event.actor = parse_actor(actor_text);
+    event.seq = *seq;
+    event.time = Time{*time_ticks};
+    event.actor = parse_actor(tokens[2], line_number);
+    const std::string& kind = tokens[3];
     if (kind == "send" || kind == "recv") {
-      std::string dir;
-      std::uint32_t payload = 0;
-      if (!(fields >> dir >> payload)) {
-        throw ModelError("trace parse: malformed packet on line " + std::to_string(line_number));
-      }
-      const Packet packet{parse_direction(dir), payload};
+      const auto payload =
+          tokens.size() == 6 ? parse_number<std::uint32_t>(tokens[5]) : std::nullopt;
+      if (!payload.has_value()) throw malformed("packet");
+      const Packet packet{parse_direction(tokens[4], line_number), *payload};
       event.action = kind == "send" ? Action::send(packet) : Action::recv(packet);
     } else if (kind == "write") {
-      int bit = 0;
-      if (!(fields >> bit) || (bit != 0 && bit != 1)) {
-        throw ModelError("trace parse: malformed write on line " + std::to_string(line_number));
-      }
-      event.action = Action::write(static_cast<Bit>(bit));
+      if (tokens.size() != 5 || (tokens[4] != "0" && tokens[4] != "1")) throw malformed("write");
+      event.action = Action::write(static_cast<Bit>(tokens[4] == "1"));
     } else if (kind == "internal") {
-      std::uint16_t id = 0;
-      if (!(fields >> id)) {
-        throw ModelError("trace parse: malformed internal on line " +
-                         std::to_string(line_number));
-      }
       // The optional trailing name is debug-only; identity is the id.
-      event.action = Action::internal(id, {});
+      const auto id = tokens.size() == 5 || tokens.size() == 6
+                          ? parse_number<std::uint16_t>(tokens[4])
+                          : std::nullopt;
+      if (!id.has_value()) throw malformed("internal");
+      event.action = Action::internal(*id, {});
     } else {
       throw ModelError("trace parse: unknown action kind '" + kind + "' on line " +
                        std::to_string(line_number));

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -32,19 +33,46 @@ void write_histogram(std::ostream& os, const Histogram& h) {
   os << "]}";
 }
 
-Histogram parse_histogram(const JsonValue* v) {
+/// The histogram under `name` in a record's "hist" object. Checks every
+/// invariant Histogram::from_parts asserts, so a corrupt record is a
+/// JsonParseError (which the reader tags with its line), not a contract
+/// violation.
+Histogram parse_histogram(const JsonValue& hist, const std::string& name) {
+  const JsonValue* v = hist.find(name);
   if (v == nullptr || v->kind == JsonValue::Kind::Null) return Histogram{};
-  if (!v->is_object()) throw JsonParseError("histogram must be an object or null");
+  const auto invalid = [&](const std::string& what) {
+    return JsonParseError("histogram " + name + ": " + what);
+  };
+  if (!v->is_object()) throw invalid("must be an object or null");
   const JsonValue* buckets = v->find("buckets");
   if (buckets == nullptr || buckets->kind != JsonValue::Kind::Array) {
-    throw JsonParseError("histogram is missing its buckets array");
+    throw invalid("is missing its buckets array");
   }
+  if (buckets->items.empty()) throw invalid("has no buckets");
   std::vector<std::uint64_t> counts;
   counts.reserve(buckets->items.size());
-  for (const JsonValue& item : buckets->items) counts.push_back(item.to_u64());
-  return Histogram::from_parts(v->i64_or("lo", 0), v->i64_or("width", 1), std::move(counts),
-                               v->u64_or("count", 0), v->i64_or("sum", 0), v->i64_or("min", 0),
-                               v->i64_or("max", 0));
+  std::uint64_t total = 0;
+  for (const JsonValue& item : buckets->items) {
+    counts.push_back(item.to_u64());
+    if (counts.back() > std::numeric_limits<std::uint64_t>::max() - total) {
+      throw invalid("bucket counts overflow");
+    }
+    total += counts.back();
+  }
+  const std::int64_t width = v->i64_or("width", 1);
+  const std::uint64_t count = v->u64_or("count", 0);
+  const std::int64_t min = v->i64_or("min", 0);
+  const std::int64_t max = v->i64_or("max", 0);
+  if (width < 1) throw invalid("bucket width " + std::to_string(width) + " is not positive");
+  if (total != count) {
+    throw invalid("buckets sum to " + std::to_string(total) + ", count is " +
+                  std::to_string(count));
+  }
+  if (count > 0 && min > max) {
+    throw invalid("min " + std::to_string(min) + " exceeds max " + std::to_string(max));
+  }
+  return Histogram::from_parts(v->i64_or("lo", 0), width, std::move(counts), count,
+                               v->i64_or("sum", 0), min, max);
 }
 
 RunCounters parse_counters(const JsonValue& line) {
@@ -161,10 +189,10 @@ std::vector<RunMetricsRecord> read_run_metrics_jsonl(std::istream& is) {
       record.metrics.counters = parse_counters(doc);
       const JsonValue* hist = doc.find("hist");
       if (hist != nullptr && hist->is_object()) {
-        record.metrics.data_delay = parse_histogram(hist->find("data_delay"));
-        record.metrics.ack_delay = parse_histogram(hist->find("ack_delay"));
-        record.metrics.transmitter_gap = parse_histogram(hist->find("transmitter_gap"));
-        record.metrics.receiver_gap = parse_histogram(hist->find("receiver_gap"));
+        record.metrics.data_delay = parse_histogram(*hist, "data_delay");
+        record.metrics.ack_delay = parse_histogram(*hist, "ack_delay");
+        record.metrics.transmitter_gap = parse_histogram(*hist, "transmitter_gap");
+        record.metrics.receiver_gap = parse_histogram(*hist, "receiver_gap");
       }
       out.push_back(std::move(record));
     } catch (const JsonParseError& e) {

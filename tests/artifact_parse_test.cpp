@@ -8,7 +8,10 @@
 // failure. A value mutant that parses must also be written back with its
 // mutated line intact: a reader that wraps `k -6` to 4294967290 or drops a
 // trailing token fails here. The sweep only parses, so no mutant can hang
-// it. CMake injects the tests/ source directory as RSTP_TESTS_DIR.
+// it. The same sweep runs over a recorded timed trace (ioa::parse_trace),
+// and the run-metrics JSONL reader is checked against histogram mutants of
+// the golden campaign baseline. CMake injects the tests/ source directory
+// as RSTP_TESTS_DIR.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +23,10 @@
 #include <vector>
 
 #include "rstp/common/check.h"
+#include "rstp/core/effort.h"
+#include "rstp/ioa/trace_io.h"
+#include "rstp/obs/json.h"
+#include "rstp/obs/sinks.h"
 #include "rstp/sim/adversary.h"
 #include "rstp/sim/fuzz.h"
 #include "rstp/sim/search_support.h"
@@ -194,6 +201,94 @@ TEST(ArtifactParse, EveryLineMutantRoundTripsOrIsAModelError) {
   // rejecting paths of every reader.
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+
+TEST(TraceParse, RejectsTrailingTokensAndOutOfRangeNumbers) {
+  const auto rejected = [](const std::string& line) {
+    EXPECT_THROW((void)ioa::parse_trace_string(line + "\n"), ModelError) << line;
+  };
+  EXPECT_EQ(ioa::parse_trace_string("0 0 t send tr 0\n").size(), 1u);
+  EXPECT_EQ(ioa::parse_trace_string("0 0 r internal 65535 idle_r\n").size(), 1u);
+  EXPECT_EQ(ioa::parse_trace_string("0 0 r internal 2\n").size(), 1u);
+  rejected("0 0 t send tr 0 junk");
+  rejected("0 0 t recv rt 4 4");
+  rejected("0 0 r write 1 1");
+  rejected("0 0 r internal 2 idle_r extra");
+  rejected("0 0 r internal -1 idle_r");
+  rejected("0 0 r internal 65536 idle_r");
+  rejected("0 0 t send tr -1");
+  rejected("0 0 t send tr 4294967296");
+  rejected("-1 0 t send tr 0");
+  rejected("0 9223372036854775808 t send tr 0");
+  rejected("0 0 r write +1");
+  rejected("0 0 t send tr");
+}
+
+TEST(TraceParse, EveryLineMutantOfARecordedTraceRoundTripsOrIsAModelError) {
+  protocols::ProtocolConfig cfg;
+  cfg.params = core::TimingParams::make(1, 2, 6);
+  cfg.k = 4;
+  cfg.input = core::make_random_input(16, 7);
+  const core::ProtocolRun run =
+      core::run_protocol(protocols::ProtocolKind::Beta, cfg, core::Environment::randomized(11));
+  const std::string seed = ioa::trace_to_string(run.result.trace);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const Mutant& mutant : mutants(seed)) {
+    try {
+      const ioa::TimedTrace parsed = ioa::parse_trace_string(mutant.text);
+      const std::string written = ioa::trace_to_string(parsed);
+      EXPECT_EQ(ioa::parse_trace_string(written).events(), parsed.events()) << mutant.text;
+      if (!mutant.written_line.empty()) {
+        const std::vector<std::string> lines = split(written, true);
+        EXPECT_NE(std::find(lines.begin(), lines.end(), mutant.written_line), lines.end())
+            << "accepted '" << mutant.written_line << "' but wrote it differently";
+      }
+      ++accepted;
+    } catch (const ModelError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "non-ModelError " << e.what() << " from the trace mutant:\n"
+                    << mutant.text;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(RunMetricsParse, BrokenHistogramsAreParseErrorsNamingTheLine) {
+  // The golden baseline's first record, with one histogram invariant broken
+  // at a time: each must be a JsonParseError naming line 1, never the
+  // contract check inside Histogram::from_parts.
+  const std::string text = read_file(std::filesystem::path{RSTP_TESTS_DIR} /
+                                     "golden/campaign_baseline.jsonl");
+  const std::string record = text.substr(0, text.find('\n'));
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string out = record;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? out : out.replace(at, from.size(), to);
+  };
+  {
+    std::istringstream in{record + "\n"};
+    EXPECT_EQ(obs::read_run_metrics_jsonl(in).size(), 1u);
+  }
+  for (const std::string& broken :
+       {replaced("\"max\"", "\"m01ax\""), replaced("\"width\":1", "\"width\":0"),
+        replaced("\"buckets\":[0,0,0,0,0,0,64]", "\"buckets\":[]"),
+        replaced("\"count\":64", "\"count\":65"),
+        replaced("\"buckets\":[0,0,0,0,0,0,64]",
+                 "\"buckets\":[18446744073709551615,1,0,0,0,0,64]")}) {
+    std::istringstream in{broken + "\n"};
+    try {
+      (void)obs::read_run_metrics_jsonl(in);
+      ADD_FAILURE() << "accepted " << broken;
+    } catch (const obs::JsonParseError& e) {
+      EXPECT_NE(std::string{e.what()}.find("line 1: histogram data_delay"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "rstp/common/check.h"
 #include "rstp/common/rng.h"
@@ -241,6 +242,39 @@ TEST(BigUint, AdditionSubtractionRoundTripRandom) {
     EXPECT_GE(sum, a);
     EXPECT_GE(sum, b);
   }
+}
+
+TEST(BigUint, LimbFormsAgreeWithTheOperators) {
+  // from_limbs / limbs() round-trip, and add_limbs / sub_limbs /
+  // compare_limbs match +=, -= and <=> whatever trailing zero limbs the
+  // span carries.
+  Rng rng{0x11AB5};
+  for (int iter = 0; iter < 200; ++iter) {
+    BigUint a{rng.next_u64()};
+    a <<= static_cast<std::size_t>(rng.next_below(130));
+    BigUint b{rng.next_u64() >> rng.next_below(64)};
+    b <<= static_cast<std::size_t>(rng.next_below(130));
+    std::vector<std::uint64_t> padded(b.limbs().begin(), b.limbs().end());
+    padded.resize(padded.size() + rng.next_below(3), 0);
+    EXPECT_EQ(BigUint::from_limbs(padded), b);
+    EXPECT_EQ(BigUint::from_limbs(a.limbs()), a);
+    EXPECT_EQ(a.compare_limbs(padded), a <=> b);
+    BigUint sum = a;
+    sum.add_limbs(padded);
+    EXPECT_EQ(sum, a + b);
+    if (a >= b) {
+      BigUint diff = a;
+      diff.sub_limbs(padded);
+      EXPECT_EQ(diff, a - b);
+    } else {
+      EXPECT_THROW(BigUint{a}.sub_limbs(padded), ContractViolation);
+    }
+  }
+  EXPECT_TRUE(BigUint::from_limbs(std::vector<std::uint64_t>{0, 0}).is_zero());
+  EXPECT_TRUE(BigUint{}.limbs().empty());
+  BigUint x{5};
+  x += x;  // adding a value to itself doubles it
+  EXPECT_EQ(x, BigUint{10});
 }
 
 TEST(BigUint, StreamOperatorPrintsDecimal) {

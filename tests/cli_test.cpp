@@ -89,6 +89,19 @@ TEST(Cli, RunThenVerifyRoundTrip) {
   std::remove(trace_file.c_str());
 }
 
+TEST(Cli, VerifyRejectsAMalformedTraceWithExitTwo) {
+  // A malformed trace is a usage error (2), not a trace that fails to
+  // verify (1); the error names the line.
+  const std::string trace_file = ::testing::TempDir() + "/cli_bad_trace.txt";
+  std::string out;
+  for (const char* line : {"0 0 t send tr 0 junk", "0 0 r internal -1 idle_r"}) {
+    std::ofstream{trace_file} << "# rstp timed trace, 1 events\n" << line << "\n";
+    EXPECT_EQ(run_command("verify 1 2 4 " + trace_file + " 0", &out), 2) << line << "\n" << out;
+    EXPECT_NE(out.find("on line 2"), std::string::npos) << out;
+  }
+  std::remove(trace_file.c_str());
+}
+
 TEST(Cli, ExploreVerifiesBetaAndRefutesStrawman) {
   std::string out;
   EXPECT_EQ(run_command("explore beta 2 3 0100", &out), 0);
@@ -321,11 +334,31 @@ TEST(Cli, ReportOnMissingOrMalformedInputFails) {
   std::string out;
   EXPECT_EQ(run_command("report /nonexistent/metrics.jsonl", &out), 1);
   EXPECT_NE(out.find("cannot open"), std::string::npos) << out;
+  // Malformed input is a usage error (exit 2), as in the two-file form.
   const std::string bad = ::testing::TempDir() + "/cli_bad.jsonl";
   std::ofstream{bad} << "this is not json\n";
-  EXPECT_EQ(run_command("report " + bad, &out), 1);
-  EXPECT_NE(out.find("error:"), std::string::npos) << out;
+  EXPECT_EQ(run_command("report " + bad, &out), 2);
+  EXPECT_NE(out.find("line 1"), std::string::npos) << out;
   std::remove(bad.c_str());
+}
+
+TEST(Cli, ReportRejectsABrokenHistogramWithExitTwo) {
+  // The golden campaign baseline with "max" renamed in its first histogram:
+  // max reads as 0 < min, which must be a structured parse error naming the
+  // line in both report forms, not a contract violation (exit 1).
+  const std::string golden = tests_file("golden/campaign_baseline.jsonl");
+  std::string text = read_file(golden);
+  text.replace(text.find("\"max\""), 5, "\"m01ax\"");
+  const std::string mutant = ::testing::TempDir() + "/cli_m01ax.jsonl";
+  std::ofstream{mutant} << text;
+  std::string out;
+  EXPECT_EQ(run_command("report " + mutant, &out), 2);
+  EXPECT_NE(out.find("line 1: histogram data_delay: min 6 exceeds max 0"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("ContractViolation"), std::string::npos) << out;
+  EXPECT_EQ(run_command("report " + golden + " " + mutant, &out), 2);
+  EXPECT_NE(out.find("line 1"), std::string::npos) << out;
+  std::remove(mutant.c_str());
 }
 
 TEST(Cli, ModelErrorsSurfaceCleanly) {

@@ -211,6 +211,71 @@ TEST(MultisetCodec, FastPathsAgreeWithReferenceExhaustiveSmall) {
   }
 }
 
+TEST(MultisetCodec, FastPathsAgreeWithReferenceWideTables) {
+  // Points whose table entries take W >= 3 words: the randomized case above
+  // stops at W = 2. (1000, 32) also makes unrank gallop over long jumps.
+  Rng rng{0x01DE'7AB1};
+  for (const auto& [k, n] : {std::pair<std::uint32_t, std::uint32_t>{64, 256}, {200, 64},
+                             {1000, 32}}) {
+    const MultisetCodec codec{k, n};
+    ASSERT_GT(codec.count().bit_length(), 128u) << "k=" << k << " n=" << n;
+    const std::size_t words = (codec.count().bit_length() + 63) / 64;
+    std::vector<BigUint> ranks{BigUint{}, codec.count() - BigUint{1}};
+    for (int i = 0; i < 40; ++i) {
+      BigUint r;
+      for (std::size_t w = 0; w < words; ++w) r = (r << 64) + BigUint{rng.next_u64()};
+      ranks.push_back(r % codec.count());
+    }
+    for (const BigUint& r : ranks) {
+      const Multiset m = codec.unrank(r);
+      ASSERT_EQ(m, codec.unrank_reference(r)) << "k=" << k << " n=" << n << " r=" << r;
+      ASSERT_EQ(codec.rank(m), r) << "k=" << k << " n=" << n;
+      ASSERT_EQ(codec.rank_reference(m), r) << "k=" << k << " n=" << n;
+    }
+  }
+}
+
+TEST(MultisetCodec, TablesOutliveTheirLastCodec) {
+  // The intern cache holds its tables strongly: a later codec for the same
+  // (k, n) reuses them after every earlier codec is gone.
+  const BigUint* first = nullptr;
+  {
+    const MultisetCodec codec{24, 40};
+    first = &codec.count();
+  }
+  // Another point built in between: had the first tables been freed, the
+  // allocator would hand their memory to this one.
+  const MultisetCodec other{25, 40};
+  const MultisetCodec again{24, 40};
+  EXPECT_EQ(&again.count(), first);
+  EXPECT_NE(&other.count(), first);
+
+  // Past the byte budget the least recently used tables are evicted. A live
+  // codec keeps its own tables, and a rebuilt point codes exactly as before.
+  const MultisetCodec held{24, 40};
+  const Multiset probe = held.unrank(held.count() - BigUint{777});
+  // A (k, n) table holds at least 2·k·n words (mu and cum, W >= 1).
+  std::size_t built_bytes = 0;
+  for (std::uint32_t n = 40; built_bytes <= MultisetCodec::kTableCacheBytes; ++n) {
+    const MultisetCodec filler{200, n};
+    built_bytes += std::size_t{2} * 200 * n * sizeof(std::uint64_t);
+  }
+  EXPECT_EQ(held.rank(probe), held.count() - BigUint{777});
+  const MultisetCodec rebuilt{24, 40};
+  // Fresh tables: the old ones left the cache and live on only in `held`.
+  EXPECT_NE(&rebuilt.count(), &held.count());
+  EXPECT_EQ(rebuilt.count(), held.count());
+  EXPECT_EQ(rebuilt.unrank(rebuilt.count() - BigUint{777}), probe);
+  Rng rng{0xCAC4E};
+  for (int i = 0; i < 50; ++i) {
+    const BigUint r = BigUint{rng.next_u64()} % rebuilt.count();
+    const Multiset m = rebuilt.unrank(r);
+    EXPECT_EQ(m, held.unrank(r));
+    EXPECT_EQ(rebuilt.rank(m), r);
+    EXPECT_EQ(rebuilt.rank_reference(m), r);
+  }
+}
+
 /// Mean wall-clock ns per `op(i)` over `iterations` calls, minimum over 4
 /// repetitions: preemption only ever inflates a sample, so the min is the
 /// robust estimator on a busy machine.

@@ -20,6 +20,7 @@
 //
 //   rstp verify  <c1> <c2> <d> <tracefile> <bits>
 //       Check a saved trace against good(A) and the expected output.
+//       Exit 0 iff it verifies, 1 if it does not, 2 on a malformed trace.
 //
 //   rstp explore <protocol> <d> <k> <bits>
 //       Exhaustively verify all schedules (c1=c2=1) for a small instance;
@@ -103,8 +104,8 @@
 // Exit code 0 on success/verified; 1 on failure (a run that is incorrect or
 // does not verify, a replay that does not reproduce, an adversary below the
 // hand-coded floor, any other error); 2 on usage errors (including malformed
-// diff inputs, threshold specs, fuzz corpora and replay artifacts); 3 on a
-// tripped --fail-on gate.
+// traces, metrics files, threshold specs, fuzz corpora and replay
+// artifacts); 3 on a tripped --fail-on gate.
 #include <algorithm>
 #include <cstring>
 #include <iomanip>
@@ -469,7 +470,15 @@ int cmd_verify(int argc, char** argv) {
   const auto params = core::TimingParams::make(*c1, *c2, *d);
   std::ifstream in{argv[5]};
   if (!in) return cannot_open(argv[5]);
-  const ioa::TimedTrace trace = ioa::parse_trace(in);
+  // A malformed trace is a usage error (exit 2); exit 1 is reserved for a
+  // trace that parses but does not verify.
+  ioa::TimedTrace trace;
+  try {
+    trace = ioa::parse_trace(in);
+  } catch (const ModelError& e) {
+    std::cerr << "error in '" << argv[5] << "': " << e.what() << "\n";
+    return 2;
+  }
   std::vector<ioa::Bit> expected;
   for (const char c : std::string{argv[6]}) {
     if (c != '0' && c != '1') {
@@ -797,12 +806,18 @@ int cmd_report(int argc, char** argv) {
   if (files.size() == 2) {
     return cmd_report_diff(files[0], files[1], want_json, fail_on);
   }
-  // The single-file form keeps its original contract: render the table,
-  // exit 1 on unreadable or malformed input (via main's catch-all).
+  // The single-file form renders the table. Like the two-file form, it
+  // exits 2 on malformed input, naming the file and line.
   if (files.size() != 1 || want_json || !fail_on.empty()) return usage();
   std::ifstream in{files[0]};
   if (!in) return cannot_open(files[0]);
-  const std::vector<obs::RunMetricsRecord> records = obs::read_run_metrics_jsonl(in);
+  std::vector<obs::RunMetricsRecord> records;
+  try {
+    records = obs::read_run_metrics_jsonl(in);
+  } catch (const obs::JsonParseError& e) {
+    std::cerr << "error in '" << files[0] << "': " << e.what() << "\n";
+    return 2;
+  }
   obs::print_metrics_table(std::cout, records);
   return 0;
 }
