@@ -46,9 +46,12 @@ TransferResult Link::transfer(std::span<const std::uint8_t> payload) const {
   cfg.k = options_.k;
   cfg.input = bytes_to_bits(payload);
 
-  const core::ProtocolRun run = core::run_protocol(resolved_, cfg, options_.environment,
-                                                   /*record_trace=*/options_.verify,
-                                                   options_.max_events);
+  // The checker watches the run online, so no trace is recorded.
+  std::optional<core::TraceChecker> checker;
+  if (options_.verify) checker.emplace(options_.params, cfg.input);
+  const core::ProtocolRun run =
+      core::run_protocol(resolved_, cfg, options_.environment, /*record_trace=*/false,
+                         options_.max_events, checker ? &*checker : nullptr);
 
   TransferResult result;
   result.stats.protocol_used = resolved_;
@@ -62,11 +65,9 @@ TransferResult Link::transfer(std::span<const std::uint8_t> payload) const {
   result.stats.ticks_per_bit = core::effort_of(run, cfg.input.size()).effort;
 
   bool verified_ok = true;
-  if (options_.verify) {
-    const core::VerifyResult verdict =
-        core::verify_trace(run.result.trace, options_.params, cfg.input);
-    result.stats.verified = verdict.ok();
-    verified_ok = verdict.ok();
+  if (checker) {
+    verified_ok = checker->finish().ok();
+    result.stats.verified = verified_ok;
   }
 
   if (run.output_correct && run.result.quiescent) {

@@ -1,8 +1,6 @@
 #include "rstp/core/verify.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -16,35 +14,9 @@ using ioa::ActionKind;
 using ioa::Actor;
 using ioa::TimedEvent;
 
-void add_violation(VerifyResult& result, ViolationKind kind, std::uint64_t seq,
+void add_violation(std::vector<Violation>& violations, ViolationKind kind, std::uint64_t seq,
                    std::string detail) {
-  result.violations.push_back(Violation{kind, seq, std::move(detail)});
-}
-
-/// Checks the Σ(A_t, A_r) gap law for one process's local events.
-void check_step_gaps(VerifyResult& result, const std::vector<TimedEvent>& events,
-                     const TimingParams& params, const VerifyOptions& options,
-                     std::string_view who) {
-  if (events.empty()) return;
-  if (options.check_first_step && events.front().time > Time::zero() + params.c2) {
-    std::ostringstream os;
-    os << who << " first local event at " << events.front().time << " > c2=" << params.c2;
-    add_violation(result, ViolationKind::FirstStepTooLate, events.front().seq, os.str());
-  }
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    const Duration gap = events[i].time - events[i - 1].time;
-    if (gap < params.c1) {
-      std::ostringstream os;
-      os << who << " step gap " << gap << " < c1=" << params.c1 << " before event #"
-         << events[i].seq;
-      add_violation(result, ViolationKind::StepGapTooSmall, events[i].seq, os.str());
-    } else if (gap > params.c2) {
-      std::ostringstream os;
-      os << who << " step gap " << gap << " > c2=" << params.c2 << " before event #"
-         << events[i].seq;
-      add_violation(result, ViolationKind::StepGapTooLarge, events[i].seq, os.str());
-    }
-  }
+  violations.push_back(Violation{kind, seq, std::move(detail)});
 }
 
 }  // namespace
@@ -93,88 +65,133 @@ std::ostream& operator<<(std::ostream& os, const VerifyResult& r) {
   return os;
 }
 
+TraceChecker::TraceChecker(const TimingParams& params, std::span<const ioa::Bit> input,
+                           const VerifyOptions& options)
+    : params_(params),
+      input_(input),
+      options_(options),
+      transmitter_{options.transmitter_params.value_or(params), "A_t", {}, {}},
+      receiver_{options.receiver_params.value_or(params), "A_r", {}, {}} {
+  params_.validate();
+}
+
+void TraceChecker::check_step(Process& process, const TimedEvent& e) {
+  // --- Σ(A_t, A_r): per-process step-gap law --------------------------------
+  const TimingParams& law = process.params;
+  if (!process.last_step.has_value()) {
+    if (options_.check_first_step && e.time > Time::zero() + law.c2) {
+      std::ostringstream os;
+      os << process.who << " first local event at " << e.time << " > c2=" << law.c2;
+      add_violation(process.violations, ViolationKind::FirstStepTooLate, e.seq, os.str());
+    }
+  } else {
+    const Duration gap = e.time - *process.last_step;
+    if (gap < law.c1) {
+      std::ostringstream os;
+      os << process.who << " step gap " << gap << " < c1=" << law.c1 << " before event #"
+         << e.seq;
+      add_violation(process.violations, ViolationKind::StepGapTooSmall, e.seq, os.str());
+    } else if (gap > law.c2) {
+      std::ostringstream os;
+      os << process.who << " step gap " << gap << " > c2=" << law.c2 << " before event #"
+         << e.seq;
+      add_violation(process.violations, ViolationKind::StepGapTooLarge, e.seq, os.str());
+    }
+  }
+  process.last_step = e.time;
+}
+
+void TraceChecker::add(const TimedEvent& e) {
+  if (started_) {
+    RSTP_CHECK_LE(last_time_, e.time, "trace times must be non-decreasing");
+    RSTP_CHECK_LT(last_seq_, e.seq, "trace seq numbers must increase");
+  }
+  started_ = true;
+  last_time_ = e.time;
+  last_seq_ = e.seq;
+
+  if (e.actor == Actor::Transmitter) {
+    check_step(transmitter_, e);
+  } else if (e.actor == Actor::Receiver) {
+    check_step(receiver_, e);
+  }
+
+  switch (e.action.kind) {
+    case ActionKind::Send:
+      // --- Δ(C(P)): outstanding sends per packet, greedy earliest match ----
+      outstanding_[e.action.packet].push_back(PendingSend{e.time, e.seq});
+      break;
+    case ActionKind::Recv: {
+      const auto it = outstanding_.find(e.action.packet);
+      if (it == outstanding_.end() || it->second.empty()) {
+        std::ostringstream os;
+        os << "recv of " << e.action.packet << " at " << e.time
+           << " has no outstanding matching send";
+        add_violation(in_order_, ViolationKind::RecvWithoutSend, e.seq, os.str());
+        break;
+      }
+      const Time sent = it->second.front().time;
+      it->second.pop_front();
+      const Duration delay = e.time - sent;
+      if (delay > params_.d) {
+        std::ostringstream os;
+        os << e.action.packet << " sent " << sent << " received " << e.time << " (delay "
+           << delay << " > d=" << params_.d << ")";
+        add_violation(in_order_, ViolationKind::DeliveryTooLate, e.seq, os.str());
+      } else if (delay < options_.min_delay) {
+        std::ostringstream os;
+        os << e.action.packet << " sent " << sent << " received " << e.time << " (delay "
+           << delay << " < d1=" << options_.min_delay << ")";
+        add_violation(in_order_, ViolationKind::DeliveryTooEarly, e.seq, os.str());
+      }
+      break;
+    }
+    case ActionKind::Write: {
+      // --- Safety: Y must stay a prefix of X ---------------------------------
+      if (written_ >= input_.size() || input_[written_] != e.action.message) {
+        std::ostringstream os;
+        os << "write #" << written_ + 1 << " value " << static_cast<int>(e.action.message)
+           << " breaks the prefix property";
+        add_violation(in_order_, ViolationKind::OutputNotPrefix, e.seq, os.str());
+      }
+      ++written_;
+      break;
+    }
+    case ActionKind::Internal:
+      break;
+  }
+}
+
+VerifyResult TraceChecker::finish() const {
+  VerifyResult result;
+  std::vector<Violation>& out = result.violations;
+  out.insert(out.end(), transmitter_.violations.begin(), transmitter_.violations.end());
+  out.insert(out.end(), receiver_.violations.begin(), receiver_.violations.end());
+  out.insert(out.end(), in_order_.begin(), in_order_.end());
+
+  if (options_.require_drained) {
+    for (const auto& [packet, sends] : outstanding_) {
+      for (const PendingSend& send : sends) {
+        std::ostringstream os;
+        os << packet << " sent at " << send.time << " was never delivered";
+        add_violation(out, ViolationKind::UndeliveredPacket, send.seq, os.str());
+      }
+    }
+  }
+
+  if (options_.require_complete && written_ != input_.size()) {
+    std::ostringstream os;
+    os << "output has " << written_ << " messages, input has " << input_.size();
+    add_violation(out, ViolationKind::OutputIncomplete, 0, os.str());
+  }
+  return result;
+}
+
 VerifyResult verify_trace(const ioa::TimedTrace& trace, const TimingParams& params,
                           std::span<const ioa::Bit> input, const VerifyOptions& options) {
-  params.validate();
-  VerifyResult result;
-
-  // --- Σ(A_t, A_r): per-process step-gap law --------------------------------
-  const TimingParams& t_params = options.transmitter_params.value_or(params);
-  const TimingParams& r_params = options.receiver_params.value_or(params);
-  check_step_gaps(result, trace.local_events(Actor::Transmitter), t_params, options, "A_t");
-  check_step_gaps(result, trace.local_events(Actor::Receiver), r_params, options, "A_r");
-
-  // --- Δ(C(P)): bounded-delay bijection -------------------------------------
-  // Outstanding sends per packet value, in send order; greedy earliest match.
-  std::map<std::pair<std::uint8_t, std::uint32_t>, std::deque<TimedEvent>> outstanding;
-  const auto key_of = [](const ioa::Packet& p) {
-    return std::make_pair(static_cast<std::uint8_t>(p.direction), p.payload);
-  };
-  std::size_t written_count = 0;
-
-  for (const TimedEvent& e : trace.events()) {
-    switch (e.action.kind) {
-      case ActionKind::Send:
-        outstanding[key_of(e.action.packet)].push_back(e);
-        break;
-      case ActionKind::Recv: {
-        auto it = outstanding.find(key_of(e.action.packet));
-        if (it == outstanding.end() || it->second.empty()) {
-          std::ostringstream os;
-          os << "recv of " << e.action.packet << " at " << e.time
-             << " has no outstanding matching send";
-          add_violation(result, ViolationKind::RecvWithoutSend, e.seq, os.str());
-          break;
-        }
-        const TimedEvent send = it->second.front();
-        it->second.pop_front();
-        const Duration delay = e.time - send.time;
-        if (delay > params.d) {
-          std::ostringstream os;
-          os << e.action.packet << " sent " << send.time << " received " << e.time << " (delay "
-             << delay << " > d=" << params.d << ")";
-          add_violation(result, ViolationKind::DeliveryTooLate, e.seq, os.str());
-        } else if (delay < options.min_delay) {
-          std::ostringstream os;
-          os << e.action.packet << " sent " << send.time << " received " << e.time << " (delay "
-             << delay << " < d1=" << options.min_delay << ")";
-          add_violation(result, ViolationKind::DeliveryTooEarly, e.seq, os.str());
-        }
-        break;
-      }
-      case ActionKind::Write: {
-        // --- Safety: Y must stay a prefix of X -------------------------------
-        if (written_count >= input.size() || input[written_count] != e.action.message) {
-          std::ostringstream os;
-          os << "write #" << written_count + 1 << " value "
-             << static_cast<int>(e.action.message) << " breaks the prefix property";
-          add_violation(result, ViolationKind::OutputNotPrefix, e.seq, os.str());
-        }
-        ++written_count;
-        break;
-      }
-      case ActionKind::Internal:
-        break;
-    }
-  }
-
-  if (options.require_drained) {
-    for (const auto& [key, sends] : outstanding) {
-      for (const TimedEvent& send : sends) {
-        std::ostringstream os;
-        os << send.action.packet << " sent at " << send.time << " was never delivered";
-        add_violation(result, ViolationKind::UndeliveredPacket, send.seq, os.str());
-      }
-    }
-  }
-
-  if (options.require_complete && written_count != input.size()) {
-    std::ostringstream os;
-    os << "output has " << written_count << " messages, input has " << input.size();
-    add_violation(result, ViolationKind::OutputIncomplete, 0, os.str());
-  }
-
-  return result;
+  TraceChecker checker{params, input, options};
+  for (const TimedEvent& e : trace.events()) checker.add(e);
+  return checker.finish();
 }
 
 std::ostream& operator<<(std::ostream& os, const FaultVerifyReport& r) {

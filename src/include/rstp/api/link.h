@@ -33,8 +33,9 @@ struct LinkOptions {
   std::uint32_t k = 16;  ///< packet alphabet size
   LinkProtocol protocol = LinkProtocol::Auto;
   core::Environment environment = core::Environment::worst_case();
-  /// Record the timed trace and run the good(A) verifier on it. Costs memory
-  /// proportional to the execution; off by default for large transfers.
+  /// Run the good(A) verifier (core::TraceChecker) on the execution as it
+  /// happens; no trace is recorded. Its memory grows with the packets in
+  /// flight, not with the execution.
   bool verify = false;
   std::uint64_t max_events = 100'000'000;
 };

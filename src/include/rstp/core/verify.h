@@ -1,11 +1,10 @@
 // Trace verifier: decides membership in good(A) and checks the problem's
 // correctness conditions (paper §4).
 //
-// Given a recorded timed execution, the verifier independently re-checks
-// everything the simulator is supposed to guarantee — it shares no state
-// with the simulator, so it doubles as an oracle in property tests and as a
-// validator for traces produced by other means (e.g. the explorer or
-// hand-written negative tests):
+// The verifier independently re-checks everything the simulator is supposed
+// to guarantee — it shares no state with the simulator, so it doubles as an
+// oracle in property tests and as a validator for traces produced by other
+// means (e.g. the explorer or hand-written negative tests):
 //
 //   Σ(A_t, A_r): for each process, the gap between consecutive local events
 //                lies in [c1, c2] (and optionally the first step is ≤ c2).
@@ -17,18 +16,28 @@
 //   Safety:      Y is a prefix of X at every point of the execution.
 //   Liveness:    Y = X at the end (when `require_complete`), and no packet
 //                is left undelivered (when `require_drained`).
+//
+// Every check needs only the events in execution order plus state that
+// grows with the packets in flight, so there is one implementation,
+// TraceChecker, fed one event at a time. It is fed online by arming it as a
+// run's sim::SimObserver (no trace is recorded; api::Link verifies this
+// way), or from a recorded trace by verify_trace.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rstp/core/params.h"
 #include "rstp/fault/fault.h"
 #include "rstp/ioa/trace.h"
+#include "rstp/sim/observer.h"
 
 namespace rstp::core {
 
@@ -50,6 +59,8 @@ struct Violation {
   ViolationKind kind{};
   std::uint64_t event_seq = 0;  ///< seq of the offending event (0 if global)
   std::string detail;
+
+  friend bool operator==(const Violation&, const Violation&) = default;
 };
 
 std::ostream& operator<<(std::ostream& os, const Violation& v);
@@ -76,7 +87,66 @@ struct VerifyResult {
 
 std::ostream& operator<<(std::ostream& os, const VerifyResult& r);
 
-/// Verifies `trace` against the model `params` and the input sequence X.
+/// The verifier, fed one event at a time in execution order. Its state is
+/// per process the time of the last local event, per (direction, payload)
+/// the FIFO of unmatched sends, and the number of writes so far, so its
+/// memory grows with the packets in flight, not with the execution.
+///
+/// Also a sim::SimObserver: arm it as a run's observer (SimConfig::observer,
+/// or run_protocol's `observer`) to verify the run without recording it.
+class TraceChecker final : public sim::SimObserver {
+ public:
+  /// Checks against the model `params` and the input sequence X. `input` is
+  /// not copied and must outlive the checker. Throws rstp::ContractViolation
+  /// on invalid `params`.
+  TraceChecker(const TimingParams& params, std::span<const ioa::Bit> input,
+               const VerifyOptions& options = {});
+
+  /// Checks the next event. As TimedTrace::append, times must be
+  /// non-decreasing and seq strictly increasing (rstp::ContractViolation
+  /// otherwise).
+  void add(const ioa::TimedEvent& event);
+
+  void on_event(const ioa::TimedEvent& event) override { add(event); }
+
+  /// The verdict on the events added so far. Violations come in a fixed
+  /// order: A_t's step-gap law, A_r's, then the bijection and prefix
+  /// violations in event order, then the undelivered sends (by packet, then
+  /// in send order), then the incomplete output.
+  [[nodiscard]] VerifyResult finish() const;
+
+ private:
+  /// One process's Σ(A_t, A_r) state and its gap-law violations.
+  struct Process {
+    TimingParams params;
+    std::string_view who;
+    std::optional<Time> last_step;
+    std::vector<Violation> violations;
+  };
+  /// An unmatched send.
+  struct PendingSend {
+    Time time;
+    std::uint64_t seq = 0;
+  };
+
+  void check_step(Process& process, const ioa::TimedEvent& e);
+
+  TimingParams params_;
+  std::span<const ioa::Bit> input_;
+  VerifyOptions options_;
+  Process transmitter_;
+  Process receiver_;
+  std::map<ioa::Packet, std::deque<PendingSend>> outstanding_;
+  std::vector<Violation> in_order_;  ///< bijection and prefix violations
+  std::size_t written_ = 0;
+  // The previous event's time and seq, for the append-order check.
+  bool started_ = false;
+  Time last_time_{};
+  std::uint64_t last_seq_ = 0;
+};
+
+/// Verifies `trace` against the model `params` and the input sequence X:
+/// feeds every event to a TraceChecker and returns its verdict.
 [[nodiscard]] VerifyResult verify_trace(const ioa::TimedTrace& trace, const TimingParams& params,
                                         std::span<const ioa::Bit> input,
                                         const VerifyOptions& options = {});

@@ -70,9 +70,6 @@ class TimedTrace {
   /// Number of send events by the given process.
   [[nodiscard]] std::size_t send_count(ProcessId sender) const;
 
-  /// All events whose action is local to `actor`, in execution order.
-  [[nodiscard]] std::vector<TimedEvent> local_events(Actor actor) const;
-
   /// beh(α) (paper §2.1): the external actions only — send/recv/write
   /// events, with internal steps removed.
   [[nodiscard]] std::vector<TimedEvent> behavior() const;

@@ -60,8 +60,10 @@ struct RunMetricsRecord {
 void write_run_metrics_jsonl(std::ostream& os, const RunMetricsRecord& record);
 
 /// Reads every line of a JSONL stream written by write_run_metrics_jsonl.
-/// Blank lines are skipped; malformed lines or a wrong schema tag throw
-/// JsonParseError naming the offending line number.
+/// Blank lines are skipped; malformed lines, a wrong schema tag or a key
+/// the writer never emits (at the top level or in counters, est, hist or a
+/// histogram) throw JsonParseError naming the offending line number. Keys a
+/// record lacks read as their defaults, so older baselines still parse.
 [[nodiscard]] std::vector<RunMetricsRecord> read_run_metrics_jsonl(std::istream& is);
 
 /// Renders records as a fixed-width table (one row per run) followed by a

@@ -60,16 +60,6 @@ std::size_t TimedTrace::send_count(ProcessId sender) const {
   return count;
 }
 
-std::vector<TimedEvent> TimedTrace::local_events(Actor actor) const {
-  std::vector<TimedEvent> result;
-  for (const TimedEvent& e : events_) {
-    if (e.actor == actor) {
-      result.push_back(e);
-    }
-  }
-  return result;
-}
-
 std::vector<TimedEvent> TimedTrace::behavior() const {
   std::vector<TimedEvent> result;
   for (const TimedEvent& e : events_) {

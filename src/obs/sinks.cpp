@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
+#include <initializer_list>
 #include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "rstp/common/check.h"
 #include "rstp/obs/json.h"
@@ -31,6 +33,18 @@ void write_histogram(std::ostream& os, const Histogram& h) {
     os << h.bucket(i);
   }
   os << "]}";
+}
+
+/// Throws a JsonParseError naming the first key of `object` that is not in
+/// `known`. The reader keeps no field it does not know, so accepting one
+/// would let a baseline silently lose it.
+void reject_unknown_keys(const JsonValue& object, std::initializer_list<std::string_view> known,
+                         std::string_view where) {
+  for (const auto& [key, value] : object.members) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw JsonParseError(std::string{where} + ": unknown key " + json_quote(key));
+    }
+  }
 }
 
 /// The histogram under `name` in a record's "hist" object. Checks every
@@ -71,6 +85,11 @@ Histogram parse_histogram(const JsonValue& hist, const std::string& name) {
   if (count > 0 && min > max) {
     throw invalid("min " + std::to_string(min) + " exceeds max " + std::to_string(max));
   }
+  // The percentiles are written for readers of the file; from_parts
+  // recomputes them from the buckets.
+  reject_unknown_keys(*v,
+                      {"lo", "width", "count", "sum", "min", "max", "p50", "p95", "p99", "buckets"},
+                      "histogram " + name);
   return Histogram::from_parts(v->i64_or("lo", 0), width, std::move(counts), count,
                                v->i64_or("sum", 0), min, max);
 }
@@ -97,6 +116,12 @@ RunCounters parse_counters(const JsonValue& line) {
   c.protocol.acks_sent = v->u64_or("acks_sent", 0);
   c.protocol.acks_observed = v->u64_or("acks_observed", 0);
   c.protocol.retransmissions = v->u64_or("retransmissions", 0);
+  reject_unknown_keys(*v,
+                      {"events", "data_sends", "ack_sends", "data_recvs", "ack_recvs", "dropped",
+                       "writes", "transmitter_steps", "receiver_steps",
+                       "transmitter_internal_steps", "receiver_internal_steps", "blocks_encoded",
+                       "blocks_decoded", "acks_sent", "acks_observed", "retransmissions"},
+                      "counters");
   return c;
 }
 
@@ -179,6 +204,8 @@ std::vector<RunMetricsRecord> read_run_metrics_jsonl(std::istream& is) {
         record.est.gap_samples = est->u64_or("gap_samples", 0);
         record.est.delay_samples = est->u64_or("delay_samples", 0);
         record.est.resizes = est->u64_or("resizes", 0);
+        reject_unknown_keys(
+            *est, {"c1_hat", "c2_hat", "d_hat", "gap_samples", "delay_samples", "resizes"}, "est");
       }
       // Multiplexed-run fields, absent before the megasession engine.
       record.sessions = doc.u64_or("sessions", 0);
@@ -193,7 +220,15 @@ std::vector<RunMetricsRecord> read_run_metrics_jsonl(std::istream& is) {
         record.metrics.ack_delay = parse_histogram(*hist, "ack_delay");
         record.metrics.transmitter_gap = parse_histogram(*hist, "transmitter_gap");
         record.metrics.receiver_gap = parse_histogram(*hist, "receiver_gap");
+        reject_unknown_keys(*hist, {"data_delay", "ack_delay", "transmitter_gap", "receiver_gap"},
+                            "hist");
       }
+      reject_unknown_keys(doc,
+                          {"schema", "protocol", "c1", "c2", "d", "k", "input_bits", "seed",
+                           "effort", "gap_ratio", "est_penalty", "est", "sessions",
+                           "events_per_sec", "end_time", "correct", "quiescent", "counters",
+                           "hist"},
+                          "record");
       out.push_back(std::move(record));
     } catch (const JsonParseError& e) {
       throw JsonParseError("line " + std::to_string(line_number) + ": " + e.what());

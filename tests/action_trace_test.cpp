@@ -121,14 +121,11 @@ TEST(TimedTrace, ProcessViewContainsOwnStepsAndIncomingPackets) {
   EXPECT_EQ(t_view[1].action.packet.destination(), ProcessId::Transmitter);
 }
 
-TEST(TimedTrace, LocalEventsPartitionByActor) {
+TEST(TimedTrace, EndTimeIsTheLastEventsTime) {
   TimedTrace trace;
   trace.append({at_tick(0), Actor::Transmitter, Action::send(Packet::to_receiver(0)), 0});
   trace.append({at_tick(2), Actor::Channel, Action::recv(Packet::to_receiver(0)), 1});
   trace.append({at_tick(3), Actor::Receiver, Action::write(0), 2});
-  EXPECT_EQ(trace.local_events(Actor::Transmitter).size(), 1u);
-  EXPECT_EQ(trace.local_events(Actor::Receiver).size(), 1u);
-  EXPECT_EQ(trace.local_events(Actor::Channel).size(), 1u);
   EXPECT_EQ(trace.end_time(), at_tick(3));
   EXPECT_EQ(TimedTrace{}.end_time(), Time::zero());
 }

@@ -8,6 +8,7 @@
 #include "rstp/common/check.h"
 #include "rstp/common/rng.h"
 #include "rstp/core/bounds.h"
+#include "rstp/core/verify.h"
 
 namespace rstp::api {
 namespace {
@@ -141,6 +142,89 @@ TEST(Link, RandomizedEnvironmentsStayCorrect) {
     EXPECT_TRUE(result.ok) << "seed " << seed;
     EXPECT_TRUE(result.stats.verified) << "seed " << seed;
   }
+}
+
+/// Link::transfer's result computed by hand: the run with its trace
+/// recorded, then verify_trace on that trace.
+TransferResult transfer_by_recording(const Link& link, const LinkOptions& options,
+                                     std::span<const std::uint8_t> payload) {
+  protocols::ProtocolConfig cfg;
+  cfg.params = options.params;
+  cfg.k = options.k;
+  cfg.input = bytes_to_bits(payload);
+  const core::ProtocolRun run = core::run_protocol(link.resolved_protocol(), cfg,
+                                                   options.environment, /*record_trace=*/true,
+                                                   options.max_events);
+  TransferResult r;
+  r.stats.protocol_used = link.resolved_protocol();
+  r.stats.payload_bytes = payload.size();
+  r.stats.payload_bits = cfg.input.size();
+  r.stats.last_send = run.result.last_transmitter_send;
+  r.stats.completion = run.result.end_time;
+  r.stats.ticks_per_bit = core::effort_of(run, cfg.input.size()).effort;
+  r.stats.data_packets = run.result.transmitter_sends;
+  r.stats.ack_packets = run.result.receiver_sends;
+  r.stats.events = run.result.event_count;
+  r.stats.verified = core::verify_trace(run.result.trace, options.params, cfg.input).ok();
+  const bool delivered = run.output_correct && run.result.quiescent;
+  if (delivered) r.received = bits_to_bytes(run.result.output);
+  r.ok = delivered && r.stats.verified;
+  return r;
+}
+
+void expect_same_transfer(const TransferResult& got, const TransferResult& want) {
+  EXPECT_EQ(got.received, want.received);
+  EXPECT_EQ(got.ok, want.ok);
+  EXPECT_EQ(got.stats.protocol_used, want.stats.protocol_used);
+  EXPECT_EQ(got.stats.payload_bytes, want.stats.payload_bytes);
+  EXPECT_EQ(got.stats.payload_bits, want.stats.payload_bits);
+  EXPECT_EQ(got.stats.last_send, want.stats.last_send);
+  EXPECT_EQ(got.stats.completion, want.stats.completion);
+  EXPECT_EQ(got.stats.ticks_per_bit, want.stats.ticks_per_bit);
+  EXPECT_EQ(got.stats.data_packets, want.stats.data_packets);
+  EXPECT_EQ(got.stats.ack_packets, want.stats.ack_packets);
+  EXPECT_EQ(got.stats.events, want.stats.events);
+  EXPECT_EQ(got.stats.verified, want.stats.verified);
+}
+
+TEST(Link, OnlineVerifyEqualsRecordingTheTrace) {
+  // Link verifies without recording the trace; the result must be the one
+  // recording it and running verify_trace gives, field for field.
+  const auto payload = random_bytes(24, 7);
+  for (const auto p : {LinkProtocol::Auto, LinkProtocol::Alpha, LinkProtocol::Beta,
+                       LinkProtocol::Gamma, LinkProtocol::AltBit}) {
+    for (const core::Environment& env :
+         {core::Environment::worst_case(), core::Environment::randomized(3)}) {
+      LinkOptions options;
+      options.params = core::TimingParams::make(1, 2, 6);
+      options.k = 4;
+      options.protocol = p;
+      options.environment = env;
+      options.verify = true;
+      const Link link{options};
+      SCOPED_TRACE(::testing::Message() << "protocol " << static_cast<int>(p) << ", env seed "
+                                        << env.seed);
+      const TransferResult online = link.transfer(payload);
+      EXPECT_TRUE(online.ok);
+      EXPECT_TRUE(online.stats.verified);
+      expect_same_transfer(online, transfer_by_recording(link, options, payload));
+    }
+  }
+}
+
+TEST(Link, VerifyRejectsATransferCutShortByTheEventCap) {
+  LinkOptions options;
+  options.params = core::TimingParams::make(1, 2, 6);
+  options.k = 4;
+  options.verify = true;
+  options.max_events = 1;
+  const Link link{options};
+  const auto payload = random_bytes(8, 8);
+  const TransferResult result = link.transfer(payload);
+  EXPECT_FALSE(result.stats.verified);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.stats.events, 1u);
+  expect_same_transfer(result, transfer_by_recording(link, options, payload));
 }
 
 TEST(Link, InvalidOptionsRejected) {

@@ -291,5 +291,51 @@ TEST(RunMetricsParse, BrokenHistogramsAreParseErrorsNamingTheLine) {
   }
 }
 
+TEST(RunMetricsParse, UnknownKeysAreParseErrorsNamingTheLineAndTheKey) {
+  // A golden baseline's first record with one key renamed at each level: a
+  // reader that dropped the field would read it as its default.
+  struct Case {
+    const char* golden;
+    std::string key;
+    std::string renamed;
+    std::string where;
+  };
+  const Case cases[] = {
+      {"campaign_baseline.jsonl", "protocol", "protocl", "record"},
+      {"campaign_baseline.jsonl", "writes", "wriets", "counters"},
+      {"estimator_baseline.jsonl", "d_hat", "dhat", "est"},
+      {"campaign_baseline.jsonl", "ack_delay", "ack_dly", "hist"},
+      {"campaign_baseline.jsonl", "p95", "p96", "histogram data_delay"},
+  };
+  for (const Case& c : cases) {
+    const std::string text =
+        read_file(std::filesystem::path{RSTP_TESTS_DIR} / "golden" / c.golden);
+    std::string record = text.substr(0, text.find('\n'));
+    const std::size_t at = record.find("\"" + c.key + "\":");
+    ASSERT_NE(at, std::string::npos) << c.key;
+    record.replace(at + 1, c.key.size(), c.renamed);
+    std::istringstream in{record + "\n"};
+    try {
+      (void)obs::read_run_metrics_jsonl(in);
+      ADD_FAILURE() << "accepted " << c.renamed;
+    } catch (const obs::JsonParseError& e) {
+      const std::string want = "line 1: " + c.where + ": unknown key \"" + c.renamed + "\"";
+      EXPECT_NE(std::string{e.what()}.find(want), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(RunMetricsParse, EveryGoldenMetricsFileParses) {
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator{std::filesystem::path{RSTP_TESTS_DIR} / "golden"}) {
+    if (entry.path().extension() != ".jsonl") continue;
+    ++files;
+    std::istringstream in{read_file(entry.path())};
+    EXPECT_FALSE(obs::read_run_metrics_jsonl(in).empty()) << entry.path();
+  }
+  EXPECT_GT(files, 0u);
+}
+
 }  // namespace
 }  // namespace rstp::sim

@@ -342,6 +342,23 @@ TEST(Cli, ReportOnMissingOrMalformedInputFails) {
   std::remove(bad.c_str());
 }
 
+TEST(Cli, ReportRejectsAnUnknownKeyWithExitTwo) {
+  // The golden campaign baseline with its first "writes" counter misspelt:
+  // the reader would drop the field and read writes as 0, so it must reject
+  // the record, naming the line and the key, in both report forms.
+  const std::string golden = tests_file("golden/campaign_baseline.jsonl");
+  std::string text = read_file(golden);
+  text.replace(text.find("\"writes\""), 8, "\"wriets\"");
+  const std::string mutant = ::testing::TempDir() + "/cli_wriets.jsonl";
+  std::ofstream{mutant} << text;
+  std::string out;
+  EXPECT_EQ(run_command("report " + mutant, &out), 2);
+  EXPECT_NE(out.find("line 1: counters: unknown key \"wriets\""), std::string::npos) << out;
+  EXPECT_EQ(run_command("report " + golden + " " + mutant, &out), 2);
+  EXPECT_NE(out.find("line 1: counters: unknown key \"wriets\""), std::string::npos) << out;
+  std::remove(mutant.c_str());
+}
+
 TEST(Cli, ReportRejectsABrokenHistogramWithExitTwo) {
   // The golden campaign baseline with "max" renamed in its first histogram:
   // max reads as 0 < min, which must be a structured parse error naming the
