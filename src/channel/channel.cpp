@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "rstp/common/check.h"
-#include "rstp/obs/metrics.h"
 
 namespace rstp::channel {
 
@@ -96,9 +95,6 @@ std::optional<Time> Channel::next_delivery_time() const {
 }
 
 const std::vector<InFlightPacket>& Channel::collect_due(Time now) {
-  // Nests under the simulator's deliver phase (channel_push, its counterpart
-  // on the send side, nests under sim_step).
-  const obs::ScopedPhaseTimer timer{obs::Phase::ChannelPop};
   due_scratch_.clear();
   while (!in_flight_.empty() && in_flight_.front().deliver_at <= now) {
     std::pop_heap(in_flight_.begin(), in_flight_.end(), delivers_after);

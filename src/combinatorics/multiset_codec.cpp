@@ -9,7 +9,6 @@
 
 #include "rstp/combinatorics/binomial.h"
 #include "rstp/common/check.h"
-#include "rstp/obs/metrics.h"
 
 namespace rstp::combinatorics {
 
@@ -313,9 +312,6 @@ MultisetCodec::MultisetCodec(std::uint32_t k, std::uint32_t n) : k_(k), n_(n) {
 const BigUint& MultisetCodec::count() const { return tables_->count; }
 
 BigUint MultisetCodec::rank(const Multiset& m) const {
-  // Nests under proto_apply/proto_enabled when a protocol encodes mid-step,
-  // so --timing attributes sim-step time to the codec work it contains.
-  const obs::ScopedPhaseTimer timer{obs::Phase::CodecRank};
   RSTP_CHECK_EQ(m.universe(), k_, "multiset universe mismatch");
   RSTP_CHECK_EQ(m.size(), n_, "multiset size mismatch");
   const Rows rows{*tables_};
@@ -352,7 +348,6 @@ BigUint MultisetCodec::rank(const Multiset& m) const {
 }
 
 Multiset MultisetCodec::unrank(const BigUint& value) const {
-  const obs::ScopedPhaseTimer timer{obs::Phase::CodecUnrank};
   RSTP_CHECK(value < count(), "rank out of range for this codec");
   const Rows rows{*tables_};
   const std::size_t w = rows.w;

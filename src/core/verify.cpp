@@ -15,8 +15,8 @@ using ioa::Actor;
 using ioa::TimedEvent;
 
 void add_violation(std::vector<Violation>& violations, ViolationKind kind, std::uint64_t seq,
-                   std::string detail) {
-  violations.push_back(Violation{kind, seq, std::move(detail)});
+                   Time time, std::string detail) {
+  violations.push_back(Violation{kind, seq, std::move(detail), time});
 }
 
 }  // namespace
@@ -82,7 +82,7 @@ void TraceChecker::check_step(Process& process, const TimedEvent& e) {
     if (options_.check_first_step && e.time > Time::zero() + law.c2) {
       std::ostringstream os;
       os << process.who << " first local event at " << e.time << " > c2=" << law.c2;
-      add_violation(process.violations, ViolationKind::FirstStepTooLate, e.seq, os.str());
+      add_violation(process.violations, ViolationKind::FirstStepTooLate, e.seq, e.time, os.str());
     }
   } else {
     const Duration gap = e.time - *process.last_step;
@@ -90,12 +90,12 @@ void TraceChecker::check_step(Process& process, const TimedEvent& e) {
       std::ostringstream os;
       os << process.who << " step gap " << gap << " < c1=" << law.c1 << " before event #"
          << e.seq;
-      add_violation(process.violations, ViolationKind::StepGapTooSmall, e.seq, os.str());
+      add_violation(process.violations, ViolationKind::StepGapTooSmall, e.seq, e.time, os.str());
     } else if (gap > law.c2) {
       std::ostringstream os;
       os << process.who << " step gap " << gap << " > c2=" << law.c2 << " before event #"
          << e.seq;
-      add_violation(process.violations, ViolationKind::StepGapTooLarge, e.seq, os.str());
+      add_violation(process.violations, ViolationKind::StepGapTooLarge, e.seq, e.time, os.str());
     }
   }
   process.last_step = e.time;
@@ -127,7 +127,7 @@ void TraceChecker::add(const TimedEvent& e) {
         std::ostringstream os;
         os << "recv of " << e.action.packet << " at " << e.time
            << " has no outstanding matching send";
-        add_violation(in_order_, ViolationKind::RecvWithoutSend, e.seq, os.str());
+        add_violation(in_order_, ViolationKind::RecvWithoutSend, e.seq, e.time, os.str());
         break;
       }
       const Time sent = it->second.front().time;
@@ -137,12 +137,12 @@ void TraceChecker::add(const TimedEvent& e) {
         std::ostringstream os;
         os << e.action.packet << " sent " << sent << " received " << e.time << " (delay "
            << delay << " > d=" << params_.d << ")";
-        add_violation(in_order_, ViolationKind::DeliveryTooLate, e.seq, os.str());
+        add_violation(in_order_, ViolationKind::DeliveryTooLate, e.seq, e.time, os.str());
       } else if (delay < options_.min_delay) {
         std::ostringstream os;
         os << e.action.packet << " sent " << sent << " received " << e.time << " (delay "
            << delay << " < d1=" << options_.min_delay << ")";
-        add_violation(in_order_, ViolationKind::DeliveryTooEarly, e.seq, os.str());
+        add_violation(in_order_, ViolationKind::DeliveryTooEarly, e.seq, e.time, os.str());
       }
       break;
     }
@@ -152,7 +152,7 @@ void TraceChecker::add(const TimedEvent& e) {
         std::ostringstream os;
         os << "write #" << written_ + 1 << " value " << static_cast<int>(e.action.message)
            << " breaks the prefix property";
-        add_violation(in_order_, ViolationKind::OutputNotPrefix, e.seq, os.str());
+        add_violation(in_order_, ViolationKind::OutputNotPrefix, e.seq, e.time, os.str());
       }
       ++written_;
       break;
@@ -174,7 +174,7 @@ VerifyResult TraceChecker::finish() const {
       for (const PendingSend& send : sends) {
         std::ostringstream os;
         os << packet << " sent at " << send.time << " was never delivered";
-        add_violation(out, ViolationKind::UndeliveredPacket, send.seq, os.str());
+        add_violation(out, ViolationKind::UndeliveredPacket, send.seq, send.time, os.str());
       }
     }
   }
@@ -182,7 +182,7 @@ VerifyResult TraceChecker::finish() const {
   if (options_.require_complete && written_ != input_.size()) {
     std::ostringstream os;
     os << "output has " << written_ << " messages, input has " << input_.size();
-    add_violation(out, ViolationKind::OutputIncomplete, 0, os.str());
+    add_violation(out, ViolationKind::OutputIncomplete, 0, Time::zero(), os.str());
   }
   return result;
 }
@@ -206,35 +206,19 @@ std::ostream& operator<<(std::ostream& os, const FaultVerifyReport& r) {
   return os;
 }
 
-FaultVerifyReport verify_trace_with_faults(const ioa::TimedTrace& trace,
-                                           const TimingParams& params,
-                                           std::span<const ioa::Bit> input,
-                                           std::span<const fault::FaultEvent> faults,
-                                           const VerifyOptions& options) {
+FaultVerifyReport verify_with_faults(const TraceChecker& checker,
+                                     std::span<const fault::FaultEvent> faults) {
   FaultVerifyReport report;
-  report.raw = verify_trace(trace, params, input, options);
+  report.raw = checker.finish();
   if (report.raw.ok()) return report;
 
-  // A violation is excused by faults of the right kinds occurring at or
-  // before the violating event. Fault times are send instants, so a fault's
-  // downstream consequences (the recv, the wrong write) never precede it.
-  const auto fault_at_or_before = [&](Time when, auto&& kind_matches) {
-    for (const fault::FaultEvent& f : faults) {
-      if (f.at <= when && kind_matches(f.kind)) return true;
-    }
-    return false;
+  // A violation is excused by a fault at or before the violating event.
+  // Fault times are send instants, so a fault's downstream consequences (the
+  // recv, the wrong write) never precede it.
+  const auto fault_at_or_before = [&](Time when) {
+    return std::any_of(faults.begin(), faults.end(),
+                       [when](const fault::FaultEvent& f) { return f.at <= when; });
   };
-  // event_seq -> time of that event, by binary search (the trace appends
-  // with strictly increasing seq). seq 0 marks trace-global violations.
-  const std::vector<TimedEvent>& events = trace.events();
-  const auto time_of_seq = [&](std::uint64_t seq) -> std::optional<Time> {
-    const auto it = std::lower_bound(
-        events.begin(), events.end(), seq,
-        [](const TimedEvent& e, std::uint64_t s) { return e.seq < s; });
-    if (it == events.end() || it->seq != seq) return std::nullopt;
-    return it->time;
-  };
-
   for (const Violation& v : report.raw.violations) {
     bool excused = false;
     switch (v.kind) {
@@ -247,7 +231,7 @@ FaultVerifyReport verify_trace_with_faults(const ioa::TimedTrace& trace,
         break;
       case ViolationKind::DeliveryTooLate:
       case ViolationKind::RecvWithoutSend:
-      case ViolationKind::UndeliveredPacket: {
+      case ViolationKind::UndeliveredPacket:
         // Bijection-layer violations. Any fault kind can produce any of the
         // three: the verifier matches recvs greedily against the earliest
         // outstanding same-payload send, so a single drop (or corrupt, or
@@ -257,17 +241,11 @@ FaultVerifyReport verify_trace_with_faults(const ioa::TimedTrace& trace,
         // Attribution finer than "some fault happened first" would require
         // re-deriving the channel's true bijection, which the fault log does
         // not (and should not) pin down.
-        const std::optional<Time> when = time_of_seq(v.event_seq);
-        excused = when.has_value() &&
-                  fault_at_or_before(*when, [](fault::FaultKind) { return true; });
+      case ViolationKind::OutputNotPrefix:
+        // Safety under faults: a wrong write is excused only when the channel
+        // misbehaved first (property P6).
+        excused = fault_at_or_before(v.time);
         break;
-      }
-      case ViolationKind::OutputNotPrefix: {
-        const std::optional<Time> when = time_of_seq(v.event_seq);
-        excused = when.has_value() &&
-                  fault_at_or_before(*when, [](fault::FaultKind) { return true; });
-        break;
-      }
       case ViolationKind::OutputIncomplete:
         excused = !faults.empty();
         break;

@@ -50,8 +50,7 @@ double effort_ticks(const core::ProtocolRun& run) {
 EstimatedRun run_estimated(protocols::ProtocolKind kind, const protocols::ProtocolConfig& config,
                            const core::Environment& env, const core::DriftSpec& drift,
                            bool estimator_enabled, const EstimatorConfig& est_config,
-                           bool record_trace, std::uint64_t max_events,
-                           sim::SimObserver* observer) {
+                           sim::SimConfig sim_config) {
   protocols::ProtocolConfig local = config;
   std::shared_ptr<TimingEstimator> estimator;
   if (estimator_enabled) {
@@ -62,11 +61,8 @@ EstimatedRun run_estimated(protocols::ProtocolKind kind, const protocols::Protoc
         kind == protocols::ProtocolKind::Beta ? Discipline::TimedBlocks : Discipline::AckedBlocks,
         local.k, local.input, estimator);
   }
-  sim::ObserverTee tee{observer, estimator.get()};
-  sim::SimConfig sim_config;
+  sim::ObserverTee tee{sim_config.observer, estimator.get()};
   sim_config.params = local.params;
-  sim_config.record_trace = record_trace;
-  sim_config.max_events = max_events;
   sim_config.observer = tee.armed();
 
   // A drift spec replaces the environment's schedulers and policy outright,
@@ -103,11 +99,12 @@ PenaltyRun run_penalty_pair(protocols::ProtocolKind kind,
                             const core::Environment& env, const core::DriftSpec& drift,
                             const EstimatorConfig& est_config, std::uint64_t max_events) {
   PenaltyRun out;
-  out.oracle = run_estimated(kind, config, env, drift, /*estimator_enabled=*/false, est_config,
-                             /*record_trace=*/false, max_events)
-                   .run;
-  out.estimated = run_estimated(kind, config, env, drift, /*estimator_enabled=*/true, est_config,
-                                /*record_trace=*/false, max_events);
+  const sim::SimConfig headless{.max_events = max_events, .record_trace = false};
+  out.oracle =
+      run_estimated(kind, config, env, drift, /*estimator_enabled=*/false, est_config, headless)
+          .run;
+  out.estimated =
+      run_estimated(kind, config, env, drift, /*estimator_enabled=*/true, est_config, headless);
   out.est_penalty = fold_est_penalty(effort_ticks(out.oracle), effort_ticks(out.estimated.run));
   return out;
 }

@@ -109,13 +109,13 @@ std::ostream& operator<<(std::ostream& os, Time t);
 // Host wall-clock time (profiling only — never part of the model).
 //
 // Model time above is integral and bit-reproducible; host time is the other
-// domain: what the phase timers and the tracer's profiling spans are stamped
-// with. The default source is std::chrono::steady_clock. On x86-64 hosts
-// whose CPU advertises an invariant TSC, calibrate_host_clock() measures the
-// TSC rate against steady_clock once at startup and host_now_ns() then reads
-// the counter directly — roughly an order of magnitude cheaper per read than
-// a clock_gettime call, which is what pushes the phase-timer pair floor
-// below the documented ~265ns. Setting the environment variable RSTP_NO_TSC
+// domain: what obs::HostTimer (obs/host_timer.h) times layer calls with, and
+// what the tracer's host spans are stamped with. The default source is
+// std::chrono::steady_clock. On x86-64 hosts whose CPU advertises an
+// invariant TSC, calibrate_host_clock() measures the TSC rate against
+// steady_clock once at startup and host_now_ns() then reads the counter
+// directly — cheaper per read than a clock_gettime call, which lowers the
+// cost of every timed call. Setting the environment variable RSTP_NO_TSC
 // (to any value) forces the steady_clock fallback; so does a missing
 // invariant-TSC bit or a failed calibration.
 
@@ -126,8 +126,8 @@ enum class HostClockSource : std::uint8_t {
 
 /// Detects and calibrates the TSC once per process (idempotent, thread-safe).
 /// Until the first call host_now_ns() reads steady_clock; after it, the best
-/// available source. Callers that care about the phase-timer floor (e.g.
-/// set_phase_timing_enabled) invoke this; everyone else may stay oblivious.
+/// available source. Callers that care about the cost of a clock read (the
+/// HostTimer constructor) invoke this; everyone else may stay oblivious.
 void calibrate_host_clock();
 
 /// The source host_now_ns() currently reads.

@@ -59,6 +59,7 @@ struct Violation {
   ViolationKind kind{};
   std::uint64_t event_seq = 0;  ///< seq of the offending event (0 if global)
   std::string detail;
+  Time time{};  ///< time of the offending event (zero if global)
 
   friend bool operator==(const Violation&, const Violation&) = default;
 };
@@ -165,9 +166,10 @@ struct FaultVerifyReport {
 
 std::ostream& operator<<(std::ostream& os, const FaultVerifyReport& r);
 
-/// Runs verify_trace and then excuses exactly the violations the fault log
-/// explains (`faults` must be the channel's log for the same execution, in
-/// send order):
+/// Takes the checker's verdict and excuses exactly the violations the fault
+/// log explains, reading each violation's time from the verdict (`faults`
+/// must be the channel's log for the execution the checker was fed, in send
+/// order):
 ///
 ///   DeliveryTooLate, RecvWithoutSend, UndeliveredPacket
 ///                      ← any fault at or before the violating event. The
@@ -184,8 +186,7 @@ std::ostream& operator<<(std::ostream& os, const FaultVerifyReport& r);
 /// Step-gap violations (Σ(A_t, A_r)) and DeliveryTooEarly are never excused:
 /// no channel fault can produce them (sends are appended in trace order, so
 /// matched delays are never negative even under duplication).
-[[nodiscard]] FaultVerifyReport verify_trace_with_faults(
-    const ioa::TimedTrace& trace, const TimingParams& params, std::span<const ioa::Bit> input,
-    std::span<const fault::FaultEvent> faults, const VerifyOptions& options = {});
+[[nodiscard]] FaultVerifyReport verify_with_faults(const TraceChecker& checker,
+                                                   std::span<const fault::FaultEvent> faults);
 
 }  // namespace rstp::core

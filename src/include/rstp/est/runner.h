@@ -42,16 +42,16 @@ struct EstimatedRun {
 /// non-empty one substitutes DriftingSpecScheduler for both processes and
 /// DriftingDelayPolicy for the channel. With `estimator_enabled` A^β/A^γ read
 /// a live block plan (kind must be Beta or Gamma) and the run publishes
-/// its final gauges to the global metrics registry (est/* slots). `observer`
-/// (sim/observer.h; non-owning) watches the run alongside the estimator.
+/// its final gauges to the global metrics registry (est/* slots).
+/// `sim_config` carries the run's trace switch, event cap, observer and host
+/// timer; its params are replaced by `config.params`, and its observer
+/// watches the run alongside the estimator.
 [[nodiscard]] EstimatedRun run_estimated(protocols::ProtocolKind kind,
                                          const protocols::ProtocolConfig& config,
                                          const core::Environment& env,
                                          const core::DriftSpec& drift, bool estimator_enabled,
                                          const EstimatorConfig& est_config = EstimatorConfig{},
-                                         bool record_trace = true,
-                                         std::uint64_t max_events = 50'000'000,
-                                         sim::SimObserver* observer = nullptr);
+                                         sim::SimConfig sim_config = {.max_events = 50'000'000});
 
 /// The finite sentinel fold_est_penalty reports when the estimated run sent
 /// but the oracle never did: the ratio is degenerate (division by zero), and

@@ -4,7 +4,7 @@
 // every packet exactly once within d. This module produces the complement:
 // drops, bounded duplication, delivery after the deadline, and payload
 // corruption. Every injected fault is recorded as a structured FaultEvent so
-// downstream consumers (the simulator, core::verify_trace_with_faults, the
+// downstream consumers (the simulator, core::verify_with_faults, the
 // fuzzer) can distinguish "the model was violated, and here is where" from
 // "the protocol is buggy":
 //

@@ -138,6 +138,11 @@ class ThresholdParseError : public std::runtime_error {
 /// malformed clause.
 [[nodiscard]] std::vector<Threshold> parse_thresholds(std::string_view spec);
 
+/// The canonical spelling of one clause — quantity, '>' or ">=", the limit's
+/// shortest round-trip form, '%' when relative — which parse_thresholds
+/// reads back to the same quantity, comparison, limit and unit.
+[[nodiscard]] std::string to_string(const Threshold& threshold);
+
 struct ThresholdViolation {
   Threshold threshold;
   QuantityDelta quantity;  ///< the aggregate that tripped

@@ -1,25 +1,23 @@
-// rstp::obs — the always-cheap instrumentation layer (metrics registry,
-// fixed-bucket histograms, scoped phase timers).
+// rstp::obs — the always-cheap instrumentation layer (metrics registry and
+// fixed-bucket histograms).
 //
 // Design constraints, in order:
 //   1. Deterministic merges. Campaign workers record concurrently; every
 //      shard-merged quantity must be bitwise identical across thread counts.
 //      All shard state is integral (counter sums and gauge maxima are
 //      order-independent folds), so the merged snapshot is reproducible no
-//      matter how the OS interleaved the recording threads. Wall-clock phase
-//      timers are the one observational (non-reproducible) quantity; they are
-//      kept out of RunMetrics and CampaignResult for exactly that reason.
+//      matter how the OS interleaved the recording threads. Host wall-clock
+//      time is the one non-reproducible quantity; it never enters the
+//      registry, RunMetrics or CampaignResult, and is measured only on
+//      request by obs::HostTimer (obs/host_timer.h).
 //   2. No contention on the hot path. Each recording thread owns a private
-//      shard (2 KiB, registered once under a mutex); add() is a thread-local
+//      shard (4 KiB, registered once under a mutex); add() is a thread-local
 //      lookup plus a relaxed atomic increment — no shared cache line is
 //      written by two threads.
-//   3. Branch-cheap when idle. Phase timers are gated on one relaxed atomic
-//      bool; with timing disabled (the default) an instrumented hot path
-//      pays a single predictable branch and never reads the clock.
 //
 // Naming scheme (docs/OBSERVABILITY.md): lowercase path segments separated
 // by '/', "<subsystem>/<quantity>[/<unit>]" — e.g. "campaign/jobs",
-// "phase/codec_rank/ns". Registering the same name twice returns the same id.
+// "est/c1_hat". Registering the same name twice returns the same id.
 #pragma once
 
 #include <algorithm>
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "rstp/common/check.h"
-#include "rstp/common/time.h"
 
 namespace rstp::obs {
 
@@ -144,9 +141,8 @@ class MetricsRegistry {
  public:
   using MetricId = std::size_t;
 
-  /// Per-shard slot capacity; registering more metrics than this throws.
-  /// Sized for the flat phase totals plus the realized parent/child edge
-  /// counters of the nested timers with ample headroom (4 KiB per shard).
+  /// Per-shard slot capacity; registering more metrics than this throws
+  /// (4 KiB per shard).
   static constexpr std::size_t kMaxMetrics = 512;
 
   MetricsRegistry();
@@ -179,12 +175,6 @@ class MetricsRegistry {
   /// Merged value of one metric.
   [[nodiscard]] std::uint64_t value(MetricId id) const;
 
-  /// This thread's raw slot array (kMaxMetrics relaxed atomics, indexed by
-  /// MetricId). Implementation detail for the phase-timer exit path, which
-  /// batches several increments through a single thread-local lookup; all
-  /// other callers should use add()/gauge_max().
-  [[nodiscard]] std::atomic<std::uint64_t>* thread_slots();
-
   /// Zeroes every shard slot (the metric names stay registered).
   void reset();
 
@@ -199,133 +189,8 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-/// The process-wide registry used by the built-in instrumentation (phase
-/// timers, campaign counters). Lives until process exit.
+/// The process-wide registry used by the built-in instrumentation (campaign
+/// and estimator counters). Lives until process exit.
 [[nodiscard]] MetricsRegistry& global_registry();
-
-// ---------------------------------------------------------------------------
-// Scoped wall-clock phase timers for the simulation hot paths.
-//
-// Timers nest: each recording thread keeps a stack of active phases, and a
-// timer's elapsed time is recorded twice — once under its own flat
-// "phase/<name>/{calls,ns}" totals (the original four-phase layout is a
-// strict subset of these), and once under the parent/child edge
-// "phase/<parent>/<child>/{calls,ns}" for the innermost enclosing phase, if
-// any. The edge counters are what lets `rstp run --timing` render a
-// flamegraph-style breakdown (sim step → protocol apply → codec rank) and
-// the diff gate localize which phase regressed.
-
-enum class Phase : std::uint8_t {
-  CodecRank = 0,   ///< MultisetCodec::rank
-  CodecUnrank,     ///< MultisetCodec::unrank
-  ChannelPop,      ///< Channel::collect_due
-  SimStep,         ///< Simulator::take_process_step (incl. scheduler gap)
-  ProtoEnabled,    ///< automaton enabled_local() inside a sim step
-  ProtoApply,      ///< automaton apply() of a locally chosen action
-  ProtoRecv,       ///< automaton apply() of a delivered packet
-  SchedGap,        ///< StepScheduler gap validation
-  RecordEvent,     ///< event bookkeeping (counters, optional trace append)
-  Deliver,         ///< Simulator::deliver_due (channel pop + recv applies)
-  ChannelPush,     ///< Channel::send (delivery policy + heap push)
-  StepAccount,     ///< per-step/per-delivery counter + histogram bookkeeping
-};
-inline constexpr std::size_t kPhaseCount = 12;
-
-[[nodiscard]] std::string_view to_string(Phase phase);
-
-/// Phase timing is off by default: instrumented code pays one relaxed atomic
-/// load and never touches the clock. Enable around a region of interest
-/// (e.g. `rstp run --timing`). Enabling also calibrates the host clock
-/// (common/time.h), so timestamps come from the TSC when the CPU supports it.
-void set_phase_timing_enabled(bool enabled);
-[[nodiscard]] bool phase_timing_enabled();
-
-/// Measures the cost of one armed ScopedPhaseTimer enter/exit pair (two clock
-/// reads plus the stack and registry bookkeeping) by timing a tight loop of
-/// empty timers, min-of-trials to filter preemption. The result is stored
-/// process-wide, published as the "phase/_overhead/ns_per_pair" gauge in the
-/// global registry (and re-published across reset_phase_totals), and returned.
-/// The calibration loop itself records into the phase counters — call
-/// reset_phase_totals() afterwards, before the workload you want attributed.
-/// Temporarily enables phase timing if it is off.
-std::uint64_t measure_phase_overhead_ns_per_pair();
-
-/// The last measured timer-pair overhead (0 before any measurement). What
-/// `rstp run --timing` subtracts to print net-of-overhead attribution.
-[[nodiscard]] std::uint64_t phase_overhead_ns_per_pair();
-
-struct PhaseTotal {
-  Phase phase{};
-  std::uint64_t calls = 0;
-  std::uint64_t nanos = 0;
-};
-
-/// Merged "phase/<name>/{calls,ns}" counters from the global registry.
-[[nodiscard]] std::vector<PhaseTotal> collect_phase_totals();
-
-/// One parent→child attribution: time the child phase spent directly inside
-/// the parent. Edges aggregate over every instance of the pair, so a child's
-/// flat total minus the sum of its incoming edges is its top-level time.
-struct PhaseEdgeTotal {
-  Phase parent{};
-  Phase child{};
-  std::uint64_t calls = 0;
-  std::uint64_t nanos = 0;
-};
-
-/// Merged "phase/<parent>/<child>/{calls,ns}" counters, in (parent, child)
-/// enum order; only edges that actually occurred are returned.
-[[nodiscard]] std::vector<PhaseEdgeTotal> collect_phase_edge_totals();
-
-/// Zeroes the phase counters (global registry reset of the phase slots only
-/// is not supported; this resets the whole global registry).
-void reset_phase_totals();
-
-namespace detail {
-/// Hot-path gate for ScopedPhaseTimer. Mutate only through
-/// set_phase_timing_enabled(); read with relaxed ordering.
-extern std::atomic<bool> phase_timing_flag;
-/// Monotonic clock read — the calibrated host clock (TSC when available,
-/// steady_clock otherwise; see common/time.h). Inline so the timer ctor reads
-/// it directly, before any other instrumentation work — everything the
-/// machinery does then falls inside the measured interval and is attributed
-/// to the phase it measures, not smeared into the enclosing phase's self time.
-[[nodiscard]] inline std::uint64_t phase_now_ns() { return rstp::host_now_ns(); }
-/// Pushes `phase` on this thread's phase stack.
-void phase_push(Phase phase);
-/// Pops the stack and records the elapsed time: the call count plus either
-/// the parent/child edge (when nested) or the phase's top-level slot. After
-/// its own clock read it performs exactly one relaxed add, so per-timer
-/// cost outside the measured interval stays a few nanoseconds.
-void phase_exit(Phase phase, std::uint64_t start_ns);
-}  // namespace detail
-
-/// RAII timer: records one call + elapsed nanoseconds into the global
-/// registry when phase timing is enabled (both the flat per-phase totals and
-/// the parent/child edge for the enclosing timer); a no-op branch otherwise.
-/// Inline so the disabled path (the default on the simulation hot paths)
-/// compiles down to one relaxed load and a predictable branch — no call, no
-/// clock read, no stack traffic.
-class ScopedPhaseTimer {
- public:
-  explicit ScopedPhaseTimer(Phase phase)
-      : phase_(phase),
-        armed_(detail::phase_timing_flag.load(std::memory_order_relaxed)) {
-    if (armed_) {
-      start_ns_ = detail::phase_now_ns();
-      detail::phase_push(phase_);
-    }
-  }
-  ~ScopedPhaseTimer() {
-    if (armed_) detail::phase_exit(phase_, start_ns_);
-  }
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
- private:
-  Phase phase_;
-  bool armed_;
-  std::uint64_t start_ns_ = 0;
-};
 
 }  // namespace rstp::obs

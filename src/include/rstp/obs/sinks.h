@@ -70,21 +70,4 @@ void write_run_metrics_jsonl(std::ostream& os, const RunMetricsRecord& record);
 /// totals line folding the integral counters over all rows.
 void print_metrics_table(std::ostream& os, const std::vector<RunMetricsRecord>& records);
 
-/// Renders the wall-clock phase-timer totals (per-phase calls, total and
-/// mean time) as a small table. A nonzero `overhead_ns_per_pair` (the
-/// measured cost of one enter/exit pair, see
-/// obs::measure_phase_overhead_ns_per_pair) adds a net_ns column: the mean
-/// with `overhead` subtracted per call, floored at zero.
-void print_phase_table(std::ostream& os, const std::vector<PhaseTotal>& totals,
-                       std::uint64_t overhead_ns_per_pair = 0);
-
-/// Renders the nested parent/child attribution as an indented tree: roots
-/// are phases never observed inside another phase (plus the top-level
-/// residual of phases that occur both ways), children show their share of
-/// the parent, and a "(self)" line holds whatever a parent did not attribute
-/// to any child. Recursion stops at children shared by several parents,
-/// where a one-level edge cannot split the subtree exactly.
-void print_phase_tree(std::ostream& os, const std::vector<PhaseTotal>& totals,
-                      const std::vector<PhaseEdgeTotal>& edges);
-
 }  // namespace rstp::obs

@@ -10,37 +10,37 @@
 //     flow events linking each send → fault decision → delivery. Pure
 //     functions of the execution: a fixed seed yields a byte-identical
 //     export.
-//   * host time — calibrated wall-clock nanoseconds (common/time.h). Phase
-//     timer enter/exit pairs become profiling spans when a Tracer's host
-//     hook is attached and phase timing is enabled.
+//   * host time — calibrated wall-clock nanoseconds (common/time.h). An
+//     obs::HostTimer constructed with this Tracer (obs/host_timer.h) writes
+//     one profiling span per timed layer call.
 //
 // Recording is strictly opt-in and bitwise-invisible: every hook is a pure
 // reader of simulation state, so results with tracing on/off and across
-// thread counts stay identical (pinned by tests/trace_test.cpp). Buffers are
-// preallocated at construction — the hot path is a bounds check and a POD
-// copy, never an allocation; overflow increments a drop counter instead.
+// thread counts stay identical (pinned by tests/span_trace_test.cpp).
+// Buffers are preallocated at construction — the hot path is a bounds check
+// and a POD copy, never an allocation; overflow increments a drop counter
+// instead.
 //
 // The exporter writes Chrome Trace Event Format JSON (schema rstp-trace-v1)
 // that opens directly in Perfetto (ui.perfetto.dev) or chrome://tracing:
 // ph "X" complete spans, ph "s"/"f" flows, pid = actor (1 transmitter,
 // 2 channel, 3 receiver, 100 host), tid = session for the process tracks,
 // swimlane for the channel's overlapping in-flight spans. Model ticks are
-// rendered 1 tick = 1 µs; host spans are rebased to the first span.
+// rendered 1 tick = 1 µs; host spans are rebased to the first span and
+// named after their layer.
 // See docs/OBSERVABILITY.md § Tracing.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <mutex>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "rstp/common/time.h"
 #include "rstp/fault/fault.h"
 #include "rstp/ioa/action.h"
-#include "rstp/obs/metrics.h"
 #include "rstp/obs/run_metrics.h"
 #include "rstp/sim/observer.h"
 
@@ -72,7 +72,7 @@ enum class RecKind : std::uint8_t {
   ModelSpan,   ///< ph "X" in model ticks
   FlowStart,   ///< ph "s" at the send span
   FlowFinish,  ///< ph "f" (bp "e") at the recv span
-  HostSpan,    ///< ph "X" in host nanoseconds (arg = Phase index)
+  HostSpan,    ///< ph "X" in host nanoseconds (arg = HostTimer layer id)
 };
 
 /// One fixed-size trace record, either domain. POD so Buffer::append is a
@@ -81,7 +81,7 @@ struct Record {
   std::int64_t start = 0;      ///< model ticks, or host ns
   std::int64_t dur = 0;
   std::uint64_t flow_id = 0;   ///< packet lineage id = channel send_seq
-  std::uint64_t arg = 0;       ///< payload (model) or Phase index (host)
+  std::uint64_t arg = 0;       ///< payload (model) or layer id (host)
   RecKind kind = RecKind::ModelSpan;
   Name name = Name::Send;
   Track track = Track::Transmitter;
@@ -95,7 +95,7 @@ struct Record {
 inline constexpr std::uint8_t kFaultLane = 255;
 
 struct TraceConfig {
-  /// Record capacity of the model buffer and of each per-thread host buffer.
+  /// Record capacity of the model buffer and of the host buffer.
   /// Overflow drops records (counted), never allocates or blocks.
   std::size_t capacity = 1 << 16;
 };
@@ -127,49 +127,35 @@ class Buffer {
   std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// Owns every buffer of one tracing session: the model buffer (written by the
-/// simulator through a ModelRecorder) plus one host buffer per recording
-/// thread (written by the phase-exit hook while attached). Create it, run,
-/// then export; the Tracer must outlive any Simulator or instrumented code
-/// recording into it.
+/// Owns both buffers of one tracing session: the model buffer (written by
+/// the simulator through a ModelRecorder) and the host buffer (written by one
+/// obs::HostTimer). Create it, run, then export; the Tracer must outlive
+/// everything recording into it.
 class Tracer {
  public:
   explicit Tracer(TraceConfig config = {});
-  ~Tracer();  // detaches the host hook if still attached
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   [[nodiscard]] Buffer& model_buffer() { return model_; }
   [[nodiscard]] const Buffer& model_buffer() const { return model_; }
+  [[nodiscard]] Buffer& host_buffer() { return host_; }
+  [[nodiscard]] const Buffer& host_buffer() const { return host_; }
 
-  /// Arms the global phase-exit hook: while attached (and phase timing is
-  /// enabled), every timer pair also lands here as a host span. At most one
-  /// Tracer may be attached process-wide. Detach (or destroy the Tracer)
-  /// only when no instrumented code can still be running.
-  void attach_host_hook();
-  void detach_host_hook();
+  /// Names the host spans whose arg is `layer` in the export.
+  void name_host_layer(std::uint64_t layer, std::string_view name);
 
-  /// Total records dropped across all buffers (0 means the trace is complete).
+  /// Total records dropped across both buffers (0 means the trace is complete).
   [[nodiscard]] std::uint64_t dropped() const;
-
-  /// Host spans recorded so far, summed over all per-thread buffers.
-  [[nodiscard]] std::uint64_t host_span_count() const;
 
   /// Serializes everything recorded so far as Chrome Trace Event Format JSON
   /// (schema rstp-trace-v1). Deterministic for a fixed model record stream.
   void write_chrome_json(std::ostream& os) const;
 
-  /// This thread's host buffer (phase-exit hook plumbing; registers the
-  /// buffer on first touch, O(1) afterwards via a TLS cache).
-  [[nodiscard]] Buffer& host_buffer_for_this_thread();
-
  private:
-  TraceConfig config_;
-  std::uint64_t tracer_id_;  ///< never reused; keys the TLS buffer cache
   Buffer model_;
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Buffer>> host_buffers_;
-  bool attached_ = false;
+  Buffer host_;
+  std::vector<std::string> host_layers_;  ///< indexed by layer id
 };
 
 /// Aggregates a recorded trace for one-line CLI reporting; delay percentiles
@@ -224,12 +210,5 @@ class ModelRecorder final : public sim::SimObserver {
   std::int64_t block_start_ = 0;
   std::vector<std::int64_t> lane_busy_until_;  ///< preallocated swimlanes
 };
-
-namespace detail {
-/// The attached host-span sink (null when none). The phase-exit hook reads it
-/// with one relaxed load; see Tracer::attach_host_hook.
-extern std::atomic<Tracer*> host_sink;
-void record_host_span(Phase phase, std::uint64_t start_ns, std::uint64_t end_ns);
-}  // namespace detail
 
 }  // namespace rstp::obs::trace

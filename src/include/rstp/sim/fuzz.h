@@ -16,7 +16,7 @@
 //     expected verdict; `rstp replay FILE` re-runs it and compares every
 //     recorded field. See docs/TESTING.md for the format.
 //
-// Verdicts are fault-aware (core::verify_trace_with_faults): a run is a
+// Verdicts are fault-aware (core::verify_with_faults): a run is a
 // *failure* only on an unexcused violation, or on a protocol exception with
 // a clean fault log (a crash after an injected fault is fail-stop behavior,
 // not a bug — several protocols deliberately RSTP_CHECK model assumptions).

@@ -5,7 +5,8 @@
 // neither copied nor moved, so the Simulator's pointers stay valid.
 // core::make_session builds one from an Environment; sites with their own
 // parts (genome schedulers, synthesized or drifting policies, a fault
-// injector) pass them to the constructor.
+// injector) pass them to the constructor. With SimConfig::host_timer set,
+// every part is wrapped in its host-time decorator (sim/host_timing.h).
 #pragma once
 
 #include <memory>
@@ -14,6 +15,7 @@
 #include "rstp/channel/channel.h"
 #include "rstp/fault/fault.h"
 #include "rstp/protocols/factory.h"
+#include "rstp/sim/host_timing.h"
 #include "rstp/sim/scheduler.h"
 #include "rstp/sim/simulator.h"
 
@@ -29,13 +31,15 @@ class Session {
           std::unique_ptr<channel::DeliveryPolicy> policy, SimConfig config,
           Duration min_delay = Duration{0},
           std::unique_ptr<fault::FaultInjector> injector = nullptr)
-      : instance_(std::move(instance)),
-        transmitter_sched_(std::move(transmitter_sched)),
-        receiver_sched_(std::move(receiver_sched)),
+      : transmitter_(with_host_timer(std::move(instance.transmitter), config.host_timer)),
+        receiver_(with_host_timer(std::move(instance.receiver), config.host_timer)),
+        transmitter_sched_(with_host_timer(std::move(transmitter_sched), config.host_timer)),
+        receiver_sched_(with_host_timer(std::move(receiver_sched), config.host_timer)),
         injector_(std::move(injector)),
-        channel_(config.params.d, std::move(policy), min_delay),
-        simulator_(*instance_.transmitter, *instance_.receiver, channel_, *transmitter_sched_,
-                   *receiver_sched_, std::move(config)) {
+        channel_(config.params.d, with_host_timer(std::move(policy), config.host_timer),
+                 min_delay),
+        simulator_(*transmitter_, *receiver_, channel_, *transmitter_sched_, *receiver_sched_,
+                   std::move(config)) {
     channel_.set_fault_injector(injector_.get());
   }
 
@@ -49,7 +53,8 @@ class Session {
   [[nodiscard]] RunResult run() { return simulator_.run(); }
 
  private:
-  protocols::ProtocolInstance instance_;
+  std::unique_ptr<ioa::Automaton> transmitter_;
+  std::unique_ptr<ioa::Automaton> receiver_;
   std::unique_ptr<StepScheduler> transmitter_sched_;
   std::unique_ptr<StepScheduler> receiver_sched_;
   std::unique_ptr<fault::FaultInjector> injector_;

@@ -16,10 +16,12 @@
 //     execution restricted to it is finite and fair); it resumes stepping if
 //     a later input re-enables it.
 //
-// Observation: SimConfig::observer (sim/observer.h) is the one hook —
-// tracer, estimator and search coverage all attach there. Faults outside the
-// model come only from the channel's injector (Channel::set_fault_injector);
-// the simulator itself never loses a packet.
+// Observation: SimConfig::observer (sim/observer.h) is the one hook for
+// model time — tracer, estimator, verifier and search coverage all attach
+// there. Host time is measured outside the simulator, by decorators that
+// sim::Session installs around its parts (SimConfig::host_timer). Faults
+// outside the model come only from the channel's injector
+// (Channel::set_fault_injector); the simulator itself never loses a packet.
 //
 // Wiring: sim::Session (sim/session.h) owns a Simulator together with the
 // automata, schedulers and channel it drives, and core::make_session builds
@@ -35,6 +37,7 @@
 #include "rstp/core/params.h"
 #include "rstp/ioa/automaton.h"
 #include "rstp/ioa/trace.h"
+#include "rstp/obs/host_timer.h"
 #include "rstp/obs/run_metrics.h"
 #include "rstp/sim/observer.h"
 #include "rstp/sim/scheduler.h"
@@ -56,6 +59,11 @@ struct SimConfig {
   /// record point; see sim/observer.h. Null (the default) costs one pointer
   /// test per hook.
   SimObserver* observer = nullptr;
+  /// Optional host-time recorder (non-owning, must outlive the run).
+  /// sim::Session reads it once, at construction, and wraps the automata,
+  /// schedulers and delivery policy in timing decorators
+  /// (sim/host_timing.h); the Simulator itself never reads it.
+  obs::HostTimer* host_timer = nullptr;
 };
 
 struct RunResult {

@@ -466,6 +466,11 @@ std::vector<Threshold> parse_thresholds(std::string_view spec) {
   return out;
 }
 
+std::string to_string(const Threshold& threshold) {
+  return threshold.quantity + (threshold.inclusive ? ">=" : ">") + json_number(threshold.limit) +
+         (threshold.relative ? "%" : "");
+}
+
 std::vector<ThresholdViolation> evaluate_thresholds(const DiffReport& report,
                                                     const std::vector<Threshold>& thresholds) {
   std::vector<ThresholdViolation> out;

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "rstp/common/check.h"
-#include "rstp/obs/trace.h"
 
 namespace rstp::obs {
 
@@ -169,10 +168,6 @@ MetricsRegistry::Shard& MetricsRegistry::shard_for_this_thread() {
   return shard;
 }
 
-std::atomic<std::uint64_t>* MetricsRegistry::thread_slots() {
-  return shard_for_this_thread().slots.data();
-}
-
 void MetricsRegistry::add(MetricId id, std::uint64_t delta) {
   RSTP_CHECK_LT(id, kMaxMetrics, "metric id out of range");
   Shard& shard = shard_for_this_thread();
@@ -230,260 +225,6 @@ void MetricsRegistry::reset() {
 MetricsRegistry& global_registry() {
   static MetricsRegistry* registry = new MetricsRegistry();  // never destroyed
   return *registry;
-}
-
-// ---------------------------------------------------------------------------
-// Phase timers
-
-std::string_view to_string(Phase phase) {
-  switch (phase) {
-    case Phase::CodecRank:
-      return "codec_rank";
-    case Phase::CodecUnrank:
-      return "codec_unrank";
-    case Phase::ChannelPop:
-      return "channel_pop";
-    case Phase::SimStep:
-      return "sim_step";
-    case Phase::ProtoEnabled:
-      return "proto_enabled";
-    case Phase::ProtoApply:
-      return "proto_apply";
-    case Phase::ProtoRecv:
-      return "proto_recv";
-    case Phase::SchedGap:
-      return "sched_gap";
-    case Phase::RecordEvent:
-      return "record_event";
-    case Phase::Deliver:
-      return "deliver";
-    case Phase::ChannelPush:
-      return "channel_push";
-    case Phase::StepAccount:
-      return "step_account";
-  }
-  RSTP_UNREACHABLE("unknown phase");
-}
-
-namespace detail {
-
-std::atomic<bool> phase_timing_flag{false};
-
-}  // namespace detail
-
-namespace {
-
-struct PhaseIds {
-  MetricsRegistry::MetricId calls[kPhaseCount];
-  MetricsRegistry::MetricId nanos[kPhaseCount];
-};
-
-const PhaseIds& phase_ids() {
-  static const PhaseIds ids = [] {
-    PhaseIds out;
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      const std::string_view name = to_string(static_cast<Phase>(i));
-      out.calls[i] = global_registry().counter("phase/" + std::string{name} + "/calls");
-      out.nanos[i] = global_registry().counter("phase/" + std::string{name} + "/ns");
-    }
-    return out;
-  }();
-  return ids;
-}
-
-/// Lazily registered ids for the parent→child edge counters. Only realized
-/// edges register (a dense matrix of all pairs would crowd the registry for
-/// names that can never occur). Registration is idempotent, so the benign
-/// race — two threads hitting a fresh edge — resolves to the same id.
-constexpr std::size_t kEdgeUnregistered = ~std::size_t{0};
-
-struct EdgeIds {
-  std::atomic<std::size_t> calls{kEdgeUnregistered};
-  std::atomic<std::size_t> nanos{kEdgeUnregistered};
-};
-
-EdgeIds edge_ids[kPhaseCount][kPhaseCount];
-
-std::string edge_metric_name(Phase parent, Phase child, std::string_view leaf) {
-  std::string name = "phase/";
-  name += to_string(parent);
-  name += '/';
-  name += to_string(child);
-  name += '/';
-  name += leaf;
-  return name;
-}
-
-MetricsRegistry::MetricId edge_metric(std::atomic<std::size_t>& slot, Phase parent,
-                                      Phase child, std::string_view leaf) {
-  std::size_t id = slot.load(std::memory_order_relaxed);
-  if (id == kEdgeUnregistered) {
-    id = global_registry().counter(edge_metric_name(parent, child, leaf));
-    slot.store(id, std::memory_order_relaxed);
-  }
-  return id;
-}
-
-/// The per-thread stack of active (armed) phases. Depth can exceed the frame
-/// capacity without corruption — frames beyond it are simply not attributed.
-constexpr std::size_t kMaxPhaseDepth = 16;
-
-struct PhaseStack {
-  Phase frames[kMaxPhaseDepth];
-  std::size_t depth = 0;
-};
-
-thread_local PhaseStack phase_stack;
-
-}  // namespace
-
-namespace detail {
-
-void phase_push(Phase phase) {
-  PhaseStack& stack = phase_stack;
-  // Depth saturates against the frame array but keeps counting: frames past
-  // kMaxPhaseDepth are dropped (their exits read as top-level), never written
-  // out of bounds.
-  if (stack.depth < kMaxPhaseDepth) stack.frames[stack.depth] = phase;
-  ++stack.depth;
-}
-
-void phase_exit(Phase phase, std::uint64_t start_ns) {
-  PhaseStack& stack = phase_stack;
-  // Tolerates an empty stack (depth pins at 0 and the frame read below is
-  // guarded out), so a hook firing outside any ScopedPhaseTimer — or an
-  // unmatched exit from a moved-from timer — records as a top-level span
-  // instead of reading frames[-1]. obs_metrics_test pins this.
-  if (stack.depth > 0) --stack.depth;
-  const PhaseIds& ids = phase_ids();
-  const auto i = static_cast<std::size_t>(phase);
-  // The raw "phase/<name>/ns" slot holds *top-level* time only; nested time
-  // goes to the parent/child edge slot instead, and collect_phase_totals()
-  // reconstructs the flat total as top-level + incoming edges. Splitting the
-  // storage this way leaves exactly one relaxed add after the clock read
-  // below, so per-timer cost outside the measured interval — the only
-  // instrumentation cost a parent's self time can ever absorb — is a few
-  // nanoseconds. Everything before the read (shard lookup, call counters,
-  // edge-id resolution) is charged to this phase itself.
-  std::atomic<std::uint64_t>* slots = global_registry().thread_slots();
-  slots[ids.calls[i]].fetch_add(1, std::memory_order_relaxed);
-  std::atomic<std::uint64_t>* nanos_slot = &slots[ids.nanos[i]];
-  if (stack.depth > 0 && stack.depth <= kMaxPhaseDepth) {
-    const Phase parent = stack.frames[stack.depth - 1];
-    EdgeIds& edge = edge_ids[static_cast<std::size_t>(parent)][i];
-    slots[edge_metric(edge.calls, parent, phase, "calls")].fetch_add(
-        1, std::memory_order_relaxed);
-    nanos_slot = &slots[edge_metric(edge.nanos, parent, phase, "ns")];
-  }
-  const std::uint64_t end_ns = phase_now_ns();
-  nanos_slot->fetch_add(end_ns - start_ns, std::memory_order_relaxed);
-  // Host profiling spans for the tracer: one relaxed load when no tracer is
-  // attached (and this path only runs with timing enabled in the first
-  // place). Checked after the final clock read so the span cost lands in the
-  // enclosing phase's self time rather than skewing this phase's total.
-  if (trace::detail::host_sink.load(std::memory_order_relaxed) != nullptr) {
-    trace::detail::record_host_span(phase, start_ns, end_ns);
-  }
-}
-
-}  // namespace detail
-
-void set_phase_timing_enabled(bool enabled) {
-  if (enabled) {
-    calibrate_host_clock();  // timestamps come from the TSC when available
-    (void)phase_ids();  // register the counters before the hot path needs them
-  }
-  detail::phase_timing_flag.store(enabled, std::memory_order_relaxed);
-}
-
-bool phase_timing_enabled() {
-  return detail::phase_timing_flag.load(std::memory_order_relaxed);
-}
-
-std::vector<PhaseTotal> collect_phase_totals() {
-  const PhaseIds& ids = phase_ids();
-  std::vector<PhaseTotal> out;
-  out.reserve(kPhaseCount);
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    PhaseTotal total;
-    total.phase = static_cast<Phase>(i);
-    total.calls = global_registry().value(ids.calls[i]);
-    total.nanos = global_registry().value(ids.nanos[i]);
-    out.push_back(total);
-  }
-  // The raw slot keeps only top-level time (see phase_exit); fold the
-  // incoming edges back in so a PhaseTotal reports the same all-elapsed
-  // quantity the pre-nesting four-phase layout did.
-  for (const PhaseEdgeTotal& edge : collect_phase_edge_totals()) {
-    out[static_cast<std::size_t>(edge.child)].nanos += edge.nanos;
-  }
-  return out;
-}
-
-std::vector<PhaseEdgeTotal> collect_phase_edge_totals() {
-  std::vector<PhaseEdgeTotal> out;
-  for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    for (std::size_t c = 0; c < kPhaseCount; ++c) {
-      const EdgeIds& edge = edge_ids[p][c];
-      const std::size_t calls_id = edge.calls.load(std::memory_order_relaxed);
-      const std::size_t nanos_id = edge.nanos.load(std::memory_order_relaxed);
-      if (calls_id == kEdgeUnregistered || nanos_id == kEdgeUnregistered) continue;
-      PhaseEdgeTotal total;
-      total.parent = static_cast<Phase>(p);
-      total.child = static_cast<Phase>(c);
-      total.calls = global_registry().value(calls_id);
-      total.nanos = global_registry().value(nanos_id);
-      if (total.calls == 0) continue;
-      out.push_back(total);
-    }
-  }
-  return out;
-}
-
-namespace {
-
-/// Last measured timer-pair overhead; plain global so it survives registry
-/// resets (the gauge is re-published after each reset).
-std::atomic<std::uint64_t> measured_overhead_ns{0};
-
-void publish_overhead_gauge() {
-  const std::uint64_t v = measured_overhead_ns.load(std::memory_order_relaxed);
-  if (v == 0) return;
-  global_registry().gauge_max(global_registry().gauge("phase/_overhead/ns_per_pair"), v);
-}
-
-}  // namespace
-
-std::uint64_t measure_phase_overhead_ns_per_pair() {
-  const bool was_enabled = phase_timing_enabled();
-  if (!was_enabled) set_phase_timing_enabled(true);
-  // Empty timer pairs back to back: each iteration pays exactly the
-  // enter/exit machinery. Min of several trial means filters preemption and
-  // one-time costs (shard registration, edge-id resolution).
-  constexpr std::uint64_t kIters = 16 * 1024;
-  constexpr int kTrials = 8;
-  std::uint64_t best = ~std::uint64_t{0};
-  for (int trial = 0; trial < kTrials; ++trial) {
-    const std::uint64_t t0 = host_now_ns();
-    for (std::uint64_t i = 0; i < kIters; ++i) {
-      const ScopedPhaseTimer timer{Phase::StepAccount};
-    }
-    const std::uint64_t t1 = host_now_ns();
-    best = std::min(best, (t1 - t0) / kIters);
-  }
-  if (!was_enabled) set_phase_timing_enabled(false);
-  measured_overhead_ns.store(std::max<std::uint64_t>(1, best), std::memory_order_relaxed);
-  publish_overhead_gauge();
-  return measured_overhead_ns.load(std::memory_order_relaxed);
-}
-
-std::uint64_t phase_overhead_ns_per_pair() {
-  return measured_overhead_ns.load(std::memory_order_relaxed);
-}
-
-void reset_phase_totals() {
-  global_registry().reset();
-  publish_overhead_gauge();  // the measured floor survives a counter reset
 }
 
 }  // namespace rstp::obs

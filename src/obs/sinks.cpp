@@ -271,109 +271,4 @@ void print_metrics_table(std::ostream& os, const std::vector<RunMetricsRecord>& 
      << "/" << totals.protocol.acks_observed << '\n';
 }
 
-namespace {
-
-/// Per-phase view of the edge matrix used by the tree printer.
-struct PhaseNode {
-  std::uint64_t flat_calls = 0;
-  std::uint64_t flat_nanos = 0;
-  std::uint64_t incoming_nanos = 0;  ///< sum over edges where this is the child
-  std::size_t incoming_edges = 0;
-  std::vector<const PhaseEdgeTotal*> children;  ///< edges where this is the parent
-};
-
-void print_tree_node(std::ostream& os, const std::vector<PhaseNode>& nodes, Phase phase,
-                     std::uint64_t nanos, std::uint64_t parent_nanos, int depth,
-                     std::string_view suffix) {
-  const double us = static_cast<double>(nanos) / 1000.0;
-  os << "  ";
-  for (int i = 0; i < depth; ++i) os << "  ";
-  std::ostringstream label;
-  label << to_string(phase) << suffix;
-  os << std::left << std::setw(std::max(2, 30 - 2 * depth)) << label.str() << std::right
-     << std::setw(12) << std::fixed << std::setprecision(1) << us << "us";
-  if (parent_nanos > 0) {
-    os << std::setw(7) << std::setprecision(1)
-       << 100.0 * static_cast<double>(nanos) / static_cast<double>(parent_nanos) << "%";
-  }
-  os << '\n';
-  const PhaseNode& node = nodes[static_cast<std::size_t>(phase)];
-  // Recursing below an edge is exact only when every call of this phase ran
-  // under the same parent; a shared child's own breakdown would mix its
-  // contexts, so stop there (its full subtree appears where it is a root or
-  // its flat total in the phase table).
-  if (node.children.empty()) return;
-  const bool shown_in_full = nanos == node.flat_nanos;
-  if (!shown_in_full && node.incoming_edges > 1) return;
-  std::uint64_t attributed = 0;
-  for (const PhaseEdgeTotal* edge : node.children) {
-    print_tree_node(os, nodes, edge->child, edge->nanos, nanos, depth + 1, "");
-    attributed += edge->nanos;
-  }
-  if (attributed < nanos) {
-    const double self_us = static_cast<double>(nanos - attributed) / 1000.0;
-    os << "  ";
-    for (int i = 0; i <= depth; ++i) os << "  ";
-    os << std::left << std::setw(std::max(2, 30 - 2 * (depth + 1))) << "(self)" << std::right
-       << std::setw(12) << std::fixed << std::setprecision(1) << self_us << "us"
-       << std::setw(7) << std::setprecision(1)
-       << 100.0 * static_cast<double>(nanos - attributed) / static_cast<double>(nanos) << "%\n";
-  }
-}
-
-}  // namespace
-
-void print_phase_tree(std::ostream& os, const std::vector<PhaseTotal>& totals,
-                      const std::vector<PhaseEdgeTotal>& edges) {
-  std::vector<PhaseNode> nodes(kPhaseCount);
-  for (const PhaseTotal& t : totals) {
-    PhaseNode& node = nodes[static_cast<std::size_t>(t.phase)];
-    node.flat_calls = t.calls;
-    node.flat_nanos = t.nanos;
-  }
-  for (const PhaseEdgeTotal& e : edges) {
-    nodes[static_cast<std::size_t>(e.parent)].children.push_back(&e);
-    PhaseNode& child = nodes[static_cast<std::size_t>(e.child)];
-    child.incoming_nanos += e.nanos;
-    ++child.incoming_edges;
-  }
-  os << "phase tree (parent -> child attribution):\n";
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    const PhaseNode& node = nodes[i];
-    if (node.flat_calls == 0) continue;
-    const Phase phase = static_cast<Phase>(i);
-    if (node.incoming_edges == 0) {
-      print_tree_node(os, nodes, phase, node.flat_nanos, 0, 0, "");
-    } else if (node.flat_nanos > node.incoming_nanos) {
-      // A phase can occur both nested and at top level (scheduler gaps run
-      // under sim steps and once per process before the run starts); the
-      // residual is its top-level share.
-      print_tree_node(os, nodes, phase, node.flat_nanos - node.incoming_nanos, 0, 0,
-                      " (top-level)");
-    }
-  }
-}
-
-void print_phase_table(std::ostream& os, const std::vector<PhaseTotal>& totals,
-                       std::uint64_t overhead_ns_per_pair) {
-  os << std::left << std::setw(14) << "phase" << std::right << std::setw(12) << "calls"
-     << std::setw(14) << "total_us" << std::setw(12) << "mean_ns";
-  if (overhead_ns_per_pair > 0) os << std::setw(12) << "net_ns";
-  os << '\n';
-  for (const PhaseTotal& t : totals) {
-    const double total_us = static_cast<double>(t.nanos) / 1000.0;
-    const double mean_ns =
-        t.calls == 0 ? 0.0 : static_cast<double>(t.nanos) / static_cast<double>(t.calls);
-    os << std::left << std::setw(14) << to_string(t.phase) << std::right << std::setw(12)
-       << t.calls << std::setw(14) << std::fixed << std::setprecision(1) << total_us
-       << std::setw(12) << std::setprecision(1) << mean_ns;
-    if (overhead_ns_per_pair > 0) {
-      // Each call paid one timer pair; what remains is the phase's own work.
-      const double net_ns = std::max(0.0, mean_ns - static_cast<double>(overhead_ns_per_pair));
-      os << std::setw(12) << std::setprecision(1) << net_ns;
-    }
-    os << '\n';
-  }
-}
-
 }  // namespace rstp::obs

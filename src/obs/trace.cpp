@@ -9,6 +9,7 @@
 
 #include "rstp/common/check.h"
 #include "rstp/obs/json.h"
+#include "rstp/obs/metrics.h"
 
 namespace rstp::obs::trace {
 
@@ -55,40 +56,7 @@ Buffer::Buffer(std::size_t capacity) : capacity_(capacity) {
 // ---------------------------------------------------------------------------
 // Tracer
 
-namespace detail {
-
-std::atomic<Tracer*> host_sink{nullptr};
-
-void record_host_span(Phase phase, std::uint64_t start_ns, std::uint64_t end_ns) {
-  Tracer* tracer = host_sink.load(std::memory_order_acquire);
-  if (tracer == nullptr) return;
-  Record rec;
-  rec.kind = RecKind::HostSpan;
-  rec.track = Track::Host;
-  rec.start = static_cast<std::int64_t>(start_ns);
-  rec.dur = static_cast<std::int64_t>(end_ns - start_ns);
-  rec.arg = static_cast<std::uint64_t>(phase);
-  tracer->host_buffer_for_this_thread().append(rec);
-}
-
-}  // namespace detail
-
 namespace {
-
-std::uint64_t next_tracer_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// This thread's host-buffer cache, keyed by never-reused tracer id (the same
-/// pattern as the metrics registry shards): a stale entry for a destroyed
-/// tracer can never be mistaken for a live one.
-struct TlsBuf {
-  std::uint64_t tracer_id;
-  Buffer* buffer;
-};
-
-thread_local std::vector<TlsBuf> tls_host_buffers;
 
 [[nodiscard]] int pid_of(Track track) {
   switch (track) {
@@ -106,50 +74,14 @@ thread_local std::vector<TlsBuf> tls_host_buffers;
 
 }  // namespace
 
-Tracer::Tracer(TraceConfig config)
-    : config_(config), tracer_id_(next_tracer_id()), model_(config.capacity) {}
+Tracer::Tracer(TraceConfig config) : model_(config.capacity), host_(config.capacity) {}
 
-Tracer::~Tracer() { detach_host_hook(); }
-
-void Tracer::attach_host_hook() {
-  Tracer* expected = nullptr;
-  RSTP_CHECK(detail::host_sink.compare_exchange_strong(expected, this,
-                                                       std::memory_order_acq_rel),
-             "another Tracer's host hook is already attached");
-  attached_ = true;
+void Tracer::name_host_layer(std::uint64_t layer, std::string_view name) {
+  if (host_layers_.size() <= layer) host_layers_.resize(layer + 1);
+  host_layers_[layer] = name;
 }
 
-void Tracer::detach_host_hook() {
-  if (!attached_) return;
-  Tracer* expected = this;
-  detail::host_sink.compare_exchange_strong(expected, nullptr, std::memory_order_acq_rel);
-  attached_ = false;
-}
-
-Buffer& Tracer::host_buffer_for_this_thread() {
-  for (const TlsBuf& entry : tls_host_buffers) {
-    if (entry.tracer_id == tracer_id_) return *entry.buffer;
-  }
-  const std::scoped_lock lock{mutex_};
-  host_buffers_.push_back(std::make_unique<Buffer>(config_.capacity));
-  Buffer& buffer = *host_buffers_.back();
-  tls_host_buffers.push_back(TlsBuf{tracer_id_, &buffer});
-  return buffer;
-}
-
-std::uint64_t Tracer::dropped() const {
-  std::uint64_t total = model_.dropped();
-  const std::scoped_lock lock{mutex_};
-  for (const auto& buffer : host_buffers_) total += buffer->dropped();
-  return total;
-}
-
-std::uint64_t Tracer::host_span_count() const {
-  const std::scoped_lock lock{mutex_};
-  std::uint64_t total = 0;
-  for (const auto& buffer : host_buffers_) total += buffer->records().size();
-  return total;
-}
+std::uint64_t Tracer::dropped() const { return model_.dropped() + host_.dropped(); }
 
 // ---------------------------------------------------------------------------
 // Chrome Trace Event Format export
@@ -243,7 +175,6 @@ void write_model_record(EventWriter& w, const Record& rec) {
 }  // namespace
 
 void Tracer::write_chrome_json(std::ostream& os) const {
-  const std::scoped_lock lock{mutex_};
   EventWriter w{os};
 
   // Track metadata. Sessions/lanes actually used decide the thread rows.
@@ -274,43 +205,30 @@ void Tracer::write_chrome_json(std::ostream& os) const {
            lane == kFaultLane ? "faults" : "lane " + std::to_string(lane));
   }
 
-  std::size_t host_span_count = 0;
+  const std::vector<Record>& host_spans = host_.records();
   std::int64_t host_base = std::numeric_limits<std::int64_t>::max();
-  for (const auto& buffer : host_buffers_) {
-    for (const Record& rec : buffer->records()) {
-      ++host_span_count;
-      host_base = std::min(host_base, rec.start);
-    }
-  }
-  if (host_span_count > 0) {
-    w.meta("process_name", pid_of(Track::Host), std::nullopt, "host: phase timers");
-    for (std::size_t i = 0; i < host_buffers_.size(); ++i) {
-      w.meta("thread_name", pid_of(Track::Host), static_cast<int>(i),
-             "thread " + std::to_string(i));
-    }
+  for (const Record& rec : host_spans) host_base = std::min(host_base, rec.start);
+  if (!host_spans.empty()) {
+    w.meta("process_name", pid_of(Track::Host), std::nullopt, "host: layers");
+    w.meta("thread_name", pid_of(Track::Host), 0, "thread 0");
   }
 
   for (const Record& rec : model_.records()) write_model_record(w, rec);
 
   // Host spans: rebase to the earliest span and convert ns → µs (Chrome's ts
   // unit), keeping sub-µs precision as a fraction.
-  for (std::size_t i = 0; i < host_buffers_.size(); ++i) {
-    for (const Record& rec : host_buffers_[i]->records()) {
-      if (rec.arg >= kPhaseCount) continue;
-      w.sep();
-      os << "{\"ph\":\"X\",\"name\":"
-         << json_quote(obs::to_string(static_cast<Phase>(rec.arg)))
-         << ",\"cat\":\"host\",\"pid\":" << pid_of(Track::Host) << ",\"tid\":" << i
-         << ",\"ts\":" << json_number(static_cast<double>(rec.start - host_base) / 1000.0)
-         << ",\"dur\":" << json_number(static_cast<double>(rec.dur) / 1000.0) << "}";
-    }
+  for (const Record& rec : host_spans) {
+    if (rec.arg >= host_layers_.size()) continue;
+    w.sep();
+    os << "{\"ph\":\"X\",\"name\":" << json_quote(host_layers_[rec.arg])
+       << ",\"cat\":\"host\",\"pid\":" << pid_of(Track::Host) << ",\"tid\":0"
+       << ",\"ts\":" << json_number(static_cast<double>(rec.start - host_base) / 1000.0)
+       << ",\"dur\":" << json_number(static_cast<double>(rec.dur) / 1000.0) << "}";
   }
 
-  std::uint64_t dropped_total = model_.dropped();
-  for (const auto& buffer : host_buffers_) dropped_total += buffer->dropped();
   os << "\n],\"otherData\":{\"schema\":\"rstp-trace-v1\",\"tick\":\"1us\","
      << "\"host_clock\":" << json_quote(to_string(host_clock_source()))
-     << ",\"dropped\":" << dropped_total << "}}\n";
+     << ",\"dropped\":" << dropped() << "}}\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -319,7 +237,7 @@ void Tracer::write_chrome_json(std::ostream& os) const {
 Summary summarize(const Tracer& tracer) {
   Summary s;
   s.dropped = tracer.dropped();
-  s.host_spans = tracer.host_span_count();
+  s.host_spans = tracer.host_buffer().records().size();
   constexpr std::size_t kDelayBuckets = 64;
   std::array<std::uint64_t, kDelayBuckets> buckets{};
   for (const Record& rec : tracer.model_buffer().records()) {

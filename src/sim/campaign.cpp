@@ -143,7 +143,7 @@ CampaignJobResult run_campaign_job(const CampaignJob& job, std::size_t input_bit
       // Estimator off: core::run_protocol, plus the drift axis when set.
       fill(est::run_estimated(job.protocol, config, job.environment, job.drift,
                               /*estimator_enabled=*/false, est::EstimatorConfig{},
-                              /*record_trace=*/false, max_events)
+                              SimConfig{.max_events = max_events, .record_trace = false})
                .run);
     }
   } catch (const std::exception& e) {

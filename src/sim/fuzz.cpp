@@ -221,12 +221,15 @@ FuzzCaseResult run_fuzz_case(const FuzzCase& c, SimObserver* observer) {
     return out;
   }
 
+  // The verifier checks the run online, so no trace is recorded.
   CoverageObserver coverage{*instance.transmitter, *instance.receiver};
-  ObserverTee tee{&coverage, observer};
+  core::TraceChecker checker{c.params, config.input};
+  ObserverTee checked{&checker, observer};
+  ObserverTee tee{&coverage, checked.armed()};
   SimConfig sim_config;
   sim_config.params = c.params;
   sim_config.max_events = c.max_events;
-  sim_config.record_trace = true;
+  sim_config.record_trace = false;
   sim_config.observer = tee.armed();
   Session session{
       std::move(instance),
@@ -269,8 +272,7 @@ FuzzCaseResult run_fuzz_case(const FuzzCase& c, SimObserver* observer) {
                  static_cast<double>(config.input.size());
   }
   out.output_hash = hash_bits(run.output);
-  const core::FaultVerifyReport report =
-      core::verify_trace_with_faults(run.trace, c.params, config.input, run.faults);
+  const core::FaultVerifyReport report = core::verify_with_faults(checker, run.faults);
   out.unexcused = report.unexcused;
   out.excused = report.excused;
   out.failed = !out.unexcused.empty();

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "rstp/common/check.h"
-#include "rstp/obs/metrics.h"
 
 namespace rstp::sim {
 
@@ -56,9 +55,6 @@ const core::TimingParams& Simulator::params_for(ProcessId id) const {
 
 Duration Simulator::validated_gap(ProcessId id, StepScheduler& sched,
                                   std::uint64_t step_index) const {
-  // Nested under SimStep (per-step gaps) or Deliver (stop/resume gaps); the
-  // two initial offsets at run() start are the only top-level instances.
-  const obs::ScopedPhaseTimer timer{obs::Phase::SchedGap};
   const core::TimingParams& params = params_for(id);
   if (step_index == 0) {
     const Duration first = sched.first_offset();
@@ -79,7 +75,6 @@ Duration Simulator::validated_gap(ProcessId id, StepScheduler& sched,
 }
 
 void Simulator::record(RunResult& result, Time time, Actor actor, const Action& action) {
-  const obs::ScopedPhaseTimer timer{obs::Phase::RecordEvent};
   ++result.event_count;
   ++result.metrics.counters.events;
   result.end_time = time;
@@ -103,27 +98,20 @@ void Simulator::record(RunResult& result, Time time, Actor actor, const Action& 
 }
 
 void Simulator::deliver_due(RunResult& result, Time now) {
-  const obs::ScopedPhaseTimer timer{obs::Phase::Deliver};
   for (const channel::InFlightPacket& flight : channel_->collect_due(now)) {
     ioa::Automaton& dest = *procs_[index_of(flight.packet.destination())].automaton;
     const Action recv = Action::recv(flight.packet);
     RSTP_CHECK(dest.accepts_input(recv), "delivered packet not an input of its destination");
-    {
-      const obs::ScopedPhaseTimer recv_timer{obs::Phase::ProtoRecv};
-      dest.apply(recv);
-    }
+    dest.apply(recv);
     // The channel knows both endpoints of every flight, so delivery delay is
     // measured exactly — no post-hoc trace matching involved.
     const Duration delay = flight.deliver_at - flight.sent_at;
-    {
-      const obs::ScopedPhaseTimer account_timer{obs::Phase::StepAccount};
-      if (flight.packet.destination() == ProcessId::Receiver) {
-        ++result.metrics.counters.data_recvs;
-        result.metrics.data_delay.record(delay.ticks());
-      } else {
-        ++result.metrics.counters.ack_recvs;
-        result.metrics.ack_delay.record(delay.ticks());
-      }
+    if (flight.packet.destination() == ProcessId::Receiver) {
+      ++result.metrics.counters.data_recvs;
+      result.metrics.data_delay.record(delay.ticks());
+    } else {
+      ++result.metrics.counters.ack_recvs;
+      result.metrics.ack_delay.record(delay.ticks());
     }
     record(result, flight.deliver_at, Actor::Channel, recv);
     if (config_.observer != nullptr) {
@@ -134,12 +122,7 @@ void Simulator::deliver_due(RunResult& result, Time now) {
     // A stopped process can be re-enabled by input; let it resume stepping.
     ProcessState& ps = procs_[index_of(flight.packet.destination())];
     if (ps.stopped) {
-      std::optional<Action> resume;
-      {
-        const obs::ScopedPhaseTimer enabled_timer{obs::Phase::ProtoEnabled};
-        resume = ps.automaton->enabled_local();
-      }
-      if (resume.has_value()) {
+      if (ps.automaton->enabled_local().has_value()) {
         ps.stopped = false;
         ps.next_step = flight.deliver_at + validated_gap(flight.packet.destination(),
                                                          *ps.scheduler, ps.steps_taken + 1);
@@ -149,63 +132,48 @@ void Simulator::deliver_due(RunResult& result, Time now) {
 }
 
 void Simulator::take_process_step(RunResult& result, ProcessState& ps, ProcessId id) {
-  const obs::ScopedPhaseTimer timer{obs::Phase::SimStep};
-  std::optional<Action> action;
-  {
-    const obs::ScopedPhaseTimer enabled_timer{obs::Phase::ProtoEnabled};
-    action = ps.automaton->enabled_local();
-  }
+  const std::optional<Action> action = ps.automaton->enabled_local();
   if (!action.has_value()) {
     ps.stopped = true;
     return;
   }
   obs::RunCounters& counters = result.metrics.counters;
-  {
-    const obs::ScopedPhaseTimer apply_timer{obs::Phase::ProtoApply};
-    ps.automaton->apply(*action);
-  }
+  ps.automaton->apply(*action);
   std::optional<Duration> gap;
   if (ps.steps_taken > 0) gap = ps.next_step - ps.last_step_time;
-  {
-    const obs::ScopedPhaseTimer account_timer{obs::Phase::StepAccount};
-    if (id == ProcessId::Transmitter) {
-      ++result.transmitter_steps;
-      ++counters.transmitter_steps;
-      if (action->kind == ActionKind::Internal) ++counters.transmitter_internal_steps;
-      if (gap.has_value()) result.metrics.transmitter_gap.record(gap->ticks());
-    } else {
-      ++result.receiver_steps;
-      ++counters.receiver_steps;
-      if (action->kind == ActionKind::Internal) ++counters.receiver_internal_steps;
-      if (gap.has_value()) result.metrics.receiver_gap.record(gap->ticks());
-    }
-    ps.last_step_time = ps.next_step;
-    ++ps.steps_taken;
+  if (id == ProcessId::Transmitter) {
+    ++result.transmitter_steps;
+    ++counters.transmitter_steps;
+    if (action->kind == ActionKind::Internal) ++counters.transmitter_internal_steps;
+    if (gap.has_value()) result.metrics.transmitter_gap.record(gap->ticks());
+  } else {
+    ++result.receiver_steps;
+    ++counters.receiver_steps;
+    if (action->kind == ActionKind::Internal) ++counters.receiver_internal_steps;
+    if (gap.has_value()) result.metrics.receiver_gap.record(gap->ticks());
   }
+  ps.last_step_time = ps.next_step;
+  ++ps.steps_taken;
   record(result, ps.next_step, ioa::actor_of(id), *action);
   if (config_.observer != nullptr) {
     config_.observer->on_local_step(id, ps.next_step, *action, gap, counters_of(id));
   }
 
   if (action->kind == ActionKind::Send) {
-    {
-      const obs::ScopedPhaseTimer account_timer{obs::Phase::StepAccount};
-      RSTP_CHECK_EQ(static_cast<int>(action->packet.source()), static_cast<int>(id),
-                    "automaton sent a packet with the wrong direction tag");
-      if (id == ProcessId::Transmitter) {
-        ++result.transmitter_sends;
-        ++counters.data_sends;
-        result.last_transmitter_send = ps.next_step;
-      } else {
-        ++result.receiver_sends;
-        ++counters.ack_sends;
-      }
+    RSTP_CHECK_EQ(static_cast<int>(action->packet.source()), static_cast<int>(id),
+                  "automaton sent a packet with the wrong direction tag");
+    if (id == ProcessId::Transmitter) {
+      ++result.transmitter_sends;
+      ++counters.data_sends;
+      result.last_transmitter_send = ps.next_step;
+    } else {
+      ++result.receiver_sends;
+      ++counters.ack_sends;
     }
     if (config_.observer != nullptr) {
       // total_sent() is the seq the channel will assign to this send.
       config_.observer->on_send(id, ps.next_step, action->packet, channel_->total_sent());
     }
-    const obs::ScopedPhaseTimer push_timer{obs::Phase::ChannelPush};
     channel_->send(action->packet, ps.next_step);
   }
   ps.next_step = ps.next_step + validated_gap(id, *ps.scheduler, ps.steps_taken);

@@ -10,21 +10,29 @@
 // trailing token fails here. The sweep only parses, so no mutant can hang
 // it. The same sweep runs over a recorded timed trace (ioa::parse_trace),
 // and the run-metrics JSONL reader is checked against histogram mutants of
-// the golden campaign baseline. CMake injects the tests/ source directory
-// as RSTP_TESTS_DIR.
+// the golden campaign baseline. The one-line spec parsers (DriftSpec::parse
+// and obs::parse_thresholds) get a character-level sweep, and every mutant
+// they reject must also make the CLI flag that reads it exit 2. CMake
+// injects the tests/ source directory as RSTP_TESTS_DIR and the CLI binary
+// as RSTP_CLI_PATH.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "rstp/common/check.h"
+#include "rstp/core/drift.h"
 #include "rstp/core/effort.h"
 #include "rstp/ioa/trace_io.h"
+#include "rstp/obs/diff.h"
 #include "rstp/obs/json.h"
 #include "rstp/obs/sinks.h"
 #include "rstp/sim/adversary.h"
@@ -203,6 +211,120 @@ TEST(ArtifactParse, EveryLineMutantRoundTripsOrIsAModelError) {
   EXPECT_GT(rejected, 0u);
 }
 
+
+/// Every deterministic single-character mutant of the one-line spec `seed`:
+/// each character deleted, doubled, or replaced by a spec metacharacter, a
+/// space or a letter, and each digit run negated or replaced by 2^64.
+/// Sorted, without duplicates or the seed itself. No mutant contains a
+/// quote, so each passes to the CLI inside single quotes.
+std::vector<std::string> spec_mutants(const std::string& seed) {
+  std::set<std::string> out;
+  for (std::size_t i = 0; i < seed.size(); ++i) {
+    const std::string head = seed.substr(0, i);
+    out.insert(head + seed.substr(i + 1));
+    out.insert(head + seed[i] + seed.substr(i));
+    for (const char c : std::string_view{"-:,>=%. x"}) out.insert(head + c + seed.substr(i + 1));
+    const bool run_start = std::isdigit(static_cast<unsigned char>(seed[i])) != 0 &&
+                           (i == 0 || std::isdigit(static_cast<unsigned char>(seed[i - 1])) == 0);
+    if (run_start) {
+      const std::size_t end = std::min(seed.find_first_not_of("0123456789", i), seed.size());
+      out.insert(head + "-" + seed.substr(i));
+      out.insert(head + "18446744073709551616" + seed.substr(end));
+    }
+  }
+  out.erase(seed);
+  return {out.begin(), out.end()};
+}
+
+/// Checks that the CLI exits 2 when invoked with each of `args` (run in
+/// one shell, in order).
+void expect_cli_exits_2(const std::vector<std::string>& args) {
+  const std::string script = ::testing::TempDir() + "/spec_parse_cli.sh";
+  const std::string codes = ::testing::TempDir() + "/spec_parse_cli.codes";
+  {
+    std::ofstream out{script};
+    for (const std::string& a : args) {
+      out << RSTP_CLI_PATH << ' ' << a << " >/dev/null 2>&1; echo $?\n";
+    }
+  }
+  ASSERT_EQ(std::system(("sh " + script + " > " + codes).c_str()), 0);
+  std::ifstream in{codes};
+  for (const std::string& a : args) {
+    int code = -1;
+    in >> code;
+    EXPECT_EQ(code, 2) << "rstp " << a;
+  }
+  std::remove(script.c_str());
+  std::remove(codes.c_str());
+}
+
+TEST(SpecParse, EveryDriftSpecMutantRoundTripsOrIsADriftParseError) {
+  const std::string seed = "0:9,250:4,600:7";  // the golden estimator grid's drift
+  ASSERT_EQ(core::DriftSpec::parse(seed).to_string(), seed);
+  std::size_t accepted = 0;
+  std::vector<std::string> rejected;
+  for (const std::string& mutant : spec_mutants(seed)) {
+    try {
+      const core::DriftSpec spec = core::DriftSpec::parse(mutant);
+      EXPECT_EQ(core::DriftSpec::parse(spec.to_string()), spec) << mutant;
+      ++accepted;
+    } catch (const core::DriftParseError&) {
+      rejected.push_back(mutant);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "non-DriftParseError " << e.what() << " from '" << mutant << "'";
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected.size(), 0u);
+  for (std::string& mutant : rejected) mutant = "run beta 1 2 6 4 8 --drift '" + mutant + "'";
+  expect_cli_exits_2(rejected);
+}
+
+TEST(SpecParse, EveryThresholdMutantRoundTripsOrIsAThresholdParseError) {
+  // The --fail-on examples of docs/OBSERVABILITY.md.
+  const std::vector<std::string> seeds = {
+      "cells_changed>0,cells_missing>0,cells_extra>0,effort_mean>1%,delay_p99>5%",
+      "cells_changed>0,cells_missing>0,cells_extra>0,effort_mean>1%", "est_penalty_max>5%",
+      "events_per_sec_drop>95", "gap_ratio_max>1%"};
+  const auto spelled = [](const std::vector<obs::Threshold>& clauses) {
+    std::string out;
+    for (const obs::Threshold& t : clauses) out += (out.empty() ? "" : ",") + obs::to_string(t);
+    return out;
+  };
+  std::set<std::string> mutants;
+  for (const std::string& seed : seeds) {
+    ASSERT_EQ(spelled(obs::parse_thresholds(seed)), seed);
+    for (std::string& mutant : spec_mutants(seed)) mutants.insert(std::move(mutant));
+  }
+  std::size_t accepted = 0;
+  std::vector<std::string> rejected;
+  for (const std::string& mutant : mutants) {
+    try {
+      const std::vector<obs::Threshold> clauses = obs::parse_thresholds(mutant);
+      const std::vector<obs::Threshold> again = obs::parse_thresholds(spelled(clauses));
+      ASSERT_EQ(again.size(), clauses.size()) << mutant;
+      for (std::size_t i = 0; i < clauses.size(); ++i) {
+        EXPECT_EQ(again[i].quantity, clauses[i].quantity) << mutant;
+        EXPECT_EQ(again[i].inclusive, clauses[i].inclusive) << mutant;
+        EXPECT_EQ(again[i].limit, clauses[i].limit) << mutant;
+        EXPECT_EQ(again[i].relative, clauses[i].relative) << mutant;
+      }
+      ++accepted;
+    } catch (const obs::ThresholdParseError&) {
+      rejected.push_back(mutant);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "non-ThresholdParseError " << e.what() << " from '" << mutant << "'";
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected.size(), 0u);
+  const std::string baseline =
+      std::string{RSTP_TESTS_DIR} + "/golden/campaign_baseline.jsonl";
+  for (std::string& mutant : rejected) {
+    mutant = "report " + baseline + " " + baseline + " --fail-on '" + mutant + "'";
+  }
+  expect_cli_exits_2(rejected);
+}
 
 TEST(TraceParse, RejectsTrailingTokensAndOutOfRangeNumbers) {
   const auto rejected = [](const std::string& line) {

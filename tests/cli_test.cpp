@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -187,16 +190,39 @@ TEST(Cli, MetricsOutThenReportRoundTrip) {
   std::remove(jsonl.c_str());
 }
 
+/// The net_us column of the --timing row that starts with `label`, in whole
+/// nanoseconds (the column prints ns / 1000 with three decimals).
+std::int64_t timing_row_ns(const std::string& out, const std::string& label) {
+  const std::size_t at = out.find("\n" + label + " ");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no row '" << label << "' in:\n" << out;
+    return 0;
+  }
+  const std::size_t begin = at + 1 + label.size();
+  std::istringstream row{out.substr(begin, out.find('\n', begin) - begin)};
+  std::vector<std::string> cells;
+  for (std::string cell; row >> cell;) cells.push_back(cell);
+  // Layer and timer rows: calls, net_us, mean_ns, share; the residual and
+  // wall rows: net_us, share.
+  const std::string& us = cells.size() == 4 ? cells[1] : cells.at(0);
+  return std::llround(std::stod(us) * 1000.0);
+}
+
 TEST(Cli, RunTimingPrintsThePhaseTable) {
   std::string out;
   EXPECT_EQ(run_command("run gamma 1 2 6 4 32 --timing", &out), 0);
-  EXPECT_NE(out.find("phase timing (timer-pair overhead "), std::string::npos) << out;
-  EXPECT_NE(out.find("sim_step"), std::string::npos) << out;
-  // The nested breakdown rides along: sim-step time is attributed to named
-  // children, with the unattributed remainder on a (self) line.
-  EXPECT_NE(out.find("phase tree"), std::string::npos) << out;
-  EXPECT_NE(out.find("proto_apply"), std::string::npos) << out;
-  EXPECT_NE(out.find("(self)"), std::string::npos) << out;
+  EXPECT_NE(out.find("host timing (clock: "), std::string::npos) << out;
+  EXPECT_NE(out.find("codec: 8 blocks encoded, 8 blocks decoded"), std::string::npos) << out;
+  // One row per timed layer, the timers' own cost and the simulator's
+  // residual; together they are the run's wall time, to the nanosecond.
+  std::int64_t sum = 0;
+  for (const char* row : {"protocols.enabled_local", "protocols.apply", "sim.scheduler.next_gap",
+                          "channel.policy_choose", "timer cost", "simulator own (residual)"}) {
+    sum += timing_row_ns(out, row);
+  }
+  const std::int64_t wall = timing_row_ns(out, "wall time");
+  EXPECT_GT(wall, 0);
+  EXPECT_EQ(sum, wall) << out;
 }
 
 TEST(Cli, ReportDiffOfIdenticalSeriesHoldsTheGate) {
@@ -380,9 +406,38 @@ TEST(Cli, ReportRejectsABrokenHistogramWithExitTwo) {
 
 TEST(Cli, ModelErrorsSurfaceCleanly) {
   std::string out;
-  // c1 > c2 is a contract violation; the CLI must catch and report it.
-  EXPECT_EQ(run_command("bounds 3 2 8 4", &out), 1);
+  // A protocol's own contract (windowed γ needs k >= 2W) is checked by the
+  // library; the CLI must catch and report the violation.
+  EXPECT_EQ(run_command("run gammaw 1 2 6 3 32", &out), 1);
   EXPECT_NE(out.find("error:"), std::string::npos) << out;
+}
+
+TEST(Cli, BoundsRejectsC1AboveC2AsAUsageError) {
+  std::string out;
+  EXPECT_EQ(run_command("bounds 3 2 6 4", &out), 2);
+  EXPECT_NE(out.find("out-of-model c2 '2'"), std::string::npos) << out;
+  EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+}
+
+TEST(Cli, BoundsRejectsAnAlphabetBelowTwoAsAUsageError) {
+  std::string out;
+  EXPECT_EQ(run_command("bounds 1 2 6 1", &out), 2);
+  EXPECT_NE(out.find("out-of-model k '1'"), std::string::npos) << out;
+  EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+}
+
+TEST(Cli, RunRejectsAZeroC1AsAUsageError) {
+  std::string out;
+  EXPECT_EQ(run_command("run gamma 0 2 6 4 32", &out), 2);
+  EXPECT_NE(out.find("out-of-model c1 '0'"), std::string::npos) << out;
+  EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+}
+
+TEST(Cli, RunRejectsAZeroAlphabetAsAUsageError) {
+  std::string out;
+  EXPECT_EQ(run_command("run gamma 1 2 6 0 32", &out), 2);
+  EXPECT_NE(out.find("out-of-model k '0'"), std::string::npos) << out;
+  EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
 }
 
 TEST(Cli, RunWritesChromeTraceWithTraceOut) {
@@ -402,6 +457,10 @@ TEST(Cli, RunWritesChromeTraceWithTraceOut) {
   EXPECT_NE(content.find("\"ph\":\"s\""), std::string::npos);  // at least one flow start
   EXPECT_NE(content.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(content.find("model: channel"), std::string::npos);
+  // --timing puts the host timer's spans on the pid-100 track.
+  EXPECT_NE(content.find("host: layers"), std::string::npos);
+  EXPECT_NE(content.find("\"name\":\"protocols.apply\",\"cat\":\"host\",\"pid\":100"),
+            std::string::npos);
   std::remove(trace_json.c_str());
 }
 
@@ -481,8 +540,8 @@ TEST(Cli, EstimatorCampaignHoldsThePenaltyGate) {
 TEST(Cli, TimingReportsOverheadAndHonorsNoTscEnv) {
   std::string out;
   ASSERT_EQ(run_command("run beta 1 2 6 4 32 --timing", &out), 0) << out;
-  EXPECT_NE(out.find("timer-pair overhead"), std::string::npos) << out;
-  EXPECT_NE(out.find("net_ns"), std::string::npos) << out;
+  EXPECT_NE(out.find(", timer self "), std::string::npos) << out;
+  EXPECT_NE(out.find("net_us"), std::string::npos) << out;
 
   // RSTP_NO_TSC forces the steady_clock fallback; timing must still work.
   const std::string tmp = ::testing::TempDir() + "/cli_notsc.txt";

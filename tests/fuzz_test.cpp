@@ -2,13 +2,14 @@
 //   * SeededFaultInjector: deterministic, rate-respecting, pin-obeying.
 //   * Channel fault plumbing: each fault kind produces the right deliveries
 //     and the right structured log entries.
-//   * verify_trace_with_faults: per-kind excusal, never-excused kinds.
+//   * verify_with_faults: per-kind excusal, never-excused kinds.
 //   * Case/repro serialization round-trips and rejects malformed input.
 //   * run_fuzz: bitwise determinism across runs and --jobs values.
 // End-to-end failure discovery lives in fuzz_repro_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -175,6 +176,17 @@ TEST(ChannelFaults, NoInjectorMeansCleanLogAndInModelBehavior) {
 // ---------------------------------------------------------------------------
 // Fault-aware verification.
 
+/// Feeds `trace` to a TraceChecker and excuses its verdict against `faults`.
+[[nodiscard]] core::FaultVerifyReport checked_with_faults(const ioa::TimedTrace& trace,
+                                                        const core::TimingParams& params,
+                                                        std::span<const ioa::Bit> input,
+                                                        std::span<const FaultEvent> faults,
+                                                        const core::VerifyOptions& options) {
+  core::TraceChecker checker{params, input, options};
+  for (const ioa::TimedEvent& e : trace.events()) checker.add(e);
+  return core::verify_with_faults(checker, faults);
+}
+
 /// A minimal trace: send at t_send, recv at t_recv (same payload).
 [[nodiscard]] ioa::TimedTrace send_recv_trace(std::int64_t t_send, std::int64_t t_recv) {
   ioa::TimedTrace trace;
@@ -192,13 +204,13 @@ TEST(VerifyWithFaults, LateFaultExcusesLateDelivery) {
   options.require_complete = false;
   const std::vector<ioa::Bit> input;
 
-  const auto blind = core::verify_trace_with_faults(trace, params, input, {}, options);
+  const auto blind = checked_with_faults(trace, params, input, {}, options);
   EXPECT_FALSE(blind.ok());  // no faults logged: the violation stands
 
   const FaultEvent late{FaultKind::Late, 0, at_tick(0), Packet::to_receiver(1),
                         Packet::to_receiver(1), Duration{3}};
   const std::vector<FaultEvent> faults = {late};
-  const auto excused = core::verify_trace_with_faults(trace, params, input, faults, options);
+  const auto excused = checked_with_faults(trace, params, input, faults, options);
   EXPECT_TRUE(excused.ok());
   EXPECT_EQ(excused.excused, 1u);
   EXPECT_FALSE(excused.raw.ok());  // the raw verdict still records it
@@ -212,8 +224,7 @@ TEST(VerifyWithFaults, FaultAfterTheViolationDoesNotExcuseIt) {
   const FaultEvent later{FaultKind::Late, 7, at_tick(30), Packet::to_receiver(1),
                          Packet::to_receiver(1), Duration{3}};
   const std::vector<FaultEvent> faults = {later};
-  const auto report =
-      core::verify_trace_with_faults(trace, params, {}, faults, options);
+  const auto report = checked_with_faults(trace, params, {}, faults, options);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.excused, 0u);
 }
@@ -230,7 +241,7 @@ TEST(VerifyWithFaults, StepGapViolationsAreNeverExcused) {
   const FaultEvent early{FaultKind::Drop, 0, at_tick(0), Packet::to_receiver(1),
                          Packet::to_receiver(1), Duration{0}};
   const std::vector<FaultEvent> faults = {early};
-  const auto report = core::verify_trace_with_faults(trace, params, {}, faults, options);
+  const auto report = checked_with_faults(trace, params, {}, faults, options);
   ASSERT_EQ(report.unexcused.size(), 1u);
   EXPECT_EQ(report.unexcused[0].kind, core::ViolationKind::StepGapTooSmall);
 }
@@ -253,7 +264,7 @@ TEST(VerifyWithFaults, DropExcusesTheMatchingCascade) {
   const FaultEvent drop{FaultKind::Drop, 0, at_tick(0), Packet::to_receiver(1),
                         Packet::to_receiver(1), Duration{0}};
   const std::vector<FaultEvent> faults = {drop};
-  const auto report = core::verify_trace_with_faults(trace, params, {}, faults, options);
+  const auto report = checked_with_faults(trace, params, {}, faults, options);
   EXPECT_TRUE(report.ok()) << report;
   EXPECT_FALSE(report.raw.ok());
 }

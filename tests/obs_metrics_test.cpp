@@ -1,5 +1,6 @@
 // Tests for the obs instrumentation layer: fixed-bucket histograms, the
-// sharded metrics registry, and the gated wall-clock phase timers.
+// sharded metrics registry and the shared nearest-rank kernel. The host-time
+// recorder has its own suite, host_timing_test.cpp.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -7,7 +8,6 @@
 
 #include "rstp/common/check.h"
 #include "rstp/obs/metrics.h"
-#include "rstp/sim/campaign.h"
 
 namespace rstp {
 namespace {
@@ -147,133 +147,6 @@ TEST(MetricsRegistry, ConcurrentRecordingMergesDeterministically) {
   EXPECT_EQ(reg.value(g), kThreads);
 }
 
-TEST(PhaseTimers, DisabledTimersRecordNothing) {
-  obs::reset_phase_totals();
-  obs::set_phase_timing_enabled(false);
-  { const obs::ScopedPhaseTimer t{obs::Phase::CodecRank}; }
-  for (const obs::PhaseTotal& total : obs::collect_phase_totals()) {
-    EXPECT_EQ(total.calls, 0u) << obs::to_string(total.phase);
-  }
-}
-
-TEST(PhaseTimers, EnabledTimersCountCallsPerPhase) {
-  obs::reset_phase_totals();
-  obs::set_phase_timing_enabled(true);
-  { const obs::ScopedPhaseTimer t{obs::Phase::CodecRank}; }
-  { const obs::ScopedPhaseTimer t{obs::Phase::CodecRank}; }
-  { const obs::ScopedPhaseTimer t{obs::Phase::SimStep}; }
-  obs::set_phase_timing_enabled(false);
-  std::uint64_t rank_calls = 0;
-  std::uint64_t step_calls = 0;
-  for (const obs::PhaseTotal& total : obs::collect_phase_totals()) {
-    if (total.phase == obs::Phase::CodecRank) rank_calls = total.calls;
-    if (total.phase == obs::Phase::SimStep) step_calls = total.calls;
-  }
-  EXPECT_EQ(rank_calls, 2u);
-  EXPECT_EQ(step_calls, 1u);
-}
-
-std::uint64_t flat_nanos(const std::vector<obs::PhaseTotal>& totals, obs::Phase phase) {
-  for (const obs::PhaseTotal& total : totals) {
-    if (total.phase == phase) return total.nanos;
-  }
-  return 0;
-}
-
-std::uint64_t flat_calls(const std::vector<obs::PhaseTotal>& totals, obs::Phase phase) {
-  for (const obs::PhaseTotal& total : totals) {
-    if (total.phase == phase) return total.calls;
-  }
-  return 0;
-}
-
-TEST(NestedPhaseTimers, ChildTimeLandsOnTheParentEdge) {
-  obs::reset_phase_totals();
-  obs::set_phase_timing_enabled(true);
-  {
-    const obs::ScopedPhaseTimer step{obs::Phase::SimStep};
-    { const obs::ScopedPhaseTimer rank{obs::Phase::CodecRank}; }
-    { const obs::ScopedPhaseTimer rank{obs::Phase::CodecRank}; }
-  }
-  { const obs::ScopedPhaseTimer rank{obs::Phase::CodecRank}; }  // top-level
-  obs::set_phase_timing_enabled(false);
-
-  const auto edges = obs::collect_phase_edge_totals();
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_EQ(edges[0].parent, obs::Phase::SimStep);
-  EXPECT_EQ(edges[0].child, obs::Phase::CodecRank);
-  EXPECT_EQ(edges[0].calls, 2u);
-
-  // Flat totals fold the edge time back in: the child's flat count covers
-  // nested and top-level instances alike, exactly as the old flat-only
-  // layout reported them.
-  const auto totals = obs::collect_phase_totals();
-  EXPECT_EQ(flat_calls(totals, obs::Phase::CodecRank), 3u);
-  EXPECT_EQ(flat_calls(totals, obs::Phase::SimStep), 1u);
-  EXPECT_GE(flat_nanos(totals, obs::Phase::CodecRank), edges[0].nanos);
-}
-
-TEST(NestedPhaseTimers, ChildDurationsNeverExceedTheParent) {
-  obs::reset_phase_totals();
-  obs::set_phase_timing_enabled(true);
-  for (int i = 0; i < 50; ++i) {
-    const obs::ScopedPhaseTimer step{obs::Phase::SimStep};
-    { const obs::ScopedPhaseTimer a{obs::Phase::ProtoEnabled}; }
-    { const obs::ScopedPhaseTimer b{obs::Phase::ProtoApply}; }
-    { const obs::ScopedPhaseTimer c{obs::Phase::RecordEvent}; }
-  }
-  obs::set_phase_timing_enabled(false);
-
-  // Child intervals are strict sub-intervals of the parent's (the parent's
-  // clock brackets every child's), so attributed time can never exceed the
-  // parent's flat total.
-  std::uint64_t attributed = 0;
-  for (const obs::PhaseEdgeTotal& edge : obs::collect_phase_edge_totals()) {
-    ASSERT_EQ(edge.parent, obs::Phase::SimStep);
-    EXPECT_EQ(edge.calls, 50u);
-    attributed += edge.nanos;
-  }
-  EXPECT_LE(attributed, flat_nanos(obs::collect_phase_totals(), obs::Phase::SimStep));
-}
-
-TEST(NestedPhaseTimers, DeepNestingAttributesEachLevelToItsDirectParent) {
-  obs::reset_phase_totals();
-  obs::set_phase_timing_enabled(true);
-  {
-    const obs::ScopedPhaseTimer step{obs::Phase::SimStep};
-    const obs::ScopedPhaseTimer apply{obs::Phase::ProtoApply};
-    const obs::ScopedPhaseTimer rank{obs::Phase::CodecRank};
-  }
-  obs::set_phase_timing_enabled(false);
-  const auto edges = obs::collect_phase_edge_totals();
-  ASSERT_EQ(edges.size(), 2u);
-  // (parent, child) enum order: SimStep→ProtoApply before ProtoApply→CodecRank.
-  EXPECT_EQ(edges[0].parent, obs::Phase::SimStep);
-  EXPECT_EQ(edges[0].child, obs::Phase::ProtoApply);
-  EXPECT_EQ(edges[1].parent, obs::Phase::ProtoApply);
-  EXPECT_EQ(edges[1].child, obs::Phase::CodecRank);
-}
-
-TEST(NestedPhaseTimers, TimersOnOrOffLeaveRunMetricsBitwiseIdentical) {
-  // The timers measure wall clock; the simulation's own metrics must not
-  // notice whether they are armed. Run one golden-grid job both ways and
-  // compare the whole job result (RunMetrics included) with ==.
-  const sim::Campaign campaign{sim::golden_campaign_spec()};
-  const sim::CampaignJob job = campaign.job(0);
-  const std::size_t input_bits = campaign.spec().input_bits;
-
-  obs::reset_phase_totals();
-  obs::set_phase_timing_enabled(false);
-  const sim::CampaignJobResult untimed = sim::run_campaign_job(job, input_bits, 1'000'000);
-  obs::set_phase_timing_enabled(true);
-  const sim::CampaignJobResult timed = sim::run_campaign_job(job, input_bits, 1'000'000);
-  obs::set_phase_timing_enabled(false);
-  obs::reset_phase_totals();
-
-  EXPECT_FALSE(untimed.failed) << untimed.error;
-  EXPECT_EQ(untimed, timed);
-}
-
 TEST(NearestRankBucket, EmptyAndAllZeroFoldsReturnBucketZero) {
   const std::uint64_t zeros[4] = {0, 0, 0, 0};
   EXPECT_EQ(obs::nearest_rank_bucket(zeros, 4, 0, 95.0), 0u);    // empty fold
@@ -297,41 +170,6 @@ TEST(NearestRankBucket, PercentileArgumentClampsInto0To100) {
   const std::uint64_t buckets[3] = {5, 3, 2};
   EXPECT_EQ(obs::nearest_rank_bucket(buckets, 3, 10, -50.0), 0u);  // rank clamps up to 1
   EXPECT_EQ(obs::nearest_rank_bucket(buckets, 3, 10, 500.0), 2u);  // rank clamps to count
-}
-
-TEST(PhaseStack, ExitOnAnEmptyStackRecordsTopLevelInsteadOfUnderflowing) {
-  obs::reset_phase_totals();
-  obs::set_phase_timing_enabled(true);
-  // A hook firing with no enclosing ScopedPhaseTimer (or an unmatched exit):
-  // depth pins at 0, the frames[depth - 1] read is guarded out, and the span
-  // lands in the phase's top-level slot.
-  const std::uint64_t start = obs::detail::phase_now_ns();
-  obs::detail::phase_exit(obs::Phase::CodecRank, start);
-  obs::detail::phase_exit(obs::Phase::CodecRank, start);  // still safe when repeated
-  obs::set_phase_timing_enabled(false);
-  const auto totals = obs::collect_phase_totals();
-  EXPECT_EQ(flat_calls(totals, obs::Phase::CodecRank), 2u);
-  EXPECT_TRUE(obs::collect_phase_edge_totals().empty());  // nothing read as nested
-  obs::reset_phase_totals();
-}
-
-void nest_timers(int depth) {
-  if (depth == 0) return;
-  const obs::ScopedPhaseTimer t{obs::Phase::SimStep};
-  nest_timers(depth - 1);
-}
-
-TEST(PhaseStack, OverflowingTheFrameCapacityStaysSafeAndBalanced) {
-  obs::reset_phase_totals();
-  obs::set_phase_timing_enabled(true);
-  // 40 nested timers, well past the 16-frame capacity: pushes beyond it drop
-  // their frames (never write out of bounds), the saturated depth still
-  // counts, and every exit is recorded — the stack rebalances on unwind.
-  nest_timers(40);
-  obs::set_phase_timing_enabled(false);
-  const auto totals = obs::collect_phase_totals();
-  EXPECT_EQ(flat_calls(totals, obs::Phase::SimStep), 40u);
-  obs::reset_phase_totals();
 }
 
 }  // namespace

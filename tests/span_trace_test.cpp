@@ -1,5 +1,5 @@
-// Tests for the causal span tracer (obs/trace.h), the calibrated host clock
-// (common/time.h), and the phase-timer overhead floor — including the
+// Tests for the causal span tracer (obs/trace.h), its host-span track fed by
+// obs::HostTimer, and the calibrated host clock (common/time.h) — including the
 // bitwise-invisibility contract: arming the tracer, or any other
 // sim::SimObserver, must not change any simulation result bit, for any
 // thread count.
@@ -21,10 +21,10 @@
 #include "rstp/est/estimator.h"
 #include "rstp/ioa/trace_io.h"
 #include "rstp/obs/dashboard.h"
+#include "rstp/obs/host_timer.h"
 #include "rstp/obs/json.h"
 #include "rstp/obs/metrics.h"
 #include "rstp/obs/sinks.h"
-#include "rstp/sim/campaign.h"
 #include "rstp/sim/search_support.h"
 #include "rstp/sim/session.h"
 
@@ -43,12 +43,22 @@ protocols::ProtocolConfig fixed_config() {
   return cfg;
 }
 
-core::ProtocolRun run_with_tracer(Tracer* tracer) {
+/// Runs fixed_config() in the worst-case environment with `tracer`'s model
+/// recorder armed (when set) and the session timed by `timer` (when set).
+core::ProtocolRun run_with_tracer(Tracer* tracer, obs::HostTimer* timer = nullptr) {
   std::optional<ModelRecorder> recorder;
   if (tracer != nullptr) recorder.emplace(*tracer);
-  return core::run_protocol(protocols::ProtocolKind::Beta, fixed_config(),
-                            core::Environment::worst_case(), /*record_trace=*/true,
-                            50'000'000, recorder.has_value() ? &*recorder : nullptr);
+  const protocols::ProtocolConfig cfg = fixed_config();
+  sim::SimConfig sim_config;
+  sim_config.params = cfg.params;
+  sim_config.observer = recorder.has_value() ? &*recorder : nullptr;
+  sim_config.host_timer = timer;
+  core::ProtocolRun run;
+  run.result = core::make_session(protocols::ProtocolKind::Beta, cfg,
+                                  core::Environment::worst_case(), std::move(sim_config))
+                   ->run();
+  run.output_correct = run.result.output == cfg.input;
+  return run;
 }
 
 /// Runs fixed_config() in the worst-case environment on a hand-wired session
@@ -255,69 +265,35 @@ TEST(SpanTrace, NoObserverChangesAnyResultBit) {
   EXPECT_EQ(export_json(tracer), export_json(solo));
 }
 
-TEST(SpanTrace, CampaignStaysBitwiseDeterministicWithHostTracingArmed) {
-  sim::CampaignSpec spec;
-  spec.protocols = {protocols::ProtocolKind::Beta, protocols::ProtocolKind::Alpha};
-  spec.timings = {core::TimingParams::make(1, 2, 6)};
-  spec.alphabets = {4};
-  spec.environments = {core::Environment::worst_case()};
-  spec.seeds_per_cell = 2;
-  spec.input_bits = 24;
-  spec.campaign_seed = 5;
-  const sim::Campaign campaign{spec};
-
-  const sim::CampaignResult baseline = campaign.run(1);
-
-  // Arm everything observational: phase timing on and a tracer's host hook
-  // attached. Neither may perturb a single result bit, at any thread count.
-  obs::set_phase_timing_enabled(true);
-  Tracer tracer;
-  tracer.attach_host_hook();
-  const sim::CampaignResult three = campaign.run(3);
-  const sim::CampaignResult eight = campaign.run(8);
-  tracer.detach_host_hook();
-  obs::set_phase_timing_enabled(false);
-  obs::reset_phase_totals();
-
-  EXPECT_EQ(baseline, three);
-  EXPECT_EQ(baseline, eight);
-  // The workers really did record host spans while producing identical bits.
-  EXPECT_GT(tracer.host_span_count(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Host-time profiling spans
 
-TEST(SpanTrace, HostSpansLandUnderPid100WhenHookAttached) {
-  obs::set_phase_timing_enabled(true);
+TEST(SpanTrace, HostSpansLandUnderPid100FromAHostTimer) {
   Tracer tracer;
-  tracer.attach_host_hook();
-  (void)run_with_tracer(&tracer);
-  tracer.detach_host_hook();
-  obs::set_phase_timing_enabled(false);
-  obs::reset_phase_totals();
-
-  EXPECT_GT(tracer.host_span_count(), 0u);
+  std::uint64_t timed_calls = 0;
+  {
+    obs::HostTimer timer{&tracer};
+    (void)run_with_tracer(&tracer, &timer);
+    for (const obs::LayerTotal& layer : timer.layers()) timed_calls += layer.calls;
+  }
+  // One span per timed call; the calibration's spans never reach the tracer.
+  EXPECT_EQ(tracer.host_buffer().records().size(), timed_calls);
+  EXPECT_GT(timed_calls, 0u);
   const obs::JsonValue doc = obs::parse_json(export_json(tracer));
   std::size_t host_spans = 0;
+  std::set<std::string> names;
   for (const obs::JsonValue& e : doc.find("traceEvents")->items) {
     if (e.string_or("cat", "") != "host") continue;
     ++host_spans;
     EXPECT_EQ(e.u64_or("pid", 0), 100u);
     // Host timestamps are rebased to the first span: small µs offsets.
     EXPECT_GE(e.number_or("ts", -1), 0.0);
+    names.insert(e.string_or("name", ""));
   }
-  EXPECT_EQ(host_spans, tracer.host_span_count());
-}
-
-TEST(SpanTrace, OnlyOneHostHookMayBeAttached) {
-  Tracer first;
-  first.attach_host_hook();
-  Tracer second;
-  EXPECT_THROW(second.attach_host_hook(), ContractViolation);
-  first.detach_host_hook();
-  second.attach_host_hook();  // free again after detach
-  second.detach_host_hook();
+  EXPECT_EQ(host_spans, timed_calls);
+  EXPECT_EQ(names, (std::set<std::string>{"channel.policy_choose", "protocols.apply",
+                                          "protocols.enabled_local",
+                                          "sim.scheduler.next_gap"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -329,19 +305,15 @@ TEST(HostClock, EnvVarForcesSteadyFallbackAndTimingStillWorks) {
   EXPECT_EQ(host_clock_source(), HostClockSource::Steady);
   EXPECT_STREQ(to_string(host_clock_source()), "steady");
 
-  // The fallback clock still drives the phase timers end to end.
-  obs::set_phase_timing_enabled(true);
-  const std::uint64_t overhead = obs::measure_phase_overhead_ns_per_pair();
-  obs::reset_phase_totals();
-  (void)run_with_tracer(nullptr);
-  obs::set_phase_timing_enabled(false);
-  EXPECT_GE(overhead, 1u);
-  bool saw_sim_step = false;
-  for (const obs::PhaseTotal& t : obs::collect_phase_totals()) {
-    if (t.phase == obs::Phase::SimStep && t.calls > 0 && t.nanos > 0) saw_sim_step = true;
+  // The fallback clock still drives the host timer end to end.
+  {
+    obs::HostTimer timer;
+    EXPECT_GT(timer.cost().pair_ns, 0.0);
+    (void)run_with_tracer(nullptr, &timer);
+    std::uint64_t raw_ns = 0;
+    for (const obs::LayerTotal& layer : timer.layers()) raw_ns += layer.raw_ns;
+    EXPECT_GT(raw_ns, 0u);
   }
-  EXPECT_TRUE(saw_sim_step);
-  obs::reset_phase_totals();
 
   ASSERT_EQ(::unsetenv("RSTP_NO_TSC"), 0);
   detail::recalibrate_host_clock_for_testing();  // restore the machine default
@@ -364,36 +336,17 @@ TEST(HostClock, HostNowIsMonotonicInBothModes) {
   calibrate_host_clock();
 }
 
-TEST(HostClock, OverheadGaugeIsPublishedAndSurvivesReset) {
-  const std::uint64_t measured = obs::measure_phase_overhead_ns_per_pair();
-  EXPECT_GE(measured, 1u);
-  EXPECT_EQ(obs::phase_overhead_ns_per_pair(), measured);
-  obs::reset_phase_totals();
-
-  bool found = false;
-  for (const obs::MetricsRegistry::Sample& s : obs::global_registry().collect()) {
-    if (s.name == "phase/_overhead/ns_per_pair") {
-      found = true;
-      EXPECT_TRUE(s.is_gauge);
-      EXPECT_EQ(s.value, measured);
-    }
-  }
-  EXPECT_TRUE(found);
-  obs::reset_phase_totals();
-}
-
 TEST(HostClock, TscInstrumentationFloorIsBelowSteadyClock) {
   calibrate_host_clock();
   if (host_clock_source() != HostClockSource::Tsc) {
     GTEST_SKIP() << "no invariant TSC on this machine (or RSTP_NO_TSC set)";
   }
-  const std::uint64_t tsc_overhead = obs::measure_phase_overhead_ns_per_pair();
+  const double tsc_pair = obs::HostTimer{}.cost().pair_ns;
   detail::set_host_clock_source_for_testing(HostClockSource::Steady);
-  const std::uint64_t steady_overhead = obs::measure_phase_overhead_ns_per_pair();
+  const double steady_pair = obs::HostTimer{}.cost().pair_ns;
   detail::set_host_clock_source_for_testing(HostClockSource::Tsc);
-  obs::reset_phase_totals();
-  EXPECT_LT(tsc_overhead, steady_overhead)
-      << "tsc " << tsc_overhead << " ns vs steady " << steady_overhead << " ns";
+  EXPECT_LT(tsc_pair, steady_pair) << "tsc " << tsc_pair << " ns vs steady " << steady_pair
+                                   << " ns";
 }
 
 // ---------------------------------------------------------------------------

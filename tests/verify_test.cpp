@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "rstp/channel/channel.h"
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
@@ -197,6 +199,8 @@ TEST(Verify, ViolationsComeInCategoryOrder) {
   // A_t's gap law, then A_r's, then bijection and prefix violations in event
   // order, then undelivered sends by packet (not by send time), then the
   // incomplete output — whatever order the events happened in.
+  // Each violation carries its event's time (an undelivered packet's is its
+  // send's; the incomplete output's is zero), which fault excusal reads.
   TimedTrace t;
   t.append({at_tick(0), Actor::Receiver, Action::internal(2, "idle_r"), 0});
   t.append({at_tick(0), Actor::Transmitter, Action::send(Packet::to_receiver(2)), 1});
@@ -207,13 +211,13 @@ TEST(Verify, ViolationsComeInCategoryOrder) {
   t.append({at_tick(6), Actor::Receiver, Action::write(0), 6});  // gap 5 > c2, Y ⋢ X
   const std::vector<Bit> input = {1, 0};
   const VerifyResult r = verdict(t, input);
-  const std::vector<std::pair<ViolationKind, std::uint64_t>> expected = {
-      {ViolationKind::StepGapTooLarge, 5},   {ViolationKind::StepGapTooSmall, 2},
-      {ViolationKind::StepGapTooLarge, 6},   {ViolationKind::RecvWithoutSend, 3},
-      {ViolationKind::OutputNotPrefix, 6},   {ViolationKind::UndeliveredPacket, 4},
-      {ViolationKind::UndeliveredPacket, 1}, {ViolationKind::OutputIncomplete, 0}};
-  std::vector<std::pair<ViolationKind, std::uint64_t>> got;
-  for (const Violation& v : r.violations) got.emplace_back(v.kind, v.event_seq);
+  const std::vector<std::tuple<ViolationKind, std::uint64_t, std::int64_t>> expected = {
+      {ViolationKind::StepGapTooLarge, 5, 6},   {ViolationKind::StepGapTooSmall, 2, 1},
+      {ViolationKind::StepGapTooLarge, 6, 6},   {ViolationKind::RecvWithoutSend, 3, 1},
+      {ViolationKind::OutputNotPrefix, 6, 6},   {ViolationKind::UndeliveredPacket, 4, 2},
+      {ViolationKind::UndeliveredPacket, 1, 0}, {ViolationKind::OutputIncomplete, 0, 0}};
+  std::vector<std::tuple<ViolationKind, std::uint64_t, std::int64_t>> got;
+  for (const Violation& v : r.violations) got.emplace_back(v.kind, v.event_seq, v.time.ticks());
   EXPECT_EQ(got, expected) << r;
 }
 

@@ -14,9 +14,11 @@
 //                                               span timeline (rstp-trace-v1)
 //         --stats                               print trace statistics
 //         --metrics-out FILE                    append the run's metrics (JSONL)
-//         --timing                              print wall-clock phase timings
-//                                               (raw and net of the measured
-//                                               timer-pair overhead)
+//         --timing                              print host time per layer
+//                                               (automata, schedulers, delivery
+//                                               policy) net of the calibrated
+//                                               timer cost, with the residual,
+//                                               summing to the run's wall time
 //
 //   rstp verify  <c1> <c2> <d> <tracefile> <bits>
 //       Check a saved trace against good(A) and the expected output.
@@ -112,6 +114,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -127,6 +130,7 @@
 #include "rstp/ioa/trace_io.h"
 #include "rstp/obs/dashboard.h"
 #include "rstp/obs/diff.h"
+#include "rstp/obs/host_timer.h"
 #include "rstp/obs/sinks.h"
 #include "rstp/obs/trace.h"
 #include "rstp/protocols/factory.h"
@@ -172,6 +176,42 @@ int usage() {
 int bad_number(std::string_view what, std::string_view token) {
   std::cerr << "invalid " << what << " '" << token << "': expected a decimal integer\n";
   return 2;
+}
+
+/// Parses c1, c2 and d from argv[at], argv[at + 1] and argv[at + 2] and
+/// checks them against the model, 0 < c1 <= c2 <= d; nullopt after naming
+/// the first bad field (exit 2).
+[[nodiscard]] std::optional<core::TimingParams> model_args(char** argv, int at) {
+  constexpr std::string_view kFields[] = {"c1", "c2", "d"};
+  std::int64_t value[3] = {};
+  for (int i = 0; i < 3; ++i) {
+    const auto parsed = parse_number<std::int64_t>(argv[at + i]);
+    if (!parsed.has_value()) {
+      (void)bad_number(kFields[i], argv[at + i]);
+      return std::nullopt;
+    }
+    value[i] = *parsed;
+  }
+  const int bad = value[0] < 1 ? 0 : value[1] < value[0] ? 1 : value[2] < value[1] ? 2 : -1;
+  if (bad >= 0) {
+    std::cerr << "out-of-model " << kFields[bad] << " '" << argv[at + bad]
+              << "': the model needs 0 < c1 <= c2 <= d\n";
+    return std::nullopt;
+  }
+  return core::TimingParams::make(value[0], value[1], value[2]);
+}
+
+/// Parses the alphabet size k and checks k >= 2; nullopt after reporting
+/// (exit 2).
+[[nodiscard]] std::optional<std::uint32_t> alphabet_arg(const char* token) {
+  const auto k = parse_number<std::uint32_t>(token);
+  if (!k.has_value()) {
+    (void)bad_number("k", token);
+  } else if (*k < 2) {
+    std::cerr << "out-of-model k '" << token << "': the model needs k >= 2\n";
+    return std::nullopt;
+  }
+  return k;
 }
 
 /// The protocol named `name`; nullopt after reporting an unknown name.
@@ -273,18 +313,47 @@ int write_trace_out(const obs::trace::Tracer& tracer, const std::string& path) {
   return 0;
 }
 
+/// Prints the --timing table: one row per timed layer, the timers' own cost
+/// and the simulator's residual, which sum to `wall_ns` exactly, then the
+/// codec's block counts (codec time is inside protocols.apply and setup).
+void print_host_timing(const obs::HostTimer& timer, std::uint64_t wall_ns,
+                       const obs::ProtocolCounters& counters) {
+  const obs::Attribution a = timer.attribute(wall_ns);
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(1) << "host timing (clock: "
+     << to_string(host_clock_source()) << ", timer self " << timer.cost().self_ns
+     << " ns, pair " << timer.cost().pair_ns << " ns):\n"
+     << std::left << std::setw(26) << "layer" << std::right << std::setw(10) << "calls"
+     << std::setw(14) << "net_us" << std::setw(10) << "mean_ns" << std::setw(8) << "share"
+     << '\n';
+  const auto row = [&](std::string_view name, std::uint64_t calls, std::int64_t ns) {
+    const auto nsd = static_cast<double>(ns);
+    os << std::left << std::setw(26) << name << std::right << std::setw(10);
+    if (calls > 0) {
+      os << calls << std::setprecision(3) << std::setw(14) << nsd / 1000.0
+         << std::setprecision(1) << std::setw(10) << nsd / static_cast<double>(calls);
+    } else {
+      os << "" << std::setprecision(3) << std::setw(14) << nsd / 1000.0 << std::setw(10) << "";
+    }
+    os << std::setprecision(1) << std::setw(7)
+       << (wall_ns == 0 ? 0.0 : 100.0 * nsd / static_cast<double>(wall_ns)) << "%\n";
+  };
+  for (const obs::Attribution::Row& layer : a.layers) row(layer.name, layer.calls, layer.net_ns);
+  row("timer cost", a.timed_calls, a.timer_ns);
+  row("simulator own (residual)", 0, a.residual_ns);
+  row("wall time", 0, static_cast<std::int64_t>(wall_ns));
+  os << "codec: " << counters.blocks_encoded << " blocks encoded, " << counters.blocks_decoded
+     << " blocks decoded (time inside protocols.apply and setup)\n";
+  std::cout << os.str();
+}
+
 int cmd_bounds(int argc, char** argv) {
   if (argc != 6) return usage();
-  const auto c1 = parse_number<std::int64_t>(argv[2]);
-  if (!c1.has_value()) return bad_number("c1", argv[2]);
-  const auto c2 = parse_number<std::int64_t>(argv[3]);
-  if (!c2.has_value()) return bad_number("c2", argv[3]);
-  const auto d = parse_number<std::int64_t>(argv[4]);
-  if (!d.has_value()) return bad_number("d", argv[4]);
-  const auto k = parse_number<std::uint32_t>(argv[5]);
-  if (!k.has_value()) return bad_number("k", argv[5]);
-  const auto params = core::TimingParams::make(*c1, *c2, *d);
-  std::cout << core::compute_bounds(params, *k) << '\n';
+  const auto params = model_args(argv, 2);
+  if (!params.has_value()) return 2;
+  const auto k = alphabet_arg(argv[5]);
+  if (!k.has_value()) return 2;
+  std::cout << core::compute_bounds(*params, *k) << '\n';
   return 0;
 }
 
@@ -292,16 +361,12 @@ int cmd_run(int argc, char** argv) {
   if (argc < 8) return usage();
   const auto kind = protocol_arg(argv[2]);
   if (!kind.has_value()) return 2;
-  const auto c1 = parse_number<std::int64_t>(argv[3]);
-  if (!c1.has_value()) return bad_number("c1", argv[3]);
-  const auto c2 = parse_number<std::int64_t>(argv[4]);
-  if (!c2.has_value()) return bad_number("c2", argv[4]);
-  const auto d = parse_number<std::int64_t>(argv[5]);
-  if (!d.has_value()) return bad_number("d", argv[5]);
-  const auto k = parse_number<std::uint32_t>(argv[6]);
-  if (!k.has_value()) return bad_number("k", argv[6]);
+  const auto params = model_args(argv, 3);
+  if (!params.has_value()) return 2;
+  const auto k = alphabet_arg(argv[6]);
+  if (!k.has_value()) return 2;
   protocols::ProtocolConfig cfg;
-  cfg.params = core::TimingParams::make(*c1, *c2, *d);
+  cfg.params = *params;
   cfg.k = *k;
 
   core::Environment env = core::Environment::worst_case();
@@ -370,32 +435,31 @@ int cmd_run(int argc, char** argv) {
   cfg.input = *input;
   cfg.k = protocols::alphabet_for(*kind, cfg.k, cfg.input.size());
 
-  std::uint64_t overhead_ns = 0;
-  if (want_timing) {
-    obs::set_phase_timing_enabled(true);
-    // The calibration loop spins real timer pairs; reset so the run's
-    // attribution starts clean (the overhead gauge survives the reset).
-    overhead_ns = obs::measure_phase_overhead_ns_per_pair();
-    obs::reset_phase_totals();
-  }
   std::optional<obs::trace::Tracer> tracer;
   std::optional<obs::trace::ModelRecorder> recorder;
   if (!trace_out_file.empty()) {
     tracer.emplace();
     recorder.emplace(*tracer);
-    if (want_timing) tracer->attach_host_hook();
   }
+  std::optional<obs::HostTimer> timer;
+  if (want_timing) timer.emplace(tracer.has_value() ? &*tracer : nullptr);
+  // The verifier watches the run online; the trace is recorded only for the
+  // outputs that read it.
+  core::TraceChecker checker{cfg.params, cfg.input};
+  sim::ObserverTee observers{recorder.has_value() ? &*recorder : nullptr, &checker};
   // run_estimated with no drift and the estimator off is exactly
   // core::run_protocol (same seed stream), so one call covers all modes.
   est::EstimatorConfig est_cfg;
   est_cfg.margin = est_margin;
-  const est::EstimatedRun est_run =
-      est::run_estimated(*kind, cfg, env, drift, want_estimator, est_cfg,
-                         /*record_trace=*/true, 50'000'000,
-                         recorder.has_value() ? &*recorder : nullptr);
+  const std::uint64_t start_ns = host_now_ns();
+  const est::EstimatedRun est_run = est::run_estimated(
+      *kind, cfg, env, drift, want_estimator, est_cfg,
+      {.max_events = 50'000'000,
+       .record_trace = want_stats || !trace_file.empty(),
+       .observer = observers.armed(),
+       .host_timer = timer.has_value() ? &*timer : nullptr});
+  const std::uint64_t wall_ns = host_now_ns() - start_ns;
   const core::ProtocolRun& run = est_run.run;
-  if (tracer.has_value()) tracer->detach_host_hook();
-  if (want_timing) obs::set_phase_timing_enabled(false);
   std::cout << "protocol:   " << protocols::to_string(*kind) << "\n"
             << "model:      " << cfg.params << " k=" << cfg.k << "\n"
             << "input bits: " << cfg.input.size() << "\n"
@@ -417,18 +481,14 @@ int cmd_run(int argc, char** argv) {
              static_cast<double>(cfg.input.size());
     std::cout << "effort:     " << effort << " ticks/bit\n";
   }
-  const core::VerifyResult verdict = core::verify_trace(run.result.trace, cfg.params, cfg.input);
+  const core::VerifyResult verdict = checker.finish();
   std::cout << "verifier:   " << (verdict.ok() ? "accepts (in good(A))" : "REJECTS") << '\n';
   if (!verdict.ok()) std::cout << verdict;
   if (want_stats) {
     std::cout << core::compute_trace_stats(run.result.trace) << '\n';
   }
-  if (want_timing) {
-    std::cout << "phase timing (timer-pair overhead " << overhead_ns
-              << " ns, clock: " << to_string(host_clock_source()) << "):\n";
-    const std::vector<obs::PhaseTotal> totals = obs::collect_phase_totals();
-    obs::print_phase_table(std::cout, totals, overhead_ns);
-    obs::print_phase_tree(std::cout, totals, obs::collect_phase_edge_totals());
+  if (timer.has_value()) {
+    print_host_timing(*timer, wall_ns, run.result.metrics.counters.protocol);
   }
   if (!metrics_file.empty()) {
     obs::RunMetricsRecord record;
@@ -461,13 +521,8 @@ int cmd_run(int argc, char** argv) {
 
 int cmd_verify(int argc, char** argv) {
   if (argc != 7) return usage();
-  const auto c1 = parse_number<std::int64_t>(argv[2]);
-  if (!c1.has_value()) return bad_number("c1", argv[2]);
-  const auto c2 = parse_number<std::int64_t>(argv[3]);
-  if (!c2.has_value()) return bad_number("c2", argv[3]);
-  const auto d = parse_number<std::int64_t>(argv[4]);
-  if (!d.has_value()) return bad_number("d", argv[4]);
-  const auto params = core::TimingParams::make(*c1, *c2, *d);
+  const auto params = model_args(argv, 2);
+  if (!params.has_value()) return 2;
   std::ifstream in{argv[5]};
   if (!in) return cannot_open(argv[5]);
   // A malformed trace is a usage error (exit 2); exit 1 is reserved for a
@@ -487,7 +542,7 @@ int cmd_verify(int argc, char** argv) {
     }
     expected.push_back(static_cast<ioa::Bit>(c - '0'));
   }
-  const core::VerifyResult verdict = core::verify_trace(trace, params, expected);
+  const core::VerifyResult verdict = core::verify_trace(trace, *params, expected);
   std::cout << verdict << '\n';
   return verdict.ok() ? 0 : 1;
 }
@@ -498,10 +553,14 @@ int cmd_explore(int argc, char** argv) {
   if (!kind.has_value()) return 2;
   const auto d = parse_number<std::int64_t>(argv[3]);
   if (!d.has_value()) return bad_number("d", argv[3]);
+  if (*d < 1) {
+    std::cerr << "out-of-model d '" << argv[3] << "': the model needs d >= c2 = 1\n";
+    return 2;
+  }
   protocols::ProtocolConfig cfg;
   cfg.params = core::TimingParams::make(1, 1, *d);
-  const auto k = parse_number<std::uint32_t>(argv[4]);
-  if (!k.has_value()) return bad_number("k", argv[4]);
+  const auto k = alphabet_arg(argv[4]);
+  if (!k.has_value()) return 2;
   cfg.k = *k;
   for (const char c : std::string{argv[5]}) {
     if (c != '0' && c != '1') {
@@ -693,7 +752,9 @@ int cmd_mega(int argc, char** argv) {
       if (!kind.has_value()) return 2;
       spec.protocol = *kind;
     } else if (arg == "--k" && i + 1 < argc) {
-      if (!take_number(argc, argv, i, spec.k)) return bad_number(arg, argv[i]);
+      const auto k = alphabet_arg(argv[++i]);
+      if (!k.has_value()) return 2;
+      spec.k = *k;
     } else if (arg == "--bits" && i + 1 < argc) {
       const auto parsed = parse_number<std::uint32_t>(argv[++i]);
       if (!parsed.has_value()) return bad_number("--bits", argv[i]);
@@ -860,8 +921,10 @@ int cmd_fuzz(int argc, char** argv) {
       if (!take_number(argc, argv, i, spec.budget)) return bad_number(arg, argv[i]);
     } else if (arg == "--jobs") {
       if (!take_number(argc, argv, i, spec.jobs)) return bad_number(arg, argv[i]);
-    } else if (arg == "--k") {
-      if (!take_number(argc, argv, i, spec.k)) return bad_number(arg, argv[i]);
+    } else if (arg == "--k" && i + 1 < argc) {
+      const auto k = alphabet_arg(argv[++i]);
+      if (!k.has_value()) return 2;
+      spec.k = *k;
     } else if (arg == "--bits") {
       if (!take_number(argc, argv, i, spec.max_input_bits)) return bad_number(arg, argv[i]);
     } else if (arg == "--max-events") {
