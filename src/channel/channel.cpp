@@ -89,11 +89,6 @@ void Channel::send(const ioa::Packet& packet, Time now) {
   ++send_seq_;
 }
 
-std::optional<Time> Channel::next_delivery_time() const {
-  if (in_flight_.empty()) return std::nullopt;
-  return in_flight_.front().deliver_at;
-}
-
 const std::vector<InFlightPacket>& Channel::collect_due(Time now) {
   due_scratch_.clear();
   while (!in_flight_.empty() && in_flight_.front().deliver_at <= now) {

@@ -73,7 +73,10 @@ class Channel {
   void send(const ioa::Packet& packet, Time now);
 
   /// Earliest pending delivery instant, if any packet is in flight.
-  [[nodiscard]] std::optional<Time> next_delivery_time() const;
+  [[nodiscard]] std::optional<Time> next_delivery_time() const {
+    if (in_flight_.empty()) return std::nullopt;
+    return in_flight_.front().deliver_at;
+  }
 
   /// Pops and returns every packet whose delivery instant is ≤ `now`, in
   /// delivery order (time, order_key, send_seq). The returned reference is to

@@ -45,7 +45,8 @@ class Automaton {
   /// True when the automaton has finished all useful work and will only
   /// idle (or do nothing) unless it receives further input. Used by the
   /// simulator's quiescence detection; it never affects the transition
-  /// relation itself.
+  /// relation itself. It must be a predicate of the automaton's state: the
+  /// simulator reads it once after each transition and keeps the value.
   [[nodiscard]] virtual bool quiescent() const = 0;
 
   /// Serialized full state; equal snapshots (for the same concrete type)

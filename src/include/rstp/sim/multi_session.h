@@ -12,11 +12,15 @@
 //     independent of the worker count). Each shard owns a contiguous session
 //     range and runs ONE event loop over all of them: a cross-session
 //     time-ordered binary heap keyed by (next dispatch instant, session id)
-//     pops the earliest session, advances it exactly one dispatch (a whole
-//     due delivery batch, or one process step — Simulator::advance), and
-//     pushes it back with its new instant. Within a session the single-
-//     session tie rule (deliveries, then transmitter, then receiver) is
-//     untouched; across sessions the session id breaks instant ties.
+//     holds the earliest session on top. The loop advances that session
+//     exactly one dispatch (a whole due delivery batch, or one process step
+//     — Simulator::advance), writes its new instant into the top entry in
+//     place and sifts the entry down once; a session that is still the
+//     earliest stays on top. A finished session is popped. Within a session
+//     the single-session tie rule (deliveries, then transmitter, then
+//     receiver) is untouched; across sessions the session id breaks instant
+//     ties, and as (instant, id) is a strict total order the dispatch
+//     sequence does not depend on the heap's layout.
 //   * Arena layout: each shard materializes its sessions once, into one
 //     exactly-reserved contiguous slot vector, before its loop starts. The
 //     per-step path allocates nothing — packets live in each session

@@ -102,8 +102,9 @@ class Simulator {
 
   // --- Incremental driving ---------------------------------------------------
   // The multiplexed engine (sim/multi_session.h) interleaves many sessions on
-  // one clock by popping the session with the earliest next_instant() from a
-  // cross-session heap and advancing it one dispatch. The sequence
+  // one clock: it advances the session at the top of a cross-session heap
+  // (the earliest next_instant()) by one dispatch, writes the session's new
+  // instant into that top entry in place and sifts it down once. The sequence
   //   start(); while (next_instant()) advance(); take_result()
   // is exactly run() — run() itself is implemented on top of these — so a
   // session driven incrementally produces a bitwise-identical RunResult no
@@ -117,7 +118,8 @@ class Simulator {
   /// The instant of the next pending dispatch: the earliest of the channel's
   /// next delivery and both processes' next steps. nullopt when the run is
   /// over — the event cap was reached or the session is globally quiescent.
-  /// Cached until the next advance(), so repeated calls are free.
+  /// Computing it also decides which source is due; both are cached until
+  /// the next advance(), so repeated calls are free.
   [[nodiscard]] std::optional<Time> next_instant();
 
   /// Applies exactly one dispatch at next_instant(): the due delivery batch
@@ -133,24 +135,33 @@ class Simulator {
   struct ProcessState {
     ioa::Automaton* automaton = nullptr;
     StepScheduler* scheduler = nullptr;
+    /// The process's step law (its own override, else SimConfig::params),
+    /// resolved once in the constructor; only c1 and c2 are read.
+    core::TimingParams law{};
     Time next_step{};
     Time last_step_time{};  ///< instant of the previous local step (gap metric)
     std::uint64_t steps_taken = 0;
     bool stopped = false;
+    /// automaton->quiescent(), read after start() and after every transition
+    /// of this automaton (its own steps and deliveries to it). Quiescence is
+    /// a predicate of the automaton's state, so the copy is exact.
+    bool quiescent = false;
   };
+
+  /// The source of the next dispatch, decided with the instant.
+  enum class Due : std::uint8_t { Delivery, Transmitter, Receiver };
 
   void record(RunResult& result, Time time, ioa::Actor actor, const ioa::Action& action);
   void take_process_step(RunResult& result, ProcessState& ps, ioa::ProcessId id);
   void deliver_due(RunResult& result, Time now);
-  [[nodiscard]] Duration validated_gap(ioa::ProcessId id, StepScheduler& sched,
-                                       std::uint64_t step_index) const;
-  [[nodiscard]] const core::TimingParams& params_for(ioa::ProcessId id) const;
+  [[nodiscard]] static Duration validated_gap(const ProcessState& ps, std::uint64_t step_index);
 
   [[nodiscard]] const obs::ProtocolCounters* counters_of(ioa::ProcessId id) const;
 
   /// True when nothing remains: event cap reached or globally quiescent.
   [[nodiscard]] bool finished() const;
-  [[nodiscard]] std::optional<Time> compute_next_instant() const;
+  /// The next instant, or nullopt when finished(); sets due_ on a value.
+  [[nodiscard]] std::optional<Time> compute_next_instant();
 
   channel::Channel* channel_;
   SimConfig config_;
@@ -162,8 +173,9 @@ class Simulator {
   bool record_events_ = false;  ///< cached record_trace || observer != nullptr
   bool ran_ = false;
   bool taken_ = false;
-  /// Cached next_instant() (valid until the next advance()).
+  /// Cached next_instant() and its source (valid until the next advance()).
   std::optional<Time> instant_;
+  Due due_ = Due::Delivery;
   bool instant_valid_ = false;
   /// The in-progress result of the incremental API; run() uses it too.
   RunResult result_;

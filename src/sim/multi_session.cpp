@@ -104,6 +104,40 @@ void fold_metrics(ShardFold& fold, const obs::RunMetrics& metrics) {
   fold.metrics.receiver_gap.merge(metrics.receiver_gap);
 }
 
+/// One entry of a shard's cross-session event heap: (next dispatch instant,
+/// local session index). The index tiebreak keeps simultaneous sessions in
+/// session order — a deterministic choice, though sessions are independent,
+/// so the pop order cannot change any per-session result bit either way.
+struct HeapEntry {
+  Time at{};
+  std::uint32_t idx = 0;
+};
+
+/// The heap order, inverted for the std heap algorithms (a max-heap under
+/// `later` has the earliest entry on top). (at, idx) is a strict total order,
+/// so the pop sequence does not depend on how the heap is laid out.
+[[nodiscard]] bool later(const HeapEntry& a, const HeapEntry& b) {
+  if (b.at < a.at) return true;
+  if (a.at < b.at) return false;
+  return b.idx < a.idx;
+}
+
+/// Restores the heap after the top entry's instant moved later: sifts it
+/// down to its place in one pass. A session that is still the earliest stays
+/// on top after comparing it with its two children.
+void sift_top_down(std::vector<HeapEntry>& heap) {
+  const std::size_t n = heap.size();
+  const HeapEntry moving = heap[0];
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && later(heap[child], heap[child + 1])) ++child;
+    if (!later(moving, heap[child])) break;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = moving;
+}
+
 /// Runs sessions [lo, hi) to completion on one cross-session event heap and
 /// returns their session-order fold.
 ShardFold run_shard(const MultiSessionSpec& spec, std::uint64_t lo, std::uint64_t hi) {
@@ -118,20 +152,6 @@ ShardFold run_shard(const MultiSessionSpec& spec, std::uint64_t lo, std::uint64_
     materialize_session(spec, lo + i, slots[i]);
   }
 
-  // The cross-session event heap: (next dispatch instant, local session
-  // index). The index tiebreak keeps simultaneous sessions in session order —
-  // a deterministic choice, though sessions are independent, so the pop order
-  // cannot change any per-session result bit either way.
-  struct HeapEntry {
-    Time at{};
-    std::uint32_t idx = 0;
-  };
-  const auto later = [](const HeapEntry& a, const HeapEntry& b) {
-    if (b.at < a.at) return true;
-    if (a.at < b.at) return false;
-    return b.idx < a.idx;
-  };
-
   std::vector<HeapEntry> heap;
   heap.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -145,18 +165,20 @@ ShardFold run_shard(const MultiSessionSpec& spec, std::uint64_t lo, std::uint64_
   }
   std::make_heap(heap.begin(), heap.end(), later);
 
+  // Each dispatch advances the top session in place: its new instant is
+  // written into the top entry, which sifts down once. A finished session is
+  // popped.
   while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    HeapEntry entry = heap.back();
-    heap.pop_back();
-    Simulator& sim = slots[entry.idx].session->simulator();
+    HeapEntry& top = heap.front();
+    Simulator& sim = slots[top.idx].session->simulator();
     sim.advance();
     if (const std::optional<Time> at = sim.next_instant()) {
-      entry.at = *at;
-      heap.push_back(entry);
-      std::push_heap(heap.begin(), heap.end(), later);
+      top.at = *at;
+      sift_top_down(heap);
     } else {
-      slots[entry.idx].result = sim.take_result();
+      slots[top.idx].result = sim.take_result();
+      std::pop_heap(heap.begin(), heap.end(), later);
+      heap.pop_back();
     }
   }
 

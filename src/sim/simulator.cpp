@@ -29,8 +29,10 @@ Simulator::Simulator(ioa::Automaton& transmitter, ioa::Automaton& receiver,
   RSTP_CHECK(chan.empty(), "simulator requires an initially empty channel");
   RSTP_CHECK_EQ(chan.max_delay().ticks(), config_.params.d.ticks(),
                 "channel delay bound must equal the model's d");
-  procs_[index_of(ProcessId::Transmitter)] = ProcessState{&transmitter, &transmitter_sched};
-  procs_[index_of(ProcessId::Receiver)] = ProcessState{&receiver, &receiver_sched};
+  procs_[index_of(ProcessId::Transmitter)] = ProcessState{
+      &transmitter, &transmitter_sched, config_.transmitter_params.value_or(config_.params)};
+  procs_[index_of(ProcessId::Receiver)] = ProcessState{
+      &receiver, &receiver_sched, config_.receiver_params.value_or(config_.params)};
   record_events_ = config_.record_trace || config_.observer != nullptr;
   for (const ProcessId id : {ProcessId::Transmitter, ProcessId::Receiver}) {
     counter_sources_[index_of(id)] =
@@ -43,21 +45,10 @@ const obs::ProtocolCounters* Simulator::counters_of(ProcessId id) const {
   return source != nullptr ? &source->protocol_counters() : nullptr;
 }
 
-const core::TimingParams& Simulator::params_for(ProcessId id) const {
-  if (id == ProcessId::Transmitter && config_.transmitter_params.has_value()) {
-    return *config_.transmitter_params;
-  }
-  if (id == ProcessId::Receiver && config_.receiver_params.has_value()) {
-    return *config_.receiver_params;
-  }
-  return config_.params;
-}
-
-Duration Simulator::validated_gap(ProcessId id, StepScheduler& sched,
-                                  std::uint64_t step_index) const {
-  const core::TimingParams& params = params_for(id);
+Duration Simulator::validated_gap(const ProcessState& ps, std::uint64_t step_index) {
+  const core::TimingParams& params = ps.law;
   if (step_index == 0) {
-    const Duration first = sched.first_offset();
+    const Duration first = ps.scheduler->first_offset();
     if (first.is_negative() || first > params.c2) {
       std::ostringstream os;
       os << "scheduler first offset " << first << " outside [0, c2=" << params.c2 << "]";
@@ -65,7 +56,7 @@ Duration Simulator::validated_gap(ProcessId id, StepScheduler& sched,
     }
     return first;
   }
-  const Duration gap = sched.next_gap(step_index);
+  const Duration gap = ps.scheduler->next_gap(step_index);
   if (gap < params.c1 || gap > params.c2) {
     std::ostringstream os;
     os << "scheduler gap " << gap << " outside [c1=" << params.c1 << ", c2=" << params.c2 << "]";
@@ -103,6 +94,8 @@ void Simulator::deliver_due(RunResult& result, Time now) {
     const Action recv = Action::recv(flight.packet);
     RSTP_CHECK(dest.accepts_input(recv), "delivered packet not an input of its destination");
     dest.apply(recv);
+    ProcessState& ps = procs_[index_of(flight.packet.destination())];
+    ps.quiescent = dest.quiescent();
     // The channel knows both endpoints of every flight, so delivery delay is
     // measured exactly — no post-hoc trace matching involved.
     const Duration delay = flight.deliver_at - flight.sent_at;
@@ -120,12 +113,10 @@ void Simulator::deliver_due(RunResult& result, Time now) {
                                   counters_of(flight.packet.destination()));
     }
     // A stopped process can be re-enabled by input; let it resume stepping.
-    ProcessState& ps = procs_[index_of(flight.packet.destination())];
     if (ps.stopped) {
       if (ps.automaton->enabled_local().has_value()) {
         ps.stopped = false;
-        ps.next_step = flight.deliver_at + validated_gap(flight.packet.destination(),
-                                                         *ps.scheduler, ps.steps_taken + 1);
+        ps.next_step = flight.deliver_at + validated_gap(ps, ps.steps_taken + 1);
       }
     }
   }
@@ -139,6 +130,7 @@ void Simulator::take_process_step(RunResult& result, ProcessState& ps, ProcessId
   }
   obs::RunCounters& counters = result.metrics.counters;
   ps.automaton->apply(*action);
+  ps.quiescent = ps.automaton->quiescent();
   std::optional<Duration> gap;
   if (ps.steps_taken > 0) gap = ps.next_step - ps.last_step_time;
   if (id == ProcessId::Transmitter) {
@@ -176,7 +168,7 @@ void Simulator::take_process_step(RunResult& result, ProcessState& ps, ProcessId
     }
     channel_->send(action->packet, ps.next_step);
   }
-  ps.next_step = ps.next_step + validated_gap(id, *ps.scheduler, ps.steps_taken);
+  ps.next_step = ps.next_step + validated_gap(ps, ps.steps_taken);
 }
 
 void Simulator::start() {
@@ -187,11 +179,12 @@ void Simulator::start() {
   // realized step gaps in [c1, c2] (a stop/resume gap clamps into the top
   // bucket; min()/max() keep the true extremes).
   const std::int64_t d = config_.params.d.ticks();
+  ProcessState& t = procs_[index_of(ProcessId::Transmitter)];
+  ProcessState& r = procs_[index_of(ProcessId::Receiver)];
   result_.metrics.data_delay = obs::Histogram(0, d);
   result_.metrics.ack_delay = obs::Histogram(0, d);
-  result_.metrics.transmitter_gap =
-      obs::Histogram(0, params_for(ProcessId::Transmitter).c2.ticks());
-  result_.metrics.receiver_gap = obs::Histogram(0, params_for(ProcessId::Receiver).c2.ticks());
+  result_.metrics.transmitter_gap = obs::Histogram(0, t.law.c2.ticks());
+  result_.metrics.receiver_gap = obs::Histogram(0, r.law.c2.ticks());
   if (config_.record_trace) {
     // Executions are usually far longer than this; one up-front chunk keeps
     // the first reallocation doublings off the hot path without committing
@@ -199,10 +192,10 @@ void Simulator::start() {
     result_.trace.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(config_.max_events,
                                                                            4096)));
   }
-  ProcessState& t = procs_[index_of(ProcessId::Transmitter)];
-  ProcessState& r = procs_[index_of(ProcessId::Receiver)];
-  t.next_step = Time::zero() + validated_gap(ProcessId::Transmitter, *t.scheduler, 0);
-  r.next_step = Time::zero() + validated_gap(ProcessId::Receiver, *r.scheduler, 0);
+  t.next_step = Time::zero() + validated_gap(t, 0);
+  r.next_step = Time::zero() + validated_gap(r, 0);
+  t.quiescent = t.automaton->quiescent();
+  r.quiescent = r.automaton->quiescent();
 }
 
 bool Simulator::finished() const {
@@ -211,8 +204,8 @@ bool Simulator::finished() const {
   // (non-trivial) left to do.
   const ProcessState& t = procs_[index_of(ProcessId::Transmitter)];
   const ProcessState& r = procs_[index_of(ProcessId::Receiver)];
-  const bool t_idle = t.stopped || t.automaton->quiescent();
-  const bool r_idle = r.stopped || r.automaton->quiescent();
+  const bool t_idle = t.stopped || t.quiescent;
+  const bool r_idle = r.stopped || r.quiescent;
   return channel_->empty() && t_idle && r_idle;
 }
 
@@ -220,8 +213,8 @@ std::optional<Time> Simulator::next_instant() {
   RSTP_CHECK(ran_, "next_instant requires start()");
   // Cached between calls so the run() loop (and a heap-driven MultiSession,
   // which reads the instant once to key its heap and again in advance())
-  // pays one quiescence check + min fold per dispatch, like the original
-  // monolithic loop. advance() invalidates it.
+  // pays one quiescence check + min fold per dispatch. advance() invalidates
+  // it.
   if (!instant_valid_) {
     instant_ = compute_next_instant();
     instant_valid_ = true;
@@ -229,17 +222,26 @@ std::optional<Time> Simulator::next_instant() {
   return instant_;
 }
 
-std::optional<Time> Simulator::compute_next_instant() const {
+std::optional<Time> Simulator::compute_next_instant() {
   if (finished()) return std::nullopt;
   // Earliest pending instant among deliveries and process steps; at equal
-  // times deliveries go first, then the transmitter, then the receiver.
+  // times deliveries go first, then the transmitter, then the receiver: a
+  // later source takes over only when it is strictly earlier.
   const ProcessState& t = procs_[index_of(ProcessId::Transmitter)];
   const ProcessState& r = procs_[index_of(ProcessId::Receiver)];
-  const std::optional<Time> delivery = channel_->next_delivery_time();
   Time now = Time::max();
-  if (delivery.has_value()) now = std::min(now, *delivery);
-  if (!t.stopped) now = std::min(now, t.next_step);
-  if (!r.stopped) now = std::min(now, r.next_step);
+  if (const std::optional<Time> delivery = channel_->next_delivery_time()) {
+    now = *delivery;
+    due_ = Due::Delivery;
+  }
+  if (!t.stopped && t.next_step < now) {
+    now = t.next_step;
+    due_ = Due::Transmitter;
+  }
+  if (!r.stopped && r.next_step < now) {
+    now = r.next_step;
+    due_ = Due::Receiver;
+  }
   RSTP_CHECK(now != Time::max(), "no pending events but not quiescent");
   return now;
 }
@@ -248,21 +250,17 @@ void Simulator::advance() {
   const std::optional<Time> instant = next_instant();
   RSTP_CHECK(instant.has_value(), "advance() past the end of the run");
   instant_valid_ = false;
-  const Time now = *instant;
-  ProcessState& t = procs_[index_of(ProcessId::Transmitter)];
-  ProcessState& r = procs_[index_of(ProcessId::Receiver)];
-  const std::optional<Time> delivery = channel_->next_delivery_time();
-  if (delivery.has_value() && *delivery <= now) {
-    deliver_due(result_, now);
-    return;
-  }
-  if (!t.stopped && t.next_step <= now) {
-    take_process_step(result_, t, ProcessId::Transmitter);
-    return;
-  }
-  if (!r.stopped && r.next_step <= now) {
-    take_process_step(result_, r, ProcessId::Receiver);
-    return;
+  switch (due_) {
+    case Due::Delivery:
+      deliver_due(result_, *instant);
+      return;
+    case Due::Transmitter:
+      take_process_step(result_, procs_[index_of(ProcessId::Transmitter)],
+                        ProcessId::Transmitter);
+      return;
+    case Due::Receiver:
+      take_process_step(result_, procs_[index_of(ProcessId::Receiver)], ProcessId::Receiver);
+      return;
   }
   RSTP_UNREACHABLE("event selection failed");
 }

@@ -440,6 +440,15 @@ TEST(Cli, RunRejectsAZeroAlphabetAsAUsageError) {
   EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
 }
 
+TEST(Cli, MegaRejectsZeroCountsAsUsageErrors) {
+  for (const std::string flag : {"--sessions", "--shards", "--max-events"}) {
+    std::string out;
+    EXPECT_EQ(run_command("mega " + flag + " 0", &out), 2) << flag << "\n" << out;
+    EXPECT_NE(out.find("invalid " + flag + " '0'"), std::string::npos) << out;
+    EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+  }
+}
+
 TEST(Cli, RunWritesChromeTraceWithTraceOut) {
   const std::string trace_json = ::testing::TempDir() + "/cli_span_trace.json";
   std::remove(trace_json.c_str());

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
@@ -99,6 +101,33 @@ class EchoReceiver final : public ioa::Automaton {
   int pending_acks_ = 0;
 };
 
+/// Idles forever and is quiescent only once a packet has arrived: its
+/// quiescence changes through an input alone, never through its own steps.
+class AwaitingReceiver final : public ioa::Automaton {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "awaiting_receiver"; }
+  [[nodiscard]] std::optional<Action> enabled_local() const override {
+    return Action::internal(1, "idle");
+  }
+  void apply(const Action& action) override {
+    if (action.kind == ActionKind::Recv) ++arrivals_;
+  }
+  [[nodiscard]] bool accepts_input(const Action& a) const override {
+    return a.kind == ActionKind::Recv &&
+           a.packet.direction == Packet::Direction::TransmitterToReceiver;
+  }
+  [[nodiscard]] bool quiescent() const override { return arrivals_ > 0; }
+  [[nodiscard]] std::string snapshot() const override {
+    return "ar " + std::to_string(arrivals_);
+  }
+  [[nodiscard]] std::unique_ptr<Automaton> clone() const override {
+    return std::make_unique<AwaitingReceiver>(*this);
+  }
+
+ private:
+  std::uint32_t arrivals_ = 0;
+};
+
 /// Adapts a callable to the observer hook's per-event callback.
 template <typename F>
 class EventObserver final : public SimObserver {
@@ -156,6 +185,52 @@ TEST(Simulator, TraceHasDeterministicEventOrdering) {
   EXPECT_EQ(ev[2].actor, Actor::Receiver);
   EXPECT_EQ(ev[0].time, at_tick(0));
   EXPECT_EQ(ev[2].time, at_tick(0));
+}
+
+TEST(Simulator, InFlightDeliveryPrecedesBothStepsAtOneInstant) {
+  // The packet sent at 0 is due at 1 (delay d = 1), the instant both
+  // processes step again: the delivery goes first, then A_t, then A_r.
+  const auto params = core::TimingParams::make(1, 1, 1);
+  CounterSender sender{2};
+  EchoReceiver receiver{false};
+  channel::Channel chan{params.d, channel::make_max_delay()};
+  FixedRateScheduler ts{params.c1};
+  FixedRateScheduler rs{params.c1};
+  Simulator sim{sender, receiver, chan, ts, rs, config_for(params)};
+  const RunResult result = sim.run();
+  EXPECT_TRUE(result.quiescent);
+  std::vector<std::pair<Actor, ActionKind>> at_one;
+  for (const ioa::TimedEvent& e : result.trace.events()) {
+    if (e.time == at_tick(1)) at_one.emplace_back(e.actor, e.action.kind);
+  }
+  const std::vector<std::pair<Actor, ActionKind>> expected = {
+      {Actor::Channel, ActionKind::Recv},
+      {Actor::Transmitter, ActionKind::Send},
+      {Actor::Receiver, ActionKind::Internal}};
+  EXPECT_EQ(at_one, expected);
+}
+
+TEST(Simulator, InputAloneMakesAProcessQuiescent) {
+  // A_t sends once at 0 and stops at 1; A_r idles every tick until the
+  // packet arrives at 3 (delay d = 3). That delivery alone makes A_r
+  // quiescent, so the run ends on it, before A_r's own step at 3.
+  const auto params = core::TimingParams::make(1, 1, 3);
+  CounterSender sender{1};
+  AwaitingReceiver receiver;
+  channel::Channel chan{params.d, channel::make_max_delay()};
+  FixedRateScheduler ts{params.c1};
+  FixedRateScheduler rs{params.c1};
+  SimConfig cfg = config_for(params);
+  cfg.max_events = 100;
+  Simulator sim{sender, receiver, chan, ts, rs, cfg};
+  const RunResult result = sim.run();
+  EXPECT_TRUE(result.quiescent);
+  // send@0, idle@0, idle@1, idle@2, recv@3.
+  EXPECT_EQ(result.event_count, 5u);
+  EXPECT_EQ(result.end_time, at_tick(3));
+  EXPECT_EQ(result.receiver_steps, 3u);
+  ASSERT_FALSE(result.trace.events().empty());
+  EXPECT_EQ(result.trace.events().back().actor, Actor::Channel);
 }
 
 TEST(Simulator, AcksFlowBackToTransmitter) {

@@ -178,6 +178,13 @@ int bad_number(std::string_view what, std::string_view token) {
   return 2;
 }
 
+/// Reports a count flag given as 0 where the command needs at least one
+/// (exit 2).
+int zero_count(std::string_view flag) {
+  std::cerr << "invalid " << flag << " '0': expected a positive integer\n";
+  return 2;
+}
+
 /// Parses c1, c2 and d from argv[at], argv[at + 1] and argv[at + 2] and
 /// checks them against the model, 0 < c1 <= c2 <= d; nullopt after naming
 /// the first bad field (exit 2).
@@ -743,8 +750,10 @@ int cmd_mega(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--sessions" && i + 1 < argc) {
       if (!take_number(argc, argv, i, spec.sessions)) return bad_number(arg, argv[i]);
+      if (spec.sessions == 0) return zero_count(arg);
     } else if (arg == "--shards" && i + 1 < argc) {
       if (!take_number(argc, argv, i, spec.shards)) return bad_number(arg, argv[i]);
+      if (spec.shards == 0) return zero_count(arg);
     } else if (arg == "--threads" && i + 1 < argc) {
       if (!take_number(argc, argv, i, threads)) return bad_number(arg, argv[i]);
     } else if (arg == "--protocol" && i + 1 < argc) {
@@ -763,6 +772,7 @@ int cmd_mega(int argc, char** argv) {
       if (!take_number(argc, argv, i, spec.base_seed)) return bad_number(arg, argv[i]);
     } else if (arg == "--max-events" && i + 1 < argc) {
       if (!take_number(argc, argv, i, spec.max_events_per_session)) return bad_number(arg, argv[i]);
+      if (spec.max_events_per_session == 0) return zero_count(arg);
     } else if (arg == "--metrics-out" && i + 1 < argc) {
       metrics_file = argv[++i];
     } else {
