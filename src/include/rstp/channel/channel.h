@@ -23,9 +23,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
+#include "rstp/common/check.h"
 #include "rstp/common/time.h"
 #include "rstp/fault/fault.h"
 #include "rstp/ioa/action.h"
@@ -72,9 +72,11 @@ class Channel {
   /// Accepts a send(p) input at time `now`.
   void send(const ioa::Packet& packet, Time now);
 
-  /// Earliest pending delivery instant, if any packet is in flight.
-  [[nodiscard]] std::optional<Time> next_delivery_time() const {
-    if (in_flight_.empty()) return std::nullopt;
+  /// Earliest pending delivery instant (the heap's front). Requires
+  /// !empty(); callers test empty() first. A plain Time rather than an
+  /// optional, so the simulator's per-event instant fold stays in registers.
+  [[nodiscard]] Time front_delivery_time() const {
+    RSTP_CHECK(!in_flight_.empty(), "front_delivery_time() on an empty channel");
     return in_flight_.front().deliver_at;
   }
 

@@ -88,10 +88,10 @@ class Histogram {
     ++count_;
     std::size_t index = 0;
     if (value > lo_) {
-      const auto offset = static_cast<std::uint64_t>(value - lo_);
+      std::uint64_t raw = static_cast<std::uint64_t>(value - lo_);
       // Width 1 is the common (exact) layout; skip the integer divide for it.
-      const std::uint64_t raw =
-          width_ == 1 ? offset : offset / static_cast<std::uint64_t>(width_);
+      // A branch, not a ?: select, which gcc folds into an unconditional div.
+      if (width_ > 1) raw /= static_cast<std::uint64_t>(width_);
       index = std::min(buckets_.size() - 1, static_cast<std::size_t>(raw));
     }
     ++buckets_[index];

@@ -63,9 +63,18 @@ inline constexpr std::uint16_t kWaitT = 1;  ///< transmitter inter-block wait
 inline constexpr std::uint16_t kIdleR = 2;  ///< receiver idle
 inline constexpr std::uint16_t kIdleT = 3;  ///< transmitter idle (await acks)
 
-[[nodiscard]] ioa::Action wait_t_action();
-[[nodiscard]] ioa::Action idle_r_action();
-[[nodiscard]] ioa::Action idle_t_action();
+// Inline, as is accepts_input below: out of line, each factory returns the
+// 32-byte Action through memory field by field and the caller reloads it in
+// wider halves, a store-forwarding stall on every internal step.
+[[nodiscard]] inline ioa::Action wait_t_action() {
+  return ioa::Action::internal(kWaitT, "wait_t");
+}
+[[nodiscard]] inline ioa::Action idle_r_action() {
+  return ioa::Action::internal(kIdleR, "idle_r");
+}
+[[nodiscard]] inline ioa::Action idle_t_action() {
+  return ioa::Action::internal(kIdleT, "idle_t");
+}
 
 /// A_t: accepts r→t packets as inputs and reports when its last send(p) is
 /// behind it (used by the effort harness and by tests).
@@ -79,7 +88,10 @@ class TransmitterBase : public ioa::Automaton, public obs::CounterSource {
   /// True once the automaton will never perform another send.
   [[nodiscard]] virtual bool transmission_complete() const = 0;
 
-  [[nodiscard]] bool accepts_input(const ioa::Action& action) const override;
+  [[nodiscard]] bool accepts_input(const ioa::Action& action) const override {
+    return action.kind == ioa::ActionKind::Recv &&
+           action.packet.direction == ioa::Packet::Direction::ReceiverToTransmitter;
+  }
 
   [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const final {
     return counters_;
@@ -95,7 +107,10 @@ class ReceiverBase : public ioa::Automaton, public obs::CounterSource {
   /// Y so far: the sequence of messages written (in write order).
   [[nodiscard]] virtual const std::vector<ioa::Bit>& output() const = 0;
 
-  [[nodiscard]] bool accepts_input(const ioa::Action& action) const override;
+  [[nodiscard]] bool accepts_input(const ioa::Action& action) const override {
+    return action.kind == ioa::ActionKind::Recv &&
+           action.packet.direction == ioa::Packet::Direction::TransmitterToReceiver;
+  }
 
   [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const final {
     return counters_;

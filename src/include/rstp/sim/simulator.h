@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "rstp/channel/channel.h"
+#include "rstp/common/check.h"
 #include "rstp/core/params.h"
 #include "rstp/ioa/automaton.h"
 #include "rstp/ioa/trace.h"
@@ -119,8 +120,12 @@ class Simulator {
   /// next delivery and both processes' next steps. nullopt when the run is
   /// over — the event cap was reached or the session is globally quiescent.
   /// Computing it also decides which source is due; both are cached until
-  /// the next advance(), so repeated calls are free.
-  [[nodiscard]] std::optional<Time> next_instant();
+  /// the next advance(), so repeated calls are free. Inline so the caller
+  /// builds the optional in registers from the cached fields.
+  [[nodiscard]] std::optional<Time> next_instant() {
+    if (!pending()) return std::nullopt;
+    return instant_;
+  }
 
   /// Applies exactly one dispatch at next_instant(): the due delivery batch
   /// if one is pending, else the transmitter's step, else the receiver's.
@@ -160,8 +165,19 @@ class Simulator {
 
   /// True when nothing remains: event cap reached or globally quiescent.
   [[nodiscard]] bool finished() const;
-  /// The next instant, or nullopt when finished(); sets due_ on a value.
-  [[nodiscard]] std::optional<Time> compute_next_instant();
+  /// Fills instant_ and due_ and returns true, or returns false when
+  /// finished().
+  [[nodiscard]] bool compute_next_instant();
+  /// Whether a dispatch is pending; fills the cache first if advance()
+  /// invalidated it.
+  [[nodiscard]] bool pending() {
+    RSTP_CHECK(ran_, "next_instant requires start()");
+    if (!instant_valid_) {
+      has_instant_ = compute_next_instant();
+      instant_valid_ = true;
+    }
+    return has_instant_;
+  }
 
   channel::Channel* channel_;
   SimConfig config_;
@@ -173,9 +189,14 @@ class Simulator {
   bool record_events_ = false;  ///< cached record_trace || observer != nullptr
   bool ran_ = false;
   bool taken_ = false;
-  /// Cached next_instant() and its source (valid until the next advance()).
-  std::optional<Time> instant_;
+  /// Cached next_instant(), valid until the next advance(): has_instant_
+  /// says whether a dispatch is pending; if so, instant_ and due_ give its
+  /// instant and source. Plain fields, not a std::optional<Time>: an
+  /// optional written as flag + value and reloaded as one 16-byte load
+  /// stalls store-to-load forwarding (docs/PERF.md).
+  Time instant_{};
   Due due_ = Due::Delivery;
+  bool has_instant_ = false;
   bool instant_valid_ = false;
   /// The in-progress result of the incremental API; run() uses it too.
   RunResult result_;

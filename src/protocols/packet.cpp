@@ -18,18 +18,4 @@ void ProtocolConfig::validate() const {
   }
 }
 
-ioa::Action wait_t_action() { return ioa::Action::internal(kWaitT, "wait_t"); }
-ioa::Action idle_r_action() { return ioa::Action::internal(kIdleR, "idle_r"); }
-ioa::Action idle_t_action() { return ioa::Action::internal(kIdleT, "idle_t"); }
-
-bool TransmitterBase::accepts_input(const ioa::Action& action) const {
-  return action.kind == ioa::ActionKind::Recv &&
-         action.packet.direction == ioa::Packet::Direction::ReceiverToTransmitter;
-}
-
-bool ReceiverBase::accepts_input(const ioa::Action& action) const {
-  return action.kind == ioa::ActionKind::Recv &&
-         action.packet.direction == ioa::Packet::Direction::TransmitterToReceiver;
-}
-
 }  // namespace rstp::protocols

@@ -209,29 +209,16 @@ bool Simulator::finished() const {
   return channel_->empty() && t_idle && r_idle;
 }
 
-std::optional<Time> Simulator::next_instant() {
-  RSTP_CHECK(ran_, "next_instant requires start()");
-  // Cached between calls so the run() loop (and a heap-driven MultiSession,
-  // which reads the instant once to key its heap and again in advance())
-  // pays one quiescence check + min fold per dispatch. advance() invalidates
-  // it.
-  if (!instant_valid_) {
-    instant_ = compute_next_instant();
-    instant_valid_ = true;
-  }
-  return instant_;
-}
-
-std::optional<Time> Simulator::compute_next_instant() {
-  if (finished()) return std::nullopt;
+bool Simulator::compute_next_instant() {
+  if (finished()) return false;
   // Earliest pending instant among deliveries and process steps; at equal
   // times deliveries go first, then the transmitter, then the receiver: a
   // later source takes over only when it is strictly earlier.
   const ProcessState& t = procs_[index_of(ProcessId::Transmitter)];
   const ProcessState& r = procs_[index_of(ProcessId::Receiver)];
   Time now = Time::max();
-  if (const std::optional<Time> delivery = channel_->next_delivery_time()) {
-    now = *delivery;
+  if (!channel_->empty()) {
+    now = channel_->front_delivery_time();
     due_ = Due::Delivery;
   }
   if (!t.stopped && t.next_step < now) {
@@ -243,16 +230,16 @@ std::optional<Time> Simulator::compute_next_instant() {
     due_ = Due::Receiver;
   }
   RSTP_CHECK(now != Time::max(), "no pending events but not quiescent");
-  return now;
+  instant_ = now;
+  return true;
 }
 
 void Simulator::advance() {
-  const std::optional<Time> instant = next_instant();
-  RSTP_CHECK(instant.has_value(), "advance() past the end of the run");
+  RSTP_CHECK(pending(), "advance() past the end of the run");
   instant_valid_ = false;
   switch (due_) {
     case Due::Delivery:
-      deliver_due(result_, *instant);
+      deliver_due(result_, instant_);
       return;
     case Due::Transmitter:
       take_process_step(result_, procs_[index_of(ProcessId::Transmitter)],

@@ -17,19 +17,20 @@ TEST(Channel, ZeroDelayDeliversImmediately) {
   Channel chan{Duration{10}, make_zero_delay()};
   EXPECT_TRUE(chan.empty());
   chan.send(Packet::to_receiver(1), at_tick(5));
-  ASSERT_TRUE(chan.next_delivery_time().has_value());
-  EXPECT_EQ(*chan.next_delivery_time(), at_tick(5));
+  ASSERT_FALSE(chan.empty());
+  EXPECT_EQ(chan.front_delivery_time(), at_tick(5));
   const auto due = chan.collect_due(at_tick(5));
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].packet.payload, 1u);
   EXPECT_EQ(due[0].sent_at, at_tick(5));
   EXPECT_TRUE(chan.empty());
+  EXPECT_THROW((void)chan.front_delivery_time(), ContractViolation);
 }
 
 TEST(Channel, MaxDelayDeliversAtDeadline) {
   Channel chan{Duration{7}, make_max_delay()};
   chan.send(Packet::to_receiver(0), at_tick(3));
-  EXPECT_EQ(*chan.next_delivery_time(), at_tick(10));
+  EXPECT_EQ(chan.front_delivery_time(), at_tick(10));
   EXPECT_TRUE(chan.collect_due(at_tick(9)).empty());
   EXPECT_EQ(chan.collect_due(at_tick(10)).size(), 1u);
 }
@@ -128,7 +129,7 @@ TEST(AdversarialBatch, DeliversWholeWindowAtOnceInCanonicalOrder) {
   chan.send(Packet::to_receiver(1), at_tick(3));
   // Window 1 (sends at 4..7) delivers at 12.
   chan.send(Packet::to_receiver(0), at_tick(4));
-  EXPECT_EQ(*chan.next_delivery_time(), at_tick(8));
+  EXPECT_EQ(chan.front_delivery_time(), at_tick(8));
   const auto first = chan.collect_due(at_tick(8));
   ASSERT_EQ(first.size(), 4u);
   EXPECT_EQ(first[0].packet.payload, 1u);

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -444,6 +445,23 @@ TEST(Cli, MegaRejectsZeroCountsAsUsageErrors) {
   for (const std::string flag : {"--sessions", "--shards", "--max-events"}) {
     std::string out;
     EXPECT_EQ(run_command("mega " + flag + " 0", &out), 2) << flag << "\n" << out;
+    EXPECT_NE(out.find("invalid " + flag + " '0'"), std::string::npos) << out;
+    EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+  }
+}
+
+TEST(Cli, FuzzAndAdversaryRejectZeroCountsAsUsageErrors) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"fuzz alpha", "--budget"},
+      {"fuzz alpha", "--bits"},
+      {"fuzz alpha", "--max-events"},
+      {"adversary --grid quick", "--budget"},
+      {"adversary --grid quick", "--max-events"},
+  };
+  for (const auto& [command, flag] : cases) {
+    std::string out;
+    EXPECT_EQ(run_command(command + " " + flag + " 0", &out), 2) << command << " " << flag
+                                                                 << "\n" << out;
     EXPECT_NE(out.find("invalid " + flag + " '0'"), std::string::npos) << out;
     EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
   }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -355,6 +356,89 @@ TEST(Simulator, RunIsSingleShot) {
   Simulator sim{sender, receiver, chan, ts, rs, config_for(params)};
   (void)sim.run();
   EXPECT_THROW((void)sim.run(), ContractViolation);
+}
+
+/// One simulator with its parts, so a test can build identical twins.
+struct EchoRig {
+  explicit EchoRig(std::uint64_t max_events = 10'000'000, SimObserver* observer = nullptr)
+      : params(core::TimingParams::make(1, 2, 4)),
+        chan(params.d, channel::make_max_delay()),
+        ts(params.c1),
+        rs(params.c2),
+        sim(sender, receiver, chan, ts, rs, [&] {
+          SimConfig c = config_for(params);
+          c.max_events = max_events;
+          c.observer = observer;
+          return c;
+        }()) {}
+
+  core::TimingParams params;
+  CounterSender sender{6};
+  EchoReceiver receiver{true};
+  channel::Channel chan;
+  FixedRateScheduler ts;
+  FixedRateScheduler rs;
+  Simulator sim;
+};
+
+TEST(Simulator, NextInstantBeforeStartIsContractViolation) {
+  EchoRig rig;
+  EXPECT_THROW((void)rig.sim.next_instant(), ContractViolation);
+  EXPECT_THROW(rig.sim.advance(), ContractViolation);
+}
+
+TEST(Simulator, NextInstantIsStableBetweenAdvances) {
+  std::uint64_t events = 0;
+  EventObserver counter{[&events](const ioa::TimedEvent&) { ++events; }};
+  EchoRig rig{10'000'000, &counter};
+  rig.sim.start();
+  std::uint64_t dispatches = 0;
+  for (;;) {
+    const std::uint64_t before = events;
+    const std::optional<Time> first = rig.sim.next_instant();
+    const std::optional<Time> again = rig.sim.next_instant();
+    EXPECT_EQ(again, first);
+    EXPECT_EQ(events, before) << "next_instant() dispatched an event";
+    if (!first.has_value()) break;
+    // A dispatch can record no event: a process with nothing enabled stops.
+    rig.sim.advance();
+    ++dispatches;
+  }
+  EXPECT_GT(dispatches, 10u);
+  EXPECT_EQ(rig.sim.take_result().event_count, events);
+}
+
+void expect_same_result(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.trace.events(), b.trace.events());
+  EXPECT_EQ(a.output, b.output);
+  EXPECT_EQ(a.metrics, b.metrics);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.quiescent, b.quiescent);
+  EXPECT_EQ(a.event_count, b.event_count);
+  EXPECT_EQ(a.last_transmitter_send, b.last_transmitter_send);
+}
+
+TEST(Simulator, IncrementalDrivingEqualsRun) {
+  // One run that ends quiescent and one that hits the event cap.
+  for (const std::uint64_t cap : {std::uint64_t{10'000'000}, std::uint64_t{7}}) {
+    EchoRig driven{cap};
+    driven.sim.start();
+    Time previous = Time::zero();
+    while (const std::optional<Time> at = driven.sim.next_instant()) {
+      EXPECT_GE(*at, previous);
+      previous = *at;
+      driven.sim.advance();
+    }
+    // Over: no instant, and one more dispatch is a contract violation.
+    EXPECT_EQ(driven.sim.next_instant(), std::nullopt);
+    EXPECT_THROW(driven.sim.advance(), ContractViolation);
+    const RunResult incremental = driven.sim.take_result();
+
+    EchoRig twin{cap};
+    const RunResult whole = twin.sim.run();
+    expect_same_result(incremental, whole);
+    EXPECT_EQ(incremental.quiescent, cap > 7) << "cap " << cap;
+  }
 }
 
 TEST(Simulator, ObserverSeesEveryEventInOrder) {

@@ -929,6 +929,7 @@ int cmd_fuzz(int argc, char** argv) {
       if (!take_number(argc, argv, i, spec.seed)) return bad_number(arg, argv[i]);
     } else if (arg == "--budget") {
       if (!take_number(argc, argv, i, spec.budget)) return bad_number(arg, argv[i]);
+      if (spec.budget == 0) return zero_count(arg);
     } else if (arg == "--jobs") {
       if (!take_number(argc, argv, i, spec.jobs)) return bad_number(arg, argv[i]);
     } else if (arg == "--k" && i + 1 < argc) {
@@ -937,8 +938,10 @@ int cmd_fuzz(int argc, char** argv) {
       spec.k = *k;
     } else if (arg == "--bits") {
       if (!take_number(argc, argv, i, spec.max_input_bits)) return bad_number(arg, argv[i]);
+      if (spec.max_input_bits == 0) return zero_count(arg);
     } else if (arg == "--max-events") {
       if (!take_number(argc, argv, i, spec.max_events)) return bad_number(arg, argv[i]);
+      if (spec.max_events == 0) return zero_count(arg);
     } else if (arg == "--time-budget-ms") {
       if (!take_number(argc, argv, i, spec.time_budget_ms)) return bad_number(arg, argv[i]);
     } else if (arg == "--wait-override") {
@@ -1039,10 +1042,12 @@ int cmd_adversary(int argc, char** argv) {
       if (!take_number(argc, argv, i, spec.seed)) return bad_number(arg, argv[i]);
     } else if (arg == "--budget") {
       if (!take_number(argc, argv, i, spec.budget)) return bad_number(arg, argv[i]);
+      if (spec.budget == 0) return zero_count(arg);
     } else if (arg == "--jobs") {
       if (!take_number(argc, argv, i, spec.jobs)) return bad_number(arg, argv[i]);
     } else if (arg == "--max-events") {
       if (!take_number(argc, argv, i, spec.max_events)) return bad_number(arg, argv[i]);
+      if (spec.max_events == 0) return zero_count(arg);
     } else if (arg == "--grid" && i + 1 < argc) {
       const std::string grid = argv[++i];
       if (grid == "golden") {
