@@ -54,7 +54,41 @@ void BM_MultisetUnrank(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_MultisetUnrank)->Args({4, 8})->Args({16, 16})->Args({64, 64})->Args({256, 64});
+BENCHMARK(BM_MultisetUnrank)
+    ->Args({4, 8})
+    ->Args({8, 32})
+    ->Args({16, 16})
+    ->Args({32, 32})
+    ->Args({64, 64})
+    ->Args({256, 64});
+
+void BM_MultisetUnrankSorted(benchmark::State& state) {
+  // unrank's one algorithm without the Multiset it returns: the sorted
+  // symbols written into a reused buffer, as BlockCoder::encode does.
+  const auto k = static_cast<std::uint32_t>(state.range(0));
+  const auto delta = static_cast<std::uint32_t>(state.range(1));
+  const MultisetCodec codec{k, delta};
+  Rng rng{43};
+  std::vector<bigint::BigUint> ranks;
+  for (int i = 0; i < 64; ++i) {
+    ranks.push_back(bigint::BigUint{rng.next_u64()} % codec.count());
+  }
+  std::vector<Symbol> out(delta);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    codec.unrank_sorted(ranks[i++ & 63], out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MultisetUnrankSorted)
+    ->Args({4, 8})
+    ->Args({8, 32})
+    ->Args({16, 16})
+    ->Args({32, 32})
+    ->Args({64, 64})
+    ->Args({256, 64});
 
 void BM_BlockEncode(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));

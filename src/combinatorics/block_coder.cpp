@@ -17,10 +17,10 @@ BlockCoder::BlockCoder(std::uint32_t k, std::uint32_t delta)
 
 std::vector<Symbol> BlockCoder::encode(std::span<const Bit> bits) const {
   RSTP_CHECK_EQ(bits.size(), bits_per_block_, "encode expects exactly one block of bits");
-  const BigUint value = bits_to_biguint(bits);
   // value < 2^B <= μ_k(δ), so unrank is defined.
-  const Multiset block = codec_.unrank(value);
-  return block.to_sorted_sequence();
+  std::vector<Symbol> block(packets_per_block());
+  codec_.unrank_sorted(bits_to_biguint(bits), block);
+  return block;
 }
 
 std::vector<Bit> BlockCoder::decode(const Multiset& block) const {

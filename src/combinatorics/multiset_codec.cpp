@@ -26,16 +26,6 @@ Multiset Multiset::from_symbols(std::uint32_t k, std::span<const Symbol> symbols
   return m;
 }
 
-Multiset Multiset::from_counts(std::vector<std::uint32_t> counts) {
-  RSTP_CHECK_GE(counts.size(), 1u, "multiset universe must be non-empty");
-  Multiset m;
-  m.counts_ = std::move(counts);
-  for (const std::uint32_t c : m.counts_) {
-    m.size_ += c;
-  }
-  return m;
-}
-
 std::uint32_t Multiset::count(Symbol s) const {
   RSTP_CHECK_LT(s, universe(), "symbol outside universe");
   return counts_[s];
@@ -165,8 +155,8 @@ void sub_words(std::uint64_t& top, std::uint64_t* low, const std::uint64_t* x, s
   return false;
 }
 
-/// W zeroed scratch words for a rank or unrank call: on the stack up to 8
-/// words, on the heap beyond.
+/// Zeroed scratch words for a rank or unrank call (W of them) or a bit
+/// packing: on the stack up to 8 words, on the heap beyond.
 class Accumulator {
  public:
   explicit Accumulator(std::size_t width) {
@@ -348,7 +338,14 @@ BigUint MultisetCodec::rank(const Multiset& m) const {
 }
 
 Multiset MultisetCodec::unrank(const BigUint& value) const {
+  std::vector<Symbol> seq(n_);
+  unrank_sorted(value, seq);
+  return Multiset::from_symbols(k_, seq);
+}
+
+void MultisetCodec::unrank_sorted(const BigUint& value, std::span<Symbol> out) const {
   RSTP_CHECK(value < count(), "rank out of range for this codec");
+  RSTP_CHECK_EQ(out.size(), std::size_t{n_}, "unrank output must hold exactly n symbols");
   const Rows rows{*tables_};
   const std::size_t w = rows.w;
   // The residual: its top word in a local, the w − 1 words below in `low`.
@@ -356,7 +353,6 @@ Multiset MultisetCodec::unrank(const BigUint& value) const {
   std::uint64_t* low = accumulator.data();
   std::copy(value.limbs().begin(), value.limbs().end(), low);
   std::uint64_t top = low[w - 1];
-  std::vector<std::uint32_t> counts(k_, 0);
   Symbol c = 0;
   const std::uint64_t* mu_row = rows.mu(0, 0);  // μ_{k-c}(·), hoisted per run
   for (std::uint32_t i = 0; i < n_; ++i) {
@@ -365,7 +361,7 @@ Multiset MultisetCodec::unrank(const BigUint& value) const {
     // This branch is strongly predicted (sorted sequences are mostly runs),
     // and mu_row walks one contiguous row backwards.
     if (less_words(top, low, mu_row + std::size_t{remaining} * w, w)) {
-      ++counts[c];
+      out[i] = c;
       continue;
     }
     // The symbol advances. Walk a couple of steps like the recurrence does
@@ -382,11 +378,10 @@ Multiset MultisetCodec::unrank(const BigUint& value) const {
       break;
     }
     mu_row = rows.mu(c, 0);
-    ++counts[c];
+    out[i] = c;
   }
   RSTP_CHECK(top == 0 && std::all_of(low, low + w - 1, [](std::uint64_t x) { return x == 0; }),
              "unrank residual nonzero");
-  return Multiset::from_counts(std::move(counts));
 }
 
 BigUint MultisetCodec::rank_reference(const Multiset& m) const {
@@ -430,8 +425,11 @@ Multiset MultisetCodec::unrank_reference(const BigUint& value) const {
 }
 
 BigUint bits_to_biguint(std::span<const std::uint8_t> bits) {
-  // Bit i from the end is bit i % 64 of limb i / 64: pack whole limbs.
-  std::vector<std::uint64_t> limbs((bits.size() + 63) / 64, 0);
+  // Bit i from the end is bit i % 64 of limb i / 64: pack whole limbs, in
+  // scratch words on the stack for up to 512 bits.
+  const std::size_t words = (bits.size() + 63) / 64;
+  Accumulator scratch{words};
+  std::uint64_t* limbs = scratch.data();
   std::uint8_t seen = 0;
   for (std::size_t i = 0; i < bits.size(); ++i) {
     const std::uint8_t b = bits[bits.size() - 1 - i];
@@ -439,7 +437,7 @@ BigUint bits_to_biguint(std::span<const std::uint8_t> bits) {
     limbs[i / 64] |= std::uint64_t{b} << (i % 64);
   }
   RSTP_CHECK(seen <= 1, "bit values must be 0 or 1");
-  return BigUint::from_limbs(limbs);
+  return BigUint::from_limbs({limbs, words});
 }
 
 std::vector<std::uint8_t> biguint_to_bits(const BigUint& value, std::size_t width) {

@@ -33,9 +33,6 @@ class Multiset {
   /// Builds the multiset of a symbol sequence (any order).
   [[nodiscard]] static Multiset from_symbols(std::uint32_t k, std::span<const Symbol> symbols);
 
-  /// Adopts a per-symbol count vector directly (universe = counts.size() >= 1).
-  [[nodiscard]] static Multiset from_counts(std::vector<std::uint32_t> counts);
-
   /// Universe size k.
   [[nodiscard]] std::uint32_t universe() const { return static_cast<std::uint32_t>(counts_.size()); }
 
@@ -63,8 +60,6 @@ class Multiset {
   friend bool operator==(const Multiset&, const Multiset&) = default;
 
  private:
-  Multiset() = default;  // for from_counts, which adopts the vector wholesale
-
   std::vector<std::uint32_t> counts_;
   std::uint32_t size_ = 0;
 };
@@ -115,8 +110,15 @@ class MultisetCodec {
   /// Rank of a multiset in [0, μ_k(n)). Requires m.universe()==k, m.size()==n.
   [[nodiscard]] bigint::BigUint rank(const Multiset& m) const;
 
-  /// Inverse of rank(). Requires value < μ_k(n).
+  /// Inverse of rank(). Requires value < μ_k(n). The multiset of
+  /// unrank_sorted()'s symbols.
   [[nodiscard]] Multiset unrank(const bigint::BigUint& value) const;
+
+  /// unrank()'s one algorithm: writes the multiset of rank `value` straight
+  /// into `out` as its n symbols in non-decreasing order (toseq ∘ unrank),
+  /// with no count vector or Multiset in between. Requires value < μ_k(n)
+  /// and out.size() == n.
+  void unrank_sorted(const bigint::BigUint& value, std::span<Symbol> out) const;
 
   /// The original O(n·k) recurrence-walk implementations, kept as the
   /// differential-testing and benchmarking reference for the cumulative-table
@@ -130,7 +132,8 @@ class MultisetCodec {
   std::shared_ptr<const MultisetTables> tables_;  // interned per (k, n)
 };
 
-/// Converts a bit string (MSB first) to the integer it denotes.
+/// Converts a bit string (MSB first) to the integer it denotes. Packs the
+/// limbs in stack scratch for up to 512 bits.
 [[nodiscard]] bigint::BigUint bits_to_biguint(std::span<const std::uint8_t> bits);
 
 /// Renders `value` as exactly `width` bits, MSB first. Requires

@@ -4,15 +4,18 @@
 // Block j carries a slice of X, zero-padded to B_j = ⌊log2 μ_k(δ_j)⌋ bits
 // and encoded as a multiset of δ_j packets; β then waits W_j steps, γ waits
 // for δ_j acks. One planner is shared by the transmitter and receiver of a
-// pair. It is either
+// pair. Block j is planned, and its slice of X encoded, the first time
+// either side asks for it, then frozen; the transmitter asks when it starts
+// sending the block, so nothing is encoded before the first event and no
+// block is encoded twice. The receiver first asks when block j's first
+// packet arrives, after the transmitter planned it, so both sides agree on
+// every plan and δ changes only at block boundaries. A planner is either
 //   * fixed: the oracle constants (or the ProtocolConfig overrides) for
-//     every block, all planned at construction. It never changes, so
-//     clones may share it (the explorer branches them freely); or
-//   * live: block j is sized from est::TimingEstimator's estimates the first
-//     time either side asks, then frozen. The receiver first asks when block
-//     j's first packet arrives, after the transmitter planned it, so both
-//     sides agree on every plan and δ changes only at block boundaries. A
-//     live planner belongs to one run.
+//     every block. Each plan is a pure function of (X, δ), and the deque
+//     never moves a plan, so clones may share it however their runs
+//     interleave (the explorer branches them freely); or
+//   * live: block j is sized from est::TimingEstimator's estimates at the
+//     first request. A live planner belongs to one run.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +58,10 @@ class BlockPlanner {
   BlockPlanner(Discipline discipline, std::uint32_t k, std::vector<ioa::Bit> input,
                std::shared_ptr<est::TimingEstimator> estimator);
 
-  /// The plan for block j; a live planner computes it from the current
-  /// estimates on first request, one block past the computed prefix at
-  /// most. Requires has_block(j). The reference lives as long as the planner.
+  /// The plan for block j, computed and encoded on first request (a live
+  /// planner sizes it from the current estimates), one block past the
+  /// computed prefix at most. Requires has_block(j). The reference lives as
+  /// long as the planner.
   const BlockPlan& plan(std::size_t j);
 
   /// True iff block j exists (the input is not exhausted before it).
@@ -68,12 +72,16 @@ class BlockPlanner {
   [[nodiscard]] std::uint64_t outstanding() const;
   /// Number of boundaries where δ changed (the resize gauge).
   [[nodiscard]] std::uint64_t resizes() const { return resizes_; }
+  /// Number of blocks planned (and encoded) so far.
+  [[nodiscard]] std::size_t planned() const { return plans_.size(); }
   [[nodiscard]] bool live() const { return estimator_ != nullptr; }
   [[nodiscard]] const std::vector<ioa::Bit>& input() const { return input_; }
   [[nodiscard]] std::uint32_t alphabet() const { return k_; }
   [[nodiscard]] Discipline discipline() const { return discipline_; }
-  /// The symbols of every block planned so far, concatenated.
-  [[nodiscard]] std::vector<combinatorics::Symbol> symbol_stream() const;
+  /// Concatenated block symbols, for tests: a fixed planner first plans
+  /// every remaining block, so this is all of X's encoding; a live planner
+  /// returns the blocks planned so far.
+  [[nodiscard]] std::vector<combinatorics::Symbol> symbol_stream();
 
  private:
   void append(std::shared_ptr<const combinatorics::BlockCoder> coder, std::uint32_t wait);
@@ -82,6 +90,8 @@ class BlockPlanner {
   std::uint32_t k_;
   std::vector<ioa::Bit> input_;
   std::shared_ptr<est::TimingEstimator> estimator_;  ///< null for a fixed plan
+  std::shared_ptr<const combinatorics::BlockCoder> fixed_coder_;  ///< a fixed plan's coder
+  std::uint32_t fixed_wait_ = 0;                                  ///< a fixed plan's wait
   std::deque<BlockPlan> plans_;  ///< a deque: appending never moves a plan
   std::map<std::uint32_t, std::shared_ptr<const combinatorics::BlockCoder>> coders_;
   std::uint64_t resizes_ = 0;

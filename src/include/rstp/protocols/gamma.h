@@ -55,6 +55,8 @@ class GammaTransmitter final : public TransmitterBase {
   [[nodiscard]] std::vector<combinatorics::Symbol> symbol_stream() const {
     return planner_->symbol_stream();
   }
+  /// The block plan this transmitter reads (shared with its receiver).
+  [[nodiscard]] const BlockPlanner& planner() const { return *planner_; }
 
  private:
   /// The current block's plan, fetched on the block's first step: a live

@@ -1,6 +1,7 @@
 #include "rstp/protocols/block_planner.h"
 
 #include <algorithm>
+#include <span>
 
 #include "rstp/common/check.h"
 #include "rstp/est/estimator.h"
@@ -11,10 +12,9 @@ using combinatorics::BlockCoder;
 
 BlockPlanner::BlockPlanner(Discipline discipline, std::uint32_t k, std::vector<ioa::Bit> input,
                            std::uint32_t delta, std::uint32_t wait)
-    : discipline_(discipline), k_(k), input_(std::move(input)) {
+    : discipline_(discipline), k_(k), input_(std::move(input)), fixed_wait_(wait) {
   RSTP_CHECK(k_ >= 2, "planner alphabet must have at least two symbols");
-  const auto coder = std::make_shared<const BlockCoder>(k_, delta);
-  while (has_block(plans_.size())) append(coder, wait);
+  fixed_coder_ = std::make_shared<const BlockCoder>(k_, delta);
 }
 
 BlockPlanner::BlockPlanner(Discipline discipline, std::uint32_t k, std::vector<ioa::Bit> input,
@@ -34,8 +34,11 @@ bool BlockPlanner::has_block(std::size_t j) const {
 const BlockPlan& BlockPlanner::plan(std::size_t j) {
   if (j < plans_.size()) return plans_[j];
   RSTP_CHECK(j == plans_.size(), "plans are computed sequentially");
-  RSTP_CHECK(live() && has_block(j), "plan(j) requested past the end of the input");
-
+  RSTP_CHECK(has_block(j), "plan(j) requested past the end of the input");
+  if (!live()) {
+    append(fixed_coder_, fixed_wait_);
+    return plans_.back();
+  }
   const core::TimingParams est = estimator_->estimate();
   const std::int64_t raw =
       discipline_ == Discipline::TimedBlocks ? est.delta1_wait() : est.delta2();
@@ -54,11 +57,16 @@ void BlockPlanner::append(std::shared_ptr<const BlockCoder> coder, std::uint32_t
   p.first_bit = plans_.empty() ? 0 : plans_.back().first_bit + plans_.back().bits;
   p.bits = std::min(coder->bits_per_block(), input_.size() - p.first_bit);
   // Each block is encoded independently: its slice of X zero-padded to the
-  // coder's block width. Only the final block can carry padding.
-  std::vector<ioa::Bit> padded(input_.begin() + static_cast<std::ptrdiff_t>(p.first_bit),
-                               input_.begin() + static_cast<std::ptrdiff_t>(p.first_bit + p.bits));
-  padded.resize(coder->bits_per_block(), 0);
-  p.symbols = coder->encode(padded);
+  // coder's block width. Only the final block can carry padding, so every
+  // other block encodes straight from X.
+  std::span<const ioa::Bit> block{input_.data() + p.first_bit, p.bits};
+  std::vector<ioa::Bit> padded;
+  if (p.bits < coder->bits_per_block()) {
+    padded.assign(block.begin(), block.end());
+    padded.resize(coder->bits_per_block(), 0);
+    block = padded;
+  }
+  p.symbols = coder->encode(block);
   p.coder = std::move(coder);
   if (!plans_.empty() && plans_.back().delta != p.delta) ++resizes_;
   plans_.push_back(std::move(p));
@@ -68,7 +76,10 @@ std::uint64_t BlockPlanner::outstanding() const {
   return estimator_ == nullptr ? 0 : estimator_->outstanding();
 }
 
-std::vector<combinatorics::Symbol> BlockPlanner::symbol_stream() const {
+std::vector<combinatorics::Symbol> BlockPlanner::symbol_stream() {
+  if (!live()) {
+    while (has_block(plans_.size())) plan(plans_.size());
+  }
   std::vector<combinatorics::Symbol> out;
   for (const BlockPlan& p : plans_) out.insert(out.end(), p.symbols.begin(), p.symbols.end());
   return out;
@@ -80,7 +91,8 @@ BlockDecoder::BlockDecoder(std::shared_ptr<BlockPlanner> planner)
 bool BlockDecoder::add(std::uint32_t symbol) {
   RSTP_CHECK_LT(symbol, planner_->alphabet(), "packet symbol outside the alphabet");
   // The transmitter fetched this block's plan before sending its first
-  // packet, so a live planner returns the frozen plan.
+  // packet, so a shared planner returns that frozen plan; a fixed planner of
+  // the receiver's own computes the same plan from (X, δ).
   if (plan_ == nullptr) plan_ = &planner_->plan(index_);
   block_.add(symbol);
   if (block_.size() < plan_->delta) return false;

@@ -69,7 +69,9 @@ std::string GammaTransmitter::snapshot() const {
 }
 
 std::unique_ptr<ioa::Automaton> GammaTransmitter::clone() const {
-  // Shares the planner: safe for a fixed plan, which never changes.
+  // Shares the planner, which a clone may grow: a fixed plan is a pure
+  // function of (X, δ), and the planner's deque never moves a plan, so
+  // every clone reads the same plans however their runs interleave.
   return std::make_unique<GammaTransmitter>(*this);
 }
 

@@ -11,6 +11,7 @@
 #include "rstp/core/effort.h"
 #include "rstp/core/verify.h"
 #include "rstp/fault/fault.h"
+#include "rstp/protocols/factory.h"
 #include "rstp/sim/simulator.h"
 
 namespace rstp::protocols {
@@ -123,7 +124,93 @@ TEST(BetaTransmitter, FixedPlanEncodesLikeOneMessageStream) {
   // exactly the padded one-stream encoding of X.
   const auto input = core::make_random_input(23, 11);
   const BetaTransmitter t{config_for(input)};
+  EXPECT_EQ(t.planner().planned(), 0u);
   EXPECT_EQ(t.symbol_stream(), combinatorics::BlockCoder(4, 4).encode_message(input));
+  EXPECT_EQ(t.planner().planned(), 5u);
+}
+
+TEST(BetaPlanning, MakeProtocolPlansNoBlock) {
+  // Planning is on demand: building the pair encodes nothing. Only the
+  // first step plans (and encodes) block 0.
+  const ProtocolConfig cfg = config_for(core::make_random_input(4096, 5));
+  const ProtocolInstance pair = make_protocol(ProtocolKind::Beta, cfg);
+  const auto& t = dynamic_cast<const BetaTransmitter&>(*pair.transmitter);
+  EXPECT_EQ(t.planner().planned(), 0u);
+  ASSERT_TRUE(t.enabled_local().has_value());
+  EXPECT_EQ(t.planner().planned(), 1u);
+}
+
+TEST(BetaPlanning, ACappedRunPlansAtMostOneBlockPastTheLastStarted) {
+  const auto input = core::make_random_input(400, 6);  // 80 blocks of 5 bits
+  ProtocolConfig cfg = config_for(input);
+  const auto planner = block_planner_for(BlockPlanner::Discipline::TimedBlocks, cfg);
+  cfg.planner = planner;
+  const core::ProtocolRun run = core::run_protocol(ProtocolKind::Beta, cfg,
+                                                   Environment::worst_case(), false, 300);
+  ASSERT_FALSE(run.result.quiescent);
+  const std::uint64_t sends = core::effort_of(run, input.size()).transmitter_sends;
+  const std::uint64_t started = (sends + 3) / 4;  // δ = 4
+  ASSERT_GT(started, 0u);
+  EXPECT_GE(planner->planned(), started);
+  EXPECT_LE(planner->planned(), started + 1);
+  EXPECT_LT(planner->planned(), 80u);
+}
+
+TEST(BetaPlanning, AFullRunPlansEveryBlockOnce) {
+  const auto input = core::make_random_input(403, 7);
+  ProtocolConfig cfg = config_for(input);
+  const auto planner = block_planner_for(BlockPlanner::Discipline::TimedBlocks, cfg);
+  cfg.planner = planner;
+  const core::ProtocolRun run =
+      core::run_protocol(ProtocolKind::Beta, cfg, Environment::worst_case(), false);
+  ASSERT_TRUE(run.output_correct);
+  EXPECT_EQ(planner->planned(), combinatorics::BlockCoder(4, 4).blocks_for(input.size()));
+}
+
+TEST(BetaPlanning, PlanningPastTheEndThrows) {
+  BlockPlanner planner{BlockPlanner::Discipline::TimedBlocks, 4, core::make_random_input(10, 8),
+                       4, 4};  // B = 5: two blocks
+  (void)planner.plan(0);
+  (void)planner.plan(1);
+  EXPECT_FALSE(planner.has_block(2));
+  EXPECT_THROW((void)planner.plan(2), ContractViolation);
+  EXPECT_THROW((void)planner.plan(3), ContractViolation);  // not the next block either
+  EXPECT_EQ(planner.planned(), 2u);
+}
+
+TEST(BetaTransmitter, ClonesSharingAPlannerReadTheSamePlansInAnyInterleaving) {
+  // Clones share one fixed planner, which grows when any of them reaches a
+  // new block. Each plan is a pure function of (X, δ) and the deque never
+  // moves a plan, so clones that take turns running ahead send the same
+  // blocks.
+  const auto input = core::make_random_input(40, 21);  // 8 blocks
+  const BetaTransmitter t{config_for(input)};
+  const std::unique_ptr<ioa::Automaton> a = t.clone();
+  const std::unique_ptr<ioa::Automaton> b = t.clone();
+  std::vector<combinatorics::Symbol> sent_a;
+  std::vector<combinatorics::Symbol> sent_b;
+  const auto step = [](ioa::Automaton& x, int steps, std::vector<combinatorics::Symbol>& sent) {
+    for (int i = 0; i < steps; ++i) {
+      const auto action = x.enabled_local();
+      if (!action.has_value()) return;
+      if (action->kind == ActionKind::Send) sent.push_back(action->packet.payload);
+      x.apply(*action);
+    }
+  };
+  step(*a, 20, sent_a);  // rounds are 8 steps: a is 4 sends into block 2
+  EXPECT_EQ(t.planner().planned(), 3u);
+  step(*b, 44, sent_b);  // b reads a's three plans, then plans blocks 3 to 5
+  EXPECT_EQ(t.planner().planned(), 6u);
+  for (int turn = 0; turn < 40; ++turn) {  // then they alternate step by step
+    step(*a, 1, sent_a);
+    step(*b, 1, sent_b);
+  }
+  step(*a, 1000, sent_a);
+  step(*b, 1000, sent_b);
+  const auto expected = combinatorics::BlockCoder(4, 4).encode_message(input);
+  EXPECT_EQ(sent_a, expected);
+  EXPECT_EQ(sent_b, expected);
+  EXPECT_EQ(t.planner().planned(), 8u);
 }
 
 TEST(BetaTransmitter, OraclePlanIsNotCappedByTheEstimatorMaxBlock) {

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "rstp/channel/policies.h"
+#include "rstp/combinatorics/block_coder.h"
 #include "rstp/common/check.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
 #include "rstp/core/verify.h"
 #include "rstp/fault/fault.h"
+#include "rstp/protocols/factory.h"
 #include "rstp/sim/simulator.h"
 
 namespace rstp::protocols {
@@ -65,6 +67,42 @@ TEST(GammaTransmitter, SendsBlockThenAwaitsAcks) {
 TEST(GammaTransmitter, ExcessAcksAreContractViolations) {
   GammaTransmitter t{config_for({})};
   EXPECT_THROW(t.apply(Action::recv(Packet::to_transmitter(kAckPayload))), ContractViolation);
+}
+
+TEST(GammaPlanning, MakeProtocolPlansNoBlock) {
+  const ProtocolConfig cfg = config_for(core::make_random_input(4096, 5));
+  const ProtocolInstance pair = make_protocol(ProtocolKind::Gamma, cfg);
+  const auto& t = dynamic_cast<const GammaTransmitter&>(*pair.transmitter);
+  EXPECT_EQ(t.planner().planned(), 0u);
+  ASSERT_TRUE(t.enabled_local().has_value());
+  EXPECT_EQ(t.planner().planned(), 1u);
+}
+
+TEST(GammaPlanning, ACappedRunPlansAtMostOneBlockPastTheLastStarted) {
+  const auto input = core::make_random_input(400, 6);  // 80 blocks of 5 bits
+  ProtocolConfig cfg = config_for(input);
+  const auto planner = block_planner_for(BlockPlanner::Discipline::AckedBlocks, cfg);
+  cfg.planner = planner;
+  const core::ProtocolRun run = core::run_protocol(ProtocolKind::Gamma, cfg,
+                                                   Environment::worst_case(), false, 300);
+  ASSERT_FALSE(run.result.quiescent);
+  const std::uint64_t sends = core::effort_of(run, input.size()).transmitter_sends;
+  const std::uint64_t started = (sends + 3) / 4;  // δ2 = 4
+  ASSERT_GT(started, 0u);
+  EXPECT_GE(planner->planned(), started);
+  EXPECT_LE(planner->planned(), started + 1);
+  EXPECT_LT(planner->planned(), 80u);
+}
+
+TEST(GammaPlanning, AFullRunPlansEveryBlockOnce) {
+  const auto input = core::make_random_input(403, 7);
+  ProtocolConfig cfg = config_for(input);
+  const auto planner = block_planner_for(BlockPlanner::Discipline::AckedBlocks, cfg);
+  cfg.planner = planner;
+  const core::ProtocolRun run =
+      core::run_protocol(ProtocolKind::Gamma, cfg, Environment::worst_case(), false);
+  ASSERT_TRUE(run.output_correct);
+  EXPECT_EQ(planner->planned(), combinatorics::BlockCoder(4, 4).blocks_for(input.size()));
 }
 
 TEST(GammaReceiver, AcksTakePriorityOverWrites) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -156,16 +157,6 @@ TEST(MultisetCodec, HugeParametersStayExact) {
   EXPECT_GT(codec.count().bit_length(), 100u);
 }
 
-TEST(MultisetCodec, FromCountsAgreesWithRepeatedAdd) {
-  Multiset m{5};
-  m.add(1);
-  m.add(1);
-  m.add(4);
-  EXPECT_EQ(Multiset::from_counts({0, 2, 0, 0, 1}), m);
-  EXPECT_EQ(Multiset::from_counts({0, 2, 0, 0, 1}).size(), 3u);
-  EXPECT_THROW((void)Multiset::from_counts({}), ContractViolation);
-}
-
 TEST(MultisetCodec, FastPathsAgreeWithReferenceRandomized) {
   // Property test for the cumulative-table fast paths: over randomized
   // (k ≤ 64, n ≤ 32) parameter points and both multiset distributions that
@@ -233,6 +224,55 @@ TEST(MultisetCodec, FastPathsAgreeWithReferenceWideTables) {
       ASSERT_EQ(codec.rank_reference(m), r) << "k=" << k << " n=" << n;
     }
   }
+}
+
+TEST(MultisetCodec, UnrankSortedMatchesTheReferenceSequence) {
+  // unrank_sorted is the one unrank algorithm: it writes toseq(unrank(v))
+  // straight into a span. Exhaustive on small (k, n), every rank.
+  for (std::uint32_t k = 1; k <= 5; ++k) {
+    for (std::uint32_t n = 0; n <= 5; ++n) {
+      const MultisetCodec codec{k, n};
+      std::vector<Symbol> out(n);
+      for (std::uint64_t r = 0; r < codec.count().to_u64(); ++r) {
+        codec.unrank_sorted(BigUint{r}, out);
+        ASSERT_EQ(out, codec.unrank_reference(BigUint{r}).to_sorted_sequence())
+            << "k=" << k << " n=" << n << " r=" << r;
+      }
+    }
+  }
+}
+
+TEST(MultisetCodec, UnrankSortedMatchesTheReferenceAtEveryWidth) {
+  // Seeded ranks at table widths W = 1, 2 and 3, plus both extreme ranks.
+  Rng rng{0x5011'7ED5};
+  for (const auto& [k, n, width] :
+       {std::tuple<std::uint32_t, std::uint32_t, std::size_t>{8, 32, 1}, {64, 32, 2},
+        {256, 32, 3}}) {
+    const MultisetCodec codec{k, n};
+    ASSERT_EQ(codec.count().limbs().size(), width) << "k=" << k << " n=" << n;
+    std::vector<BigUint> ranks{BigUint{}, codec.count() - BigUint{1}};
+    for (int i = 0; i < 64; ++i) {
+      BigUint r;
+      for (std::size_t w = 0; w < width; ++w) r = (r << 64) + BigUint{rng.next_u64()};
+      ranks.push_back(r % codec.count());
+    }
+    std::vector<Symbol> out(n);
+    for (const BigUint& r : ranks) {
+      codec.unrank_sorted(r, out);
+      ASSERT_EQ(out, codec.unrank_reference(r).to_sorted_sequence())
+          << "k=" << k << " n=" << n << " r=" << r;
+    }
+  }
+}
+
+TEST(MultisetCodec, UnrankSortedChecksItsArguments) {
+  const MultisetCodec codec{4, 3};
+  std::vector<Symbol> short_out(2);
+  std::vector<Symbol> long_out(4);
+  std::vector<Symbol> out(3);
+  EXPECT_THROW(codec.unrank_sorted(BigUint{0}, short_out), ContractViolation);
+  EXPECT_THROW(codec.unrank_sorted(BigUint{0}, long_out), ContractViolation);
+  EXPECT_THROW(codec.unrank_sorted(codec.count(), out), ContractViolation);  // rank out of range
 }
 
 TEST(MultisetCodec, TablesOutliveTheirLastCodec) {
@@ -337,6 +377,20 @@ TEST(BitsConversion, RoundTrip) {
     for (auto& b : bits) b = rng.next_bool() ? 1 : 0;
     const BigUint v = bits_to_biguint(bits);
     EXPECT_EQ(biguint_to_bits(v, width), bits);
+  }
+}
+
+TEST(BitsConversion, RoundTripOnAndOffTheStackBuffer) {
+  // bits_to_biguint packs up to 512 bits (8 words) in stack scratch and
+  // longer strings on the heap; both sides of that line round-trip.
+  Rng rng{0xB175};
+  for (const std::size_t width : {1u, 63u, 64u, 65u, 511u, 512u, 513u, 640u, 1000u}) {
+    std::vector<std::uint8_t> bits(width);
+    for (auto& b : bits) b = rng.next_bool() ? 1 : 0;
+    bits.front() = 1;  // the full width is significant
+    const BigUint v = bits_to_biguint(bits);
+    EXPECT_EQ(v.bit_length(), width);
+    EXPECT_EQ(biguint_to_bits(v, width), bits) << "width=" << width;
   }
 }
 

@@ -350,7 +350,8 @@ void print_host_timing(const obs::HostTimer& timer, std::uint64_t wall_ns,
   row("simulator own (residual)", 0, a.residual_ns);
   row("wall time", 0, static_cast<std::int64_t>(wall_ns));
   os << "codec: " << counters.blocks_encoded << " blocks encoded, " << counters.blocks_decoded
-     << " blocks decoded (time inside protocols.apply and setup)\n";
+     << " blocks decoded (encode time inside protocols.enabled_local, decode inside "
+        "protocols.apply)\n";
   std::cout << os.str();
 }
 
