@@ -1,43 +1,29 @@
-// The million-session multiplexed engine: N independent (transmitter,
-// channel, receiver) sessions interleaved on one simulated clock.
+// The million-session engine: N independent (transmitter, channel,
+// receiver) sessions of one cell, run and folded into one record.
 //
-// Where a Campaign parallelizes at job level (one complete session per grid
-// cell, run to completion before the worker takes the next), MultiSession
-// hosts many concurrent sessions inside one event loop — the regime the
-// ROADMAP's "millions of users" north star actually needs, and the aggregate
-// many-flows view the timing-channel capacity literature frames throughput
-// in. The architecture:
+// Where a Campaign runs a grid of different cells, MultiSession hosts many
+// copies of one cell — the regime the ROADMAP's "millions of users" north
+// star needs, and the aggregate many-flows view the timing-channel capacity
+// literature frames throughput in. The architecture:
 //
 //   * Sessions are split into a fixed number of shards (spec.shards,
 //     independent of the worker count). Each shard owns a contiguous session
-//     range and runs ONE event loop over all of them: a cross-session
-//     time-ordered binary heap keyed by (next dispatch instant, session id)
-//     holds the earliest session on top. The loop advances that session
-//     exactly one dispatch (a whole due delivery batch, or one process step
-//     — Simulator::advance), writes its new instant into the top entry in
-//     place and sifts the entry down once; a session that is still the
-//     earliest stays on top. A finished session is popped. Within a session
-//     the single-session tie rule (deliveries, then transmitter, then
-//     receiver) is untouched; across sessions the session id breaks instant
-//     ties, and as (instant, id) is a strict total order the dispatch
-//     sequence does not depend on the heap's layout.
-//   * Arena layout: each shard materializes its sessions once, into one
-//     exactly-reserved contiguous slot vector, before its loop starts. The
-//     per-step path allocates nothing — packets live in each session
-//     channel's reusable heap + scratch buffers, and the heap entries are
-//     16-byte PODs in a pre-reserved vector.
-//   * Sessions are independent by construction (no cross-session actions),
-//     so each session's execution — driven through the same incremental
-//     Simulator API run() itself uses — is bitwise identical to a standalone
-//     core::run_protocol call with the same derived seeds. Per-session seeds
-//     come from the campaign's derivation (derive_unit_seeds over
-//     base_seed + session id), making session i a pure function of the spec.
+//     range and runs its sessions back to back, in session order: each one
+//     is a core::run_protocol call, run to completion and folded before the
+//     next is built. Sessions share no action, so the order in which they
+//     run cannot change any result bit; one session is alive per worker.
+//   * Per-session seeds come from the campaign's derivation
+//     (derive_unit_seeds over base_seed + session id), so session i is a
+//     pure function of the spec and bitwise identical to a standalone
+//     core::run_protocol call with the same derived seeds. The alphabet is
+//     protocols::alphabet_for(protocol, k, input_bits), as every other
+//     session builder sets it.
 //   * Folds reuse the MetricsRegistry shard pattern: each worker folds its
-//     shard's finished sessions in session order into a per-shard slot, and
-//     the shard folds merge serially in shard order after the join. The
-//     result is therefore bitwise identical across 1/3/8 threads and
-//     invariant to the shard count (shards partition the session order into
-//     contiguous runs, so the merged fold is always the session-order fold).
+//     shard's sessions in session order into a per-shard slot, and the
+//     shard folds merge serially in shard order after the join. The result
+//     is therefore bitwise identical across 1/3/8 threads and invariant to
+//     the shard count (shards partition the session order into contiguous
+//     runs, so the merged fold is always the session-order fold).
 //
 // events_per_sec / elapsed_seconds are the only wall-clock quantities and
 // are excluded from every determinism comparison.
@@ -54,7 +40,7 @@
 
 namespace rstp::sim {
 
-/// The declarative multiplexed run: one protocol/timing/environment cell,
+/// The declarative megasession: one protocol/timing/environment cell,
 /// N sessions with per-session derived seeds.
 struct MultiSessionSpec {
   protocols::ProtocolKind protocol = protocols::ProtocolKind::Alpha;
@@ -120,7 +106,7 @@ class MultiSession {
   MultiSessionSpec spec_;
 };
 
-/// Flattens a multiplexed run into one JSONL-exportable record carrying the
+/// Flattens a megasession run into one JSONL-exportable record carrying the
 /// cell identity (seed = base_seed), the session-order metric fold, and the
 /// `sessions` / `events_per_sec` schema fields. effort is the mean over
 /// sending sessions; correct/quiescent require every session to pass.

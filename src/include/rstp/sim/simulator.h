@@ -102,15 +102,13 @@ class Simulator {
   [[nodiscard]] RunResult run();
 
   // --- Incremental driving ---------------------------------------------------
-  // The multiplexed engine (sim/multi_session.h) interleaves many sessions on
-  // one clock: it advances the session at the top of a cross-session heap
-  // (the earliest next_instant()) by one dispatch, writes the session's new
-  // instant into that top entry in place and sifts it down once. The sequence
+  // The sequence
   //   start(); while (next_instant()) advance(); take_result()
-  // is exactly run() — run() itself is implemented on top of these — so a
-  // session driven incrementally produces a bitwise-identical RunResult no
-  // matter how its dispatches interleave with other sessions'. The two APIs
-  // are mutually exclusive on one instance.
+  // is exactly run(): run() itself is implemented on top of these. The other
+  // caller is the layer benchmark's replay (bench_layers), which times each
+  // call apart. A session driven incrementally produces a bitwise-identical
+  // RunResult however its dispatches are interleaved with other work. The
+  // two APIs are mutually exclusive on one instance.
 
   /// Validates and arms the run: configures the metric histograms and draws
   /// both processes' first step offsets. May be called once.

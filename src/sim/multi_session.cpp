@@ -3,21 +3,18 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "rstp/common/check.h"
 #include "rstp/obs/metrics.h"
 #include "rstp/sim/search_support.h"
-#include "rstp/sim/session.h"
 
 namespace rstp::sim {
 
 namespace {
 
-/// Global-registry slots the multiplexed engine reports into (same idempotent
+/// Global-registry slots the megasession engine reports into (same idempotent
 /// lookup pattern as the campaign engine's ids).
 struct MetricsRegistryIds {
   obs::MetricsRegistry::MetricId sessions = obs::global_registry().counter("mega/sessions");
@@ -25,38 +22,6 @@ struct MetricsRegistryIds {
   obs::MetricsRegistry::MetricId max_sessions =
       obs::global_registry().gauge("mega/max_sessions_per_run");
 };
-
-/// One materialized session in a shard's arena: the owning Session (automata,
-/// schedulers, channel and the incremental Simulator driving them), its input
-/// and, once finished, its result.
-struct SessionSlot {
-  std::unique_ptr<Session> session;
-  std::vector<ioa::Bit> input;
-  RunResult result;
-};
-
-/// Builds session `session_id` in place through core::make_session — the same
-/// wiring and seed expansion as core::run_protocol — so the session is
-/// reproducible as a standalone run with the same derived seeds
-/// (megasession_test asserts this).
-void materialize_session(const MultiSessionSpec& spec, std::uint64_t session_id,
-                         SessionSlot& slot) {
-  const DerivedSeeds seeds = derive_unit_seeds(spec.base_seed, session_id);
-
-  protocols::ProtocolConfig config;
-  config.params = spec.params;
-  config.k = spec.k;
-  config.input = core::make_random_input(spec.input_bits, seeds.input);
-  core::Environment env = spec.environment;
-  env.seed = seeds.environment;
-
-  SimConfig sim_config;
-  sim_config.params = spec.params;
-  sim_config.record_trace = false;
-  sim_config.max_events = spec.max_events_per_session;
-  slot.session = core::make_session(spec.protocol, config, env, std::move(sim_config));
-  slot.input = std::move(config.input);
-}
 
 /// One shard's session-order fold. Effort is accumulated in integer ticks
 /// (all sessions share input_bits, so mean = Σticks / (bits · senders)):
@@ -104,90 +69,25 @@ void fold_metrics(ShardFold& fold, const obs::RunMetrics& metrics) {
   fold.metrics.receiver_gap.merge(metrics.receiver_gap);
 }
 
-/// One entry of a shard's cross-session event heap: (next dispatch instant,
-/// local session index). The index tiebreak keeps simultaneous sessions in
-/// session order — a deterministic choice, though sessions are independent,
-/// so the pop order cannot change any per-session result bit either way.
-struct HeapEntry {
-  Time at{};
-  std::uint32_t idx = 0;
-};
-
-/// The heap order, inverted for the std heap algorithms (a max-heap under
-/// `later` has the earliest entry on top). (at, idx) is a strict total order,
-/// so the pop sequence does not depend on how the heap is laid out.
-[[nodiscard]] bool later(const HeapEntry& a, const HeapEntry& b) {
-  if (b.at < a.at) return true;
-  if (a.at < b.at) return false;
-  return b.idx < a.idx;
-}
-
-/// Restores the heap after the top entry's instant moved later: sifts it
-/// down to its place in one pass. A session that is still the earliest stays
-/// on top after comparing it with its two children.
-void sift_top_down(std::vector<HeapEntry>& heap) {
-  const std::size_t n = heap.size();
-  const HeapEntry moving = heap[0];
-  std::size_t hole = 0;
-  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
-    if (child + 1 < n && later(heap[child], heap[child + 1])) ++child;
-    if (!later(moving, heap[child])) break;
-    heap[hole] = heap[child];
-    hole = child;
-  }
-  heap[hole] = moving;
-}
-
-/// Runs sessions [lo, hi) to completion on one cross-session event heap and
-/// returns their session-order fold.
+/// Runs sessions [lo, hi) back to back, each to completion through
+/// core::run_protocol with its derived seeds, and folds each into the
+/// shard's session-order fold as it finishes. One session is alive at a time.
 ShardFold run_shard(const MultiSessionSpec& spec, std::uint64_t lo, std::uint64_t hi) {
-  const auto count = static_cast<std::size_t>(hi - lo);
-
-  // The arena: materialize every session once, into one exactly-reserved
-  // contiguous vector, before the loop starts. From here on the per-dispatch
-  // path allocates nothing (channel heaps reuse their buffers; heap entries
-  // are PODs in a pre-reserved vector).
-  std::vector<SessionSlot> slots(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    materialize_session(spec, lo + i, slots[i]);
-  }
-
-  std::vector<HeapEntry> heap;
-  heap.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Simulator& sim = slots[i].session->simulator();
-    sim.start();
-    if (const std::optional<Time> at = sim.next_instant()) {
-      heap.push_back(HeapEntry{*at, i});
-    } else {
-      slots[i].result = sim.take_result();
-    }
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-
-  // Each dispatch advances the top session in place: its new instant is
-  // written into the top entry, which sifts down once. A finished session is
-  // popped.
-  while (!heap.empty()) {
-    HeapEntry& top = heap.front();
-    Simulator& sim = slots[top.idx].session->simulator();
-    sim.advance();
-    if (const std::optional<Time> at = sim.next_instant()) {
-      top.at = *at;
-      sift_top_down(heap);
-    } else {
-      slots[top.idx].result = sim.take_result();
-      std::pop_heap(heap.begin(), heap.end(), later);
-      heap.pop_back();
-    }
-  }
-
-  // Fold in session order (slot order IS session order within the shard).
   ShardFold fold;
-  for (const SessionSlot& slot : slots) {
-    const RunResult& r = slot.result;
+  protocols::ProtocolConfig config;
+  config.params = spec.params;
+  config.k = protocols::alphabet_for(spec.protocol, spec.k, spec.input_bits);
+  core::Environment env = spec.environment;
+  for (std::uint64_t id = lo; id < hi; ++id) {
+    const DerivedSeeds seeds = derive_unit_seeds(spec.base_seed, id);
+    config.input = core::make_random_input(spec.input_bits, seeds.input);
+    env.seed = seeds.environment;
+    const core::ProtocolRun run = core::run_protocol(spec.protocol, config, env,
+                                                     /*record_trace=*/false,
+                                                     spec.max_events_per_session);
+    const RunResult& r = run.result;
     ++fold.sessions;
-    if (r.output == slot.input) ++fold.correct;
+    if (run.output_correct) ++fold.correct;
     if (r.quiescent) ++fold.quiescent;
     fold.total_events += r.event_count;
     if (spec.input_bits > 0 && r.last_transmitter_send.has_value()) {

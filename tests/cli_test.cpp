@@ -652,4 +652,12 @@ TEST(Cli, MegaHostsSessionsAndWritesOneRow) {
   std::remove(jsonl.c_str());
 }
 
+TEST(Cli, MegaRaisesTheAlphabetForIndexed) {
+  // Indexed needs k >= 2|X|; mega raises the default k = 2 as `run` does.
+  std::string out;
+  EXPECT_EQ(run_command("mega --protocol indexed --sessions 4", &out), 0) << out;
+  EXPECT_NE(out.find(" 0 incorrect"), std::string::npos) << out;
+  EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+}
+
 }  // namespace

@@ -40,8 +40,8 @@
 //   rstp mega [--sessions N] [--shards N] [--threads N] [--protocol P]
 //             [--k K] [--bits N] [--seed N] [--max-events N]
 //             [--metrics-out FILE]
-//       Run N multiplexed sessions on one simulated clock (the
-//       million-session engine, sim/multi_session.h). Defaults are the
+//       Run N independent sessions of one cell, back to back on each
+//       shard (the million-session engine, sim/multi_session.h). Defaults are the
 //       golden megasession cell, so `rstp mega --sessions 10000
 //       --metrics-out F` regenerates tests/golden/megasession_baseline.jsonl.
 //       Appends ONE JSONL row — the session-order fold — carrying the
