@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "rstp/channel/policies.h"
-#include "rstp/obs/metrics.h"
 #include "rstp/protocols/block_planner.h"
 #include "rstp/sim/scheduler.h"
 #include "rstp/sim/session.h"
@@ -12,33 +11,6 @@
 namespace rstp::est {
 
 namespace {
-
-/// Global-registry slots the estimator reports into (naming scheme in
-/// docs/OBSERVABILITY.md). Gauges are high-water marks over the process, so
-/// a campaign's merged view shows the largest estimate any cell converged to.
-struct MetricsRegistryIds {
-  obs::MetricsRegistry::MetricId runs = obs::global_registry().counter("est/runs");
-  obs::MetricsRegistry::MetricId c1_hat = obs::global_registry().gauge("est/c1_hat");
-  obs::MetricsRegistry::MetricId c2_hat = obs::global_registry().gauge("est/c2_hat");
-  obs::MetricsRegistry::MetricId d_hat = obs::global_registry().gauge("est/d_hat");
-  obs::MetricsRegistry::MetricId gap_samples =
-      obs::global_registry().counter("est/gap_samples");
-  obs::MetricsRegistry::MetricId delay_samples =
-      obs::global_registry().counter("est/delay_samples");
-  obs::MetricsRegistry::MetricId resizes = obs::global_registry().counter("est/resizes");
-};
-
-void publish_gauges(const obs::EstimatorGauges& g) {
-  const MetricsRegistryIds ids;
-  obs::MetricsRegistry& reg = obs::global_registry();
-  reg.add(ids.runs);
-  reg.gauge_max(ids.c1_hat, static_cast<std::uint64_t>(g.c1_hat));
-  reg.gauge_max(ids.c2_hat, static_cast<std::uint64_t>(g.c2_hat));
-  reg.gauge_max(ids.d_hat, static_cast<std::uint64_t>(g.d_hat));
-  reg.add(ids.gap_samples, g.gap_samples);
-  reg.add(ids.delay_samples, g.delay_samples);
-  reg.add(ids.resizes, g.resizes);
-}
 
 double effort_ticks(const core::ProtocolRun& run) {
   if (!run.result.last_transmitter_send.has_value()) return 0;
@@ -89,7 +61,6 @@ EstimatedRun run_estimated(protocols::ProtocolKind kind, const protocols::Protoc
     out.gauges.gap_samples = estimator->gap_samples();
     out.gauges.delay_samples = estimator->delay_samples();
     out.gauges.resizes = local.planner->resizes();
-    publish_gauges(out.gauges);
   }
   return out;
 }

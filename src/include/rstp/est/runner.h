@@ -41,8 +41,8 @@ struct EstimatedRun {
 /// An empty `drift` keeps the environment's own schedulers/policy; a
 /// non-empty one substitutes DriftingSpecScheduler for both processes and
 /// DriftingDelayPolicy for the channel. With `estimator_enabled` A^β/A^γ read
-/// a live block plan (kind must be Beta or Gamma) and the run publishes
-/// its final gauges to the global metrics registry (est/* slots).
+/// a live block plan (kind must be Beta or Gamma) and the run reports the
+/// estimator's final state in `gauges`.
 /// `sim_config` carries the run's trace switch, event cap, observer and host
 /// timer; its params are replaced by `config.params`, and its observer
 /// watches the run alongside the estimator.

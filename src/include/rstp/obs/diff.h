@@ -157,12 +157,8 @@ struct ThresholdViolation {
 
 /// One JSON object ("rstp-metrics-diff-v1") on a single line; integral
 /// quantities keep their exact u64 lexemes, doubles their shortest
-/// round-trip form, so read_diff_json reproduces the report exactly.
+/// round-trip form, so obs::parse_json reads every value back exactly.
 void write_diff_json(std::ostream& os, const DiffReport& report);
-
-/// Inverse of write_diff_json; throws JsonParseError on malformed input or
-/// a wrong schema tag.
-[[nodiscard]] DiffReport read_diff_json(std::string_view json);
 
 /// Human-readable rendering: join summary, per-cell changed quantities, and
 /// the nonzero aggregates.

@@ -1,32 +1,15 @@
-// rstp::obs — the always-cheap instrumentation layer (metrics registry and
-// fixed-bucket histograms).
+// rstp::obs — fixed-bucket histograms and the nearest-rank percentile
+// kernel.
 //
-// Design constraints, in order:
-//   1. Deterministic merges. Campaign workers record concurrently; every
-//      shard-merged quantity must be bitwise identical across thread counts.
-//      All shard state is integral (counter sums and gauge maxima are
-//      order-independent folds), so the merged snapshot is reproducible no
-//      matter how the OS interleaved the recording threads. Host wall-clock
-//      time is the one non-reproducible quantity; it never enters the
-//      registry, RunMetrics or CampaignResult, and is measured only on
-//      request by obs::HostTimer (obs/host_timer.h).
-//   2. No contention on the hot path. Each recording thread owns a private
-//      shard (4 KiB, registered once under a mutex); add() is a thread-local
-//      lookup plus a relaxed atomic increment — no shared cache line is
-//      written by two threads.
-//
-// Naming scheme (docs/OBSERVABILITY.md): lowercase path segments separated
-// by '/', "<subsystem>/<quantity>[/<unit>]" — e.g. "campaign/jobs",
-// "est/c1_hat". Registering the same name twice returns the same id.
+// Every quantity here is integral, so a histogram folded from per-job or
+// per-shard parts (Histogram::merge) is bitwise identical whatever the
+// thread count or interleaving that produced the parts. Host wall-clock time
+// never enters a Histogram, RunMetrics or CampaignResult; it is measured
+// only on request by obs::HostTimer (obs/host_timer.h).
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "rstp/common/check.h"
@@ -36,14 +19,10 @@ namespace rstp::obs {
 /// Nearest-rank fold over a fixed bucket array: the index of the bucket
 /// containing the rank-⌈p/100·count⌉ observation (rank clamped into
 /// [1, count]; p clamped into [0, 100]). The one percentile kernel shared by
-/// Histogram::percentile, the dashboard's display fold, and the trace
-/// summary — callers map the returned index to their own value domain.
-/// Degenerate folds are part of the contract, not UB: an empty fold
-/// (count == 0 or size == 0) returns bucket 0, and when `count` exceeds the
-/// bucket sum — possible only for the dashboard's relaxed-atomic fold, where
-/// the count and the buckets are read at slightly different moments — the
-/// scan runs dry and clamps to the last bucket (size - 1). Coherent callers
-/// pass count == Σ buckets and never hit the clamp.
+/// Histogram::percentile and the trace summary — callers map the returned
+/// index to their own value domain. An empty fold (count == 0 or size == 0)
+/// returns bucket 0. Callers pass count == Σ buckets; a count above the
+/// bucket sum is a ContractViolation.
 [[nodiscard]] std::size_t nearest_rank_bucket(const std::uint64_t* buckets, std::size_t size,
                                               std::uint64_t count, double p);
 
@@ -127,70 +106,5 @@ class Histogram {
   std::uint64_t count_ = 0;
   std::vector<std::uint64_t> buckets_;
 };
-
-/// Named counters and gauges recorded through lock-free thread-local shards.
-///
-/// Counters accumulate (merge = sum); gauges track a high-water mark
-/// (merge = max). Both folds are order-independent over the integral shard
-/// slots, so collect() is deterministic for any thread interleaving.
-///
-/// The registry must outlive every thread that records into it; shards are
-/// owned by the registry and TLS entries are keyed by a never-reused registry
-/// id, so a dangling lookup after destruction is impossible by construction.
-class MetricsRegistry {
- public:
-  using MetricId = std::size_t;
-
-  /// Per-shard slot capacity; registering more metrics than this throws
-  /// (4 KiB per shard).
-  static constexpr std::size_t kMaxMetrics = 512;
-
-  MetricsRegistry();
-  ~MetricsRegistry();  // out of line: Shard is incomplete here
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Registers (or looks up) a counter / gauge by name.
-  [[nodiscard]] MetricId counter(std::string_view name);
-  [[nodiscard]] MetricId gauge(std::string_view name);
-
-  /// Adds `delta` to a counter in this thread's shard. Lock-free after the
-  /// thread's first touch of this registry.
-  void add(MetricId id, std::uint64_t delta = 1);
-
-  /// Raises this thread's shard slot to at least `value` (gauge high-water).
-  void gauge_max(MetricId id, std::uint64_t value);
-
-  struct Sample {
-    std::string name;
-    bool is_gauge = false;
-    std::uint64_t value = 0;
-
-    friend bool operator==(const Sample&, const Sample&) = default;
-  };
-
-  /// Merged view over all shards, in registration order (deterministic).
-  [[nodiscard]] std::vector<Sample> collect() const;
-
-  /// Merged value of one metric.
-  [[nodiscard]] std::uint64_t value(MetricId id) const;
-
-  /// Zeroes every shard slot (the metric names stay registered).
-  void reset();
-
- private:
-  struct Shard;
-  Shard& shard_for_this_thread();
-
-  std::uint64_t registry_id_;  // never reused; guards TLS cache validity
-  mutable std::mutex mutex_;
-  std::vector<std::string> names_;
-  std::vector<bool> is_gauge_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-/// The process-wide registry used by the built-in instrumentation (campaign
-/// and estimator counters). Lives until process exit.
-[[nodiscard]] MetricsRegistry& global_registry();
 
 }  // namespace rstp::obs

@@ -160,7 +160,7 @@ class Tracer {
 
 /// Aggregates a recorded trace for one-line CLI reporting; delay percentiles
 /// use the shared nearest-rank fold over a fixed 64-bucket display window
-/// (bucket i = i ticks, clamped), matching the campaign dashboard.
+/// (bucket i = i ticks, clamped).
 struct Summary {
   std::uint64_t model_spans = 0;
   std::uint64_t flow_events = 0;

@@ -33,12 +33,15 @@
 
 namespace rstp::protocols {
 
+/// W when config.window_override is unset: k must then be even and >= 4.
+inline constexpr std::uint32_t kDefaultWindow = 2;
+
 /// Worst-case effort bound for A^γw(k, W): W blocks complete per
 /// max(W·δ2·c2, δ2·c2 + 2d + 2c2) window (send-limited vs round-trip-
 /// limited), each carrying ⌊log2 μ_{k/W}(δ2)⌋ bits. Requires W >= 1,
 /// W | k, and k/W >= 2.
 [[nodiscard]] double windowed_gamma_upper(const core::TimingParams& params, std::uint32_t k,
-                                          std::uint32_t window = 2);
+                                          std::uint32_t window = kDefaultWindow);
 
 class WindowedGammaTransmitter final : public TransmitterBase {
  public:

@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -88,20 +87,12 @@ struct GenomeEval {
 /// MaxDelay) expressed as a genome — the search's generation-0 floor.
 [[nodiscard]] channel::ScheduleGenome hand_equivalent_genome(const core::TimingParams& params);
 
-/// Per-cell progress, published between cells (serially; display only).
-struct AdversaryProgress {
-  std::size_t cell_index = 0;  ///< 0-based, just completed
-  std::size_t cell_count = 0;
-};
-
 struct AdversarySpec {
   std::vector<AdversaryCell> grid;
   std::uint64_t seed = 1;
   std::uint64_t budget = 64;  ///< genome evaluations per cell (minimization excluded)
   unsigned jobs = 1;          ///< 0 = hardware concurrency
   std::uint64_t max_events = 200'000;
-  /// Called after each cell's search completes; must not mutate the spec.
-  std::function<void(const AdversaryProgress&)> on_cell;
 };
 
 struct AdversaryCellResult {

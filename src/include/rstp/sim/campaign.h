@@ -20,10 +20,7 @@
 //     promised.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -153,61 +150,6 @@ struct CampaignResult {
   friend bool operator==(const CampaignResult&, const CampaignResult&) = default;
 };
 
-/// One protocol's slice of the grid as the live monitor sees it. All counts
-/// are folded from the workers' relaxed atomics, so they are approximations
-/// while the campaign runs (exact in the final snapshot) and display-only
-/// by contract.
-struct CampaignProtocolSnapshot {
-  protocols::ProtocolKind protocol = protocols::ProtocolKind::Alpha;
-  std::uint64_t done = 0;
-  std::uint64_t total = 0;
-  std::uint64_t events = 0;
-  double effort_sum = 0;  ///< over finished jobs that sent at least once
-  std::uint64_t effort_jobs = 0;
-};
-
-/// A display-only snapshot of a running campaign, published through
-/// CampaignProgress::on_snapshot. Everything here flows one way — workers →
-/// relaxed atomics → snapshot → display — so nothing a consumer does can
-/// perturb the bitwise-deterministic CampaignResult.
-struct CampaignSnapshot {
-  /// Data-delay display buckets: bucket i counts deliveries delayed i ticks,
-  /// the last bucket clamps larger delays. A fixed layout (unlike the
-  /// per-cell RunMetrics histograms, whose windows vary with each cell's d)
-  /// so the whole grid folds into one rolling distribution.
-  static constexpr std::size_t kDelayBuckets = 64;
-
-  std::size_t jobs_done = 0;
-  std::size_t jobs_total = 0;
-  std::uint64_t events = 0;
-  double effort_sum = 0;  ///< over finished jobs that sent at least once
-  std::size_t effort_jobs = 0;
-  double elapsed_seconds = 0;
-  bool final_snapshot = false;  ///< true for the one snapshot after the join
-  std::vector<CampaignProtocolSnapshot> protocols;  ///< spec protocol order
-  std::vector<std::uint64_t> delay_buckets;         ///< size kDelayBuckets
-  std::uint64_t delay_count = 0;
-};
-
-/// Optional live progress reporting for long grids: a monitor thread prints
-/// "jobs done/total, %, events, running mean effort, ETA" lines to `out`
-/// every `interval`, plus one final line at completion, and/or hands a
-/// structured CampaignSnapshot to `on_snapshot` on the same cadence (the
-/// dashboard's feed). Reporting never touches the result — CampaignResult
-/// stays bitwise deterministic. `interval` must be positive whenever a sink
-/// is attached (a zero interval would busy-spin the monitor thread);
-/// Campaign::run validates this.
-struct CampaignProgress {
-  std::ostream* out = nullptr;  ///< null disables line reporting
-  std::chrono::milliseconds interval{2000};
-  /// Called from the monitor thread; must not block for long (the next
-  /// snapshot waits for it) and must not touch campaign inputs/outputs.
-  std::function<void(const CampaignSnapshot&)> on_snapshot;
-
-  /// True when any sink is attached (the monitor thread exists only then).
-  [[nodiscard]] bool active() const { return out != nullptr || on_snapshot != nullptr; }
-};
-
 class Campaign {
  public:
   /// Validates and freezes the spec.
@@ -223,9 +165,6 @@ class Campaign {
   /// Runs every job on `threads` workers (0 = hardware concurrency) and
   /// merges. The result is bitwise identical for every thread count.
   [[nodiscard]] CampaignResult run(unsigned threads = 1) const;
-
-  /// As above, with live progress lines (see CampaignProgress).
-  [[nodiscard]] CampaignResult run(unsigned threads, const CampaignProgress& progress) const;
 
  private:
   CampaignSpec spec_;

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -105,27 +104,6 @@ struct FuzzCaseResult {
 /// watches the run beside the coverage observer; it cannot change the result.
 [[nodiscard]] FuzzCaseResult run_fuzz_case(const FuzzCase& c, SimObserver* observer = nullptr);
 
-/// A display-only snapshot of the hunt after one generation's serial fold,
-/// published through FuzzSpec::on_generation. Emitted only from the fold (and
-/// once more after minimization, with final_snapshot=true), never from the
-/// parallel workers — so attaching a consumer cannot change the FuzzResult,
-/// which stays bitwise deterministic across `jobs` with the hook on or off.
-struct FuzzGenerationSnapshot {
-  std::uint64_t generation = 0;  ///< 0-based fold index
-  std::uint64_t executed = 0;    ///< cases run so far
-  std::uint64_t budget = 0;
-  std::size_t corpus = 0;
-  std::size_t coverage = 0;       ///< distinct fingerprints so far
-  std::size_t coverage_gain = 0;  ///< fingerprints first reached this generation
-  std::size_t crashes = 0;        ///< crashed cases so far (fail-stop or not)
-  std::size_t failures = 0;       ///< tracked failures so far
-  /// Mutation-count draw width the *next* generation will breed with
-  /// (GenerationTally::mutation_rate); identical across jobs.
-  std::uint64_t mutation_rate = 3;
-  double elapsed_seconds = 0;     ///< wall clock; observational only
-  bool final_snapshot = false;
-};
-
 struct FuzzSpec {
   protocols::ProtocolKind protocol = protocols::ProtocolKind::Beta;
   std::uint32_t k = 4;
@@ -149,9 +127,6 @@ struct FuzzSpec {
   std::uint64_t time_budget_ms = 0;
   /// Extra starting cases (e.g. a checked-in corpus). Run before mutations.
   std::vector<FuzzCase> corpus_seeds;
-  /// Optional per-generation progress hook (see FuzzGenerationSnapshot).
-  /// Called serially between generations; must not mutate the spec.
-  std::function<void(const FuzzGenerationSnapshot&)> on_generation;
 };
 
 struct FuzzFailure {

@@ -18,9 +18,9 @@
 //     core::run_protocol call with the same derived seeds. The alphabet is
 //     protocols::alphabet_for(protocol, k, input_bits), as every other
 //     session builder sets it.
-//   * Folds reuse the MetricsRegistry shard pattern: each worker folds its
-//     shard's sessions in session order into a per-shard slot, and the
-//     shard folds merge serially in shard order after the join. The result
+//   * Each shard has its own fold slot: the worker running a shard folds its
+//     sessions into that slot in session order, and the slots merge
+//     serially in shard order after the join. The result
 //     is therefore bitwise identical across 1/3/8 threads and invariant to
 //     the shard count (shards partition the session order into contiguous
 //     runs, so the merged fold is always the session-order fold).

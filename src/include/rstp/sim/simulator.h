@@ -52,7 +52,11 @@ struct SimConfig {
   /// Only c1/c2 of the overrides are used; d always comes from `params`.
   std::optional<core::TimingParams> transmitter_params;
   std::optional<core::TimingParams> receiver_params;
-  /// Hard cap on applied actions; a run that hits it reports quiescent=false.
+  /// Cap on applied actions; a run that hits it reports quiescent=false.
+  /// The cap is checked between dispatches, and one delivery dispatch
+  /// applies its whole due batch, so a capped run can overshoot the cap by
+  /// less than one delivery batch (MultiSession.MatchesNIndependentRunProtocolCalls
+  /// pins the overshoot).
   std::uint64_t max_events = 10'000'000;
   /// Record the full timed trace (disable for very long effort runs).
   bool record_trace = true;

@@ -193,44 +193,6 @@ void write_deltas_json(std::ostream& os, const std::vector<QuantityDelta>& delta
   os << "]";
 }
 
-[[nodiscard]] CellKey read_key_json(const JsonValue& v) {
-  CellKey key;
-  key.protocol = v.string_or("protocol", "");
-  key.c1 = v.i64_or("c1", 0);
-  key.c2 = v.i64_or("c2", 0);
-  key.d = v.i64_or("d", 0);
-  key.k = static_cast<std::uint32_t>(v.u64_or("k", 2));
-  key.input_bits = v.u64_or("input_bits", 0);
-  key.seed = v.u64_or("seed", 0);
-  key.rep = v.u64_or("rep", 0);
-  return key;
-}
-
-[[nodiscard]] std::vector<QuantityDelta> read_deltas_json(const JsonValue& v) {
-  std::vector<QuantityDelta> out;
-  for (const JsonValue& item : v.items) {
-    QuantityDelta d;
-    d.name = item.string_or("name", "");
-    d.integral = item.bool_or("int", true);
-    const JsonValue* old_v = item.find("old");
-    const JsonValue* new_v = item.find("new");
-    if (old_v == nullptr || new_v == nullptr) {
-      throw JsonParseError("delta object missing old/new");
-    }
-    if (d.integral) {
-      d.old_u = old_v->to_u64();
-      d.new_u = new_v->to_u64();
-      d.old_v = static_cast<double>(d.old_u);
-      d.new_v = static_cast<double>(d.new_u);
-    } else {
-      d.old_v = old_v->to_double();
-      d.new_v = new_v->to_double();
-    }
-    out.push_back(std::move(d));
-  }
-  return out;
-}
-
 /// Compact human form of a delta value: exact for integral, shortest
 /// round-trip for doubles.
 [[nodiscard]] std::string value_string(const QuantityDelta& d, bool old_side) {
@@ -523,41 +485,6 @@ void write_diff_json(std::ostream& os, const DiffReport& report) {
   os << "],\"aggregates\":";
   write_deltas_json(os, report.aggregates);
   os << "}\n";
-}
-
-DiffReport read_diff_json(std::string_view json) {
-  const JsonValue doc = parse_json(json);
-  if (doc.string_or("schema", "") != "rstp-metrics-diff-v1") {
-    throw JsonParseError("not an rstp-metrics-diff-v1 document");
-  }
-  DiffReport report;
-  report.old_records = doc.u64_or("old_records", 0);
-  report.new_records = doc.u64_or("new_records", 0);
-  report.matched = doc.u64_or("matched", 0);
-  const auto read_keys = [&doc](std::string_view field, std::vector<CellKey>& out) {
-    if (const JsonValue* v = doc.find(field)) {
-      for (const JsonValue& item : v->items) out.push_back(read_key_json(item));
-    }
-  };
-  read_keys("missing", report.missing);
-  read_keys("extra", report.extra);
-  if (const JsonValue* cells = doc.find("cells")) {
-    for (const JsonValue& item : cells->items) {
-      CellDiff cell;
-      const JsonValue* key = item.find("key");
-      const JsonValue* deltas = item.find("deltas");
-      if (key == nullptr || deltas == nullptr) {
-        throw JsonParseError("cell object missing key/deltas");
-      }
-      cell.key = read_key_json(*key);
-      cell.deltas = read_deltas_json(*deltas);
-      report.cells.push_back(std::move(cell));
-    }
-  }
-  if (const JsonValue* aggregates = doc.find("aggregates")) {
-    report.aggregates = read_deltas_json(*aggregates);
-  }
-  return report;
 }
 
 void print_diff_table(std::ostream& os, const DiffReport& report) {

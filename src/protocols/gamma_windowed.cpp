@@ -29,7 +29,7 @@ WindowLayout validated_layout(std::uint32_t k, std::uint32_t window) {
 }
 
 std::uint32_t window_of(const ProtocolConfig& config) {
-  return config.window_override.value_or(2u);
+  return config.window_override.value_or(kDefaultWindow);
 }
 
 }  // namespace

@@ -330,12 +330,6 @@ AdversaryResult run_adversary_search(const AdversarySpec& spec) {
     result_hash = hash_genome(result_hash, cr.best_genome);
 
     res.cells.push_back(std::move(cr));
-    if (spec.on_cell) {
-      AdversaryProgress progress;
-      progress.cell_index = cell_index;
-      progress.cell_count = spec.grid.size();
-      spec.on_cell(progress);
-    }
   }
 
   res.result_hash = result_hash;

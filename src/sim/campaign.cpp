@@ -1,35 +1,14 @@
 #include "rstp/sim/campaign.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <exception>
-#include <iomanip>
-#include <mutex>
-#include <ostream>
-#include <thread>
 
 #include "rstp/common/check.h"
 #include "rstp/common/rng.h"
 #include "rstp/est/runner.h"
-#include "rstp/obs/metrics.h"
 #include "rstp/sim/search_support.h"
 
 namespace rstp::sim {
-
-namespace {
-
-/// Global-registry slots the campaign engine reports into (naming scheme in
-/// docs/OBSERVABILITY.md). Registration is idempotent, so constructing this
-/// per run() just looks the ids up after the first campaign.
-struct MetricsRegistryIds {
-  obs::MetricsRegistry::MetricId jobs = obs::global_registry().counter("campaign/jobs");
-  obs::MetricsRegistry::MetricId events = obs::global_registry().counter("campaign/events");
-  obs::MetricsRegistry::MetricId max_events =
-      obs::global_registry().gauge("campaign/max_events_per_job");
-};
-
-}  // namespace
 
 void CampaignSpec::validate() const {
   RSTP_CHECK(!protocols.empty(), "campaign needs at least one protocol");
@@ -153,179 +132,19 @@ CampaignJobResult run_campaign_job(const CampaignJob& job, std::size_t input_bit
   return r;
 }
 
-CampaignResult Campaign::run(unsigned threads) const { return run(threads, CampaignProgress{}); }
-
-CampaignResult Campaign::run(unsigned threads, const CampaignProgress& progress) const {
-  if (progress.active()) {
-    // A zero interval would make the monitor's wait_for return immediately
-    // forever — a busy-spinning thread. Same construction-time validation
-    // pattern as the delay-policy bounds checks.
-    RSTP_CHECK_GT(progress.interval.count(), std::chrono::milliseconds::rep{0},
-                  "campaign progress interval must be positive");
-  }
+CampaignResult Campaign::run(unsigned threads) const {
   const std::size_t jobs = job_count();
-
   CampaignResult result;
   result.jobs.resize(jobs);
 
-  // Live-progress state. Workers fold into these with relaxed atomics only —
-  // the reporting path reads approximations and never feeds the result.
-  std::atomic<std::size_t> done{0};
-  std::atomic<std::uint64_t> events_done{0};
-  std::atomic<double> live_effort_sum{0.0};
-  std::atomic<std::size_t> effort_jobs_done{0};
-  const MetricsRegistryIds registry_ids;
-
-  // Structured-snapshot state, maintained only while someone is watching.
-  // Grid order is protocol-major, so job i belongs to protocol
-  // i / jobs_per_protocol; the delay distribution refolds each job's
-  // per-cell histogram into one fixed clamped-tick layout (display-only —
-  // exact per-cell histograms stay in result.jobs[i].metrics).
-  const bool snapshots = progress.on_snapshot != nullptr;
-  const std::size_t proto_count = spec_.protocols.size();
-  const std::size_t jobs_per_protocol = proto_count == 0 ? 0 : jobs / proto_count;
-  std::vector<std::atomic<std::uint64_t>> proto_done(snapshots ? proto_count : 0);
-  std::vector<std::atomic<std::uint64_t>> proto_events(snapshots ? proto_count : 0);
-  std::vector<std::atomic<double>> proto_effort_sum(snapshots ? proto_count : 0);
-  std::vector<std::atomic<std::uint64_t>> proto_effort_jobs(snapshots ? proto_count : 0);
-  std::vector<std::atomic<std::uint64_t>> delay_buckets(
-      snapshots ? CampaignSnapshot::kDelayBuckets : 0);
-  std::atomic<std::uint64_t> delay_count{0};
-  const auto fold_snapshot_state = [&](std::size_t i, const CampaignJobResult& slot) {
-    const std::size_t p =
-        jobs_per_protocol == 0 ? 0 : std::min(i / jobs_per_protocol, proto_count - 1);
-    proto_done[p].fetch_add(1, std::memory_order_relaxed);
-    proto_events[p].fetch_add(slot.event_count, std::memory_order_relaxed);
-    if (slot.effort > 0) {
-      proto_effort_sum[p].fetch_add(slot.effort, std::memory_order_relaxed);
-      proto_effort_jobs[p].fetch_add(1, std::memory_order_relaxed);
-    }
-    const obs::Histogram& h = slot.metrics.data_delay;
-    if (h.configured() && h.count() > 0) {
-      for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-        const std::uint64_t n = h.bucket(b);
-        if (n == 0) continue;
-        const std::int64_t tick =
-            h.lower_bound() + static_cast<std::int64_t>(b) * h.bucket_width();
-        const std::size_t bucket =
-            tick <= 0 ? 0
-                      : std::min<std::size_t>(CampaignSnapshot::kDelayBuckets - 1,
-                                              static_cast<std::size_t>(tick));
-        delay_buckets[bucket].fetch_add(n, std::memory_order_relaxed);
-      }
-      delay_count.fetch_add(h.count(), std::memory_order_relaxed);
-    }
-  };
-
   // Work stealing over the job list: each worker claims the next unclaimed
   // index and writes only its own slot, so the merged vector is in grid
-  // order no matter how the OS schedules the threads.
-  const auto run_job = [&](std::size_t i) {
-    CampaignJobResult& slot = result.jobs[i];
-    slot = run_campaign_job(job(i), spec_.input_bits, spec_.max_events);
-    events_done.fetch_add(slot.event_count, std::memory_order_relaxed);
-    if (slot.effort > 0) {
-      live_effort_sum.fetch_add(slot.effort, std::memory_order_relaxed);
-      effort_jobs_done.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (snapshots) fold_snapshot_state(i, slot);
-    done.fetch_add(1, std::memory_order_relaxed);
-    obs::global_registry().add(registry_ids.jobs);
-    obs::global_registry().add(registry_ids.events, slot.event_count);
-    obs::global_registry().gauge_max(registry_ids.max_events, slot.event_count);
-  };
-
-  const auto start = std::chrono::steady_clock::now();
-  const auto print_progress = [&](std::ostream& os) {
-    const std::size_t d = done.load(std::memory_order_relaxed);
-    const double fraction =
-        jobs == 0 ? 1.0 : static_cast<double>(d) / static_cast<double>(jobs);
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    os << "campaign: " << d << "/" << jobs << " jobs (" << std::fixed << std::setprecision(1)
-       << 100.0 * fraction << "%), " << events_done.load(std::memory_order_relaxed)
-       << " events";
-    const std::size_t en = effort_jobs_done.load(std::memory_order_relaxed);
-    if (en > 0) {
-      os << ", mean effort " << std::setprecision(2)
-         << live_effort_sum.load(std::memory_order_relaxed) / static_cast<double>(en);
-    }
-    if (d > 0 && d < jobs && fraction > 0) {
-      os << ", eta " << std::setprecision(1) << elapsed * (1.0 - fraction) / fraction << "s";
-    }
-    os << '\n' << std::flush;
-  };
-  const auto build_snapshot = [&](bool final_snapshot) {
-    CampaignSnapshot snap;
-    snap.jobs_total = jobs;
-    snap.jobs_done = done.load(std::memory_order_relaxed);
-    snap.events = events_done.load(std::memory_order_relaxed);
-    snap.effort_sum = live_effort_sum.load(std::memory_order_relaxed);
-    snap.effort_jobs = effort_jobs_done.load(std::memory_order_relaxed);
-    snap.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    snap.final_snapshot = final_snapshot;
-    snap.protocols.reserve(proto_count);
-    for (std::size_t p = 0; p < proto_count; ++p) {
-      CampaignProtocolSnapshot ps;
-      ps.protocol = spec_.protocols[p];
-      ps.total = jobs_per_protocol;
-      ps.done = proto_done[p].load(std::memory_order_relaxed);
-      ps.events = proto_events[p].load(std::memory_order_relaxed);
-      ps.effort_sum = proto_effort_sum[p].load(std::memory_order_relaxed);
-      ps.effort_jobs = proto_effort_jobs[p].load(std::memory_order_relaxed);
-      snap.protocols.push_back(ps);
-    }
-    snap.delay_buckets.resize(CampaignSnapshot::kDelayBuckets);
-    for (std::size_t b = 0; b < CampaignSnapshot::kDelayBuckets; ++b) {
-      snap.delay_buckets[b] = delay_buckets[b].load(std::memory_order_relaxed);
-    }
-    snap.delay_count = delay_count.load(std::memory_order_relaxed);
-    return snap;
-  };
-  const auto report = [&]() {
-    if (progress.out != nullptr) print_progress(*progress.out);
-    if (snapshots) progress.on_snapshot(build_snapshot(/*final_snapshot=*/false));
-  };
-
-  // The monitor thread exists only while a sink is attached; the common
-  // silent path pays nothing beyond the workers' relaxed counter updates.
-  std::atomic<bool> finished{false};
-  std::mutex monitor_mutex;
-  std::condition_variable monitor_cv;
-  std::thread monitor;
-  if (progress.active()) {
-    monitor = std::thread([&]() {
-      std::unique_lock lock{monitor_mutex};
-      while (!monitor_cv.wait_for(lock, progress.interval,
-                                  [&]() { return finished.load(std::memory_order_relaxed); })) {
-        report();
-      }
-    });
-  }
-
-  // run_campaign_job already folds model errors into the job row; what
-  // escapes the pool is an infrastructure failure (bad_alloc, spec bugs),
-  // surfaced after the monitor has stopped.
-  std::exception_ptr first_error;
-  try {
-    parallel_for_slots(jobs, threads, run_job);
-  } catch (...) {
-    first_error = std::current_exception();
-  }
-  if (monitor.joinable()) {
-    {
-      const std::scoped_lock lock{monitor_mutex};
-      finished.store(true, std::memory_order_relaxed);
-    }
-    monitor_cv.notify_all();
-    monitor.join();
-    // Always close with a complete report so short campaigns still show up;
-    // after the join the snapshot counts are exact.
-    if (progress.out != nullptr) print_progress(*progress.out);
-    if (snapshots) progress.on_snapshot(build_snapshot(/*final_snapshot=*/true));
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  // order no matter how the OS schedules the threads. run_campaign_job
+  // folds model errors into the job row; what escapes the pool is an
+  // infrastructure failure (bad_alloc, spec bugs) and propagates.
+  parallel_for_slots(jobs, threads, [&](std::size_t i) {
+    result.jobs[i] = run_campaign_job(job(i), spec_.input_bits, spec_.max_events);
+  });
 
   // Serial reduction in grid order: aggregates are a pure fold over the job
   // vector, so they too are bitwise reproducible across thread counts.

@@ -301,36 +301,12 @@ FuzzResult run_fuzz(const FuzzSpec& spec) {
   round.insert(round.end(), spec.corpus_seeds.begin(), spec.corpus_seeds.end());
 
   const auto start = std::chrono::steady_clock::now();
-  // Display-only hunt progress. Published from the serial fold points, so
-  // attaching on_generation cannot perturb the deterministic result state.
-  std::uint64_t generation = 0;
-  std::size_t crashes = 0;
-  GenerationTally last;
-  const auto emit_snapshot = [&](bool final_snapshot) {
-    if (!spec.on_generation) return;
-    FuzzGenerationSnapshot snap;
-    snap.generation = generation;
-    snap.executed = res.executed;
-    snap.budget = spec.budget;
-    snap.corpus = res.corpus.size();
-    snap.coverage = last.coverage;
-    snap.coverage_gain = final_snapshot ? 0 : last.coverage_gain;
-    snap.crashes = crashes;
-    snap.failures = res.failures.size();
-    snap.mutation_rate = last.mutation_rate;
-    snap.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    snap.final_snapshot = final_snapshot;
-    spec.on_generation(snap);
-  };
-
   const std::vector<std::uint64_t> coverage = run_generations(
       GenerationPlan{spec.seed, spec.budget, 32, spec.jobs}, std::move(round),
       [](const FuzzCase& c) { return run_fuzz_case(c); },
       [&](const FuzzCase& c, const FuzzCaseResult& r, bool fresh) {
         ++res.executed;
         if (r.invalid) return;
-        if (r.crashed) ++crashes;
         if (r.failed) {
           if (res.failures.size() < kMaxTrackedFailures) {
             res.failures.push_back(FuzzFailure{c, c, r});
@@ -340,10 +316,7 @@ FuzzResult run_fuzz(const FuzzSpec& spec) {
           res.corpus_results.push_back(r);
         }
       },
-      [&](const GenerationTally& tally) {
-        last = tally;
-        emit_snapshot(/*final_snapshot=*/false);
-        ++generation;
+      [&](const GenerationTally&) {
         const bool out_of_time =
             spec.time_budget_ms != 0 &&
             std::chrono::steady_clock::now() - start >=
@@ -363,7 +336,6 @@ FuzzResult run_fuzz(const FuzzSpec& spec) {
     failure.minimized = minimize_failure(failure.original);
     failure.result = run_fuzz_case(failure.minimized);
   }
-  emit_snapshot(/*final_snapshot=*/true);
   return res;
 }
 

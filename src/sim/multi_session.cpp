@@ -7,21 +7,11 @@
 #include <vector>
 
 #include "rstp/common/check.h"
-#include "rstp/obs/metrics.h"
 #include "rstp/sim/search_support.h"
 
 namespace rstp::sim {
 
 namespace {
-
-/// Global-registry slots the megasession engine reports into (same idempotent
-/// lookup pattern as the campaign engine's ids).
-struct MetricsRegistryIds {
-  obs::MetricsRegistry::MetricId sessions = obs::global_registry().counter("mega/sessions");
-  obs::MetricsRegistry::MetricId events = obs::global_registry().counter("mega/events");
-  obs::MetricsRegistry::MetricId max_sessions =
-      obs::global_registry().gauge("mega/max_sessions_per_run");
-};
 
 /// One shard's session-order fold. Effort is accumulated in integer ticks
 /// (all sessions share input_bits, so mean = Σticks / (bits · senders)):
@@ -168,11 +158,6 @@ MultiSessionResult MultiSession::run(unsigned threads) const {
   if (elapsed > 0) {
     result.events_per_sec = static_cast<double>(result.total_events) / elapsed;
   }
-
-  const MetricsRegistryIds registry_ids;
-  obs::global_registry().add(registry_ids.sessions, result.sessions);
-  obs::global_registry().add(registry_ids.events, result.total_events);
-  obs::global_registry().gauge_max(registry_ids.max_sessions, result.sessions);
   return result;
 }
 

@@ -8,13 +8,14 @@
 // failure. A value mutant that parses must also be written back with its
 // mutated line intact: a reader that wraps `k -6` to 4294967290 or drops a
 // trailing token fails here. The sweep only parses, so no mutant can hang
-// it. The same sweep runs over a recorded timed trace (ioa::parse_trace),
-// and the run-metrics JSONL reader is checked against histogram mutants of
-// the golden campaign baseline. The one-line spec parsers (DriftSpec::parse
-// and obs::parse_thresholds) get a character-level sweep, and every mutant
-// they reject must also make the CLI flag that reads it exit 2. CMake
-// injects the tests/ source directory as RSTP_TESTS_DIR and the CLI binary
-// as RSTP_CLI_PATH.
+// it. The same sweep runs over a recorded timed trace (ioa::parse_trace).
+// The run-metrics JSONL reader gets a seeded character- and number-level
+// sweep over every line of every tests/golden/*.jsonl, plus targeted
+// histogram mutants of the golden campaign baseline. The one-line spec
+// parsers (DriftSpec::parse and obs::parse_thresholds) get a character-level
+// sweep, and every mutant they reject must also make the CLI flag that reads
+// it exit 2. CMake injects the tests/ source directory as RSTP_TESTS_DIR and
+// the CLI binary as RSTP_CLI_PATH.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "rstp/common/check.h"
+#include "rstp/common/rng.h"
 #include "rstp/core/drift.h"
 #include "rstp/core/effort.h"
 #include "rstp/ioa/trace_io.h"
@@ -457,6 +459,102 @@ TEST(RunMetricsParse, EveryGoldenMetricsFileParses) {
     EXPECT_FALSE(obs::read_run_metrics_jsonl(in).empty()) << entry.path();
   }
   EXPECT_GT(files, 0u);
+}
+
+/// The seeded single-line mutants of one JSONL line: for each of a few
+/// draws, one character deleted, one duplicated and one swapped for each of
+/// `"`, `{`, `]` and `,`, plus the line truncated; and every number outside a
+/// string negated and set to 2^64. `salt` seeds the draws, so the sweep is
+/// the same on every run.
+std::vector<std::string> jsonl_mutants(const std::string& line, std::uint64_t salt) {
+  std::vector<std::string> out;
+  if (line.empty()) return out;
+  std::uint64_t state = salt;
+  Rng rng{splitmix64(state)};
+  constexpr int kDraws = 8;
+  for (int draw = 0; draw < kDraws; ++draw) {
+    const auto at = static_cast<std::size_t>(rng.next_below(line.size()));
+    out.push_back(line.substr(0, at) + line.substr(at + 1));
+    out.push_back(line.substr(0, at) + line[at] + line.substr(at));
+    for (const char c : std::string_view{"\"{],"}) {
+      out.push_back(line.substr(0, at) + c + line.substr(at + 1));
+    }
+    out.push_back(line.substr(0, static_cast<std::size_t>(rng.next_below(line.size()))));
+  }
+  bool in_string = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == '"') {
+      in_string = true;
+      continue;
+    }
+    if (c != '-' && std::isdigit(static_cast<unsigned char>(c)) == 0) continue;
+    const std::size_t end = std::min(line.find_first_not_of("0123456789+-.eE", i), line.size());
+    const std::string number = line.substr(i, end - i);
+    const std::string head = line.substr(0, i);
+    const std::string tail = line.substr(end);
+    out.push_back(head + (number.front() == '-' ? number.substr(1) : "-" + number) + tail);
+    out.push_back(head + "18446744073709551616" + tail);
+    i = end - 1;
+  }
+  return out;
+}
+
+TEST(RunMetricsParse, EveryJsonlLineMutantRoundTripsOrIsAJsonParseError) {
+  // The whole JSON input surface: read_run_metrics_jsonl parses each line
+  // with parse_json. Every mutant of every line of every golden JSONL file
+  // is either a record that writes back and rereads to itself, or a
+  // JsonParseError naming the line (and, for a syntax error, parse_json's
+  // byte offset). Any other exception fails the sweep.
+  std::vector<std::filesystem::path> goldens;
+  for (const auto& entry :
+       std::filesystem::directory_iterator{std::filesystem::path{RSTP_TESTS_DIR} / "golden"}) {
+    if (entry.path().extension() == ".jsonl") goldens.push_back(entry.path());
+  }
+  std::sort(goldens.begin(), goldens.end());
+  ASSERT_FALSE(goldens.empty());
+
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (std::size_t f = 0; f < goldens.size(); ++f) {
+    const std::vector<std::string> lines = split(read_file(goldens[f]), true);
+    for (std::size_t l = 0; l < lines.size(); ++l) {
+      for (const std::string& mutant : jsonl_mutants(lines[l], (f << 32) ^ l)) {
+        try {
+          std::istringstream in{mutant + "\n"};
+          const std::vector<obs::RunMetricsRecord> records = obs::read_run_metrics_jsonl(in);
+          std::stringstream written;
+          for (const obs::RunMetricsRecord& r : records) obs::write_run_metrics_jsonl(written, r);
+          EXPECT_TRUE(obs::read_run_metrics_jsonl(written) == records)
+              << "reread(write(x)) != x for a mutant of " << goldens[f] << ":" << l + 1 << ":\n"
+              << mutant;
+          ++accepted;
+        } catch (const obs::JsonParseError& e) {
+          const std::string what = e.what();
+          EXPECT_EQ(what.rfind("line 1: ", 0), 0u) << what;
+          if (what.find("JSON parse error") != std::string::npos) {
+            EXPECT_NE(what.find(" at byte "), std::string::npos) << what;
+          }
+          ++rejected;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "read_run_metrics_jsonl threw a non-JsonParseError " << e.what()
+                        << " on a mutant of " << goldens[f] << ":" << l + 1 << ":\n" << mutant;
+        }
+      }
+    }
+  }
+  // Both outcomes occur, so the sweep reaches the accepting and the
+  // rejecting paths of the reader.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -323,25 +323,6 @@ TEST(Cli, CampaignRunsTheGoldenGrid) {
   std::remove(jsonl.c_str());
 }
 
-TEST(Cli, DashboardDegradesToPlainLinesWhenPiped) {
-  // run_command pipes stdout into a file, so the TTY probe fails and
-  // --dashboard must fall back to one-line progress with zero ANSI bytes.
-  std::string out;
-  EXPECT_EQ(run_command("campaign --dashboard --threads 2", &out), 0);
-  EXPECT_EQ(out.find('\x1b'), std::string::npos) << out;
-  EXPECT_NE(out.find("golden grid: 32 jobs, 0 incorrect"), std::string::npos) << out;
-  EXPECT_NE(out.find("campaign: 32/32 jobs (100.0%)"), std::string::npos) << out;
-
-  EXPECT_EQ(run_command("fuzz beta --seed 1 --budget 64 --jobs 2 --dashboard", &out), 0);
-  EXPECT_EQ(out.find('\x1b'), std::string::npos) << out;
-  EXPECT_NE(out.find("fuzz: gen "), std::string::npos) << out;
-  // --no-dashboard wins over --dashboard and silences the per-generation feed.
-  EXPECT_EQ(run_command("fuzz beta --seed 1 --budget 64 --jobs 2 --dashboard --no-dashboard",
-                        &out),
-            0);
-  EXPECT_EQ(out.find("fuzz: gen "), std::string::npos) << out;
-}
-
 TEST(Cli, ReportRejectsNonFiniteGateLimits) {
   const std::string jsonl = ::testing::TempDir() + "/cli_diff_nan.jsonl";
   std::remove(jsonl.c_str());
@@ -405,14 +386,6 @@ TEST(Cli, ReportRejectsABrokenHistogramWithExitTwo) {
   std::remove(mutant.c_str());
 }
 
-TEST(Cli, ModelErrorsSurfaceCleanly) {
-  std::string out;
-  // A protocol's own contract (windowed γ needs k >= 2W) is checked by the
-  // library; the CLI must catch and report the violation.
-  EXPECT_EQ(run_command("run gammaw 1 2 6 3 32", &out), 1);
-  EXPECT_NE(out.find("error:"), std::string::npos) << out;
-}
-
 TEST(Cli, BoundsRejectsC1AboveC2AsAUsageError) {
   std::string out;
   EXPECT_EQ(run_command("bounds 3 2 6 4", &out), 2);
@@ -439,6 +412,28 @@ TEST(Cli, RunRejectsAZeroAlphabetAsAUsageError) {
   EXPECT_EQ(run_command("run gamma 1 2 6 0 32", &out), 2);
   EXPECT_NE(out.find("out-of-model k '0'"), std::string::npos) << out;
   EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+}
+
+TEST(Cli, WindowedGammaRejectsAnAlphabetOutsideItsWindowAsAUsageError) {
+  // gammaw's default window W = 2 needs k >= 2·W and W | k; each verb that
+  // pairs a protocol with a user k rejects the rest before building a run.
+  const std::pair<std::string, std::string> cases[] = {
+      {"run gammaw 1 2 4 2 16", "'2'"},
+      {"run gammaw 1 2 4 5 16", "'5'"},
+      {"run gammaw 1 2 6 3 32", "'3'"},
+      {"mega --protocol gammaw --sessions 4", "'2'"},  // mega's default k
+      {"explore gammaw 4 2 0101", "'2'"},
+      {"fuzz gammaw --k 3 --budget 4", "'3'"},
+  };
+  for (const auto& [command, token] : cases) {
+    std::string out;
+    EXPECT_EQ(run_command(command, &out), 2) << command << "\n" << out;
+    EXPECT_NE(out.find("out-of-model k " + token), std::string::npos) << command << "\n" << out;
+    EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+  }
+  std::string out;
+  EXPECT_EQ(run_command("run gammaw 1 2 4 4 16", &out), 0) << out;
+  EXPECT_EQ(run_command("mega --protocol gammaw --k 4 --sessions 4", &out), 0) << out;
 }
 
 TEST(Cli, MegaRejectsZeroCountsAsUsageErrors) {

@@ -4,7 +4,8 @@
 //     and the right structured log entries.
 //   * verify_with_faults: per-kind excusal, never-excused kinds.
 //   * Case/repro serialization round-trips and rejects malformed input.
-//   * run_fuzz: bitwise determinism across runs and --jobs values.
+//   * run_fuzz: bitwise determinism across runs and --jobs values; the
+//     shared generational loop's stall-driven mutation rate.
 // End-to-end failure discovery lives in fuzz_repro_test.cpp.
 #include <gtest/gtest.h>
 
@@ -402,61 +403,55 @@ TEST(RunFuzz, CorpusSeedsAreExecutedFirst) {
   EXPECT_TRUE(result.ok());
 }
 
-TEST(RunFuzz, StalledCorpusRaisesTheMutationRateDeterministically) {
-  // Self-tuning pin: a tiny search space saturates coverage fast, and once
-  // generations stop gaining fingerprints the breeding draw must widen —
-  // base 3, +1 per consecutive zero-gain generation, capped at +5 — purely
-  // as a function of the fold sequence, so identical across jobs.
-  sim::FuzzSpec spec;
-  spec.protocol = protocols::ProtocolKind::Alpha;
-  spec.k = 2;
-  spec.max_input_bits = 2;
-  spec.seed = 7;
-  spec.budget = 640;
-  spec.stop_on_failure = false;
-
-  struct Tick {
-    std::uint64_t generation;
-    std::size_t coverage_gain;
-    std::uint64_t mutation_rate;
+TEST(RunGenerations, StalledCoverageRaisesTheMutationRateDeterministically) {
+  // Self-tuning pin on the one search loop the fuzzer and the adversary
+  // synthesizer share: a toy genome whose fingerprint space has only 8
+  // values saturates within a few generations, and once generations stop
+  // gaining fingerprints the breeding draw must widen — base 3, +1 per
+  // consecutive zero-gain generation, capped at +5 — purely as a function of
+  // the fold sequence, so identical across jobs.
+  struct ToyResult {
+    std::vector<std::uint64_t> fingerprints;
   };
-  const auto collect = [&spec](unsigned jobs) {
-    sim::FuzzSpec s = spec;
-    s.jobs = jobs;
-    std::vector<Tick> ticks;
-    s.on_generation = [&ticks](const sim::FuzzGenerationSnapshot& snap) {
-      if (!snap.final_snapshot) {
-        ticks.push_back({snap.generation, snap.coverage_gain, snap.mutation_rate});
-      }
-    };
-    (void)sim::run_fuzz(s);
-    return ticks;
+  const auto collect = [](unsigned jobs) {
+    std::vector<sim::GenerationTally> tallies;
+    (void)sim::run_generations(
+        sim::GenerationPlan{.seed = 7, .budget = 64, .generation_size = 4, .jobs = jobs},
+        std::vector<std::uint64_t>{0},
+        [](std::uint64_t genome) { return ToyResult{{genome % 8}}; },
+        [](std::uint64_t, const ToyResult&, bool) {},
+        [&tallies](const sim::GenerationTally& tally) {
+          tallies.push_back(tally);
+          return false;
+        },
+        [](Rng& rng, std::size_t, std::uint64_t rate) { return rng.next_below(64 * rate); });
+    return tallies;
   };
 
-  const std::vector<Tick> serial = collect(1);
+  const std::vector<sim::GenerationTally> serial = collect(1);
   ASSERT_FALSE(serial.empty());
   std::uint64_t stall = 0;
   std::uint64_t widest = 0;
-  for (const Tick& t : serial) {
-    if (t.coverage_gain == 0) {
+  for (std::size_t g = 0; g < serial.size(); ++g) {
+    if (serial[g].coverage_gain == 0) {
       ++stall;
     } else {
       stall = 0;
     }
-    EXPECT_EQ(t.mutation_rate, 3 + std::min<std::uint64_t>(stall, 5))
-        << "generation " << t.generation;
-    widest = std::max(widest, t.mutation_rate);
+    EXPECT_EQ(serial[g].mutation_rate, 3 + std::min<std::uint64_t>(stall, 5))
+        << "generation " << g;
+    widest = std::max(widest, serial[g].mutation_rate);
   }
-  // The pin itself: the space is small enough that the hunt *does* stall,
+  // The pin itself: the space is small enough that the search *does* stall,
   // so the rate demonstrably rises above the base.
   EXPECT_GT(widest, 3u);
 
-  const std::vector<Tick> parallel = collect(3);
+  const std::vector<sim::GenerationTally> parallel = collect(3);
   ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(parallel[i].generation, serial[i].generation);
-    EXPECT_EQ(parallel[i].coverage_gain, serial[i].coverage_gain);
-    EXPECT_EQ(parallel[i].mutation_rate, serial[i].mutation_rate);
+  for (std::size_t g = 0; g < serial.size(); ++g) {
+    EXPECT_EQ(parallel[g].coverage, serial[g].coverage) << "generation " << g;
+    EXPECT_EQ(parallel[g].coverage_gain, serial[g].coverage_gain) << "generation " << g;
+    EXPECT_EQ(parallel[g].mutation_rate, serial[g].mutation_rate) << "generation " << g;
   }
 }
 

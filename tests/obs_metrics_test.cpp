@@ -1,9 +1,8 @@
-// Tests for the obs instrumentation layer: fixed-bucket histograms, the
-// sharded metrics registry and the shared nearest-rank kernel. The host-time
-// recorder has its own suite, host_timing_test.cpp.
+// Tests for the obs instrumentation layer: fixed-bucket histograms and the
+// shared nearest-rank kernel. The host-time recorder has its own suite,
+// host_timing_test.cpp.
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "rstp/common/check.h"
@@ -13,7 +12,6 @@ namespace rstp {
 namespace {
 
 using obs::Histogram;
-using obs::MetricsRegistry;
 
 TEST(Histogram, WidthOneBucketsGiveExactPercentiles) {
   Histogram h{0, 99};  // span 100 ≤ 64 buckets? no: width becomes 2
@@ -96,57 +94,6 @@ TEST(Histogram, FromPartsRejectsInconsistentParts) {
   EXPECT_THROW((void)Histogram::from_parts(0, 1, {}, 0, 0, 0, 0), ContractViolation);
 }
 
-TEST(MetricsRegistry, RegistrationIsIdempotent) {
-  MetricsRegistry reg;
-  const auto a = reg.counter("test/a");
-  const auto again = reg.counter("test/a");
-  EXPECT_EQ(a, again);
-  const auto g = reg.gauge("test/gauge");
-  EXPECT_NE(a, g);
-}
-
-TEST(MetricsRegistry, CountersSumAndGaugesTakeTheMax) {
-  MetricsRegistry reg;
-  const auto c = reg.counter("test/count");
-  const auto g = reg.gauge("test/high_water");
-  reg.add(c, 5);
-  reg.add(c);
-  reg.gauge_max(g, 7);
-  reg.gauge_max(g, 3);  // lower: must not regress the high-water mark
-  EXPECT_EQ(reg.value(c), 6u);
-  EXPECT_EQ(reg.value(g), 7u);
-
-  const auto samples = reg.collect();
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].name, "test/count");
-  EXPECT_FALSE(samples[0].is_gauge);
-  EXPECT_EQ(samples[0].value, 6u);
-  EXPECT_EQ(samples[1].name, "test/high_water");
-  EXPECT_TRUE(samples[1].is_gauge);
-
-  reg.reset();
-  EXPECT_EQ(reg.value(c), 0u);
-  EXPECT_EQ(reg.value(g), 0u);
-}
-
-TEST(MetricsRegistry, ConcurrentRecordingMergesDeterministically) {
-  MetricsRegistry reg;
-  const auto c = reg.counter("test/parallel");
-  const auto g = reg.gauge("test/parallel_max");
-  constexpr unsigned kThreads = 8;
-  constexpr std::uint64_t kPerThread = 10'000;
-  std::vector<std::thread> pool;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&reg, c, g, t]() {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) reg.add(c);
-      reg.gauge_max(g, t + 1);
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  EXPECT_EQ(reg.value(c), kThreads * kPerThread);
-  EXPECT_EQ(reg.value(g), kThreads);
-}
-
 TEST(NearestRankBucket, EmptyAndAllZeroFoldsReturnBucketZero) {
   const std::uint64_t zeros[4] = {0, 0, 0, 0};
   EXPECT_EQ(obs::nearest_rank_bucket(zeros, 4, 0, 95.0), 0u);    // empty fold
@@ -154,16 +101,16 @@ TEST(NearestRankBucket, EmptyAndAllZeroFoldsReturnBucketZero) {
   EXPECT_EQ(obs::nearest_rank_bucket(zeros, 0, 7, 50.0), 0u);    // size 0 wins over count
 }
 
-TEST(NearestRankBucket, CountExceedingTheBucketSumClampsToTheLastBucket) {
-  // The dashboard folds relaxed atomics without a snapshot, so the count can
-  // lead the buckets by in-flight increments; all-zero buckets under a
-  // nonzero count is the extreme case. The scan must run dry into the last
-  // bucket, never past the array.
+TEST(NearestRankBucket, CountExceedingTheBucketSumIsAContractViolation) {
+  // Every caller passes count == Σ buckets. A count the buckets cannot cover
+  // makes the scan run dry before the rank; that is a contract failure, never
+  // a read past the array or an invented bucket.
   const std::uint64_t zeros[3] = {0, 0, 0};
-  EXPECT_EQ(obs::nearest_rank_bucket(zeros, 3, 10, 0.0), 2u);
-  EXPECT_EQ(obs::nearest_rank_bucket(zeros, 3, 10, 100.0), 2u);
+  EXPECT_THROW((void)obs::nearest_rank_bucket(zeros, 3, 10, 0.0), ContractViolation);
+  EXPECT_THROW((void)obs::nearest_rank_bucket(zeros, 3, 10, 100.0), ContractViolation);
   const std::uint64_t partial[3] = {1, 1, 0};
-  EXPECT_EQ(obs::nearest_rank_bucket(partial, 3, 5, 99.0), 2u);  // rank 5 > sum 2
+  EXPECT_THROW((void)obs::nearest_rank_bucket(partial, 3, 5, 99.0),
+               ContractViolation);  // rank 5 > sum 2
 }
 
 TEST(NearestRankBucket, PercentileArgumentClampsInto0To100) {

@@ -20,7 +20,6 @@
 #include "rstp/core/effort.h"
 #include "rstp/est/estimator.h"
 #include "rstp/ioa/trace_io.h"
-#include "rstp/obs/dashboard.h"
 #include "rstp/obs/host_timer.h"
 #include "rstp/obs/json.h"
 #include "rstp/obs/metrics.h"
@@ -350,9 +349,9 @@ TEST(HostClock, TscInstrumentationFloorIsBelowSteadyClock) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared nearest-rank percentile kernel (the dedup satellite)
+// Shared nearest-rank percentile kernel
 
-TEST(NearestRank, SharedKernelMatchesHistogramAndDashboard) {
+TEST(NearestRank, SharedKernelMatchesHistogram) {
   obs::Histogram hist(0, 9);  // width-1 buckets: exact percentiles
   const std::vector<std::int64_t> values = {0, 1, 1, 2, 5, 5, 5, 9};
   std::vector<std::uint64_t> buckets(10, 0);
@@ -364,9 +363,6 @@ TEST(NearestRank, SharedKernelMatchesHistogramAndDashboard) {
     const std::size_t index =
         obs::nearest_rank_bucket(buckets.data(), buckets.size(), values.size(), p);
     EXPECT_EQ(static_cast<std::int64_t>(index), hist.percentile(p)) << "p=" << p;
-    EXPECT_EQ(static_cast<std::int64_t>(index),
-              obs::delay_percentile(buckets, values.size(), p))
-        << "p=" << p;
   }
   EXPECT_EQ(obs::nearest_rank_bucket(buckets.data(), buckets.size(), 0, 50.0), 0u);
 }

@@ -28,14 +28,10 @@
 //       Exhaustively verify all schedules (c1=c2=1) for a small instance;
 //       prints a counterexample trace on failure.
 //
-//   rstp campaign [--metrics-out FILE] [--threads N] [--dashboard]
+//   rstp campaign [--metrics-out FILE] [--threads N]
 //       Run the fixed golden campaign grid (the regression-gate reference;
 //       bitwise deterministic for any thread count) and append one JSONL row
-//       per job to --metrics-out. --dashboard renders a live terminal view
-//       (per-protocol bars, jobs/sec, ETA, rolling effort mean and delay
-//       percentiles); when stdout is not a TTY or NO_COLOR is set it
-//       degrades to the one-line progress mode (never ANSI). --no-dashboard
-//       wins over --dashboard. Display never touches the result.
+//       per job to --metrics-out.
 //
 //   rstp mega [--sessions N] [--shards N] [--threads N] [--protocol P]
 //             [--k K] [--bits N] [--seed N] [--max-events N]
@@ -73,9 +69,6 @@
 //         --metrics-out FILE  append one JSONL row per corpus entry
 //         --wait-override W / --block-override B   mutant knobs
 //         --max-events N / --time-budget-ms N / --keep-going
-//         --dashboard         live per-generation view (corpus, coverage
-//                             growth, crash/failure counters); same TTY /
-//                             NO_COLOR / --no-dashboard fallback as campaign
 //
 //   rstp adversary [options]
 //       Coverage-guided adversary synthesis (docs/TESTING.md): per grid cell,
@@ -128,12 +121,12 @@
 #include "rstp/core/verify.h"
 #include "rstp/ioa/explorer.h"
 #include "rstp/ioa/trace_io.h"
-#include "rstp/obs/dashboard.h"
 #include "rstp/obs/diff.h"
 #include "rstp/obs/host_timer.h"
 #include "rstp/obs/sinks.h"
 #include "rstp/obs/trace.h"
 #include "rstp/protocols/factory.h"
+#include "rstp/protocols/gamma_windowed.h"
 #include "rstp/sim/adversary.h"
 #include "rstp/sim/campaign.h"
 #include "rstp/sim/multi_session.h"
@@ -153,8 +146,8 @@ int usage() {
                " [--estimator[=margin]] [--drift SPEC]\n"
                "  rstp verify  <c1> <c2> <d> <tracefile> <bits>\n"
                "  rstp explore <protocol> <d> <k> <bits>\n"
-               "  rstp campaign [--metrics-out FILE] [--threads N] [--dashboard]"
-               " [--no-dashboard] [--estimator[=margin]] [--drift SPEC]\n"
+               "  rstp campaign [--metrics-out FILE] [--threads N]"
+               " [--estimator[=margin]] [--drift SPEC]\n"
                "  rstp mega    [--sessions N] [--shards N] [--threads N]"
                " [--protocol P] [--k K] [--bits N] [--seed N] [--max-events N]"
                " [--metrics-out FILE]\n"
@@ -163,8 +156,7 @@ int usage() {
                "  rstp fuzz    <protocol> [--seed N] [--budget N] [--jobs N] [--k K]"
                " [--bits N] [--faults] [--corpus DIR] [--repro-out FILE]"
                " [--metrics-out FILE] [--wait-override W] [--block-override B]"
-               " [--max-events N] [--time-budget-ms N] [--keep-going]"
-               " [--dashboard] [--no-dashboard]\n"
+               " [--max-events N] [--time-budget-ms N] [--keep-going]\n"
                "  rstp adversary [--grid golden|quick] [--budget N] [--jobs N]"
                " [--seed N] [--max-events N] [--repro-out FILE] [--metrics-out FILE]\n"
                "  rstp replay  <reprofile> [--trace-out FILE]\n";
@@ -219,6 +211,17 @@ int zero_count(std::string_view flag) {
     return std::nullopt;
   }
   return k;
+}
+
+/// Checks a user alphabet `k` against what `kind` needs beyond k >= 2:
+/// gammaw runs W = kDefaultWindow tag classes, so it needs k >= 2·W and W | k.
+/// False after naming k (exit 2).
+[[nodiscard]] bool protocol_accepts_k(protocols::ProtocolKind kind, std::uint32_t k) {
+  constexpr std::uint32_t w = protocols::kDefaultWindow;
+  if (kind != ProtocolKind::WindowedGamma || (k >= 2 * w && k % w == 0)) return true;
+  std::cerr << "out-of-model k '" << k << "': gammaw needs k >= " << 2 * w
+            << " and a multiple of its window " << w << "\n";
+  return false;
 }
 
 /// The protocol named `name`; nullopt after reporting an unknown name.
@@ -372,7 +375,7 @@ int cmd_run(int argc, char** argv) {
   const auto params = model_args(argv, 3);
   if (!params.has_value()) return 2;
   const auto k = alphabet_arg(argv[6]);
-  if (!k.has_value()) return 2;
+  if (!k.has_value() || !protocol_accepts_k(*kind, *k)) return 2;
   protocols::ProtocolConfig cfg;
   cfg.params = *params;
   cfg.k = *k;
@@ -568,7 +571,7 @@ int cmd_explore(int argc, char** argv) {
   protocols::ProtocolConfig cfg;
   cfg.params = core::TimingParams::make(1, 1, *d);
   const auto k = alphabet_arg(argv[4]);
-  if (!k.has_value()) return 2;
+  if (!k.has_value() || !protocol_accepts_k(*kind, *k)) return 2;
   cfg.k = *k;
   for (const char c : std::string{argv[5]}) {
     if (c != '0' && c != '1') {
@@ -609,65 +612,9 @@ int cmd_explore(int argc, char** argv) {
   return result.verified() ? 0 : 1;
 }
 
-/// How `--dashboard` resolves against the terminal: live ANSI frames only on
-/// a real TTY with NO_COLOR unset; otherwise the one-line fallback, which
-/// never emits escape bytes (CI pipes it and greps for exactly that).
-enum class ProgressStyle { None, Lines, Frames };
-
-[[nodiscard]] ProgressStyle resolve_progress_style(bool want_dashboard) {
-  if (!want_dashboard) return ProgressStyle::None;
-  return obs::stream_supports_dashboard(stdout) ? ProgressStyle::Frames : ProgressStyle::Lines;
-}
-
-[[nodiscard]] obs::DashboardState campaign_dashboard_state(const sim::CampaignSnapshot& snap) {
-  obs::DashboardState s;
-  s.mode = obs::DashboardState::Mode::Campaign;
-  s.label = "campaign";
-  s.elapsed_seconds = snap.elapsed_seconds;
-  s.done = snap.jobs_done;
-  s.total = snap.jobs_total;
-  s.events = snap.events;
-  s.effort_jobs = snap.effort_jobs;
-  if (snap.effort_jobs > 0) {
-    s.effort_mean = snap.effort_sum / static_cast<double>(snap.effort_jobs);
-  }
-  s.protocols.reserve(snap.protocols.size());
-  for (const sim::CampaignProtocolSnapshot& p : snap.protocols) {
-    obs::DashboardProtocolRow row;
-    row.name = std::string{protocols::to_string(p.protocol)};
-    row.done = p.done;
-    row.total = p.total;
-    row.events = p.events;
-    row.effort_jobs = p.effort_jobs;
-    if (p.effort_jobs > 0) row.effort_mean = p.effort_sum / static_cast<double>(p.effort_jobs);
-    s.protocols.push_back(std::move(row));
-  }
-  s.delay_buckets = snap.delay_buckets;
-  s.delay_count = snap.delay_count;
-  return s;
-}
-
-[[nodiscard]] obs::DashboardState fuzz_dashboard_state(const sim::FuzzGenerationSnapshot& snap,
-                                                       protocols::ProtocolKind protocol) {
-  obs::DashboardState s;
-  s.mode = obs::DashboardState::Mode::Fuzz;
-  s.label = "fuzz " + std::string{protocols::to_string(protocol)};
-  s.elapsed_seconds = snap.elapsed_seconds;
-  s.done = snap.executed;
-  s.total = snap.budget;
-  s.generation = snap.generation;
-  s.corpus = snap.corpus;
-  s.coverage = snap.coverage;
-  s.coverage_gain = snap.coverage_gain;
-  s.crashes = snap.crashes;
-  s.failures = snap.failures;
-  return s;
-}
-
 int cmd_campaign(int argc, char** argv) {
   std::string metrics_file;
   unsigned threads = 1;
-  bool want_dashboard = false;
   bool want_estimator = false;
   std::optional<double> margin_override;
   std::optional<core::DriftSpec> drift_override;
@@ -677,10 +624,6 @@ int cmd_campaign(int argc, char** argv) {
       metrics_file = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
       if (!take_number(argc, argv, i, threads)) return bad_number(arg, argv[i]);
-    } else if (arg == "--dashboard") {
-      want_dashboard = true;
-    } else if (arg == "--no-dashboard") {
-      want_dashboard = false;
     } else if (arg == "--estimator") {
       want_estimator = true;
     } else if (arg.rfind("--estimator=", 0) == 0) {
@@ -703,22 +646,7 @@ int cmd_campaign(int argc, char** argv) {
       want_estimator ? est::golden_estimator_spec() : sim::golden_campaign_spec();
   if (margin_override.has_value()) spec.estimator.margin = *margin_override;
   if (drift_override.has_value()) spec.drifts = {*drift_override};
-  const sim::Campaign campaign{spec};
-  const ProgressStyle style = resolve_progress_style(want_dashboard);
-  sim::CampaignProgress progress;
-  obs::Dashboard dashboard{std::cout};
-  if (style == ProgressStyle::Lines) {
-    progress.out = &std::cout;
-    progress.interval = std::chrono::milliseconds{500};
-  } else if (style == ProgressStyle::Frames) {
-    progress.interval = std::chrono::milliseconds{250};
-    progress.on_snapshot = [&dashboard](const sim::CampaignSnapshot& snap) {
-      dashboard.draw(campaign_dashboard_state(snap));
-    };
-  }
-  const sim::CampaignResult result =
-      style == ProgressStyle::None ? campaign.run(threads) : campaign.run(threads, progress);
-  dashboard.close();
+  const sim::CampaignResult result = sim::Campaign{spec}.run(threads);
   if (want_estimator) {
     std::cout << "estimator grid: " << result.jobs.size() << " jobs, " << result.incorrect
               << " incorrect, est penalty mean/max " << result.est_penalty.mean << "/"
@@ -780,6 +708,7 @@ int cmd_mega(int argc, char** argv) {
       return usage();
     }
   }
+  if (!protocol_accepts_k(spec.protocol, spec.k)) return 2;
   const sim::MultiSession mega{spec};
   const sim::MultiSessionResult result = mega.run(threads);
   std::cout << "mega: " << result.sessions << " sessions on " << spec.shards << " shards, "
@@ -923,7 +852,6 @@ int cmd_fuzz(int argc, char** argv) {
   std::string corpus_dir;
   std::string repro_file;
   std::string metrics_file;
-  bool want_dashboard = false;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--seed") {
@@ -953,10 +881,6 @@ int cmd_fuzz(int argc, char** argv) {
       spec.faults_enabled = true;
     } else if (arg == "--keep-going") {
       spec.stop_on_failure = false;
-    } else if (arg == "--dashboard") {
-      want_dashboard = true;
-    } else if (arg == "--no-dashboard") {
-      want_dashboard = false;
     } else if (arg == "--corpus" && i + 1 < argc) {
       corpus_dir = argv[++i];
     } else if (arg == "--repro-out" && i + 1 < argc) {
@@ -968,6 +892,7 @@ int cmd_fuzz(int argc, char** argv) {
       return 2;
     }
   }
+  if (!protocol_accepts_k(spec.protocol, spec.k)) return 2;
 
   if (!corpus_dir.empty()) {
     try {
@@ -980,21 +905,7 @@ int cmd_fuzz(int argc, char** argv) {
     for (sim::FuzzCase& seed_case : spec.corpus_seeds) seed_case.protocol = spec.protocol;
   }
 
-  const ProgressStyle style = resolve_progress_style(want_dashboard);
-  obs::Dashboard dashboard{std::cout};
-  if (style == ProgressStyle::Frames) {
-    spec.on_generation = [&dashboard, &spec](const sim::FuzzGenerationSnapshot& snap) {
-      dashboard.draw(fuzz_dashboard_state(snap, spec.protocol));
-    };
-  } else if (style == ProgressStyle::Lines) {
-    spec.on_generation = [&spec](const sim::FuzzGenerationSnapshot& snap) {
-      std::cout << obs::render_line(fuzz_dashboard_state(snap, spec.protocol)) << '\n'
-                << std::flush;
-    };
-  }
-
   const sim::FuzzResult result = sim::run_fuzz(spec);
-  dashboard.close();
   std::cout << "protocol:      " << protocols::to_string(spec.protocol) << "\n"
             << "executed:      " << result.executed << " cases (budget " << spec.budget
             << ", jobs " << spec.jobs << ")\n"
@@ -1069,10 +980,6 @@ int cmd_adversary(int argc, char** argv) {
     }
   }
 
-  spec.on_cell = [](const sim::AdversaryProgress& progress) {
-    std::cerr << "adversary: cell " << (progress.cell_index + 1) << "/" << progress.cell_count
-              << " done\n";
-  };
   const sim::AdversaryResult result = sim::run_adversary_search(spec);
 
   std::cout << "adversary synthesis: " << result.cells.size() << " cells, budget "
