@@ -295,6 +295,7 @@ class TableCache {
 
 MultisetCodec::MultisetCodec(std::uint32_t k, std::uint32_t n) : k_(k), n_(n) {
   RSTP_CHECK_GE(k, 1u, "codec universe must be non-empty");
+  RSTP_CHECK_LE(k, kMaxUniverse, "codec universe too large for its tables");
   static TableCache cache;
   tables_ = cache.get(k, n);
 }

@@ -1,7 +1,5 @@
 #include "rstp/common/rng.h"
 
-#include <bit>
-
 namespace rstp {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -22,18 +20,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) {
     state_[0] = 0x9E3779B97F4A7C15ULL;
   }
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
@@ -63,16 +49,6 @@ std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) {
 
 Duration Rng::next_duration(Duration lo, Duration hi) {
   return Duration{next_in(lo.ticks(), hi.ticks())};
-}
-
-double Rng::next_double() {
-  // 53 random bits scaled into [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p) {
-  RSTP_CHECK(p >= 0.0 && p <= 1.0, "probability out of range");
-  return next_double() < p;
 }
 
 Rng Rng::fork() { return Rng{next_u64()}; }

@@ -23,16 +23,19 @@ EstimatedRun run_estimated(protocols::ProtocolKind kind, const protocols::Protoc
                            const core::Environment& env, const core::DriftSpec& drift,
                            bool estimator_enabled, const EstimatorConfig& est_config,
                            sim::SimConfig sim_config) {
-  protocols::ProtocolConfig local = config;
+  // The config is copied only to attach the live planner.
   std::shared_ptr<TimingEstimator> estimator;
+  protocols::ProtocolConfig with_planner;
   if (estimator_enabled) {
     // make_protocol rejects a planner for any kind but beta and gamma.
     using Discipline = protocols::BlockPlanner::Discipline;
     estimator = std::make_shared<TimingEstimator>(est_config);
-    local.planner = std::make_shared<protocols::BlockPlanner>(
+    with_planner = config;
+    with_planner.planner = std::make_shared<protocols::BlockPlanner>(
         kind == protocols::ProtocolKind::Beta ? Discipline::TimedBlocks : Discipline::AckedBlocks,
-        local.k, local.input, estimator);
+        config.k, config.input, estimator);
   }
+  const protocols::ProtocolConfig& local = estimator_enabled ? with_planner : config;
   sim::ObserverTee tee{sim_config.observer, estimator.get()};
   sim_config.params = local.params;
   sim_config.observer = tee.armed();

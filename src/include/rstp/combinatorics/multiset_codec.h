@@ -98,7 +98,15 @@ class MultisetCodec {
   /// tables leave the cache (and are rebuilt if a codec needs them again).
   static constexpr std::size_t kTableCacheBytes = std::size_t{4} << 20;
 
-  /// Requires k >= 1, n >= 0.
+  /// The largest universe whose smallest tables (blocks of one symbol:
+  /// 2k + 1 entries of one word) fit in kTableCacheBytes. Tables grow with k
+  /// at every block size n >= 1, so no table of a larger universe is ever
+  /// cached, and one near k = 2^32 would take tens of GiB: the constructor
+  /// rejects a larger k.
+  static constexpr std::uint32_t kMaxUniverse =
+      static_cast<std::uint32_t>((kTableCacheBytes / sizeof(std::uint64_t) - 1) / 2);
+
+  /// Requires 1 <= k <= kMaxUniverse, n >= 0.
   MultisetCodec(std::uint32_t k, std::uint32_t n);
 
   [[nodiscard]] std::uint32_t universe() const { return k_; }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "rstp/common/check.h"
@@ -30,8 +31,19 @@ class Rng {
   /// the all-zero internal state is unreachable by construction.
   explicit Rng(std::uint64_t seed);
 
-  /// Next raw 64 random bits.
-  [[nodiscard]] std::uint64_t next_u64();
+  /// Next raw 64 random bits. Inline, as are next_double and next_bool: they
+  /// run once per input bit and per random step, gap or delay.
+  [[nodiscard]] std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be positive. Uses rejection
   /// sampling (Lemire-style) so the distribution is exactly uniform.
@@ -43,11 +55,14 @@ class Rng {
   /// Uniform Duration in the closed range [lo, hi].
   [[nodiscard]] Duration next_duration(Duration lo, Duration hi);
 
-  /// Uniform double in [0, 1).
-  [[nodiscard]] double next_double();
+  /// Uniform double in [0, 1): 53 random bits scaled.
+  [[nodiscard]] double next_double() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   /// Bernoulli(p) draw.
-  [[nodiscard]] bool next_bool(double p = 0.5);
+  [[nodiscard]] bool next_bool(double p = 0.5) {
+    RSTP_CHECK(p >= 0.0 && p <= 1.0, "probability out of range");
+    return next_double() < p;
+  }
 
   /// Derive an independent child generator; used to give each component of a
   /// simulation (scheduler, channel, workload) its own stream so adding draws

@@ -19,13 +19,17 @@
 
 #include "rstp/ioa/action.h"
 
+namespace rstp::obs {
+class CounterSource;
+}  // namespace rstp::obs
+
 namespace rstp::ioa {
 
 class Automaton {
  public:
   virtual ~Automaton() = default;
 
-  /// Human-readable automaton name (e.g. "A_t^beta(k=8)").
+  /// Human-readable automaton name: a fixed label per class (e.g. "A_t^beta").
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// The unique enabled local action in the current state, or nullopt if no
@@ -55,6 +59,12 @@ class Automaton {
 
   /// Deep copy, used by the explorer to branch the state space.
   [[nodiscard]] virtual std::unique_ptr<Automaton> clone() const = 0;
+
+  /// This automaton's protocol counters, or null when it has none; the
+  /// simulator reads it once per run. The protocol bases and the host-time
+  /// decorator override it without RTTI; the default finds a CounterSource
+  /// base by dynamic_cast.
+  [[nodiscard]] virtual const obs::CounterSource* counter_source() const;
 
  protected:
   Automaton() = default;

@@ -43,9 +43,10 @@ struct ProtocolCounters {
 };
 
 /// Implemented by automata that expose ProtocolCounters (protocols::
-/// TransmitterBase / ReceiverBase). The simulator discovers it by
-/// dynamic_cast, so automata outside the protocol hierarchy keep working
-/// with zero protocol counters.
+/// TransmitterBase / ReceiverBase). The simulator reads it through
+/// ioa::Automaton::counter_source(), which the protocol bases answer without
+/// RTTI and which falls back to a dynamic_cast for other automata; an
+/// automaton without one contributes zero protocol counters.
 class CounterSource {
  public:
   virtual ~CounterSource() = default;

@@ -22,9 +22,9 @@ namespace rstp::protocols {
 
 class AlphaTransmitter final : public TransmitterBase {
  public:
-  explicit AlphaTransmitter(ProtocolConfig config);
+  explicit AlphaTransmitter(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_t^alpha"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -36,7 +36,6 @@ class AlphaTransmitter final : public TransmitterBase {
   [[nodiscard]] std::int64_t steps_per_message() const { return wait_steps_; }
 
  private:
-  std::string name_;
   std::vector<ioa::Bit> input_;   // X
   std::int64_t wait_steps_ = 0;   // ⌈d/c1⌉
   std::size_t i_ = 0;             // next message index
@@ -45,9 +44,9 @@ class AlphaTransmitter final : public TransmitterBase {
 
 class AlphaReceiver final : public ReceiverBase {
  public:
-  explicit AlphaReceiver(ProtocolConfig config);
+  explicit AlphaReceiver(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_r^alpha"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -56,7 +55,6 @@ class AlphaReceiver final : public ReceiverBase {
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  std::string name_;
   std::vector<ioa::Bit> received_;  // Figure 1's y_1, y_2, ...
   std::vector<ioa::Bit> written_;   // Y
 };

@@ -26,9 +26,9 @@ namespace rstp::protocols {
 
 class AltBitTransmitter final : public TransmitterBase {
  public:
-  explicit AltBitTransmitter(ProtocolConfig config);
+  explicit AltBitTransmitter(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_t^altbit"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -39,7 +39,6 @@ class AltBitTransmitter final : public TransmitterBase {
  private:
   enum class Phase : std::uint8_t { Sending, AwaitingAck };
 
-  std::string name_;
   std::vector<ioa::Bit> input_;
   std::size_t i_ = 0;
   Phase phase_ = Phase::Sending;
@@ -47,9 +46,9 @@ class AltBitTransmitter final : public TransmitterBase {
 
 class AltBitReceiver final : public ReceiverBase {
  public:
-  explicit AltBitReceiver(ProtocolConfig config);
+  explicit AltBitReceiver(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_r^altbit"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -58,7 +57,6 @@ class AltBitReceiver final : public ReceiverBase {
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  std::string name_;
   std::vector<ioa::Bit> accepted_;       // bits accepted, pending write
   std::vector<ioa::Bit> written_;        // Y
   std::vector<std::uint32_t> ack_queue_;  // seq bits to acknowledge, FIFO

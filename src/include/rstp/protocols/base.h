@@ -82,7 +82,9 @@ inline constexpr std::uint16_t kIdleT = 3;  ///< transmitter idle (await acks)
 /// The obs::CounterSource base is the uniform stat-hook: implementations bump
 /// `counters_` at their semantic milestones (block fully sent, ack consumed)
 /// and every protocol reports through the same RunMetrics fields. Protocols
-/// with no block/ack structure simply leave the counters at zero.
+/// with no block/ack structure simply leave the counters at zero. Both bases
+/// return themselves from counter_source(), so the simulator finds the
+/// counters without a dynamic_cast.
 class TransmitterBase : public ioa::Automaton, public obs::CounterSource {
  public:
   /// True once the automaton will never perform another send.
@@ -96,6 +98,7 @@ class TransmitterBase : public ioa::Automaton, public obs::CounterSource {
   [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const final {
     return counters_;
   }
+  [[nodiscard]] const obs::CounterSource* counter_source() const final { return this; }
 
  protected:
   obs::ProtocolCounters counters_;
@@ -115,6 +118,7 @@ class ReceiverBase : public ioa::Automaton, public obs::CounterSource {
   [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const final {
     return counters_;
   }
+  [[nodiscard]] const obs::CounterSource* counter_source() const final { return this; }
 
  protected:
   obs::ProtocolCounters counters_;

@@ -30,8 +30,11 @@ namespace rstp::protocols {
 class BetaTransmitter final : public TransmitterBase {
  public:
   explicit BetaTransmitter(const ProtocolConfig& config);
+  /// Reads `planner`'s plans, which must be TimedBlocks; make_protocol hands
+  /// one planner, from block_planner_for, to both sides of a pair.
+  explicit BetaTransmitter(std::shared_ptr<BlockPlanner> planner);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_t^beta"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -61,7 +64,6 @@ class BetaTransmitter final : public TransmitterBase {
   /// planner sizes it from the estimates at that instant.
   const BlockPlan& plan() const;
 
-  std::string name_;
   std::shared_ptr<BlockPlanner> planner_;
   mutable const BlockPlan* plan_ = nullptr;  // plan(block_), once fetched
   std::size_t block_ = 0;   // current block index
@@ -72,8 +74,10 @@ class BetaTransmitter final : public TransmitterBase {
 class BetaReceiver final : public ReceiverBase {
  public:
   explicit BetaReceiver(const ProtocolConfig& config);
+  /// Decodes with `planner`'s plans (TimedBlocks); |X| is the planner's.
+  explicit BetaReceiver(std::shared_ptr<BlockPlanner> planner);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_r^beta"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -86,7 +90,6 @@ class BetaReceiver final : public ReceiverBase {
   [[nodiscard]] std::size_t decoded_bits() const { return decoder_.decoded().size(); }
 
  private:
-  std::string name_;
   BlockDecoder decoder_;            // Figure 3's A and ŷ_1, ŷ_2, ...
   std::vector<ioa::Bit> written_;   // Y
   std::size_t target_length_ = 0;   // |X|

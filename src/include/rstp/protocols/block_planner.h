@@ -122,6 +122,11 @@ class BlockDecoder {
   std::vector<ioa::Bit> decoded_;
 };
 
+/// `planner`, after checking that it is set and plans for `discipline`.
+/// Throws rstp::ContractViolation otherwise.
+[[nodiscard]] std::shared_ptr<BlockPlanner> checked_planner(BlockPlanner::Discipline discipline,
+                                                            std::shared_ptr<BlockPlanner> planner);
+
 /// The planner an A^β/A^γ automaton reads. When config.planner is set it is
 /// returned after checking that its discipline, alphabet (config.k) and
 /// input (config.input) match; otherwise a fixed planner is built from the

@@ -35,8 +35,11 @@ inline constexpr std::uint32_t kAckPayload = 0;
 class GammaTransmitter final : public TransmitterBase {
  public:
   explicit GammaTransmitter(const ProtocolConfig& config);
+  /// Reads `planner`'s plans, which must be AckedBlocks; make_protocol hands
+  /// one planner, from block_planner_for, to both sides of a pair.
+  explicit GammaTransmitter(std::shared_ptr<BlockPlanner> planner);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_t^gamma"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -63,7 +66,6 @@ class GammaTransmitter final : public TransmitterBase {
   /// planner sizes it from the estimates at that instant.
   const BlockPlan& plan() const;
 
-  std::string name_;
   std::shared_ptr<BlockPlanner> planner_;
   mutable const BlockPlan* plan_ = nullptr;  // plan(block_), once fetched
   std::size_t block_ = 0;   // current block index
@@ -75,8 +77,10 @@ class GammaTransmitter final : public TransmitterBase {
 class GammaReceiver final : public ReceiverBase {
  public:
   explicit GammaReceiver(const ProtocolConfig& config);
+  /// Decodes with `planner`'s plans (AckedBlocks); |X| is the planner's.
+  explicit GammaReceiver(std::shared_ptr<BlockPlanner> planner);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_r^gamma"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -88,7 +92,6 @@ class GammaReceiver final : public ReceiverBase {
   [[nodiscard]] std::size_t decoded_bits() const { return decoder_.decoded().size(); }
 
  private:
-  std::string name_;
   BlockDecoder decoder_;            // Figure 4's A and the decoded bits
   std::vector<ioa::Bit> written_;   // Y
   std::int64_t unacked_ = 0;        // Figure 4's j: received, not yet acked

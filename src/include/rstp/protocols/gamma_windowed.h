@@ -46,9 +46,9 @@ inline constexpr std::uint32_t kDefaultWindow = 2;
 class WindowedGammaTransmitter final : public TransmitterBase {
  public:
   /// Requires W | k and k/W >= 2 (W from config.window_override, default 2).
-  explicit WindowedGammaTransmitter(ProtocolConfig config);
+  explicit WindowedGammaTransmitter(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_t^gammaw"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -65,7 +65,6 @@ class WindowedGammaTransmitter final : public TransmitterBase {
   /// window (block index `completed_`).
   [[nodiscard]] std::size_t head_tag() const { return completed_ % window_; }
 
-  std::string name_;
   std::shared_ptr<const combinatorics::BlockCoder> coder_;  // over k/W symbols
   std::vector<combinatorics::Symbol> stream_;               // untagged symbols
   std::uint32_t symbols_ = 2;   // k/W
@@ -80,9 +79,9 @@ class WindowedGammaTransmitter final : public TransmitterBase {
 
 class WindowedGammaReceiver final : public ReceiverBase {
  public:
-  explicit WindowedGammaReceiver(ProtocolConfig config);
+  explicit WindowedGammaReceiver(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_r^gammaw"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -95,7 +94,6 @@ class WindowedGammaReceiver final : public ReceiverBase {
  private:
   void decode_ready_blocks();
 
-  std::string name_;
   std::shared_ptr<const combinatorics::BlockCoder> coder_;
   std::uint32_t symbols_ = 2;  // k/W
   std::uint32_t window_ = 2;   // W

@@ -24,9 +24,9 @@ namespace rstp::protocols {
 
 class IndexedTransmitter final : public TransmitterBase {
  public:
-  explicit IndexedTransmitter(ProtocolConfig config);
+  explicit IndexedTransmitter(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_t^indexed"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -35,16 +35,15 @@ class IndexedTransmitter final : public TransmitterBase {
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  std::string name_;
   std::vector<ioa::Bit> input_;
   std::size_t i_ = 0;
 };
 
 class IndexedReceiver final : public ReceiverBase {
  public:
-  explicit IndexedReceiver(ProtocolConfig config);
+  explicit IndexedReceiver(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_r^indexed"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -53,7 +52,6 @@ class IndexedReceiver final : public ReceiverBase {
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  std::string name_;
   std::vector<std::uint8_t> present_;  // arrival mask by index
   std::vector<ioa::Bit> slots_;        // reassembly buffer
   std::vector<ioa::Bit> written_;      // Y

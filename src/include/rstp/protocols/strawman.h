@@ -25,9 +25,9 @@ namespace rstp::protocols {
 
 class StrawmanTransmitter final : public TransmitterBase {
  public:
-  explicit StrawmanTransmitter(ProtocolConfig config);
+  explicit StrawmanTransmitter(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_t^strawman"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -39,7 +39,6 @@ class StrawmanTransmitter final : public TransmitterBase {
   [[nodiscard]] std::size_t bits_per_block() const { return bits_per_block_; }
 
  private:
-  std::string name_;
   std::vector<std::uint32_t> stream_;  // positional symbols, block-aligned
   std::int64_t delta_ = 0;
   std::size_t bits_per_symbol_ = 0;
@@ -50,9 +49,9 @@ class StrawmanTransmitter final : public TransmitterBase {
 
 class StrawmanReceiver final : public ReceiverBase {
  public:
-  explicit StrawmanReceiver(ProtocolConfig config);
+  explicit StrawmanReceiver(const ProtocolConfig& config);
 
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] std::string_view name() const override { return "A_r^strawman"; }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
   void apply(const ioa::Action& action) override;
   [[nodiscard]] bool quiescent() const override;
@@ -61,7 +60,6 @@ class StrawmanReceiver final : public ReceiverBase {
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  std::string name_;
   std::vector<std::uint32_t> arrivals_;  // current block, in ARRIVAL order
   std::vector<ioa::Bit> decoded_;
   std::vector<ioa::Bit> written_;

@@ -16,18 +16,15 @@
 #include "rstp/channel/channel.h"
 #include "rstp/ioa/automaton.h"
 #include "rstp/obs/host_timer.h"
-#include "rstp/obs/run_metrics.h"
 #include "rstp/sim/scheduler.h"
 
 namespace rstp::sim {
 
-/// Times enabled_local() and apply(); forwards the wrapped automaton's
-/// CounterSource, so the simulator folds the same protocol counters.
-class TimedAutomaton final : public ioa::Automaton, public obs::CounterSource {
+/// Times enabled_local() and apply(); counter_source() returns the wrapped
+/// automaton's, so the simulator folds the same protocol counters.
+class TimedAutomaton final : public ioa::Automaton {
  public:
-  /// `counters` is `inner`'s own counter view; it must live as long as `inner`.
-  TimedAutomaton(std::unique_ptr<ioa::Automaton> inner, const obs::CounterSource& counters,
-                 obs::HostTimer& timer);
+  TimedAutomaton(std::unique_ptr<ioa::Automaton> inner, obs::HostTimer& timer);
 
   [[nodiscard]] std::string_view name() const override { return inner_->name(); }
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
@@ -38,13 +35,12 @@ class TimedAutomaton final : public ioa::Automaton, public obs::CounterSource {
   [[nodiscard]] bool quiescent() const override { return inner_->quiescent(); }
   [[nodiscard]] std::string snapshot() const override { return inner_->snapshot(); }
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override { return inner_->clone(); }
-  [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const override {
-    return counters_.protocol_counters();
+  [[nodiscard]] const obs::CounterSource* counter_source() const override {
+    return inner_->counter_source();
   }
 
  private:
   std::unique_ptr<ioa::Automaton> inner_;
-  const obs::CounterSource& counters_;
   obs::HostTimer& timer_;
   obs::HostTimer::LayerId enabled_local_;
   obs::HostTimer::LayerId apply_;
@@ -76,16 +72,9 @@ class TimedPolicy final : public channel::DeliveryPolicy {
   obs::HostTimer::LayerId choose_;
 };
 
-/// `automaton` (a protocol transmitter or receiver, which is its own
-/// CounterSource), decorated when `timer` is set.
-template <typename Protocol>
-[[nodiscard]] std::unique_ptr<ioa::Automaton> with_host_timer(std::unique_ptr<Protocol> automaton,
-                                                              obs::HostTimer* timer) {
-  if (timer == nullptr) return automaton;
-  const obs::CounterSource& counters = *automaton;
-  return std::make_unique<TimedAutomaton>(std::move(automaton), counters, *timer);
-}
-
+/// Each part, decorated when `timer` is set.
+[[nodiscard]] std::unique_ptr<ioa::Automaton> with_host_timer(
+    std::unique_ptr<ioa::Automaton> automaton, obs::HostTimer* timer);
 [[nodiscard]] std::unique_ptr<StepScheduler> with_host_timer(std::unique_ptr<StepScheduler> sched,
                                                              obs::HostTimer* timer);
 [[nodiscard]] std::unique_ptr<channel::DeliveryPolicy> with_host_timer(

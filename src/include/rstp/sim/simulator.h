@@ -184,8 +184,8 @@ class Simulator {
   channel::Channel* channel_;
   SimConfig config_;
   ProcessState procs_[2];  // indexed by ProcessId
-  /// Cached CounterSource view of each automaton (null when it has none);
-  /// resolved once in the constructor so observer hooks skip the dynamic_cast.
+  /// Each automaton's counter_source() (null when it has none), read once
+  /// in the constructor for the observer hooks and take_result().
   const obs::CounterSource* counter_sources_[2] = {nullptr, nullptr};
   std::uint64_t next_seq_ = 0;
   bool record_events_ = false;  ///< cached record_trace || observer != nullptr

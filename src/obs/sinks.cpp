@@ -188,7 +188,11 @@ std::vector<RunMetricsRecord> read_run_metrics_jsonl(std::istream& is) {
       record.c1 = doc.i64_or("c1", 0);
       record.c2 = doc.i64_or("c2", 0);
       record.d = doc.i64_or("d", 0);
-      record.k = static_cast<std::uint32_t>(doc.u64_or("k", 2));
+      const std::uint64_t k = doc.u64_or("k", 2);
+      if (k > std::numeric_limits<std::uint32_t>::max()) {
+        throw JsonParseError("k " + std::to_string(k) + " does not fit 32 bits");
+      }
+      record.k = static_cast<std::uint32_t>(k);
       record.input_bits = doc.u64_or("input_bits", 0);
       record.seed = doc.u64_or("seed", 0);
       record.effort = doc.number_or("effort", 0);

@@ -11,17 +11,14 @@ using ioa::ActionKind;
 using ioa::Bit;
 using ioa::Packet;
 
-AlphaTransmitter::AlphaTransmitter(ProtocolConfig config) {
+AlphaTransmitter::AlphaTransmitter(const ProtocolConfig& config) {
   config.validate();
-  input_ = std::move(config.input);
+  input_ = config.input;
   // The wait's only job is send separation (≥ d apart at the fastest rate);
   // the generalized model may shrink it via the override.
   wait_steps_ = config.wait_steps_override.has_value()
                     ? static_cast<std::int64_t>(*config.wait_steps_override)
                     : config.params.delta1_wait();
-  std::ostringstream os;
-  os << "A_t^alpha(n=" << input_.size() << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> AlphaTransmitter::enabled_local() const {
@@ -70,12 +67,7 @@ std::unique_ptr<ioa::Automaton> AlphaTransmitter::clone() const {
   return std::make_unique<AlphaTransmitter>(*this);
 }
 
-AlphaReceiver::AlphaReceiver(ProtocolConfig config) {
-  config.validate();
-  std::ostringstream os;
-  os << "A_r^alpha(n=" << config.input.size() << ")";
-  name_ = os.str();
-}
+AlphaReceiver::AlphaReceiver(const ProtocolConfig& config) { config.validate(); }
 
 std::optional<Action> AlphaReceiver::enabled_local() const {
   if (written_.size() < received_.size()) {

@@ -11,12 +11,9 @@ using ioa::ActionKind;
 using ioa::Bit;
 using ioa::Packet;
 
-AltBitTransmitter::AltBitTransmitter(ProtocolConfig config) {
+AltBitTransmitter::AltBitTransmitter(const ProtocolConfig& config) {
   config.validate();
-  input_ = std::move(config.input);
-  std::ostringstream os;
-  os << "A_t^altbit(n=" << input_.size() << ")";
-  name_ = os.str();
+  input_ = config.input;
 }
 
 std::optional<Action> AltBitTransmitter::enabled_local() const {
@@ -66,12 +63,7 @@ std::unique_ptr<ioa::Automaton> AltBitTransmitter::clone() const {
   return std::make_unique<AltBitTransmitter>(*this);
 }
 
-AltBitReceiver::AltBitReceiver(ProtocolConfig config) {
-  config.validate();
-  std::ostringstream os;
-  os << "A_r^altbit(n=" << config.input.size() << ")";
-  name_ = os.str();
-}
+AltBitReceiver::AltBitReceiver(const ProtocolConfig& config) { config.validate(); }
 
 std::optional<Action> AltBitReceiver::enabled_local() const {
   if (!ack_queue_.empty()) {

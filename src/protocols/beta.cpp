@@ -11,11 +11,11 @@ using ioa::ActionKind;
 using ioa::Packet;
 
 BetaTransmitter::BetaTransmitter(const ProtocolConfig& config)
-    : planner_(block_planner_for(BlockPlanner::Discipline::TimedBlocks, config)),
-      sent_all_(!planner_->has_block(0)) {
-  name_ = "A_t^beta" + std::string{planner_->live() ? "-est" : ""} + "(k=" +
-          std::to_string(config.k) + ",n=" + std::to_string(config.input.size()) + ")";
-}
+    : BetaTransmitter(block_planner_for(BlockPlanner::Discipline::TimedBlocks, config)) {}
+
+BetaTransmitter::BetaTransmitter(std::shared_ptr<BlockPlanner> planner)
+    : planner_(checked_planner(BlockPlanner::Discipline::TimedBlocks, std::move(planner))),
+      sent_all_(!planner_->has_block(0)) {}
 
 const BlockPlan& BetaTransmitter::plan() const {
   if (plan_ == nullptr) plan_ = &planner_->plan(block_);
@@ -74,11 +74,11 @@ std::unique_ptr<ioa::Automaton> BetaTransmitter::clone() const {
 }
 
 BetaReceiver::BetaReceiver(const ProtocolConfig& config)
-    : decoder_(block_planner_for(BlockPlanner::Discipline::TimedBlocks, config)),
-      target_length_(config.input.size()) {
-  name_ = "A_r^beta" + std::string{decoder_.planner().live() ? "-est" : ""} + "(k=" +
-          std::to_string(config.k) + ",n=" + std::to_string(target_length_) + ")";
-}
+    : BetaReceiver(block_planner_for(BlockPlanner::Discipline::TimedBlocks, config)) {}
+
+BetaReceiver::BetaReceiver(std::shared_ptr<BlockPlanner> planner)
+    : decoder_(checked_planner(BlockPlanner::Discipline::TimedBlocks, std::move(planner))),
+      target_length_(decoder_.planner().input().size()) {}
 
 std::optional<Action> BetaReceiver::enabled_local() const {
   if (written_.size() < decoder_.decoded().size()) {

@@ -110,12 +110,18 @@ bool BlockDecoder::add(std::uint32_t symbol) {
   return true;
 }
 
+std::shared_ptr<BlockPlanner> checked_planner(BlockPlanner::Discipline discipline,
+                                              std::shared_ptr<BlockPlanner> planner) {
+  RSTP_CHECK(planner != nullptr, "a block protocol needs a planner");
+  RSTP_CHECK(planner->discipline() == discipline, "planner discipline does not match the protocol");
+  return planner;
+}
+
 std::shared_ptr<BlockPlanner> block_planner_for(BlockPlanner::Discipline discipline,
                                                 const ProtocolConfig& config) {
   config.validate();
   if (config.planner != nullptr) {
-    RSTP_CHECK(config.planner->discipline() == discipline,
-               "planner discipline does not match the protocol");
+    (void)checked_planner(discipline, config.planner);
     RSTP_CHECK_EQ(config.planner->alphabet(), config.k, "planner alphabet must match config.k");
     RSTP_CHECK(config.planner->input() == config.input, "planner input must match config.input");
     return config.planner;

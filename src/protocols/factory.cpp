@@ -70,15 +70,14 @@ namespace {
 /// the transmitter encoded (and a fixed plan is computed once per pair).
 template <class Transmitter, class Receiver>
 ProtocolInstance block_pair(BlockPlanner::Discipline discipline, const ProtocolConfig& config) {
-  ProtocolConfig shared = config;
-  shared.planner = block_planner_for(discipline, config);
-  return {std::make_unique<Transmitter>(shared), std::make_unique<Receiver>(shared)};
+  std::shared_ptr<BlockPlanner> planner = block_planner_for(discipline, config);
+  return {std::make_unique<Transmitter>(planner), std::make_unique<Receiver>(std::move(planner))};
 }
 
 }  // namespace
 
 ProtocolInstance make_protocol(ProtocolKind kind, const ProtocolConfig& config) {
-  config.validate();
+  // Every constructor (and block_planner_for) validates the config itself.
   RSTP_CHECK(config.planner == nullptr || kind == ProtocolKind::Beta ||
                  kind == ProtocolKind::Gamma,
              "the estimator supports only beta and gamma");

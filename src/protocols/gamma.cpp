@@ -11,11 +11,11 @@ using ioa::ActionKind;
 using ioa::Packet;
 
 GammaTransmitter::GammaTransmitter(const ProtocolConfig& config)
-    : planner_(block_planner_for(BlockPlanner::Discipline::AckedBlocks, config)),
-      sent_all_(!planner_->has_block(0)) {
-  name_ = "A_t^gamma" + std::string{planner_->live() ? "-est" : ""} + "(k=" +
-          std::to_string(config.k) + ",n=" + std::to_string(config.input.size()) + ")";
-}
+    : GammaTransmitter(block_planner_for(BlockPlanner::Discipline::AckedBlocks, config)) {}
+
+GammaTransmitter::GammaTransmitter(std::shared_ptr<BlockPlanner> planner)
+    : planner_(checked_planner(BlockPlanner::Discipline::AckedBlocks, std::move(planner))),
+      sent_all_(!planner_->has_block(0)) {}
 
 const BlockPlan& GammaTransmitter::plan() const {
   if (plan_ == nullptr) plan_ = &planner_->plan(block_);
@@ -76,11 +76,11 @@ std::unique_ptr<ioa::Automaton> GammaTransmitter::clone() const {
 }
 
 GammaReceiver::GammaReceiver(const ProtocolConfig& config)
-    : decoder_(block_planner_for(BlockPlanner::Discipline::AckedBlocks, config)),
-      target_length_(config.input.size()) {
-  name_ = "A_r^gamma" + std::string{decoder_.planner().live() ? "-est" : ""} + "(k=" +
-          std::to_string(config.k) + ",n=" + std::to_string(target_length_) + ")";
-}
+    : GammaReceiver(block_planner_for(BlockPlanner::Discipline::AckedBlocks, config)) {}
+
+GammaReceiver::GammaReceiver(std::shared_ptr<BlockPlanner> planner)
+    : decoder_(checked_planner(BlockPlanner::Discipline::AckedBlocks, std::move(planner))),
+      target_length_(decoder_.planner().input().size()) {}
 
 std::optional<Action> GammaReceiver::enabled_local() const {
   // Priority: acks gate the transmitter, so they come first (Figure 4's

@@ -52,7 +52,7 @@ double windowed_gamma_upper(const core::TimingParams& params, std::uint32_t k,
   return period / (static_cast<double>(window) * static_cast<double>(bits));
 }
 
-WindowedGammaTransmitter::WindowedGammaTransmitter(ProtocolConfig config) {
+WindowedGammaTransmitter::WindowedGammaTransmitter(const ProtocolConfig& config) {
   config.validate();
   const WindowLayout layout = validated_layout(config.k, window_of(config));
   window_ = layout.window;
@@ -64,10 +64,6 @@ WindowedGammaTransmitter::WindowedGammaTransmitter(ProtocolConfig config) {
   RSTP_CHECK_GE(delta2_, 1, "delta2 >= 1 requires c2 <= d");
   coder_ = std::make_shared<const BlockCoder>(symbols_, static_cast<std::uint32_t>(delta2_));
   stream_ = coder_->encode_message(config.input);
-  std::ostringstream os;
-  os << "A_t^gammaw(k=" << config.k << ",W=" << window_ << ",delta2=" << delta2_
-     << ",n=" << config.input.size() << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> WindowedGammaTransmitter::enabled_local() const {
@@ -131,7 +127,7 @@ std::unique_ptr<ioa::Automaton> WindowedGammaTransmitter::clone() const {
   return std::make_unique<WindowedGammaTransmitter>(*this);
 }
 
-WindowedGammaReceiver::WindowedGammaReceiver(ProtocolConfig config)
+WindowedGammaReceiver::WindowedGammaReceiver(const ProtocolConfig& config)
     : target_length_(config.input.size()) {
   config.validate();
   const WindowLayout layout = validated_layout(config.k, window_of(config));
@@ -142,10 +138,6 @@ WindowedGammaReceiver::WindowedGammaReceiver(ProtocolConfig config)
                           : static_cast<std::uint32_t>(config.params.delta2());
   coder_ = std::make_shared<const BlockCoder>(symbols_, delta2);
   blocks_.assign(window_, combinatorics::Multiset{symbols_});
-  std::ostringstream os;
-  os << "A_r^gammaw(k=" << config.k << ",W=" << window_ << ",delta2=" << delta2
-     << ",n=" << target_length_ << ")";
-  name_ = os.str();
 }
 
 void WindowedGammaReceiver::decode_ready_blocks() {

@@ -21,13 +21,10 @@ void check_alphabet_covers(const ProtocolConfig& config) {
 
 }  // namespace
 
-IndexedTransmitter::IndexedTransmitter(ProtocolConfig config) {
+IndexedTransmitter::IndexedTransmitter(const ProtocolConfig& config) {
   config.validate();
   check_alphabet_covers(config);
-  input_ = std::move(config.input);
-  std::ostringstream os;
-  os << "A_t^indexed(n=" << input_.size() << ")";
-  name_ = os.str();
+  input_ = config.input;
 }
 
 std::optional<Action> IndexedTransmitter::enabled_local() const {
@@ -62,15 +59,12 @@ std::unique_ptr<ioa::Automaton> IndexedTransmitter::clone() const {
   return std::make_unique<IndexedTransmitter>(*this);
 }
 
-IndexedReceiver::IndexedReceiver(ProtocolConfig config)
+IndexedReceiver::IndexedReceiver(const ProtocolConfig& config)
     : present_(config.input.size(), 0),
       slots_(config.input.size(), 0),
       target_length_(config.input.size()) {
   config.validate();
   check_alphabet_covers(config);
-  std::ostringstream os;
-  os << "A_r^indexed(n=" << target_length_ << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> IndexedReceiver::enabled_local() const {

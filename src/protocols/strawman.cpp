@@ -20,7 +20,7 @@ namespace {
 
 }  // namespace
 
-StrawmanTransmitter::StrawmanTransmitter(ProtocolConfig config) {
+StrawmanTransmitter::StrawmanTransmitter(const ProtocolConfig& config) {
   config.validate();
   delta_ = config.params.delta1_wait();
   bits_per_symbol_ = floor_log2_u32(config.k);
@@ -44,9 +44,6 @@ StrawmanTransmitter::StrawmanTransmitter(ProtocolConfig config) {
       stream_.push_back(symbol);
     }
   }
-  std::ostringstream os;
-  os << "A_t^strawman(k=" << config.k << ",delta=" << delta_ << ",n=" << n << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> StrawmanTransmitter::enabled_local() const {
@@ -90,15 +87,12 @@ std::unique_ptr<ioa::Automaton> StrawmanTransmitter::clone() const {
   return std::make_unique<StrawmanTransmitter>(*this);
 }
 
-StrawmanReceiver::StrawmanReceiver(ProtocolConfig config) {
+StrawmanReceiver::StrawmanReceiver(const ProtocolConfig& config) {
   config.validate();
   k_ = config.k;
   delta_ = config.params.delta1_wait();
   bits_per_symbol_ = floor_log2_u32(config.k);
   target_length_ = config.input.size();
-  std::ostringstream os;
-  os << "A_r^strawman(k=" << k_ << ",delta=" << delta_ << ",n=" << target_length_ << ")";
-  name_ = os.str();
 }
 
 std::optional<Action> StrawmanReceiver::enabled_local() const {

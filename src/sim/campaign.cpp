@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <utility>
 
 #include "rstp/common/check.h"
 #include "rstp/common/rng.h"
@@ -99,7 +100,7 @@ CampaignJobResult run_campaign_job(const CampaignJob& job, std::size_t input_bit
     config.params = job.params;
     config.k = protocols::alphabet_for(job.protocol, job.k, input_bits);
     config.input = core::make_random_input(input_bits, job.input_seed);
-    const auto fill = [&](const core::ProtocolRun& run) {
+    const auto fill = [&](core::ProtocolRun&& run) {
       r.event_count = run.result.event_count;
       r.transmitter_steps = run.result.transmitter_steps;
       r.receiver_steps = run.result.receiver_steps;
@@ -107,15 +108,15 @@ CampaignJobResult run_campaign_job(const CampaignJob& job, std::size_t input_bit
       r.receiver_sends = run.result.receiver_sends;
       r.output_correct = run.output_correct;
       r.quiescent = run.result.quiescent;
-      r.metrics = run.result.metrics;
+      r.metrics = std::move(run.result.metrics);
       r.effort = core::effort_of(run, input_bits).effort;
     };
     if (job.estimator_enabled) {
       // Oracle + estimated runs over the same environment; the row reports
       // the estimated run (that is the protocol under test) plus the ratio.
-      const est::PenaltyRun pair = est::run_penalty_pair(job.protocol, config, job.environment,
-                                                         job.drift, job.estimator, max_events);
-      fill(pair.estimated.run);
+      est::PenaltyRun pair = est::run_penalty_pair(job.protocol, config, job.environment,
+                                                   job.drift, job.estimator, max_events);
+      fill(std::move(pair.estimated.run));
       r.est_penalty = pair.est_penalty;
       r.est = pair.estimated.gauges;
     } else {

@@ -4,10 +4,8 @@ namespace rstp::sim {
 
 // Layer names follow bench_layers' per-layer metric names.
 
-TimedAutomaton::TimedAutomaton(std::unique_ptr<ioa::Automaton> inner,
-                               const obs::CounterSource& counters, obs::HostTimer& timer)
+TimedAutomaton::TimedAutomaton(std::unique_ptr<ioa::Automaton> inner, obs::HostTimer& timer)
     : inner_(std::move(inner)),
-      counters_(counters),
       timer_(timer),
       enabled_local_(timer.layer("protocols.enabled_local")),
       apply_(timer.layer("protocols.apply")) {}
@@ -37,6 +35,12 @@ channel::Delivery TimedPolicy::choose(const ioa::Packet& packet, Time sent_at, T
                                       std::uint64_t send_seq) {
   const obs::HostTimer::Scope scope{timer_, choose_};
   return inner_->choose(packet, sent_at, deadline, send_seq);
+}
+
+std::unique_ptr<ioa::Automaton> with_host_timer(std::unique_ptr<ioa::Automaton> automaton,
+                                                obs::HostTimer* timer) {
+  if (timer == nullptr) return automaton;
+  return std::make_unique<TimedAutomaton>(std::move(automaton), *timer);
 }
 
 std::unique_ptr<StepScheduler> with_host_timer(std::unique_ptr<StepScheduler> sched,

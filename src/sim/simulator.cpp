@@ -34,10 +34,8 @@ Simulator::Simulator(ioa::Automaton& transmitter, ioa::Automaton& receiver,
   procs_[index_of(ProcessId::Receiver)] = ProcessState{
       &receiver, &receiver_sched, config_.receiver_params.value_or(config_.params)};
   record_events_ = config_.record_trace || config_.observer != nullptr;
-  for (const ProcessId id : {ProcessId::Transmitter, ProcessId::Receiver}) {
-    counter_sources_[index_of(id)] =
-        dynamic_cast<const obs::CounterSource*>(procs_[index_of(id)].automaton);
-  }
+  counter_sources_[index_of(ProcessId::Transmitter)] = transmitter.counter_source();
+  counter_sources_[index_of(ProcessId::Receiver)] = receiver.counter_source();
 }
 
 const obs::ProtocolCounters* Simulator::counters_of(ProcessId id) const {
@@ -260,8 +258,8 @@ RunResult Simulator::take_result() {
   // so a run that hits the cap reports quiescent=false even if the final
   // dispatch happened to reach quiescence too.
   result_.quiescent = result_.event_count < config_.max_events;
-  // Fold in the automata's own counters (the ProtocolBase stat-hook).
-  // Automata outside the protocol hierarchy simply contribute nothing.
+  // Fold in the automata's own counters (Automaton::counter_source()).
+  // Automata without a CounterSource simply contribute nothing.
   for (const obs::CounterSource* source : counter_sources_) {
     if (source != nullptr) result_.metrics.counters.protocol += source->protocol_counters();
   }

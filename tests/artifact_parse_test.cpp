@@ -449,6 +449,39 @@ TEST(RunMetricsParse, UnknownKeysAreParseErrorsNamingTheLineAndTheKey) {
   }
 }
 
+TEST(RunMetricsParse, AKAbove32BitsIsAParseErrorNamingTheLine) {
+  // The golden baseline's first record ("k":4) with k set past 2^32-1: the
+  // reader once wrapped 4294967300 to 4 and `rstp report` printed k = 4.
+  const std::string text = read_file(std::filesystem::path{RSTP_TESTS_DIR} /
+                                     "golden/campaign_baseline.jsonl");
+  const std::string record = text.substr(0, text.find('\n'));
+  const auto with_k = [&](const std::string& k) {
+    std::string out = record;
+    const std::size_t at = out.find("\"k\":4,");
+    EXPECT_NE(at, std::string::npos);
+    return at == std::string::npos ? out : out.replace(at, 6, "\"k\":" + k + ",");
+  };
+  {
+    std::istringstream in{with_k("4294967295") + "\n"};
+    EXPECT_EQ(obs::read_run_metrics_jsonl(in).at(0).k, 4294967295u);
+  }
+  const std::string wrapped = with_k("4294967300");
+  std::istringstream in{wrapped + "\n"};
+  try {
+    (void)obs::read_run_metrics_jsonl(in);
+    ADD_FAILURE() << "accepted " << wrapped;
+  } catch (const obs::JsonParseError& e) {
+    EXPECT_NE(std::string{e.what()}.find("line 1: k 4294967300"), std::string::npos) << e.what();
+  }
+  const std::string path = ::testing::TempDir() + "/k_above_32_bits.jsonl";
+  {
+    std::ofstream out{path};
+    out << wrapped << '\n';
+  }
+  expect_cli_exits_2({"report " + path});
+  std::remove(path.c_str());
+}
+
 TEST(RunMetricsParse, EveryGoldenMetricsFileParses) {
   std::size_t files = 0;
   for (const auto& entry :

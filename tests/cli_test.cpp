@@ -436,6 +436,32 @@ TEST(Cli, WindowedGammaRejectsAnAlphabetOutsideItsWindowAsAUsageError) {
   EXPECT_EQ(run_command("mega --protocol gammaw --k 4 --sessions 4", &out), 0) << out;
 }
 
+TEST(Cli, AnAlphabetPastTheCodecTablesIsAUsageError) {
+  // The codec builds tables for k <= MultisetCodec::kMaxUniverse = 262143,
+  // the largest k whose one-symbol-block table (2k + 1 words) fits its 4 MiB
+  // table cache. Every verb that runs protocols rejects a larger k before
+  // building a run; k = 2^32 - 1 once reached the codec and exited 1 with
+  // std::bad_alloc.
+  const std::pair<std::string, std::string> cases[] = {
+      {"run beta 1 1 1 4294967295 8", "'4294967295'"},
+      {"run beta 1 1 1 262144 8", "'262144'"},
+      {"run alpha 1 2 4 262144 8", "'262144'"},
+      {"explore beta 4 262144 0101", "'262144'"},
+      {"mega --protocol beta --k 262144 --sessions 1", "'262144'"},
+      {"fuzz beta --k 262144 --budget 4", "'262144'"},
+  };
+  for (const auto& [command, token] : cases) {
+    std::string out;
+    EXPECT_EQ(run_command(command, &out), 2) << command << "\n" << out;
+    EXPECT_NE(out.find("out-of-range k " + token), std::string::npos) << command << "\n" << out;
+    EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+  }
+  std::string out;
+  EXPECT_EQ(run_command("run beta 1 1 1 262143 8", &out), 0) << out;
+  // bounds builds no codec, so its k stays unbounded.
+  EXPECT_EQ(run_command("bounds 1 2 8 4294967295", &out), 0) << out;
+}
+
 TEST(Cli, MegaRejectsZeroCountsAsUsageErrors) {
   for (const std::string flag : {"--sessions", "--shards", "--max-events"}) {
     std::string out;

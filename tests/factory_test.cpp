@@ -3,13 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <sstream>
 
 #include "rstp/common/check.h"
 #include "rstp/core/effort.h"
 #include "rstp/est/estimator.h"
+#include "rstp/protocols/alpha.h"
+#include "rstp/protocols/altbit.h"
+#include "rstp/protocols/beta.h"
 #include "rstp/protocols/block_planner.h"
+#include "rstp/protocols/gamma.h"
+#include "rstp/protocols/gamma_windowed.h"
+#include "rstp/protocols/indexed.h"
+#include "rstp/protocols/strawman.h"
 
 namespace rstp::protocols {
 namespace {
@@ -104,6 +112,49 @@ TEST(Factory, InvalidConfigurationsRejected) {
   odd_windowed.k = 7;
   EXPECT_THROW((void)make_protocol(ProtocolKind::WindowedGamma, odd_windowed),
                ContractViolation);
+}
+
+TEST(Factory, EveryConstructorRejectsAnInvalidConfig) {
+  // make_protocol leaves validation to the constructors, so each of the 14
+  // must reject an invalid config on its own.
+  using Build = std::function<void(const ProtocolConfig&)>;
+  const std::pair<const char*, Build> constructors[] = {
+      {"alpha_t", [](const ProtocolConfig& c) { AlphaTransmitter{c}; }},
+      {"alpha_r", [](const ProtocolConfig& c) { AlphaReceiver{c}; }},
+      {"beta_t", [](const ProtocolConfig& c) { BetaTransmitter{c}; }},
+      {"beta_r", [](const ProtocolConfig& c) { BetaReceiver{c}; }},
+      {"gamma_t", [](const ProtocolConfig& c) { GammaTransmitter{c}; }},
+      {"gamma_r", [](const ProtocolConfig& c) { GammaReceiver{c}; }},
+      {"altbit_t", [](const ProtocolConfig& c) { AltBitTransmitter{c}; }},
+      {"altbit_r", [](const ProtocolConfig& c) { AltBitReceiver{c}; }},
+      {"strawman_t", [](const ProtocolConfig& c) { StrawmanTransmitter{c}; }},
+      {"strawman_r", [](const ProtocolConfig& c) { StrawmanReceiver{c}; }},
+      {"indexed_t", [](const ProtocolConfig& c) { IndexedTransmitter{c}; }},
+      {"indexed_r", [](const ProtocolConfig& c) { IndexedReceiver{c}; }},
+      {"gammaw_t", [](const ProtocolConfig& c) { WindowedGammaTransmitter{c}; }},
+      {"gammaw_r", [](const ProtocolConfig& c) { WindowedGammaReceiver{c}; }},
+  };
+  ProtocolConfig good;
+  good.params = core::TimingParams::make(1, 2, 8);
+  good.k = 64;
+  good.input = core::make_random_input(16, 1);
+  ProtocolConfig bad_bits = good;
+  bad_bits.input[3] = 2;
+  ProtocolConfig bad_k = good;
+  bad_k.k = 1;
+  ProtocolConfig bad_params = good;
+  bad_params.params.c1 = Duration{3};  // c1 > c2
+  for (const auto& [name, build] : constructors) {
+    EXPECT_NO_THROW(build(good)) << name;
+    EXPECT_THROW(build(bad_bits), ContractViolation) << name;
+    EXPECT_THROW(build(bad_k), ContractViolation) << name;
+    EXPECT_THROW(build(bad_params), ContractViolation) << name;
+  }
+  // The planner constructors take a planner of their own discipline only.
+  EXPECT_THROW(BetaTransmitter{std::shared_ptr<BlockPlanner>{}}, ContractViolation);
+  EXPECT_THROW(GammaReceiver{block_planner_for(BlockPlanner::Discipline::TimedBlocks, good)},
+               ContractViolation);
+  EXPECT_NO_THROW(BetaReceiver{block_planner_for(BlockPlanner::Discipline::TimedBlocks, good)});
 }
 
 std::shared_ptr<BlockPlanner> live_planner(BlockPlanner::Discipline discipline,

@@ -13,7 +13,11 @@
 
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
+#include "rstp/core/effort.h"
 #include "rstp/fault/fault.h"
+#include "rstp/obs/host_timer.h"
+#include "rstp/protocols/factory.h"
+#include "rstp/sim/session.h"
 
 namespace rstp::sim {
 namespace {
@@ -127,6 +131,34 @@ class AwaitingReceiver final : public ioa::Automaton {
 
  private:
   std::uint32_t arrivals_ = 0;
+};
+
+/// Forwards every call to an owned automaton and its counters through an
+/// obs::CounterSource base of its own, outside the protocol hierarchy and
+/// without overriding counter_source(): the simulator finds the counters
+/// through the default's dynamic_cast, as it finds bench_layers' decorator.
+class ForwardingAutomaton final : public ioa::Automaton, public obs::CounterSource {
+ public:
+  ForwardingAutomaton(std::unique_ptr<ioa::Automaton> inner, const obs::CounterSource& counters)
+      : inner_(std::move(inner)), counters_(counters) {}
+  [[nodiscard]] std::string_view name() const override { return inner_->name(); }
+  [[nodiscard]] std::optional<Action> enabled_local() const override {
+    return inner_->enabled_local();
+  }
+  void apply(const Action& action) override { inner_->apply(action); }
+  [[nodiscard]] bool accepts_input(const Action& a) const override {
+    return inner_->accepts_input(a);
+  }
+  [[nodiscard]] bool quiescent() const override { return inner_->quiescent(); }
+  [[nodiscard]] std::string snapshot() const override { return inner_->snapshot(); }
+  [[nodiscard]] std::unique_ptr<Automaton> clone() const override { return inner_->clone(); }
+  [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const override {
+    return counters_.protocol_counters();
+  }
+
+ private:
+  std::unique_ptr<ioa::Automaton> inner_;
+  const obs::CounterSource& counters_;
 };
 
 /// Adapts a callable to the observer hook's per-event callback.
@@ -517,6 +549,61 @@ TEST(Simulator, RecordTraceOffKeepsCountsOnly) {
   EXPECT_TRUE(result.trace.empty());
   EXPECT_EQ(result.transmitter_sends, 3u);
   EXPECT_GT(result.event_count, 0u);
+}
+
+TEST(Simulator, FindsProtocolCountersOnAllThreeDiscoveryPaths) {
+  // A γ pair bumps all four block/ack counters. The simulator reaches them
+  // through Automaton::counter_source() on three paths, and each must fold
+  // the same counters.protocol into the RunResult: the protocol bases
+  // answer it themselves, the host-time decorator forwards the wrapped
+  // automaton's, and any other automaton falls back to a dynamic_cast.
+  protocols::ProtocolConfig cfg;
+  cfg.params = core::TimingParams::make(1, 2, 6);
+  cfg.k = 4;
+  cfg.input = core::make_random_input(24, 11);
+  const auto kind = protocols::ProtocolKind::Gamma;
+  const core::Environment env = core::Environment::worst_case();
+
+  const auto run_session = [&](obs::HostTimer* timer) {
+    SimConfig sim_config = config_for(cfg.params);
+    sim_config.host_timer = timer;
+    return core::make_session(kind, cfg, env, std::move(sim_config))->run();
+  };
+
+  // 1. Protocol automata: their own counter_source(), no RTTI.
+  {
+    const protocols::ProtocolInstance instance = protocols::make_protocol(kind, cfg);
+    EXPECT_EQ(instance.transmitter->counter_source(),
+              static_cast<const obs::CounterSource*>(instance.transmitter.get()));
+    EXPECT_EQ(instance.receiver->counter_source(),
+              static_cast<const obs::CounterSource*>(instance.receiver.get()));
+  }
+  const RunResult bare = run_session(nullptr);
+  const obs::ProtocolCounters& counters = bare.metrics.counters.protocol;
+  EXPECT_GT(counters.blocks_encoded, 0u);
+  EXPECT_EQ(counters.blocks_decoded, counters.blocks_encoded);
+  EXPECT_GT(counters.acks_sent, 0u);
+  EXPECT_EQ(counters.acks_observed, counters.acks_sent);
+
+  // 2. sim::TimedAutomaton-decorated automata (Session with a host timer).
+  obs::HostTimer timer;
+  const RunResult timed = run_session(&timer);
+  EXPECT_EQ(timed.metrics, bare.metrics);
+
+  // 3. Automata outside the protocol bases that derive obs::CounterSource.
+  protocols::ProtocolInstance instance = protocols::make_protocol(kind, cfg);
+  const obs::CounterSource& t_counters = *instance.transmitter;
+  const obs::CounterSource& r_counters = *instance.receiver;
+  ForwardingAutomaton transmitter{std::move(instance.transmitter), t_counters};
+  ForwardingAutomaton receiver{std::move(instance.receiver), r_counters};
+  EXPECT_EQ(transmitter.counter_source(), static_cast<const obs::CounterSource*>(&transmitter));
+  channel::Channel chan{cfg.params.d, channel::make_max_delay()};
+  FixedRateScheduler ts{cfg.params.c2};
+  FixedRateScheduler rs{cfg.params.c2};
+  Simulator sim{transmitter, receiver, chan, ts, rs, config_for(cfg.params)};
+  const RunResult forwarded = sim.run();
+  EXPECT_EQ(forwarded.metrics, bare.metrics);
+  EXPECT_EQ(forwarded.output, bare.output);
 }
 
 }  // namespace

@@ -100,7 +100,8 @@
 // does not verify, a replay that does not reproduce, an adversary below the
 // hand-coded floor, any other error); 2 on usage errors (including malformed
 // traces, metrics files, threshold specs, fuzz corpora and replay
-// artifacts); 3 on a tripped --fail-on gate.
+// artifacts, and a k past the codec's MultisetCodec::kMaxUniverse at run,
+// explore, mega and fuzz); 3 on a tripped --fail-on gate.
 #include <algorithm>
 #include <cstring>
 #include <iomanip>
@@ -112,6 +113,7 @@
 #include <string_view>
 #include <vector>
 
+#include "rstp/combinatorics/multiset_codec.h"
 #include "rstp/common/parse.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/drift.h"
@@ -208,6 +210,19 @@ int zero_count(std::string_view flag) {
     (void)bad_number("k", token);
   } else if (*k < 2) {
     std::cerr << "out-of-model k '" << token << "': the model needs k >= 2\n";
+    return std::nullopt;
+  }
+  return k;
+}
+
+/// alphabet_arg for the commands that run protocols: also rejects a k past
+/// the largest universe the multiset codec builds tables for.
+[[nodiscard]] std::optional<std::uint32_t> codec_alphabet_arg(const char* token) {
+  const auto k = alphabet_arg(token);
+  constexpr std::uint32_t max_k = combinatorics::MultisetCodec::kMaxUniverse;
+  if (k.has_value() && *k > max_k) {
+    std::cerr << "out-of-range k '" << token << "': the codec builds tables for k <= " << max_k
+              << "\n";
     return std::nullopt;
   }
   return k;
@@ -374,7 +389,7 @@ int cmd_run(int argc, char** argv) {
   if (!kind.has_value()) return 2;
   const auto params = model_args(argv, 3);
   if (!params.has_value()) return 2;
-  const auto k = alphabet_arg(argv[6]);
+  const auto k = codec_alphabet_arg(argv[6]);
   if (!k.has_value() || !protocol_accepts_k(*kind, *k)) return 2;
   protocols::ProtocolConfig cfg;
   cfg.params = *params;
@@ -570,7 +585,7 @@ int cmd_explore(int argc, char** argv) {
   }
   protocols::ProtocolConfig cfg;
   cfg.params = core::TimingParams::make(1, 1, *d);
-  const auto k = alphabet_arg(argv[4]);
+  const auto k = codec_alphabet_arg(argv[4]);
   if (!k.has_value() || !protocol_accepts_k(*kind, *k)) return 2;
   cfg.k = *k;
   for (const char c : std::string{argv[5]}) {
@@ -690,7 +705,7 @@ int cmd_mega(int argc, char** argv) {
       if (!kind.has_value()) return 2;
       spec.protocol = *kind;
     } else if (arg == "--k" && i + 1 < argc) {
-      const auto k = alphabet_arg(argv[++i]);
+      const auto k = codec_alphabet_arg(argv[++i]);
       if (!k.has_value()) return 2;
       spec.k = *k;
     } else if (arg == "--bits" && i + 1 < argc) {
@@ -862,7 +877,7 @@ int cmd_fuzz(int argc, char** argv) {
     } else if (arg == "--jobs") {
       if (!take_number(argc, argv, i, spec.jobs)) return bad_number(arg, argv[i]);
     } else if (arg == "--k" && i + 1 < argc) {
-      const auto k = alphabet_arg(argv[++i]);
+      const auto k = codec_alphabet_arg(argv[++i]);
       if (!k.has_value()) return 2;
       spec.k = *k;
     } else if (arg == "--bits") {
