@@ -54,7 +54,8 @@ struct MultiSessionSpec {
   std::uint64_t base_seed = 1;  ///< root of every derived per-session stream
   /// Fixed shard count (sessions are split into `shards` contiguous ranges).
   /// Independent of the thread count by design — it must be, for the merged
-  /// result to be bitwise identical across thread counts.
+  /// result to be bitwise identical across thread counts. A run uses at most
+  /// `sessions` of them: a shard past that would be empty.
   std::uint32_t shards = 16;
   std::uint64_t max_events_per_session = 10'000'000;
 

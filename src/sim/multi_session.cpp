@@ -105,7 +105,9 @@ MultiSession::MultiSession(MultiSessionSpec spec) : spec_(std::move(spec)) { spe
 
 MultiSessionResult MultiSession::run(unsigned threads) const {
   const std::uint64_t n = spec_.sessions;
-  const std::uint64_t shard_count = spec_.shards;
+  // Shards past the session count would be empty and fold nothing, so they
+  // are never allocated; the result is the same for any shard count.
+  const std::uint64_t shard_count = std::min<std::uint64_t>(spec_.shards, n);
 
   // Contiguous shard ranges via remainder spreading: the first n % shards
   // shards get one extra session. Ranges depend only on (sessions, shards).

@@ -340,7 +340,7 @@ TEST(Cli, ReportRejectsNonFiniteGateLimits) {
 
 TEST(Cli, ReportOnMissingOrMalformedInputFails) {
   std::string out;
-  EXPECT_EQ(run_command("report /nonexistent/metrics.jsonl", &out), 1);
+  EXPECT_EQ(run_command("report /nonexistent/metrics.jsonl", &out), 4);
   EXPECT_NE(out.find("cannot open"), std::string::npos) << out;
   // Malformed input is a usage error (exit 2), as in the two-file form.
   const std::string bad = ::testing::TempDir() + "/cli_bad.jsonl";
@@ -384,6 +384,37 @@ TEST(Cli, ReportRejectsABrokenHistogramWithExitTwo) {
   EXPECT_EQ(run_command("report " + golden + " " + mutant, &out), 2);
   EXPECT_NE(out.find("line 1"), std::string::npos) << out;
   std::remove(mutant.c_str());
+}
+
+TEST(Cli, AFileThatCannotBeOpenedExitsFourNotAVerdict) {
+  // Exit 1 is verify's and replay's verdict "does not verify/reproduce"; a
+  // missing input file is neither.
+  std::string out;
+  EXPECT_EQ(run_command("verify 1 2 4 /nonexistent 101", &out), 4) << out;
+  EXPECT_NE(out.find("cannot open '/nonexistent'"), std::string::npos) << out;
+  EXPECT_EQ(run_command("replay /nonexistent", &out), 4) << out;
+  EXPECT_NE(out.find("cannot open '/nonexistent'"), std::string::npos) << out;
+}
+
+TEST(Cli, RunRecordsTheSeedWhicheverOrderTheFlagsCome) {
+  // --env once reset the recorded seed to 1 when it followed --seed, while
+  // the input was still drawn from --seed.
+  std::string rows[2];
+  const char* orders[2] = {"--seed 5 --env worst", "--env worst --seed 5"};
+  for (int i = 0; i < 2; ++i) {
+    const std::string jsonl = ::testing::TempDir() + "/cli_seed_order.jsonl";
+    std::remove(jsonl.c_str());
+    std::string out;
+    ASSERT_EQ(run_command(std::string{"run gamma 1 2 6 4 64 "} + orders[i] + " --metrics-out " +
+                              jsonl,
+                          &out),
+              0)
+        << out;
+    rows[i] = read_file(jsonl);
+    std::remove(jsonl.c_str());
+    EXPECT_NE(rows[i].find("\"seed\":5"), std::string::npos) << orders[i] << "\n" << rows[i];
+  }
+  EXPECT_EQ(rows[0], rows[1]);
 }
 
 TEST(Cli, BoundsRejectsC1AboveC2AsAUsageError) {
@@ -469,6 +500,14 @@ TEST(Cli, MegaRejectsZeroCountsAsUsageErrors) {
     EXPECT_NE(out.find("invalid " + flag + " '0'"), std::string::npos) << out;
     EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
   }
+}
+
+TEST(Cli, MegaRunsOnlyTheShardsItHasSessionsFor) {
+  // --shards 2^32 - 1 once allocated one fold per shard, each with four
+  // histograms; the `mega:` line still names the requested shard count.
+  std::string out;
+  EXPECT_EQ(run_command("mega --sessions 8 --shards 4294967295", &out), 0) << out;
+  EXPECT_NE(out.find("mega: 8 sessions on 4294967295 shards"), std::string::npos) << out;
 }
 
 TEST(Cli, FuzzAndAdversaryRejectZeroCountsAsUsageErrors) {

@@ -81,6 +81,17 @@ TEST(MultiSession, ShardCountDoesNotChangeTheFold) {
   }
 }
 
+TEST(MultiSession, ShardsPastTheSessionCountAreNeverAllocated) {
+  // One fold per requested shard would be 2^32 - 1 folds here; the engine
+  // runs min(shards, sessions) of them, so this is the one-shard fold.
+  MultiSessionSpec spec = small_spec();
+  spec.sessions = 3;
+  spec.shards = 1;
+  const MultiSessionResult reference = MultiSession{spec}.run(1);
+  spec.shards = 4'294'967'295u;
+  EXPECT_TRUE(reference.same_simulation(MultiSession{spec}.run(1)));
+}
+
 /// The reference for one spec: N standalone single-session runs, seeded
 /// exactly as the engine documents (derive_unit_seeds over base_seed +
 /// session id), folded in session order with the same integer-tick effort

@@ -1,119 +1,44 @@
-// rstp — command-line front end to the library.
+// rstp — command-line front end to the library. cli_flags.h lists every
+// verb's arguments and flags; `rstp` with no arguments prints them.
 //
-//   rstp bounds  <c1> <c2> <d> <k>
-//       Print every closed-form bound for the model.
+//   bounds     every closed-form bound for the model (c1, c2, d, k)
+//   run        a protocol end to end, verified online; the input is a literal
+//              0/1 string of length >= 8, or else a length of seeded random bits
+//   verify     a saved trace against good(A) and the expected output
+//   explore    every schedule (c1 = c2 = 1) of a small instance
+//   campaign   the golden campaign grid (--estimator: the estimator grid)
+//   mega       N sessions of one cell, back to back per shard; one fold row
+//   report     a metrics JSONL file as a table, or the diff of two (--fail-on
+//              gates it; grammar in docs/OBSERVABILITY.md)
+//   fuzz       coverage-guided schedule/fault fuzzing with minimized repros
+//   adversary  a search for effort-maximizing channels; the gap to Thm 5.3/5.6
+//   replay     re-execute a fuzz or adversary artifact, field by field
 //
-//   rstp run     <protocol> <c1> <c2> <d> <k> <n|bits> [options]
-//       Run a protocol end to end and print transfer statistics.
-//         protocol: alpha | beta | gamma | altbit | indexed | strawman
-//         n|bits:   a length (random input, seeded) or a literal 0/1 string
-//         --env worst|fast|random|adversarial   (default worst)
-//         --seed N                              (default 1)
-//         --trace FILE                          write the timed trace
-//         --trace-out FILE                      write a Chrome-trace/Perfetto
-//                                               span timeline (rstp-trace-v1)
-//         --stats                               print trace statistics
-//         --metrics-out FILE                    append the run's metrics (JSONL)
-//         --timing                              print host time per layer
-//                                               (automata, schedulers, delivery
-//                                               policy) net of the calibrated
-//                                               timer cost, with the residual,
-//                                               summing to the run's wall time
-//
-//   rstp verify  <c1> <c2> <d> <tracefile> <bits>
-//       Check a saved trace against good(A) and the expected output.
-//       Exit 0 iff it verifies, 1 if it does not, 2 on a malformed trace.
-//
-//   rstp explore <protocol> <d> <k> <bits>
-//       Exhaustively verify all schedules (c1=c2=1) for a small instance;
-//       prints a counterexample trace on failure.
-//
-//   rstp campaign [--metrics-out FILE] [--threads N]
-//       Run the fixed golden campaign grid (the regression-gate reference;
-//       bitwise deterministic for any thread count) and append one JSONL row
-//       per job to --metrics-out.
-//
-//   rstp mega [--sessions N] [--shards N] [--threads N] [--protocol P]
-//             [--k K] [--bits N] [--seed N] [--max-events N]
-//             [--metrics-out FILE]
-//       Run N independent sessions of one cell, back to back on each
-//       shard (the million-session engine, sim/multi_session.h). Defaults are the
-//       golden megasession cell, so `rstp mega --sessions 10000
-//       --metrics-out F` regenerates tests/golden/megasession_baseline.jsonl.
-//       Appends ONE JSONL row — the session-order fold — carrying the
-//       `sessions` and `events_per_sec` schema fields.
-//
-//   rstp report <metrics.jsonl>
-//       Render a metrics JSONL file (from --metrics-out) as a table.
-//
-//   rstp report <old.jsonl> <new.jsonl> [--json] [--fail-on SPEC]
-//       Join two metrics series by run identity and report per-cell and
-//       aggregate deltas. --json emits the machine-readable
-//       rstp-metrics-diff-v1 document instead of the table. --fail-on turns
-//       the diff into a gate: SPEC is a comma-separated list of clauses like
-//       'effort_mean>1%,delay_p99>5%,cells_changed>0' (grammar in
-//       docs/OBSERVABILITY.md); any tripped clause exits 3.
-//
-//   rstp fuzz <protocol> [options]
-//       Coverage-guided schedule/fault fuzzing (docs/TESTING.md). The run is
-//       deterministic for a fixed --seed/--budget, for any --jobs value;
-//       failures are minimized and written as replayable repro documents.
-//         --seed N            master seed (default 1)
-//         --budget N          case executions (default 256)
-//         --jobs N            worker threads (default 1; 0 = hardware)
-//         --k K  --bits N     alphabet size / max input bits
-//         --faults            enable the fault injector (drops, duplicates,
-//                             late deliveries, in-alphabet corruption)
-//         --corpus DIR        seed with every *.case file in DIR (sorted)
-//         --repro-out FILE    write the first failure's repro document here
-//         --metrics-out FILE  append one JSONL row per corpus entry
-//         --wait-override W / --block-override B   mutant knobs
-//         --max-events N / --time-budget-ms N / --keep-going
-//
-//   rstp adversary [options]
-//       Coverage-guided adversary synthesis (docs/TESTING.md): per grid cell,
-//       search the space of legal delivery schedules and process step plans
-//       for an effort maximizer, and report the empirical gap to the paper's
-//       Theorem 5.3/5.6 lower bounds. Generation 0 always contains the
-//       hand-coded worst case, so best >= hand on every cell unless the
-//       search itself regressed — exit 1 in that case.
-//         --grid golden|quick   16-cell baseline grid / 4-cell smoke grid
-//         --budget N            genome evaluations per cell (default 64)
-//         --jobs N              worker threads (default 1; 0 = hardware);
-//                               the result is bitwise identical for any value
-//         --seed N              master seed (default 1)
-//         --max-events N        per-run event cap (default 200000)
-//         --repro-out FILE      write the max-gap cell's winning genome as a
-//                               replayable rstp-adversary-v1 artifact
-//         --metrics-out FILE    append one JSONL row per cell (gap_ratio
-//                               feeds `rstp report --fail-on 'gap_ratio_max>…'`)
-//
-//   rstp replay <reprofile> [--trace-out FILE]
-//       Re-execute a repro document (rstp-fuzz-repro-v1 or rstp-adversary-v1,
-//       dispatched on the header line) and compare every recorded field.
-//       Exit 0 iff the recorded verdict reproduces bitwise (even a failing
-//       verdict), 1 on any divergence, 2 on a malformed artifact.
-//       --trace-out writes the replay's span timeline (Chrome-trace JSON)
-//       for post-mortem inspection in Perfetto (fuzz repros only).
-//
-// Exit code 0 on success/verified; 1 on failure (a run that is incorrect or
-// does not verify, a replay that does not reproduce, an adversary below the
-// hand-coded floor, any other error); 2 on usage errors (including malformed
-// traces, metrics files, threshold specs, fuzz corpora and replay
-// artifacts, and a k past the codec's MultisetCodec::kMaxUniverse at run,
-// explore, mega and fuzz); 3 on a tripped --fail-on gate.
+// Exit codes:
+//   0  success, including a replay that reproduces a failing verdict
+//   1  a verdict against: an incorrect or unverified run, a trace that does
+//      not verify, a violation found, a replay that does not reproduce, a
+//      fuzz failure, an adversary below the hand-coded floor; or an error
+//   2  a usage error: a bad argument or flag value, an out-of-model value, or
+//      a malformed trace, metrics file, --fail-on spec or artifact; also a
+//      fuzz corpus that cannot be read, missing or malformed alike
+//   3  a tripped --fail-on gate
+//   4  a file that cannot be opened or written
 #include <algorithm>
-#include <cstring>
 #include <iomanip>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "cli_flags.h"
 #include "rstp/combinatorics/multiset_codec.h"
+#include "rstp/common/check.h"
 #include "rstp/common/parse.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/drift.h"
@@ -139,29 +64,19 @@ namespace {
 using namespace rstp;
 using protocols::ProtocolKind;
 
-int usage() {
-  std::cerr << "usage:\n"
-               "  rstp bounds  <c1> <c2> <d> <k>\n"
-               "  rstp run     <protocol> <c1> <c2> <d> <k> <n|bits>"
-               " [--env worst|fast|random|adversarial] [--seed N] [--trace FILE]"
-               " [--trace-out FILE] [--stats] [--metrics-out FILE] [--timing]"
-               " [--estimator[=margin]] [--drift SPEC]\n"
-               "  rstp verify  <c1> <c2> <d> <tracefile> <bits>\n"
-               "  rstp explore <protocol> <d> <k> <bits>\n"
-               "  rstp campaign [--metrics-out FILE] [--threads N]"
-               " [--estimator[=margin]] [--drift SPEC]\n"
-               "  rstp mega    [--sessions N] [--shards N] [--threads N]"
-               " [--protocol P] [--k K] [--bits N] [--seed N] [--max-events N]"
-               " [--metrics-out FILE]\n"
-               "  rstp report  <metrics.jsonl>\n"
-               "  rstp report  <old.jsonl> <new.jsonl> [--json] [--fail-on SPEC]\n"
-               "  rstp fuzz    <protocol> [--seed N] [--budget N] [--jobs N] [--k K]"
-               " [--bits N] [--faults] [--corpus DIR] [--repro-out FILE]"
-               " [--metrics-out FILE] [--wait-override W] [--block-override B]"
-               " [--max-events N] [--time-budget-ms N] [--keep-going]\n"
-               "  rstp adversary [--grid golden|quick] [--budget N] [--jobs N]"
-               " [--seed N] [--max-events N] [--repro-out FILE] [--metrics-out FILE]\n"
-               "  rstp replay  <reprofile> [--trace-out FILE]\n";
+/// Prints the usage line of each verb in `verbs`, from its table; exit 2.
+int usage(std::span<const cli::Verb> verbs = cli::kVerbs) {
+  std::cerr << "usage:\n";
+  for (const cli::Verb& verb : verbs) {
+    std::cerr << "  rstp " << std::left << std::setw(9) << verb.name;
+    if (!verb.positionals.empty()) std::cerr << ' ' << verb.positionals;
+    for (const cli::Flag& flag : verb.flags) {
+      if (flag.kind == cli::Kind::Unsupported) continue;
+      const bool spaced = !flag.metavar.empty() && flag.kind != cli::Kind::Estimator;
+      std::cerr << " [" << flag.name << (spaced ? " " : "") << flag.metavar << ']';
+    }
+    std::cerr << '\n';
+  }
   return 2;
 }
 
@@ -172,30 +87,24 @@ int bad_number(std::string_view what, std::string_view token) {
   return 2;
 }
 
-/// Reports a count flag given as 0 where the command needs at least one
-/// (exit 2).
-int zero_count(std::string_view flag) {
-  std::cerr << "invalid " << flag << " '0': expected a positive integer\n";
-  return 2;
-}
-
-/// Parses c1, c2 and d from argv[at], argv[at + 1] and argv[at + 2] and
+/// Parses c1, c2 and d from args[at], args[at + 1] and args[at + 2] and
 /// checks them against the model, 0 < c1 <= c2 <= d; nullopt after naming
 /// the first bad field (exit 2).
-[[nodiscard]] std::optional<core::TimingParams> model_args(char** argv, int at) {
+[[nodiscard]] std::optional<core::TimingParams> model_args(
+    const std::vector<std::string_view>& args, std::size_t at) {
   constexpr std::string_view kFields[] = {"c1", "c2", "d"};
   std::int64_t value[3] = {};
-  for (int i = 0; i < 3; ++i) {
-    const auto parsed = parse_number<std::int64_t>(argv[at + i]);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto parsed = parse_number<std::int64_t>(args[at + i]);
     if (!parsed.has_value()) {
-      (void)bad_number(kFields[i], argv[at + i]);
+      (void)bad_number(kFields[i], args[at + i]);
       return std::nullopt;
     }
     value[i] = *parsed;
   }
-  const int bad = value[0] < 1 ? 0 : value[1] < value[0] ? 1 : value[2] < value[1] ? 2 : -1;
-  if (bad >= 0) {
-    std::cerr << "out-of-model " << kFields[bad] << " '" << argv[at + bad]
+  const std::size_t bad = value[0] < 1 ? 0 : value[1] < value[0] ? 1 : value[2] < value[1] ? 2 : 3;
+  if (bad < 3) {
+    std::cerr << "out-of-model " << kFields[bad] << " '" << args[at + bad]
               << "': the model needs 0 < c1 <= c2 <= d\n";
     return std::nullopt;
   }
@@ -204,7 +113,7 @@ int zero_count(std::string_view flag) {
 
 /// Parses the alphabet size k and checks k >= 2; nullopt after reporting
 /// (exit 2).
-[[nodiscard]] std::optional<std::uint32_t> alphabet_arg(const char* token) {
+[[nodiscard]] std::optional<std::uint32_t> alphabet_arg(std::string_view token) {
   const auto k = parse_number<std::uint32_t>(token);
   if (!k.has_value()) {
     (void)bad_number("k", token);
@@ -217,7 +126,7 @@ int zero_count(std::string_view flag) {
 
 /// alphabet_arg for the commands that run protocols: also rejects a k past
 /// the largest universe the multiset codec builds tables for.
-[[nodiscard]] std::optional<std::uint32_t> codec_alphabet_arg(const char* token) {
+[[nodiscard]] std::optional<std::uint32_t> codec_alphabet_arg(std::string_view token) {
   const auto k = alphabet_arg(token);
   constexpr std::uint32_t max_k = combinatorics::MultisetCodec::kMaxUniverse;
   if (k.has_value() && *k > max_k) {
@@ -240,32 +149,10 @@ int zero_count(std::string_view flag) {
 }
 
 /// The protocol named `name`; nullopt after reporting an unknown name.
-[[nodiscard]] std::optional<protocols::ProtocolKind> protocol_arg(const char* name) {
+[[nodiscard]] std::optional<protocols::ProtocolKind> protocol_arg(std::string_view name) {
   const auto kind = protocols::protocol_from_string(name);
   if (!kind.has_value()) std::cerr << "unknown protocol '" << name << "'\n";
   return kind;
-}
-
-/// Parses the number after the flag at argv[i] into `slot`, stepping i onto
-/// it; false when it is missing or malformed (argv[i] is then the bad token).
-template <typename T>
-[[nodiscard]] bool take_number(int argc, char** argv, int& i, T& slot) {
-  if (i + 1 >= argc) return false;
-  const auto parsed = parse_number<T>(argv[++i]);
-  if (parsed.has_value()) slot = *parsed;
-  return parsed.has_value();
-}
-
-/// The value of `NAME VALUE` or `NAME=VALUE` at argv[i], stepping i past a
-/// separate VALUE; nullopt when argv[i] is neither spelling.
-[[nodiscard]] std::optional<std::string> flag_value(std::string_view name, int argc, char** argv,
-                                                    int& i) {
-  const std::string_view arg = argv[i];
-  if (arg == name && i + 1 < argc) return argv[++i];
-  if (arg.size() > name.size() && arg.starts_with(name) && arg[name.size()] == '=') {
-    return std::string{arg.substr(name.size() + 1)};
-  }
-  return std::nullopt;
 }
 
 /// Parses an `--estimator=margin` value. Empty optional (after the error
@@ -279,6 +166,124 @@ template <typename T>
   return parsed;
 }
 
+/// Checks the value a flag was given (nullopt: none) against its kind;
+/// false after reporting (exit 2). Text and Path values are the verb's to read.
+[[nodiscard]] bool check_flag(const cli::Verb& verb, const cli::Flag& flag,
+                              const std::optional<std::string_view>& value) {
+  const auto invalid = [&](std::string_view expected, std::string_view detail = "") {
+    std::cerr << "invalid " << flag.name << " '" << *value << "': expected " << expected << detail
+              << '\n';
+    return false;
+  };
+  if (flag.kind == cli::Kind::Unsupported) {
+    std::cerr << flag.name << " is not supported for " << verb.name << ": " << flag.metavar << '\n';
+    return false;
+  }
+  if (flag.kind == cli::Kind::Switch) return !value.has_value() || invalid("no value");
+  if (flag.kind == cli::Kind::Estimator) {
+    return !value.has_value() || parse_margin(*value).has_value();
+  }
+  if (!value.has_value()) {
+    std::cerr << "missing value for " << flag.name << '\n';
+    return false;
+  }
+  switch (flag.kind) {
+    case cli::Kind::Number: {
+      const auto parsed = parse_number<std::uint64_t>(*value);
+      if (!parsed.has_value() || *parsed > flag.max) {
+        return invalid("a decimal integer",
+                       flag.zero_is_hardware
+                           ? " up to " + std::to_string(flag.max) + " (0 = hardware threads)"
+                           : std::string{});
+      }
+      return *parsed >= flag.min || invalid("a positive integer");
+    }
+    case cli::Kind::Alphabet:
+      return codec_alphabet_arg(*value).has_value();
+    case cli::Kind::Choice: {
+      std::string_view rest = flag.metavar;
+      for (std::size_t bar = 0; bar != std::string_view::npos; rest.remove_prefix(bar + 1)) {
+        bar = rest.find('|');
+        if (rest.substr(0, bar) == *value) return true;
+      }
+      return invalid("one of ", flag.metavar);
+    }
+    default:
+      return true;
+  }
+}
+
+/// One verb's command line, checked against its table: the positional
+/// arguments, and the last value each flag was given ("" for a switch).
+struct Args {
+  const cli::Verb& verb;
+  std::vector<std::string_view> positional;
+  std::vector<std::optional<std::string_view>> values;  ///< parallel to verb.flags
+
+  [[nodiscard]] std::size_t index(std::string_view name) const {
+    const auto flag = std::find_if(verb.flags.begin(), verb.flags.end(),
+                                   [&](const cli::Flag& f) { return f.name == name; });
+    RSTP_CHECK(flag != verb.flags.end(), "a flag missing from its verb's table");
+    return static_cast<std::size_t>(flag - verb.flags.begin());
+  }
+  [[nodiscard]] bool has(std::string_view name) const { return values[index(name)].has_value(); }
+  [[nodiscard]] std::string text(std::string_view name) const {
+    return std::string{values[index(name)].value_or("")};
+  }
+  /// The flag's number, or `fallback` when it was not given.
+  template <typename T>
+  [[nodiscard]] T number(std::string_view name, T fallback) const {
+    const std::size_t at = index(name);
+    RSTP_CHECK(verb.flags[at].max <= std::numeric_limits<T>::max(),
+               "a flag's range is wider than the field it sets");
+    return values[at].has_value() ? static_cast<T>(*parse_number<std::uint64_t>(*values[at]))
+                                  : fallback;
+  }
+};
+
+/// Parses argv[2..] by the grammar of cli_flags.h against `verb`'s table;
+/// nullopt after reporting the first error (exit 2).
+[[nodiscard]] std::optional<Args> parse_args(const cli::Verb& verb, int argc, char** argv) {
+  Args args{verb, {}, std::vector<std::optional<std::string_view>>(verb.flags.size())};
+  for (int i = 2; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) {
+      args.positional.push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const auto flag = std::find_if(verb.flags.begin(), verb.flags.end(),
+                                   [&](const cli::Flag& f) { return f.name == arg.substr(0, eq); });
+    if (flag == verb.flags.end()) {
+      std::cerr << "unknown option '" << arg << "'\n";
+      (void)usage({&verb, 1});
+      return std::nullopt;
+    }
+    const bool bare = flag->kind == cli::Kind::Switch || flag->kind == cli::Kind::Estimator ||
+                      flag->kind == cli::Kind::Unsupported;
+    std::optional<std::string_view> value;
+    if (eq != std::string_view::npos) {
+      value = arg.substr(eq + 1);
+    } else if (!bare && i + 1 < argc) {
+      value = argv[++i];
+    }
+    if (!check_flag(verb, *flag, value)) return std::nullopt;
+    // A bare --estimator after --estimator=margin keeps the margin.
+    auto& slot = args.values[static_cast<std::size_t>(flag - verb.flags.begin())];
+    slot = value.has_value() ? *value : slot.value_or("");
+  }
+  const std::size_t positionals = args.positional.size();
+  if (positionals >= verb.min_positionals && positionals <= verb.max_positionals) return args;
+  (void)usage({&verb, 1});
+  return std::nullopt;
+}
+
+/// The margin of `--estimator=margin`; nullopt for a bare --estimator or none.
+[[nodiscard]] std::optional<double> estimator_margin(const Args& args) {
+  const std::string margin = args.text("--estimator");  // checked by parse_args
+  return margin.empty() ? std::nullopt : parse_number<double>(margin);
+}
+
 /// Parses a `--drift` spec, turning a DriftParseError into the usual exit-2
 /// style report naming the offending token.
 [[nodiscard]] std::optional<core::DriftSpec> parse_drift(const std::string& token) {
@@ -290,26 +295,31 @@ template <typename T>
   }
 }
 
+/// The bits of a pure 0/1 string; nullopt when it has any other character.
+[[nodiscard]] std::optional<std::vector<ioa::Bit>> bit_string(std::string_view text) {
+  if (text.find_first_not_of("01") != std::string_view::npos) return std::nullopt;
+  std::vector<ioa::Bit> bits(text.begin(), text.end());
+  for (ioa::Bit& bit : bits) bit = static_cast<ioa::Bit>(bit - '0');
+  return bits;
+}
+
 /// Parses the input argument: a pure 0/1 string of length ≥ 8 is a literal
 /// bit sequence; anything else is a decimal length for a seeded random
 /// input (so "64" is 64 random bits, "01100110" is those exact 8 bits).
 /// std::nullopt when the token is neither.
-std::optional<std::vector<ioa::Bit>> parse_input(const std::string& text, std::uint64_t seed) {
-  if (text.find_first_not_of("01") == std::string::npos && text.size() >= 8) {
-    std::vector<ioa::Bit> bits;
-    bits.reserve(text.size());
-    for (const char c : text) bits.push_back(static_cast<ioa::Bit>(c - '0'));
-    return bits;
+std::optional<std::vector<ioa::Bit>> parse_input(std::string_view text, std::uint64_t seed) {
+  if (text.size() >= 8) {
+    if (auto bits = bit_string(text)) return bits;
   }
   const auto length = parse_number<std::uint32_t>(text);
   if (!length.has_value()) return std::nullopt;
   return core::make_random_input(*length, seed);
 }
 
-/// Reports a file that cannot be opened; returns exit code 1.
+/// Reports a file that cannot be opened or written; returns exit code 4.
 int cannot_open(std::string_view path) {
   std::cerr << "cannot open '" << path << "'\n";
-  return 1;
+  return 4;
 }
 
 /// Appends metric records to a JSONL file (append, so several runs can
@@ -325,7 +335,7 @@ bool append_metrics_jsonl(const std::string& path,
 }
 
 /// Writes a Chrome trace (--trace-out) and prints its summary line; returns
-/// exit code 0, or 1 when the file cannot be opened.
+/// exit code 0, or 4 when the file cannot be opened.
 int write_trace_out(const obs::trace::Tracer& tracer, const std::string& path) {
   std::ofstream out{path};
   if (!out) return cannot_open(path);
@@ -373,91 +383,57 @@ void print_host_timing(const obs::HostTimer& timer, std::uint64_t wall_ns,
   std::cout << os.str();
 }
 
-int cmd_bounds(int argc, char** argv) {
-  if (argc != 6) return usage();
-  const auto params = model_args(argv, 2);
+int cmd_bounds(const Args& args) {
+  const auto params = model_args(args.positional, 0);
   if (!params.has_value()) return 2;
-  const auto k = alphabet_arg(argv[5]);
+  const auto k = alphabet_arg(args.positional[3]);
   if (!k.has_value()) return 2;
   std::cout << core::compute_bounds(*params, *k) << '\n';
   return 0;
 }
 
-int cmd_run(int argc, char** argv) {
-  if (argc < 8) return usage();
-  const auto kind = protocol_arg(argv[2]);
+int cmd_run(const Args& args) {
+  const auto kind = protocol_arg(args.positional[0]);
   if (!kind.has_value()) return 2;
-  const auto params = model_args(argv, 3);
+  const auto params = model_args(args.positional, 1);
   if (!params.has_value()) return 2;
-  const auto k = codec_alphabet_arg(argv[6]);
+  const auto k = codec_alphabet_arg(args.positional[4]);
   if (!k.has_value() || !protocol_accepts_k(*kind, *k)) return 2;
   protocols::ProtocolConfig cfg;
   cfg.params = *params;
   cfg.k = *k;
 
-  core::Environment env = core::Environment::worst_case();
-  std::uint64_t seed = 1;
-  std::string trace_file;
-  std::string trace_out_file;
-  std::string metrics_file;
-  bool want_stats = false;
-  bool want_timing = false;
-  bool want_estimator = false;
-  double est_margin = 0.125;
+  // Built after parsing, so --seed holds in whichever order the flags came.
+  const std::uint64_t seed = args.number("--seed", std::uint64_t{1});
+  const std::string env_name = args.text("--env");
+  core::Environment env = env_name == "random"        ? core::Environment::randomized(seed)
+                          : env_name == "adversarial" ? core::Environment::adversarial_fast()
+                                                      : core::Environment::worst_case();
+  if (env_name == "fast") {
+    env.transmitter_sched = core::Environment::Sched::FastFixed;
+    env.receiver_sched = core::Environment::Sched::FastFixed;
+    env.delay = core::Environment::Delay::Zero;
+  }
+  env.seed = seed;
+  const std::string trace_file = args.text("--trace");
+  const std::string trace_out_file = args.text("--trace-out");
+  const std::string metrics_file = args.text("--metrics-out");
+  const bool want_stats = args.has("--stats");
+  const bool want_timing = args.has("--timing");
+  const bool want_estimator = args.has("--estimator");
+  const double est_margin = estimator_margin(args).value_or(0.125);
   core::DriftSpec drift;
-  for (int i = 8; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--env" && i + 1 < argc) {
-      const std::string name = argv[++i];
-      if (name == "worst") {
-        env = core::Environment::worst_case();
-      } else if (name == "fast") {
-        env.transmitter_sched = core::Environment::Sched::FastFixed;
-        env.receiver_sched = core::Environment::Sched::FastFixed;
-        env.delay = core::Environment::Delay::Zero;
-      } else if (name == "random") {
-        env = core::Environment::randomized(seed);
-      } else if (name == "adversarial") {
-        env = core::Environment::adversarial_fast();
-      } else {
-        std::cerr << "unknown environment '" << name << "'\n";
-        return 2;
-      }
-    } else if (arg == "--seed" && i + 1 < argc) {
-      if (!take_number(argc, argv, i, seed)) return bad_number(arg, argv[i]);
-      env.seed = seed;
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_file = argv[++i];
-    } else if (const auto file = flag_value("--trace-out", argc, argv, i)) {
-      trace_out_file = *file;
-    } else if (arg == "--stats") {
-      want_stats = true;
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_file = argv[++i];
-    } else if (arg == "--timing") {
-      want_timing = true;
-    } else if (arg == "--estimator") {
-      want_estimator = true;
-    } else if (arg.rfind("--estimator=", 0) == 0) {
-      const auto margin = parse_margin(arg.substr(std::string_view{"--estimator="}.size()));
-      if (!margin.has_value()) return 2;
-      want_estimator = true;
-      est_margin = *margin;
-    } else if (const auto token = flag_value("--drift", argc, argv, i)) {
-      const auto parsed = parse_drift(*token);
-      if (!parsed.has_value()) return 2;
-      drift = *parsed;
-    } else {
-      std::cerr << "unknown option '" << arg << "'\n";
-      return 2;
-    }
+  if (args.has("--drift")) {
+    const auto parsed = parse_drift(args.text("--drift"));
+    if (!parsed.has_value()) return 2;
+    drift = *parsed;
   }
   if (want_estimator && *kind != ProtocolKind::Beta && *kind != ProtocolKind::Gamma) {
     std::cerr << "--estimator supports only beta and gamma\n";
     return 2;
   }
-  const auto input = parse_input(argv[7], seed);
-  if (!input.has_value()) return bad_number("input length", argv[7]);
+  const auto input = parse_input(args.positional[5], seed);
+  if (!input.has_value()) return bad_number("input length", args.positional[5]);
   cfg.input = *input;
   cfg.k = protocols::alphabet_for(*kind, cfg.k, cfg.input.size());
 
@@ -541,60 +517,55 @@ int cmd_run(int argc, char** argv) {
     std::cout << "trace:      written to " << trace_file << " (" << run.result.trace.size()
               << " events)\n";
   }
-  if (tracer.has_value() && write_trace_out(*tracer, trace_out_file) != 0) return 1;
+  if (tracer.has_value() && write_trace_out(*tracer, trace_out_file) != 0) return 4;
   return run.output_correct && verdict.ok() ? 0 : 1;
 }
 
-int cmd_verify(int argc, char** argv) {
-  if (argc != 7) return usage();
-  const auto params = model_args(argv, 2);
+int cmd_verify(const Args& args) {
+  const auto params = model_args(args.positional, 0);
   if (!params.has_value()) return 2;
-  std::ifstream in{argv[5]};
-  if (!in) return cannot_open(argv[5]);
+  const std::string path{args.positional[3]};
+  std::ifstream in{path};
+  if (!in) return cannot_open(path);
   // A malformed trace is a usage error (exit 2); exit 1 is reserved for a
   // trace that parses but does not verify.
   ioa::TimedTrace trace;
   try {
     trace = ioa::parse_trace(in);
   } catch (const ModelError& e) {
-    std::cerr << "error in '" << argv[5] << "': " << e.what() << "\n";
+    std::cerr << "error in '" << path << "': " << e.what() << "\n";
     return 2;
   }
-  std::vector<ioa::Bit> expected;
-  for (const char c : std::string{argv[6]}) {
-    if (c != '0' && c != '1') {
-      std::cerr << "expected-output must be a 0/1 string\n";
-      return 2;
-    }
-    expected.push_back(static_cast<ioa::Bit>(c - '0'));
+  const auto expected = bit_string(args.positional[4]);
+  if (!expected.has_value()) {
+    std::cerr << "expected-output must be a 0/1 string\n";
+    return 2;
   }
-  const core::VerifyResult verdict = core::verify_trace(trace, *params, expected);
+  const core::VerifyResult verdict = core::verify_trace(trace, *params, *expected);
   std::cout << verdict << '\n';
   return verdict.ok() ? 0 : 1;
 }
 
-int cmd_explore(int argc, char** argv) {
-  if (argc != 6) return usage();
-  const auto kind = protocol_arg(argv[2]);
+int cmd_explore(const Args& args) {
+  const auto kind = protocol_arg(args.positional[0]);
   if (!kind.has_value()) return 2;
-  const auto d = parse_number<std::int64_t>(argv[3]);
-  if (!d.has_value()) return bad_number("d", argv[3]);
+  const auto d = parse_number<std::int64_t>(args.positional[1]);
+  if (!d.has_value()) return bad_number("d", args.positional[1]);
   if (*d < 1) {
-    std::cerr << "out-of-model d '" << argv[3] << "': the model needs d >= c2 = 1\n";
+    std::cerr << "out-of-model d '" << args.positional[1] << "': the model needs d >= c2 = 1\n";
     return 2;
   }
   protocols::ProtocolConfig cfg;
   cfg.params = core::TimingParams::make(1, 1, *d);
-  const auto k = codec_alphabet_arg(argv[4]);
+  const auto k = codec_alphabet_arg(args.positional[2]);
   if (!k.has_value() || !protocol_accepts_k(*kind, *k)) return 2;
   cfg.k = *k;
-  for (const char c : std::string{argv[5]}) {
-    if (c != '0' && c != '1') {
-      std::cerr << "input must be a 0/1 string\n";
-      return 2;
-    }
-    cfg.input.push_back(static_cast<ioa::Bit>(c - '0'));
+  const auto bits = bit_string(args.positional[3]);
+  if (!bits.has_value()) {
+    std::cerr << "input must be a 0/1 string\n";
+    return 2;
   }
+  cfg.input = *bits;
   cfg.k = protocols::alphabet_for(*kind, cfg.k, cfg.input.size());
   const auto instance = protocols::make_protocol(*kind, cfg);
   ioa::ExplorerConfig config;
@@ -627,32 +598,15 @@ int cmd_explore(int argc, char** argv) {
   return result.verified() ? 0 : 1;
 }
 
-int cmd_campaign(int argc, char** argv) {
-  std::string metrics_file;
-  unsigned threads = 1;
-  bool want_estimator = false;
-  std::optional<double> margin_override;
+int cmd_campaign(const Args& args) {
+  const std::string metrics_file = args.text("--metrics-out");
+  const unsigned threads = args.number("--threads", 1u);
+  const bool want_estimator = args.has("--estimator");
+  const std::optional<double> margin_override = estimator_margin(args);
   std::optional<core::DriftSpec> drift_override;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_file = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      if (!take_number(argc, argv, i, threads)) return bad_number(arg, argv[i]);
-    } else if (arg == "--estimator") {
-      want_estimator = true;
-    } else if (arg.rfind("--estimator=", 0) == 0) {
-      const auto margin = parse_margin(arg.substr(std::string_view{"--estimator="}.size()));
-      if (!margin.has_value()) return 2;
-      want_estimator = true;
-      margin_override = *margin;
-    } else if (const auto token = flag_value("--drift", argc, argv, i)) {
-      const auto parsed = parse_drift(*token);
-      if (!parsed.has_value()) return 2;
-      drift_override = *parsed;
-    } else {
-      return usage();
-    }
+  if (args.has("--drift")) {
+    drift_override = parse_drift(args.text("--drift"));
+    if (!drift_override.has_value()) return 2;
   }
   // Bare --estimator runs the pinned estimator grid (margin 0, its own drift
   // axis — the checked-in estimator_baseline.jsonl); overrides are for
@@ -682,47 +636,25 @@ int cmd_campaign(int argc, char** argv) {
   return result.all_correct() ? 0 : 1;
 }
 
-int cmd_mega(int argc, char** argv) {
+int cmd_mega(const Args& args) {
   // Defaults ARE the golden megasession cell: `rstp mega --sessions 10000
   // --metrics-out F` reproduces the checked-in baseline bit for bit (modulo
   // the wall-clock events_per_sec field, which the gate treats as aggregate-
-  // only). Every flag below is an ad-hoc override for exploration.
+  // only). Every flag is an ad-hoc override for exploration.
   sim::MultiSessionSpec spec = sim::golden_megasession_spec();
-  unsigned threads = 1;
-  std::string metrics_file;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--sessions" && i + 1 < argc) {
-      if (!take_number(argc, argv, i, spec.sessions)) return bad_number(arg, argv[i]);
-      if (spec.sessions == 0) return zero_count(arg);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      if (!take_number(argc, argv, i, spec.shards)) return bad_number(arg, argv[i]);
-      if (spec.shards == 0) return zero_count(arg);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      if (!take_number(argc, argv, i, threads)) return bad_number(arg, argv[i]);
-    } else if (arg == "--protocol" && i + 1 < argc) {
-      const auto kind = protocol_arg(argv[++i]);
-      if (!kind.has_value()) return 2;
-      spec.protocol = *kind;
-    } else if (arg == "--k" && i + 1 < argc) {
-      const auto k = codec_alphabet_arg(argv[++i]);
-      if (!k.has_value()) return 2;
-      spec.k = *k;
-    } else if (arg == "--bits" && i + 1 < argc) {
-      const auto parsed = parse_number<std::uint32_t>(argv[++i]);
-      if (!parsed.has_value()) return bad_number("--bits", argv[i]);
-      spec.input_bits = *parsed;
-    } else if (arg == "--seed" && i + 1 < argc) {
-      if (!take_number(argc, argv, i, spec.base_seed)) return bad_number(arg, argv[i]);
-    } else if (arg == "--max-events" && i + 1 < argc) {
-      if (!take_number(argc, argv, i, spec.max_events_per_session)) return bad_number(arg, argv[i]);
-      if (spec.max_events_per_session == 0) return zero_count(arg);
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_file = argv[++i];
-    } else {
-      return usage();
-    }
+  if (args.has("--protocol")) {
+    const auto kind = protocol_arg(args.text("--protocol"));
+    if (!kind.has_value()) return 2;
+    spec.protocol = *kind;
   }
+  spec.sessions = args.number("--sessions", spec.sessions);
+  spec.shards = args.number("--shards", spec.shards);
+  spec.k = args.number("--k", spec.k);
+  spec.input_bits = args.number("--bits", spec.input_bits);
+  spec.base_seed = args.number("--seed", spec.base_seed);
+  spec.max_events_per_session = args.number("--max-events", spec.max_events_per_session);
+  const unsigned threads = args.number("--threads", 1u);
+  const std::string metrics_file = args.text("--metrics-out");
   if (!protocol_accepts_k(spec.protocol, spec.k)) return 2;
   const sim::MultiSession mega{spec};
   const sim::MultiSessionResult result = mega.run(threads);
@@ -802,29 +734,16 @@ int cmd_report_diff(const std::string& old_path, const std::string& new_path, bo
   return 3;
 }
 
-int cmd_report(int argc, char** argv) {
-  std::vector<std::string> files;
-  bool want_json = false;
-  std::string fail_on;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      want_json = true;
-    } else if (arg == "--fail-on" && i + 1 < argc) {
-      fail_on = argv[++i];
-    } else if (!arg.empty() && arg.front() == '-') {
-      std::cerr << "unknown option '" << arg << "'\n";
-      return 2;
-    } else {
-      files.push_back(arg);
-    }
-  }
+int cmd_report(const Args& args) {
+  const std::vector<std::string> files(args.positional.begin(), args.positional.end());
+  const bool want_json = args.has("--json");
+  const std::string fail_on = args.text("--fail-on");
   if (files.size() == 2) {
     return cmd_report_diff(files[0], files[1], want_json, fail_on);
   }
   // The single-file form renders the table. Like the two-file form, it
   // exits 2 on malformed input, naming the file and line.
-  if (files.size() != 1 || want_json || !fail_on.empty()) return usage();
+  if (want_json || !fail_on.empty()) return usage({&args.verb, 1});
   std::ifstream in{files[0]};
   if (!in) return cannot_open(files[0]);
   std::vector<obs::RunMetricsRecord> records;
@@ -858,55 +777,25 @@ int cmd_report(int argc, char** argv) {
   return record;
 }
 
-int cmd_fuzz(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const auto kind = protocol_arg(argv[2]);
+int cmd_fuzz(const Args& args) {
+  const auto kind = protocol_arg(args.positional[0]);
   if (!kind.has_value()) return 2;
   sim::FuzzSpec spec;
   spec.protocol = *kind;
-  std::string corpus_dir;
-  std::string repro_file;
-  std::string metrics_file;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed") {
-      if (!take_number(argc, argv, i, spec.seed)) return bad_number(arg, argv[i]);
-    } else if (arg == "--budget") {
-      if (!take_number(argc, argv, i, spec.budget)) return bad_number(arg, argv[i]);
-      if (spec.budget == 0) return zero_count(arg);
-    } else if (arg == "--jobs") {
-      if (!take_number(argc, argv, i, spec.jobs)) return bad_number(arg, argv[i]);
-    } else if (arg == "--k" && i + 1 < argc) {
-      const auto k = codec_alphabet_arg(argv[++i]);
-      if (!k.has_value()) return 2;
-      spec.k = *k;
-    } else if (arg == "--bits") {
-      if (!take_number(argc, argv, i, spec.max_input_bits)) return bad_number(arg, argv[i]);
-      if (spec.max_input_bits == 0) return zero_count(arg);
-    } else if (arg == "--max-events") {
-      if (!take_number(argc, argv, i, spec.max_events)) return bad_number(arg, argv[i]);
-      if (spec.max_events == 0) return zero_count(arg);
-    } else if (arg == "--time-budget-ms") {
-      if (!take_number(argc, argv, i, spec.time_budget_ms)) return bad_number(arg, argv[i]);
-    } else if (arg == "--wait-override") {
-      if (!take_number(argc, argv, i, spec.wait_override)) return bad_number(arg, argv[i]);
-    } else if (arg == "--block-override") {
-      if (!take_number(argc, argv, i, spec.block_override)) return bad_number(arg, argv[i]);
-    } else if (arg == "--faults") {
-      spec.faults_enabled = true;
-    } else if (arg == "--keep-going") {
-      spec.stop_on_failure = false;
-    } else if (arg == "--corpus" && i + 1 < argc) {
-      corpus_dir = argv[++i];
-    } else if (arg == "--repro-out" && i + 1 < argc) {
-      repro_file = argv[++i];
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_file = argv[++i];
-    } else {
-      std::cerr << "unknown option '" << arg << "'\n";
-      return 2;
-    }
-  }
+  spec.seed = args.number("--seed", spec.seed);
+  spec.budget = args.number("--budget", spec.budget);
+  spec.jobs = args.number("--jobs", spec.jobs);
+  spec.k = args.number("--k", spec.k);
+  spec.max_input_bits = args.number("--bits", spec.max_input_bits);
+  spec.max_events = args.number("--max-events", spec.max_events);
+  spec.time_budget_ms = args.number("--time-budget-ms", spec.time_budget_ms);
+  spec.wait_override = args.number("--wait-override", spec.wait_override);
+  spec.block_override = args.number("--block-override", spec.block_override);
+  spec.faults_enabled = args.has("--faults");
+  spec.stop_on_failure = !args.has("--keep-going");
+  const std::string corpus_dir = args.text("--corpus");
+  const std::string repro_file = args.text("--repro-out");
+  const std::string metrics_file = args.text("--metrics-out");
   if (!protocol_accepts_k(spec.protocol, spec.k)) return 2;
 
   if (!corpus_dir.empty()) {
@@ -958,42 +847,16 @@ int cmd_fuzz(int argc, char** argv) {
   return 1;
 }
 
-int cmd_adversary(int argc, char** argv) {
+int cmd_adversary(const Args& args) {
   sim::AdversarySpec spec;
-  spec.grid = sim::golden_adversary_grid();
-  std::string repro_file;
-  std::string metrics_file;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed") {
-      if (!take_number(argc, argv, i, spec.seed)) return bad_number(arg, argv[i]);
-    } else if (arg == "--budget") {
-      if (!take_number(argc, argv, i, spec.budget)) return bad_number(arg, argv[i]);
-      if (spec.budget == 0) return zero_count(arg);
-    } else if (arg == "--jobs") {
-      if (!take_number(argc, argv, i, spec.jobs)) return bad_number(arg, argv[i]);
-    } else if (arg == "--max-events") {
-      if (!take_number(argc, argv, i, spec.max_events)) return bad_number(arg, argv[i]);
-      if (spec.max_events == 0) return zero_count(arg);
-    } else if (arg == "--grid" && i + 1 < argc) {
-      const std::string grid = argv[++i];
-      if (grid == "golden") {
-        spec.grid = sim::golden_adversary_grid();
-      } else if (grid == "quick") {
-        spec.grid = sim::quick_adversary_grid();
-      } else {
-        std::cerr << "unknown grid '" << grid << "' (want golden or quick)\n";
-        return 2;
-      }
-    } else if (arg == "--repro-out" && i + 1 < argc) {
-      repro_file = argv[++i];
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_file = argv[++i];
-    } else {
-      std::cerr << "unknown option '" << arg << "'\n";
-      return 2;
-    }
-  }
+  spec.grid = args.text("--grid") == "quick" ? sim::quick_adversary_grid()
+                                             : sim::golden_adversary_grid();
+  spec.seed = args.number("--seed", spec.seed);
+  spec.budget = args.number("--budget", spec.budget);
+  spec.jobs = args.number("--jobs", spec.jobs);
+  spec.max_events = args.number("--max-events", spec.max_events);
+  const std::string repro_file = args.text("--repro-out");
+  const std::string metrics_file = args.text("--metrics-out");
 
   const sim::AdversaryResult result = sim::run_adversary_search(spec);
 
@@ -1065,24 +928,11 @@ int replay_adversary(const sim::AdversaryRepro& repro) {
   return replay_verdict(outcome.reproduced, outcome.mismatch);
 }
 
-int cmd_replay(int argc, char** argv) {
-  if (argc < 3) return usage();
-  std::string trace_out_file;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (const auto file = flag_value("--trace-out", argc, argv, i)) {
-      trace_out_file = *file;
-    } else if (arg == "--estimator" || arg.rfind("--estimator=", 0) == 0) {
-      std::cerr << "--estimator is not supported for replay: artifacts pin the recorded"
-                   " constants\n";
-      return 2;
-    } else {
-      std::cerr << "unknown option '" << arg << "'\n";
-      return 2;
-    }
-  }
-  std::ifstream in{argv[2]};
-  if (!in) return cannot_open(argv[2]);
+int cmd_replay(const Args& args) {
+  const std::string trace_out_file = args.text("--trace-out");
+  const std::string path{args.positional[0]};
+  std::ifstream in{path};
+  if (!in) return cannot_open(path);
   // A malformed artifact is a usage error (exit 2), like a malformed corpus;
   // exit 1 is reserved for an artifact that parses but does not reproduce.
   sim::FuzzRepro repro;
@@ -1109,7 +959,7 @@ int cmd_replay(int argc, char** argv) {
   }
   const sim::ReplayOutcome outcome =
       sim::replay_fuzz_repro(repro, recorder.has_value() ? &*recorder : nullptr);
-  if (tracer.has_value() && write_trace_out(*tracer, trace_out_file) != 0) return 1;
+  if (tracer.has_value() && write_trace_out(*tracer, trace_out_file) != 0) return 4;
   std::cout << "case:       " << protocols::to_string(repro.fuzz_case.protocol) << " "
             << repro.fuzz_case.params << " k=" << repro.fuzz_case.k << " bits="
             << repro.fuzz_case.input_bits << "\n"
@@ -1126,22 +976,25 @@ int cmd_replay(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
+  const std::string_view command = argc < 2 ? "" : argv[1];
+  const auto verb = std::find_if(std::begin(cli::kVerbs), std::end(cli::kVerbs),
+                                 [&](const cli::Verb& v) { return v.name == command; });
+  if (verb == std::end(cli::kVerbs)) return usage();
   try {
-    if (command == "bounds") return cmd_bounds(argc, argv);
-    if (command == "run") return cmd_run(argc, argv);
-    if (command == "verify") return cmd_verify(argc, argv);
-    if (command == "explore") return cmd_explore(argc, argv);
-    if (command == "campaign") return cmd_campaign(argc, argv);
-    if (command == "mega") return cmd_mega(argc, argv);
-    if (command == "report") return cmd_report(argc, argv);
-    if (command == "fuzz") return cmd_fuzz(argc, argv);
-    if (command == "adversary") return cmd_adversary(argc, argv);
-    if (command == "replay") return cmd_replay(argc, argv);
+    const std::optional<Args> args = parse_args(*verb, argc, argv);
+    if (!args.has_value()) return 2;
+    if (command == "bounds") return cmd_bounds(*args);
+    if (command == "run") return cmd_run(*args);
+    if (command == "verify") return cmd_verify(*args);
+    if (command == "explore") return cmd_explore(*args);
+    if (command == "campaign") return cmd_campaign(*args);
+    if (command == "mega") return cmd_mega(*args);
+    if (command == "report") return cmd_report(*args);
+    if (command == "fuzz") return cmd_fuzz(*args);
+    if (command == "adversary") return cmd_adversary(*args);
+    return cmd_replay(*args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }
-  return usage();
 }
