@@ -17,19 +17,12 @@
 //     don't: for fixed k, μ_k(n) is only polynomial in n, so bits-per-packet
 //     *fall* as blocks grow and effort rises past block = δ1 — the paper's
 //     choice is the sweet spot, not just what the lower-bound argument needs.
-#include <cstdio>
-
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/combinatorics/binomial.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
-#include "rstp/core/verify.h"
-#include "rstp/ioa/explorer.h"
-#include "rstp/protocols/base.h"
-#include "rstp/protocols/factory.h"
 
-int main() {
-  using namespace rstp;
+bool rstp::bench::e10_ablation() {
   using core::Environment;
   using protocols::ProtocolKind;
 
@@ -37,10 +30,10 @@ int main() {
   const std::int64_t paper_threshold = params.delta1_wait();      // 3
   const std::int64_t discrete_threshold = paper_threshold - 1;    // tie rule: 2
 
-  bench::print_header(
+  print_header(
       "E10a: ablating beta's idle phase — exhaustive over all schedules (c1=c2=1, d=3, k=3)");
   std::printf("%6s | %10s %10s %12s %8s\n", "wait", "states", "verdict", "mode", "check");
-  bench::print_rule(60);
+  print_rule(60);
   bool all_ok = true;
   for (const std::uint32_t wait : {1u, 2u, 3u, 4u}) {
     protocols::ProtocolConfig cfg;
@@ -48,26 +41,12 @@ int main() {
     cfg.k = 3;
     cfg.input = core::make_random_input(8, 99);  // 2 blocks of B=4 bits (mu_3(3)=10)
     cfg.wait_steps_override = wait;
-    const auto instance = protocols::make_protocol(ProtocolKind::Beta, cfg);
-
-    ioa::ExplorerConfig config;
-    config.d = params.d.ticks();
-    const auto& input = cfg.input;
-    const auto prefix = [&input](const ioa::Automaton&, const ioa::Automaton& r) {
-      const auto& out = dynamic_cast<const protocols::ReceiverBase&>(r).output();
-      return out.size() <= input.size() && std::equal(out.begin(), out.end(), input.begin());
-    };
-    const auto complete = [&input](const ioa::Automaton&, const ioa::Automaton& r) {
-      return dynamic_cast<const protocols::ReceiverBase&>(r).output() == input;
-    };
 
     bool safe = true;
     const char* mode = "prefix";
     std::uint64_t states = 0;
     try {
-      ioa::Explorer explorer{*instance.transmitter, *instance.receiver, config, prefix,
-                             complete};
-      const ioa::ExplorerResult r = explorer.run();
+      const ioa::ExplorerResult r = explore_transfer(ProtocolKind::Beta, cfg);
       states = r.distinct_states;
       safe = r.verified();
     } catch (const ModelError&) {
@@ -85,14 +64,14 @@ int main() {
                                   : "");
     std::printf("%6u | %10llu %10s %12s %8s%s\n", wait,
                 static_cast<unsigned long long>(states), safe ? "SAFE" : "UNSAFE", mode,
-                bench::verdict(ok), note);
+                verdict(ok), note);
   }
-  bench::print_rule(60);
+  print_rule(60);
 
-  bench::print_header(
+  print_header(
       "E10b: block size beyond delta1 does NOT amortize (c1=c2=1, d=8, wait=8, k=4)");
   std::printf("%6s %6s | %12s %12s %10s\n", "block", "B", "effort", "bits/round", "correct");
-  bench::print_rule(56);
+  print_rule(56);
   double delta1_effort = 0.0;
   for (const std::uint32_t block : {4u, 8u, 16u, 32u, 64u}) {
     protocols::ProtocolConfig cfg;
@@ -104,11 +83,7 @@ int main() {
     cfg.input = core::make_random_input(B * 24, block);
     const core::ProtocolRun run =
         core::run_protocol(ProtocolKind::Beta, cfg, Environment::worst_case());
-    double effort = 0;
-    if (run.result.last_transmitter_send.has_value()) {
-      effort = static_cast<double>((*run.result.last_transmitter_send - Time::zero()).ticks()) /
-               static_cast<double>(cfg.input.size());
-    }
+    const double effort = core::effort_of(run, cfg.input.size()).effort;
     all_ok = all_ok && run.output_correct;
     if (block == 8) {
       delta1_effort = effort;  // the paper's choice (block = δ1)
@@ -119,12 +94,12 @@ int main() {
                 run.output_correct ? "yes" : "NO",
                 block == 8 ? "   <- paper's block = delta1 (optimal)" : "");
   }
-  bench::print_rule(56);
+  print_rule(56);
 
-  bench::print_header("E10c: gamma under ack-batching (delivery adversary also batches acks)");
+  print_header("E10c: gamma under ack-batching (delivery adversary also batches acks)");
   std::printf("%10s | %12s %12s %12s %10s\n", "delay", "effort", "paper_3d+c2", "queue_bound",
               "correct");
-  bench::print_rule(66);
+  print_rule(66);
   {
     const auto p2 = core::TimingParams::make(1, 2, 8);
     const core::BoundsReport bounds = core::compute_bounds(p2, 8);
@@ -147,9 +122,9 @@ int main() {
                   queue_bound, m.output_correct ? "yes" : "NO");
     }
   }
-  bench::print_rule(66);
+  print_rule(66);
   std::printf("E10 verdict: %s — wait threshold exact; block=delta1 optimal; gamma robust to "
               "delivery adversaries\n",
-              bench::verdict(all_ok));
-  return all_ok ? 0 : 1;
+              verdict(all_ok));
+  return all_ok;
 }

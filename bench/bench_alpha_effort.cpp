@@ -8,21 +8,18 @@
 // measured effort next to the closed form. Expected: measured → closed form
 // as n grows (the only deviation is the missing final wait phase, an O(1/n)
 // tail), and ratio ≈ 1.000 in every row.
-#include <cstdio>
-
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
 
-int main() {
-  using namespace rstp;
+bool rstp::bench::e1_alpha_effort() {
   using core::Environment;
   using protocols::ProtocolKind;
 
-  bench::print_header("E1: A^alpha effort vs closed form d*c2/c1 (worst-case environment)");
+  print_header("E1: A^alpha effort vs closed form d*c2/c1 (worst-case environment)");
   std::printf("%6s %6s %6s %8s | %12s %12s %8s %8s\n", "c1", "c2", "d", "n", "measured",
               "closed_form", "ratio", "check");
-  bench::print_rule(84);
+  print_rule(84);
 
   const std::int64_t grid[][3] = {
       {1, 1, 1},  {1, 1, 4},  {1, 2, 4},  {1, 2, 8},  {2, 2, 8},  {2, 3, 8},
@@ -43,10 +40,10 @@ int main() {
     std::printf("%6lld %6lld %6lld %8zu | %12.4f %12.4f %8.4f %8s\n",
                 static_cast<long long>(row[0]), static_cast<long long>(row[1]),
                 static_cast<long long>(row[2]), n, m.effort, bounds.alpha_effort, ratio,
-                bench::verdict(ok));
+                verdict(ok));
   }
-  bench::print_rule(84);
+  print_rule(84);
   std::printf("E1 verdict: %s — eff(A^alpha) matches d*c2/c1 on every row\n",
-              bench::verdict(all_ok));
-  return all_ok ? 0 : 1;
+              verdict(all_ok));
+  return all_ok;
 }

@@ -6,27 +6,22 @@
 // roughly 2B/3, growing with both k and d. A^β(k) is also shown for
 // completeness. Expected shape: altbit flat (independent of k), the block
 // protocols dropping as k grows, win factors in the predicted band.
-#include <cstdio>
-
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
 
-int main() {
-  using namespace rstp;
+bool rstp::bench::e8_altbit_baseline() {
   using core::Environment;
   using protocols::ProtocolKind;
 
   bool all_ok = true;
   for (const std::int64_t d : {8, 32}) {
     const auto params = core::TimingParams::make(1, 2, d);
-    char title[128];
-    std::snprintf(title, sizeof title, "E8: stop-and-wait vs block protocols, c1=1 c2=2 d=%lld",
-                  static_cast<long long>(d));
-    bench::print_header(title);
+    print_header("E8: stop-and-wait vs block protocols, c1=1 c2=2 d=%lld",
+                 static_cast<long long>(d));
     std::printf("%6s %6s | %12s %12s %12s | %12s %12s\n", "k", "B_gam", "altbit", "gamma", "beta",
                 "win(g vs a)", "pred 2B/3");
-    bench::print_rule(88);
+    print_rule(88);
     for (const std::uint32_t k : {2u, 4u, 8u, 16u, 32u}) {
       const core::BoundsReport bounds = core::compute_bounds(params, k);
       const std::size_t n_blocks = 48;
@@ -45,11 +40,11 @@ int main() {
       all_ok = all_ok && ok;
       std::printf("%6u %6zu | %12.4f %12.4f %12.4f | %12.2f %12.2f %s\n", k,
                   bounds.gamma_bits_per_block, alt.effort, gamma.effort, beta.effort, win,
-                  predicted, bench::verdict(ok));
+                  predicted, verdict(ok));
     }
-    bench::print_rule(88);
+    print_rule(88);
   }
   std::printf("E8 verdict: %s — block protocols beat stop-and-wait by ~2B/3, growing with k,d\n",
-              bench::verdict(all_ok));
-  return all_ok ? 0 : 1;
+              verdict(all_ok));
+  return all_ok;
 }

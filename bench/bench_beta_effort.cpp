@@ -7,28 +7,22 @@
 //   * measured ≥ lower bound — the construction can't beat Theorem 5.3;
 //   * upper/lower ratio stays an O(1) constant across the whole sweep
 //     ("asymptotically optimal").
-#include <cstdio>
-
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
 
-int main() {
-  using namespace rstp;
+bool rstp::bench::e2_beta_effort() {
   using core::Environment;
   using protocols::ProtocolKind;
 
   bool all_ok = true;
   for (const std::int64_t d : {8, 32}) {
     const auto params = core::TimingParams::make(1, 2, d);
-    char title[160];
-    std::snprintf(title, sizeof title,
-                  "E2: A^beta(k) effort, c1=1 c2=2 d=%lld (delta1=%lld)  [worst case]",
-                  static_cast<long long>(d), static_cast<long long>(d));
-    bench::print_header(title);
+    print_header("E2: A^beta(k) effort, c1=1 c2=2 d=%lld (delta1=%lld)  [worst case]",
+                 static_cast<long long>(d), static_cast<long long>(d));
     std::printf("%6s %6s | %12s %12s %12s | %10s %10s %8s\n", "k", "B", "measured",
                 "upper_6.1", "lower_5.3", "meas/low", "up/low", "check");
-    bench::print_rule(96);
+    print_rule(96);
     double prev = 1e300;
     for (const std::uint32_t k : {2u, 3u, 4u, 8u, 16u, 32u, 64u, 128u}) {
       const core::BoundsReport bounds = core::compute_bounds(params, k);
@@ -41,11 +35,11 @@ int main() {
       prev = m.effort;
       std::printf("%6u %6zu | %12.4f %12.4f %12.4f | %10.3f %10.3f %8s\n", k,
                   bounds.beta_bits_per_block, m.effort, bounds.beta_upper, bounds.passive_lower,
-                  m.effort / bounds.passive_lower, bounds.passive_ratio(), bench::verdict(ok));
+                  m.effort / bounds.passive_lower, bounds.passive_ratio(), verdict(ok));
     }
-    bench::print_rule(96);
+    print_rule(96);
   }
   std::printf("E2 verdict: %s — beta effort within [Thm5.3, Lemma6.1] and decreasing in k\n",
-              bench::verdict(all_ok));
-  return all_ok ? 0 : 1;
+              verdict(all_ok));
+  return all_ok;
 }

@@ -7,19 +7,15 @@
 // is O(1) in every parameter — the table shows it flattening out as δ1 and k
 // grow (toward 2, the price of the idle phase) with small-μ flooring effects
 // visible in the top-left corner.
-#include <cstdio>
-
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/combinatorics/binomial.h"
 #include "rstp/core/bounds.h"
 
-int main() {
-  using namespace rstp;
-
-  bench::print_header("E4: Theorem 5.3 (r-passive lower bound) vs Lemma 6.1 upper bound, c1=1 c2=2");
+bool rstp::bench::e4_bounds_passive() {
+  print_header("E4: Theorem 5.3 (r-passive lower bound) vs Lemma 6.1 upper bound, c1=1 c2=2");
   std::printf("%6s %6s | %14s %10s %10s | %12s %12s %8s\n", "k", "dlt1", "mu_k(d1)",
               "log2(mu)", "log2(zeta)", "lower_5.3", "upper_6.1", "ratio");
-  bench::print_rule(96);
+  print_rule(96);
 
   bool all_ok = true;
   for (const std::uint32_t k : {2u, 4u, 8u, 16u, 64u, 256u}) {
@@ -43,9 +39,9 @@ int main() {
                   combinatorics::log2_zeta(k, delta1), r.passive_lower, r.beta_upper,
                   r.passive_ratio());
     }
-    bench::print_rule(96);
+    print_rule(96);
   }
   std::printf("E4 verdict: %s — upper/lower ratio is a bounded constant over the whole grid\n",
-              bench::verdict(all_ok));
-  return all_ok ? 0 : 1;
+              verdict(all_ok));
+  return all_ok;
 }

@@ -13,15 +13,13 @@
 // In every case the bound dominates the limit and effort(n) increases to it
 // — exactly the suplim behaviour the definition prescribes.
 #include <cmath>
-#include <cstdio>
 #include <string>
 
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
 
-int main() {
-  using namespace rstp;
+bool rstp::bench::e14_convergence() {
   using core::Environment;
   using protocols::ProtocolKind;
 
@@ -43,13 +41,10 @@ int main() {
   };
 
   for (const Row& row : rows) {
-    char title[140];
-    std::snprintf(title, sizeof title,
-                  "E14: effort(n) -> eff(A) for %s (c1=1 c2=2 d=8 k=8; closed-form bound %.4f)",
-                  std::string(protocols::to_string(row.kind)).c_str(), row.bound);
-    bench::print_header(title);
+    print_header("E14: effort(n) -> eff(A) for %s (c1=1 c2=2 d=8 k=8; closed-form bound %.4f)",
+                 std::string(protocols::to_string(row.kind)).c_str(), row.bound);
     std::printf("%8s | %12s %14s\n", "n", "effort(n)", "extrap. limit");
-    bench::print_rule(40);
+    print_rule(40);
     double prev_effort = -1;
     double prev_n = 0;
     double limit = 0;
@@ -73,15 +68,15 @@ int main() {
       prev_effort = m.effort;
       prev_n = static_cast<double>(n);
     }
-    bench::print_rule(40);
+    print_rule(40);
     const double ratio = limit / row.bound;
     const bool ok = limit <= row.bound * (1 + 1e-6) && ratio >= row.tightness;
     all_ok = all_ok && ok;
     std::printf("limit/bound = %.4f  (bound %s)  %s\n", ratio,
-                ratio > 0.99 ? "TIGHT" : "conservative", bench::verdict(ok));
+                ratio > 0.99 ? "TIGHT" : "conservative", verdict(ok));
   }
   std::printf("\nE14 verdict: %s — effort(n) increases to a limit the closed forms dominate; "
               "alpha/beta bounds are exactly tight\n",
-              bench::verdict(all_ok));
-  return all_ok ? 0 : 1;
+              verdict(all_ok));
+  return all_ok;
 }

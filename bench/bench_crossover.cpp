@@ -10,21 +10,18 @@
 // efforts for both (block-aligned inputs, worst-case environment), locating
 // the crossover. Expected: β's column grows ~linearly in c2; γ's stays
 // roughly flat; a single crossover point.
-#include <cstdio>
-
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
 
-int main() {
-  using namespace rstp;
+bool rstp::bench::e6_crossover() {
   using core::Environment;
   using protocols::ProtocolKind;
 
-  bench::print_header("E6: passive (beta) vs active (gamma) crossover, c1=1 d=32 k=8");
+  print_header("E6: passive (beta) vs active (gamma) crossover, c1=1 d=32 k=8");
   std::printf("%6s | %12s %12s %8s | %12s %12s\n", "c2", "beta_meas", "gamma_meas", "winner",
               "beta_upper", "gamma_upper");
-  bench::print_rule(76);
+  print_rule(76);
 
   int crossovers = 0;
   bool beta_was_winning = true;
@@ -48,9 +45,9 @@ int main() {
                 beta.effort, gamma.effort, beta_wins ? "beta" : "gamma", bounds.beta_upper,
                 bounds.gamma_upper);
   }
-  bench::print_rule(76);
+  print_rule(76);
   const bool shape_ok = all_correct && crossovers == 1 && !beta_was_winning;
   std::printf("E6 verdict: %s — beta wins at low c2/c1, gamma at high, single crossover (%d)\n",
-              bench::verdict(shape_ok), crossovers);
-  return shape_ok ? 0 : 1;
+              verdict(shape_ok), crossovers);
+  return shape_ok;
 }

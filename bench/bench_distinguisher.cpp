@@ -9,31 +9,29 @@
 //   * the counting floor ⌈n / log2(ζ_k(δ1)+1)⌉ — Theorem 5.3's minimum.
 // Expected shape: distinct = 2^n on every row, measured ℓ ≥ floor, and the
 // ratio ℓ/floor bounded by a constant (the same O(1) gap as E4).
-#include <cstdio>
 #include <set>
 #include <string>
 
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/combinatorics/binomial.h"
 #include "rstp/core/distinguisher.h"
 #include "rstp/core/effort.h"
 #include "rstp/protocols/beta.h"
 
-int main() {
-  using namespace rstp;
+bool rstp::bench::e12_distinguisher() {
   using ioa::Bit;
 
   const std::uint32_t k = 2;
   const auto params = core::TimingParams::make(1, 1, 3);
   const auto delta1 = static_cast<std::uint32_t>(params.delta1());
 
-  bench::print_header("E12: Lemma 5.1 / Thm 5.3 counting, executed (beta, k=2, delta1=3)");
+  print_header("E12: Lemma 5.1 / Thm 5.3 counting, executed (beta, k=2, delta1=3)");
   std::printf("zeta_%u(%u) = %s  → %.3f bits per window\n", k, delta1,
               combinatorics::zeta(k, delta1).to_decimal().c_str(),
               (combinatorics::zeta(k, delta1) + bigint::BigUint{1}).log2());
   std::printf("%4s | %10s %10s | %8s %8s %8s %8s\n", "n", "inputs", "distinct", "max_l",
               "floor_l", "ratio", "check");
-  bench::print_rule(68);
+  print_rule(68);
 
   bool all_ok = true;
   for (std::size_t n = 1; n <= 12; ++n) {
@@ -66,11 +64,11 @@ int main() {
     std::printf("%4zu | %10zu %10zu | %8zu %8zu %8.2f %8s\n", n, total, signatures.size(),
                 max_windows, floor_l,
                 static_cast<double>(max_windows) / static_cast<double>(floor_l),
-                bench::verdict(ok));
+                verdict(ok));
   }
-  bench::print_rule(68);
+  print_rule(68);
   std::printf("E12 verdict: %s — signatures injective (2^n distinct) and window counts above "
               "the Thm 5.3 floor\n",
-              bench::verdict(all_ok));
-  return all_ok ? 0 : 1;
+              verdict(all_ok));
+  return all_ok;
 }

@@ -12,15 +12,13 @@
 //   * the spread (max/min) is material — effort is genuinely
 //     environment-dependent, which is why the paper's worst-case metric
 //     needs the adversarial quantifier.
-#include <cstdio>
 #include <string>
 
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
 
-int main() {
-  using namespace rstp;
+bool rstp::bench::e15_environments() {
   using core::Environment;
   using protocols::ProtocolKind;
 
@@ -28,11 +26,11 @@ int main() {
   const core::BoundsReport bounds = core::compute_bounds(params, 8);
   constexpr std::size_t kSamples = 200;
 
-  bench::print_header(
+  print_header(
       "E15: effort over 200 randomized environments vs worst case (c1=1 c2=3 d=9 k=8)");
   std::printf("%8s | %8s %8s %8s %8s | %10s %10s | %8s\n", "protocol", "min", "mean", "p95",
               "max", "worst-case", "bound", "check");
-  bench::print_rule(88);
+  print_rule(88);
 
   bool all_ok = true;
   const struct {
@@ -57,11 +55,11 @@ int main() {
     all_ok = all_ok && ok;
     std::printf("%8s | %8.3f %8.3f %8.3f %8.3f | %10.3f %10.3f | %8s\n",
                 std::string(protocols::to_string(row.kind)).c_str(), dist.min, dist.mean,
-                dist.p95, dist.max, worst.effort, row.bound, bench::verdict(ok));
+                dist.p95, dist.max, worst.effort, row.bound, verdict(ok));
   }
-  bench::print_rule(88);
+  print_rule(88);
   std::printf("E15 verdict: %s — the worst-case environment dominates every sample; typical "
               "environments run 20-50%% cheaper\n",
-              bench::verdict(all_ok));
-  return all_ok ? 0 : 1;
+              verdict(all_ok));
+  return all_ok;
 }

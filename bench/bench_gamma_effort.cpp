@@ -6,14 +6,11 @@
 // δ2 = ⌊d/c2⌋ — the active protocol's block size shrinks as processes get
 // slower). Expected shape: effort decreases in k, increases as c2 grows, and
 // the measured value sits inside the [Thm 5.6, §6.2] band on every row.
-#include <cstdio>
-
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
 
-int main() {
-  using namespace rstp;
+bool rstp::bench::e3_gamma_effort() {
   using core::Environment;
   using protocols::ProtocolKind;
 
@@ -21,10 +18,10 @@ int main() {
 
   {
     const auto params = core::TimingParams::make(1, 2, 16);
-    bench::print_header("E3a: A^gamma(k) effort over k, c1=1 c2=2 d=16 (delta2=8) [worst case]");
+    print_header("E3a: A^gamma(k) effort over k, c1=1 c2=2 d=16 (delta2=8) [worst case]");
     std::printf("%6s %6s | %12s %12s %12s | %10s %8s\n", "k", "B", "measured", "upper_6.2",
                 "lower_5.6", "up/low", "check");
-    bench::print_rule(84);
+    print_rule(84);
     double prev = 1e300;
     for (const std::uint32_t k : {2u, 3u, 4u, 8u, 16u, 32u, 64u}) {
       const core::BoundsReport bounds = core::compute_bounds(params, k);
@@ -37,16 +34,16 @@ int main() {
       prev = m.effort;
       std::printf("%6u %6zu | %12.4f %12.4f %12.4f | %10.3f %8s\n", k,
                   bounds.gamma_bits_per_block, m.effort, bounds.gamma_upper, bounds.active_lower,
-                  bounds.active_ratio(), bench::verdict(ok));
+                  bounds.active_ratio(), verdict(ok));
     }
-    bench::print_rule(84);
+    print_rule(84);
   }
 
   {
-    bench::print_header("E3b: A^gamma(8) effort over c2 (timing uncertainty), c1=1 d=24");
+    print_header("E3b: A^gamma(8) effort over c2 (timing uncertainty), c1=1 d=24");
     std::printf("%6s %6s %6s | %12s %12s %12s %8s\n", "c2", "dlt2", "B", "measured", "upper_6.2",
                 "lower_5.6", "check");
-    bench::print_rule(76);
+    print_rule(76);
     for (const std::int64_t c2 : {1, 2, 3, 4, 6, 8, 12, 24}) {
       const auto params = core::TimingParams::make(1, c2, 24);
       const core::BoundsReport bounds = core::compute_bounds(params, 8);
@@ -58,12 +55,12 @@ int main() {
       all_ok = all_ok && ok;
       std::printf("%6lld %6lld %6zu | %12.4f %12.4f %12.4f %8s\n", static_cast<long long>(c2),
                   static_cast<long long>(bounds.delta2), bounds.gamma_bits_per_block, m.effort,
-                  bounds.gamma_upper, bounds.active_lower, bench::verdict(ok));
+                  bounds.gamma_upper, bounds.active_lower, verdict(ok));
     }
-    bench::print_rule(76);
+    print_rule(76);
   }
 
   std::printf("E3 verdict: %s — gamma effort within [Thm5.6, sec6.2] across both sweeps\n",
-              bench::verdict(all_ok));
-  return all_ok ? 0 : 1;
+              verdict(all_ok));
+  return all_ok;
 }

@@ -11,24 +11,22 @@
 //       the TRANSMITTER's law only (the receiver can be arbitrarily slow —
 //       it's r-passive), while γ also pays the RECEIVER's c2 on the ack
 //       path (including ack queueing when r_c2 > t_c2).
-#include <cstdio>
 #include <sstream>
 
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/general/run.h"
 
-int main() {
-  using namespace rstp;
+bool rstp::bench::e11_general() {
   using general::GeneralEnvironment;
   using general::GeneralTimingParams;
   using protocols::ProtocolKind;
 
   bool all_ok = true;
 
-  bench::print_header("E11a: minimum delay d1 shrinks beta's idle phase (t=r=[1,2], d2=12, k=8)");
+  print_header("E11a: minimum delay d1 shrinks beta's idle phase (t=r=[1,2], d2=12, k=8)");
   std::printf("%6s %6s %6s | %12s %12s %12s %8s\n", "d1", "wait", "adv_d", "beta_meas",
               "beta_upper", "passive_low", "check");
-  bench::print_rule(76);
+  print_rule(76);
   double prev = 1e300;
   for (const std::int64_t d1 : {0, 3, 6, 9, 11, 12}) {
     GeneralTimingParams g{Duration{1}, Duration{2}, Duration{1},
@@ -44,14 +42,14 @@ int main() {
     std::printf("%6lld %6lld %6lld | %12.4f %12.4f %12.4f %8s\n", static_cast<long long>(d1),
                 static_cast<long long>(bounds.beta_wait),
                 static_cast<long long>(bounds.adversary_delta), m.effort, bounds.beta_upper,
-                bounds.passive_lower, bench::verdict(ok));
+                bounds.passive_lower, verdict(ok));
   }
-  bench::print_rule(76);
+  print_rule(76);
 
-  bench::print_header("E11b: beta ignores the receiver's law; gamma pays it (t=[1,2], d=[0,12], k=8)");
+  print_header("E11b: beta ignores the receiver's law; gamma pays it (t=[1,2], d=[0,12], k=8)");
   std::printf("%6s %6s | %12s %12s | %12s %12s %8s\n", "r_c1", "r_c2", "beta_meas", "gamma_meas",
               "gamma_upper", "active_low", "check");
-  bench::print_rule(80);
+  print_rule(80);
   double beta_baseline = -1;
   for (const std::int64_t r_c2 : {2, 4, 8, 12}) {
     GeneralTimingParams g{Duration{1}, Duration{2},         Duration{1},
@@ -70,14 +68,14 @@ int main() {
     all_ok = all_ok && ok;
     std::printf("%6lld %6lld | %12.4f %12.4f | %12.4f %12.4f %8s\n", 1LL,
                 static_cast<long long>(r_c2), beta.effort, gamma.effort, bounds.gamma_upper,
-                bounds.active_lower, bench::verdict(ok));
+                bounds.active_lower, verdict(ok));
   }
-  bench::print_rule(80);
+  print_rule(80);
 
-  bench::print_header("E11c: asymmetric grid — all protocols correct, efforts within bounds");
+  print_header("E11c: asymmetric grid — all protocols correct, efforts within bounds");
   std::printf("%-26s | %10s %10s %10s %10s %8s\n", "model", "alpha", "beta", "gamma", "altbit",
               "check");
-  bench::print_rule(84);
+  print_rule(84);
   const GeneralTimingParams grid[] = {
       {Duration{1}, Duration{1}, Duration{1}, Duration{1}, Duration{0}, Duration{6}},
       {Duration{1}, Duration{2}, Duration{3}, Duration{5}, Duration{0}, Duration{10}},
@@ -100,11 +98,11 @@ int main() {
     std::ostringstream name;
     name << g;
     std::printf("%-26s | %10.3f %10.3f %10.3f %10.3f %8s\n", name.str().c_str(), efforts[0],
-                efforts[1], efforts[2], efforts[3], bench::verdict(ok));
+                efforts[1], efforts[2], efforts[3], verdict(ok));
   }
-  bench::print_rule(84);
+  print_rule(84);
 
   std::printf("E11 verdict: %s — the paper's results carry to the section-7 generalization\n",
-              bench::verdict(all_ok));
-  return all_ok ? 0 : 1;
+              verdict(all_ok));
+  return all_ok;
 }

@@ -7,17 +7,15 @@
 // (at k=4 the halved alphabet is binary and B' collapses). This harness
 // measures both protocols across k and prints the predicted and observed
 // winner; the crossover must land where the bit-counting says.
-#include <cstdio>
 #include <string>
 
-#include "bench_common.h"
+#include "paper_claims.h"
 #include "rstp/combinatorics/binomial.h"
 #include "rstp/core/bounds.h"
 #include "rstp/core/effort.h"
 #include "rstp/protocols/gamma_windowed.h"
 
-int main() {
-  using namespace rstp;
+bool rstp::bench::e16_windowed() {
   using core::Environment;
   using protocols::ProtocolKind;
 
@@ -25,14 +23,11 @@ int main() {
   for (const std::int64_t d : {8, 32}) {
     const auto params = core::TimingParams::make(1, 2, d);
     const auto delta2 = static_cast<std::uint32_t>(params.delta2());
-    char title[150];
-    std::snprintf(title, sizeof title,
-                  "E16: windowed vs plain gamma, c1=1 c2=2 d=%lld (delta2=%u)",
-                  static_cast<long long>(d), delta2);
-    bench::print_header(title);
+    print_header("E16: windowed vs plain gamma, c1=1 c2=2 d=%lld (delta2=%u)",
+                 static_cast<long long>(d), delta2);
     std::printf("%6s | %5s %5s | %12s %12s | %9s %9s %8s\n", "k", "B_k", "2B'", "gamma",
                 "windowed", "predicted", "observed", "check");
-    bench::print_rule(84);
+    print_rule(84);
     for (const std::uint32_t k : {4u, 8u, 16u, 32u, 64u}) {
       const std::size_t B = combinatorics::floor_log2_mu(k, delta2);
       const std::size_t B2 = 2 * combinatorics::floor_log2_mu(k / 2, delta2);
@@ -53,9 +48,9 @@ int main() {
       all_ok = all_ok && ok;
       std::printf("%6u | %5zu %5zu | %12.4f %12.4f | %9s %9s %8s\n", k, B, B2, gamma.effort,
                   windowed.effort, predicted_windowed_wins ? "windowed" : "gamma",
-                  observed_windowed_wins ? "windowed" : "gamma", bench::verdict(ok));
+                  observed_windowed_wins ? "windowed" : "gamma", verdict(ok));
     }
-    bench::print_rule(84);
+    print_rule(84);
   }
   {
     // Window sweep at rich alphabet: W=1 reproduces plain gamma's rhythm;
@@ -65,10 +60,10 @@ int main() {
     const auto params = core::TimingParams::make(1, 2, 32);
     const std::uint32_t k = 64;
     const auto delta2 = static_cast<std::uint32_t>(params.delta2());
-    bench::print_header("E16b: window sweep, k=64, c1=1 c2=2 d=32 (delta2=16)");
+    print_header("E16b: window sweep, k=64, c1=1 c2=2 d=32 (delta2=16)");
     std::printf("%4s %6s %5s | %12s %12s %8s\n", "W", "k/W", "B'", "measured", "predicted",
                 "check");
-    bench::print_rule(56);
+    print_rule(56);
     double w1_effort = 0;
     double best = 1e300;
     for (const std::uint32_t w : {1u, 2u, 4u, 8u, 16u}) {
@@ -82,25 +77,20 @@ int main() {
       const core::ProtocolRun run = core::run_protocol(ProtocolKind::WindowedGamma, cfg,
                                                        Environment::worst_case(),
                                                        /*record_trace=*/false);
-      double effort = 0;
-      if (run.result.last_transmitter_send.has_value()) {
-        effort =
-            static_cast<double>((*run.result.last_transmitter_send - Time::zero()).ticks()) /
-            static_cast<double>(cfg.input.size());
-      }
+      const double effort = core::effort_of(run, cfg.input.size()).effort;
       const bool ok = run.output_correct && effort <= bound * (1 + 1e-9);
       all_ok = all_ok && ok;
       if (w == 1) w1_effort = effort;
       best = std::min(best, effort);
       std::printf("%4u %6u %5zu | %12.4f %12.4f %8s\n", w, k / w, Bp, effort, bound,
-                  bench::verdict(ok));
+                  verdict(ok));
     }
-    bench::print_rule(56);
+    print_rule(56);
     all_ok = all_ok && best < w1_effort;  // some window beats stop-and-wait
   }
 
   std::printf("E16 verdict: %s — pipelining wins exactly where W*B_{k/W} > B_k; the window "
               "sweep shows the RTT being hidden and the alphabet cost taking over\n",
-              bench::verdict(all_ok));
-  return all_ok ? 0 : 1;
+              verdict(all_ok));
+  return all_ok;
 }
