@@ -10,6 +10,7 @@ void TimingParams::validate() const {
   RSTP_CHECK_GT(c1.ticks(), 0, "c1 must be positive");
   RSTP_CHECK_LE(c1.ticks(), c2.ticks(), "need c1 <= c2");
   RSTP_CHECK_LE(c2.ticks(), d.ticks(), "need c2 <= d");
+  RSTP_CHECK_LE(delta1_wait(), kMaxSteps, "need ceil(d/c1) <= 2^32 - 1");
 }
 
 std::int64_t TimingParams::delta1() const { return d.floor_div(c1); }

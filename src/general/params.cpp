@@ -17,6 +17,8 @@ void GeneralTimingParams::validate() const {
   RSTP_CHECK_LE(d_lo.ticks(), d_hi.ticks(), "need d1 <= d2");
   RSTP_CHECK_LE(t_c2.ticks(), d_hi.ticks(), "need transmitter c2 <= d2");
   RSTP_CHECK_LE(r_c2.ticks(), d_hi.ticks(), "need receiver c2 <= d2");
+  // Both processes' step counts fit core::TimingParams::kMaxSteps.
+  envelope().validate();
 }
 
 GeneralTimingParams GeneralTimingParams::from_base(const core::TimingParams& base) {

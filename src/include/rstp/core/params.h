@@ -27,7 +27,12 @@ struct TimingParams {
   Duration c2{1};  ///< max step gap
   Duration d{1};   ///< max channel delay
 
-  /// Validates 0 < c1 <= c2 <= d; throws rstp::ContractViolation otherwise.
+  /// The largest ⌈d/c1⌉ the model takes: every δ sizes a block of packets
+  /// and the multiset codec's lengths, which are 32-bit.
+  static constexpr std::int64_t kMaxSteps = 0xFFFF'FFFF;
+
+  /// Validates 0 < c1 <= c2 <= d and ⌈d/c1⌉ <= kMaxSteps (so δ1, δ1_wait
+  /// and δ2 all fit in 32 bits); throws rstp::ContractViolation otherwise.
   void validate() const;
 
   /// δ1 = ⌊d/c1⌋: max steps in d time (counting bound form).

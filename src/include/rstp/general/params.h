@@ -33,8 +33,9 @@ struct GeneralTimingParams {
   Duration d_lo{0};  ///< d1: minimum delivery delay
   Duration d_hi{1};  ///< d2: maximum delivery delay
 
-  /// Requires 0 < c1 ≤ c2 per process, 0 ≤ d1 ≤ d2, and each c2 ≤ d2
-  /// (mirroring the base model's c2 ≤ d, which δ2 ≥ 1 needs).
+  /// Requires 0 < c1 ≤ c2 per process, 0 ≤ d1 ≤ d2, each c2 ≤ d2
+  /// (mirroring the base model's c2 ≤ d, which δ2 ≥ 1 needs), and
+  /// ⌈d2/c1⌉ ≤ core::TimingParams::kMaxSteps for both c1.
   void validate() const;
 
   /// Embeds the base model: both processes get (c1, c2), window [0, d].

@@ -212,8 +212,9 @@ struct ArtifactCell {
 };
 
 /// Checks the header, then applies each line: a cell key to `cell` (with
-/// 0 < c1 <= c2 <= d, k >= 2, input_bits >= 1, max_events >= 1), any other
-/// key to `apply`, which returns false for a key it does not know.
+/// 0 < c1 <= c2 <= d, ceil(d/c1) <= 2^32 - 1, k >= 2, input_bits >= 1,
+/// max_events >= 1), any other key to `apply`, which returns false for a key
+/// it does not know.
 void read_artifact_fields(ArtifactDocument& doc, std::string_view header,
                           const ArtifactCell& cell,
                           const std::function<bool(ArtifactLine&)>& apply);

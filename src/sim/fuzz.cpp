@@ -317,10 +317,14 @@ FuzzResult run_fuzz(const FuzzSpec& spec) {
         }
       },
       [&](const GenerationTally&) {
-        const bool out_of_time =
-            spec.time_budget_ms != 0 &&
-            std::chrono::steady_clock::now() - start >=
-                std::chrono::milliseconds(static_cast<std::int64_t>(spec.time_budget_ms));
+        // Whole elapsed milliseconds, compared unsigned: converting a budget
+        // past 2^63 ms (or past the clock's nanosecond range) to a chrono
+        // duration would overflow.
+        const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count();
+        const bool out_of_time = spec.time_budget_ms != 0 &&
+                                 static_cast<std::uint64_t>(elapsed_ms) >= spec.time_budget_ms;
         return (!res.failures.empty() && spec.stop_on_failure) || out_of_time;
       },
       [&](Rng& rng, std::size_t slot, std::uint64_t rate) {

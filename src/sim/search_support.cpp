@@ -115,6 +115,9 @@ namespace {
     const auto c2 = line.read_value<std::int64_t>();
     const auto d = line.read_value<std::int64_t>();
     if (c1 < 1 || c2 < c1 || d < c2) line.reject("params must satisfy 0 < c1 <= c2 <= d");
+    if (Duration{d}.ceil_div(Duration{c1}) > core::TimingParams::kMaxSteps) {
+      line.reject("params must satisfy ceil(d/c1) <= 2^32 - 1");
+    }
     cell.params = core::TimingParams::make(c1, c2, d);
   } else if (key == "k") {
     cell.k = line.read_value<std::uint32_t>();

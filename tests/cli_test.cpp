@@ -424,6 +424,34 @@ TEST(Cli, BoundsRejectsC1AboveC2AsAUsageError) {
   EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
 }
 
+TEST(Cli, ADelayPastThirtyTwoBitStepCountsIsAUsageError) {
+  // Every δ sizes a 32-bit block, so the model takes ceil(d/c1) <= 2^32 - 1.
+  // d = 4294967301 once wrapped to δ = 5 (bounds printed B_beta=2 and run
+  // rejected its own trace), d = 2^32 reached the BlockCoder's RSTP_CHECK,
+  // and d = 2^63 - 1 left zeta summing 2^32 - 1 terms.
+  const std::pair<std::string, std::string> cases[] = {
+      {"bounds 1 1 4294967296 2", "'4294967296'"},
+      {"bounds 1 1 4294967301 2", "'4294967301'"},
+      {"bounds 1 2 9223372036854775807 2", "'9223372036854775807'"},
+      {"run beta 1 1 4294967296 4 8", "'4294967296'"},
+      {"run beta 1 1 4294967301 4 8", "'4294967301'"},
+      {"run gamma 1 2 9223372036854775807 4 8", "'9223372036854775807'"},
+      {"verify 1 1 4294967296 /dev/null 0", "'4294967296'"},
+      {"explore beta 4294967296 4 0101", "'4294967296'"},
+  };
+  for (const auto& [command, token] : cases) {
+    std::string out;
+    EXPECT_EQ(run_command(command, &out), 2) << command << "\n" << out;
+    EXPECT_NE(out.find("out-of-model d " + token), std::string::npos) << command << "\n" << out;
+    EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+  }
+  // The largest step count the model takes: zeta's closed form answers at once.
+  std::string out;
+  EXPECT_EQ(run_command("bounds 1 1 4294967295 2", &out), 0) << out;
+  EXPECT_NE(out.find("delta1=4294967295"), std::string::npos) << out;
+  EXPECT_EQ(run_command("bounds 2 2 8589934590 2", &out), 0) << out;
+}
+
 TEST(Cli, BoundsRejectsAnAlphabetBelowTwoAsAUsageError) {
   std::string out;
   EXPECT_EQ(run_command("bounds 1 2 6 1", &out), 2);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -337,6 +338,9 @@ TEST(FuzzSerialization, MalformedDocumentsAreModelErrors) {
   // The cell checks every artifact kind shares.
   EXPECT_THROW(parse("rstp-fuzz-case-v1\ninput_bits 0\nend\n"), ModelError);
   EXPECT_THROW(parse("rstp-fuzz-case-v1\nk 1\nend\n"), ModelError);
+  // A delay whose step count ceil(d/c1) does not fit 32 bits.
+  EXPECT_THROW(parse("rstp-fuzz-case-v1\nparams 1 1 4294967296\nend\n"), ModelError);
+  EXPECT_NO_THROW(parse("rstp-fuzz-case-v1\nparams 2 2 8589934590\nend\n"));
   // Per-mille rates whose 32-bit sum would wrap back under 1000.
   EXPECT_THROW(parse("rstp-fuzz-case-v1\nrates 4294967295 2 0 0 2 4 4\nend\n"), ModelError);
 
@@ -387,6 +391,23 @@ TEST(RunFuzz, BitwiseDeterministicAcrossRunsAndJobs) {
       EXPECT_EQ(r->failures[i].original, serial.failures[i].original);
       EXPECT_EQ(r->failures[i].minimized, serial.failures[i].minimized);
     }
+  }
+}
+
+TEST(RunFuzz, ABudgetPastTheClockRangeIsNoCutoff) {
+  // Budgets of 2^63 - 1 and 2^64 - 1 ms once overflowed their conversion to
+  // a chrono duration and stopped the run after its first generation.
+  sim::FuzzSpec spec;
+  spec.protocol = protocols::ProtocolKind::Alpha;
+  spec.budget = 64;
+  const sim::FuzzResult unlimited = sim::run_fuzz(spec);
+  ASSERT_EQ(unlimited.executed, 64u);
+  for (const std::uint64_t ms : {std::uint64_t{std::numeric_limits<std::int64_t>::max()},
+                                 std::numeric_limits<std::uint64_t>::max()}) {
+    spec.time_budget_ms = ms;
+    const sim::FuzzResult result = sim::run_fuzz(spec);
+    EXPECT_EQ(result.executed, unlimited.executed) << ms;
+    EXPECT_EQ(result.coverage_hash, unlimited.coverage_hash) << ms;
   }
 }
 

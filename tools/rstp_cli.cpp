@@ -108,6 +108,11 @@ int bad_number(std::string_view what, std::string_view token) {
               << "': the model needs 0 < c1 <= c2 <= d\n";
     return std::nullopt;
   }
+  if (Duration{value[2]}.ceil_div(Duration{value[0]}) > core::TimingParams::kMaxSteps) {
+    std::cerr << "out-of-model d '" << args[at + 2] << "': the model needs ceil(d/c1) <= "
+              << core::TimingParams::kMaxSteps << '\n';
+    return std::nullopt;
+  }
   return core::TimingParams::make(value[0], value[1], value[2]);
 }
 
@@ -551,8 +556,9 @@ int cmd_explore(const Args& args) {
   if (!kind.has_value()) return 2;
   const auto d = parse_number<std::int64_t>(args.positional[1]);
   if (!d.has_value()) return bad_number("d", args.positional[1]);
-  if (*d < 1) {
-    std::cerr << "out-of-model d '" << args.positional[1] << "': the model needs d >= c2 = 1\n";
+  if (*d < 1 || *d > core::TimingParams::kMaxSteps) {
+    std::cerr << "out-of-model d '" << args.positional[1]
+              << "': the model needs c2 = 1 <= d <= " << core::TimingParams::kMaxSteps << '\n';
     return 2;
   }
   protocols::ProtocolConfig cfg;
