@@ -96,6 +96,14 @@ namespace {
 
 using u128 = unsigned __int128;
 
+constexpr std::size_t kMaxTableWords = MultisetCodec::kMaxTableBytes / sizeof(std::uint64_t);
+
+/// Words in the (k, n) tables at `width` words an entry: k·n mu entries and
+/// n·(k + 1) cum entries.
+[[nodiscard]] std::size_t table_words(std::uint32_t k, std::uint32_t n, std::size_t width) {
+  return (2 * std::size_t{k} + 1) * n * width;
+}
+
 /// Where the entries of a MultisetTables live, as plain values. The codec's
 /// loops keep one in a local: their word stores may alias the tables' own
 /// size_t fields, so reading those through the tables would reload them on
@@ -203,6 +211,9 @@ Symbol gallop(const std::uint64_t* cum, std::uint64_t& top, std::uint64_t* low, 
 
 [[nodiscard]] std::shared_ptr<const MultisetTables> build_tables(std::uint32_t k,
                                                                  std::uint32_t n) {
+  // The size is checked before anything is allocated: first at one word an
+  // entry, so an oversized block never pays for μ_k(n), then at its width.
+  RSTP_CHECK_LE(table_words(k, n, 1), kMaxTableWords, "codec tables past kMaxTableBytes");
   auto tables = std::make_shared<MultisetTables>();
   MultisetTables& t = *tables;
   t.k = k;
@@ -210,7 +221,8 @@ Symbol gallop(const std::uint64_t* cum, std::uint64_t& top, std::uint64_t* low, 
   t.count = mu(k, n);
   t.width = std::max<std::size_t>(t.count.limbs().size(), 1);
   const std::size_t w = t.width;
-  t.words.assign((std::size_t{k} * n + std::size_t{n} * (k + 1)) * w, 0);
+  RSTP_CHECK_LE(table_words(k, n, w), kMaxTableWords, "codec tables past kMaxTableBytes");
+  t.words.assign(table_words(k, n, w), 0);
   const Rows rows{t};
   // The entry rows.mu / rows.cum point at, in the same (mutable) words.
   const auto writable = [&](const std::uint64_t* entry) {
@@ -292,6 +304,14 @@ class TableCache {
 }
 
 }  // namespace
+
+bool MultisetCodec::tables_fit(std::uint32_t k, std::uint32_t n) {
+  if (k < 1 || k > kMaxUniverse) return false;
+  // Every entry is at least one word; only tables that fit at that width
+  // pay for μ_k(n), whose cost grows with min(k, n).
+  if (table_words(k, n, 1) > kMaxTableWords) return false;
+  return table_words(k, n, std::max<std::size_t>(mu(k, n).limbs().size(), 1)) <= kMaxTableWords;
+}
 
 MultisetCodec::MultisetCodec(std::uint32_t k, std::uint32_t n) : k_(k), n_(n) {
   RSTP_CHECK_GE(k, 1u, "codec universe must be non-empty");

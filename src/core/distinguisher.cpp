@@ -18,21 +18,21 @@ TransmitterSignature transmitter_signature(const protocols::TransmitterBase& tra
 
   std::uint64_t step = 0;
   while (step < max_steps) {
-    const std::optional<ioa::Action> action = clone->enabled_local();
-    if (!action.has_value()) {
+    ioa::LocalStep taken;
+    if (!clone->step(taken)) {
       sig.complete = true;  // stopped: a fair finite execution
       break;
     }
-    clone->apply(*action);
     ++step;
-    if (action->kind == ioa::ActionKind::Send) {
-      RSTP_CHECK_LT(action->packet.payload, k, "send outside the declared alphabet");
+    const ioa::Action& action = taken.action;
+    if (action.kind == ioa::ActionKind::Send) {
+      RSTP_CHECK_LT(action.packet.payload, k, "send outside the declared alphabet");
       const auto window = static_cast<std::size_t>(
           (static_cast<std::int64_t>(step) - 1) / window_steps);
       while (sig.windows.size() <= window) {
         sig.windows.emplace_back(k);
       }
-      sig.windows[window].add(action->packet.payload);
+      sig.windows[window].add(action.packet.payload);
       ++sig.total_sends;
       sig.last_send_step = step;
     }

@@ -106,7 +106,19 @@ class MultisetCodec {
   static constexpr std::uint32_t kMaxUniverse =
       static_cast<std::uint32_t>((kTableCacheBytes / sizeof(std::uint64_t) - 1) / 2);
 
-  /// Requires 1 <= k <= kMaxUniverse, n >= 0.
+  /// The largest (k, n) tables the constructor builds. They hold (2k + 1)·n
+  /// entries of W words, however short the input, so a long block would
+  /// otherwise allocate without bound (δ = 3·10^7 over k = 4 is 4.3 GB). The
+  /// largest tables the fuzzer and the megasession reach at an accepted k
+  /// (k = kMaxUniverse, n = 16: about 270 MB) fit.
+  static constexpr std::size_t kMaxTableBytes = std::size_t{512} << 20;
+
+  /// True when 1 <= k <= kMaxUniverse and the (k, n) tables fit in
+  /// kMaxTableBytes; allocates nothing.
+  [[nodiscard]] static bool tables_fit(std::uint32_t k, std::uint32_t n);
+
+  /// Requires 1 <= k <= kMaxUniverse, n >= 0 and tables_fit(k, n), checked
+  /// before the tables are allocated.
   MultisetCodec(std::uint32_t k, std::uint32_t n);
 
   [[nodiscard]] std::uint32_t universe() const { return k_; }

@@ -5,7 +5,10 @@
 // local (output or internal) action, and is input-enabled: any input action
 // can be applied in any state. The simulator (sim/) drives an automaton by
 // alternately delivering inputs (recv events, at channel-chosen times) and
-// asking for its next local step (at scheduler-chosen times).
+// taking its next local step (at scheduler-chosen times). Because at most
+// one local action is enabled, choosing it and taking it are one
+// transition: step() does both in one call, and reports the action taken
+// and the quiescence after it in a LocalStep.
 //
 // `snapshot()` serializes the automaton's full state; it exists for the
 // bounded-exhaustive explorer (ioa/explorer.h) and for debugging, and two
@@ -25,6 +28,12 @@ class CounterSource;
 
 namespace rstp::ioa {
 
+/// What one local step did: the action taken and quiescent() after it.
+struct LocalStep {
+  Action action;
+  bool quiescent = false;
+};
+
 class Automaton {
  public:
   virtual ~Automaton() = default;
@@ -41,6 +50,14 @@ class Automaton {
   /// local action or an input action the automaton accepts; anything else is
   /// a contract violation.
   virtual void apply(const Action& action) = 0;
+
+  /// Takes the enabled local action: fills `out` with it and with
+  /// quiescent() after it, and returns true. Returns false and changes
+  /// nothing when the automaton is stopped. The default composes
+  /// enabled_local(), apply() and quiescent(), for decorators and test
+  /// automata; every protocol overrides it, and its apply() routes a local
+  /// action here (protocols/base.h).
+  virtual bool step(LocalStep& out);
 
   /// True iff `action` is an input action of this automaton (in(A)).
   /// Input-enabledness: apply() must accept any such action in any state.
@@ -71,9 +88,5 @@ class Automaton {
   Automaton(const Automaton&) = default;
   Automaton& operator=(const Automaton&) = default;
 };
-
-/// Applies the enabled local action (if any) and returns it. Convenience for
-/// drivers; returns nullopt when the automaton is stopped.
-std::optional<Action> step_local(Automaton& a);
 
 }  // namespace rstp::ioa

@@ -25,9 +25,7 @@ class AlphaTransmitter final : public TransmitterBase {
   explicit AlphaTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^alpha"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
-  [[nodiscard]] bool quiescent() const override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
@@ -36,6 +34,10 @@ class AlphaTransmitter final : public TransmitterBase {
   [[nodiscard]] std::int64_t steps_per_message() const { return wait_steps_; }
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  // r-passive: inputs (none are ever sent) are ignored.
+  void receive(const ioa::Packet& /*packet*/) override {}
+
   std::vector<ioa::Bit> input_;   // X
   std::int64_t wait_steps_ = 0;   // ⌈d/c1⌉
   std::size_t i_ = 0;             // next message index
@@ -47,14 +49,16 @@ class AlphaReceiver final : public ReceiverBase {
   explicit AlphaReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^alpha"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
   [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& packet) override;
+
   std::vector<ioa::Bit> received_;  // Figure 1's y_1, y_2, ...
   std::vector<ioa::Bit> written_;   // Y
 };

@@ -29,14 +29,16 @@ class AltBitTransmitter final : public TransmitterBase {
   explicit AltBitTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^altbit"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& packet) override;
+
   enum class Phase : std::uint8_t { Sending, AwaitingAck };
 
   std::vector<ioa::Bit> input_;
@@ -49,14 +51,16 @@ class AltBitReceiver final : public ReceiverBase {
   explicit AltBitReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^altbit"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
   [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& packet) override;
+
   std::vector<ioa::Bit> accepted_;       // bits accepted, pending write
   std::vector<ioa::Bit> written_;        // Y
   std::vector<std::uint32_t> ack_queue_;  // seq bits to acknowledge, FIFO

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "rstp/common/check.h"
 #include "rstp/core/params.h"
 #include "rstp/ioa/automaton.h"
 #include "rstp/obs/run_metrics.h"
@@ -63,9 +64,9 @@ inline constexpr std::uint16_t kWaitT = 1;  ///< transmitter inter-block wait
 inline constexpr std::uint16_t kIdleR = 2;  ///< receiver idle
 inline constexpr std::uint16_t kIdleT = 3;  ///< transmitter idle (await acks)
 
-// Inline, as is accepts_input below: out of line, each factory returns the
-// 32-byte Action through memory field by field and the caller reloads it in
-// wider halves, a store-forwarding stall on every internal step.
+// Inline, as is ProcessBase::accepts_input below: out of line, each factory
+// returns the 32-byte Action through memory field by field and the caller
+// reloads it in wider halves, a store-forwarding stall on every internal step.
 [[nodiscard]] inline ioa::Action wait_t_action() {
   return ioa::Action::internal(kWaitT, "wait_t");
 }
@@ -76,52 +77,79 @@ inline constexpr std::uint16_t kIdleT = 3;  ///< transmitter idle (await acks)
   return ioa::Action::internal(kIdleT, "idle_t");
 }
 
-/// A_t: accepts r→t packets as inputs and reports when its last send(p) is
-/// behind it (used by the effort harness and by tests).
+/// What A_t and A_r share, for a process whose inputs are the packets
+/// travelling in direction `kInputs`.
+///
+/// Each transition is written once: an automaton names its enabled local
+/// action in local_action(), takes it in step() and takes inputs in
+/// receive(). apply() only routes, an input to receive() and a local action
+/// to step() once it is checked to be the enabled one.
 ///
 /// The obs::CounterSource base is the uniform stat-hook: implementations bump
 /// `counters_` at their semantic milestones (block fully sent, ack consumed)
 /// and every protocol reports through the same RunMetrics fields. Protocols
-/// with no block/ack structure simply leave the counters at zero. Both bases
-/// return themselves from counter_source(), so the simulator finds the
-/// counters without a dynamic_cast.
-class TransmitterBase : public ioa::Automaton, public obs::CounterSource {
+/// with no block/ack structure simply leave the counters at zero.
+/// counter_source() returns this, so the simulator finds the counters
+/// without a dynamic_cast.
+template <ioa::Packet::Direction kInputs>
+class ProcessBase : public ioa::Automaton, public obs::CounterSource {
+ public:
+  [[nodiscard]] std::optional<ioa::Action> enabled_local() const final {
+    ioa::Action action;
+    if (!local_action(action)) return std::nullopt;
+    return action;
+  }
+
+  [[nodiscard]] bool accepts_input(const ioa::Action& action) const final {
+    return action.kind == ioa::ActionKind::Recv && action.packet.direction == kInputs;
+  }
+
+  void apply(const ioa::Action& action) final {
+    if (accepts_input(action)) {
+      receive(action.packet);
+      return;
+    }
+    RSTP_CHECK(enabled_local() == action, "action not enabled");
+    ioa::LocalStep taken;
+    step(taken);
+  }
+
+  bool step(ioa::LocalStep& out) override = 0;
+
+  [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const final {
+    return counters_;
+  }
+  [[nodiscard]] const obs::CounterSource* counter_source() const final { return this; }
+
+ protected:
+  /// Writes the enabled local action into `out` and returns true, or returns
+  /// false and leaves `out` alone when the automaton is stopped. step()
+  /// passes its LocalStep's action: an optional<Action> returned by value is
+  /// built on the stack and copied out, a store-forwarding stall per step.
+  [[nodiscard]] virtual bool local_action(ioa::Action& out) const = 0;
+
+  /// The input transition recv(packet).
+  virtual void receive(const ioa::Packet& packet) = 0;
+
+  obs::ProtocolCounters counters_;
+};
+
+/// A_t: accepts r→t packets as inputs and reports when its last send(p) is
+/// behind it (used by the effort harness and by tests).
+class TransmitterBase : public ProcessBase<ioa::Packet::Direction::ReceiverToTransmitter> {
  public:
   /// True once the automaton will never perform another send.
   [[nodiscard]] virtual bool transmission_complete() const = 0;
 
-  [[nodiscard]] bool accepts_input(const ioa::Action& action) const override {
-    return action.kind == ioa::ActionKind::Recv &&
-           action.packet.direction == ioa::Packet::Direction::ReceiverToTransmitter;
-  }
-
-  [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const final {
-    return counters_;
-  }
-  [[nodiscard]] const obs::CounterSource* counter_source() const final { return this; }
-
- protected:
-  obs::ProtocolCounters counters_;
+  /// By default a transmitter is done once its last send is behind it.
+  [[nodiscard]] bool quiescent() const override { return transmission_complete(); }
 };
 
 /// A_r: accepts t→r packets as inputs and exposes the output tape Y.
-class ReceiverBase : public ioa::Automaton, public obs::CounterSource {
+class ReceiverBase : public ProcessBase<ioa::Packet::Direction::TransmitterToReceiver> {
  public:
   /// Y so far: the sequence of messages written (in write order).
   [[nodiscard]] virtual const std::vector<ioa::Bit>& output() const = 0;
-
-  [[nodiscard]] bool accepts_input(const ioa::Action& action) const override {
-    return action.kind == ioa::ActionKind::Recv &&
-           action.packet.direction == ioa::Packet::Direction::TransmitterToReceiver;
-  }
-
-  [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const final {
-    return counters_;
-  }
-  [[nodiscard]] const obs::CounterSource* counter_source() const final { return this; }
-
- protected:
-  obs::ProtocolCounters counters_;
 };
 
 }  // namespace rstp::protocols

@@ -35,9 +35,7 @@ class BetaTransmitter final : public TransmitterBase {
   explicit BetaTransmitter(std::shared_ptr<BlockPlanner> planner);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^beta"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
-  [[nodiscard]] bool quiescent() const override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
@@ -60,6 +58,10 @@ class BetaTransmitter final : public TransmitterBase {
   [[nodiscard]] const BlockPlanner& planner() const { return *planner_; }
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  // r-passive: the receiver never sends, but stay input-enabled.
+  void receive(const ioa::Packet& /*packet*/) override {}
+
   /// The current block's plan, fetched on the block's first step: a live
   /// planner sizes it from the estimates at that instant.
   const BlockPlan& plan() const;
@@ -78,8 +80,7 @@ class BetaReceiver final : public ReceiverBase {
   explicit BetaReceiver(std::shared_ptr<BlockPlanner> planner);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^beta"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
   [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
@@ -90,6 +91,9 @@ class BetaReceiver final : public ReceiverBase {
   [[nodiscard]] std::size_t decoded_bits() const { return decoder_.decoded().size(); }
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& packet) override;
+
   BlockDecoder decoder_;            // Figure 3's A and ŷ_1, ŷ_2, ...
   std::vector<ioa::Bit> written_;   // Y
   std::size_t target_length_ = 0;   // |X|

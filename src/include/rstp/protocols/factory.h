@@ -38,6 +38,12 @@ struct ProtocolInstance {
   std::unique_ptr<ReceiverBase> receiver;
 };
 
+/// False when the multiset codec `kind` builds for `config`'s fixed block
+/// plan (β, γ and windowed γ code blocks) would have tables past
+/// combinatorics::MultisetCodec::kMaxTableBytes, so make_protocol would
+/// throw. Allocates nothing; lets a front end reject the config up front.
+[[nodiscard]] bool codec_tables_fit(ProtocolKind kind, const ProtocolConfig& config);
+
 /// Builds a fresh transmitter/receiver pair for `kind` over `config`.
 /// Throws rstp::ContractViolation on invalid configurations.
 [[nodiscard]] ProtocolInstance make_protocol(ProtocolKind kind, const ProtocolConfig& config);

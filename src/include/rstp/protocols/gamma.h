@@ -40,9 +40,7 @@ class GammaTransmitter final : public TransmitterBase {
   explicit GammaTransmitter(std::shared_ptr<BlockPlanner> planner);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^gamma"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
-  [[nodiscard]] bool quiescent() const override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
@@ -62,6 +60,9 @@ class GammaTransmitter final : public TransmitterBase {
   [[nodiscard]] const BlockPlanner& planner() const { return *planner_; }
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& packet) override;
+
   /// The current block's plan, fetched on the block's first step: a live
   /// planner sizes it from the estimates at that instant.
   const BlockPlan& plan() const;
@@ -81,8 +82,7 @@ class GammaReceiver final : public ReceiverBase {
   explicit GammaReceiver(std::shared_ptr<BlockPlanner> planner);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^gamma"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
   [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
@@ -92,6 +92,9 @@ class GammaReceiver final : public ReceiverBase {
   [[nodiscard]] std::size_t decoded_bits() const { return decoder_.decoded().size(); }
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& packet) override;
+
   BlockDecoder decoder_;            // Figure 4's A and the decoded bits
   std::vector<ioa::Bit> written_;   // Y
   std::int64_t unacked_ = 0;        // Figure 4's j: received, not yet acked

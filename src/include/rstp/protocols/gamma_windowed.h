@@ -49,9 +49,7 @@ class WindowedGammaTransmitter final : public TransmitterBase {
   explicit WindowedGammaTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^gammaw"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
-  [[nodiscard]] bool quiescent() const override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
@@ -61,6 +59,9 @@ class WindowedGammaTransmitter final : public TransmitterBase {
   [[nodiscard]] const std::vector<combinatorics::Symbol>& symbol_stream() const { return stream_; }
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& packet) override;
+
   /// The tag class of the block currently awaiting acks at the head of the
   /// window (block index `completed_`).
   [[nodiscard]] std::size_t head_tag() const { return completed_ % window_; }
@@ -82,8 +83,7 @@ class WindowedGammaReceiver final : public ReceiverBase {
   explicit WindowedGammaReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^gammaw"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
   [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
@@ -92,6 +92,9 @@ class WindowedGammaReceiver final : public ReceiverBase {
   [[nodiscard]] std::size_t decoded_bits() const { return decoded_.size(); }
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& packet) override;
+
   void decode_ready_blocks();
 
   std::shared_ptr<const combinatorics::BlockCoder> coder_;

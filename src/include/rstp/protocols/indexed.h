@@ -27,14 +27,15 @@ class IndexedTransmitter final : public TransmitterBase {
   explicit IndexedTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^indexed"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
-  [[nodiscard]] bool quiescent() const override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& /*packet*/) override {}  // r-passive
+
   std::vector<ioa::Bit> input_;
   std::size_t i_ = 0;
 };
@@ -44,14 +45,16 @@ class IndexedReceiver final : public ReceiverBase {
   explicit IndexedReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^indexed"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
   [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& packet) override;
+
   std::vector<std::uint8_t> present_;  // arrival mask by index
   std::vector<ioa::Bit> slots_;        // reassembly buffer
   std::vector<ioa::Bit> written_;      // Y

@@ -28,9 +28,7 @@ class StrawmanTransmitter final : public TransmitterBase {
   explicit StrawmanTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^strawman"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
-  [[nodiscard]] bool quiescent() const override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
@@ -39,6 +37,9 @@ class StrawmanTransmitter final : public TransmitterBase {
   [[nodiscard]] std::size_t bits_per_block() const { return bits_per_block_; }
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& /*packet*/) override {}  // r-passive
+
   std::vector<std::uint32_t> stream_;  // positional symbols, block-aligned
   std::int64_t delta_ = 0;
   std::size_t bits_per_symbol_ = 0;
@@ -52,14 +53,16 @@ class StrawmanReceiver final : public ReceiverBase {
   explicit StrawmanReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^strawman"; }
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const override;
-  void apply(const ioa::Action& action) override;
+  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
   [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
   [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
+  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  void receive(const ioa::Packet& packet) override;
+
   std::vector<std::uint32_t> arrivals_;  // current block, in ARRIVAL order
   std::vector<ioa::Bit> decoded_;
   std::vector<ioa::Bit> written_;

@@ -8,12 +8,12 @@ const obs::CounterSource* Automaton::counter_source() const {
   return dynamic_cast<const obs::CounterSource*>(this);
 }
 
-std::optional<Action> step_local(Automaton& a) {
-  std::optional<Action> action = a.enabled_local();
-  if (action.has_value()) {
-    a.apply(*action);
-  }
-  return action;
+bool Automaton::step(LocalStep& out) {
+  const std::optional<Action> action = enabled_local();
+  if (!action.has_value()) return false;
+  apply(*action);
+  out = LocalStep{*action, quiescent()};
+  return true;
 }
 
 }  // namespace rstp::ioa

@@ -213,10 +213,9 @@ ExplorerResult Explorer::run() {
       std::vector<Packet> t_sent;
       const bool t_steps_now = node.phase % static_cast<std::uint64_t>(config_.t_period) == 0;
       if (t_steps_now) {
-        if (const std::optional<Action> a = mid.t->enabled_local(); a.has_value()) {
-          mid.t->apply(*a);
-          mid.history = extend(mid.history, Actor::Transmitter, *a, instant);
-          if (a->kind == ActionKind::Send) t_sent.push_back(a->packet);
+        if (LocalStep a; mid.t->step(a)) {
+          mid.history = extend(mid.history, Actor::Transmitter, a.action, instant);
+          if (a.action.kind == ActionKind::Send) t_sent.push_back(a.action.packet);
         }
       }
       check_safety(mid);
@@ -270,16 +269,13 @@ ExplorerResult Explorer::run() {
         }
         const bool r_steps_now =
             node.phase % static_cast<std::uint64_t>(config_.r_period) == 0;
-        if (const std::optional<Action> a =
-                r_steps_now ? next.r->enabled_local() : std::nullopt;
-            a.has_value()) {
-          next.r->apply(*a);
-          next.history = extend(next.history, Actor::Receiver, *a, instant);
-          if (a->kind == ActionKind::Send) {
+        if (LocalStep a; r_steps_now && next.r->step(a)) {
+          next.history = extend(next.history, Actor::Receiver, a.action, instant);
+          if (a.action.kind == ActionKind::Send) {
             // An ack sent now cannot reach the transmitter before the
             // transmitter's own step this instant: earliest effect-slot 1,
             // physical deadline d instants out.
-            next.flights.push_back(Flight{a->packet, 1, config_.d});
+            next.flights.push_back(Flight{a.action.packet, 1, config_.d});
             consumed2.push_back(false);
           }
         }

@@ -21,36 +21,29 @@ AlphaTransmitter::AlphaTransmitter(const ProtocolConfig& config) {
                     : config.params.delta1_wait();
 }
 
-std::optional<Action> AlphaTransmitter::enabled_local() const {
+bool AlphaTransmitter::local_action(Action& out) const {
   if (j_ == 0 && i_ < input_.size()) {
-    return Action::send(Packet::to_receiver(input_[i_]));
+    out = Action::send(Packet::to_receiver(input_[i_]));
+  } else if (j_ > 0 && j_ < wait_steps_) {
+    out = wait_t_action();
+  } else {
+    return false;  // done: finite fair execution
   }
-  if (j_ > 0 && j_ < wait_steps_) {
-    return wait_t_action();
-  }
-  return std::nullopt;  // done: finite fair execution
+  return true;
 }
 
-void AlphaTransmitter::apply(const Action& action) {
-  if (accepts_input(action)) {
-    return;  // A^alpha is r-passive; inputs (none are ever sent) are ignored
-  }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  if (action.kind == ActionKind::Send) {
-    j_ = 1;
-  } else {
-    ++j_;
-  }
+bool AlphaTransmitter::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  j_ = out.action.kind == ActionKind::Send ? 1 : j_ + 1;
   // Figure 1: when the idle count reaches d/c1 the next message is unlocked.
   // (When ⌈d/c1⌉ = 1 the send itself completes the round.)
   if (j_ == wait_steps_) {
     ++i_;
     j_ = 0;
   }
+  out.quiescent = quiescent();
+  return true;
 }
-
-bool AlphaTransmitter::quiescent() const { return transmission_complete(); }
 
 bool AlphaTransmitter::transmission_complete() const {
   // The last send has happened once the final message's wait phase began.
@@ -69,26 +62,24 @@ std::unique_ptr<ioa::Automaton> AlphaTransmitter::clone() const {
 
 AlphaReceiver::AlphaReceiver(const ProtocolConfig& config) { config.validate(); }
 
-std::optional<Action> AlphaReceiver::enabled_local() const {
-  if (written_.size() < received_.size()) {
-    return Action::write(received_[written_.size()]);
-  }
-  return idle_r_action();  // Figure 1: idle_r enabled whenever k > i
+bool AlphaReceiver::local_action(Action& out) const {
+  // Figure 1: idle_r enabled whenever k > i.
+  out = written_.size() < received_.size() ? Action::write(received_[written_.size()])
+                                           : idle_r_action();
+  return true;
 }
 
-void AlphaReceiver::apply(const Action& action) {
-  if (accepts_input(action)) {
-    const std::uint32_t payload = action.packet.payload;
-    RSTP_CHECK_LE(payload, 1u, "alpha receiver expects binary packets");
-    received_.push_back(static_cast<Bit>(payload));
-    return;
-  }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  if (action.kind == ActionKind::Write) {
-    written_.push_back(action.message);
-  }
-  // idle_r has no effect.
+void AlphaReceiver::receive(const Packet& packet) {
+  const std::uint32_t payload = packet.payload;
+  RSTP_CHECK_LE(payload, 1u, "alpha receiver expects binary packets");
+  received_.push_back(static_cast<Bit>(payload));
+}
+
+bool AlphaReceiver::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  if (out.action.kind == ActionKind::Write) written_.push_back(out.action.message);
+  out.quiescent = quiescent();
+  return true;
 }
 
 bool AlphaReceiver::quiescent() const { return written_.size() == received_.size(); }

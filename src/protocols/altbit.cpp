@@ -16,35 +16,34 @@ AltBitTransmitter::AltBitTransmitter(const ProtocolConfig& config) {
   input_ = config.input;
 }
 
-std::optional<Action> AltBitTransmitter::enabled_local() const {
-  if (i_ >= input_.size()) {
-    return std::nullopt;
-  }
+bool AltBitTransmitter::local_action(Action& out) const {
+  if (i_ >= input_.size()) return false;
   if (phase_ == Phase::Sending) {
     const std::uint32_t seq = static_cast<std::uint32_t>(i_) & 1u;
     const std::uint32_t payload = static_cast<std::uint32_t>(input_[i_]) | (seq << 1);
-    return Action::send(Packet::to_receiver(payload));
+    out = Action::send(Packet::to_receiver(payload));
+  } else {
+    out = idle_t_action();  // awaiting the ack for message i_
   }
-  return idle_t_action();  // awaiting the ack for message i_
+  return true;
 }
 
-void AltBitTransmitter::apply(const Action& action) {
-  if (accepts_input(action)) {
-    // The channel neither loses nor duplicates, so the only ack that can be
-    // in flight is the one for the outstanding message; verify its seq bit.
-    RSTP_CHECK(phase_ == Phase::AwaitingAck, "ack with no outstanding message");
-    const std::uint32_t seq = static_cast<std::uint32_t>(i_) & 1u;
-    RSTP_CHECK_EQ(action.packet.payload, seq, "alternating-bit ack sequence mismatch");
-    ++counters_.acks_observed;
-    ++i_;
-    phase_ = Phase::Sending;
-    return;
-  }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  if (action.kind == ActionKind::Send) {
-    phase_ = Phase::AwaitingAck;
-  }
+void AltBitTransmitter::receive(const Packet& packet) {
+  // The channel neither loses nor duplicates, so the only ack that can be
+  // in flight is the one for the outstanding message; verify its seq bit.
+  RSTP_CHECK(phase_ == Phase::AwaitingAck, "ack with no outstanding message");
+  const std::uint32_t seq = static_cast<std::uint32_t>(i_) & 1u;
+  RSTP_CHECK_EQ(packet.payload, seq, "alternating-bit ack sequence mismatch");
+  ++counters_.acks_observed;
+  ++i_;
+  phase_ = Phase::Sending;
+}
+
+bool AltBitTransmitter::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  if (out.action.kind == ActionKind::Send) phase_ = Phase::AwaitingAck;
+  out.quiescent = quiescent();
+  return true;
 }
 
 bool AltBitTransmitter::quiescent() const { return i_ >= input_.size(); }
@@ -65,45 +64,40 @@ std::unique_ptr<ioa::Automaton> AltBitTransmitter::clone() const {
 
 AltBitReceiver::AltBitReceiver(const ProtocolConfig& config) { config.validate(); }
 
-std::optional<Action> AltBitReceiver::enabled_local() const {
+bool AltBitReceiver::local_action(Action& out) const {
   if (!ack_queue_.empty()) {
-    return Action::send(Packet::to_transmitter(ack_queue_.front()));
+    out = Action::send(Packet::to_transmitter(ack_queue_.front()));
+  } else if (written_.size() < accepted_.size()) {
+    out = Action::write(accepted_[written_.size()]);
+  } else {
+    out = idle_r_action();
   }
-  if (written_.size() < accepted_.size()) {
-    return Action::write(accepted_[written_.size()]);
-  }
-  return idle_r_action();
+  return true;
 }
 
-void AltBitReceiver::apply(const Action& action) {
-  if (accepts_input(action)) {
-    const std::uint32_t payload = action.packet.payload;
-    RSTP_CHECK_LE(payload, 3u, "altbit data payload out of range");
-    const Bit bit = static_cast<Bit>(payload & 1u);
-    const std::uint32_t seq = payload >> 1;
-    // Stop-and-wait over a lossless channel: every arrival must carry the
-    // expected sequence bit; a mismatch means the channel model was violated.
-    RSTP_CHECK_EQ(seq, expected_seq_, "alternating-bit data sequence mismatch");
-    accepted_.push_back(bit);
-    expected_seq_ ^= 1u;
-    ack_queue_.push_back(seq);
-    return;
+void AltBitReceiver::receive(const Packet& packet) {
+  const std::uint32_t payload = packet.payload;
+  RSTP_CHECK_LE(payload, 3u, "altbit data payload out of range");
+  const Bit bit = static_cast<Bit>(payload & 1u);
+  const std::uint32_t seq = payload >> 1;
+  // Stop-and-wait over a lossless channel: every arrival must carry the
+  // expected sequence bit; a mismatch means the channel model was violated.
+  RSTP_CHECK_EQ(seq, expected_seq_, "alternating-bit data sequence mismatch");
+  accepted_.push_back(bit);
+  expected_seq_ ^= 1u;
+  ack_queue_.push_back(seq);
+}
+
+bool AltBitReceiver::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  if (out.action.kind == ActionKind::Send) {
+    ack_queue_.erase(ack_queue_.begin());
+    ++counters_.acks_sent;
+  } else if (out.action.kind == ActionKind::Write) {
+    written_.push_back(out.action.message);
   }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  switch (action.kind) {
-    case ActionKind::Send:
-      ack_queue_.erase(ack_queue_.begin());
-      ++counters_.acks_sent;
-      break;
-    case ActionKind::Write:
-      written_.push_back(action.message);
-      break;
-    case ActionKind::Internal:
-      break;
-    case ActionKind::Recv:
-      RSTP_UNREACHABLE("recv handled as input");
-  }
+  out.quiescent = quiescent();
+  return true;
 }
 
 bool AltBitReceiver::quiescent() const {

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "rstp/common/check.h"
-
 namespace rstp::protocols {
 
 using ioa::Action;
@@ -22,41 +20,35 @@ const BlockPlan& BetaTransmitter::plan() const {
   return *plan_;
 }
 
-std::optional<Action> BetaTransmitter::enabled_local() const {
+bool BetaTransmitter::local_action(Action& out) const {
   // Figure 3: send while c < δ, then wait_t while δ <= c < δ + W.
-  if (sent_all_ && c_ == 0) return std::nullopt;  // the final wait is over
+  if (sent_all_ && c_ == 0) return false;  // the final wait is over
   const BlockPlan& p = plan();
-  if (c_ < p.delta) return Action::send(Packet::to_receiver(p.symbols[c_]));
-  return wait_t_action();
+  out = c_ < p.delta ? Action::send(Packet::to_receiver(p.symbols[c_])) : wait_t_action();
+  return true;
 }
 
-void BetaTransmitter::apply(const Action& action) {
-  if (accepts_input(action)) {
-    return;  // r-passive: the receiver never sends, but stay input-enabled
-  }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
+bool BetaTransmitter::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
   ++c_;
   const BlockPlan& p = plan();
-  if (action.kind == ActionKind::Send) {
+  if (out.action.kind == ActionKind::Send) {
     if (c_ == p.delta) {
       ++counters_.blocks_encoded;
       sent_all_ = !planner_->has_block(block_ + 1);
     }
-    return;
-  }
-  // wait_t: the round ends after W waits, once the channel has drained
-  // (a fixed plan reports nothing outstanding; see the header).
-  if (c_ >= p.delta + p.wait && planner_->outstanding() == 0) {
+  } else if (c_ >= p.delta + p.wait && planner_->outstanding() == 0) {
+    // wait_t: the round ends after W waits, once the channel has drained
+    // (a fixed plan reports nothing outstanding; see the header).
     c_ = 0;
     if (!sent_all_) {
       ++block_;
       plan_ = nullptr;
     }
   }
+  out.quiescent = quiescent();
+  return true;
 }
-
-bool BetaTransmitter::quiescent() const { return transmission_complete(); }
 
 bool BetaTransmitter::transmission_complete() const { return sent_all_; }
 
@@ -80,24 +72,23 @@ BetaReceiver::BetaReceiver(std::shared_ptr<BlockPlanner> planner)
     : decoder_(checked_planner(BlockPlanner::Discipline::TimedBlocks, std::move(planner))),
       target_length_(decoder_.planner().input().size()) {}
 
-std::optional<Action> BetaReceiver::enabled_local() const {
-  if (written_.size() < decoder_.decoded().size()) {
-    return Action::write(decoder_.decoded()[written_.size()]);
-  }
-  return idle_r_action();
+bool BetaReceiver::local_action(Action& out) const {
+  const std::vector<ioa::Bit>& decoded = decoder_.decoded();
+  out = written_.size() < decoded.size() ? Action::write(decoded[written_.size()])
+                                         : idle_r_action();
+  return true;
 }
 
-void BetaReceiver::apply(const Action& action) {
-  if (accepts_input(action)) {
-    // Figure 3: decode each full block of arrivals from its multiset.
-    if (decoder_.add(action.packet.payload)) ++counters_.blocks_decoded;
-    return;
-  }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  if (action.kind == ActionKind::Write) {
-    written_.push_back(action.message);
-  }
+void BetaReceiver::receive(const Packet& packet) {
+  // Figure 3: decode each full block of arrivals from its multiset.
+  if (decoder_.add(packet.payload)) ++counters_.blocks_decoded;
+}
+
+bool BetaReceiver::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  if (out.action.kind == ActionKind::Write) written_.push_back(out.action.message);
+  out.quiescent = quiescent();
+  return true;
 }
 
 bool BetaReceiver::quiescent() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "rstp/combinatorics/multiset_codec.h"
 #include "rstp/common/check.h"
 #include "rstp/protocols/alpha.h"
 #include "rstp/protocols/altbit.h"
@@ -62,6 +63,22 @@ bool is_r_passive(ProtocolKind kind) {
       return false;
   }
   RSTP_UNREACHABLE("unknown protocol kind");
+}
+
+bool codec_tables_fit(ProtocolKind kind, const ProtocolConfig& config) {
+  // β codes blocks of ⌈d/c1⌉ symbols, γ of ⌊d/c2⌋, windowed γ of ⌊d/c2⌋
+  // over its k/W data symbols (a W that does not divide k, the constructor
+  // rejects).
+  const bool windowed = kind == ProtocolKind::WindowedGamma;
+  const std::uint32_t window = windowed ? config.window_override.value_or(kDefaultWindow) : 1;
+  if ((kind != ProtocolKind::Beta && kind != ProtocolKind::Gamma && !windowed) || window == 0 ||
+      config.k % window != 0) {
+    return true;
+  }
+  const std::int64_t delta =
+      kind == ProtocolKind::Beta ? config.params.delta1_wait() : config.params.delta2();
+  return combinatorics::MultisetCodec::tables_fit(
+      config.k / window, config.block_size_override.value_or(static_cast<std::uint32_t>(delta)));
 }
 
 namespace {

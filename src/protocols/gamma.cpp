@@ -22,43 +22,42 @@ const BlockPlan& GammaTransmitter::plan() const {
   return *plan_;
 }
 
-std::optional<Action> GammaTransmitter::enabled_local() const {
+bool GammaTransmitter::local_action(Action& out) const {
   // Figure 4: send while c < δ; idle_t while awaiting the block's acks.
-  if (sent_all_ && c_ == 0) return std::nullopt;  // the last block is acked
+  if (sent_all_ && c_ == 0) return false;  // the last block is acked
   const BlockPlan& p = plan();
-  if (c_ < p.delta) return Action::send(Packet::to_receiver(p.symbols[c_]));
-  return idle_t_action();
+  out = c_ < p.delta ? Action::send(Packet::to_receiver(p.symbols[c_])) : idle_t_action();
+  return true;
 }
 
-void GammaTransmitter::apply(const Action& action) {
-  if (accepts_input(action)) {
-    // recv(ack): a := a + 1; when the block is fully acked, unlock the next.
-    RSTP_CHECK_EQ(action.packet.payload, kAckPayload, "unexpected r→t payload");
-    ++a_;
-    ++counters_.acks_observed;
-    // Under the lossless, duplication-free channel every ack answers a packet
-    // of the current block, so acks can never outrun this round's sends.
-    RSTP_CHECK_LE(a_, c_, "ack without a matching packet in this block");
-    if (a_ == plan().delta) {
-      a_ = 0;
-      c_ = 0;
-      if (!sent_all_) {
-        ++block_;
-        plan_ = nullptr;
-      }
+void GammaTransmitter::receive(const Packet& packet) {
+  // recv(ack): a := a + 1; when the block is fully acked, unlock the next.
+  RSTP_CHECK_EQ(packet.payload, kAckPayload, "unexpected r→t payload");
+  ++a_;
+  ++counters_.acks_observed;
+  // Under the lossless, duplication-free channel every ack answers a packet
+  // of the current block, so acks can never outrun this round's sends.
+  RSTP_CHECK_LE(a_, c_, "ack without a matching packet in this block");
+  if (a_ == plan().delta) {
+    a_ = 0;
+    c_ = 0;
+    if (!sent_all_) {
+      ++block_;
+      plan_ = nullptr;
     }
-    return;
   }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  if (action.kind == ActionKind::Send && ++c_ == plan().delta) {
+}
+
+bool GammaTransmitter::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  if (out.action.kind == ActionKind::Send && ++c_ == plan().delta) {
     ++counters_.blocks_encoded;
     sent_all_ = !planner_->has_block(block_ + 1);
   }
   // idle_t has no effect.
+  out.quiescent = quiescent();
+  return true;
 }
-
-bool GammaTransmitter::quiescent() const { return transmission_complete(); }
 
 bool GammaTransmitter::transmission_complete() const { return sent_all_; }
 
@@ -82,39 +81,34 @@ GammaReceiver::GammaReceiver(std::shared_ptr<BlockPlanner> planner)
     : decoder_(checked_planner(BlockPlanner::Discipline::AckedBlocks, std::move(planner))),
       target_length_(decoder_.planner().input().size()) {}
 
-std::optional<Action> GammaReceiver::enabled_local() const {
+bool GammaReceiver::local_action(Action& out) const {
   // Priority: acks gate the transmitter, so they come first (Figure 4's
   // send(ack) precondition j > 0), then writes, then idle.
   if (unacked_ > 0) {
-    return Action::send(Packet::to_transmitter(kAckPayload));
+    out = Action::send(Packet::to_transmitter(kAckPayload));
+  } else if (written_.size() < decoder_.decoded().size()) {
+    out = Action::write(decoder_.decoded()[written_.size()]);
+  } else {
+    out = idle_r_action();
   }
-  if (written_.size() < decoder_.decoded().size()) {
-    return Action::write(decoder_.decoded()[written_.size()]);
-  }
-  return idle_r_action();
+  return true;
 }
 
-void GammaReceiver::apply(const Action& action) {
-  if (accepts_input(action)) {
-    if (decoder_.add(action.packet.payload)) ++counters_.blocks_decoded;
-    ++unacked_;
-    return;
+void GammaReceiver::receive(const Packet& packet) {
+  if (decoder_.add(packet.payload)) ++counters_.blocks_decoded;
+  ++unacked_;
+}
+
+bool GammaReceiver::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  if (out.action.kind == ActionKind::Send) {
+    --unacked_;
+    ++counters_.acks_sent;
+  } else if (out.action.kind == ActionKind::Write) {
+    written_.push_back(out.action.message);
   }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  switch (action.kind) {
-    case ActionKind::Send:
-      --unacked_;
-      ++counters_.acks_sent;
-      break;
-    case ActionKind::Write:
-      written_.push_back(action.message);
-      break;
-    case ActionKind::Internal:
-      break;
-    case ActionKind::Recv:
-      RSTP_UNREACHABLE("recv handled as input");
-  }
+  out.quiescent = quiescent();
+  return true;
 }
 
 bool GammaReceiver::quiescent() const {

@@ -66,40 +66,37 @@ WindowedGammaTransmitter::WindowedGammaTransmitter(const ProtocolConfig& config)
   stream_ = coder_->encode_message(config.input);
 }
 
-std::optional<Action> WindowedGammaTransmitter::enabled_local() const {
-  if (i_ < stream_.size() && c_ < delta2_) {
-    // Window constraint: block b may be in flight only when block b-W is
-    // fully acked, i.e. completed_ >= b-W+1.
-    if (block_ < completed_ + window_) {
-      const auto tag = static_cast<std::uint32_t>(block_ % window_);
-      return Action::send(Packet::to_receiver(stream_[i_] + symbols_ * tag));
-    }
-    return idle_t_action();  // window full: wait for the head block's acks
+bool WindowedGammaTransmitter::local_action(Action& out) const {
+  if (i_ >= stream_.size()) return false;  // all packets sent; acks drain as inputs
+  if (c_ >= delta2_) RSTP_UNREACHABLE("c_ exceeds the block size");
+  // Window constraint: block b may be in flight only when block b-W is
+  // fully acked, i.e. completed_ >= b-W+1.
+  if (block_ < completed_ + window_) {
+    const auto tag = static_cast<std::uint32_t>(block_ % window_);
+    out = Action::send(Packet::to_receiver(stream_[i_] + symbols_ * tag));
+  } else {
+    out = idle_t_action();  // window full: wait for the head block's acks
   }
-  if (i_ < stream_.size()) {
-    RSTP_UNREACHABLE("c_ exceeds the block size");
-  }
-  return std::nullopt;  // all packets sent; acks drain as inputs
+  return true;
 }
 
-void WindowedGammaTransmitter::apply(const Action& action) {
-  if (accepts_input(action)) {
-    const std::size_t tag = action.packet.payload;
-    RSTP_CHECK_LT(tag, window_, "ack payload must be a window tag");
-    ++counters_.acks_observed;
-    ++acks_[tag];
-    RSTP_CHECK_LE(acks_[tag], delta2_, "more acks than packets for this tag");
-    // Blocks complete strictly in order; a full later block waits for the
-    // head (cascade of at most the window size).
-    while (acks_[head_tag()] == delta2_) {
-      acks_[head_tag()] = 0;
-      ++completed_;
-    }
-    return;
+void WindowedGammaTransmitter::receive(const Packet& packet) {
+  const std::size_t tag = packet.payload;
+  RSTP_CHECK_LT(tag, window_, "ack payload must be a window tag");
+  ++counters_.acks_observed;
+  ++acks_[tag];
+  RSTP_CHECK_LE(acks_[tag], delta2_, "more acks than packets for this tag");
+  // Blocks complete strictly in order; a full later block waits for the
+  // head (cascade of at most the window size).
+  while (acks_[head_tag()] == delta2_) {
+    acks_[head_tag()] = 0;
+    ++completed_;
   }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  if (action.kind == ActionKind::Send) {
+}
+
+bool WindowedGammaTransmitter::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  if (out.action.kind == ActionKind::Send) {
     ++i_;
     ++c_;
     if (c_ == delta2_) {
@@ -109,9 +106,9 @@ void WindowedGammaTransmitter::apply(const Action& action) {
     }
   }
   // idle_t has no effect.
+  out.quiescent = quiescent();
+  return true;
 }
-
-bool WindowedGammaTransmitter::quiescent() const { return transmission_complete(); }
 
 bool WindowedGammaTransmitter::transmission_complete() const { return i_ >= stream_.size(); }
 
@@ -152,43 +149,38 @@ void WindowedGammaReceiver::decode_ready_blocks() {
   }
 }
 
-std::optional<Action> WindowedGammaReceiver::enabled_local() const {
+bool WindowedGammaReceiver::local_action(Action& out) const {
   if (!ack_queue_.empty()) {
-    return Action::send(Packet::to_transmitter(ack_queue_.front()));
+    out = Action::send(Packet::to_transmitter(ack_queue_.front()));
+  } else if (written_.size() < decoded_.size() && written_.size() < target_length_) {
+    out = Action::write(decoded_[written_.size()]);
+  } else {
+    out = idle_r_action();
   }
-  if (written_.size() < decoded_.size() && written_.size() < target_length_) {
-    return Action::write(decoded_[written_.size()]);
-  }
-  return idle_r_action();
+  return true;
 }
 
-void WindowedGammaReceiver::apply(const Action& action) {
-  if (accepts_input(action)) {
-    const std::uint32_t payload = action.packet.payload;
-    RSTP_CHECK_LT(payload, window_ * symbols_, "packet symbol outside the alphabet");
-    const std::uint32_t tag = payload / symbols_;
-    blocks_[tag].add(payload % symbols_);
-    RSTP_CHECK_LE(blocks_[tag].size(), coder_->packets_per_block(),
-                  "two blocks of one tag in flight: window violated");
-    ack_queue_.push_back(tag);
-    decode_ready_blocks();
-    return;
+void WindowedGammaReceiver::receive(const Packet& packet) {
+  const std::uint32_t payload = packet.payload;
+  RSTP_CHECK_LT(payload, window_ * symbols_, "packet symbol outside the alphabet");
+  const std::uint32_t tag = payload / symbols_;
+  blocks_[tag].add(payload % symbols_);
+  RSTP_CHECK_LE(blocks_[tag].size(), coder_->packets_per_block(),
+                "two blocks of one tag in flight: window violated");
+  ack_queue_.push_back(tag);
+  decode_ready_blocks();
+}
+
+bool WindowedGammaReceiver::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  if (out.action.kind == ActionKind::Send) {
+    ack_queue_.erase(ack_queue_.begin());
+    ++counters_.acks_sent;
+  } else if (out.action.kind == ActionKind::Write) {
+    written_.push_back(out.action.message);
   }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  switch (action.kind) {
-    case ActionKind::Send:
-      ack_queue_.erase(ack_queue_.begin());
-      ++counters_.acks_sent;
-      break;
-    case ActionKind::Write:
-      written_.push_back(action.message);
-      break;
-    case ActionKind::Internal:
-      break;
-    case ActionKind::Recv:
-      RSTP_UNREACHABLE("recv handled as input");
-  }
+  out.quiescent = quiescent();
+  return true;
 }
 
 bool WindowedGammaReceiver::quiescent() const {

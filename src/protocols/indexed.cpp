@@ -27,25 +27,20 @@ IndexedTransmitter::IndexedTransmitter(const ProtocolConfig& config) {
   input_ = config.input;
 }
 
-std::optional<Action> IndexedTransmitter::enabled_local() const {
-  if (i_ < input_.size()) {
-    const auto payload =
-        static_cast<std::uint32_t>((i_ << 1) | static_cast<std::size_t>(input_[i_]));
-    return Action::send(Packet::to_receiver(payload));
-  }
-  return std::nullopt;
+bool IndexedTransmitter::local_action(Action& out) const {
+  if (i_ >= input_.size()) return false;
+  const auto payload =
+      static_cast<std::uint32_t>((i_ << 1) | static_cast<std::size_t>(input_[i_]));
+  out = Action::send(Packet::to_receiver(payload));
+  return true;
 }
 
-void IndexedTransmitter::apply(const Action& action) {
-  if (accepts_input(action)) {
-    return;  // r-passive
-  }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
+bool IndexedTransmitter::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
   ++i_;
+  out.quiescent = quiescent();
+  return true;
 }
-
-bool IndexedTransmitter::quiescent() const { return i_ >= input_.size(); }
 
 bool IndexedTransmitter::transmission_complete() const { return i_ >= input_.size(); }
 
@@ -67,29 +62,26 @@ IndexedReceiver::IndexedReceiver(const ProtocolConfig& config)
   check_alphabet_covers(config);
 }
 
-std::optional<Action> IndexedReceiver::enabled_local() const {
+bool IndexedReceiver::local_action(Action& out) const {
   const std::size_t w = written_.size();
-  if (w < target_length_ && present_[w] != 0) {
-    return Action::write(slots_[w]);
-  }
-  return idle_r_action();
+  out = w < target_length_ && present_[w] != 0 ? Action::write(slots_[w]) : idle_r_action();
+  return true;
 }
 
-void IndexedReceiver::apply(const Action& action) {
-  if (accepts_input(action)) {
-    const std::size_t index = action.packet.payload >> 1;
-    const Bit bit = static_cast<Bit>(action.packet.payload & 1u);
-    RSTP_CHECK_LT(index, target_length_, "packet index out of range");
-    RSTP_CHECK_EQ(present_[index], 0, "duplicate index: channel model violated");
-    present_[index] = 1;
-    slots_[index] = bit;
-    return;
-  }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  if (action.kind == ActionKind::Write) {
-    written_.push_back(action.message);
-  }
+void IndexedReceiver::receive(const Packet& packet) {
+  const std::size_t index = packet.payload >> 1;
+  const Bit bit = static_cast<Bit>(packet.payload & 1u);
+  RSTP_CHECK_LT(index, target_length_, "packet index out of range");
+  RSTP_CHECK_EQ(present_[index], 0, "duplicate index: channel model violated");
+  present_[index] = 1;
+  slots_[index] = bit;
+}
+
+bool IndexedReceiver::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  if (out.action.kind == ActionKind::Write) written_.push_back(out.action.message);
+  out.quiescent = quiescent();
+  return true;
 }
 
 bool IndexedReceiver::quiescent() const {

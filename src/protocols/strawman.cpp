@@ -46,23 +46,20 @@ StrawmanTransmitter::StrawmanTransmitter(const ProtocolConfig& config) {
   }
 }
 
-std::optional<Action> StrawmanTransmitter::enabled_local() const {
+bool StrawmanTransmitter::local_action(Action& out) const {
   if (c_ < delta_ && i_ < stream_.size()) {
-    return Action::send(Packet::to_receiver(stream_[i_]));
+    out = Action::send(Packet::to_receiver(stream_[i_]));
+  } else if (c_ >= delta_) {
+    out = wait_t_action();
+  } else {
+    return false;
   }
-  if (c_ >= delta_) {
-    return wait_t_action();
-  }
-  return std::nullopt;
+  return true;
 }
 
-void StrawmanTransmitter::apply(const Action& action) {
-  if (accepts_input(action)) {
-    return;
-  }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  if (action.kind == ActionKind::Send) {
+bool StrawmanTransmitter::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  if (out.action.kind == ActionKind::Send) {
     ++i_;
     ++c_;
     if (c_ == delta_) {
@@ -71,9 +68,9 @@ void StrawmanTransmitter::apply(const Action& action) {
   } else {
     c_ = (c_ + 1) % (2 * delta_);
   }
+  out.quiescent = quiescent();
+  return true;
 }
-
-bool StrawmanTransmitter::quiescent() const { return transmission_complete(); }
 
 bool StrawmanTransmitter::transmission_complete() const { return i_ >= stream_.size(); }
 
@@ -95,35 +92,33 @@ StrawmanReceiver::StrawmanReceiver(const ProtocolConfig& config) {
   target_length_ = config.input.size();
 }
 
-std::optional<Action> StrawmanReceiver::enabled_local() const {
-  if (written_.size() < decoded_.size() && written_.size() < target_length_) {
-    return Action::write(decoded_[written_.size()]);
-  }
-  return idle_r_action();
+bool StrawmanReceiver::local_action(Action& out) const {
+  const bool can_write = written_.size() < decoded_.size() && written_.size() < target_length_;
+  out = can_write ? Action::write(decoded_[written_.size()]) : idle_r_action();
+  return true;
 }
 
-void StrawmanReceiver::apply(const Action& action) {
-  if (accepts_input(action)) {
-    RSTP_CHECK_LT(action.packet.payload, k_, "packet symbol outside the alphabet");
-    arrivals_.push_back(action.packet.payload);
-    if (arrivals_.size() == static_cast<std::size_t>(delta_)) {
-      // Positional decode in ARRIVAL order — the deliberate flaw: only works
-      // if the channel preserved the send order of the block.
-      for (std::uint32_t symbol : arrivals_) {
-        for (std::size_t bit = bits_per_symbol_; bit-- > 0;) {
-          decoded_.push_back(static_cast<Bit>((symbol >> bit) & 1u));
-        }
+void StrawmanReceiver::receive(const Packet& packet) {
+  RSTP_CHECK_LT(packet.payload, k_, "packet symbol outside the alphabet");
+  arrivals_.push_back(packet.payload);
+  if (arrivals_.size() == static_cast<std::size_t>(delta_)) {
+    // Positional decode in ARRIVAL order — the deliberate flaw: only works
+    // if the channel preserved the send order of the block.
+    for (std::uint32_t symbol : arrivals_) {
+      for (std::size_t bit = bits_per_symbol_; bit-- > 0;) {
+        decoded_.push_back(static_cast<Bit>((symbol >> bit) & 1u));
       }
-      arrivals_.clear();
-      ++counters_.blocks_decoded;
     }
-    return;
+    arrivals_.clear();
+    ++counters_.blocks_decoded;
   }
-  const std::optional<Action> enabled = enabled_local();
-  RSTP_CHECK(enabled.has_value() && *enabled == action, "action not enabled");
-  if (action.kind == ActionKind::Write) {
-    written_.push_back(action.message);
-  }
+}
+
+bool StrawmanReceiver::step(ioa::LocalStep& out) {
+  if (!local_action(out.action)) return false;
+  if (out.action.kind == ActionKind::Write) written_.push_back(out.action.message);
+  out.quiescent = quiescent();
+  return true;
 }
 
 bool StrawmanReceiver::quiescent() const {

@@ -7,12 +7,12 @@ namespace rstp::sim {
 TimedAutomaton::TimedAutomaton(std::unique_ptr<ioa::Automaton> inner, obs::HostTimer& timer)
     : inner_(std::move(inner)),
       timer_(timer),
-      enabled_local_(timer.layer("protocols.enabled_local")),
+      step_(timer.layer("protocols.step")),
       apply_(timer.layer("protocols.apply")) {}
 
-std::optional<ioa::Action> TimedAutomaton::enabled_local() const {
-  const obs::HostTimer::Scope scope{timer_, enabled_local_};
-  return inner_->enabled_local();
+bool TimedAutomaton::step(ioa::LocalStep& out) {
+  const obs::HostTimer::Scope scope{timer_, step_};
+  return inner_->step(out);
 }
 
 void TimedAutomaton::apply(const ioa::Action& action) {

@@ -121,36 +121,36 @@ void Simulator::deliver_due(RunResult& result, Time now) {
 }
 
 void Simulator::take_process_step(RunResult& result, ProcessState& ps, ProcessId id) {
-  const std::optional<Action> action = ps.automaton->enabled_local();
-  if (!action.has_value()) {
+  ioa::LocalStep taken;
+  if (!ps.automaton->step(taken)) {
     ps.stopped = true;
     return;
   }
+  const Action& action = taken.action;
+  ps.quiescent = taken.quiescent;
   obs::RunCounters& counters = result.metrics.counters;
-  ps.automaton->apply(*action);
-  ps.quiescent = ps.automaton->quiescent();
   std::optional<Duration> gap;
   if (ps.steps_taken > 0) gap = ps.next_step - ps.last_step_time;
   if (id == ProcessId::Transmitter) {
     ++result.transmitter_steps;
     ++counters.transmitter_steps;
-    if (action->kind == ActionKind::Internal) ++counters.transmitter_internal_steps;
+    if (action.kind == ActionKind::Internal) ++counters.transmitter_internal_steps;
     if (gap.has_value()) result.metrics.transmitter_gap.record(gap->ticks());
   } else {
     ++result.receiver_steps;
     ++counters.receiver_steps;
-    if (action->kind == ActionKind::Internal) ++counters.receiver_internal_steps;
+    if (action.kind == ActionKind::Internal) ++counters.receiver_internal_steps;
     if (gap.has_value()) result.metrics.receiver_gap.record(gap->ticks());
   }
   ps.last_step_time = ps.next_step;
   ++ps.steps_taken;
-  record(result, ps.next_step, ioa::actor_of(id), *action);
+  record(result, ps.next_step, ioa::actor_of(id), action);
   if (config_.observer != nullptr) {
-    config_.observer->on_local_step(id, ps.next_step, *action, gap, counters_of(id));
+    config_.observer->on_local_step(id, ps.next_step, action, gap, counters_of(id));
   }
 
-  if (action->kind == ActionKind::Send) {
-    RSTP_CHECK_EQ(static_cast<int>(action->packet.source()), static_cast<int>(id),
+  if (action.kind == ActionKind::Send) {
+    RSTP_CHECK_EQ(static_cast<int>(action.packet.source()), static_cast<int>(id),
                   "automaton sent a packet with the wrong direction tag");
     if (id == ProcessId::Transmitter) {
       ++result.transmitter_sends;
@@ -162,9 +162,9 @@ void Simulator::take_process_step(RunResult& result, ProcessState& ps, ProcessId
     }
     if (config_.observer != nullptr) {
       // total_sent() is the seq the channel will assign to this send.
-      config_.observer->on_send(id, ps.next_step, action->packet, channel_->total_sent());
+      config_.observer->on_send(id, ps.next_step, action.packet, channel_->total_sent());
     }
-    channel_->send(action->packet, ps.next_step);
+    channel_->send(action.packet, ps.next_step);
   }
   ps.next_step = ps.next_step + validated_gap(ps, ps.steps_taken);
 }

@@ -217,7 +217,7 @@ TEST(Cli, RunTimingPrintsThePhaseTable) {
   // One row per timed layer, the timers' own cost and the simulator's
   // residual; together they are the run's wall time, to the nanosecond.
   std::int64_t sum = 0;
-  for (const char* row : {"protocols.enabled_local", "protocols.apply", "sim.scheduler.next_gap",
+  for (const char* row : {"protocols.step", "protocols.apply", "sim.scheduler.next_gap",
                           "channel.policy_choose", "timer cost", "simulator own (residual)"}) {
     sum += timing_row_ns(out, row);
   }
@@ -519,6 +519,33 @@ TEST(Cli, AnAlphabetPastTheCodecTablesIsAUsageError) {
   EXPECT_EQ(run_command("run beta 1 1 1 262143 8", &out), 0) << out;
   // bounds builds no codec, so its k stays unbounded.
   EXPECT_EQ(run_command("bounds 1 2 8 4294967295", &out), 0) << out;
+}
+
+TEST(Cli, ABlockPastTheCodecTableCeilingIsAUsageError) {
+  // The codec's tables hold (2k + 1)·δ entries however short the input, so
+  // a long block could allocate without bound: at δ = 3·10^7 over k = 4
+  // they take 4.3 GB, and `run beta 1 1 30000000 4 8` once exited 1 with
+  // std::bad_alloc under a 1.5 GB address-space limit. Every verb that
+  // builds a codec rejects a block whose tables pass
+  // MultisetCodec::kMaxTableBytes, naming the argument that sets it, before
+  // anything is built.
+  const std::pair<std::string, std::string> cases[] = {
+      {"run beta 1 1 30000000 4 8", "d '30000000'"},
+      {"run gamma 1 1 30000000 4 8", "d '30000000'"},
+      {"run gammaw 1 1 30000000 4 8", "d '30000000'"},
+      {"run beta 1 1 5000000 4 8", "d '5000000'"},
+      {"explore beta 30000000 4 0101", "d '30000000'"},
+      {"fuzz beta --block-override 30000000 --budget 1", "--block-override '30000000'"},
+  };
+  for (const auto& [command, token] : cases) {
+    std::string out;
+    EXPECT_EQ(run_command(command, &out), 2) << command << "\n" << out;
+    EXPECT_NE(out.find("out-of-range " + token), std::string::npos) << command << "\n" << out;
+    EXPECT_EQ(out.find("RSTP_CHECK"), std::string::npos) << out;
+  }
+  // δ = 10^6 over k = 4 builds 72 MB of tables and runs.
+  std::string out;
+  EXPECT_EQ(run_command("run beta 1 1 1000000 4 8", &out), 0) << out;
 }
 
 TEST(Cli, MegaRejectsZeroCountsAsUsageErrors) {

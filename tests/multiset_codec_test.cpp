@@ -275,6 +275,24 @@ TEST(MultisetCodec, UnrankSortedChecksItsArguments) {
   EXPECT_THROW(codec.unrank_sorted(codec.count(), out), ContractViolation);  // rank out of range
 }
 
+TEST(MultisetCodec, RejectsTablesPastTheByteCeilingBeforeAllocating) {
+  // (2k + 1)·n entries of W words. δ = 3·10^7 over k = 4 is 4.3 GB at
+  // W = 2, past the ceiling at any width: the constructor rejects it on
+  // the one-word bound, before computing μ_4(n) or allocating.
+  EXPECT_FALSE(MultisetCodec::tables_fit(4, 30'000'000));
+  EXPECT_THROW(MultisetCodec(4, 30'000'000), ContractViolation);
+  // δ = 5·10^6 fits at one word (360 MB) but μ_4(n) needs two (720 MB):
+  // the table build checks the exact width before it allocates the words.
+  EXPECT_FALSE(MultisetCodec::tables_fit(4, 5'000'000));
+  EXPECT_THROW(MultisetCodec(4, 5'000'000), ContractViolation);
+  // δ = 10^6 (72 MB) and the largest tables the fuzzer and the megasession
+  // reach (k = kMaxUniverse, δ = 16: four words, 268 MB) fit.
+  EXPECT_TRUE(MultisetCodec::tables_fit(4, 1'000'000));
+  EXPECT_TRUE(MultisetCodec::tables_fit(MultisetCodec::kMaxUniverse, 16));
+  EXPECT_FALSE(MultisetCodec::tables_fit(MultisetCodec::kMaxUniverse + 1, 1));
+  EXPECT_FALSE(MultisetCodec::tables_fit(0, 1));
+}
+
 TEST(MultisetCodec, TablesOutliveTheirLastCodec) {
   // The intern cache holds its tables strongly: a later codec for the same
   // (k, n) reuses them after every earlier codec is gone.

@@ -135,8 +135,10 @@ class AwaitingReceiver final : public ioa::Automaton {
 
 /// Forwards every call to an owned automaton and its counters through an
 /// obs::CounterSource base of its own, outside the protocol hierarchy and
-/// without overriding counter_source(): the simulator finds the counters
-/// through the default's dynamic_cast, as it finds bench_layers' decorator.
+/// without overriding counter_source() or step(): the simulator finds the
+/// counters through the default's dynamic_cast and takes each step through
+/// the default's enabled_local/apply/quiescent composition, as it does for
+/// bench_layers' decorator.
 class ForwardingAutomaton final : public ioa::Automaton, public obs::CounterSource {
  public:
   ForwardingAutomaton(std::unique_ptr<ioa::Automaton> inner, const obs::CounterSource& counters)
@@ -556,7 +558,9 @@ TEST(Simulator, FindsProtocolCountersOnAllThreeDiscoveryPaths) {
   // through Automaton::counter_source() on three paths, and each must fold
   // the same counters.protocol into the RunResult: the protocol bases
   // answer it themselves, the host-time decorator forwards the wrapped
-  // automaton's, and any other automaton falls back to a dynamic_cast.
+  // automaton's, and any other automaton falls back to a dynamic_cast. That
+  // other automaton also takes the default step(), so the third path pins
+  // the default composition's run to the protocols' own step() too.
   protocols::ProtocolConfig cfg;
   cfg.params = core::TimingParams::make(1, 2, 6);
   cfg.k = 4;
@@ -604,6 +608,11 @@ TEST(Simulator, FindsProtocolCountersOnAllThreeDiscoveryPaths) {
   const RunResult forwarded = sim.run();
   EXPECT_EQ(forwarded.metrics, bare.metrics);
   EXPECT_EQ(forwarded.output, bare.output);
+  // The default step() takes the run the protocols' own step() takes,
+  // event for event.
+  EXPECT_EQ(forwarded.trace.events(), bare.trace.events());
+  EXPECT_EQ(forwarded.event_count, bare.event_count);
+  EXPECT_EQ(forwarded.end_time, bare.end_time);
 }
 
 }  // namespace

@@ -291,8 +291,7 @@ TEST(SpanTrace, HostSpansLandUnderPid100FromAHostTimer) {
   }
   EXPECT_EQ(host_spans, timed_calls);
   EXPECT_EQ(names, (std::set<std::string>{"channel.policy_choose", "protocols.apply",
-                                          "protocols.enabled_local",
-                                          "sim.scheduler.next_gap"}));
+                                          "protocols.step", "sim.scheduler.next_gap"}));
 }
 
 // ---------------------------------------------------------------------------

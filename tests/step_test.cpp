@@ -1,0 +1,133 @@
+// Automaton::step() against the composition it fuses.
+//
+// Every protocol writes its local transitions once, in step(), which takes
+// the enabled action and reports it with the quiescence after it. The
+// default Automaton::step composes enabled_local(), apply() and
+// quiescent(). Replaying the deliveries of a real run, one copy of each
+// automaton steps by its own step() and a clone by the default composition;
+// after every event both must agree with each other and with the run.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "rstp/common/check.h"
+#include "rstp/core/effort.h"
+#include "rstp/protocols/factory.h"
+
+namespace rstp {
+namespace {
+
+using ioa::Action;
+using ioa::ActionKind;
+using ioa::Actor;
+using ioa::Packet;
+using protocols::ProtocolKind;
+
+protocols::ProtocolConfig config_for(ProtocolKind kind) {
+  protocols::ProtocolConfig cfg;
+  cfg.params = core::TimingParams::make(1, 2, 6);
+  cfg.input = core::make_random_input(24, 11);
+  cfg.k = protocols::alphabet_for(kind, 4, cfg.input.size());
+  return cfg;
+}
+
+/// Local actions that are not `enabled`: an internal action no protocol
+/// has, the enabled send or write with its payload changed, and a packet
+/// this automaton does not accept as input.
+std::vector<Action> not_enabled(const ioa::Automaton& a, const std::optional<Action>& enabled) {
+  std::vector<Action> actions{Action::internal(0xFFFF, "bogus")};
+  if (enabled.has_value() && enabled->kind == ActionKind::Send) {
+    Packet p = enabled->packet;
+    ++p.payload;
+    actions.push_back(Action::send(p));
+  }
+  if (enabled.has_value() && enabled->kind == ActionKind::Write) {
+    actions.push_back(Action::write(static_cast<ioa::Bit>(enabled->message ^ 1u)));
+  }
+  for (const Packet p : {Packet::to_receiver(0), Packet::to_transmitter(0)}) {
+    if (!a.accepts_input(Action::recv(p))) actions.push_back(Action::recv(p));
+  }
+  return actions;
+}
+
+/// apply() of each action that is not enabled fails the base's check and
+/// leaves the automaton as it was.
+void expect_rejects_actions_not_enabled(ioa::Automaton& a) {
+  const std::string before = a.snapshot();
+  for (const Action& action : not_enabled(a, a.enabled_local())) {
+    EXPECT_THROW(a.apply(action), ContractViolation) << a.name() << " took " << action;
+    EXPECT_EQ(a.snapshot(), before) << a.name() << " after " << action;
+  }
+}
+
+void expect_step_matches_composition(ProtocolKind kind, const core::Environment& env) {
+  const protocols::ProtocolConfig cfg = config_for(kind);
+  const core::ProtocolRun run = core::run_protocol(kind, cfg, env);
+  ASSERT_TRUE(run.result.quiescent);
+  ASSERT_FALSE(run.result.trace.empty());
+
+  protocols::ProtocolInstance instance = protocols::make_protocol(kind, cfg);
+  // [0] steps by its own step(), [1] by the default composition.
+  const std::array<std::array<std::unique_ptr<ioa::Automaton>, 2>, 2> procs{{
+      {instance.transmitter->clone(), instance.transmitter->clone()},
+      {instance.receiver->clone(), instance.receiver->clone()},
+  }};
+  std::size_t local_steps = 0;
+  for (const ioa::TimedEvent& event : run.result.trace.events()) {
+    SCOPED_TRACE("event " + std::to_string(event.seq));
+    if (event.actor == Actor::Channel) {
+      const auto dest = static_cast<std::size_t>(event.action.packet.destination());
+      for (const auto& a : procs[dest]) a->apply(event.action);
+    } else {
+      const auto& [fused, composed] = procs[static_cast<std::size_t>(event.actor)];
+      expect_rejects_actions_not_enabled(*fused);
+      ioa::LocalStep by_step;
+      ioa::LocalStep by_composition;
+      ASSERT_TRUE(fused->step(by_step));
+      ASSERT_TRUE(composed->ioa::Automaton::step(by_composition));
+      EXPECT_EQ(by_step.action, event.action);
+      EXPECT_EQ(by_composition.action, event.action);
+      EXPECT_EQ(by_step.quiescent, by_composition.quiescent);
+      EXPECT_EQ(by_step.quiescent, fused->quiescent());
+      ++local_steps;
+    }
+    for (const auto& pair : procs) {
+      EXPECT_EQ(pair[0]->snapshot(), pair[1]->snapshot());
+      EXPECT_EQ(pair[0]->quiescent(), pair[1]->quiescent());
+    }
+  }
+  EXPECT_EQ(local_steps, run.result.transmitter_steps + run.result.receiver_steps);
+
+  // A stopped automaton's step() returns false and changes nothing, `out`
+  // included.
+  for (const auto& pair : procs) {
+    for (const auto& a : pair) {
+      if (a->enabled_local().has_value()) continue;
+      const std::string before = a->snapshot();
+      ioa::LocalStep out{Action::internal(0xFFFF, "untouched"), true};
+      EXPECT_FALSE(a->step(out)) << a->name();
+      EXPECT_EQ(out.action, Action::internal(0xFFFF, "untouched"));
+      EXPECT_TRUE(out.quiescent);
+      EXPECT_EQ(a->snapshot(), before);
+      expect_rejects_actions_not_enabled(*a);
+    }
+  }
+}
+
+TEST(Automaton, StepMatchesEnabledThenApply) {
+  for (const ProtocolKind kind : protocols::kAllProtocolKinds) {
+    for (const core::Environment& env :
+         {core::Environment::worst_case(), core::Environment::randomized(3)}) {
+      SCOPED_TRACE(std::string{protocols::to_string(kind)} + " env seed " +
+                   std::to_string(env.seed));
+      expect_step_matches_composition(kind, env);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace rstp

@@ -153,6 +153,19 @@ int bad_number(std::string_view what, std::string_view token) {
   return false;
 }
 
+/// Checks that the codec `kind` builds for `cfg` has tables within
+/// MultisetCodec::kMaxTableBytes; false after naming `field`, the argument
+/// that sets the block size, as `token` (exit 2).
+[[nodiscard]] bool codec_tables_fit(protocols::ProtocolKind kind,
+                                    const protocols::ProtocolConfig& cfg, std::string_view field,
+                                    std::string_view token) {
+  if (protocols::codec_tables_fit(kind, cfg)) return true;
+  std::cerr << "out-of-range " << field << " '" << token << "': the " << protocols::to_string(kind)
+            << " codec's tables for that block size would pass "
+            << (combinatorics::MultisetCodec::kMaxTableBytes >> 20) << " MiB\n";
+  return false;
+}
+
 /// The protocol named `name`; nullopt after reporting an unknown name.
 [[nodiscard]] std::optional<protocols::ProtocolKind> protocol_arg(std::string_view name) {
   const auto kind = protocols::protocol_from_string(name);
@@ -355,7 +368,8 @@ int write_trace_out(const obs::trace::Tracer& tracer, const std::string& path) {
 
 /// Prints the --timing table: one row per timed layer, the timers' own cost
 /// and the simulator's residual, which sum to `wall_ns` exactly, then the
-/// codec's block counts (codec time is inside protocols.apply and setup).
+/// codec's block counts (encode time is inside protocols.step, decode time
+/// inside protocols.apply, and the tables' construction inside the residual).
 void print_host_timing(const obs::HostTimer& timer, std::uint64_t wall_ns,
                        const obs::ProtocolCounters& counters) {
   const obs::Attribution a = timer.attribute(wall_ns);
@@ -383,7 +397,7 @@ void print_host_timing(const obs::HostTimer& timer, std::uint64_t wall_ns,
   row("simulator own (residual)", 0, a.residual_ns);
   row("wall time", 0, static_cast<std::int64_t>(wall_ns));
   os << "codec: " << counters.blocks_encoded << " blocks encoded, " << counters.blocks_decoded
-     << " blocks decoded (encode time inside protocols.enabled_local, decode inside "
+     << " blocks decoded (encode time inside protocols.step, decode inside "
         "protocols.apply)\n";
   std::cout << os.str();
 }
@@ -407,6 +421,7 @@ int cmd_run(const Args& args) {
   protocols::ProtocolConfig cfg;
   cfg.params = *params;
   cfg.k = *k;
+  if (!codec_tables_fit(*kind, cfg, "d", args.positional[3])) return 2;
 
   // Built after parsing, so --seed holds in whichever order the flags came.
   const std::uint64_t seed = args.number("--seed", std::uint64_t{1});
@@ -566,6 +581,7 @@ int cmd_explore(const Args& args) {
   const auto k = codec_alphabet_arg(args.positional[2]);
   if (!k.has_value() || !protocol_accepts_k(*kind, *k)) return 2;
   cfg.k = *k;
+  if (!codec_tables_fit(*kind, cfg, "d", args.positional[1])) return 2;
   const auto bits = bit_string(args.positional[3]);
   if (!bits.has_value()) {
     std::cerr << "input must be a 0/1 string\n";
@@ -803,6 +819,17 @@ int cmd_fuzz(const Args& args) {
   const std::string repro_file = args.text("--repro-out");
   const std::string metrics_file = args.text("--metrics-out");
   if (!protocol_accepts_k(spec.protocol, spec.k)) return 2;
+  // Cases draw d <= 16 and k <= --k, whose tables always fit: only an
+  // override can set a block that does not.
+  if (spec.block_override != 0) {
+    protocols::ProtocolConfig cfg;
+    cfg.k = spec.k;
+    cfg.block_size_override = spec.block_override;
+    if (!codec_tables_fit(spec.protocol, cfg, "--block-override",
+                          std::to_string(spec.block_override))) {
+      return 2;
+    }
+  }
 
   if (!corpus_dir.empty()) {
     try {
