@@ -11,7 +11,9 @@ BlockCoder::BlockCoder(std::uint32_t k, std::uint32_t delta)
   RSTP_CHECK_GE(k, 2u, "block coder needs an alphabet of at least two symbols");
   RSTP_CHECK_GE(delta, 1u, "block coder needs at least one packet per block");
   const BigUint& mu = codec_.count();
-  RSTP_CHECK(mu >= BigUint{2}, "mu_k(delta) must be at least 2 to carry data");
+  // μ ≥ 2, read off the bit length: a BigUint{2} to compare with would be
+  // one heap allocation per coder.
+  RSTP_CHECK(mu.bit_length() >= 2, "mu_k(delta) must be at least 2 to carry data");
   bits_per_block_ = mu.bit_length() - 1;  // ⌊log2 μ_k(δ)⌋
 }
 

@@ -42,6 +42,12 @@ struct BoundsReport {
   [[nodiscard]] double active_ratio() const { return gamma_upper / active_lower; }
 };
 
+/// The largest min(k, ⌈d/c1⌉) `rstp bounds` takes. compute_bounds computes
+/// μ_k(δ) and ζ_k(δ) exactly, at a cost quadratic in min(k, δ): at the limit
+/// 0.3 s with k = δ, 2.1 s with the other one at 2^32 − 1 (gcc 12.2
+/// RelWithDebInfo, 4-core x86-64 VM).
+inline constexpr std::uint64_t kMaxExactBoundsSize = 20'000;
+
 /// Computes every bound for the given parameters. Requires k >= 2 and valid
 /// timing parameters.
 [[nodiscard]] BoundsReport compute_bounds(const TimingParams& params, std::uint32_t k);

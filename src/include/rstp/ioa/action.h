@@ -5,7 +5,7 @@
 //   send(p)  — output of a process, input of the channel
 //   recv(p)  — output of the channel, input of a process
 //   write(m) — output of the receiver (appends m to the output tape Y)
-//   internal — wait_t / idle_r / protocol-specific bookkeeping steps
+//   internal — wait_t / idle_r / idle_t, identified by id alone
 //
 // Packets carry a direction tag (P^tr vs P^rt — the paper keeps the two
 // sub-alphabets disjoint) and an integer payload: a symbol in {0..k-1} for
@@ -63,24 +63,32 @@ enum class ActionKind : std::uint8_t { Send, Recv, Write, Internal };
 
 std::ostream& operator<<(std::ostream& os, ActionKind k);
 
+/// The internal actions every protocol shares (the paper's int(A)): an
+/// internal action is its id alone.
+inline constexpr std::uint16_t kWaitT = 1;  ///< transmitter inter-block wait
+inline constexpr std::uint16_t kIdleR = 2;  ///< receiver idle
+inline constexpr std::uint16_t kIdleT = 3;  ///< transmitter idle (await acks)
+
+/// The trace label of internal action `id` ("wait_t", "idle_r", "idle_t"
+/// for the three above), empty for any other id. The one id→name table;
+/// only operator<< and write_trace read it.
+[[nodiscard]] std::string_view internal_name(std::uint16_t id);
+
 /// One action. Which payload field is meaningful depends on `kind`; the
-/// factory functions below are the only intended constructors.
-///
-/// `internal_name` is a static debugging label (e.g. "wait_t"); it is not
-/// part of an action's identity — `internal_id` is, mirroring the paper where
-/// internal actions are distinguished elements of int(A).
+/// factory functions below are the only intended constructors. An action is
+/// 16 bytes and carries no name: an internal action's label comes from
+/// internal_name(internal_id) when it is printed.
 struct Action {
   ActionKind kind = ActionKind::Internal;
-  Packet packet{};                    // Send / Recv
-  Bit message = 0;                    // Write
-  std::uint16_t internal_id = 0;      // Internal
-  std::string_view internal_name{};  // Internal (debug only, not identity)
+  Packet packet{};                // Send / Recv
+  Bit message = 0;                // Write
+  std::uint16_t internal_id = 0;  // Internal
 
-  [[nodiscard]] static Action send(Packet p) { return Action{ActionKind::Send, p, 0, 0, {}}; }
-  [[nodiscard]] static Action recv(Packet p) { return Action{ActionKind::Recv, p, 0, 0, {}}; }
-  [[nodiscard]] static Action write(Bit m) { return Action{ActionKind::Write, {}, m, 0, {}}; }
-  [[nodiscard]] static Action internal(std::uint16_t id, std::string_view name) {
-    return Action{ActionKind::Internal, {}, 0, id, name};
+  [[nodiscard]] static Action send(Packet p) { return Action{ActionKind::Send, p, 0, 0}; }
+  [[nodiscard]] static Action recv(Packet p) { return Action{ActionKind::Recv, p, 0, 0}; }
+  [[nodiscard]] static Action write(Bit m) { return Action{ActionKind::Write, {}, m, 0}; }
+  [[nodiscard]] static Action internal(std::uint16_t id) {
+    return Action{ActionKind::Internal, {}, 0, id};
   }
 
   friend bool operator==(const Action& a, const Action& b) {
@@ -97,6 +105,7 @@ struct Action {
     return false;
   }
 };
+static_assert(sizeof(Action) == 16, "an action is its kind and one payload field");
 
 std::ostream& operator<<(std::ostream& os, const Action& a);
 

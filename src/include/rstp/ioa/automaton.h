@@ -5,10 +5,11 @@
 // local (output or internal) action, and is input-enabled: any input action
 // can be applied in any state. The simulator (sim/) drives an automaton by
 // alternately delivering inputs (recv events, at channel-chosen times) and
-// taking its next local step (at scheduler-chosen times). Because at most
-// one local action is enabled, choosing it and taking it are one
-// transition: step() does both in one call, and reports the action taken
-// and the quiescence after it in a LocalStep.
+// taking its next local step (at scheduler-chosen times). Each is one call:
+// because at most one local action is enabled, choosing it and taking it
+// are one transition, and step() does both and reports the action taken
+// and the quiescence after it in a LocalStep; deliver() takes one input
+// recv(p) and returns the quiescence after it.
 //
 // `snapshot()` serializes the automaton's full state; it exists for the
 // bounded-exhaustive explorer (ioa/explorer.h) and for debugging, and two
@@ -33,6 +34,7 @@ struct LocalStep {
   Action action;
   bool quiescent = false;
 };
+static_assert(sizeof(LocalStep) == 20, "a 16-byte action and a flag");
 
 class Automaton {
  public:
@@ -58,6 +60,13 @@ class Automaton {
   /// automata; every protocol overrides it, and its apply() routes a local
   /// action here (protocols/base.h).
   virtual bool step(LocalStep& out);
+
+  /// Takes the input recv(packet) and returns quiescent() after it; a
+  /// packet that is not an input of this automaton fails an RSTP_CHECK and
+  /// changes nothing. The default composes accepts_input(), apply() and
+  /// quiescent(), for decorators and test automata; the protocol bases
+  /// override it with one direction check (protocols/base.h).
+  virtual bool deliver(const Packet& packet);
 
   /// True iff `action` is an input action of this automaton (in(A)).
   /// Input-enabledness: apply() must accept any such action in any state.

@@ -41,6 +41,7 @@ struct TimedEvent {
 
   friend bool operator==(const TimedEvent&, const TimedEvent&) = default;
 };
+static_assert(sizeof(TimedEvent) == 40, "time, actor, a 16-byte action and seq");
 
 std::ostream& operator<<(std::ostream& os, const TimedEvent& e);
 

@@ -59,31 +59,23 @@ struct ProtocolConfig {
   void validate() const;
 };
 
-/// Internal action identities shared across protocols (names are for traces).
-inline constexpr std::uint16_t kWaitT = 1;  ///< transmitter inter-block wait
-inline constexpr std::uint16_t kIdleR = 2;  ///< receiver idle
-inline constexpr std::uint16_t kIdleT = 3;  ///< transmitter idle (await acks)
-
-// Inline, as is ProcessBase::accepts_input below: out of line, each factory
-// returns the 32-byte Action through memory field by field and the caller
-// reloads it in wider halves, a store-forwarding stall on every internal step.
-[[nodiscard]] inline ioa::Action wait_t_action() {
-  return ioa::Action::internal(kWaitT, "wait_t");
-}
-[[nodiscard]] inline ioa::Action idle_r_action() {
-  return ioa::Action::internal(kIdleR, "idle_r");
-}
-[[nodiscard]] inline ioa::Action idle_t_action() {
-  return ioa::Action::internal(kIdleT, "idle_t");
-}
+// The shared internal actions (ioa::kWaitT, kIdleR, kIdleT). Inline, as is
+// ProcessBase::accepts_input below: out of line, each factory returns the
+// Action through memory field by field and the caller reloads it in wider
+// halves, a store-forwarding stall on every internal step.
+[[nodiscard]] inline ioa::Action wait_t_action() { return ioa::Action::internal(ioa::kWaitT); }
+[[nodiscard]] inline ioa::Action idle_r_action() { return ioa::Action::internal(ioa::kIdleR); }
+[[nodiscard]] inline ioa::Action idle_t_action() { return ioa::Action::internal(ioa::kIdleT); }
 
 /// What A_t and A_r share, for a process whose inputs are the packets
 /// travelling in direction `kInputs`.
 ///
 /// Each transition is written once: an automaton names its enabled local
 /// action in local_action(), takes it in step() and takes inputs in
-/// receive(). apply() only routes, an input to receive() and a local action
-/// to step() once it is checked to be the enabled one.
+/// receive(). deliver() and apply() only route: deliver() checks the
+/// packet's direction and hands it to receive(); apply() sends an input to
+/// receive() and a local action to step() once it is checked to be the
+/// enabled one.
 ///
 /// The obs::CounterSource base is the uniform stat-hook: implementations bump
 /// `counters_` at their semantic milestones (block fully sent, ack consumed)
@@ -102,6 +94,13 @@ class ProcessBase : public ioa::Automaton, public obs::CounterSource {
 
   [[nodiscard]] bool accepts_input(const ioa::Action& action) const final {
     return action.kind == ioa::ActionKind::Recv && action.packet.direction == kInputs;
+  }
+
+  /// The one direction check, then the input transition.
+  bool deliver(const ioa::Packet& packet) final {
+    RSTP_CHECK(packet.direction == kInputs, "delivered packet not an input of its destination");
+    receive(packet);
+    return quiescent();
   }
 
   void apply(const ioa::Action& action) final {

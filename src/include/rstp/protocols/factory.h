@@ -36,6 +36,8 @@ std::ostream& operator<<(std::ostream& os, ProtocolKind kind);
 struct ProtocolInstance {
   std::unique_ptr<TransmitterBase> transmitter;
   std::unique_ptr<ReceiverBase> receiver;
+  /// |X|: the number of writes a correct run makes, which sizes Y's buffers.
+  std::size_t input_bits = 0;
 };
 
 /// False when the multiset codec `kind` builds for `config`'s fixed block

@@ -25,6 +25,12 @@ namespace rstp::protocols {
 
 class StrawmanTransmitter final : public TransmitterBase {
  public:
+  /// The largest block, ⌈d/c1⌉ packets. A whole block is in flight at once
+  /// under the worst-case delay, and `rstp run` holds about 60 bytes per
+  /// packet in flight (channel queue and online verifier): 240 MB at this
+  /// ceiling, however short X is.
+  static constexpr std::int64_t kMaxBlock = std::int64_t{1} << 22;
+
   explicit StrawmanTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^strawman"; }
@@ -40,7 +46,12 @@ class StrawmanTransmitter final : public TransmitterBase {
   [[nodiscard]] bool local_action(ioa::Action& out) const override;
   void receive(const ioa::Packet& /*packet*/) override {}  // r-passive
 
-  std::vector<std::uint32_t> stream_;  // positional symbols, block-aligned
+  /// Symbol i of the block-aligned positional stream of ⌈|X|/B⌉·δ symbols,
+  /// computed from X when it is sent rather than stored.
+  [[nodiscard]] std::uint32_t symbol(std::size_t i) const;
+
+  std::vector<ioa::Bit> input_;  // X
+  std::size_t symbols_ = 0;      // length of the stream
   std::int64_t delta_ = 0;
   std::size_t bits_per_symbol_ = 0;
   std::size_t bits_per_block_ = 0;

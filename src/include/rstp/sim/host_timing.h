@@ -2,7 +2,7 @@
 //
 // Each decorator owns the part it wraps, forwards every call to it, and
 // times the calls that do the per-event work into an obs::HostTimer:
-// Automaton::step and apply, StepScheduler::next_gap, and
+// Automaton::step and deliver, StepScheduler::next_gap, and
 // DeliveryPolicy::choose. sim::Session installs them at construction when
 // SimConfig::host_timer is set, so a session without a recorder runs the
 // bare parts and the simulator has no timing code at all. Decorators only
@@ -20,10 +20,11 @@
 
 namespace rstp::sim {
 
-/// Times step() (a local step) and apply() (a delivery, as the simulator
-/// drives it); enabled_local(), which the simulator reads only to resume a
-/// stopped process, is forwarded untimed. counter_source() returns the
-/// wrapped automaton's, so the simulator folds the same protocol counters.
+/// Times step() (a local step) and deliver() (a delivery), the two calls
+/// the simulator makes per event; enabled_local(), which it reads only to
+/// resume a stopped process, and apply(), which it never calls, are
+/// forwarded untimed. counter_source() returns the wrapped automaton's, so
+/// the simulator folds the same protocol counters.
 class TimedAutomaton final : public ioa::Automaton {
  public:
   TimedAutomaton(std::unique_ptr<ioa::Automaton> inner, obs::HostTimer& timer);
@@ -32,8 +33,9 @@ class TimedAutomaton final : public ioa::Automaton {
   [[nodiscard]] std::optional<ioa::Action> enabled_local() const override {
     return inner_->enabled_local();
   }
-  void apply(const ioa::Action& action) override;
+  void apply(const ioa::Action& action) override { inner_->apply(action); }
   bool step(ioa::LocalStep& out) override;
+  bool deliver(const ioa::Packet& packet) override;
   [[nodiscard]] bool accepts_input(const ioa::Action& action) const override {
     return inner_->accepts_input(action);
   }
@@ -48,7 +50,7 @@ class TimedAutomaton final : public ioa::Automaton {
   std::unique_ptr<ioa::Automaton> inner_;
   obs::HostTimer& timer_;
   obs::HostTimer::LayerId step_;
-  obs::HostTimer::LayerId apply_;
+  obs::HostTimer::LayerId deliver_;
 };
 
 /// Times next_gap(); the one first_offset() per process is left untimed.

@@ -7,6 +7,7 @@
 // parts (genome schedulers, synthesized or drifting policies, a fault
 // injector) pass them to the constructor. With SimConfig::host_timer set,
 // every part is wrapped in its host-time decorator (sim/host_timing.h).
+// RunResult::output is sized once, for the instance's |X| writes.
 #pragma once
 
 #include <memory>
@@ -41,6 +42,7 @@ class Session {
         simulator_(*transmitter_, *receiver_, channel_, *transmitter_sched_, *receiver_sched_,
                    std::move(config)) {
     channel_.set_fault_injector(injector_.get());
+    simulator_.reserve_output(instance.input_bits);
   }
 
   Session(const Session&) = delete;

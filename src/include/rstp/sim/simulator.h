@@ -134,6 +134,11 @@ class Simulator {
   /// Requires next_instant() to have a value.
   void advance();
 
+  /// Sizes RunResult::output for `bits` writes at the run's first write, so
+  /// Y is allocated once and a run that writes nothing allocates nothing
+  /// for it. The session builder calls it with |X| (sim/session.h).
+  void reserve_output(std::size_t bits) { output_bits_ = bits; }
+
   /// Folds the automata counters and the channel fault log into the result
   /// and returns it. Requires next_instant() == nullopt; call once.
   [[nodiscard]] RunResult take_result();
@@ -158,10 +163,46 @@ class Simulator {
   /// The source of the next dispatch, decided with the instant.
   enum class Due : std::uint8_t { Delivery, Transmitter, Receiver };
 
-  void record(RunResult& result, Time time, ioa::Actor actor, const ioa::Action& action);
+  // record(), validated_first_offset() and validated_gap() run on every
+  // event, so they are inline; the error path is one cold function.
+
+  void record(RunResult& result, Time time, ioa::Actor actor, const ioa::Action& action) {
+    ++result.event_count;
+    ++result.metrics.counters.events;
+    result.end_time = time;
+    if (action.kind == ioa::ActionKind::Write) {
+      if (result.output.empty()) result.output.reserve(output_bits_);
+      result.output.push_back(action.message);
+      ++result.metrics.counters.writes;
+    }
+    // record_events_ caches `record_trace || observer` so the common
+    // headless configuration (campaign/effort runs) skips the TimedEvent
+    // construction entirely.
+    if (record_events_) {
+      const ioa::TimedEvent event{time, actor, action, next_seq_};
+      if (config_.record_trace) result.trace.append(event);
+      if (config_.observer != nullptr) config_.observer->on_event(event);
+    }
+    ++next_seq_;
+  }
   void take_process_step(RunResult& result, ProcessState& ps, ioa::ProcessId id);
   void deliver_due(RunResult& result, Time now);
-  [[nodiscard]] static Duration validated_gap(const ProcessState& ps, std::uint64_t step_index);
+  /// The process's first step offset, checked against [0, c2].
+  [[nodiscard]] static Duration validated_first_offset(const ProcessState& ps) {
+    const Duration first = ps.scheduler->first_offset();
+    if (first.is_negative() || first > ps.law.c2) throw_out_of_law(first, ps.law, true);
+    return first;
+  }
+  /// The gap before local step `step_index` (>= 1), checked against [c1, c2].
+  [[nodiscard]] static Duration validated_gap(const ProcessState& ps, std::uint64_t step_index) {
+    const Duration gap = ps.scheduler->next_gap(step_index);
+    if (gap < ps.law.c1 || gap > ps.law.c2) throw_out_of_law(gap, ps.law, false);
+    return gap;
+  }
+  /// Throws the ModelError naming a first offset (`first`) or gap outside
+  /// the process's step law.
+  [[noreturn, gnu::cold]] static void throw_out_of_law(Duration value,
+                                                       const core::TimingParams& law, bool first);
 
   [[nodiscard]] const obs::ProtocolCounters* counters_of(ioa::ProcessId id) const;
 
@@ -188,6 +229,7 @@ class Simulator {
   /// in the constructor for the observer hooks and take_result().
   const obs::CounterSource* counter_sources_[2] = {nullptr, nullptr};
   std::uint64_t next_seq_ = 0;
+  std::size_t output_bits_ = 0;  ///< reserve_output(): Y's capacity at the first write
   bool record_events_ = false;  ///< cached record_trace || observer != nullptr
   bool ran_ = false;
   bool taken_ = false;

@@ -1,8 +1,15 @@
 #include "rstp/ioa/action.h"
 
+#include <iterator>
 #include <ostream>
 
 namespace rstp::ioa {
+
+std::string_view internal_name(std::uint16_t id) {
+  static constexpr std::string_view kNames[] = {{}, "wait_t", "idle_r", "idle_t"};
+  static_assert(kWaitT == 1 && kIdleR == 2 && kIdleT == 3, "kNames is indexed by id");
+  return id < std::size(kNames) ? kNames[id] : std::string_view{};
+}
 
 std::ostream& operator<<(std::ostream& os, ProcessId p) {
   return os << (p == ProcessId::Transmitter ? "t" : "r");
@@ -36,8 +43,8 @@ std::ostream& operator<<(std::ostream& os, const Action& a) {
     case ActionKind::Write:
       return os << "write(" << static_cast<int>(a.message) << ")";
     case ActionKind::Internal:
-      if (!a.internal_name.empty()) {
-        return os << a.internal_name;
+      if (const std::string_view name = internal_name(a.internal_id); !name.empty()) {
+        return os << name;
       }
       return os << "internal#" << a.internal_id;
   }

@@ -1,5 +1,6 @@
 #include "rstp/ioa/automaton.h"
 
+#include "rstp/common/check.h"
 #include "rstp/obs/run_metrics.h"
 
 namespace rstp::ioa {
@@ -14,6 +15,13 @@ bool Automaton::step(LocalStep& out) {
   apply(*action);
   out = LocalStep{*action, quiescent()};
   return true;
+}
+
+bool Automaton::deliver(const Packet& packet) {
+  const Action recv = Action::recv(packet);
+  RSTP_CHECK(accepts_input(recv), "delivered packet not an input of its destination");
+  apply(recv);
+  return quiescent();
 }
 
 }  // namespace rstp::ioa

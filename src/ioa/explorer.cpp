@@ -205,9 +205,9 @@ ExplorerResult Explorer::run() {
       // Deliver the chosen acks, then take the transmitter's step.
       std::vector<bool> consumed(mid.flights.size(), false);
       for (std::size_t idx : t_order) {
-        const Action recv = Action::recv(mid.flights[idx].packet);
-        mid.t->apply(recv);
-        mid.history = extend(mid.history, Actor::Channel, recv, instant);
+        const Packet& packet = mid.flights[idx].packet;
+        mid.t->deliver(packet);
+        mid.history = extend(mid.history, Actor::Channel, Action::recv(packet), instant);
         consumed[idx] = true;
       }
       std::vector<Packet> t_sent;
@@ -262,9 +262,9 @@ ExplorerResult Explorer::run() {
         Node next = mid.clone();
         std::vector<bool> consumed2(next.flights.size(), false);
         for (std::size_t idx : r_order) {
-          const Action recv = Action::recv(next.flights[idx].packet);
-          next.r->apply(recv);
-          next.history = extend(next.history, Actor::Channel, recv, instant);
+          const Packet& packet = next.flights[idx].packet;
+          next.r->deliver(packet);
+          next.history = extend(next.history, Actor::Channel, Action::recv(packet), instant);
           consumed2[idx] = true;
         }
         const bool r_steps_now =

@@ -4,6 +4,7 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "rstp/common/check.h"
@@ -64,8 +65,8 @@ void write_trace(std::ostream& os, const TimedTrace& trace) {
         break;
       case ActionKind::Internal:
         os << "internal " << e.action.internal_id;
-        if (!e.action.internal_name.empty()) {
-          os << ' ' << e.action.internal_name;
+        if (const std::string_view name = internal_name(e.action.internal_id); !name.empty()) {
+          os << ' ' << name;
         }
         break;
     }
@@ -113,12 +114,12 @@ TimedTrace parse_trace(std::istream& is) {
       if (tokens.size() != 5 || (tokens[4] != "0" && tokens[4] != "1")) throw malformed("write");
       event.action = Action::write(static_cast<Bit>(tokens[4] == "1"));
     } else if (kind == "internal") {
-      // The optional trailing name is debug-only; identity is the id.
+      // The optional trailing name is a label; identity is the id.
       const auto id = tokens.size() == 5 || tokens.size() == 6
                           ? parse_number<std::uint16_t>(tokens[4])
                           : std::nullopt;
       if (!id.has_value()) throw malformed("internal");
-      event.action = Action::internal(*id, {});
+      event.action = Action::internal(*id);
     } else {
       throw ModelError("trace parse: unknown action kind '" + kind + "' on line " +
                        std::to_string(line_number));

@@ -60,7 +60,11 @@ std::unique_ptr<ioa::Automaton> AlphaTransmitter::clone() const {
   return std::make_unique<AlphaTransmitter>(*this);
 }
 
-AlphaReceiver::AlphaReceiver(const ProtocolConfig& config) { config.validate(); }
+AlphaReceiver::AlphaReceiver(const ProtocolConfig& config) {
+  config.validate();
+  received_.reserve(config.input.size());
+  written_.reserve(config.input.size());
+}
 
 bool AlphaReceiver::local_action(Action& out) const {
   // Figure 1: idle_r enabled whenever k > i.

@@ -62,7 +62,11 @@ std::unique_ptr<ioa::Automaton> AltBitTransmitter::clone() const {
   return std::make_unique<AltBitTransmitter>(*this);
 }
 
-AltBitReceiver::AltBitReceiver(const ProtocolConfig& config) { config.validate(); }
+AltBitReceiver::AltBitReceiver(const ProtocolConfig& config) {
+  config.validate();
+  accepted_.reserve(config.input.size());
+  written_.reserve(config.input.size());
+}
 
 bool AltBitReceiver::local_action(Action& out) const {
   if (!ack_queue_.empty()) {

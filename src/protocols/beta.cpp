@@ -70,7 +70,9 @@ BetaReceiver::BetaReceiver(const ProtocolConfig& config)
 
 BetaReceiver::BetaReceiver(std::shared_ptr<BlockPlanner> planner)
     : decoder_(checked_planner(BlockPlanner::Discipline::TimedBlocks, std::move(planner))),
-      target_length_(decoder_.planner().input().size()) {}
+      target_length_(decoder_.planner().input().size()) {
+  written_.reserve(target_length_);
+}
 
 bool BetaReceiver::local_action(Action& out) const {
   const std::vector<ioa::Bit>& decoded = decoder_.decoded();

@@ -62,8 +62,8 @@ void BlockPlanner::append(std::shared_ptr<const BlockCoder> coder, std::uint32_t
   std::span<const ioa::Bit> block{input_.data() + p.first_bit, p.bits};
   std::vector<ioa::Bit> padded;
   if (p.bits < coder->bits_per_block()) {
-    padded.assign(block.begin(), block.end());
-    padded.resize(coder->bits_per_block(), 0);
+    padded.assign(coder->bits_per_block(), 0);
+    std::copy(block.begin(), block.end(), padded.begin());
     block = padded;
   }
   p.symbols = coder->encode(block);
@@ -86,7 +86,9 @@ std::vector<combinatorics::Symbol> BlockPlanner::symbol_stream() {
 }
 
 BlockDecoder::BlockDecoder(std::shared_ptr<BlockPlanner> planner)
-    : planner_(std::move(planner)), block_(planner_->alphabet()) {}
+    : planner_(std::move(planner)), block_(planner_->alphabet()) {
+  decoded_.reserve(planner_->input().size());
+}
 
 bool BlockDecoder::add(std::uint32_t symbol) {
   RSTP_CHECK_LT(symbol, planner_->alphabet(), "packet symbol outside the alphabet");

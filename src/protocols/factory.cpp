@@ -91,13 +91,8 @@ ProtocolInstance block_pair(BlockPlanner::Discipline discipline, const ProtocolC
   return {std::make_unique<Transmitter>(planner), std::make_unique<Receiver>(std::move(planner))};
 }
 
-}  // namespace
-
-ProtocolInstance make_protocol(ProtocolKind kind, const ProtocolConfig& config) {
-  // Every constructor (and block_planner_for) validates the config itself.
-  RSTP_CHECK(config.planner == nullptr || kind == ProtocolKind::Beta ||
-                 kind == ProtocolKind::Gamma,
-             "the estimator supports only beta and gamma");
+/// The (A_t, A_r) pair for `kind`.
+ProtocolInstance build_pair(ProtocolKind kind, const ProtocolConfig& config) {
   switch (kind) {
     case ProtocolKind::Alpha:
       return {std::make_unique<AlphaTransmitter>(config), std::make_unique<AlphaReceiver>(config)};
@@ -121,6 +116,18 @@ ProtocolInstance make_protocol(ProtocolKind kind, const ProtocolConfig& config) 
               std::make_unique<WindowedGammaReceiver>(config)};
   }
   RSTP_UNREACHABLE("unknown protocol kind");
+}
+
+}  // namespace
+
+ProtocolInstance make_protocol(ProtocolKind kind, const ProtocolConfig& config) {
+  // Every constructor (and block_planner_for) validates the config itself.
+  RSTP_CHECK(config.planner == nullptr || kind == ProtocolKind::Beta ||
+                 kind == ProtocolKind::Gamma,
+             "the estimator supports only beta and gamma");
+  ProtocolInstance instance = build_pair(kind, config);
+  instance.input_bits = config.input.size();
+  return instance;
 }
 
 }  // namespace rstp::protocols

@@ -79,7 +79,9 @@ GammaReceiver::GammaReceiver(const ProtocolConfig& config)
 
 GammaReceiver::GammaReceiver(std::shared_ptr<BlockPlanner> planner)
     : decoder_(checked_planner(BlockPlanner::Discipline::AckedBlocks, std::move(planner))),
-      target_length_(decoder_.planner().input().size()) {}
+      target_length_(decoder_.planner().input().size()) {
+  written_.reserve(target_length_);
+}
 
 bool GammaReceiver::local_action(Action& out) const {
   // Priority: acks gate the transmitter, so they come first (Figure 4's

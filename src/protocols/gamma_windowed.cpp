@@ -135,6 +135,10 @@ WindowedGammaReceiver::WindowedGammaReceiver(const ProtocolConfig& config)
                           : static_cast<std::uint32_t>(config.params.delta2());
   coder_ = std::make_shared<const BlockCoder>(symbols_, delta2);
   blocks_.assign(window_, combinatorics::Multiset{symbols_});
+  // Every block decodes in full, the last one's padding included.
+  const std::size_t block_bits = coder_->bits_per_block();
+  decoded_.reserve((target_length_ + block_bits - 1) / block_bits * block_bits);
+  written_.reserve(target_length_);
 }
 
 void WindowedGammaReceiver::decode_ready_blocks() {

@@ -60,6 +60,7 @@ IndexedReceiver::IndexedReceiver(const ProtocolConfig& config)
       target_length_(config.input.size()) {
   config.validate();
   check_alphabet_covers(config);
+  written_.reserve(target_length_);
 }
 
 bool IndexedReceiver::local_action(Action& out) const {

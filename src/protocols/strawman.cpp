@@ -22,33 +22,29 @@ namespace {
 
 StrawmanTransmitter::StrawmanTransmitter(const ProtocolConfig& config) {
   config.validate();
+  input_ = config.input;
   delta_ = config.params.delta1_wait();
+  RSTP_CHECK_LE(delta_, kMaxBlock, "strawman block of ceil(d/c1) packets too large to be in flight");
   bits_per_symbol_ = floor_log2_u32(config.k);
   RSTP_CHECK_GE(bits_per_symbol_, std::size_t{1}, "strawman needs k >= 2");
   bits_per_block_ = bits_per_symbol_ * static_cast<std::size_t>(delta_);
+  const std::size_t blocks = (input_.size() + bits_per_block_ - 1) / bits_per_block_;
+  symbols_ = blocks * static_cast<std::size_t>(delta_);
+}
 
-  // Positional encoding: consecutive groups of bits_per_symbol_ bits map to
-  // one symbol; zero-pad the tail block.
-  const std::size_t n = config.input.size();
-  const std::size_t blocks = (n + bits_per_block_ - 1) / bits_per_block_;
-  stream_.reserve(blocks * static_cast<std::size_t>(delta_));
-  for (std::size_t b = 0; b < blocks; ++b) {
-    for (std::int64_t s = 0; s < delta_; ++s) {
-      std::uint32_t symbol = 0;
-      for (std::size_t bit = 0; bit < bits_per_symbol_; ++bit) {
-        const std::size_t idx =
-            b * bits_per_block_ + static_cast<std::size_t>(s) * bits_per_symbol_ + bit;
-        const Bit value = idx < n ? config.input[idx] : Bit{0};
-        symbol = (symbol << 1) | value;
-      }
-      stream_.push_back(symbol);
-    }
+std::uint32_t StrawmanTransmitter::symbol(std::size_t i) const {
+  // Positional encoding: symbol i carries bits [i·b, (i+1)·b) of X, most
+  // significant first; the tail block is zero-padded.
+  std::uint32_t symbol = 0;
+  for (std::size_t bit = i * bits_per_symbol_; bit < (i + 1) * bits_per_symbol_; ++bit) {
+    symbol = (symbol << 1) | (bit < input_.size() ? input_[bit] : Bit{0});
   }
+  return symbol;
 }
 
 bool StrawmanTransmitter::local_action(Action& out) const {
-  if (c_ < delta_ && i_ < stream_.size()) {
-    out = Action::send(Packet::to_receiver(stream_[i_]));
+  if (c_ < delta_ && i_ < symbols_) {
+    out = Action::send(Packet::to_receiver(symbol(i_)));
   } else if (c_ >= delta_) {
     out = wait_t_action();
   } else {
@@ -72,7 +68,7 @@ bool StrawmanTransmitter::step(ioa::LocalStep& out) {
   return true;
 }
 
-bool StrawmanTransmitter::transmission_complete() const { return i_ >= stream_.size(); }
+bool StrawmanTransmitter::transmission_complete() const { return i_ >= symbols_; }
 
 std::string StrawmanTransmitter::snapshot() const {
   std::ostringstream os;
@@ -90,6 +86,9 @@ StrawmanReceiver::StrawmanReceiver(const ProtocolConfig& config) {
   delta_ = config.params.delta1_wait();
   bits_per_symbol_ = floor_log2_u32(config.k);
   target_length_ = config.input.size();
+  // decoded_ takes whole blocks of δ symbols, far more than |X| when d is
+  // large, so only Y itself is sized up front.
+  written_.reserve(target_length_);
 }
 
 bool StrawmanReceiver::local_action(Action& out) const {

@@ -2,22 +2,23 @@
 
 namespace rstp::sim {
 
-// Layer names follow bench_layers' per-layer metric names.
+// Layer names are `module.call`, the form of bench_layers' per-layer metric
+// names.
 
 TimedAutomaton::TimedAutomaton(std::unique_ptr<ioa::Automaton> inner, obs::HostTimer& timer)
     : inner_(std::move(inner)),
       timer_(timer),
       step_(timer.layer("protocols.step")),
-      apply_(timer.layer("protocols.apply")) {}
+      deliver_(timer.layer("protocols.deliver")) {}
 
 bool TimedAutomaton::step(ioa::LocalStep& out) {
   const obs::HostTimer::Scope scope{timer_, step_};
   return inner_->step(out);
 }
 
-void TimedAutomaton::apply(const ioa::Action& action) {
-  const obs::HostTimer::Scope scope{timer_, apply_};
-  inner_->apply(action);
+bool TimedAutomaton::deliver(const ioa::Packet& packet) {
+  const obs::HostTimer::Scope scope{timer_, deliver_};
+  return inner_->deliver(packet);
 }
 
 TimedScheduler::TimedScheduler(std::unique_ptr<StepScheduler> inner, obs::HostTimer& timer)

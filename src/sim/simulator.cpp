@@ -43,72 +43,35 @@ const obs::ProtocolCounters* Simulator::counters_of(ProcessId id) const {
   return source != nullptr ? &source->protocol_counters() : nullptr;
 }
 
-Duration Simulator::validated_gap(const ProcessState& ps, std::uint64_t step_index) {
-  const core::TimingParams& params = ps.law;
-  if (step_index == 0) {
-    const Duration first = ps.scheduler->first_offset();
-    if (first.is_negative() || first > params.c2) {
-      std::ostringstream os;
-      os << "scheduler first offset " << first << " outside [0, c2=" << params.c2 << "]";
-      throw ModelError(os.str());
-    }
-    return first;
+void Simulator::throw_out_of_law(Duration value, const core::TimingParams& law, bool first) {
+  std::ostringstream os;
+  if (first) {
+    os << "scheduler first offset " << value << " outside [0, c2=" << law.c2 << "]";
+  } else {
+    os << "scheduler gap " << value << " outside [c1=" << law.c1 << ", c2=" << law.c2 << "]";
   }
-  const Duration gap = ps.scheduler->next_gap(step_index);
-  if (gap < params.c1 || gap > params.c2) {
-    std::ostringstream os;
-    os << "scheduler gap " << gap << " outside [c1=" << params.c1 << ", c2=" << params.c2 << "]";
-    throw ModelError(os.str());
-  }
-  return gap;
-}
-
-void Simulator::record(RunResult& result, Time time, Actor actor, const Action& action) {
-  ++result.event_count;
-  ++result.metrics.counters.events;
-  result.end_time = time;
-  if (action.kind == ActionKind::Write) {
-    result.output.push_back(action.message);
-    ++result.metrics.counters.writes;
-  }
-  // record_events_ caches `record_trace || observer` so the common headless
-  // configuration (campaign/effort runs) skips the TimedEvent construction
-  // entirely.
-  if (record_events_) {
-    const ioa::TimedEvent event{time, actor, action, next_seq_};
-    if (config_.record_trace) {
-      result.trace.append(event);
-    }
-    if (config_.observer != nullptr) {
-      config_.observer->on_event(event);
-    }
-  }
-  ++next_seq_;
+  throw ModelError(os.str());
 }
 
 void Simulator::deliver_due(RunResult& result, Time now) {
   for (const channel::InFlightPacket& flight : channel_->collect_due(now)) {
-    ioa::Automaton& dest = *procs_[index_of(flight.packet.destination())].automaton;
-    const Action recv = Action::recv(flight.packet);
-    RSTP_CHECK(dest.accepts_input(recv), "delivered packet not an input of its destination");
-    dest.apply(recv);
-    ProcessState& ps = procs_[index_of(flight.packet.destination())];
-    ps.quiescent = dest.quiescent();
+    const ProcessId to = flight.packet.destination();
+    ProcessState& ps = procs_[index_of(to)];
+    ps.quiescent = ps.automaton->deliver(flight.packet);
     // The channel knows both endpoints of every flight, so delivery delay is
     // measured exactly — no post-hoc trace matching involved.
     const Duration delay = flight.deliver_at - flight.sent_at;
-    if (flight.packet.destination() == ProcessId::Receiver) {
+    if (to == ProcessId::Receiver) {
       ++result.metrics.counters.data_recvs;
       result.metrics.data_delay.record(delay.ticks());
     } else {
       ++result.metrics.counters.ack_recvs;
       result.metrics.ack_delay.record(delay.ticks());
     }
-    record(result, flight.deliver_at, Actor::Channel, recv);
+    record(result, flight.deliver_at, Actor::Channel, Action::recv(flight.packet));
     if (config_.observer != nullptr) {
-      config_.observer->on_delivery(flight.packet.destination(), flight.sent_at,
-                                  flight.deliver_at, flight.packet, flight.send_seq,
-                                  counters_of(flight.packet.destination()));
+      config_.observer->on_delivery(to, flight.sent_at, flight.deliver_at, flight.packet,
+                                    flight.send_seq, counters_of(to));
     }
     // A stopped process can be re-enabled by input; let it resume stepping.
     if (ps.stopped) {
@@ -190,8 +153,8 @@ void Simulator::start() {
     result_.trace.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(config_.max_events,
                                                                            4096)));
   }
-  t.next_step = Time::zero() + validated_gap(t, 0);
-  r.next_step = Time::zero() + validated_gap(r, 0);
+  t.next_step = Time::zero() + validated_first_offset(t);
+  r.next_step = Time::zero() + validated_first_offset(r);
   t.quiescent = t.automaton->quiescent();
   r.quiescent = r.automaton->quiescent();
 }

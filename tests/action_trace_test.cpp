@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "rstp/common/check.h"
 #include "rstp/ioa/action.h"
 #include "rstp/ioa/trace.h"
+#include "rstp/ioa/trace_io.h"
 
 namespace rstp::ioa {
 namespace {
@@ -39,27 +41,60 @@ TEST(Action, FactoryAndEquality) {
   EXPECT_EQ(w, Action::write(1));
   EXPECT_NE(w, Action::write(0));
 
-  const Action i1 = Action::internal(7, "wait_t");
-  const Action i2 = Action::internal(7, "different_debug_name");
-  EXPECT_EQ(i1, i2) << "internal identity is the id, not the debug name";
-  EXPECT_NE(i1, Action::internal(8, "wait_t"));
+  const Action i = Action::internal(7);
+  EXPECT_EQ(i.kind, ActionKind::Internal);
+  EXPECT_EQ(i, Action::internal(7)) << "an internal action is its id";
+  EXPECT_NE(i, Action::internal(8));
 }
 
 TEST(Action, StreamFormatting) {
   std::ostringstream os;
   os << Action::send(Packet::to_receiver(2)) << " | " << Action::write(1) << " | "
-     << Action::internal(1, "wait_t");
+     << Action::internal(1);
   EXPECT_EQ(os.str(), "send(pkt(t→r, 2)) | write(1) | wait_t");
+}
+
+TEST(Action, InternalNamesComeFromOneTable) {
+  const auto printed = [](const Action& a) {
+    std::ostringstream os;
+    os << a;
+    return os.str();
+  };
+  EXPECT_EQ(printed(Action::internal(kWaitT)), "wait_t");
+  EXPECT_EQ(printed(Action::internal(kIdleR)), "idle_r");
+  EXPECT_EQ(printed(Action::internal(kIdleT)), "idle_t");
+  EXPECT_EQ(printed(Action::internal(0)), "internal#0");
+  EXPECT_EQ(printed(Action::internal(7)), "internal#7");
+  EXPECT_EQ(internal_name(7), "");
+}
+
+TEST(TimedTrace, WriteParseRoundTripIsByteIdentical) {
+  TimedTrace trace;
+  trace.append({at_tick(0), Actor::Transmitter, Action::send(Packet::to_receiver(3)), 0});
+  trace.append({at_tick(1), Actor::Transmitter, Action::internal(kWaitT), 1});
+  trace.append({at_tick(2), Actor::Channel, Action::recv(Packet::to_receiver(3)), 2});
+  trace.append({at_tick(2), Actor::Receiver, Action::send(Packet::to_transmitter(1)), 3});
+  trace.append({at_tick(3), Actor::Receiver, Action::internal(kIdleR), 4});
+  trace.append({at_tick(4), Actor::Channel, Action::recv(Packet::to_transmitter(1)), 5});
+  trace.append({at_tick(4), Actor::Transmitter, Action::internal(kIdleT), 6});
+  trace.append({at_tick(5), Actor::Receiver, Action::write(1), 7});
+  trace.append({at_tick(6), Actor::Receiver, Action::internal(7), 8});
+  const std::string text = trace_to_string(trace);
+  EXPECT_NE(text.find("1 1 t internal 1 wait_t\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("8 6 r internal 7\n"), std::string::npos) << text;
+  const TimedTrace parsed = parse_trace_string(text);
+  EXPECT_EQ(parsed.events(), trace.events());
+  EXPECT_EQ(trace_to_string(parsed), text);
 }
 
 TEST(TimedTrace, AppendEnforcesMonotonicity) {
   TimedTrace trace;
-  trace.append({at_tick(0), Actor::Transmitter, Action::internal(1, "a"), 0});
-  trace.append({at_tick(0), Actor::Receiver, Action::internal(2, "b"), 1});  // equal time OK
+  trace.append({at_tick(0), Actor::Transmitter, Action::internal(1), 0});
+  trace.append({at_tick(0), Actor::Receiver, Action::internal(2), 1});  // equal time OK
   trace.append({at_tick(5), Actor::Channel, Action::recv(Packet::to_receiver(0)), 2});
-  EXPECT_THROW(trace.append({at_tick(4), Actor::Transmitter, Action::internal(1, "a"), 3}),
+  EXPECT_THROW(trace.append({at_tick(4), Actor::Transmitter, Action::internal(1), 3}),
                ContractViolation);
-  EXPECT_THROW(trace.append({at_tick(5), Actor::Transmitter, Action::internal(1, "a"), 2}),
+  EXPECT_THROW(trace.append({at_tick(5), Actor::Transmitter, Action::internal(1), 2}),
                ContractViolation);  // seq must increase
   EXPECT_EQ(trace.size(), 3u);
 }
@@ -67,7 +102,7 @@ TEST(TimedTrace, AppendEnforcesMonotonicity) {
 TEST(TimedTrace, WrittenMessagesExtractsY) {
   TimedTrace trace;
   trace.append({at_tick(1), Actor::Receiver, Action::write(1), 0});
-  trace.append({at_tick(2), Actor::Receiver, Action::internal(2, "idle_r"), 1});
+  trace.append({at_tick(2), Actor::Receiver, Action::internal(2), 1});
   trace.append({at_tick(3), Actor::Receiver, Action::write(0), 2});
   trace.append({at_tick(4), Actor::Receiver, Action::write(1), 3});
   EXPECT_EQ(trace.written_messages(), (std::vector<Bit>{1, 0, 1}));
@@ -89,9 +124,9 @@ TEST(TimedTrace, LastSendTracksPerSender) {
 TEST(TimedTrace, BehaviorDropsInternalActions) {
   TimedTrace trace;
   trace.append({at_tick(0), Actor::Transmitter, Action::send(Packet::to_receiver(0)), 0});
-  trace.append({at_tick(1), Actor::Transmitter, Action::internal(1, "wait_t"), 1});
+  trace.append({at_tick(1), Actor::Transmitter, Action::internal(1), 1});
   trace.append({at_tick(2), Actor::Channel, Action::recv(Packet::to_receiver(0)), 2});
-  trace.append({at_tick(3), Actor::Receiver, Action::internal(2, "idle_r"), 3});
+  trace.append({at_tick(3), Actor::Receiver, Action::internal(2), 3});
   trace.append({at_tick(4), Actor::Receiver, Action::write(0), 4});
   const auto beh = trace.behavior();
   ASSERT_EQ(beh.size(), 3u);

@@ -217,7 +217,7 @@ TEST(Cli, RunTimingPrintsThePhaseTable) {
   // One row per timed layer, the timers' own cost and the simulator's
   // residual; together they are the run's wall time, to the nanosecond.
   std::int64_t sum = 0;
-  for (const char* row : {"protocols.step", "protocols.apply", "sim.scheduler.next_gap",
+  for (const char* row : {"protocols.step", "protocols.deliver", "sim.scheduler.next_gap",
                           "channel.policy_choose", "timer cost", "simulator own (residual)"}) {
     sum += timing_row_ns(out, row);
   }
@@ -548,6 +548,40 @@ TEST(Cli, ABlockPastTheCodecTableCeilingIsAUsageError) {
   EXPECT_EQ(run_command("run beta 1 1 1000000 4 8", &out), 0) << out;
 }
 
+TEST(Cli, AStrawmanBlockPastTheInFlightCeilingIsAUsageError) {
+  // A strawman block of ceil(d/c1) packets is in flight at once under the
+  // worst-case delay. `run strawman 1 1 300000000 4 8` once built a 1.2 GB
+  // symbol stream and, without it, would still hold 25 million packets in
+  // flight by the event cap; both exited 1 with std::bad_alloc under a
+  // 1.5 GB address-space limit.
+  std::string out;
+  EXPECT_EQ(run_command("run strawman 1 1 300000000 4 8", &out), 2) << out;
+  EXPECT_NE(out.find("out-of-range d '300000000'"), std::string::npos) << out;
+  EXPECT_EQ(out.find("bad_alloc"), std::string::npos) << out;
+  EXPECT_EQ(run_command("run strawman 2 2 8388610 4 8", &out), 2) << out;
+  EXPECT_NE(out.find("out-of-range d '8388610'"), std::string::npos) << out;
+}
+
+TEST(Cli, BoundsRejectsAnExactCostPastItsLimitAsAUsageError) {
+  // bounds computes mu and zeta exactly, at a cost quadratic in
+  // min(k, ceil(d/c1)); past 20000 it names the argument that sets it, at
+  // once (`bounds 1 1 4294967295 4294967295` never returned).
+  const std::pair<std::string, std::string> cases[] = {
+      {"bounds 1 1 4294967295 4294967295", "k '4294967295'"},
+      {"bounds 1 1 20001 20001", "k '20001'"},
+      {"bounds 1 1 20001 4294967295", "d '20001'"},
+      {"bounds 2 3 40001 30000", "d '40001'"},
+  };
+  for (const auto& [command, token] : cases) {
+    std::string out;
+    EXPECT_EQ(run_command(command, &out), 2) << command << "\n" << out;
+    EXPECT_NE(out.find("out-of-range " + token), std::string::npos) << command << "\n" << out;
+  }
+  std::string out;
+  EXPECT_EQ(run_command("bounds 1 1 20000 20000", &out), 0) << out;
+  EXPECT_NE(out.find("delta1=20000"), std::string::npos) << out;
+}
+
 TEST(Cli, MegaRejectsZeroCountsAsUsageErrors) {
   for (const std::string flag : {"--sessions", "--shards", "--max-events"}) {
     std::string out;
@@ -601,7 +635,7 @@ TEST(Cli, RunWritesChromeTraceWithTraceOut) {
   EXPECT_NE(content.find("model: channel"), std::string::npos);
   // --timing puts the host timer's spans on the pid-100 track.
   EXPECT_NE(content.find("host: layers"), std::string::npos);
-  EXPECT_NE(content.find("\"name\":\"protocols.apply\",\"cat\":\"host\",\"pid\":100"),
+  EXPECT_NE(content.find("\"name\":\"protocols.deliver\",\"cat\":\"host\",\"pid\":100"),
             std::string::npos);
   std::remove(trace_json.c_str());
 }

@@ -50,7 +50,7 @@ void expect_same_run(const sim::RunResult& timed, const sim::RunResult& plain) {
 
 /// The four layers the decorators time, each called at least once.
 void expect_every_layer_timed(const HostTimer& timer) {
-  for (const char* name : {"protocols.step", "protocols.apply",
+  for (const char* name : {"protocols.step", "protocols.deliver",
                            "sim.scheduler.next_gap", "channel.policy_choose"}) {
     EXPECT_GT(layer_named(timer, name).calls, 0u) << name;
   }
@@ -136,12 +136,15 @@ TEST(HostTimer, LayersTimersAndResidualSumToTheWallTimeExactly) {
   }
   EXPECT_EQ(sum, static_cast<std::int64_t>(wall));
   EXPECT_EQ(a.timed_calls, calls);
-  // Every apply() is a delivery and every step() a local step, but for the
-  // one step() that finds γ's transmitter stopped after its last ack (the
-  // receiver can always idle).
+  // One call per event: every deliver() is a delivery and every step() a
+  // local step, but for the one step() that finds γ's transmitter stopped
+  // after its last ack (the receiver can always idle).
   const std::uint64_t local_steps = run.transmitter_steps + run.receiver_steps;
-  EXPECT_EQ(layer_named(timer, "protocols.apply").calls, run.event_count - local_steps);
-  EXPECT_EQ(layer_named(timer, "protocols.step").calls, local_steps + 1);
+  const std::uint64_t deliveries = layer_named(timer, "protocols.deliver").calls;
+  const std::uint64_t steps = layer_named(timer, "protocols.step").calls;
+  EXPECT_EQ(deliveries, run.metrics.counters.data_recvs + run.metrics.counters.ack_recvs);
+  EXPECT_EQ(steps, local_steps + 1);
+  EXPECT_EQ(steps + deliveries, run.event_count + 1);
   EXPECT_EQ(layer_named(timer, "channel.policy_choose").calls,
             run.transmitter_sends + run.receiver_sends);
 }

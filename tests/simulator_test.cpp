@@ -73,7 +73,7 @@ class EchoReceiver final : public ioa::Automaton {
   [[nodiscard]] std::string_view name() const override { return "echo_receiver"; }
   [[nodiscard]] std::optional<Action> enabled_local() const override {
     if (pending_acks_ > 0) return Action::send(Packet::to_transmitter(0));
-    return Action::internal(1, "idle");
+    return Action::internal(1);
   }
   void apply(const Action& action) override {
     if (action.kind == ActionKind::Recv) {
@@ -112,7 +112,7 @@ class AwaitingReceiver final : public ioa::Automaton {
  public:
   [[nodiscard]] std::string_view name() const override { return "awaiting_receiver"; }
   [[nodiscard]] std::optional<Action> enabled_local() const override {
-    return Action::internal(1, "idle");
+    return Action::internal(1);
   }
   void apply(const Action& action) override {
     if (action.kind == ActionKind::Recv) ++arrivals_;
@@ -135,10 +135,12 @@ class AwaitingReceiver final : public ioa::Automaton {
 
 /// Forwards every call to an owned automaton and its counters through an
 /// obs::CounterSource base of its own, outside the protocol hierarchy and
-/// without overriding counter_source() or step(): the simulator finds the
-/// counters through the default's dynamic_cast and takes each step through
-/// the default's enabled_local/apply/quiescent composition, as it does for
-/// bench_layers' decorator.
+/// without overriding counter_source(), step() or deliver(): the simulator
+/// finds the counters through the default's dynamic_cast, takes each step
+/// through the default's enabled_local/apply/quiescent composition and each
+/// delivery through the default's accepts_input/apply/quiescent one, as it
+/// does for bench_layers' decorator. It counts the apply() calls those
+/// defaults make.
 class ForwardingAutomaton final : public ioa::Automaton, public obs::CounterSource {
  public:
   ForwardingAutomaton(std::unique_ptr<ioa::Automaton> inner, const obs::CounterSource& counters)
@@ -147,7 +149,10 @@ class ForwardingAutomaton final : public ioa::Automaton, public obs::CounterSour
   [[nodiscard]] std::optional<Action> enabled_local() const override {
     return inner_->enabled_local();
   }
-  void apply(const Action& action) override { inner_->apply(action); }
+  void apply(const Action& action) override {
+    ++(action.kind == ActionKind::Recv ? input_applies_ : local_applies_);
+    inner_->apply(action);
+  }
   [[nodiscard]] bool accepts_input(const Action& a) const override {
     return inner_->accepts_input(a);
   }
@@ -157,10 +162,15 @@ class ForwardingAutomaton final : public ioa::Automaton, public obs::CounterSour
   [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const override {
     return counters_.protocol_counters();
   }
+  /// apply() calls with an input (deliveries) and with a local action.
+  [[nodiscard]] std::uint64_t input_applies() const { return input_applies_; }
+  [[nodiscard]] std::uint64_t local_applies() const { return local_applies_; }
 
  private:
   std::unique_ptr<ioa::Automaton> inner_;
   const obs::CounterSource& counters_;
+  std::uint64_t input_applies_ = 0;
+  std::uint64_t local_applies_ = 0;
 };
 
 /// Adapts a callable to the observer hook's per-event callback.
@@ -178,6 +188,16 @@ SimConfig config_for(const core::TimingParams& params) {
   SimConfig c;
   c.params = params;
   return c;
+}
+
+TEST(Simulator, DefaultDeliverTakesOnlyInputsAndReportsQuiescence) {
+  // EchoReceiver's apply() takes anything; the default deliver() checks
+  // accepts_input() first, as the simulator did before each delivery.
+  EchoReceiver receiver{true};
+  EXPECT_THROW(receiver.deliver(Packet::to_transmitter(0)), ContractViolation);
+  EXPECT_EQ(receiver.snapshot(), "er 0 0");
+  EXPECT_FALSE(receiver.deliver(Packet::to_receiver(4)));  // one ack pending
+  EXPECT_EQ(receiver.received(), (std::vector<std::uint32_t>{4}));
 }
 
 TEST(Simulator, DeliversEverythingAndQuiesces) {
@@ -608,11 +628,15 @@ TEST(Simulator, FindsProtocolCountersOnAllThreeDiscoveryPaths) {
   const RunResult forwarded = sim.run();
   EXPECT_EQ(forwarded.metrics, bare.metrics);
   EXPECT_EQ(forwarded.output, bare.output);
-  // The default step() takes the run the protocols' own step() takes,
-  // event for event.
+  // The default step() and deliver() take the run the protocols' own take,
+  // event for event, with one apply() per event.
   EXPECT_EQ(forwarded.trace.events(), bare.trace.events());
   EXPECT_EQ(forwarded.event_count, bare.event_count);
   EXPECT_EQ(forwarded.end_time, bare.end_time);
+  EXPECT_EQ(transmitter.input_applies(), bare.metrics.counters.ack_recvs);
+  EXPECT_EQ(receiver.input_applies(), bare.metrics.counters.data_recvs);
+  EXPECT_EQ(transmitter.local_applies(), bare.transmitter_steps);
+  EXPECT_EQ(receiver.local_applies(), bare.receiver_steps);
 }
 
 }  // namespace

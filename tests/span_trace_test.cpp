@@ -290,7 +290,7 @@ TEST(SpanTrace, HostSpansLandUnderPid100FromAHostTimer) {
     names.insert(e.string_or("name", ""));
   }
   EXPECT_EQ(host_spans, timed_calls);
-  EXPECT_EQ(names, (std::set<std::string>{"channel.policy_choose", "protocols.apply",
+  EXPECT_EQ(names, (std::set<std::string>{"channel.policy_choose", "protocols.deliver",
                                           "protocols.step", "sim.scheduler.next_gap"}));
 }
 

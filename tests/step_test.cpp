@@ -1,4 +1,4 @@
-// Automaton::step() against the composition it fuses.
+// Automaton::step() and deliver() against the compositions they fuse.
 //
 // Every protocol writes its local transitions once, in step(), which takes
 // the enabled action and reports it with the quiescence after it. The
@@ -6,6 +6,8 @@
 // quiescent(). Replaying the deliveries of a real run, one copy of each
 // automaton steps by its own step() and a clone by the default composition;
 // after every event both must agree with each other and with the run.
+// deliver() is checked the same way against the default composition of
+// accepts_input(), apply() and quiescent().
 #include <gtest/gtest.h>
 
 #include <array>
@@ -39,7 +41,7 @@ protocols::ProtocolConfig config_for(ProtocolKind kind) {
 /// has, the enabled send or write with its payload changed, and a packet
 /// this automaton does not accept as input.
 std::vector<Action> not_enabled(const ioa::Automaton& a, const std::optional<Action>& enabled) {
-  std::vector<Action> actions{Action::internal(0xFFFF, "bogus")};
+  std::vector<Action> actions{Action::internal(0xFFFF)};
   if (enabled.has_value() && enabled->kind == ActionKind::Send) {
     Packet p = enabled->packet;
     ++p.payload;
@@ -108,13 +110,67 @@ void expect_step_matches_composition(ProtocolKind kind, const core::Environment&
     for (const auto& a : pair) {
       if (a->enabled_local().has_value()) continue;
       const std::string before = a->snapshot();
-      ioa::LocalStep out{Action::internal(0xFFFF, "untouched"), true};
+      ioa::LocalStep out{Action::internal(0xFFFF), true};
       EXPECT_FALSE(a->step(out)) << a->name();
-      EXPECT_EQ(out.action, Action::internal(0xFFFF, "untouched"));
+      EXPECT_EQ(out.action, Action::internal(0xFFFF));
       EXPECT_TRUE(out.quiescent);
       EXPECT_EQ(a->snapshot(), before);
       expect_rejects_actions_not_enabled(*a);
     }
+  }
+}
+
+/// deliver() of the packet each process does not take fails the base's
+/// direction check, and the default composition its accepts_input() check;
+/// both leave the automaton as it was.
+void expect_rejects_wrong_direction(ioa::Automaton& a, ioa::ProcessId self) {
+  const Packet wrong = self == ioa::ProcessId::Receiver ? Packet::to_transmitter(0)
+                                                        : Packet::to_receiver(0);
+  const std::string before = a.snapshot();
+  EXPECT_THROW(a.deliver(wrong), ContractViolation) << a.name();
+  EXPECT_THROW(a.ioa::Automaton::deliver(wrong), ContractViolation) << a.name() << " (default)";
+  EXPECT_EQ(a.snapshot(), before) << a.name();
+}
+
+void expect_deliver_matches_composition(ProtocolKind kind, const core::Environment& env) {
+  const protocols::ProtocolConfig cfg = config_for(kind);
+  const core::ProtocolRun run = core::run_protocol(kind, cfg, env);
+  ASSERT_TRUE(run.result.quiescent);
+
+  protocols::ProtocolInstance instance = protocols::make_protocol(kind, cfg);
+  // [0] takes inputs by its own deliver(), [1] by the default composition.
+  const std::array<std::array<std::unique_ptr<ioa::Automaton>, 2>, 2> procs{{
+      {instance.transmitter->clone(), instance.transmitter->clone()},
+      {instance.receiver->clone(), instance.receiver->clone()},
+  }};
+  std::size_t deliveries = 0;
+  for (const ioa::TimedEvent& event : run.result.trace.events()) {
+    SCOPED_TRACE("event " + std::to_string(event.seq));
+    if (event.actor == Actor::Channel) {
+      const ioa::ProcessId dest = event.action.packet.destination();
+      const auto& [fused, composed] = procs[static_cast<std::size_t>(dest)];
+      expect_rejects_wrong_direction(*fused, dest);
+      const bool by_deliver = fused->deliver(event.action.packet);
+      const bool by_composition = composed->ioa::Automaton::deliver(event.action.packet);
+      EXPECT_EQ(by_deliver, by_composition);
+      EXPECT_EQ(by_deliver, fused->quiescent());
+      ++deliveries;
+    } else {
+      for (const auto& a : procs[static_cast<std::size_t>(event.actor)]) {
+        ioa::LocalStep taken;
+        ASSERT_TRUE(a->step(taken));
+        EXPECT_EQ(taken.action, event.action);
+      }
+    }
+    for (const auto& pair : procs) {
+      EXPECT_EQ(pair[0]->snapshot(), pair[1]->snapshot());
+      EXPECT_EQ(pair[0]->quiescent(), pair[1]->quiescent());
+    }
+  }
+  EXPECT_EQ(deliveries, run.result.metrics.counters.data_recvs +
+                            run.result.metrics.counters.ack_recvs);
+  for (const ioa::ProcessId id : {ioa::ProcessId::Transmitter, ioa::ProcessId::Receiver}) {
+    for (const auto& a : procs[static_cast<std::size_t>(id)]) expect_rejects_wrong_direction(*a, id);
   }
 }
 
@@ -125,6 +181,17 @@ TEST(Automaton, StepMatchesEnabledThenApply) {
       SCOPED_TRACE(std::string{protocols::to_string(kind)} + " env seed " +
                    std::to_string(env.seed));
       expect_step_matches_composition(kind, env);
+    }
+  }
+}
+
+TEST(Automaton, DeliverMatchesAcceptsInputThenApply) {
+  for (const ProtocolKind kind : protocols::kAllProtocolKinds) {
+    for (const core::Environment& env :
+         {core::Environment::worst_case(), core::Environment::randomized(3)}) {
+      SCOPED_TRACE(std::string{protocols::to_string(kind)} + " env seed " +
+                   std::to_string(env.seed));
+      expect_deliver_matches_composition(kind, env);
     }
   }
 }

@@ -77,5 +77,35 @@ TEST(Strawman, SortedBlocksSurviveByAccident) {
   EXPECT_TRUE(run.output_correct) << "all-zero blocks are sort-invariant";
 }
 
+/// The payloads of the transmitter's first `count` sends.
+std::vector<std::uint32_t> first_sends(StrawmanTransmitter& t, std::size_t count) {
+  std::vector<std::uint32_t> payloads;
+  ioa::LocalStep taken;
+  while (payloads.size() < count && t.step(taken)) {
+    if (taken.action.kind == ioa::ActionKind::Send) payloads.push_back(taken.action.packet.payload);
+  }
+  return payloads;
+}
+
+TEST(Strawman, SendsEachSymbolComputedFromX) {
+  // b = 2 bits per symbol, δ = 4: 10 bits fill one block and two symbols
+  // of the next, which is zero-padded.
+  StrawmanTransmitter t{config_for({0, 1, 1, 0, 1, 1, 0, 0, 1, 0})};
+  EXPECT_EQ(first_sends(t, 8), (std::vector<std::uint32_t>{1, 2, 3, 0, 2, 0, 0, 0}));
+  EXPECT_TRUE(t.transmission_complete());
+}
+
+TEST(Strawman, TakesBlocksUpToTheInFlightCeilingWithoutStoringThem) {
+  // Nothing is materialized per symbol: the largest block builds at once
+  // for an 8-bit X and sends X's symbols first, then padding.
+  StrawmanTransmitter t{config_for({1, 1, 0, 1, 1, 0, 0, 1}, 4, 1, 1,
+                                   StrawmanTransmitter::kMaxBlock)};
+  EXPECT_EQ(t.block_size(), StrawmanTransmitter::kMaxBlock);
+  EXPECT_EQ(first_sends(t, 6), (std::vector<std::uint32_t>{3, 1, 2, 1, 0, 0}));
+  EXPECT_FALSE(t.transmission_complete());
+  EXPECT_THROW(StrawmanTransmitter{config_for({1}, 4, 1, 1, StrawmanTransmitter::kMaxBlock + 1)},
+               ContractViolation);
+}
+
 }  // namespace
 }  // namespace rstp::protocols

@@ -48,7 +48,7 @@ TEST(TraceStatsEdge, UnmatchedSendsOnlyCountAsOutstanding) {
 
 TEST(TraceStatsEdge, SingleEventTraceHasNoGapsOrThroughput) {
   TimedTrace trace;
-  trace.append({at_tick(0), Actor::Transmitter, Action::internal(0, "wait_t"), 0});
+  trace.append({at_tick(0), Actor::Transmitter, Action::internal(0), 0});
   const core::TraceStats stats = core::compute_trace_stats(trace);
   EXPECT_EQ(stats.transmitter.steps, 1u);
   EXPECT_FALSE(stats.transmitter.min_gap.has_value());

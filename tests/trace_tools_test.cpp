@@ -53,7 +53,7 @@ TEST(TraceIo, FormatIsHumanReadable) {
   trace.append({at_tick(0), Actor::Transmitter, Action::send(Packet::to_receiver(3)), 0});
   trace.append({at_tick(2), Actor::Channel, Action::recv(Packet::to_receiver(3)), 1});
   trace.append({at_tick(3), Actor::Receiver, Action::write(1), 2});
-  trace.append({at_tick(4), Actor::Receiver, Action::internal(2, "idle_r"), 3});
+  trace.append({at_tick(4), Actor::Receiver, Action::internal(2), 3});
   const std::string text = ioa::trace_to_string(trace);
   EXPECT_NE(text.find("0 0 t send tr 3"), std::string::npos) << text;
   EXPECT_NE(text.find("1 2 c recv tr 3"), std::string::npos);

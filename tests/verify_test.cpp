@@ -46,9 +46,9 @@ VerifyResult verdict(const TimedTrace& t, std::span<const Bit> input,
 TimedTrace good_trace() {
   TimedTrace t;
   t.append({at_tick(0), Actor::Transmitter, Action::send(Packet::to_receiver(1)), 0});
-  t.append({at_tick(2), Actor::Transmitter, Action::internal(1, "wait_t"), 1});
+  t.append({at_tick(2), Actor::Transmitter, Action::internal(1), 1});
   t.append({at_tick(3), Actor::Channel, Action::recv(Packet::to_receiver(1)), 2});
-  t.append({at_tick(4), Actor::Transmitter, Action::internal(1, "wait_t"), 3});
+  t.append({at_tick(4), Actor::Transmitter, Action::internal(1), 3});
   t.append({at_tick(5), Actor::Receiver, Action::write(1), 4});
   return t;
 }
@@ -66,8 +66,8 @@ TEST(Verify, EmptyTraceWithEmptyInputIsGood) {
 
 TEST(Verify, FlagsStepGapTooSmall) {
   TimedTrace t;
-  t.append({at_tick(0), Actor::Transmitter, Action::internal(1, "wait_t"), 0});
-  t.append({at_tick(1), Actor::Transmitter, Action::internal(1, "wait_t"), 1});  // gap 1 < c1=2
+  t.append({at_tick(0), Actor::Transmitter, Action::internal(1), 0});
+  t.append({at_tick(1), Actor::Transmitter, Action::internal(1), 1});  // gap 1 < c1=2
   const VerifyResult r = verdict(t, {}, {.require_drained = false});
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.clean_of(ViolationKind::StepGapTooSmall));
@@ -75,8 +75,8 @@ TEST(Verify, FlagsStepGapTooSmall) {
 
 TEST(Verify, FlagsStepGapTooLarge) {
   TimedTrace t;
-  t.append({at_tick(0), Actor::Receiver, Action::internal(2, "idle_r"), 0});
-  t.append({at_tick(4), Actor::Receiver, Action::internal(2, "idle_r"), 1});  // gap 4 > c2=3
+  t.append({at_tick(0), Actor::Receiver, Action::internal(2), 0});
+  t.append({at_tick(4), Actor::Receiver, Action::internal(2), 1});  // gap 4 > c2=3
   const VerifyResult r = verdict(t, {});
   EXPECT_FALSE(r.clean_of(ViolationKind::StepGapTooLarge));
 }
@@ -95,7 +95,7 @@ TEST(Verify, InputsDoNotCountAsSteps) {
 
 TEST(Verify, FirstStepCheckIsOptional) {
   TimedTrace t;
-  t.append({at_tick(5), Actor::Transmitter, Action::internal(1, "wait_t"), 0});  // first at 5 > c2
+  t.append({at_tick(5), Actor::Transmitter, Action::internal(1), 0});  // first at 5 > c2
   EXPECT_TRUE(verdict(t, {}, {.require_complete = false}).ok());
   const VerifyResult strict =
       verdict(t, {}, {.require_complete = false, .check_first_step = true});
@@ -202,12 +202,12 @@ TEST(Verify, ViolationsComeInCategoryOrder) {
   // Each violation carries its event's time (an undelivered packet's is its
   // send's; the incomplete output's is zero), which fault excusal reads.
   TimedTrace t;
-  t.append({at_tick(0), Actor::Receiver, Action::internal(2, "idle_r"), 0});
+  t.append({at_tick(0), Actor::Receiver, Action::internal(2), 0});
   t.append({at_tick(0), Actor::Transmitter, Action::send(Packet::to_receiver(2)), 1});
-  t.append({at_tick(1), Actor::Receiver, Action::internal(2, "idle_r"), 2});  // gap 1 < c1
+  t.append({at_tick(1), Actor::Receiver, Action::internal(2), 2});  // gap 1 < c1
   t.append({at_tick(1), Actor::Channel, Action::recv(Packet::to_receiver(1)), 3});
   t.append({at_tick(2), Actor::Transmitter, Action::send(Packet::to_receiver(0)), 4});
-  t.append({at_tick(6), Actor::Transmitter, Action::internal(1, "wait_t"), 5});  // gap 4 > c2
+  t.append({at_tick(6), Actor::Transmitter, Action::internal(1), 5});  // gap 4 > c2
   t.append({at_tick(6), Actor::Receiver, Action::write(0), 6});  // gap 5 > c2, Y ⋢ X
   const std::vector<Bit> input = {1, 0};
   const VerifyResult r = verdict(t, input);
@@ -322,21 +322,21 @@ TEST(TraceChecker, OnlineEqualsOfflineOnFaultInjectedRuns) {
 
 TEST(TraceChecker, RejectsEventsOutOfOrderAsAppendDoes) {
   TraceChecker time_goes_back{kParams, {}};
-  time_goes_back.add({at_tick(3), Actor::Transmitter, Action::internal(1, "wait_t"), 0});
+  time_goes_back.add({at_tick(3), Actor::Transmitter, Action::internal(1), 0});
   EXPECT_THROW(
-      time_goes_back.add({at_tick(2), Actor::Receiver, Action::internal(2, "idle_r"), 1}),
+      time_goes_back.add({at_tick(2), Actor::Receiver, Action::internal(2), 1}),
       ContractViolation);
 
   TraceChecker seq_repeats{kParams, {}};
-  seq_repeats.add({at_tick(3), Actor::Transmitter, Action::internal(1, "wait_t"), 4});
-  EXPECT_THROW(seq_repeats.add({at_tick(3), Actor::Receiver, Action::internal(2, "idle_r"), 4}),
+  seq_repeats.add({at_tick(3), Actor::Transmitter, Action::internal(1), 4});
+  EXPECT_THROW(seq_repeats.add({at_tick(3), Actor::Receiver, Action::internal(2), 4}),
                ContractViolation);
 
   // Simultaneous events are fine: times need only be non-decreasing.
   TraceChecker simultaneous{kParams, {}};
-  simultaneous.add({at_tick(3), Actor::Transmitter, Action::internal(1, "wait_t"), 0});
+  simultaneous.add({at_tick(3), Actor::Transmitter, Action::internal(1), 0});
   EXPECT_NO_THROW(
-      simultaneous.add({at_tick(3), Actor::Receiver, Action::internal(2, "idle_r"), 1}));
+      simultaneous.add({at_tick(3), Actor::Receiver, Action::internal(2), 1}));
 }
 
 TEST(TraceChecker, FinishReportsTheEventsSoFar) {

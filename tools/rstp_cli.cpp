@@ -54,6 +54,7 @@
 #include "rstp/obs/trace.h"
 #include "rstp/protocols/factory.h"
 #include "rstp/protocols/gamma_windowed.h"
+#include "rstp/protocols/strawman.h"
 #include "rstp/sim/adversary.h"
 #include "rstp/sim/campaign.h"
 #include "rstp/sim/multi_session.h"
@@ -369,7 +370,7 @@ int write_trace_out(const obs::trace::Tracer& tracer, const std::string& path) {
 /// Prints the --timing table: one row per timed layer, the timers' own cost
 /// and the simulator's residual, which sum to `wall_ns` exactly, then the
 /// codec's block counts (encode time is inside protocols.step, decode time
-/// inside protocols.apply, and the tables' construction inside the residual).
+/// inside protocols.deliver, and the tables' construction inside the residual).
 void print_host_timing(const obs::HostTimer& timer, std::uint64_t wall_ns,
                        const obs::ProtocolCounters& counters) {
   const obs::Attribution a = timer.attribute(wall_ns);
@@ -398,7 +399,7 @@ void print_host_timing(const obs::HostTimer& timer, std::uint64_t wall_ns,
   row("wall time", 0, static_cast<std::int64_t>(wall_ns));
   os << "codec: " << counters.blocks_encoded << " blocks encoded, " << counters.blocks_decoded
      << " blocks decoded (encode time inside protocols.step, decode inside "
-        "protocols.apply)\n";
+        "protocols.deliver)\n";
   std::cout << os.str();
 }
 
@@ -407,6 +408,17 @@ int cmd_bounds(const Args& args) {
   if (!params.has_value()) return 2;
   const auto k = alphabet_arg(args.positional[3]);
   if (!k.has_value()) return 2;
+  // Checked before any BigUint work: the exact μ and ζ cost is quadratic in
+  // min(k, ⌈d/c1⌉); the argument named is the one that sets it.
+  const auto delta = static_cast<std::uint64_t>(params->delta1_wait());
+  if (std::min<std::uint64_t>(*k, delta) > core::kMaxExactBoundsSize) {
+    const bool k_sets_it = *k <= delta;
+    std::cerr << "out-of-range " << (k_sets_it ? "k" : "d") << " '"
+              << args.positional[k_sets_it ? 3 : 2]
+              << "': bounds computes mu and zeta exactly only for min(k, ceil(d/c1)) <= "
+              << core::kMaxExactBoundsSize << '\n';
+    return 2;
+  }
   std::cout << core::compute_bounds(*params, *k) << '\n';
   return 0;
 }
@@ -422,6 +434,13 @@ int cmd_run(const Args& args) {
   cfg.params = *params;
   cfg.k = *k;
   if (!codec_tables_fit(*kind, cfg, "d", args.positional[3])) return 2;
+  constexpr std::int64_t max_block = protocols::StrawmanTransmitter::kMaxBlock;
+  if (*kind == ProtocolKind::Strawman && cfg.params.delta1_wait() > max_block) {
+    std::cerr << "out-of-range d '" << args.positional[3]
+              << "': strawman keeps a block of ceil(d/c1) packets in flight, at most "
+              << max_block << '\n';
+    return 2;
+  }
 
   // Built after parsing, so --seed holds in whichever order the flags came.
   const std::uint64_t seed = args.number("--seed", std::uint64_t{1});
