@@ -80,7 +80,11 @@ class Automaton {
   [[nodiscard]] virtual bool quiescent() const = 0;
 
   /// Serialized full state; equal snapshots (for the same concrete type)
-  /// imply equal future behaviour. Used by the explorer for state hashing.
+  /// imply equal future behaviour. Every field a transition reads or writes
+  /// is printed, queues and multisets by content rather than by size: the
+  /// explorer keys its memo on snapshots, so a hidden field merges states
+  /// that behave differently and can hide a violation. Counters that only
+  /// observe the run (obs::ProtocolCounters) are not state.
   [[nodiscard]] virtual std::string snapshot() const = 0;
 
   /// Deep copy, used by the explorer to branch the state space.

@@ -22,6 +22,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "rstp/combinatorics/block_coder.h"
@@ -111,6 +112,9 @@ class BlockDecoder {
   [[nodiscard]] const std::vector<ioa::Bit>& decoded() const { return decoded_; }
   /// Arrivals collected towards the current block.
   [[nodiscard]] std::uint32_t pending() const { return block_.size(); }
+  /// The decoder's whole state: the block index, its arrivals so far (as a
+  /// sorted multiset) and the decoded bits.
+  [[nodiscard]] std::string snapshot() const;
   [[nodiscard]] const BlockPlanner& planner() const { return *planner_; }
 
  private:

@@ -110,8 +110,10 @@ bool AltBitReceiver::quiescent() const {
 
 std::string AltBitReceiver::snapshot() const {
   std::ostringstream os;
-  os << "altbit_r accepted=" << accepted_.size() << " written=" << written_.size()
-     << " acks_pending=" << ack_queue_.size() << " expect=" << expected_seq_;
+  os << "altbit_r written=" << written_.size() << " expect=" << expected_seq_ << " acks=";
+  for (const std::uint32_t seq : ack_queue_) os << seq;
+  os << " y=";
+  for (const Bit b : accepted_) os << static_cast<int>(b);
   return os.str();
 }
 

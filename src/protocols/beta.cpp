@@ -100,8 +100,7 @@ bool BetaReceiver::quiescent() const {
 
 std::string BetaReceiver::snapshot() const {
   std::ostringstream os;
-  os << "beta_r decoded=" << decoder_.decoded().size() << " written=" << written_.size()
-     << " pending=" << decoder_.pending();
+  os << "beta_r written=" << written_.size() << ' ' << decoder_.snapshot();
   return os.str();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <sstream>
 
 #include "rstp/common/check.h"
 #include "rstp/est/estimator.h"
@@ -110,6 +111,15 @@ bool BlockDecoder::add(std::uint32_t symbol) {
   past_end_ = !planner_->has_block(index_);
   if (!past_end_) plan_ = nullptr;
   return true;
+}
+
+std::string BlockDecoder::snapshot() const {
+  std::ostringstream os;
+  os << "block=" << index_ << " A=";
+  for (const combinatorics::Symbol s : block_.to_sorted_sequence()) os << s << ',';
+  os << " y=";
+  for (const ioa::Bit b : decoded_) os << static_cast<int>(b);
+  return os.str();
 }
 
 std::shared_ptr<BlockPlanner> checked_planner(BlockPlanner::Discipline discipline,

@@ -121,8 +121,8 @@ bool GammaReceiver::quiescent() const {
 
 std::string GammaReceiver::snapshot() const {
   std::ostringstream os;
-  os << "gamma_r decoded=" << decoder_.decoded().size() << " written=" << written_.size()
-     << " pending=" << decoder_.pending() << " unacked=" << unacked_;
+  os << "gamma_r written=" << written_.size() << " unacked=" << unacked_ << ' '
+     << decoder_.snapshot();
   return os.str();
 }
 

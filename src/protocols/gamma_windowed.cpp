@@ -194,9 +194,15 @@ bool WindowedGammaReceiver::quiescent() const {
 
 std::string WindowedGammaReceiver::snapshot() const {
   std::ostringstream os;
-  os << "gammaw_r decoded=" << decoded_.size() << " written=" << written_.size() << " blocks=";
-  for (const auto& b : blocks_) os << b.size() << ',';
-  os << " next=" << next_tag_ << " acks=" << ack_queue_.size();
+  os << "gammaw_r written=" << written_.size() << " next=" << next_tag_ << " blocks=";
+  for (const auto& block : blocks_) {
+    for (const combinatorics::Symbol s : block.to_sorted_sequence()) os << s << ',';
+    os << '|';
+  }
+  os << " acks=";
+  for (const std::uint32_t tag : ack_queue_) os << tag << ',';
+  os << " y=";
+  for (const Bit b : decoded_) os << static_cast<int>(b);
   return os.str();
 }
 

@@ -92,8 +92,11 @@ bool IndexedReceiver::quiescent() const {
 
 std::string IndexedReceiver::snapshot() const {
   std::ostringstream os;
-  os << "indexed_r written=" << written_.size() << " mask=";
-  for (const auto p : present_) os << int{p};
+  // One character per index: its bit once arrived, '-' before.
+  os << "indexed_r written=" << written_.size() << " slots=";
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    os << (present_[i] != 0 ? static_cast<char>('0' + slots_[i]) : '-');
+  }
   return os.str();
 }
 

@@ -127,8 +127,10 @@ bool StrawmanReceiver::quiescent() const {
 
 std::string StrawmanReceiver::snapshot() const {
   std::ostringstream os;
-  os << "strawman_r decoded=" << decoded_.size() << " written=" << written_.size()
-     << " pending=" << arrivals_.size();
+  os << "strawman_r written=" << written_.size() << " arrivals=";
+  for (const std::uint32_t symbol : arrivals_) os << symbol << ',';
+  os << " y=";
+  for (const Bit b : decoded_) os << static_cast<int>(b);
   return os.str();
 }
 
