@@ -15,10 +15,21 @@
 // receiver (including same-instant zero-delay arrivals of packets the
 // transmitter just sent) → the receiver's step.
 //
-// The explorer checks a safety predicate in every reachable state and a
-// completion predicate in every terminal state, with memoization on
-// (t-state, r-state, in-flight packets with slots relative to now) so the
-// search space is the set of distinct states, not executions.
+// Each explored transition is one such event. A state is (stage, phase,
+// t-state, r-state, in-flight packets with slots relative to now), where the
+// stage is the instant's boundary, its deliveries to the transmitter, or its
+// deliveries to the receiver. A move delivers one eligible packet to the
+// stage's process, or closes the stage once no packet at its deadline is
+// left for that process: closing the transmitter's stage takes its step
+// (a packet it sends is fresh), and closing the receiver's stage leaves the
+// fresh packet in flight or delivers it last, takes the receiver's step and
+// starts the next instant. Every state is memoized on its snapshot()s, so
+// the j! orders of j deliveries meet in the memo instead of being replayed,
+// and a state has at most e + 2 successors for e packets in flight.
+//
+// The explorer checks a safety predicate after every process step and a
+// completion predicate in every terminal state, so the search space is the
+// set of distinct states, not executions.
 //
 // This is how the repository demonstrates Lemma 6.1-style correctness
 // exhaustively: for tiny X, EVERY admissible reordering of every admissible
@@ -43,18 +54,20 @@ struct ExplorerConfig {
   /// is the synchronous fragment described above.
   std::int64_t t_period = 1;
   std::int64_t r_period = 1;
-  /// Cap on distinct memoized states; exceeding it sets exhausted_caps.
+  /// Cap on distinct memoized states, within instants as well as at their
+  /// boundaries; reaching it sets exhausted_caps. It bounds the work, as a
+  /// state has at most e + 2 successors, and the depth, as a branch never
+  /// repeats a memoized state.
   std::uint64_t max_states = 2'000'000;
-  /// Cap on simultaneously in-flight packets (branch factor is factorial in
-  /// this); exceeding it sets exhausted_caps.
-  std::size_t max_in_flight = 8;
-  /// Cap on execution depth (instants along one branch).
-  std::uint64_t max_depth = 100'000;
 };
 
 struct ExplorerResult {
+  /// Distinct states at instant boundaries, and those of them that are
+  /// terminal; states within an instant are not counted.
   std::uint64_t distinct_states = 0;
   std::uint64_t terminal_states = 0;
+  /// Moves out of every expanded state (one delivery or one process step
+  /// each), counting those into a state already seen.
   std::uint64_t transitions = 0;
   bool safety_held = true;
   bool all_terminals_complete = true;
