@@ -115,6 +115,17 @@ TEST(Cli, ExploreVerifiesBetaAndRefutesStrawman) {
   EXPECT_NE(out.find("counterexample:"), std::string::npos);
 }
 
+TEST(Cli, RunNamesTheEventCap) {
+  // α at d = 10^7 sends one bit per 10^7 ticks, and the run verb's
+  // 50M-event cap stops it after two writes. Y is a prefix of X so far, so
+  // the verdict is inconclusive (exit 3), not a failure.
+  std::string out;
+  EXPECT_EQ(run_command("run alpha 1 1 10000000 2 8", &out), 3) << out;
+  EXPECT_NE(out.find("stopped:    event cap of 50000000 reached"), std::string::npos) << out;
+  EXPECT_EQ(run_command("run alpha 1 1 8 2 8", &out), 0) << out;
+  EXPECT_EQ(out.find("stopped:"), std::string::npos) << out;
+}
+
 TEST(Cli, AdversarialEnvironmentFlagWorks) {
   std::string out;
   EXPECT_EQ(run_command("run beta 1 1 8 4 64 --env adversarial", &out), 0) << out;
