@@ -334,6 +334,57 @@ TEST(Cli, CampaignRunsTheGoldenGrid) {
   std::remove(jsonl.c_str());
 }
 
+TEST(Cli, ReportDiffOfAnEditedBaselineMatchesItsGolden) {
+  // Gate: `rstp report`'s table and --json output for the golden campaign
+  // baseline against an edited copy, pinned byte for byte to
+  // tests/golden/report_diff.txt. The copy edits three cells' values (and
+  // gives two of them keys the baseline's older schema lacks), drops its
+  // last line and appends a cell of its own, so changed, missing and extra
+  // cells all appear. A deliberate
+  // change re-records the golden from the copy this test writes.
+  const std::string baseline = tests_file("golden/campaign_baseline.jsonl");
+  std::string text = read_file(baseline);
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t end = text.find('\n', at);
+    lines.push_back(text.substr(at, end - at));
+    at = end + 1;
+  }
+  ASSERT_EQ(lines.size(), 32u);
+  const auto replace = [](std::string& line, const std::string& from, const std::string& to) {
+    const std::size_t at = line.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    line.replace(at, from.size(), to);
+  };
+  std::string appended = lines[0];
+  replace(appended, "\"seed\":9210758016143056862", "\"seed\":1");
+  replace(lines[0], "\"effort\":11.8125", "\"effort\":12.5");
+  replace(lines[0], "\"end_time\":0", "\"sessions\":3,\"end_time\":7");
+  replace(lines[0], "\"correct\":true", "\"correct\":false");
+  replace(lines[0], "\"events\":828", "\"events\":900");
+  replace(lines[0], "\"sum\":384", "\"sum\":380");
+  replace(lines[1], "\"end_time\":0",
+          "\"gap_ratio\":1.25,\"est_penalty\":1.5,\"est\":{\"c1_hat\":1},\"end_time\":0");
+  replace(lines[4], "\"writes\":64", "\"writes\":63");
+  lines.pop_back();
+  lines.push_back(appended);
+  const std::string edited = ::testing::TempDir() + "/cli_report_edited.jsonl";
+  {
+    std::ofstream out{edited};
+    for (const std::string& line : lines) out << line << '\n';
+  }
+  std::string table;
+  std::string json;
+  ASSERT_EQ(run_command("report " + baseline + " " + edited, &table), 0) << table;
+  ASSERT_EQ(run_command("report " + baseline + " " + edited + " --json", &json), 0) << json;
+  const std::string derived = table + json;
+  const std::string fresh = ::testing::TempDir() + "/report_diff.txt";
+  std::ofstream{fresh} << derived;
+  EXPECT_EQ(read_file(tests_file("golden/report_diff.txt")), derived)
+      << "the derived report is in " << fresh;
+  std::remove(edited.c_str());
+}
+
 TEST(Cli, ReportRejectsNonFiniteGateLimits) {
   const std::string jsonl = ::testing::TempDir() + "/cli_diff_nan.jsonl";
   std::remove(jsonl.c_str());
