@@ -24,7 +24,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "rstp/obs/json.h"
@@ -35,23 +34,10 @@ namespace rstp::obs {
 /// The join key: run identity plus `rep`, the 0-based occurrence index among
 /// records with the same identity in file order (so repeated seeds still
 /// pair up 1:1 and a dropped repetition shows as a missing cell).
-struct CellKey {
-  std::string protocol;
-  std::int64_t c1 = 0;
-  std::int64_t c2 = 0;
-  std::int64_t d = 0;
-  std::uint32_t k = 2;
-  std::uint64_t input_bits = 0;
-  std::uint64_t seed = 0;
+struct CellKey : RunIdentity {
   std::uint64_t rep = 0;
 
-  friend bool operator==(const CellKey&, const CellKey&) = default;
-  [[nodiscard]] friend bool operator<(const CellKey& a, const CellKey& b) {
-    const auto tie = [](const CellKey& x) {
-      return std::tie(x.protocol, x.c1, x.c2, x.d, x.k, x.input_bits, x.seed, x.rep);
-    };
-    return tie(a) < tie(b);
-  }
+  friend auto operator<=>(const CellKey&, const CellKey&) = default;
 };
 
 /// One quantity's old/new pair. Integral quantities keep the exact u64
@@ -81,7 +67,7 @@ struct QuantityDelta {
 };
 
 /// A matched cell with at least one changed quantity; `deltas` holds only
-/// the changed ones, in catalog order.
+/// the changed ones, in the order of the record's field table.
 struct CellDiff {
   CellKey key;
   std::vector<QuantityDelta> deltas;
@@ -96,7 +82,7 @@ struct DiffReport {
   std::vector<CellKey> missing;      ///< cells only in the old series
   std::vector<CellKey> extra;        ///< cells only in the new series
   std::vector<CellDiff> cells;       ///< matched cells that changed, key order
-  std::vector<QuantityDelta> aggregates;  ///< all aggregates, catalog order
+  std::vector<QuantityDelta> aggregates;  ///< all aggregates, in report order
 
   /// Aggregate lookup by exact name, then by name + "_total" (the bare
   /// counter shorthand); nullptr when neither exists.

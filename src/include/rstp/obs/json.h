@@ -32,10 +32,12 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members;
 
   [[nodiscard]] bool is_object() const { return kind == Kind::Object; }
-  [[nodiscard]] bool is_number() const { return kind == Kind::Number; }
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
+  /// The same, but a member of another kind than `want` is a JsonParseError
+  /// naming the key.
+  [[nodiscard]] const JsonValue* find(std::string_view key, Kind want) const;
 
   /// Numeric conversions; throw JsonParseError when the value is not a
   /// number of the requested shape.
@@ -43,7 +45,8 @@ class JsonValue {
   [[nodiscard]] std::int64_t to_i64() const;
   [[nodiscard]] std::uint64_t to_u64() const;
 
-  /// Convenience typed member readers with defaults for absent keys.
+  /// Typed member readers: the fallback for an absent key, a
+  /// JsonParseError naming the key for a value of another kind.
   [[nodiscard]] double number_or(std::string_view key, double fallback) const;
   [[nodiscard]] std::uint64_t u64_or(std::string_view key, std::uint64_t fallback) const;
   [[nodiscard]] std::int64_t i64_or(std::string_view key, std::int64_t fallback) const;

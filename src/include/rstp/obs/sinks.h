@@ -9,6 +9,7 @@
 // trusted from the file.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -19,9 +20,8 @@
 
 namespace rstp::obs {
 
-/// One exported run: enough identity to interpret the row without the
-/// invocation at hand, plus the metric snapshot itself.
-struct RunMetricsRecord {
+/// Which run a record describes: the fields two series are joined on.
+struct RunIdentity {
   std::string protocol;
   std::int64_t c1 = 0;
   std::int64_t c2 = 0;
@@ -29,6 +29,13 @@ struct RunMetricsRecord {
   std::uint32_t k = 2;
   std::uint64_t input_bits = 0;
   std::uint64_t seed = 0;      ///< environment seed (0 for deterministic runs)
+
+  friend auto operator<=>(const RunIdentity&, const RunIdentity&) = default;
+};
+
+/// One exported run: enough identity to interpret the row without the
+/// invocation at hand, plus the metric snapshot itself.
+struct RunMetricsRecord : RunIdentity {
   double effort = 0;           ///< t(last-send)/n ticks per bit; 0 if nothing sent
   /// Empirical effort / the matching theoretical lower bound (Theorem 5.3
   /// for r-passive protocols, 5.6 for active ones). 0 when not applicable
@@ -60,10 +67,12 @@ struct RunMetricsRecord {
 void write_run_metrics_jsonl(std::ostream& os, const RunMetricsRecord& record);
 
 /// Reads every line of a JSONL stream written by write_run_metrics_jsonl.
-/// Blank lines are skipped; malformed lines, a wrong schema tag or a key
-/// the writer never emits (at the top level or in counters, est, hist or a
-/// histogram) throw JsonParseError naming the offending line number. Keys a
-/// record lacks read as their defaults, so older baselines still parse.
+/// Blank lines are skipped; malformed lines, a wrong schema tag, a key the
+/// writer never emits (at the top level or in counters, est, hist or a
+/// histogram) or a key whose value has the wrong JSON type throw
+/// JsonParseError naming the offending line number. Keys a record lacks
+/// read as their defaults, so older baselines still parse; a histogram may
+/// also be null, as the writer writes an unconfigured one.
 [[nodiscard]] std::vector<RunMetricsRecord> read_run_metrics_jsonl(std::istream& is);
 
 /// Renders records as a fixed-width table (one row per run) followed by a

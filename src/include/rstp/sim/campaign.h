@@ -181,6 +181,12 @@ class Campaign {
 /// its output against the checked-in file.
 [[nodiscard]] CampaignSpec golden_campaign_spec();
 
+/// The identity of a run's metrics record; each record builder starts from
+/// one (`obs::RunMetricsRecord record{run_identity(...)}`).
+[[nodiscard]] obs::RunIdentity run_identity(protocols::ProtocolKind protocol,
+                                            const core::TimingParams& params, std::uint32_t k,
+                                            std::uint64_t input_bits, std::uint64_t seed);
+
 /// Flattens a campaign result into JSONL-exportable records: one
 /// RunMetricsRecord per job, in grid order, carrying the job's identity and
 /// its RunMetrics snapshot. `input_bits` is taken from the spec that

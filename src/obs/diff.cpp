@@ -1,152 +1,105 @@
 #include "rstp/obs/diff.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <iomanip>
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
-#include "rstp/common/check.h"
+#include "record_fields.h"
 
 namespace rstp::obs {
 
 namespace {
 
-/// One extracted quantity: name + exact value in its native width.
-struct Quantity {
-  std::string_view name;
-  bool integral = true;
-  std::uint64_t u = 0;
-  double v = 0;
-};
+using record_fields::Diff;
+using record_fields::Field;
+using record_fields::kFields;
 
-[[nodiscard]] Quantity integral_quantity(std::string_view name, std::uint64_t value) {
-  return Quantity{name, true, value, static_cast<double>(value)};
-}
-
-[[nodiscard]] Quantity floating_quantity(std::string_view name, double value) {
-  return Quantity{name, false, 0, value};
-}
-
-/// The RunCounters catalog: (name, member) in struct order. Shared between
-/// the per-cell quantities and the "_total" aggregates so the two can never
-/// drift apart.
-struct CounterField {
-  std::string_view name;
-  std::uint64_t RunCounters::* member;
-};
-struct ProtocolCounterField {
-  std::string_view name;
-  std::uint64_t ProtocolCounters::* member;
-};
-
-constexpr CounterField kCounterFields[] = {
-    {"events", &RunCounters::events},
-    {"data_sends", &RunCounters::data_sends},
-    {"ack_sends", &RunCounters::ack_sends},
-    {"data_recvs", &RunCounters::data_recvs},
-    {"ack_recvs", &RunCounters::ack_recvs},
-    {"dropped", &RunCounters::dropped},
-    {"writes", &RunCounters::writes},
-    {"transmitter_steps", &RunCounters::transmitter_steps},
-    {"receiver_steps", &RunCounters::receiver_steps},
-    {"transmitter_internal_steps", &RunCounters::transmitter_internal_steps},
-    {"receiver_internal_steps", &RunCounters::receiver_internal_steps},
-};
-
-constexpr ProtocolCounterField kProtocolCounterFields[] = {
-    {"blocks_encoded", &ProtocolCounters::blocks_encoded},
-    {"blocks_decoded", &ProtocolCounters::blocks_decoded},
-    {"acks_sent", &ProtocolCounters::acks_sent},
-    {"acks_observed", &ProtocolCounters::acks_observed},
-    {"retransmissions", &ProtocolCounters::retransmissions},
-};
-
-struct HistogramField {
-  std::string_view name;
-  Histogram RunMetrics::* member;
-};
-
-constexpr HistogramField kHistogramFields[] = {
-    {"data_delay", &RunMetrics::data_delay},
-    {"ack_delay", &RunMetrics::ack_delay},
-    {"transmitter_gap", &RunMetrics::transmitter_gap},
-    {"receiver_gap", &RunMetrics::receiver_gap},
-};
-
-/// Histogram summary names are materialized once ("data_delay_p50", ...) so
-/// the per-cell extraction can hand out string_views.
-[[nodiscard]] const std::vector<std::string>& histogram_quantity_names() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> out;
-    for (const HistogramField& h : kHistogramFields) {
-      for (const std::string_view leaf : {"count", "mean", "p50", "p95", "p99"}) {
-        out.push_back(std::string{h.name} + "_" + std::string{leaf});
-      }
-    }
-    return out;
-  }();
-  return names;
-}
-
-/// Every per-cell quantity of a record, in a fixed catalog order. Both sides
-/// of the join go through this one function, so positional pairing is safe.
-[[nodiscard]] std::vector<Quantity> cell_quantities(const RunMetricsRecord& r) {
-  std::vector<Quantity> out;
-  out.reserve(40);
-  out.push_back(floating_quantity("effort", r.effort));
-  out.push_back(floating_quantity("gap_ratio", r.gap_ratio));
-  out.push_back(floating_quantity("est_penalty", r.est_penalty));
-  out.push_back(integral_quantity("est_c1_hat", static_cast<std::uint64_t>(r.est.c1_hat)));
-  out.push_back(integral_quantity("est_c2_hat", static_cast<std::uint64_t>(r.est.c2_hat)));
-  out.push_back(integral_quantity("est_d_hat", static_cast<std::uint64_t>(r.est.d_hat)));
-  out.push_back(integral_quantity("est_gap_samples", r.est.gap_samples));
-  out.push_back(integral_quantity("est_delay_samples", r.est.delay_samples));
-  out.push_back(integral_quantity("est_resizes", r.est.resizes));
-  out.push_back(integral_quantity("end_time", static_cast<std::uint64_t>(r.end_time)));
-  out.push_back(integral_quantity("correct", r.correct ? 1 : 0));
-  out.push_back(integral_quantity("quiescent", r.quiescent ? 1 : 0));
-  // Megasession rows only (0 elsewhere). events_per_sec is deliberately NOT a
-  // cell quantity: it is wall-clock, so cell-exact comparison would trip on
-  // machine noise — the report gates it through the aggregates instead.
-  out.push_back(integral_quantity("sessions", r.sessions));
-  for (const CounterField& f : kCounterFields) {
-    out.push_back(integral_quantity(f.name, r.metrics.counters.*f.member));
-  }
-  for (const ProtocolCounterField& f : kProtocolCounterFields) {
-    out.push_back(integral_quantity(f.name, r.metrics.counters.protocol.*f.member));
-  }
-  const std::vector<std::string>& names = histogram_quantity_names();
-  std::size_t name_index = 0;
-  for (const HistogramField& h : kHistogramFields) {
-    const Histogram& hist = r.metrics.*h.member;
-    out.push_back(integral_quantity(names[name_index++], hist.count()));
-    out.push_back(floating_quantity(names[name_index++], hist.configured() ? hist.mean() : 0));
-    for (const double p : {50.0, 95.0, 99.0}) {
-      const std::int64_t value = hist.configured() ? hist.percentile(p) : 0;
-      out.push_back(integral_quantity(names[name_index++], static_cast<std::uint64_t>(value)));
-    }
-  }
-  return out;
-}
-
-[[nodiscard]] QuantityDelta make_delta(std::string_view name, const Quantity& old_q,
-                                       const Quantity& new_q) {
-  RSTP_CHECK(old_q.integral == new_q.integral, "quantity catalogs disagree on integrality");
+/// The delta of one quantity: a double as itself, an integer exactly (a
+/// signed one as its two's-complement u64, a bool as 0 or 1).
+template <class T>
+[[nodiscard]] QuantityDelta make_delta(std::string name, T old_value, T new_value) {
   QuantityDelta d;
-  d.name = std::string{name};
-  d.integral = old_q.integral;
-  d.old_u = old_q.u;
-  d.new_u = new_q.u;
-  d.old_v = old_q.integral ? static_cast<double>(old_q.u) : old_q.v;
-  d.new_v = new_q.integral ? static_cast<double>(new_q.u) : new_q.v;
+  d.name = std::move(name);
+  if constexpr (std::is_same_v<T, double>) {
+    d.integral = false;
+    d.old_v = old_value;
+    d.new_v = new_value;
+  } else {
+    d.old_u = static_cast<std::uint64_t>(old_value);
+    d.new_u = static_cast<std::uint64_t>(new_value);
+    d.old_v = static_cast<double>(d.old_u);
+    d.new_v = static_cast<double>(d.new_u);
+  }
   return d;
 }
 
-[[nodiscard]] CellKey key_of(const RunMetricsRecord& r, std::uint64_t rep) {
-  return CellKey{r.protocol, r.c1, r.c2, r.d, r.k, r.input_bits, r.seed, rep};
+/// The percentiles a histogram is compared and aggregated at.
+constexpr std::pair<std::string_view, double> kPercentiles[] = {
+    {"_p50", 50.0}, {"_p95", 95.0}, {"_p99", 99.0}};
+
+[[nodiscard]] std::int64_t percentile_or_zero(const Histogram& h, double p) {
+  return h.configured() ? h.percentile(p) : 0;
 }
+
+/// The changed per-cell quantities of a matched pair, in table order: every
+/// field but the key and the wall-clock ones, a histogram as its count,
+/// mean and percentiles.
+[[nodiscard]] std::vector<QuantityDelta> cell_deltas(const RunMetricsRecord& old_record,
+                                                     const RunMetricsRecord& new_record) {
+  std::vector<QuantityDelta> out;
+  for (const Field& f : kFields) {
+    if (record_fields::is_key(f) || f.diff == Diff::wall_mean) continue;
+    const std::string name =
+        std::string{record_fields::object_of(f).diff_prefix} + std::string{f.name};
+    record_fields::visit(
+        f,
+        [&](const auto& o, const auto& n) {
+          using T = std::remove_cvref_t<decltype(o)>;
+          if constexpr (std::is_same_v<T, Histogram>) {
+            out.push_back(make_delta(name + "_count", o.count(), n.count()));
+            out.push_back(make_delta(name + "_mean", o.configured() ? o.mean() : 0,
+                                     n.configured() ? n.mean() : 0));
+            for (const auto& [suffix, p] : kPercentiles) {
+              out.push_back(make_delta(name + std::string{suffix}, percentile_or_zero(o, p),
+                                       percentile_or_zero(n, p)));
+            }
+          } else if constexpr (!std::is_same_v<T, std::string>) {
+            out.push_back(make_delta(name, o, n));
+          }
+        },
+        old_record, new_record);
+  }
+  std::erase_if(out, [](const QuantityDelta& d) { return !d.changed(); });
+  return out;
+}
+
+/// One side's running aggregate of one field over the matched cells.
+struct Accumulator {
+  std::uint64_t total = 0;
+  double sum = 0;
+  double max = 0;
+  double percentile_sum[std::size(kPercentiles)] = {};
+
+  template <class T>
+  void add(const T& value) {
+    if constexpr (std::is_same_v<T, Histogram>) {
+      for (std::size_t i = 0; i < std::size(kPercentiles); ++i) {
+        percentile_sum[i] += static_cast<double>(percentile_or_zero(value, kPercentiles[i].second));
+      }
+    } else if constexpr (std::is_same_v<T, double>) {
+      sum += value;
+      max = std::max(max, value);
+    } else if constexpr (!std::is_same_v<T, std::string>) {
+      total += static_cast<std::uint64_t>(value);
+    }
+  }
+};
 
 /// Assigns each record its occurrence index among identical identities, in
 /// file order, and returns the keyed records in key order.
@@ -154,27 +107,29 @@ constexpr HistogramField kHistogramFields[] = {
     const std::vector<RunMetricsRecord>& records) {
   std::map<CellKey, const RunMetricsRecord*> out;
   std::map<CellKey, std::uint64_t> reps;
-  for (const RunMetricsRecord& r : records) {
-    std::uint64_t& rep = reps[key_of(r, 0)];
-    out.emplace(key_of(r, rep), &r);
-    ++rep;
-  }
+  for (const RunMetricsRecord& r : records) out.emplace(CellKey{r, reps[CellKey{r, 0}]++}, &r);
   return out;
 }
 
-void append_number(std::ostream& os, const QuantityDelta& d, bool old_side) {
-  if (d.integral) {
-    os << (old_side ? d.old_u : d.new_u);
-  } else {
-    os << json_number(old_side ? d.old_v : d.new_v);
-  }
+/// Compact form of a delta value, in text and JSON alike: exact for
+/// integral, shortest round-trip for doubles.
+[[nodiscard]] std::string value_string(const QuantityDelta& d, bool old_side) {
+  if (d.integral) return std::to_string(old_side ? d.old_u : d.new_u);
+  return json_number(old_side ? d.old_v : d.new_v);
 }
 
 void write_key_json(std::ostream& os, const CellKey& key) {
-  os << "{\"protocol\":" << json_quote(key.protocol) << ",\"c1\":" << key.c1
-     << ",\"c2\":" << key.c2 << ",\"d\":" << key.d << ",\"k\":" << key.k
-     << ",\"input_bits\":" << key.input_bits << ",\"seed\":" << key.seed
-     << ",\"rep\":" << key.rep << "}";
+  char separator = '{';
+  for (const Field& f : kFields) {
+    record_fields::visit(
+        f,
+        [&](const auto& value) {
+          os << std::exchange(separator, ',') << '"' << f.name << "\":";
+          record_fields::write_scalar(os, value);
+        },
+        key);
+  }
+  os << ",\"rep\":" << key.rep << "}";
 }
 
 void write_deltas_json(std::ostream& os, const std::vector<QuantityDelta>& deltas) {
@@ -184,20 +139,9 @@ void write_deltas_json(std::ostream& os, const std::vector<QuantityDelta>& delta
     if (!first) os << ",";
     first = false;
     os << "{\"name\":" << json_quote(d.name) << ",\"int\":" << (d.integral ? "true" : "false")
-       << ",\"old\":";
-    append_number(os, d, true);
-    os << ",\"new\":";
-    append_number(os, d, false);
-    os << "}";
+       << ",\"old\":" << value_string(d, true) << ",\"new\":" << value_string(d, false) << "}";
   }
   os << "]";
-}
-
-/// Compact human form of a delta value: exact for integral, shortest
-/// round-trip for doubles.
-[[nodiscard]] std::string value_string(const QuantityDelta& d, bool old_side) {
-  if (d.integral) return std::to_string(old_side ? d.old_u : d.new_u);
-  return json_number(old_side ? d.old_v : d.new_v);
 }
 
 [[nodiscard]] std::string pct_string(const QuantityDelta& d) {
@@ -208,10 +152,27 @@ void write_deltas_json(std::ostream& os, const std::vector<QuantityDelta>& delta
   return os.str();
 }
 
+/// The protocol, then ` label=value` for each other key field.
 void print_key(std::ostream& os, const CellKey& key) {
-  os << key.protocol << " c1=" << key.c1 << " c2=" << key.c2 << " d=" << key.d
-     << " k=" << key.k << " n=" << key.input_bits << " seed=" << key.seed;
+  for (const Field& f : kFields) {
+    record_fields::visit(
+        f,
+        [&](const auto& value) {
+          if constexpr (!std::is_same_v<std::remove_cvref_t<decltype(value)>, std::string>) {
+            os << ' ' << (f.alias.empty() ? f.name : f.alias) << '=';
+          }
+          os << value;
+        },
+        key);
+  }
   if (key.rep != 0) os << " rep=" << key.rep;
+}
+
+/// One changed quantity's row: name, old -> new, relative change.
+void print_delta(std::ostream& os, std::string_view indent, const QuantityDelta& d) {
+  os << indent << std::left << std::setw(28) << d.name << std::right << " "
+     << value_string(d, true) << " -> " << value_string(d, false) << "  (" << pct_string(d)
+     << ")\n";
 }
 
 }  // namespace
@@ -254,29 +215,8 @@ DiffReport diff_metrics(const std::vector<RunMetricsRecord>& old_runs,
   const std::map<CellKey, const RunMetricsRecord*> old_cells = keyed(old_runs);
   const std::map<CellKey, const RunMetricsRecord*> new_cells = keyed(new_runs);
 
-  // Aggregate accumulators over matched pairs.
-  RunCounters old_totals;
-  RunCounters new_totals;
-  std::uint64_t old_end_time = 0;
-  std::uint64_t new_end_time = 0;
-  double old_effort_sum = 0;
-  double new_effort_sum = 0;
-  double old_effort_max = 0;
-  double new_effort_max = 0;
-  double old_gap_sum = 0;
-  double new_gap_sum = 0;
-  double old_gap_max = 0;
-  double new_gap_max = 0;
-  double old_penalty_sum = 0;
-  double new_penalty_sum = 0;
-  double old_penalty_max = 0;
-  double new_penalty_max = 0;
-  double old_delay_p[3] = {0, 0, 0};
-  double new_delay_p[3] = {0, 0, 0};
-  std::uint64_t old_sessions = 0;
-  std::uint64_t new_sessions = 0;
-  double old_eps_sum = 0;
-  double new_eps_sum = 0;
+  // Aggregate accumulators over matched pairs, old and new side per field.
+  std::vector<std::pair<Accumulator, Accumulator>> sides(std::size(kFields));
 
   for (const auto& [key, old_record] : old_cells) {
     const auto it = new_cells.find(key);
@@ -284,96 +224,69 @@ DiffReport diff_metrics(const std::vector<RunMetricsRecord>& old_runs,
       report.missing.push_back(key);
       continue;
     }
-    const RunMetricsRecord& new_record = *it->second;
     ++report.matched;
-
-    old_totals += old_record->metrics.counters;
-    new_totals += new_record.metrics.counters;
-    old_end_time += static_cast<std::uint64_t>(old_record->end_time);
-    new_end_time += static_cast<std::uint64_t>(new_record.end_time);
-    old_effort_sum += old_record->effort;
-    new_effort_sum += new_record.effort;
-    old_effort_max = std::max(old_effort_max, old_record->effort);
-    new_effort_max = std::max(new_effort_max, new_record.effort);
-    old_gap_sum += old_record->gap_ratio;
-    new_gap_sum += new_record.gap_ratio;
-    old_gap_max = std::max(old_gap_max, old_record->gap_ratio);
-    new_gap_max = std::max(new_gap_max, new_record.gap_ratio);
-    old_penalty_sum += old_record->est_penalty;
-    new_penalty_sum += new_record.est_penalty;
-    old_penalty_max = std::max(old_penalty_max, old_record->est_penalty);
-    new_penalty_max = std::max(new_penalty_max, new_record.est_penalty);
-    old_sessions += old_record->sessions;
-    new_sessions += new_record.sessions;
-    old_eps_sum += old_record->events_per_sec;
-    new_eps_sum += new_record.events_per_sec;
-    const double percentiles[3] = {50.0, 95.0, 99.0};
-    for (std::size_t i = 0; i < 3; ++i) {
-      const Histogram& old_h = old_record->metrics.data_delay;
-      const Histogram& new_h = new_record.metrics.data_delay;
-      old_delay_p[i] +=
-          old_h.configured() ? static_cast<double>(old_h.percentile(percentiles[i])) : 0;
-      new_delay_p[i] +=
-          new_h.configured() ? static_cast<double>(new_h.percentile(percentiles[i])) : 0;
+    for (std::size_t i = 0; i < std::size(kFields); ++i) {
+      if (kFields[i].diff == Diff::cell) continue;
+      record_fields::visit(
+          kFields[i],
+          [&side = sides[i]](const auto& o, const auto& n) {
+            side.first.add(o);
+            side.second.add(n);
+          },
+          *old_record, *it->second);
     }
-
-    const std::vector<Quantity> old_q = cell_quantities(*old_record);
-    const std::vector<Quantity> new_q = cell_quantities(new_record);
-    RSTP_CHECK_EQ(old_q.size(), new_q.size(), "quantity catalogs differ in size");
-    CellDiff cell;
-    cell.key = key;
-    for (std::size_t i = 0; i < old_q.size(); ++i) {
-      RSTP_CHECK(old_q[i].name == new_q[i].name, "quantity catalogs differ in order");
-      QuantityDelta d = make_delta(old_q[i].name, old_q[i], new_q[i]);
-      if (d.changed()) cell.deltas.push_back(std::move(d));
-    }
-    if (!cell.deltas.empty()) report.cells.push_back(std::move(cell));
+    std::vector<QuantityDelta> deltas = cell_deltas(*old_record, *it->second);
+    if (!deltas.empty()) report.cells.push_back(CellDiff{key, std::move(deltas)});
   }
   for (const auto& [key, record] : new_cells) {
-    (void)record;
     if (!old_cells.contains(key)) report.extra.push_back(key);
   }
 
-  const auto add_integral = [&](std::string_view name, std::uint64_t old_value,
-                                std::uint64_t new_value) {
-    report.aggregates.push_back(
-        make_delta(name, integral_quantity(name, old_value), integral_quantity(name, new_value)));
-  };
-  const auto add_floating = [&](std::string_view name, double old_value, double new_value) {
-    report.aggregates.push_back(make_delta(name, floating_quantity(name, old_value),
-                                           floating_quantity(name, new_value)));
-  };
-  for (const CounterField& f : kCounterFields) {
-    add_integral(std::string{f.name} + "_total", old_totals.*f.member, new_totals.*f.member);
-  }
-  for (const ProtocolCounterField& f : kProtocolCounterFields) {
-    add_integral(std::string{f.name} + "_total", old_totals.protocol.*f.member,
-                 new_totals.protocol.*f.member);
-  }
-  add_integral("end_time_total", old_end_time, new_end_time);
+  std::vector<QuantityDelta>& aggregates = report.aggregates;
   const double matched = report.matched == 0 ? 1 : static_cast<double>(report.matched);
-  add_floating("effort_mean", old_effort_sum / matched, new_effort_sum / matched);
-  add_floating("effort_max", old_effort_max, new_effort_max);
-  add_floating("gap_ratio_mean", old_gap_sum / matched, new_gap_sum / matched);
-  add_floating("gap_ratio_max", old_gap_max, new_gap_max);
-  add_floating("est_penalty_mean", old_penalty_sum / matched, new_penalty_sum / matched);
-  add_floating("est_penalty_max", old_penalty_max, new_penalty_max);
-  add_floating("delay_p50", old_delay_p[0] / matched, new_delay_p[0] / matched);
-  add_floating("delay_p95", old_delay_p[1] / matched, new_delay_p[1] / matched);
-  add_floating("delay_p99", old_delay_p[2] / matched, new_delay_p[2] / matched);
-  add_integral("sessions_total", old_sessions, new_sessions);
-  add_floating("events_per_sec_mean", old_eps_sum / matched, new_eps_sum / matched);
-  // The gate only trips on positive deltas, so a throughput *decrease* is
-  // gated by reporting the percentage drop itself as the new value (same
-  // old=0/new=value construction as cells_changed below): 'events_per_sec_drop>N'
-  // fails when new throughput fell more than N% below old. 0 — and therefore
-  // inert — whenever the old side carries no throughput figures at all.
-  const double eps_drop =
-      old_eps_sum > 0 ? std::max(0.0, 100.0 * (1.0 - new_eps_sum / old_eps_sum)) : 0;
-  add_floating("events_per_sec_drop", 0, eps_drop);
-  add_integral("cells_changed", 0, report.cells.size());
-  add_integral("cells_missing", 0, report.missing.size());
-  add_integral("cells_extra", 0, report.extra.size());
+  std::vector<std::size_t> by_rank;
+  for (std::size_t i = 0; i < std::size(kFields); ++i) {
+    if (kFields[i].diff != Diff::cell) by_rank.push_back(i);
+  }
+  std::ranges::stable_sort(by_rank, {}, [](std::size_t i) { return kFields[i].rank; });
+  for (const std::size_t i : by_rank) {
+    const Field& f = kFields[i];
+    const auto& [o, n] = sides[i];
+    const std::string stem{f.alias.empty() ? f.name : f.alias};
+    switch (f.diff) {
+      case Diff::cell:
+        break;
+      case Diff::total:
+        aggregates.push_back(make_delta(stem + "_total", o.total, n.total));
+        break;
+      case Diff::mean_max:
+        aggregates.push_back(make_delta(stem + "_mean", o.sum / matched, n.sum / matched));
+        aggregates.push_back(make_delta(stem + "_max", o.max, n.max));
+        break;
+      case Diff::percentiles:
+        for (std::size_t p = 0; p < std::size(kPercentiles); ++p) {
+          aggregates.push_back(make_delta(stem + std::string{kPercentiles[p].first},
+                                          o.percentile_sum[p] / matched,
+                                          n.percentile_sum[p] / matched));
+        }
+        break;
+      case Diff::wall_mean:
+        aggregates.push_back(make_delta(stem + "_mean", o.sum / matched, n.sum / matched));
+        // The gate only trips on positive deltas, so a throughput *decrease*
+        // is gated by reporting the percentage drop itself as the new value
+        // (same old=0/new=value construction as cells_changed below):
+        // '<name>_drop>N' fails when the new mean fell more than N% below the
+        // old. 0 — and therefore inert — whenever the old side carries none.
+        aggregates.push_back(make_delta(
+            stem + "_drop", 0.0, o.sum > 0 ? std::max(0.0, 100.0 * (1.0 - n.sum / o.sum)) : 0));
+        break;
+    }
+  }
+  for (const auto& [name, count] : {std::pair{"cells_changed", report.cells.size()},
+                                    std::pair{"cells_missing", report.missing.size()},
+                                    std::pair{"cells_extra", report.extra.size()}}) {
+    aggregates.push_back(make_delta<std::uint64_t>(name, 0, count));
+  }
   return report;
 }
 
@@ -506,20 +419,14 @@ void print_diff_table(std::ostream& os, const DiffReport& report) {
     os << "  cell ";
     print_key(os, cell.key);
     os << "\n";
-    for (const QuantityDelta& d : cell.deltas) {
-      os << "    " << std::left << std::setw(28) << d.name << std::right << " "
-         << value_string(d, true) << " -> " << value_string(d, false) << "  ("
-         << pct_string(d) << ")\n";
-    }
+    for (const QuantityDelta& d : cell.deltas) print_delta(os, "    ", d);
   }
   os << "aggregates (changed):\n";
   bool any = false;
   for (const QuantityDelta& d : report.aggregates) {
     if (!d.changed()) continue;
     any = true;
-    os << "  " << std::left << std::setw(28) << d.name << std::right << " "
-       << value_string(d, true) << " -> " << value_string(d, false) << "  ("
-       << pct_string(d) << ")\n";
+    print_delta(os, "  ", d);
   }
   if (!any) os << "  (none)\n";
 }

@@ -275,59 +275,64 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-double JsonValue::to_double() const {
-  if (kind != Kind::Number) throw JsonParseError("value is not a number");
-  double out = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    throw JsonParseError("unparseable number lexeme '" + text + "'");
+namespace {
+
+/// A number's lexeme read as a T, or a JsonParseError naming what T is.
+template <class T>
+T number_as(const JsonValue& v, std::string_view what) {
+  if (v.kind != JsonValue::Kind::Number) throw JsonParseError("value is not a number");
+  T out = 0;
+  const auto [ptr, ec] = std::from_chars(v.text.data(), v.text.data() + v.text.size(), out);
+  if (ec != std::errc{} || ptr != v.text.data() + v.text.size()) {
+    throw JsonParseError("number '" + v.text + "' is not " + std::string{what});
   }
   return out;
 }
 
+}  // namespace
+
+double JsonValue::to_double() const { return number_as<double>(*this, "a double"); }
+
 std::int64_t JsonValue::to_i64() const {
-  if (kind != Kind::Number) throw JsonParseError("value is not a number");
-  std::int64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    throw JsonParseError("number '" + text + "' is not a 64-bit integer");
-  }
-  return out;
+  return number_as<std::int64_t>(*this, "a 64-bit integer");
 }
 
 std::uint64_t JsonValue::to_u64() const {
-  if (kind != Kind::Number) throw JsonParseError("value is not a number");
-  std::uint64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    throw JsonParseError("number '" + text + "' is not an unsigned 64-bit integer");
-  }
-  return out;
+  return number_as<std::uint64_t>(*this, "an unsigned 64-bit integer");
+}
+
+const JsonValue* JsonValue::find(std::string_view key, Kind want) const {
+  const JsonValue* v = find(key);
+  if (v == nullptr || v->kind == want) return v;
+  static constexpr std::string_view kKinds[] = {"null",     "true or false", "a number",
+                                                "a string", "an array",      "an object"};
+  throw JsonParseError("key " + json_quote(key) + " must be " +
+                       std::string{kKinds[static_cast<std::size_t>(want)]});
 }
 
 double JsonValue::number_or(std::string_view key, double fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->is_number() ? v->to_double() : fallback;
+  const JsonValue* v = find(key, Kind::Number);
+  return v != nullptr ? v->to_double() : fallback;
 }
 
 std::uint64_t JsonValue::u64_or(std::string_view key, std::uint64_t fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->is_number() ? v->to_u64() : fallback;
+  const JsonValue* v = find(key, Kind::Number);
+  return v != nullptr ? v->to_u64() : fallback;
 }
 
 std::int64_t JsonValue::i64_or(std::string_view key, std::int64_t fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->is_number() ? v->to_i64() : fallback;
+  const JsonValue* v = find(key, Kind::Number);
+  return v != nullptr ? v->to_i64() : fallback;
 }
 
 bool JsonValue::bool_or(std::string_view key, bool fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->kind == Kind::Bool ? v->boolean : fallback;
+  const JsonValue* v = find(key, Kind::Bool);
+  return v != nullptr ? v->boolean : fallback;
 }
 
 std::string JsonValue::string_or(std::string_view key, std::string fallback) const {
-  const JsonValue* v = find(key);
-  return v != nullptr && v->kind == Kind::String ? v->text : std::move(fallback);
+  const JsonValue* v = find(key, Kind::String);
+  return v != nullptr ? v->text : std::move(fallback);
 }
 
 JsonValue parse_json(std::string_view input) { return Parser{input}.parse_document(); }

@@ -5,6 +5,7 @@
 #include "rstp/common/check.h"
 #include "rstp/common/rng.h"
 #include "rstp/core/effort.h"
+#include "rstp/sim/campaign.h"
 #include "rstp/sim/search_support.h"
 #include "rstp/sim/session.h"
 
@@ -376,14 +377,8 @@ std::vector<obs::RunMetricsRecord> adversary_metrics_records(const AdversaryResu
   std::vector<obs::RunMetricsRecord> out;
   out.reserve(result.cells.size());
   for (const AdversaryCellResult& cr : result.cells) {
-    obs::RunMetricsRecord record;
-    record.protocol = std::string{protocols::to_string(cr.cell.protocol)};
-    record.c1 = cr.cell.params.c1.ticks();
-    record.c2 = cr.cell.params.c2.ticks();
-    record.d = cr.cell.params.d.ticks();
-    record.k = cr.cell.k;
-    record.input_bits = cr.cell.input_bits;
-    record.seed = seed;
+    obs::RunMetricsRecord record{
+        run_identity(cr.cell.protocol, cr.cell.params, cr.cell.k, cr.cell.input_bits, seed)};
     record.effort = cr.best.effort;
     record.gap_ratio = cr.gap_ratio;
     record.end_time = cr.best.end_time;

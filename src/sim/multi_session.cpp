@@ -165,14 +165,8 @@ MultiSessionResult MultiSession::run(unsigned threads) const {
 
 obs::RunMetricsRecord multi_session_metrics_record(const MultiSessionSpec& spec,
                                                    const MultiSessionResult& result) {
-  obs::RunMetricsRecord record;
-  record.protocol = protocols::to_string(spec.protocol);
-  record.c1 = spec.params.c1.ticks();
-  record.c2 = spec.params.c2.ticks();
-  record.d = spec.params.d.ticks();
-  record.k = spec.k;
-  record.input_bits = spec.input_bits;
-  record.seed = spec.base_seed;
+  obs::RunMetricsRecord record{
+      run_identity(spec.protocol, spec.params, spec.k, spec.input_bits, spec.base_seed)};
   record.effort = result.effort.mean;
   record.correct = result.correct_sessions == result.sessions;
   record.quiescent = result.quiescent_sessions == result.sessions;

@@ -536,14 +536,8 @@ int cmd_run(const Args& args) {
     print_host_timing(*timer, wall_ns, run.result.metrics.counters.protocol);
   }
   if (!metrics_file.empty()) {
-    obs::RunMetricsRecord record;
-    record.protocol = protocols::to_string(*kind);
-    record.c1 = cfg.params.c1.ticks();
-    record.c2 = cfg.params.c2.ticks();
-    record.d = cfg.params.d.ticks();
-    record.k = cfg.k;
-    record.input_bits = cfg.input.size();
-    record.seed = env.seed;
+    obs::RunMetricsRecord record{
+        sim::run_identity(*kind, cfg.params, cfg.k, cfg.input.size(), env.seed)};
     record.effort = effort;
     record.end_time = (run.result.end_time - Time::zero()).ticks();
     record.correct = run.output_correct;
@@ -812,14 +806,8 @@ int cmd_report(const Args& args) {
 /// (so `rstp report` and the diff gate work on fuzz output unchanged).
 [[nodiscard]] obs::RunMetricsRecord fuzz_metrics_record(const sim::FuzzCase& c,
                                                         const sim::FuzzCaseResult& r) {
-  obs::RunMetricsRecord record;
-  record.protocol = std::string{protocols::to_string(c.protocol)};
-  record.c1 = c.params.c1.ticks();
-  record.c2 = c.params.c2.ticks();
-  record.d = c.params.d.ticks();
-  record.k = c.k;
-  record.input_bits = c.input_bits;
-  record.seed = c.input_seed;
+  obs::RunMetricsRecord record{
+      sim::run_identity(c.protocol, c.params, c.k, c.input_bits, c.input_seed)};
   record.effort = r.effort;
   record.end_time = r.end_time;
   record.correct = !r.failed && !r.crashed;
