@@ -702,6 +702,29 @@ TEST(Cli, RunWritesChromeTraceWithTraceOut) {
   std::remove(trace_json.c_str());
 }
 
+TEST(Cli, TraceOutMatchesTheGoldenSpanTracesByteForByte) {
+  // Gate: the Chrome export of a fixed-seed β run (block_encode/decode,
+  // idle and write spans) and of a γ run (acks and ack_round) is pinned
+  // byte for byte. RSTP_NO_TSC=1 makes otherData.host_clock read "steady".
+  for (const std::string protocol : {"beta", "gamma"}) {
+    const std::string golden = tests_file("golden/trace_" + protocol + ".json");
+    const std::string fresh = ::testing::TempDir() + "/cli_trace_" + protocol + ".json";
+    std::remove(fresh.c_str());
+    const std::string command = "RSTP_NO_TSC=1 " + cli() + " run " + protocol +
+                                " 1 2 6 4 32 --trace-out " + fresh + " > /dev/null 2>&1";
+    ASSERT_EQ(WEXITSTATUS(std::system(command.c_str())), 0) << protocol;
+    const auto bytes = [](const std::string& path) {
+      std::ostringstream text;
+      text << std::ifstream{path, std::ios::binary}.rdbuf();
+      return text.str();
+    };
+    const std::string want = bytes(golden);
+    ASSERT_FALSE(want.empty()) << golden;
+    EXPECT_EQ(bytes(fresh), want) << protocol << " trace drifted from " << golden;
+    std::remove(fresh.c_str());
+  }
+}
+
 TEST(Cli, ReplayWritesChromeTraceWithTraceOut) {
   const std::string trace_json = ::testing::TempDir() + "/cli_replay_trace.json";
   std::remove(trace_json.c_str());
