@@ -37,13 +37,17 @@ void write_histogram(std::ostream& os, const Histogram& h) {
 }
 
 /// Throws a JsonParseError naming the first key of `object` that is not in
-/// `known`. The reader keeps no field it does not know, so accepting one
-/// would let a baseline silently lose it.
+/// `known` or that repeats an earlier one. The reader keeps no field it does
+/// not know and reads only the first of a repeated key, so accepting either
+/// would let a baseline silently lose a value.
 void reject_unknown_keys(const JsonValue& object, const std::vector<std::string_view>& known,
                          std::string_view where) {
   for (const auto& [key, value] : object.members) {
     if (std::ranges::find(known, key) == known.end()) {
       throw JsonParseError(std::string{where} + ": unknown key " + json_quote(key));
+    }
+    if (object.find(key) != &value) {
+      throw JsonParseError(std::string{where} + ": duplicate key " + json_quote(key));
     }
   }
 }

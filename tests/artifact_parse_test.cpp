@@ -11,9 +11,9 @@
 // it. The same sweep runs over a recorded timed trace (ioa::parse_trace).
 // The run-metrics JSONL reader gets a seeded character- and number-level
 // sweep over every line of every tests/golden/*.jsonl, plus targeted
-// histogram mutants of the golden campaign baseline and wrong-type mutants
-// of the megasession baseline, whose line must also write back byte for
-// byte. The one-line spec
+// histogram mutants of the golden campaign baseline and wrong-type and
+// repeated-key mutants of the megasession baseline, whose line must also
+// write back byte for byte. The one-line spec
 // parsers (DriftSpec::parse and obs::parse_thresholds) get a character-level
 // sweep, and every mutant they reject must also make the CLI flag that reads
 // it exit 2. CMake injects the tests/ source directory as RSTP_TESTS_DIR and
@@ -542,6 +542,59 @@ TEST(RunMetricsParse, AKnownKeyOfTheWrongTypeIsAParseErrorNamingTheLineAndTheKey
                "\"data_delay\":null") +
       "\n"};
   EXPECT_FALSE(obs::read_run_metrics_jsonl(null_histogram).at(0).metrics.data_delay.configured());
+}
+
+TEST(RunMetricsParse, ARepeatedKeyIsAParseErrorNamingTheLineAndTheKey) {
+  // The megasession baseline's line with one key repeated at each level. The
+  // reader once read the first of the two and dropped the other: "seed"
+  // read as 15978 and `rstp report` printed the row and exited 0. Both
+  // report forms must exit 2.
+  const std::string text = read_file(std::filesystem::path{RSTP_TESTS_DIR} /
+                                     "golden/megasession_baseline.jsonl");
+  const std::string record = text.substr(0, text.find('\n'));
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string out = record;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? out : out.replace(at, from.size(), to);
+  };
+  struct Case {
+    std::string line;
+    std::string error;
+  };
+  const Case cases[] = {
+      {replaced("\"seed\":15978", "\"seed\":15978,\"seed\":99"),
+       "record: duplicate key \"seed\""},
+      {replaced("\"schema\":\"rstp-run-metrics-v1\"",
+                "\"schema\":\"rstp-run-metrics-v1\",\"schema\":\"rstp-run-metrics-v1\""),
+       "record: duplicate key \"schema\""},
+      {replaced("\"d_hat\":0", "\"d_hat\":0,\"d_hat\":7"), "est: duplicate key \"d_hat\""},
+      {replaced("\"events\":5740000", "\"events\":5740000,\"events\":1"),
+       "counters: duplicate key \"events\""},
+      {replaced("\"hist\":{", "\"hist\":{\"ack_delay\":null,"),
+       "hist: duplicate key \"ack_delay\""},
+      {replaced("\"p95\":4", "\"p95\":4,\"p95\":5"),
+       "histogram data_delay: duplicate key \"p95\""},
+  };
+  std::vector<std::string> cli_args;
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    std::istringstream in{c.line + "\n"};
+    try {
+      (void)obs::read_run_metrics_jsonl(in);
+      ADD_FAILURE() << "accepted " << c.line;
+    } catch (const obs::JsonParseError& e) {
+      EXPECT_NE(std::string{e.what()}.find("line 1: " + c.error), std::string::npos) << e.what();
+    }
+    const std::string path = ::testing::TempDir() + "/repeated_key_" + std::to_string(i) + ".jsonl";
+    std::ofstream{path} << c.line << '\n';
+    cli_args.push_back("report " + path);
+    cli_args.push_back("report " + path + " " + path);
+  }
+  expect_cli_exits_2(cli_args);
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    std::remove((::testing::TempDir() + "/repeated_key_" + std::to_string(i) + ".jsonl").c_str());
+  }
 }
 
 TEST(RunMetricsParse, EveryGoldenMetricsFileParses) {
