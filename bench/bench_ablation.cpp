@@ -46,7 +46,7 @@ bool rstp::bench::e10_ablation() {
     const char* mode = "prefix";
     std::uint64_t states = 0;
     try {
-      const ioa::ExplorerResult r = explore_transfer(ProtocolKind::Beta, cfg);
+      const ioa::ExplorerResult r = core::explore_transfer(ProtocolKind::Beta, cfg);
       states = r.distinct_states;
       safe = r.verified();
     } catch (const ModelError&) {

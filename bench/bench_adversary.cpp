@@ -74,7 +74,7 @@ bool rstp::bench::e7_adversary() {
     cfg.params = core::TimingParams::make(1, 1, 2);
     cfg.k = kind == ProtocolKind::Beta ? 3 : 2;
     cfg.input = input;
-    const ioa::ExplorerResult r = explore_transfer(kind, cfg);
+    const ioa::ExplorerResult r = core::explore_transfer(kind, cfg);
     std::printf("  %-9s states=%-8llu terminals=%-6llu safe=%-3s complete=%-3s\n",
                 std::string(protocols::to_string(kind)).c_str(),
                 static_cast<unsigned long long>(r.distinct_states),

@@ -8,31 +8,12 @@
 // Exits 0 when every row of every table checks, 1 on a FAIL row or an
 // exception an experiment throws, and 2 on an unknown ID. Each experiment's
 // stdout is pinned to tests/golden/paper/E<n>.txt (ctest -L paper).
-#include <algorithm>
 #include <exception>
 #include <string_view>
 
 #include "paper_claims.h"
-#include "rstp/protocols/base.h"
 
 namespace rstp::bench {
-
-ioa::ExplorerResult explore_transfer(protocols::ProtocolKind kind,
-                                     const protocols::ProtocolConfig& cfg) {
-  const auto instance = protocols::make_protocol(kind, cfg);
-  ioa::ExplorerConfig config;
-  config.d = cfg.params.d.ticks();
-  const auto& input = cfg.input;
-  const auto prefix = [&input](const ioa::Automaton&, const ioa::Automaton& r) {
-    const auto& out = dynamic_cast<const protocols::ReceiverBase&>(r).output();
-    return out.size() <= input.size() && std::equal(out.begin(), out.end(), input.begin());
-  };
-  const auto complete = [&input](const ioa::Automaton&, const ioa::Automaton& r) {
-    return dynamic_cast<const protocols::ReceiverBase&>(r).output() == input;
-  };
-  ioa::Explorer explorer{*instance.transmitter, *instance.receiver, config, prefix, complete};
-  return explorer.run();
-}
 
 constexpr struct {
   std::string_view id;

@@ -9,7 +9,6 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "rstp/ioa/explorer.h"
 #include "rstp/protocols/factory.h"
 
 namespace rstp::bench {
@@ -31,11 +30,6 @@ inline void print_rule(int width) {
 
 /// Marks a row value as OK/FAIL for quick scanning.
 inline const char* verdict(bool ok) { return ok ? "ok" : "FAIL"; }
-
-/// Explores every admissible schedule of `kind` over `cfg` with delays up to
-/// cfg.params.d: safety is "Y is a prefix of X", completion is "Y = X".
-[[nodiscard]] ioa::ExplorerResult explore_transfer(protocols::ProtocolKind kind,
-                                                   const protocols::ProtocolConfig& cfg);
 
 // The experiments, one per bench_*.cpp: each prints its tables and returns
 // true iff every row checks.

@@ -13,7 +13,6 @@
 #include "rstp/core/verify.h"
 #include "rstp/ioa/explorer.h"
 #include "rstp/ioa/trace_io.h"
-#include "rstp/protocols/base.h"
 #include "rstp/protocols/factory.h"
 
 namespace {
@@ -27,19 +26,7 @@ ioa::ExplorerResult check(ProtocolKind kind, const std::vector<ioa::Bit>& input,
   cfg.params = core::TimingParams::make(1, 1, d);
   cfg.k = k;
   cfg.input = input;
-  const auto instance = protocols::make_protocol(kind, cfg);
-
-  ioa::ExplorerConfig config;
-  config.d = d;
-  const auto prefix = [&input](const ioa::Automaton&, const ioa::Automaton& r) {
-    const auto& out = dynamic_cast<const protocols::ReceiverBase&>(r).output();
-    return out.size() <= input.size() && std::equal(out.begin(), out.end(), input.begin());
-  };
-  const auto complete = [&input](const ioa::Automaton&, const ioa::Automaton& r) {
-    return dynamic_cast<const protocols::ReceiverBase&>(r).output() == input;
-  };
-  ioa::Explorer explorer{*instance.transmitter, *instance.receiver, config, prefix, complete};
-  return explorer.run();
+  return core::explore_transfer(kind, cfg);
 }
 
 }  // namespace

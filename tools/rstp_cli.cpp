@@ -614,19 +614,7 @@ int cmd_explore(const Args& args) {
   }
   cfg.input = *bits;
   cfg.k = protocols::alphabet_for(*kind, cfg.k, cfg.input.size());
-  const auto instance = protocols::make_protocol(*kind, cfg);
-  ioa::ExplorerConfig config;
-  config.d = *d;
-  const auto& input = cfg.input;
-  const auto prefix = [&input](const ioa::Automaton&, const ioa::Automaton& r) {
-    const auto& out = dynamic_cast<const protocols::ReceiverBase&>(r).output();
-    return out.size() <= input.size() && std::equal(out.begin(), out.end(), input.begin());
-  };
-  const auto complete = [&input](const ioa::Automaton&, const ioa::Automaton& r) {
-    return dynamic_cast<const protocols::ReceiverBase&>(r).output() == input;
-  };
-  ioa::Explorer explorer{*instance.transmitter, *instance.receiver, config, prefix, complete};
-  const ioa::ExplorerResult result = explorer.run();
+  const ioa::ExplorerResult result = core::explore_transfer(*kind, cfg);
   const bool violated = !result.safety_held || !result.all_terminals_complete;
   std::cout << "states:      " << result.distinct_states << "\n"
             << "transitions: " << result.transitions << "\n"
