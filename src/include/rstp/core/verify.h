@@ -108,7 +108,7 @@ class TraceChecker final : public sim::SimObserver {
   /// otherwise).
   void add(const ioa::TimedEvent& event);
 
-  void on_event(const ioa::TimedEvent& event) override { add(event); }
+  void on_event(const ioa::TimedEvent& event, const sim::EventContext&) override { add(event); }
 
   /// The verdict on the events added so far. Violations come in a fixed
   /// order: A_t's step-gap law, A_r's, then the bijection and prefix

@@ -70,15 +70,14 @@ class TimingEstimator final : public sim::SimObserver {
   /// One send→delivery delay of either direction (always ≤ d in-model).
   void observe_delay(Duration delay);
 
-  void on_local_step(ioa::ProcessId /*id*/, Time /*at*/, const ioa::Action& /*action*/,
-                     std::optional<Duration> gap,
-                     const obs::ProtocolCounters* /*counters*/) override {
-    if (gap.has_value()) observe_gap(*gap);
-  }
-  void on_delivery(ioa::ProcessId /*dest*/, Time sent_at, Time deliver_at,
-                   const ioa::Packet& /*packet*/, std::uint64_t /*send_seq*/,
-                   const obs::ProtocolCounters* /*dest_counters*/) override {
-    observe_delay(deliver_at - sent_at);
+  /// Feeds a delivery's delay, or a local step's gap (none on a process's
+  /// first step, whose context gap is zero).
+  void on_event(const ioa::TimedEvent& event, const sim::EventContext& context) override {
+    if (event.actor == ioa::Actor::Channel) {
+      observe_delay(event.time - context.sent_at);
+    } else if (context.gap > Duration{0}) {
+      observe_gap(context.gap);
+    }
   }
 
   /// The current legal estimate: 1 ≤ ĉ1 ≤ ĉ2 ≤ d̂ always holds.

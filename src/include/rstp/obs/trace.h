@@ -181,12 +181,10 @@ class ModelRecorder final : public sim::SimObserver {
  public:
   explicit ModelRecorder(Tracer& tracer, std::uint32_t session = 0);
 
-  void on_local_step(ioa::ProcessId id, Time at, const ioa::Action& action,
-                     std::optional<Duration> gap, const ProtocolCounters* counters) override;
-  void on_send(ioa::ProcessId id, Time at, const ioa::Packet& packet,
-               std::uint64_t send_seq) override;
-  void on_delivery(ioa::ProcessId dest, Time sent_at, Time deliver_at, const ioa::Packet& packet,
-                   std::uint64_t send_seq, const ProtocolCounters* dest_counters) override;
+  /// A delivery's recv, flow finish and flight, or a local step's idle,
+  /// write and block records; then the changed process's new block and ack
+  /// records; then a send's span and flow start.
+  void on_event(const ioa::TimedEvent& event, const sim::EventContext& context) override;
   /// Flushes open idle/block spans and emits fault markers.
   void on_finish(Time end, const std::vector<fault::FaultEvent>& faults) override;
 
@@ -199,7 +197,7 @@ class ModelRecorder final : public sim::SimObserver {
   };
 
   void close_idle(ProcessTrack& track, Track where);
-  void note_counters(ioa::ProcessId id, std::int64_t at, const ProtocolCounters* counters);
+  void note_counters(ioa::ProcessId id, std::int64_t at, const ProtocolCounters& counters);
   [[nodiscard]] std::uint8_t assign_lane(std::int64_t sent_at, std::int64_t deliver_at);
 
   Tracer* tracer_;

@@ -1,12 +1,15 @@
 // The one observation hook of a simulated execution (SimConfig::observer).
 //
-// Callbacks fire at the simulator's record points, in execution order, and
-// always before its next automaton call — the online estimator relies on
-// this, since the adaptive protocols freeze plans from its state. Observers
-// are pure readers: arming one cannot change any result bit.
+// An observer has two hooks: on_event, once per applied event, and
+// on_finish, once at the end of the run. on_event fires from the
+// simulator's one record point, in execution order, and always before its
+// next automaton call — the online estimator relies on this, since the
+// adaptive protocols freeze plans from its state. The event says what
+// happened; the EventContext beside it carries what the event itself lacks.
+// Observers are pure readers: arming one cannot change any result bit.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <vector>
 
 #include "rstp/fault/fault.h"
@@ -14,6 +17,22 @@
 #include "rstp/obs/run_metrics.h"
 
 namespace rstp::sim {
+
+/// What an applied event does not say about itself. Fields that do not
+/// apply to the event's kind are zero.
+struct EventContext {
+  /// A local step: the realized gap since the same process's previous step.
+  /// Zero on its first step; a real gap is at least c1 >= 1.
+  Duration gap{};
+  /// A delivery (recv): the instant the packet was sent.
+  Time sent_at{};
+  /// A send or a delivery: the channel seq the packet carries.
+  std::uint64_t send_seq = 0;
+  /// The counters of the process the event changed (the stepping process,
+  /// or a delivery's destination), read after the transition; null when its
+  /// automaton has none.
+  const obs::CounterSource* counters = nullptr;
+};
 
 /// The simulator holds an observer's address for the whole run, so
 /// observers are neither copied nor moved.
@@ -25,31 +44,16 @@ class SimObserver {
   virtual ~SimObserver() = default;
 
   /// Every applied event, deliveries and local steps alike, in execution
-  /// order. Throwing aborts the run with the exception.
-  virtual void on_event(const ioa::TimedEvent& /*event*/) {}
-
-  /// A local step the automaton just applied (its counters already
-  /// advanced). `gap` is the realized gap since the process's previous step,
-  /// nullopt on its first step.
-  virtual void on_local_step(ioa::ProcessId /*id*/, Time /*at*/, const ioa::Action& /*action*/,
-                             std::optional<Duration> /*gap*/,
-                             const obs::ProtocolCounters* /*counters*/) {}
-
-  /// A send about to enter the channel, with the channel seq it will carry.
-  virtual void on_send(ioa::ProcessId /*id*/, Time /*at*/, const ioa::Packet& /*packet*/,
-                       std::uint64_t /*send_seq*/) {}
-
-  /// A delivery just applied to its destination.
-  virtual void on_delivery(ioa::ProcessId /*dest*/, Time /*sent_at*/, Time /*deliver_at*/,
-                           const ioa::Packet& /*packet*/, std::uint64_t /*send_seq*/,
-                           const obs::ProtocolCounters* /*dest_counters*/) {}
+  /// order. A send is reported before it enters the channel. Throwing
+  /// aborts the run with the exception.
+  virtual void on_event(const ioa::TimedEvent& /*event*/, const EventContext& /*context*/) {}
 
   /// End of run, with the channel's fault log.
   virtual void on_finish(Time /*end*/, const std::vector<fault::FaultEvent>& /*faults*/) {}
 };
 
-/// Forwards every callback to two observers, first then second. Either may
-/// be null; arm the pointer armed() returns, never the tee itself.
+/// Forwards both hooks to two observers, first then second. Either may be
+/// null; arm the pointer armed() returns, never the tee itself.
 class ObserverTee final : public SimObserver {
  public:
   ObserverTee(SimObserver* first, SimObserver* second) : first_(first), second_(second) {}
@@ -62,23 +66,9 @@ class ObserverTee final : public SimObserver {
     return this;
   }
 
-  void on_event(const ioa::TimedEvent& e) override {
-    first_->on_event(e);
-    second_->on_event(e);
-  }
-  void on_local_step(ioa::ProcessId id, Time at, const ioa::Action& action,
-                     std::optional<Duration> gap, const obs::ProtocolCounters* c) override {
-    first_->on_local_step(id, at, action, gap, c);
-    second_->on_local_step(id, at, action, gap, c);
-  }
-  void on_send(ioa::ProcessId id, Time at, const ioa::Packet& p, std::uint64_t seq) override {
-    first_->on_send(id, at, p, seq);
-    second_->on_send(id, at, p, seq);
-  }
-  void on_delivery(ioa::ProcessId dest, Time sent_at, Time deliver_at, const ioa::Packet& p,
-                   std::uint64_t seq, const obs::ProtocolCounters* c) override {
-    first_->on_delivery(dest, sent_at, deliver_at, p, seq, c);
-    second_->on_delivery(dest, sent_at, deliver_at, p, seq, c);
+  void on_event(const ioa::TimedEvent& e, const EventContext& context) override {
+    first_->on_event(e, context);
+    second_->on_event(e, context);
   }
   void on_finish(Time end, const std::vector<fault::FaultEvent>& faults) override {
     first_->on_finish(end, faults);

@@ -66,7 +66,7 @@ class CoverageObserver final : public SimObserver {
   CoverageObserver(const protocols::TransmitterBase& t, const protocols::ReceiverBase& r)
       : t_(t), r_(r) {}
 
-  void on_event(const ioa::TimedEvent& event) override {
+  void on_event(const ioa::TimedEvent& event, const EventContext&) override {
     seen_.insert(event_fingerprint(event, t_, r_));
   }
 

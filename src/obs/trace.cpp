@@ -308,59 +308,54 @@ ModelRecorder::ModelRecorder(Tracer& tracer, std::uint32_t session)
 
 void ModelRecorder::close_idle(ProcessTrack& track, Track where) {
   if (!track.idle_open) return;
-  Record rec;
-  rec.name = Name::Idle;
-  rec.track = where;
-  rec.session = session_;
-  rec.start = track.idle_start;
-  rec.dur = track.idle_last - track.idle_start;
-  buffer_->append(rec);
+  buffer_->append({.start = track.idle_start, .dur = track.idle_last - track.idle_start,
+                   .name = Name::Idle, .track = where, .session = session_});
   track.idle_open = false;
 }
 
 void ModelRecorder::note_counters(ioa::ProcessId id, std::int64_t at,
-                                  const ProtocolCounters* counters) {
-  if (counters == nullptr) return;
-  ProcessTrack& track = tracks_[static_cast<std::size_t>(id)];
-  if (counters->blocks_encoded > track.prev.blocks_encoded) {
-    Record rec;
-    rec.name = Name::BlockEncode;
-    rec.track = track_of(id);
-    rec.session = session_;
-    rec.start = block_open_ ? block_start_ : at;
-    rec.dur = at - rec.start;
-    rec.arg = counters->blocks_encoded;
-    buffer_->append(rec);
-    block_open_ = false;
-  }
-  if (counters->blocks_decoded > track.prev.blocks_decoded) {
-    Record rec;
-    rec.name = Name::BlockDecode;
-    rec.track = track_of(id);
-    rec.session = session_;
-    rec.start = at;
-    rec.arg = counters->blocks_decoded;
-    buffer_->append(rec);
-  }
-  if (counters->acks_sent > track.prev.acks_sent) {
-    Record rec;
-    rec.name = Name::AckRound;
-    rec.track = track_of(id);
-    rec.session = session_;
-    rec.start = at;
-    rec.arg = counters->acks_sent;
-    buffer_->append(rec);
-  }
-  track.prev = *counters;
-}
-
-void ModelRecorder::on_local_step(ioa::ProcessId id, Time at, const ioa::Action& action,
-                                  std::optional<Duration> /*gap*/,
-                                  const ProtocolCounters* counters) {
+                                  const ProtocolCounters& counters) {
   ProcessTrack& track = tracks_[static_cast<std::size_t>(id)];
   const Track where = track_of(id);
-  const std::int64_t t = at.ticks();
-  if (action.kind == ioa::ActionKind::Internal) {
+  if (counters.blocks_encoded > track.prev.blocks_encoded) {
+    const std::int64_t start = block_open_ ? block_start_ : at;
+    buffer_->append({.start = start, .dur = at - start, .arg = counters.blocks_encoded,
+                     .name = Name::BlockEncode, .track = where, .session = session_});
+    block_open_ = false;
+  }
+  if (counters.blocks_decoded > track.prev.blocks_decoded) {
+    buffer_->append({.start = at, .arg = counters.blocks_decoded, .name = Name::BlockDecode,
+                     .track = where, .session = session_});
+  }
+  if (counters.acks_sent > track.prev.acks_sent) {
+    buffer_->append({.start = at, .arg = counters.acks_sent, .name = Name::AckRound,
+                     .track = where, .session = session_});
+  }
+  track.prev = counters;
+}
+
+void ModelRecorder::on_event(const ioa::TimedEvent& event, const sim::EventContext& context) {
+  const ioa::Action& action = event.action;
+  const ioa::Packet& packet = action.packet;
+  const std::int64_t t = event.time.ticks();
+  const std::uint64_t seq = context.send_seq;
+  const bool delivery = event.actor == ioa::Actor::Channel;
+  const ioa::ProcessId id = delivery                                 ? packet.destination()
+                            : event.actor == ioa::Actor::Transmitter ? ioa::ProcessId::Transmitter
+                                                                     : ioa::ProcessId::Receiver;
+  const Track where = track_of(id);
+  ProcessTrack& track = tracks_[static_cast<std::size_t>(id)];
+  if (delivery) {
+    const std::int64_t sent = context.sent_at.ticks();
+    buffer_->append({.start = t, .flow_id = seq, .arg = packet.payload, .name = Name::Recv,
+                     .track = where, .has_flow = true, .session = session_});
+    buffer_->append({.start = t, .flow_id = seq, .kind = RecKind::FlowFinish,
+                     .name = packet_name(packet), .track = where, .has_flow = true,
+                     .session = session_});
+    buffer_->append({.start = sent, .dur = t - sent, .flow_id = seq, .arg = packet.payload,
+                     .name = packet_name(packet), .track = Track::Channel,
+                     .lane = assign_lane(sent, t), .has_flow = true, .session = session_});
+  } else if (action.kind == ioa::ActionKind::Internal) {
     if (!track.idle_open) {
       track.idle_open = true;
       track.idle_start = t;
@@ -369,13 +364,8 @@ void ModelRecorder::on_local_step(ioa::ProcessId id, Time at, const ioa::Action&
   } else {
     close_idle(track, where);
     if (action.kind == ioa::ActionKind::Write) {
-      Record rec;
-      rec.name = Name::Write;
-      rec.track = where;
-      rec.session = session_;
-      rec.start = t;
-      rec.arg = action.message;
-      buffer_->append(rec);
+      buffer_->append({.start = t, .arg = action.message, .name = Name::Write, .track = where,
+                       .session = session_});
     }
     if (action.kind == ioa::ActionKind::Send && id == ioa::ProcessId::Transmitter &&
         !block_open_) {
@@ -383,31 +373,14 @@ void ModelRecorder::on_local_step(ioa::ProcessId id, Time at, const ioa::Action&
       block_start_ = t;
     }
   }
-  note_counters(id, t, counters);
-}
-
-void ModelRecorder::on_send(ioa::ProcessId id, Time at, const ioa::Packet& packet,
-                            std::uint64_t send_seq) {
-  const Track where = track_of(id);
-  const std::int64_t t = at.ticks();
-  Record span;
-  span.name = Name::Send;
-  span.track = where;
-  span.session = session_;
-  span.start = t;
-  span.arg = packet.payload;
-  span.flow_id = send_seq;
-  span.has_flow = true;
-  buffer_->append(span);
-  Record flow;
-  flow.kind = RecKind::FlowStart;
-  flow.name = packet_name(packet);
-  flow.track = where;
-  flow.session = session_;
-  flow.start = t;
-  flow.flow_id = send_seq;
-  flow.has_flow = true;
-  buffer_->append(flow);
+  if (context.counters != nullptr) note_counters(id, t, context.counters->protocol_counters());
+  if (action.kind == ioa::ActionKind::Send) {
+    buffer_->append({.start = t, .flow_id = seq, .arg = packet.payload, .name = Name::Send,
+                     .track = where, .has_flow = true, .session = session_});
+    buffer_->append({.start = t, .flow_id = seq, .kind = RecKind::FlowStart,
+                     .name = packet_name(packet), .track = where, .has_flow = true,
+                     .session = session_});
+  }
 }
 
 std::uint8_t ModelRecorder::assign_lane(std::int64_t sent_at, std::int64_t deliver_at) {
@@ -434,75 +407,22 @@ std::uint8_t ModelRecorder::assign_lane(std::int64_t sent_at, std::int64_t deliv
   return static_cast<std::uint8_t>(best);
 }
 
-void ModelRecorder::on_delivery(ioa::ProcessId dest, Time sent_at, Time deliver_at,
-                                const ioa::Packet& packet, std::uint64_t send_seq,
-                                const ProtocolCounters* dest_counters) {
-  const Track dest_track = track_of(dest);
-  const std::int64_t sent = sent_at.ticks();
-  const std::int64_t delivered = deliver_at.ticks();
-
-  Record recv;
-  recv.name = Name::Recv;
-  recv.track = dest_track;
-  recv.session = session_;
-  recv.start = delivered;
-  recv.arg = packet.payload;
-  recv.flow_id = send_seq;
-  recv.has_flow = true;
-  buffer_->append(recv);
-
-  Record finish;
-  finish.kind = RecKind::FlowFinish;
-  finish.name = packet_name(packet);
-  finish.track = dest_track;
-  finish.session = session_;
-  finish.start = delivered;
-  finish.flow_id = send_seq;
-  finish.has_flow = true;
-  buffer_->append(finish);
-
-  Record flight;
-  flight.name = packet_name(packet);
-  flight.track = Track::Channel;
-  flight.session = session_;
-  flight.start = sent;
-  flight.dur = delivered - sent;
-  flight.arg = packet.payload;
-  flight.flow_id = send_seq;
-  flight.has_flow = true;
-  flight.lane = assign_lane(sent, delivered);
-  buffer_->append(flight);
-
-  note_counters(dest, delivered, dest_counters);
-}
-
 void ModelRecorder::on_finish(Time end, const std::vector<fault::FaultEvent>& faults) {
   close_idle(tracks_[0], Track::Transmitter);
   close_idle(tracks_[1], Track::Receiver);
   if (block_open_) {
     // A block still being encoded when the run ended (event cap, faults):
     // emit the open span so the truncation is visible on the timeline.
-    Record rec;
-    rec.name = Name::BlockEncode;
-    rec.track = Track::Transmitter;
-    rec.session = session_;
-    rec.start = block_start_;
-    rec.dur = end.ticks() - block_start_;
-    rec.arg = tracks_[0].prev.blocks_encoded + 1;
-    buffer_->append(rec);
+    buffer_->append({.start = block_start_, .dur = end.ticks() - block_start_,
+                     .arg = tracks_[0].prev.blocks_encoded + 1, .name = Name::BlockEncode,
+                     .track = Track::Transmitter, .session = session_});
     block_open_ = false;
   }
   for (const fault::FaultEvent& fault : faults) {
-    Record rec;
-    rec.name = fault_name(fault.kind);
-    rec.track = Track::Channel;
-    rec.lane = kFaultLane;
-    rec.session = session_;
-    rec.start = fault.at.ticks();
-    rec.arg = fault.injected.payload;
-    rec.flow_id = fault.send_seq;
-    rec.has_flow = true;
-    buffer_->append(rec);
+    buffer_->append({.start = fault.at.ticks(), .flow_id = fault.send_seq,
+                     .arg = fault.injected.payload, .name = fault_name(fault.kind),
+                     .track = Track::Channel, .lane = kFaultLane, .has_flow = true,
+                     .session = session_});
   }
 }
 

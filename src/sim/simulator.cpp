@@ -38,11 +38,6 @@ Simulator::Simulator(ioa::Automaton& transmitter, ioa::Automaton& receiver,
   counter_sources_[index_of(ProcessId::Receiver)] = receiver.counter_source();
 }
 
-const obs::ProtocolCounters* Simulator::counters_of(ProcessId id) const {
-  const obs::CounterSource* source = counter_sources_[index_of(id)];
-  return source != nullptr ? &source->protocol_counters() : nullptr;
-}
-
 void Simulator::throw_out_of_law(Duration value, const core::TimingParams& law, bool first) {
   std::ostringstream os;
   if (first) {
@@ -68,11 +63,11 @@ void Simulator::deliver_due(RunResult& result, Time now) {
       ++result.metrics.counters.ack_recvs;
       result.metrics.ack_delay.record(delay.ticks());
     }
-    record(result, flight.deliver_at, Actor::Channel, Action::recv(flight.packet));
-    if (config_.observer != nullptr) {
-      config_.observer->on_delivery(to, flight.sent_at, flight.deliver_at, flight.packet,
-                                    flight.send_seq, counters_of(to));
-    }
+    record(result, flight.deliver_at, Actor::Channel, Action::recv(flight.packet), [&] {
+      return EventContext{.sent_at = flight.sent_at,
+                          .send_seq = flight.send_seq,
+                          .counters = counter_sources_[index_of(to)]};
+    });
     // A stopped process can be re-enabled by input; let it resume stepping.
     if (ps.stopped) {
       if (ps.automaton->enabled_local().has_value()) {
@@ -92,40 +87,37 @@ void Simulator::take_process_step(RunResult& result, ProcessState& ps, ProcessId
   const Action& action = taken.action;
   ps.quiescent = taken.quiescent;
   obs::RunCounters& counters = result.metrics.counters;
-  std::optional<Duration> gap;
-  if (ps.steps_taken > 0) gap = ps.next_step - ps.last_step_time;
+  const bool first_step = ps.steps_taken == 0;
+  // Zero on the process's first step; a real gap is at least c1 >= 1.
+  const Duration gap = first_step ? Duration{0} : ps.next_step - ps.last_step_time;
   if (id == ProcessId::Transmitter) {
-    ++result.transmitter_steps;
     ++counters.transmitter_steps;
     if (action.kind == ActionKind::Internal) ++counters.transmitter_internal_steps;
-    if (gap.has_value()) result.metrics.transmitter_gap.record(gap->ticks());
+    if (!first_step) result.metrics.transmitter_gap.record(gap.ticks());
   } else {
-    ++result.receiver_steps;
     ++counters.receiver_steps;
     if (action.kind == ActionKind::Internal) ++counters.receiver_internal_steps;
-    if (gap.has_value()) result.metrics.receiver_gap.record(gap->ticks());
+    if (!first_step) result.metrics.receiver_gap.record(gap.ticks());
   }
   ps.last_step_time = ps.next_step;
   ++ps.steps_taken;
-  record(result, ps.next_step, ioa::actor_of(id), action);
-  if (config_.observer != nullptr) {
-    config_.observer->on_local_step(id, ps.next_step, action, gap, counters_of(id));
-  }
-
-  if (action.kind == ActionKind::Send) {
+  const bool send = action.kind == ActionKind::Send;
+  if (send) {
     RSTP_CHECK_EQ(static_cast<int>(action.packet.source()), static_cast<int>(id),
                   "automaton sent a packet with the wrong direction tag");
+  }
+  record(result, ps.next_step, ioa::actor_of(id), action, [&] {
+    // total_sent() is the seq the channel will assign to this send.
+    return EventContext{.gap = gap,
+                        .send_seq = send ? channel_->total_sent() : 0,
+                        .counters = counter_sources_[index_of(id)]};
+  });
+  if (send) {
     if (id == ProcessId::Transmitter) {
-      ++result.transmitter_sends;
       ++counters.data_sends;
       result.last_transmitter_send = ps.next_step;
     } else {
-      ++result.receiver_sends;
       ++counters.ack_sends;
-    }
-    if (config_.observer != nullptr) {
-      // total_sent() is the seq the channel will assign to this send.
-      config_.observer->on_send(id, ps.next_step, action.packet, channel_->total_sent());
     }
     channel_->send(action.packet, ps.next_step);
   }
@@ -160,7 +152,7 @@ void Simulator::start() {
 }
 
 bool Simulator::finished() const {
-  if (result_.event_count >= config_.max_events) return true;
+  if (result_.metrics.counters.events >= config_.max_events) return true;
   // Global quiescence: nothing in flight and both processes have nothing
   // (non-trivial) left to do.
   const ProcessState& t = procs_[index_of(ProcessId::Transmitter)];
@@ -220,21 +212,26 @@ RunResult Simulator::take_result() {
   // The loop in run() exits via the cap check before the quiescence check,
   // so a run that hits the cap reports quiescent=false even if the final
   // dispatch happened to reach quiescence too.
-  result_.quiescent = result_.event_count < config_.max_events;
+  obs::RunCounters& counters = result_.metrics.counters;
+  result_.quiescent = counters.events < config_.max_events;
   // Fold in the automata's own counters (Automaton::counter_source()).
   // Automata without a CounterSource simply contribute nothing.
   for (const obs::CounterSource* source : counter_sources_) {
-    if (source != nullptr) result_.metrics.counters.protocol += source->protocol_counters();
+    if (source != nullptr) counters.protocol += source->protocol_counters();
   }
   // Channel-level injected faults (empty without an injector). A drop is a
   // packet the automaton sent that never entered flight.
   result_.faults = channel_->fault_log();
   for (const fault::FaultEvent& f : result_.faults) {
-    if (f.kind == fault::FaultKind::Drop) {
-      ++result_.dropped_packets;
-      ++result_.metrics.counters.dropped;
-    }
+    if (f.kind == fault::FaultKind::Drop) ++counters.dropped;
   }
+  // RunResult's flat counts mirror RunCounters, which alone count per event.
+  result_.event_count = counters.events;
+  result_.transmitter_steps = counters.transmitter_steps;
+  result_.receiver_steps = counters.receiver_steps;
+  result_.transmitter_sends = counters.data_sends;
+  result_.receiver_sends = counters.ack_sends;
+  result_.dropped_packets = counters.dropped;
   if (config_.observer != nullptr) {
     config_.observer->on_finish(result_.end_time, result_.faults);
   }

@@ -178,10 +178,20 @@ template <typename F>
 class EventObserver final : public SimObserver {
  public:
   explicit EventObserver(F fn) : fn_(std::move(fn)) {}
-  void on_event(const ioa::TimedEvent& event) override { fn_(event); }
+  void on_event(const ioa::TimedEvent& event, const EventContext&) override { fn_(event); }
 
  private:
   F fn_;
+};
+
+/// Keeps every on_event call: the event and its context.
+class ContextRecorder final : public SimObserver {
+ public:
+  void on_event(const ioa::TimedEvent& event, const EventContext& context) override {
+    calls.emplace_back(event, context);
+  }
+
+  std::vector<std::pair<ioa::TimedEvent, EventContext>> calls;
 };
 
 SimConfig config_for(const core::TimingParams& params) {
@@ -537,6 +547,65 @@ TEST(Simulator, ObserverWorksWithoutTraceRecording) {
   EXPECT_TRUE(result.trace.empty());
   EXPECT_EQ(events, result.event_count);
   EXPECT_EQ(in_flight, 0);
+}
+
+TEST(Simulator, OneObserverCallPerEventCarriesWhatTheEventLacks) {
+  // A γ run with acks in a randomized environment. Every applied event
+  // reaches on_event exactly once, and its context holds the step gap, the
+  // send instant and the send seq that the event itself does not.
+  protocols::ProtocolConfig cfg;
+  cfg.params = core::TimingParams::make(1, 2, 6);
+  cfg.k = 4;
+  cfg.input = core::make_random_input(32, 5);
+  ContextRecorder observer;
+  SimConfig sim_config = config_for(cfg.params);
+  sim_config.record_trace = false;
+  sim_config.observer = &observer;
+  const RunResult result =
+      core::make_session(protocols::ProtocolKind::Gamma, cfg, core::Environment::randomized(3),
+                         std::move(sim_config))
+          ->run();
+  ASSERT_TRUE(result.quiescent);
+  EXPECT_EQ(result.output, cfg.input);
+  EXPECT_GT(result.receiver_sends, 0u);
+  ASSERT_EQ(observer.calls.size(), result.event_count);
+
+  std::optional<Time> last_step[2];
+  const obs::CounterSource* counters[2] = {nullptr, nullptr};
+  std::vector<std::pair<std::uint64_t, ioa::TimedEvent>> sends;  // (send seq, event)
+  std::uint64_t deliveries = 0;
+  for (const auto& [event, context] : observer.calls) {
+    ASSERT_NE(context.counters, nullptr) << "event " << event.seq;
+    if (event.actor == Actor::Channel) {
+      ++deliveries;
+      std::size_t matches = 0;
+      for (const auto& [seq, send] : sends) {
+        if (seq != context.send_seq) continue;
+        ++matches;
+        EXPECT_EQ(send.time, context.sent_at) << "event " << event.seq;
+        EXPECT_EQ(send.action.packet, event.action.packet) << "event " << event.seq;
+      }
+      EXPECT_EQ(matches, 1u) << "event " << event.seq;
+      const Duration delay = event.time - context.sent_at;
+      EXPECT_GE(delay, Duration{0}) << "event " << event.seq;
+      EXPECT_LE(delay, cfg.params.d) << "event " << event.seq;
+      const auto dest = static_cast<std::size_t>(event.action.packet.destination());
+      if (counters[dest] == nullptr) counters[dest] = context.counters;
+      EXPECT_EQ(context.counters, counters[dest]) << "event " << event.seq;
+      continue;
+    }
+    const auto id = static_cast<std::size_t>(event.actor);
+    std::optional<Time>& last = last_step[id];
+    EXPECT_EQ(context.gap, last.has_value() ? event.time - *last : Duration{0})
+        << "event " << event.seq;
+    last = event.time;
+    if (event.action.kind == ActionKind::Send) sends.emplace_back(context.send_seq, event);
+    if (counters[id] == nullptr) counters[id] = context.counters;
+    EXPECT_EQ(context.counters, counters[id]) << "event " << event.seq;
+  }
+  EXPECT_NE(counters[0], counters[1]);
+  EXPECT_EQ(sends.size(), result.transmitter_sends + result.receiver_sends);
+  EXPECT_EQ(deliveries, result.metrics.counters.data_recvs + result.metrics.counters.ack_recvs);
 }
 
 TEST(Simulator, ObserverExceptionAbortsRun) {
