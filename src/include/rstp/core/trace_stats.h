@@ -3,10 +3,11 @@
 // Where the verifier answers "is this execution in good(A)?", the stats
 // module answers "what did the execution look like?" — per-process step
 // counts and gap extremes, per-direction delay distributions, channel
-// occupancy, and throughput figures. The benches and examples use it to
-// report more than a single effort number, and its delay/gap extremes give
-// tests an independent way to assert an environment behaved as configured
-// (e.g. "the random policy actually produced delays spanning [0, d]").
+// occupancy, and throughput figures. `rstp run --stats` and the telemetry
+// example use it to report more than a single effort number, and its
+// delay/gap extremes give tests an independent way to assert an environment
+// behaved as configured (e.g. "the random policy actually produced delays
+// spanning [0, d]").
 #pragma once
 
 #include <cstdint>
