@@ -4,14 +4,28 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "rstp/channel/policies.h"
 #include "rstp/common/check.h"
+#include "rstp/fault/fault.h"
 
 namespace rstp::channel {
 namespace {
 
 using ioa::Packet;
+
+/// The text of the ModelError that sending `packet` at `now` throws; empty,
+/// and a test failure, when it throws none.
+std::string send_error_text(Channel& chan, const Packet& packet, Time now) {
+  try {
+    chan.send(packet, now);
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "send did not throw a ModelError";
+  return {};
+}
 
 TEST(Channel, ZeroDelayDeliversImmediately) {
   Channel chan{Duration{10}, make_zero_delay()};
@@ -52,6 +66,13 @@ TEST(Channel, PolicyViolationIsModelError) {
   // A fixed delay larger than d violates Δ(C(P)).
   Channel chan{Duration{3}, make_fixed_delay(Duration{5})};
   EXPECT_THROW(chan.send(Packet::to_receiver(0), at_tick(0)), ModelError);
+}
+
+TEST(Channel, PolicyViolationTextNamesTheWindow) {
+  Channel chan{Duration{3}, make_fixed_delay(Duration{5})};
+  EXPECT_EQ(send_error_text(chan, Packet::to_receiver(0), at_tick(2)),
+            "delivery policy violated the channel model: packet sent @2 scheduled for "
+            "delivery @7 outside [@2, @5]");
 }
 
 TEST(Channel, CollectDueReturnsSortedByDeliveryOrder) {
@@ -194,6 +215,31 @@ TEST(Channel, MinDelayWindowEnforced) {
   EXPECT_EQ(chan.min_delay(), Duration{3});
   Channel too_fast{Duration{10}, make_zero_delay(), Duration{3}};
   EXPECT_THROW(too_fast.send(Packet::to_receiver(0), at_tick(0)), ModelError);
+}
+
+TEST(Channel, MinDelayViolationTextNamesTheWindow) {
+  Channel too_fast{Duration{10}, make_zero_delay(), Duration{3}};
+  EXPECT_EQ(send_error_text(too_fast, Packet::to_receiver(0), at_tick(4)),
+            "delivery policy violated the channel model: packet sent @4 scheduled for "
+            "delivery @4 outside [@7, @14]");
+}
+
+TEST(Channel, WindowViolationTextIsTheSameWithAnInjector) {
+  // An injector that decides nothing leaves each send to the policy, whose
+  // out-of-window choice fails exactly as on a channel without one.
+  fault::SeededFaultInjector injector{7, fault::FaultRates{}};
+  Channel late{Duration{3}, make_fixed_delay(Duration{5})};
+  late.set_fault_injector(&injector);
+  EXPECT_EQ(send_error_text(late, Packet::to_receiver(0), at_tick(2)),
+            "delivery policy violated the channel model: packet sent @2 scheduled for "
+            "delivery @7 outside [@2, @5]");
+  Channel too_fast{Duration{10}, make_zero_delay(), Duration{3}};
+  too_fast.set_fault_injector(&injector);
+  EXPECT_EQ(send_error_text(too_fast, Packet::to_receiver(0), at_tick(4)),
+            "delivery policy violated the channel model: packet sent @4 scheduled for "
+            "delivery @4 outside [@7, @14]");
+  EXPECT_TRUE(late.fault_log().empty());
+  EXPECT_TRUE(too_fast.fault_log().empty());
 }
 
 TEST(Channel, MinDelayValidation) {
