@@ -19,8 +19,13 @@
 // order_key is 0, making equal-time deliveries arrive in send order. Policies
 // may override order_key to exercise adversarial same-instant orders; the
 // verifier only requires the delay window, not the tie rule.
+//
+// send() without an injector is inline, so that the simulator's typed
+// instances (sim/simulator.h) run it without a call; the injector's path and
+// the window-violation text are out of line.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -70,7 +75,11 @@ class Channel {
           Duration min_delay = Duration{0});
 
   /// Accepts a send(p) input at time `now`.
-  void send(const ioa::Packet& packet, Time now);
+  [[gnu::always_inline]] void send(const ioa::Packet& packet, Time now) {
+    if (injector_ != nullptr) return send_with_faults(packet, now);
+    enqueue(packet, now, choose_in_model(packet, now));
+    ++send_seq_;
+  }
 
   /// Earliest pending delivery instant (the heap's front). Requires
   /// !empty(); callers test empty() first. A plain Time rather than an
@@ -107,6 +116,30 @@ class Channel {
   [[nodiscard]] const std::vector<fault::FaultEvent>& fault_log() const { return fault_log_; }
 
  private:
+  /// The heap order, the reverse of delivery order (time, then policy tie
+  /// key, then send order), so the heap's front is the earliest delivery.
+  [[nodiscard]] static bool delivers_after(const InFlightPacket& a, const InFlightPacket& b) {
+    if (a.deliver_at != b.deliver_at) return a.deliver_at > b.deliver_at;
+    if (a.order_key != b.order_key) return a.order_key > b.order_key;
+    return a.send_seq > b.send_seq;
+  }
+  /// The policy's choice for a packet sent at `now`, checked against the
+  /// window [now + min_delay, now + d].
+  [[nodiscard]] Delivery choose_in_model(const ioa::Packet& packet, Time now) {
+    const Delivery choice = policy_->choose(packet, now, now + max_delay_, send_seq_);
+    if (choice.when < now + min_delay_ || choice.when > now + max_delay_) {
+      throw_window_violation(now, choice.when);
+    }
+    return choice;
+  }
+  void enqueue(const ioa::Packet& packet, Time now, const Delivery& choice) {
+    in_flight_.push_back(InFlightPacket{packet, now, choice.when, choice.order_key, send_seq_});
+    std::push_heap(in_flight_.begin(), in_flight_.end(), delivers_after);
+  }
+  /// send() with an injector attached (see set_fault_injector).
+  void send_with_faults(const ioa::Packet& packet, Time now);
+  [[noreturn, gnu::cold]] void throw_window_violation(Time now, Time when) const;
+
   Duration max_delay_;
   Duration min_delay_;
   std::unique_ptr<DeliveryPolicy> policy_;

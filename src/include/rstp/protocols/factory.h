@@ -38,6 +38,8 @@ struct ProtocolInstance {
   std::unique_ptr<ReceiverBase> receiver;
   /// |X|: the number of writes a correct run makes, which sizes Y's buffers.
   std::size_t input_bits = 0;
+  /// The kind make_protocol built (sim::Session's dispatch); unset by hand.
+  std::optional<ProtocolKind> kind;
 };
 
 /// False when the multiset codec `kind` builds for `config`'s fixed block

@@ -45,7 +45,8 @@ class FixedRateScheduler final : public StepScheduler {
  public:
   explicit FixedRateScheduler(Duration gap, Duration first = Duration{0});
   [[nodiscard]] Duration first_offset() override { return first_; }
-  [[nodiscard]] Duration next_gap(std::uint64_t step_index) override;
+  /// Inline, so the typed simulator instances read the gap without a call.
+  [[nodiscard]] Duration next_gap(std::uint64_t /*step_index*/) override { return gap_; }
 
  private:
   Duration gap_;

@@ -1,16 +1,21 @@
-// One owning session: A_t ∘ C(P) ∘ A_r wired into a Simulator.
+// One owning session: A_t ∘ C(P) ∘ A_r and the simulator that runs it.
 //
-// A Session holds the protocol pair, both step schedulers, the channel (with
-// its optional fault injector) and the Simulator driving them. It can be
-// neither copied nor moved, so the Simulator's pointers stay valid.
+// A Session holds the protocol pair, both step schedulers and the channel
+// (with its optional fault injector). It can be neither copied nor moved,
+// so the simulator's pointers stay valid.
 // core::make_session builds one from an Environment; sites with their own
 // parts (genome schedulers, synthesized or drifting policies, a fault
 // injector) pass them to the constructor. With SimConfig::host_timer set,
 // every part is wrapped in its host-time decorator (sim/host_timing.h).
 // RunResult::output is sized once, for the instance's |X| writes.
+// run() picks the simulator instance (sim/simulator.h), in
+// src/sim/session.cpp: a pair that make_protocol built, undecorated, with
+// two FixedRateSchedulers (the worst-case and adversarial environments)
+// runs its typed instance; any other session runs Simulator.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "rstp/channel/channel.h"
@@ -39,29 +44,40 @@ class Session {
         injector_(std::move(injector)),
         channel_(config.params.d, with_host_timer(std::move(policy), config.host_timer),
                  min_delay),
-        simulator_(*transmitter_, *receiver_, channel_, *transmitter_sched_, *receiver_sched_,
-                   std::move(config)) {
+        config_(config),
+        input_bits_(instance.input_bits) {
     channel_.set_fault_injector(injector_.get());
-    simulator_.reserve_output(instance.input_bits);
+    if (config.host_timer == nullptr && dynamic_cast<FixedRateScheduler*>(&*transmitter_sched_) &&
+        dynamic_cast<FixedRateScheduler*>(&*receiver_sched_)) {
+      typed_ = instance.kind;
+    }
   }
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  [[nodiscard]] Simulator& simulator() { return simulator_; }
   [[nodiscard]] channel::Channel& channel() { return channel_; }
 
-  /// Runs the session to quiescence or the event cap (Simulator::run).
-  [[nodiscard]] RunResult run() { return simulator_.run(); }
+  /// Runs the session to quiescence or the event cap (Simulator::run), on
+  /// the instance the constructor picked. May be called once.
+  [[nodiscard]] RunResult run();
 
  private:
+  /// Runs the parts on BasicSimulator<T, R, S>; they must have those types.
+  template <class T, class R, class S = FixedRateScheduler>
+  [[nodiscard]] RunResult run_on();
+
   std::unique_ptr<ioa::Automaton> transmitter_;
   std::unique_ptr<ioa::Automaton> receiver_;
   std::unique_ptr<StepScheduler> transmitter_sched_;
   std::unique_ptr<StepScheduler> receiver_sched_;
   std::unique_ptr<fault::FaultInjector> injector_;
   channel::Channel channel_;
-  Simulator simulator_;
+  SimConfig config_;
+  std::size_t input_bits_;
+  /// The pair whose typed instance run() drives; unset for Simulator.
+  std::optional<protocols::ProtocolKind> typed_;
+  bool ran_ = false;
 };
 
 }  // namespace rstp::sim

@@ -26,10 +26,14 @@
 // outside the model come only from the channel's injector
 // (Channel::set_fault_injector); the simulator itself never loses a packet.
 //
-// Wiring: sim::Session (sim/session.h) owns a Simulator together with the
-// automata, schedulers and channel it drives, and core::make_session builds
-// one from an Environment. The reference constructor below stays public for
-// tests and benchmarks that wire their own parts.
+// Wiring: the loop is one template, BasicSimulator<T, R, S> over the
+// transmitter, receiver and step-law types (members in simulator_impl.h),
+// with two kinds of instance. Simulator, over the ioa::Automaton and
+// StepScheduler interfaces, runs any parts (sim/simulator.cpp). Each
+// protocol's .cpp instantiates its pair over FixedRateScheduler, where its
+// step() and the gap are direct calls. Both run every check. sim::Session
+// (sim/session.h) owns the parts and picks the instance; core::make_session
+// builds one. Simulator's constructor stays public for hand-wired parts.
 #pragma once
 
 #include <cstdint>
@@ -99,12 +103,20 @@ struct RunResult {
   obs::RunMetrics metrics;
 };
 
-class Simulator {
+/// Throws the ModelError naming a first offset (`first`) or gap outside the
+/// process's step law.
+[[noreturn, gnu::cold]] void throw_out_of_law(Duration value, const core::TimingParams& law,
+                                              bool first);
+
+/// The loop over a transmitter type T, a receiver type R and a step-law
+/// type S (see "Wiring" above).
+template <class T, class R, class S>
+class BasicSimulator {
  public:
   /// All references must outlive run(). The channel must be empty and the
   /// automata in their start states; run() may be called once.
-  Simulator(ioa::Automaton& transmitter, ioa::Automaton& receiver, channel::Channel& chan,
-            StepScheduler& transmitter_sched, StepScheduler& receiver_sched, SimConfig config);
+  BasicSimulator(T& transmitter, R& receiver, channel::Channel& chan, S& transmitter_sched,
+                 S& receiver_sched, SimConfig config);
 
   /// Runs to global quiescence (both processes stopped or quiescent with no
   /// pending work and the channel empty) or to the event cap.
@@ -149,15 +161,15 @@ class Simulator {
   [[nodiscard]] RunResult take_result();
 
  private:
+  template <class A>
   struct ProcessState {
-    ioa::Automaton* automaton = nullptr;
-    StepScheduler* scheduler = nullptr;
+    A* automaton = nullptr;
+    S* scheduler = nullptr;
     /// The process's step law (its own override, else SimConfig::params),
     /// resolved once in the constructor; only c1 and c2 are read.
     core::TimingParams law{};
     Time next_step{};
     Time last_step_time{};  ///< instant of the previous local step (gap metric)
-    std::uint64_t steps_taken = 0;
     bool stopped = false;
     /// automaton->quiescent(), read after start() and after every transition
     /// of this automaton (its own steps and deliveries to it). Quiescence is
@@ -168,6 +180,13 @@ class Simulator {
   /// The source of the next dispatch, decided with the instant.
   enum class Due : std::uint8_t { Delivery, Transmitter, Receiver };
 
+  /// Process kId's local steps so far; RunCounters alone counts them.
+  template <ioa::ProcessId kId>
+  [[nodiscard]] std::uint64_t& steps_taken() {
+    return kId == ioa::ProcessId::Transmitter ? result_.metrics.counters.transmitter_steps
+                                              : result_.metrics.counters.receiver_steps;
+  }
+
   // record(), validated_first_offset() and validated_gap() run on every
   // event, so they are inline; the error path is one cold function.
 
@@ -176,43 +195,43 @@ class Simulator {
   /// context `make_context()` builds, which it calls only when an observer
   /// is armed.
   template <class MakeContext>
-  void record(RunResult& result, Time time, ioa::Actor actor, const ioa::Action& action,
+  void record(Time time, ioa::Actor actor, const ioa::Action& action,
               const MakeContext& make_context) {
-    ++result.metrics.counters.events;
-    result.end_time = time;
+    ++result_.metrics.counters.events;
+    result_.end_time = time;
     if (action.kind == ioa::ActionKind::Write) {
-      if (result.output.empty()) result.output.reserve(output_bits_);
-      result.output.push_back(action.message);
-      ++result.metrics.counters.writes;
+      if (result_.output.empty()) result_.output.reserve(output_bits_);
+      result_.output.push_back(action.message);
+      ++result_.metrics.counters.writes;
     }
     // record_events_ caches `record_trace || observer` so the common
     // headless configuration (campaign/effort runs) skips the TimedEvent
     // construction entirely.
     if (record_events_) {
       const ioa::TimedEvent event{time, actor, action, next_seq_};
-      if (config_.record_trace) result.trace.append(event);
+      if (config_.record_trace) result_.trace.append(event);
       if (config_.observer != nullptr) config_.observer->on_event(event, make_context());
     }
     ++next_seq_;
   }
-  void take_process_step(RunResult& result, ProcessState& ps, ioa::ProcessId id);
-  void deliver_due(RunResult& result, Time now);
+  /// Process kId's local step, and a delivery to process kTo; `ps` is its
+  /// state.
+  template <ioa::ProcessId kId, class A>
+  void take_process_step(ProcessState<A>& ps);
+  template <ioa::ProcessId kTo, class A>
+  void deliver(ProcessState<A>& ps, const channel::InFlightPacket& flight);
   /// The process's first step offset, checked against [0, c2].
-  [[nodiscard]] static Duration validated_first_offset(const ProcessState& ps) {
+  [[nodiscard]] static Duration validated_first_offset(const auto& ps) {
     const Duration first = ps.scheduler->first_offset();
     if (first.is_negative() || first > ps.law.c2) throw_out_of_law(first, ps.law, true);
     return first;
   }
   /// The gap before local step `step_index` (>= 1), checked against [c1, c2].
-  [[nodiscard]] static Duration validated_gap(const ProcessState& ps, std::uint64_t step_index) {
+  [[nodiscard]] static Duration validated_gap(const auto& ps, std::uint64_t step_index) {
     const Duration gap = ps.scheduler->next_gap(step_index);
     if (gap < ps.law.c1 || gap > ps.law.c2) throw_out_of_law(gap, ps.law, false);
     return gap;
   }
-  /// Throws the ModelError naming a first offset (`first`) or gap outside
-  /// the process's step law.
-  [[noreturn, gnu::cold]] static void throw_out_of_law(Duration value,
-                                                       const core::TimingParams& law, bool first);
 
   /// True when nothing remains: event cap reached or globally quiescent.
   [[nodiscard]] bool finished() const;
@@ -232,7 +251,8 @@ class Simulator {
 
   channel::Channel* channel_;
   SimConfig config_;
-  ProcessState procs_[2];  // indexed by ProcessId
+  ProcessState<T> transmitter_;
+  ProcessState<R> receiver_;
   /// Each automaton's counter_source() (null when it has none), read once
   /// in the constructor for the observer's EventContext and take_result().
   const obs::CounterSource* counter_sources_[2] = {nullptr, nullptr};
@@ -253,5 +273,8 @@ class Simulator {
   /// The in-progress result of the incremental API; run() uses it too.
   RunResult result_;
 };
+
+using Simulator = BasicSimulator<ioa::Automaton, ioa::Automaton, StepScheduler>;
+extern template class BasicSimulator<ioa::Automaton, ioa::Automaton, StepScheduler>;
 
 }  // namespace rstp::sim

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "rstp/sim/simulator_impl.h"
+
 namespace rstp::protocols {
 
 using ioa::Action;
@@ -109,3 +111,5 @@ std::unique_ptr<ioa::Automaton> BetaReceiver::clone() const {
 }
 
 }  // namespace rstp::protocols
+
+RSTP_TYPED_SIMULATOR(Beta);

@@ -127,6 +127,7 @@ ProtocolInstance make_protocol(ProtocolKind kind, const ProtocolConfig& config) 
              "the estimator supports only beta and gamma");
   ProtocolInstance instance = build_pair(kind, config);
   instance.input_bits = config.input.size();
+  instance.kind = kind;
   return instance;
 }
 

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "rstp/common/check.h"
+#include "rstp/sim/simulator_impl.h"
 
 namespace rstp::protocols {
 
@@ -131,3 +132,5 @@ std::unique_ptr<ioa::Automaton> GammaReceiver::clone() const {
 }
 
 }  // namespace rstp::protocols
+
+RSTP_TYPED_SIMULATOR(Gamma);

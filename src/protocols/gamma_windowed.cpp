@@ -5,6 +5,7 @@
 
 #include "rstp/combinatorics/binomial.h"
 #include "rstp/common/check.h"
+#include "rstp/sim/simulator_impl.h"
 
 namespace rstp::protocols {
 
@@ -211,3 +212,5 @@ std::unique_ptr<ioa::Automaton> WindowedGammaReceiver::clone() const {
 }
 
 }  // namespace rstp::protocols
+
+RSTP_TYPED_SIMULATOR(WindowedGamma);

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "rstp/common/check.h"
+#include "rstp/sim/simulator_impl.h"
 
 namespace rstp::protocols {
 
@@ -105,3 +106,5 @@ std::unique_ptr<ioa::Automaton> IndexedReceiver::clone() const {
 }
 
 }  // namespace rstp::protocols
+
+RSTP_TYPED_SIMULATOR(Indexed);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "rstp/common/check.h"
+#include "rstp/sim/simulator_impl.h"
 
 namespace rstp::protocols {
 
@@ -139,3 +140,5 @@ std::unique_ptr<ioa::Automaton> StrawmanReceiver::clone() const {
 }
 
 }  // namespace rstp::protocols
+
+RSTP_TYPED_SIMULATOR(Strawman);

@@ -11,8 +11,6 @@ FixedRateScheduler::FixedRateScheduler(Duration gap, Duration first) : gap_(gap)
   RSTP_CHECK(!first_.is_negative(), "first offset must be non-negative");
 }
 
-Duration FixedRateScheduler::next_gap(std::uint64_t /*step_index*/) { return gap_; }
-
 SeededRandomScheduler::SeededRandomScheduler(Rng rng, core::TimingParams params)
     : rng_(rng), params_(params) {
   params_.validate();
