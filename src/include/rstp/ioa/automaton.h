@@ -57,15 +57,15 @@ class Automaton {
   /// quiescent() after it, and returns true. Returns false and changes
   /// nothing when the automaton is stopped. The default composes
   /// enabled_local(), apply() and quiescent(), for decorators and test
-  /// automata; every protocol overrides it, and its apply() routes a local
-  /// action here (protocols/base.h).
+  /// automata; the protocols take it from one template, protocols::Process,
+  /// whose apply() routes a local action here (protocols/base.h).
   virtual bool step(LocalStep& out);
 
   /// Takes the input recv(packet) and returns quiescent() after it; a
   /// packet that is not an input of this automaton fails an RSTP_CHECK and
   /// changes nothing. The default composes accepts_input(), apply() and
-  /// quiescent(), for decorators and test automata; the protocol bases
-  /// override it with one direction check (protocols/base.h).
+  /// quiescent(), for decorators and test automata; protocols::Process
+  /// overrides it with one direction check (protocols/base.h).
   virtual bool deliver(const Packet& packet);
 
   /// True iff `action` is an input action of this automaton (in(A)).
@@ -91,9 +91,9 @@ class Automaton {
   [[nodiscard]] virtual std::unique_ptr<Automaton> clone() const = 0;
 
   /// This automaton's protocol counters, or null when it has none; the
-  /// simulator reads it once per run. The protocol bases and the host-time
-  /// decorator override it without RTTI; the default finds a CounterSource
-  /// base by dynamic_cast.
+  /// simulator reads it once per run. protocols::ProcessBase and the
+  /// host-time decorator override it without RTTI; the default finds a
+  /// CounterSource base by dynamic_cast.
   [[nodiscard]] virtual const obs::CounterSource* counter_source() const;
 
  protected:

@@ -42,11 +42,11 @@ struct ProtocolCounters {
   friend bool operator==(const ProtocolCounters&, const ProtocolCounters&) = default;
 };
 
-/// Implemented by automata that expose ProtocolCounters (protocols::
-/// TransmitterBase / ReceiverBase). The simulator reads it through
-/// ioa::Automaton::counter_source(), which the protocol bases answer without
-/// RTTI and which falls back to a dynamic_cast for other automata; an
-/// automaton without one contributes zero protocol counters.
+/// Implemented by automata that expose ProtocolCounters (every protocol
+/// automaton, through protocols::ProcessBase). The simulator reads it through
+/// ioa::Automaton::counter_source(), which ProcessBase answers without RTTI
+/// and which falls back to a dynamic_cast for other automata; an automaton
+/// without one contributes zero protocol counters.
 class CounterSource {
  public:
   virtual ~CounterSource() = default;

@@ -20,23 +20,23 @@
 
 namespace rstp::protocols {
 
-class AlphaTransmitter final : public TransmitterBase {
+class AlphaTransmitter final : public Process<AlphaTransmitter, TransmitterBase> {
  public:
   explicit AlphaTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^alpha"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
   /// Steps from one send to the next (⌈d/c1⌉); exposed for tests/benches.
   [[nodiscard]] std::int64_t steps_per_message() const { return wait_steps_; }
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void take(const ioa::Action& action);
   // r-passive: inputs (none are ever sent) are ignored.
-  void receive(const ioa::Packet& /*packet*/) override {}
+  void receive(const ioa::Packet& /*packet*/) {}
 
   std::vector<ioa::Bit> input_;   // X
   std::int64_t wait_steps_ = 0;   // ⌈d/c1⌉
@@ -44,23 +44,20 @@ class AlphaTransmitter final : public TransmitterBase {
   std::int64_t j_ = 0;            // idle-step counter (Figure 1's j)
 };
 
-class AlphaReceiver final : public ReceiverBase {
+class AlphaReceiver final : public Process<AlphaReceiver, ReceiverBase> {
  public:
   explicit AlphaReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^alpha"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
-  [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& packet) override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void receive(const ioa::Packet& packet);
 
   std::vector<ioa::Bit> received_;  // Figure 1's y_1, y_2, ...
-  std::vector<ioa::Bit> written_;   // Y
 };
 
 }  // namespace rstp::protocols

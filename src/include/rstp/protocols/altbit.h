@@ -24,20 +24,20 @@
 
 namespace rstp::protocols {
 
-class AltBitTransmitter final : public TransmitterBase {
+class AltBitTransmitter final : public Process<AltBitTransmitter, TransmitterBase> {
  public:
   explicit AltBitTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^altbit"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& packet) override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void take(const ioa::Action& action);
+  void receive(const ioa::Packet& packet);
 
   enum class Phase : std::uint8_t { Sending, AwaitingAck };
 
@@ -46,23 +46,21 @@ class AltBitTransmitter final : public TransmitterBase {
   Phase phase_ = Phase::Sending;
 };
 
-class AltBitReceiver final : public ReceiverBase {
+class AltBitReceiver final : public Process<AltBitReceiver, ReceiverBase> {
  public:
   explicit AltBitReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^altbit"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
-  [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& packet) override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void take(const ioa::Action& action);
+  void receive(const ioa::Packet& packet);
 
   std::vector<ioa::Bit> accepted_;       // bits accepted, pending write
-  std::vector<ioa::Bit> written_;        // Y
   std::vector<std::uint32_t> ack_queue_;  // seq bits to acknowledge, FIFO
   std::uint32_t expected_seq_ = 0;
 };

@@ -1,5 +1,6 @@
 // Shared protocol machinery: configuration, transmitter/receiver interfaces,
-// and the internal-action vocabulary common to all RSTP solutions.
+// the one template that writes every automaton's transitions, and the
+// internal-action vocabulary common to all RSTP solutions.
 //
 // A solution to RSTP (paper §4) is a pair (A_t, A_r). Every transmitter here
 // is given the whole input sequence X up front (as in Figures 1/3/4: "we
@@ -13,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "rstp/common/check.h"
@@ -70,13 +72,6 @@ struct ProtocolConfig {
 /// What A_t and A_r share, for a process whose inputs are the packets
 /// travelling in direction `kInputs`.
 ///
-/// Each transition is written once: an automaton names its enabled local
-/// action in local_action(), takes it in step() and takes inputs in
-/// receive(). deliver() and apply() only route: deliver() checks the
-/// packet's direction and hands it to receive(); apply() sends an input to
-/// receive() and a local action to step() once it is checked to be the
-/// enabled one.
-///
 /// The obs::CounterSource base is the uniform stat-hook: implementations bump
 /// `counters_` at their semantic milestones (block fully sent, ack consumed)
 /// and every protocol reports through the same RunMetrics fields. Protocols
@@ -86,34 +81,12 @@ struct ProtocolConfig {
 template <ioa::Packet::Direction kInputs>
 class ProcessBase : public ioa::Automaton, public obs::CounterSource {
  public:
-  [[nodiscard]] std::optional<ioa::Action> enabled_local() const final {
-    ioa::Action action;
-    if (!local_action(action)) return std::nullopt;
-    return action;
-  }
+  /// The direction of the packets this process takes as inputs.
+  static constexpr ioa::Packet::Direction kInputDirection = kInputs;
 
   [[nodiscard]] bool accepts_input(const ioa::Action& action) const final {
     return action.kind == ioa::ActionKind::Recv && action.packet.direction == kInputs;
   }
-
-  /// The one direction check, then the input transition.
-  bool deliver(const ioa::Packet& packet) final {
-    RSTP_CHECK(packet.direction == kInputs, "delivered packet not an input of its destination");
-    receive(packet);
-    return quiescent();
-  }
-
-  void apply(const ioa::Action& action) final {
-    if (accepts_input(action)) {
-      receive(action.packet);
-      return;
-    }
-    RSTP_CHECK(enabled_local() == action, "action not enabled");
-    ioa::LocalStep taken;
-    step(taken);
-  }
-
-  bool step(ioa::LocalStep& out) override = 0;
 
   [[nodiscard]] const obs::ProtocolCounters& protocol_counters() const final {
     return counters_;
@@ -121,15 +94,6 @@ class ProcessBase : public ioa::Automaton, public obs::CounterSource {
   [[nodiscard]] const obs::CounterSource* counter_source() const final { return this; }
 
  protected:
-  /// Writes the enabled local action into `out` and returns true, or returns
-  /// false and leaves `out` alone when the automaton is stopped. step()
-  /// passes its LocalStep's action: an optional<Action> returned by value is
-  /// built on the stack and copied out, a store-forwarding stall per step.
-  [[nodiscard]] virtual bool local_action(ioa::Action& out) const = 0;
-
-  /// The input transition recv(packet).
-  virtual void receive(const ioa::Packet& packet) = 0;
-
   obs::ProtocolCounters counters_;
 };
 
@@ -144,11 +108,99 @@ class TransmitterBase : public ProcessBase<ioa::Packet::Direction::ReceiverToTra
   [[nodiscard]] bool quiescent() const override { return transmission_complete(); }
 };
 
-/// A_r: accepts t→r packets as inputs and exposes the output tape Y.
+/// A_r: accepts t→r packets as inputs and writes the output tape Y.
 class ReceiverBase : public ProcessBase<ioa::Packet::Direction::TransmitterToReceiver> {
  public:
   /// Y so far: the sequence of messages written (in write order).
-  [[nodiscard]] virtual const std::vector<ioa::Bit>& output() const = 0;
+  [[nodiscard]] const std::vector<ioa::Bit>& output() const { return written_; }
+
+ protected:
+  std::vector<ioa::Bit> written_;  // Y
+};
+
+/// Each transition of automaton D, written once. D is a deterministic
+/// automaton (§5) given by three plain members that Process calls directly:
+///
+///   * `bool local_action(ioa::Action& out) const` writes the one enabled
+///     local action into `out` and returns true, or returns false and leaves
+///     `out` alone when D is stopped;
+///   * `void take(const ioa::Action& action)`, that action's effect. A
+///     receiver's write onto Y is Process's, so D declares take() only where
+///     an action does more (the default does nothing);
+///   * `void receive(const ioa::Packet& packet)`, the input transition
+///     recv(packet).
+///
+/// step() takes the enabled action and reports it with the quiescence after
+/// it; deliver() checks the packet's direction and hands it to receive();
+/// apply() sends an input to receive() and a local action to step() once it
+/// is checked to be the enabled one. Quiescence is read from D directly: its
+/// own quiescent(), or for a transmitter that keeps TransmitterBase's
+/// default, transmission_complete(). D is final, so none of these is an
+/// indirect call in a simulator instance typed on D.
+template <class D, class Base>
+class Process : public Base {
+ public:
+  [[nodiscard]] std::optional<ioa::Action> enabled_local() const final {
+    ioa::Action action;
+    if (!self().local_action(action)) return std::nullopt;
+    return action;
+  }
+
+  /// Out of line: inlined into the typed simulator's step path, α's event
+  /// loop ran about 10% slower (bench_layers `mega_narrow`; docs/PERF.md).
+  [[gnu::noinline]] bool step(ioa::LocalStep& out) final {
+    if (!self().local_action(out.action)) return false;
+    if constexpr (std::is_same_v<Base, ReceiverBase>) {
+      if (out.action.kind == ioa::ActionKind::Write) this->written_.push_back(out.action.message);
+    }
+    self().take(out.action);
+    out.quiescent = quiescent_now();
+    return true;
+  }
+
+  /// The one direction check, then the input transition.
+  bool deliver(const ioa::Packet& packet) final {
+    RSTP_CHECK(packet.direction == Base::kInputDirection,
+               "delivered packet not an input of its destination");
+    self().receive(packet);
+    return quiescent_now();
+  }
+
+  void apply(const ioa::Action& action) final {
+    if (this->accepts_input(action)) {
+      self().receive(action.packet);
+      return;
+    }
+    RSTP_CHECK(enabled_local() == action, "action not enabled");
+    ioa::LocalStep taken;
+    step(taken);
+  }
+
+  /// A copy of D. β's and γ's copies share their BlockPlanner, which a clone
+  /// may grow: a fixed plan is a pure function of (X, δ), and the planner's
+  /// deque never moves a plan, so every clone reads the same plans however
+  /// their runs interleave.
+  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const final {
+    return std::make_unique<D>(self());
+  }
+
+ protected:
+  /// No effect beyond Process's own (a receiver's write onto Y).
+  void take(const ioa::Action& /*action*/) {}
+
+ private:
+  [[nodiscard]] const D& self() const { return static_cast<const D&>(*this); }
+  [[nodiscard]] D& self() { return static_cast<D&>(*this); }
+
+  /// quiescent() after a transition, as a direct call on D.
+  [[nodiscard]] bool quiescent_now() const {
+    static_assert(std::is_final_v<D>, "a process's calls on D are direct only when D is final");
+    if constexpr (std::is_same_v<decltype(&D::quiescent), decltype(&TransmitterBase::quiescent)>) {
+      return self().transmission_complete();
+    } else {
+      return self().quiescent();
+    }
+  }
 };
 
 }  // namespace rstp::protocols

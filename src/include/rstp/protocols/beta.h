@@ -27,7 +27,7 @@
 
 namespace rstp::protocols {
 
-class BetaTransmitter final : public TransmitterBase {
+class BetaTransmitter final : public Process<BetaTransmitter, TransmitterBase> {
  public:
   explicit BetaTransmitter(const ProtocolConfig& config);
   /// Reads `planner`'s plans, which must be TimedBlocks; make_protocol hands
@@ -35,10 +35,8 @@ class BetaTransmitter final : public TransmitterBase {
   explicit BetaTransmitter(std::shared_ptr<BlockPlanner> planner);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^beta"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
   /// δ: packets in the first block (default ⌈d/c1⌉, overridable via
   /// ProtocolConfig). Requires a non-empty input.
@@ -58,9 +56,11 @@ class BetaTransmitter final : public TransmitterBase {
   [[nodiscard]] const BlockPlanner& planner() const { return *planner_; }
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void take(const ioa::Action& action);
   // r-passive: the receiver never sends, but stay input-enabled.
-  void receive(const ioa::Packet& /*packet*/) override {}
+  void receive(const ioa::Packet& /*packet*/) {}
 
   /// The current block's plan, fetched on the block's first step: a live
   /// planner sizes it from the estimates at that instant.
@@ -73,29 +73,26 @@ class BetaTransmitter final : public TransmitterBase {
   bool sent_all_ = false;   // the last block's last packet is sent
 };
 
-class BetaReceiver final : public ReceiverBase {
+class BetaReceiver final : public Process<BetaReceiver, ReceiverBase> {
  public:
   explicit BetaReceiver(const ProtocolConfig& config);
   /// Decodes with `planner`'s plans (TimedBlocks); |X| is the planner's.
   explicit BetaReceiver(std::shared_ptr<BlockPlanner> planner);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^beta"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
-  [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
   /// Bits of X decoded so far. Each block contributes only its real bits,
   /// so the final block's padding is never counted.
   [[nodiscard]] std::size_t decoded_bits() const { return decoder_.decoded().size(); }
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& packet) override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void receive(const ioa::Packet& packet);
 
   BlockDecoder decoder_;            // Figure 3's A and ŷ_1, ŷ_2, ...
-  std::vector<ioa::Bit> written_;   // Y
   std::size_t target_length_ = 0;   // |X|
 };
 

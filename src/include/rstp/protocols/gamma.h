@@ -32,7 +32,7 @@ namespace rstp::protocols {
 /// Payload of every acknowledgement packet (P^rt is the singleton {ack}).
 inline constexpr std::uint32_t kAckPayload = 0;
 
-class GammaTransmitter final : public TransmitterBase {
+class GammaTransmitter final : public Process<GammaTransmitter, TransmitterBase> {
  public:
   explicit GammaTransmitter(const ProtocolConfig& config);
   /// Reads `planner`'s plans, which must be AckedBlocks; make_protocol hands
@@ -40,10 +40,8 @@ class GammaTransmitter final : public TransmitterBase {
   explicit GammaTransmitter(std::shared_ptr<BlockPlanner> planner);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^gamma"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
   /// δ2: packets in the first block (= acks awaited per round). Requires a
   /// non-empty input.
@@ -60,8 +58,10 @@ class GammaTransmitter final : public TransmitterBase {
   [[nodiscard]] const BlockPlanner& planner() const { return *planner_; }
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& packet) override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void take(const ioa::Action& action);
+  void receive(const ioa::Packet& packet);
 
   /// The current block's plan, fetched on the block's first step: a live
   /// planner sizes it from the estimates at that instant.
@@ -75,28 +75,26 @@ class GammaTransmitter final : public TransmitterBase {
   bool sent_all_ = false;   // the last block's last packet is sent
 };
 
-class GammaReceiver final : public ReceiverBase {
+class GammaReceiver final : public Process<GammaReceiver, ReceiverBase> {
  public:
   explicit GammaReceiver(const ProtocolConfig& config);
   /// Decodes with `planner`'s plans (AckedBlocks); |X| is the planner's.
   explicit GammaReceiver(std::shared_ptr<BlockPlanner> planner);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^gamma"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
-  [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
   /// Bits of X decoded so far; the final block's padding is never counted.
   [[nodiscard]] std::size_t decoded_bits() const { return decoder_.decoded().size(); }
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& packet) override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void take(const ioa::Action& action);
+  void receive(const ioa::Packet& packet);
 
   BlockDecoder decoder_;            // Figure 4's A and the decoded bits
-  std::vector<ioa::Bit> written_;   // Y
   std::int64_t unacked_ = 0;        // Figure 4's j: received, not yet acked
   std::size_t target_length_ = 0;   // |X|
 };

@@ -43,24 +43,25 @@ inline constexpr std::uint32_t kDefaultWindow = 2;
 [[nodiscard]] double windowed_gamma_upper(const core::TimingParams& params, std::uint32_t k,
                                           std::uint32_t window = kDefaultWindow);
 
-class WindowedGammaTransmitter final : public TransmitterBase {
+class WindowedGammaTransmitter final
+    : public Process<WindowedGammaTransmitter, TransmitterBase> {
  public:
   /// Requires W | k and k/W >= 2 (W from config.window_override, default 2).
   explicit WindowedGammaTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^gammaw"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
   [[nodiscard]] std::int64_t block_size() const { return delta2_; }
   [[nodiscard]] std::size_t bits_per_block() const { return coder_->bits_per_block(); }
   [[nodiscard]] const std::vector<combinatorics::Symbol>& symbol_stream() const { return stream_; }
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& packet) override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void take(const ioa::Action& action);
+  void receive(const ioa::Packet& packet);
 
   /// The tag class of the block currently awaiting acks at the head of the
   /// window (block index `completed_`).
@@ -78,22 +79,21 @@ class WindowedGammaTransmitter final : public TransmitterBase {
   std::vector<std::int64_t> acks_;  // acks per tag for outstanding blocks
 };
 
-class WindowedGammaReceiver final : public ReceiverBase {
+class WindowedGammaReceiver final : public Process<WindowedGammaReceiver, ReceiverBase> {
  public:
   explicit WindowedGammaReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^gammaw"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
-  [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
   [[nodiscard]] std::size_t decoded_bits() const { return decoded_.size(); }
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& packet) override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void take(const ioa::Action& action);
+  void receive(const ioa::Packet& packet);
 
   void decode_ready_blocks();
 
@@ -104,7 +104,6 @@ class WindowedGammaReceiver final : public ReceiverBase {
   std::size_t next_tag_ = 0;                     // blocks decode in order
   std::vector<std::uint32_t> ack_queue_;         // tags to acknowledge
   std::vector<ioa::Bit> decoded_;
-  std::vector<ioa::Bit> written_;
   std::size_t target_length_ = 0;
 };
 

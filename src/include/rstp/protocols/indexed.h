@@ -22,42 +22,39 @@
 
 namespace rstp::protocols {
 
-class IndexedTransmitter final : public TransmitterBase {
+class IndexedTransmitter final : public Process<IndexedTransmitter, TransmitterBase> {
  public:
   explicit IndexedTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^indexed"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& /*packet*/) override {}  // r-passive
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void take(const ioa::Action& /*action*/) { ++i_; }
+  void receive(const ioa::Packet& /*packet*/) {}  // r-passive
 
   std::vector<ioa::Bit> input_;
   std::size_t i_ = 0;
 };
 
-class IndexedReceiver final : public ReceiverBase {
+class IndexedReceiver final : public Process<IndexedReceiver, ReceiverBase> {
  public:
   explicit IndexedReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^indexed"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
-  [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& packet) override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void receive(const ioa::Packet& packet);
 
   std::vector<std::uint8_t> present_;  // arrival mask by index
   std::vector<ioa::Bit> slots_;        // reassembly buffer
-  std::vector<ioa::Bit> written_;      // Y
   std::size_t target_length_ = 0;
 };
 

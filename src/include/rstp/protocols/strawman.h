@@ -23,7 +23,7 @@
 
 namespace rstp::protocols {
 
-class StrawmanTransmitter final : public TransmitterBase {
+class StrawmanTransmitter final : public Process<StrawmanTransmitter, TransmitterBase> {
  public:
   /// The largest block, ⌈d/c1⌉ packets. A whole block is in flight at once
   /// under the worst-case delay, and `rstp run` holds about 60 bytes per
@@ -34,17 +34,17 @@ class StrawmanTransmitter final : public TransmitterBase {
   explicit StrawmanTransmitter(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_t^strawman"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool transmission_complete() const override;
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
   [[nodiscard]] std::int64_t block_size() const { return delta_; }
   [[nodiscard]] std::size_t bits_per_block() const { return bits_per_block_; }
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& /*packet*/) override {}  // r-passive
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void take(const ioa::Action& action);
+  void receive(const ioa::Packet& /*packet*/) {}  // r-passive
 
   /// Symbol i of the block-aligned positional stream of ⌈|X|/B⌉·δ symbols,
   /// computed from X when it is sent rather than stored.
@@ -59,24 +59,21 @@ class StrawmanTransmitter final : public TransmitterBase {
   std::int64_t c_ = 0;
 };
 
-class StrawmanReceiver final : public ReceiverBase {
+class StrawmanReceiver final : public Process<StrawmanReceiver, ReceiverBase> {
  public:
   explicit StrawmanReceiver(const ProtocolConfig& config);
 
   [[nodiscard]] std::string_view name() const override { return "A_r^strawman"; }
-  bool step(ioa::LocalStep& out) override;
   [[nodiscard]] bool quiescent() const override;
-  [[nodiscard]] const std::vector<ioa::Bit>& output() const override { return written_; }
   [[nodiscard]] std::string snapshot() const override;
-  [[nodiscard]] std::unique_ptr<ioa::Automaton> clone() const override;
 
  private:
-  [[nodiscard]] bool local_action(ioa::Action& out) const override;
-  void receive(const ioa::Packet& packet) override;
+  friend Process;
+  [[nodiscard]] bool local_action(ioa::Action& out) const;
+  void receive(const ioa::Packet& packet);
 
   std::vector<std::uint32_t> arrivals_;  // current block, in ARRIVAL order
   std::vector<ioa::Bit> decoded_;
-  std::vector<ioa::Bit> written_;
   std::uint32_t k_ = 2;
   std::int64_t delta_ = 0;
   std::size_t bits_per_symbol_ = 0;

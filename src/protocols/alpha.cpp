@@ -33,17 +33,14 @@ bool AlphaTransmitter::local_action(Action& out) const {
   return true;
 }
 
-bool AlphaTransmitter::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  j_ = out.action.kind == ActionKind::Send ? 1 : j_ + 1;
+void AlphaTransmitter::take(const Action& action) {
+  j_ = action.kind == ActionKind::Send ? 1 : j_ + 1;
   // Figure 1: when the idle count reaches d/c1 the next message is unlocked.
   // (When ⌈d/c1⌉ = 1 the send itself completes the round.)
   if (j_ == wait_steps_) {
     ++i_;
     j_ = 0;
   }
-  out.quiescent = quiescent();
-  return true;
 }
 
 bool AlphaTransmitter::transmission_complete() const {
@@ -55,10 +52,6 @@ std::string AlphaTransmitter::snapshot() const {
   std::ostringstream os;
   os << "alpha_t i=" << i_ << " j=" << j_;
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> AlphaTransmitter::clone() const {
-  return std::make_unique<AlphaTransmitter>(*this);
 }
 
 AlphaReceiver::AlphaReceiver(const ProtocolConfig& config) {
@@ -80,13 +73,6 @@ void AlphaReceiver::receive(const Packet& packet) {
   received_.push_back(static_cast<Bit>(payload));
 }
 
-bool AlphaReceiver::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  if (out.action.kind == ActionKind::Write) written_.push_back(out.action.message);
-  out.quiescent = quiescent();
-  return true;
-}
-
 bool AlphaReceiver::quiescent() const { return written_.size() == received_.size(); }
 
 std::string AlphaReceiver::snapshot() const {
@@ -94,10 +80,6 @@ std::string AlphaReceiver::snapshot() const {
   os << "alpha_r recv=" << received_.size() << " written=" << written_.size() << " y=";
   for (Bit b : received_) os << static_cast<int>(b);
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> AlphaReceiver::clone() const {
-  return std::make_unique<AlphaReceiver>(*this);
 }
 
 }  // namespace rstp::protocols

@@ -40,11 +40,8 @@ void AltBitTransmitter::receive(const Packet& packet) {
   phase_ = Phase::Sending;
 }
 
-bool AltBitTransmitter::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  if (out.action.kind == ActionKind::Send) phase_ = Phase::AwaitingAck;
-  out.quiescent = quiescent();
-  return true;
+void AltBitTransmitter::take(const Action& action) {
+  if (action.kind == ActionKind::Send) phase_ = Phase::AwaitingAck;
 }
 
 bool AltBitTransmitter::quiescent() const { return i_ >= input_.size(); }
@@ -57,10 +54,6 @@ std::string AltBitTransmitter::snapshot() const {
   std::ostringstream os;
   os << "altbit_t i=" << i_ << " phase=" << (phase_ == Phase::Sending ? "send" : "await");
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> AltBitTransmitter::clone() const {
-  return std::make_unique<AltBitTransmitter>(*this);
 }
 
 AltBitReceiver::AltBitReceiver(const ProtocolConfig& config) {
@@ -93,16 +86,11 @@ void AltBitReceiver::receive(const Packet& packet) {
   ack_queue_.push_back(seq);
 }
 
-bool AltBitReceiver::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  if (out.action.kind == ActionKind::Send) {
+void AltBitReceiver::take(const Action& action) {
+  if (action.kind == ActionKind::Send) {
     ack_queue_.erase(ack_queue_.begin());
     ++counters_.acks_sent;
-  } else if (out.action.kind == ActionKind::Write) {
-    written_.push_back(out.action.message);
   }
-  out.quiescent = quiescent();
-  return true;
 }
 
 bool AltBitReceiver::quiescent() const {
@@ -116,10 +104,6 @@ std::string AltBitReceiver::snapshot() const {
   os << " y=";
   for (const Bit b : accepted_) os << static_cast<int>(b);
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> AltBitReceiver::clone() const {
-  return std::make_unique<AltBitReceiver>(*this);
 }
 
 }  // namespace rstp::protocols

@@ -30,11 +30,10 @@ bool BetaTransmitter::local_action(Action& out) const {
   return true;
 }
 
-bool BetaTransmitter::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
+void BetaTransmitter::take(const Action& action) {
   ++c_;
   const BlockPlan& p = plan();
-  if (out.action.kind == ActionKind::Send) {
+  if (action.kind == ActionKind::Send) {
     if (c_ == p.delta) {
       ++counters_.blocks_encoded;
       sent_all_ = !planner_->has_block(block_ + 1);
@@ -48,8 +47,6 @@ bool BetaTransmitter::step(ioa::LocalStep& out) {
       plan_ = nullptr;
     }
   }
-  out.quiescent = quiescent();
-  return true;
 }
 
 bool BetaTransmitter::transmission_complete() const { return sent_all_; }
@@ -58,13 +55,6 @@ std::string BetaTransmitter::snapshot() const {
   std::ostringstream os;
   os << "beta_t block=" << block_ << " c=" << c_ << " sent_all=" << sent_all_;
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> BetaTransmitter::clone() const {
-  // Shares the planner, which a clone may grow: a fixed plan is a pure
-  // function of (X, δ), and the planner's deque never moves a plan, so
-  // every clone reads the same plans however their runs interleave.
-  return std::make_unique<BetaTransmitter>(*this);
 }
 
 BetaReceiver::BetaReceiver(const ProtocolConfig& config)
@@ -88,13 +78,6 @@ void BetaReceiver::receive(const Packet& packet) {
   if (decoder_.add(packet.payload)) ++counters_.blocks_decoded;
 }
 
-bool BetaReceiver::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  if (out.action.kind == ActionKind::Write) written_.push_back(out.action.message);
-  out.quiescent = quiescent();
-  return true;
-}
-
 bool BetaReceiver::quiescent() const {
   return written_.size() >= target_length_ ||
          (written_.size() == decoder_.decoded().size() && decoder_.pending() == 0);
@@ -104,10 +87,6 @@ std::string BetaReceiver::snapshot() const {
   std::ostringstream os;
   os << "beta_r written=" << written_.size() << ' ' << decoder_.snapshot();
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> BetaReceiver::clone() const {
-  return std::make_unique<BetaReceiver>(*this);
 }
 
 }  // namespace rstp::protocols

@@ -49,15 +49,12 @@ void GammaTransmitter::receive(const Packet& packet) {
   }
 }
 
-bool GammaTransmitter::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  if (out.action.kind == ActionKind::Send && ++c_ == plan().delta) {
+void GammaTransmitter::take(const Action& action) {
+  if (action.kind == ActionKind::Send && ++c_ == plan().delta) {
     ++counters_.blocks_encoded;
     sent_all_ = !planner_->has_block(block_ + 1);
   }
   // idle_t has no effect.
-  out.quiescent = quiescent();
-  return true;
 }
 
 bool GammaTransmitter::transmission_complete() const { return sent_all_; }
@@ -66,13 +63,6 @@ std::string GammaTransmitter::snapshot() const {
   std::ostringstream os;
   os << "gamma_t block=" << block_ << " c=" << c_ << " a=" << a_ << " sent_all=" << sent_all_;
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> GammaTransmitter::clone() const {
-  // Shares the planner, which a clone may grow: a fixed plan is a pure
-  // function of (X, δ), and the planner's deque never moves a plan, so
-  // every clone reads the same plans however their runs interleave.
-  return std::make_unique<GammaTransmitter>(*this);
 }
 
 GammaReceiver::GammaReceiver(const ProtocolConfig& config)
@@ -102,16 +92,11 @@ void GammaReceiver::receive(const Packet& packet) {
   ++unacked_;
 }
 
-bool GammaReceiver::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  if (out.action.kind == ActionKind::Send) {
+void GammaReceiver::take(const Action& action) {
+  if (action.kind == ActionKind::Send) {
     --unacked_;
     ++counters_.acks_sent;
-  } else if (out.action.kind == ActionKind::Write) {
-    written_.push_back(out.action.message);
   }
-  out.quiescent = quiescent();
-  return true;
 }
 
 bool GammaReceiver::quiescent() const {
@@ -125,10 +110,6 @@ std::string GammaReceiver::snapshot() const {
   os << "gamma_r written=" << written_.size() << " unacked=" << unacked_ << ' '
      << decoder_.snapshot();
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> GammaReceiver::clone() const {
-  return std::make_unique<GammaReceiver>(*this);
 }
 
 }  // namespace rstp::protocols

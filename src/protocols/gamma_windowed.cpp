@@ -95,9 +95,8 @@ void WindowedGammaTransmitter::receive(const Packet& packet) {
   }
 }
 
-bool WindowedGammaTransmitter::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  if (out.action.kind == ActionKind::Send) {
+void WindowedGammaTransmitter::take(const Action& action) {
+  if (action.kind == ActionKind::Send) {
     ++i_;
     ++c_;
     if (c_ == delta2_) {
@@ -107,8 +106,6 @@ bool WindowedGammaTransmitter::step(ioa::LocalStep& out) {
     }
   }
   // idle_t has no effect.
-  out.quiescent = quiescent();
-  return true;
 }
 
 bool WindowedGammaTransmitter::transmission_complete() const { return i_ >= stream_.size(); }
@@ -119,10 +116,6 @@ std::string WindowedGammaTransmitter::snapshot() const {
      << " acks=";
   for (const auto a : acks_) os << a << ',';
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> WindowedGammaTransmitter::clone() const {
-  return std::make_unique<WindowedGammaTransmitter>(*this);
 }
 
 WindowedGammaReceiver::WindowedGammaReceiver(const ProtocolConfig& config)
@@ -176,16 +169,11 @@ void WindowedGammaReceiver::receive(const Packet& packet) {
   decode_ready_blocks();
 }
 
-bool WindowedGammaReceiver::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  if (out.action.kind == ActionKind::Send) {
+void WindowedGammaReceiver::take(const Action& action) {
+  if (action.kind == ActionKind::Send) {
     ack_queue_.erase(ack_queue_.begin());
     ++counters_.acks_sent;
-  } else if (out.action.kind == ActionKind::Write) {
-    written_.push_back(out.action.message);
   }
-  out.quiescent = quiescent();
-  return true;
 }
 
 bool WindowedGammaReceiver::quiescent() const {
@@ -205,10 +193,6 @@ std::string WindowedGammaReceiver::snapshot() const {
   os << " y=";
   for (const Bit b : decoded_) os << static_cast<int>(b);
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> WindowedGammaReceiver::clone() const {
-  return std::make_unique<WindowedGammaReceiver>(*this);
 }
 
 }  // namespace rstp::protocols

@@ -8,7 +8,6 @@
 namespace rstp::protocols {
 
 using ioa::Action;
-using ioa::ActionKind;
 using ioa::Bit;
 using ioa::Packet;
 
@@ -36,23 +35,12 @@ bool IndexedTransmitter::local_action(Action& out) const {
   return true;
 }
 
-bool IndexedTransmitter::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  ++i_;
-  out.quiescent = quiescent();
-  return true;
-}
-
 bool IndexedTransmitter::transmission_complete() const { return i_ >= input_.size(); }
 
 std::string IndexedTransmitter::snapshot() const {
   std::ostringstream os;
   os << "indexed_t i=" << i_;
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> IndexedTransmitter::clone() const {
-  return std::make_unique<IndexedTransmitter>(*this);
 }
 
 IndexedReceiver::IndexedReceiver(const ProtocolConfig& config)
@@ -79,13 +67,6 @@ void IndexedReceiver::receive(const Packet& packet) {
   slots_[index] = bit;
 }
 
-bool IndexedReceiver::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  if (out.action.kind == ActionKind::Write) written_.push_back(out.action.message);
-  out.quiescent = quiescent();
-  return true;
-}
-
 bool IndexedReceiver::quiescent() const {
   const std::size_t w = written_.size();
   return w >= target_length_ || present_[w] == 0;  // no write currently possible
@@ -99,10 +80,6 @@ std::string IndexedReceiver::snapshot() const {
     os << (present_[i] != 0 ? static_cast<char>('0' + slots_[i]) : '-');
   }
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> IndexedReceiver::clone() const {
-  return std::make_unique<IndexedReceiver>(*this);
 }
 
 }  // namespace rstp::protocols

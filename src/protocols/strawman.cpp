@@ -54,9 +54,8 @@ bool StrawmanTransmitter::local_action(Action& out) const {
   return true;
 }
 
-bool StrawmanTransmitter::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  if (out.action.kind == ActionKind::Send) {
+void StrawmanTransmitter::take(const Action& action) {
+  if (action.kind == ActionKind::Send) {
     ++i_;
     ++c_;
     if (c_ == delta_) {
@@ -65,8 +64,6 @@ bool StrawmanTransmitter::step(ioa::LocalStep& out) {
   } else {
     c_ = (c_ + 1) % (2 * delta_);
   }
-  out.quiescent = quiescent();
-  return true;
 }
 
 bool StrawmanTransmitter::transmission_complete() const { return i_ >= symbols_; }
@@ -75,10 +72,6 @@ std::string StrawmanTransmitter::snapshot() const {
   std::ostringstream os;
   os << "strawman_t i=" << i_ << " c=" << c_;
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> StrawmanTransmitter::clone() const {
-  return std::make_unique<StrawmanTransmitter>(*this);
 }
 
 StrawmanReceiver::StrawmanReceiver(const ProtocolConfig& config) {
@@ -114,13 +107,6 @@ void StrawmanReceiver::receive(const Packet& packet) {
   }
 }
 
-bool StrawmanReceiver::step(ioa::LocalStep& out) {
-  if (!local_action(out.action)) return false;
-  if (out.action.kind == ActionKind::Write) written_.push_back(out.action.message);
-  out.quiescent = quiescent();
-  return true;
-}
-
 bool StrawmanReceiver::quiescent() const {
   return written_.size() >= target_length_ ||
          (written_.size() == decoded_.size() && arrivals_.empty());
@@ -133,10 +119,6 @@ std::string StrawmanReceiver::snapshot() const {
   os << " y=";
   for (const Bit b : decoded_) os << static_cast<int>(b);
   return os.str();
-}
-
-std::unique_ptr<ioa::Automaton> StrawmanReceiver::clone() const {
-  return std::make_unique<StrawmanReceiver>(*this);
 }
 
 }  // namespace rstp::protocols

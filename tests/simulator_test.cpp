@@ -8,6 +8,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "rstp/obs/host_timer.h"
 #include "rstp/protocols/factory.h"
 #include "rstp/sim/session.h"
+#include "rstp/sim/simulator_impl.h"
 
 namespace rstp::sim {
 namespace {
@@ -30,13 +32,18 @@ using ioa::Actor;
 using ioa::Packet;
 using ioa::ProcessId;
 
-/// Sends payloads 0..n-1, one per step, then stops.
+/// Sends payloads 0..n-1, one per step, then stops. With `await_acks` it
+/// also stops after every send until that send's ack arrives, so each of its
+/// steps after the first follows a re-enabling input.
 class CounterSender final : public ioa::Automaton {
  public:
-  explicit CounterSender(std::uint32_t n) : n_(n) {}
+  explicit CounterSender(std::uint32_t n, bool await_acks = false)
+      : n_(n), await_acks_(await_acks) {}
   [[nodiscard]] std::string_view name() const override { return "counter_sender"; }
   [[nodiscard]] std::optional<Action> enabled_local() const override {
-    if (sent_ < n_) return Action::send(Packet::to_receiver(sent_));
+    if (sent_ < n_ && (!await_acks_ || acks_ == sent_)) {
+      return Action::send(Packet::to_receiver(sent_));
+    }
     return std::nullopt;
   }
   void apply(const Action& action) override {
@@ -64,6 +71,7 @@ class CounterSender final : public ioa::Automaton {
 
  private:
   std::uint32_t n_;
+  bool await_acks_;
   std::uint32_t sent_ = 0;
   std::uint32_t acks_ = 0;
 };
@@ -525,14 +533,21 @@ TEST(Simulator, NextInstantIsStableBetweenAdvances) {
   EXPECT_EQ(rig.sim.take_result().event_count, events);
 }
 
+/// Every field of two RunResults equal.
 void expect_same_result(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.trace.events(), b.trace.events());
   EXPECT_EQ(a.output, b.output);
-  EXPECT_EQ(a.metrics, b.metrics);
-  EXPECT_EQ(a.end_time, b.end_time);
-  EXPECT_EQ(a.quiescent, b.quiescent);
-  EXPECT_EQ(a.event_count, b.event_count);
   EXPECT_EQ(a.last_transmitter_send, b.last_transmitter_send);
+  EXPECT_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.event_count, b.event_count);
+  EXPECT_EQ(a.transmitter_steps, b.transmitter_steps);
+  EXPECT_EQ(a.receiver_steps, b.receiver_steps);
+  EXPECT_EQ(a.transmitter_sends, b.transmitter_sends);
+  EXPECT_EQ(a.receiver_sends, b.receiver_sends);
+  EXPECT_EQ(a.dropped_packets, b.dropped_packets);
+  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(a.quiescent, b.quiescent);
+  EXPECT_EQ(a.metrics, b.metrics);
 }
 
 TEST(Simulator, IncrementalDrivingEqualsRun) {
@@ -880,21 +895,7 @@ TEST(Simulator, TypedSessionsEqualTheGenericInstanceWithObserversAndFaults) {
         observed_run(typed, kind, env, faults, /*through_session=*/true);
         observed_run(generic, kind, env, faults, /*through_session=*/false);
         EXPECT_EQ(typed.error, generic.error);
-        const RunResult& t = typed.result;
-        const RunResult& g = generic.result;
-        EXPECT_EQ(t.trace.events(), g.trace.events());
-        EXPECT_EQ(t.output, g.output);
-        EXPECT_EQ(t.last_transmitter_send, g.last_transmitter_send);
-        EXPECT_EQ(t.end_time, g.end_time);
-        EXPECT_EQ(t.event_count, g.event_count);
-        EXPECT_EQ(t.transmitter_steps, g.transmitter_steps);
-        EXPECT_EQ(t.receiver_steps, g.receiver_steps);
-        EXPECT_EQ(t.transmitter_sends, g.transmitter_sends);
-        EXPECT_EQ(t.receiver_sends, g.receiver_sends);
-        EXPECT_EQ(t.dropped_packets, g.dropped_packets);
-        EXPECT_EQ(t.faults, g.faults);
-        EXPECT_EQ(t.quiescent, g.quiescent);
-        EXPECT_EQ(t.metrics, g.metrics);
+        expect_same_result(typed.result, generic.result);
         EXPECT_EQ(typed.verdict.violations, generic.verdict.violations);
         EXPECT_EQ(typed.recorder.calls, generic.recorder.calls);
         EXPECT_EQ(typed.recorder.finished_at, generic.recorder.finished_at);
@@ -912,6 +913,34 @@ TEST(Simulator, TypedSessionsEqualTheGenericInstanceWithObserversAndFaults) {
   // protocol's check and compare the error, the observer calls and the log.
   EXPECT_EQ(faulted_runs, 14u);
   EXPECT_EQ(completed_runs, 24u);
+}
+
+TEST(Simulator, TypedInstanceResumesAProcessThatAnInputReEnables) {
+  // Gate: the sender stops after every send and only the ack's delivery
+  // enables it again, so each of its steps after the first is scheduled by
+  // deliver()'s re-enable branch. An instance typed on these automata and
+  // FixedRateScheduler, the step law of every protocol's typed instance,
+  // must run exactly as Simulator does.
+  const auto params = core::TimingParams::make(1, 2, 4);
+  const auto run = [&](auto tag) {
+    using Sim = typename decltype(tag)::type;
+    CounterSender sender{4, /*await_acks=*/true};
+    EchoReceiver receiver{true};
+    channel::Channel chan{params.d, channel::make_max_delay()};
+    FixedRateScheduler ts{params.c2};
+    FixedRateScheduler rs{params.c1};
+    SimConfig cfg = config_for(params);
+    cfg.max_events = 1000;
+    Sim sim{sender, receiver, chan, ts, rs, cfg};
+    return sim.run();
+  };
+  const RunResult typed =
+      run(std::type_identity<BasicSimulator<CounterSender, EchoReceiver, FixedRateScheduler>>{});
+  const RunResult generic = run(std::type_identity<Simulator>{});
+  expect_same_result(typed, generic);
+  EXPECT_TRUE(typed.quiescent);
+  EXPECT_EQ(typed.transmitter_sends, 4u);
+  EXPECT_EQ(typed.receiver_sends, 4u);
 }
 
 }  // namespace

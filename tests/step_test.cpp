@@ -1,13 +1,17 @@
-// Automaton::step() and deliver() against the compositions they fuse.
+// Automaton::step() and deliver() against the compositions they fuse, and
+// clone() against the automaton it copies.
 //
-// Every protocol writes its local transitions once, in step(), which takes
-// the enabled action and reports it with the quiescence after it. The
-// default Automaton::step composes enabled_local(), apply() and
-// quiescent(). Replaying the deliveries of a real run, one copy of each
-// automaton steps by its own step() and a clone by the default composition;
-// after every event both must agree with each other and with the run.
-// deliver() is checked the same way against the default composition of
-// accepts_input(), apply() and quiescent().
+// Every protocol automaton takes its transitions through one template,
+// protocols::Process (protocols/base.h), whose step() takes the enabled
+// action and reports it with the quiescence after it. The default
+// Automaton::step composes enabled_local(), apply() and quiescent().
+// Replaying the deliveries of a real run, one copy of each automaton steps
+// by its own step() and a clone by the default composition; after every
+// event both must agree with each other and with the run. deliver() is
+// checked the same way against the default composition of accepts_input(),
+// apply() and quiescent(). A clone taken at several points of a run must
+// equal its original, stay put while the original moves on, and equal it
+// again once it takes the same events.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -174,6 +178,64 @@ void expect_deliver_matches_composition(ProtocolKind kind, const core::Environme
   }
 }
 
+/// The state a clone must carry: snapshot(), quiescent() and enabled_local().
+struct Observed {
+  std::string snapshot;
+  bool quiescent = false;
+  std::optional<Action> enabled;
+
+  explicit Observed(const ioa::Automaton& a)
+      : snapshot(a.snapshot()), quiescent(a.quiescent()), enabled(a.enabled_local()) {}
+  friend bool operator==(const Observed&, const Observed&) = default;
+};
+
+void expect_clones_are_independent_copies(ProtocolKind kind, const core::Environment& env) {
+  const protocols::ProtocolConfig cfg = config_for(kind);
+  const core::ProtocolRun run = core::run_protocol(kind, cfg, env);
+  ASSERT_TRUE(run.result.quiescent);
+  const std::vector<ioa::TimedEvent>& events = run.result.trace.events();
+  ASSERT_GT(events.size(), 8u);
+
+  protocols::ProtocolInstance instance = protocols::make_protocol(kind, cfg);
+  const std::array<ioa::Automaton*, 2> originals{instance.transmitter.get(),
+                                                 instance.receiver.get()};
+  // Takes events [from, to) of the run on `procs`, each on its own process.
+  const auto take = [&](const std::array<ioa::Automaton*, 2>& procs, std::size_t from,
+                        std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      const ioa::TimedEvent& event = events[i];
+      const auto id = event.actor == Actor::Channel
+                          ? static_cast<std::size_t>(event.action.packet.destination())
+                          : static_cast<std::size_t>(event.actor);
+      procs[id]->apply(event.action);
+    }
+  };
+  // Clone at the start, at each quarter of the run and at its end; between
+  // two points the originals take the events first, then the clones.
+  const std::size_t n = events.size();
+  const std::array<std::size_t, 6> points{0, n / 4, n / 2, 3 * n / 4, n, n};
+  for (std::size_t p = 0; p + 1 < points.size(); ++p) {
+    SCOPED_TRACE("clone at event " + std::to_string(points[p]));
+    const std::array<std::unique_ptr<ioa::Automaton>, 2> clones{originals[0]->clone(),
+                                                                originals[1]->clone()};
+    const std::array<ioa::Automaton*, 2> copies{clones[0].get(), clones[1].get()};
+    std::vector<Observed> at_clone;
+    for (std::size_t i = 0; i < 2; ++i) {
+      at_clone.emplace_back(*originals[i]);
+      EXPECT_EQ(Observed{*copies[i]}, at_clone[i]) << originals[i]->name();
+      EXPECT_EQ(copies[i]->name(), originals[i]->name());
+    }
+    take(originals, points[p], points[p + 1]);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(Observed{*copies[i]}, at_clone[i]) << copies[i]->name() << " moved";
+    }
+    take(copies, points[p], points[p + 1]);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(Observed{*copies[i]}, Observed{*originals[i]}) << copies[i]->name();
+    }
+  }
+}
+
 TEST(Automaton, StepMatchesEnabledThenApply) {
   for (const ProtocolKind kind : protocols::kAllProtocolKinds) {
     for (const core::Environment& env :
@@ -192,6 +254,17 @@ TEST(Automaton, DeliverMatchesAcceptsInputThenApply) {
       SCOPED_TRACE(std::string{protocols::to_string(kind)} + " env seed " +
                    std::to_string(env.seed));
       expect_deliver_matches_composition(kind, env);
+    }
+  }
+}
+
+TEST(Automaton, CloneIsAnIndependentCopyAtEveryPointOfARun) {
+  for (const ProtocolKind kind : protocols::kAllProtocolKinds) {
+    for (const core::Environment& env :
+         {core::Environment::worst_case(), core::Environment::randomized(3)}) {
+      SCOPED_TRACE(std::string{protocols::to_string(kind)} + " env seed " +
+                   std::to_string(env.seed));
+      expect_clones_are_independent_copies(kind, env);
     }
   }
 }
